@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence
 
+from .errors import ConfigError
+
 __all__ = ["worker_count", "parallel_map"]
 
 
@@ -19,7 +21,7 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        return 1
+        raise ConfigError(f"PATHWISE_WORKERS must be an integer, got {raw!r}") from None
     return max(1, n)
 
 

@@ -240,8 +240,9 @@ def run(cfg: dict) -> int:
             need = hier.n_levels * len(cfg["checkpoints"]) * cells * 8
             if need > cfg["max_tensor_bytes"]:
                 raise ConfigError(
-                    f"config field 'grid_cells': local-time tensor would need {need} bytes, "
-                    f"over the max_tensor_bytes cap {cfg['max_tensor_bytes']}"
+                    f"config field 'grid_cells': the local-time output field (levels x "
+                    f"checkpoints x cells) would need {need} bytes, over the "
+                    f"max_tensor_bytes cap {cfg['max_tensor_bytes']}"
                 )
             grid = SpaceGrid.cover([path], cells)
             field = discrete_local_time(path, hier, p, grid, cfg["checkpoints"])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -147,6 +147,34 @@ class OccupationLocalTime:
                 yield t, x, v
 
 
+# Most (cell, weight) pairs expanded at once: bounds the working set of a
+# sweep, while the additions stay in the same order whatever the blocking.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _running_sums(cells: int, ends: np.ndarray, pairs: Callable) -> np.ndarray:
+    """Per-cell running sums of an ordered sequence of (cell, weight) pairs.
+
+    ``pairs(start, end)`` returns the cell indices and weights at
+    positions [start, end) of the sequence.  They are added with
+    ``np.add.at``, which applies them one at a time in input order, into
+    one per-cell vector, at most ``_BLOCK_PAIRS`` at a time.  Row k of the
+    result is that vector after the first ``ends[k]`` pairs (``ends`` is
+    non-decreasing), so each entry is the sequential sum of its cell's
+    weights in that prefix.
+    """
+    acc = np.zeros(cells)
+    out = np.empty((len(ends), cells))
+    pos = 0
+    for k, end in enumerate(ends):
+        while pos < end:
+            stop = min(int(end), pos + _BLOCK_PAIRS)
+            np.add.at(acc, *pairs(pos, stop))
+            pos = stop
+        out[k] = acc
+    return out
+
+
 def _check_coverage(path: SampledPath, grid: SpaceGrid) -> None:
     m, M = float(path.values.min()), float(path.values.max())
     if grid.lo > m or grid.hi < M:
@@ -167,6 +195,15 @@ def discrete_local_time(
     Entries are nonnegative, non-decreasing in the checkpoint index, and
     vanish at grid centers outside the running range of the path widened
     by one cell.
+
+    Cost: each interval charges only the contiguous run of grid centers
+    in its (min, max] bracket, so the work is proportional to the
+    (interval, cell) pairs touched, about N + sum |dS| / cellwidth per
+    level, rather than to intervals x cells.  Pairs are expanded in blocks
+    of at most ``_BLOCK_PAIRS``, so memory is the output field, a few
+    arrays of one entry per interval and one bounded block, whatever the
+    path.  Every cell receives the same additions in the same order as a
+    dense per-interval prefix sum, so the field is bit-identical to it.
     """
     p = even_order(p)
     _check_coverage(path, grid)
@@ -176,15 +213,21 @@ def discrete_local_time(
     for i, lev in enumerate(hierarchy.levels):
         a = path.values[lev[:-1]]
         b = path.values[lev[1:]]
-        lo = np.minimum(a, b)[:, None]
-        hi = np.maximum(a, b)[:, None]
-        contrib = np.where(
-            (centers[None, :] > lo) & (centers[None, :] <= hi),
-            np.abs(b[:, None] - centers[None, :]) ** (p - 1),
-            0.0,
-        )
-        cums = np.concatenate([np.zeros((1, grid.cells)), np.cumsum(contrib, axis=0)])
-        out[i] = cums[left_endpoint_counts(lev, cps)]
+        # cells with lo < center <= hi form the run first[j]:stop[j]
+        first = np.searchsorted(centers, np.minimum(a, b), side="right")
+        stop = np.searchsorted(centers, np.maximum(a, b), side="right")
+        offsets = np.concatenate([[0], np.cumsum(stop - first)])
+
+        def pairs(start, end):
+            # intervals j0..j1-1 own the pair positions [start, end)
+            j0 = np.searchsorted(offsets, start, side="right") - 1
+            j1 = np.searchsorted(offsets, end, side="left")
+            runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
+            owner = np.repeat(np.arange(j0, j1), runs)
+            cell = first[owner] + (np.arange(start, end) - offsets[owner])
+            return cell, np.abs(b[owner] - centers[cell]) ** (p - 1)
+
+        out[i] = _running_sums(grid.cells, offsets[left_endpoint_counts(lev, cps)], pairs)
     return LocalTimeField(
         p=p,
         grid=grid,
@@ -226,11 +269,10 @@ def _binned_density(
     denominator: float,
 ) -> np.ndarray:
     cells = grid.cell_index(path.values[:-1])
-    n_int = path.n_samples - 1
-    out = np.zeros((checkpoint_indices.size, grid.cells))
-    for j, c in enumerate(checkpoint_indices):
-        count = min(int(c) + 1, n_int)
-        np.add.at(out[j], cells[:count], interval_weights[:count])
+    counts = np.minimum(checkpoint_indices + 1, path.n_samples - 1)
+    out = _running_sums(
+        grid.cells, counts, lambda start, end: (cells[start:end], interval_weights[start:end])
+    )
     return out / denominator
 
 

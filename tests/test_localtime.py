@@ -1,5 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pathwise import (
     CoverageError,
@@ -13,6 +17,8 @@ from pathwise import (
     dyadic_hierarchy,
     gaussian_moment,
     generate,
+    lebesgue_hierarchy,
+    localtime,
     occupation_density_local_time,
     occupation_time_density,
     oscillation,
@@ -21,7 +27,7 @@ from pathwise import (
     uniform_convergence_report,
     weighted_occupation_local_time,
 )
-from pathwise._util import bracket_contributions, median
+from pathwise._util import bracket_contributions, left_endpoint_counts, median, snap_checkpoints
 from pathwise.localtime import _order_flag
 from tests.conftest import make_walk
 
@@ -309,3 +315,120 @@ def test_reports_render_named_fields(bm_path):
     assert "theoretical ratio" in ratio_text and "spatial average" in ratio_text
     order_text = str(proper_order_report(bm_path, hier, [2], grid))
     assert "order 2" in order_text
+
+
+# -- bit-for-bit agreement with the dense prefix sums -------------------------
+
+
+def dense_local_time(path, hierarchy, p, grid, checkpoints):
+    """Reference: the (intervals x cells) masked tensor, cumsum over
+    intervals, gathered at the checkpoint counts."""
+    _, cps = snap_checkpoints(path, checkpoints)
+    centers = grid.centers
+    out = np.zeros((hierarchy.n_levels, cps.size, grid.cells))
+    for i, lev in enumerate(hierarchy.levels):
+        a = path.values[lev[:-1]]
+        b = path.values[lev[1:]]
+        lo = np.minimum(a, b)[:, None]
+        hi = np.maximum(a, b)[:, None]
+        contrib = np.where(
+            (centers[None, :] > lo) & (centers[None, :] <= hi),
+            np.abs(b[:, None] - centers[None, :]) ** (p - 1),
+            0.0,
+        )
+        cums = np.concatenate([np.zeros((1, grid.cells)), np.cumsum(contrib, axis=0)])
+        out[i] = cums[left_endpoint_counts(lev, cps)]
+    return out
+
+
+def prefix_density(path, grid, weights, checkpoints, denominator):
+    """Reference: one ``np.add.at`` over the whole prefix per checkpoint."""
+    _, cps = snap_checkpoints(path, checkpoints)
+    cells = grid.cell_index(path.values[:-1])
+    out = np.zeros((cps.size, grid.cells))
+    for j, c in enumerate(cps):
+        count = min(int(c) + 1, path.n_samples - 1)
+        np.add.at(out[j], cells[:count], weights[:count])
+    return out / denominator
+
+
+@st.composite
+def integer_walks(draw):
+    """Integer-valued walks with ties (zero steps) and a grid whose centres
+    (or edges) sit exactly on the integers the walk visits.  A scale of 0.3
+    makes the sums round, so the order of the additions shows."""
+    k = draw(st.integers(1, 6))
+    steps = draw(st.lists(st.integers(-3, 3), min_size=2**k, max_size=2**k))
+    ints = np.concatenate([[0.0], np.cumsum(steps, dtype=float)]) + draw(st.integers(-2, 2))
+    scale = draw(st.sampled_from([1.0, 0.3]))
+    path = make_walk(scale * ints)
+    m, M = ints.min(), ints.max()
+    extra = draw(st.integers(0, 2))
+    placement = draw(st.sampled_from(["centres", "edges", "cover"]))
+    if placement == "centres":
+        lo, hi, cells = m - 0.5 - extra, M + 0.5 + extra, int(M - m) + 1 + 2 * extra
+        grid = SpaceGrid(scale * lo, scale * hi, cells)
+    elif placement == "edges":
+        lo, hi, cells = m - 1.0 - extra, M + 1.0 + extra, int(M - m) + 2 + 2 * extra
+        grid = SpaceGrid(scale * lo, scale * hi, cells)
+    else:
+        grid = SpaceGrid.cover([path], draw(st.integers(3, 40)))
+    checkpoints = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return path, grid, checkpoints
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    integer_walks(),
+    st.sampled_from([2, 4, 6]),
+    st.sampled_from(["dyadic", "lebesgue"]),
+    st.sampled_from([2, 3, 1 << 16]),
+)
+def test_sparse_field_is_bit_identical_to_dense(walk, p, kind, block):
+    # checkpoints fall inside coarse cells; small blocks split runs of
+    # pairs mid-interval and mid-segment
+    path, grid, checkpoints = walk
+    if kind == "lebesgue":
+        assume(np.ptp(path.values) > 0)
+        hier = lebesgue_hierarchy(path, 3)
+    else:
+        hier = dyadic_hierarchy(path, path.n_max)
+    with mock.patch.object(localtime, "_BLOCK_PAIRS", block):
+        field = discrete_local_time(path, hier, p, grid, checkpoints)
+    assert np.array_equal(field.per_level, dense_local_time(path, hier, p, grid, checkpoints))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_walks(), st.sampled_from([2, 4]), st.sampled_from([2, 3, 1 << 16]))
+def test_binned_densities_are_bit_identical_to_prefix_sums(walk, p, block):
+    path, grid, checkpoints = walk
+    w_var = np.abs(np.diff(path.values)) ** p
+    w_time = np.full(path.n_samples - 1, path.dt)
+    w_hurst = path.times[1:] ** 0.5 - path.times[:-1] ** 0.5
+    with mock.patch.object(localtime, "_BLOCK_PAIRS", block):
+        occ = occupation_density_local_time(path, p, grid, checkpoints).values
+        tau = occupation_time_density(path, grid, checkpoints).values
+        weighted = weighted_occupation_local_time(path, 0.25, grid, checkpoints).values
+    assert np.array_equal(occ, prefix_density(path, grid, w_var, checkpoints, p * grid.cellwidth))
+    assert np.array_equal(tau, prefix_density(path, grid, w_time, checkpoints, grid.cellwidth))
+    assert np.array_equal(weighted, prefix_density(path, grid, w_hurst, checkpoints, grid.cellwidth))
+
+
+def test_field_working_set_is_bounded_for_full_range_zigzag():
+    # every finest-level step swings across the whole grid, so the touched
+    # pairs are about intervals x cells; a dense float64 temporary would be
+    # 2**14 * 256 * 8 B = 32 MiB
+    n_max, cells = 14, 256
+    path = make_walk((-1.0) ** np.arange(2**n_max + 1))
+    hier = dyadic_hierarchy(path, n_max)
+    grid = SpaceGrid.cover([path], cells)
+    tracemalloc.start()
+    try:
+        field = discrete_local_time(path, hier, 4, grid, [0.5, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for gi in (1, 128, 254):
+        curves = discrete_local_time_curves(path, hier, 4, float(grid.centers[gi]), [0.5, 1.0])
+        np.testing.assert_allclose(field.per_level[:, :, gi], curves, rtol=1e-14, atol=0)
