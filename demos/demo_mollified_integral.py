@@ -5,8 +5,8 @@ with the standard bump phi_m, run the compensated sums, and let m grow
 after the partition refines. The closed-form target comes from the
 occupation-density local time: f(S_t) - f(S_0) - pairing / (p-1)!.
 
-Run:  python demos/demo_mollified_integral.py   (a few seconds: adaptive
-quadrature builds the mollified derivative tables)
+Run:  python demos/demo_mollified_integral.py   (under a second; a fixed
+Gauss-Legendre rule builds the mollified derivative tables)
 """
 
 import numpy as np

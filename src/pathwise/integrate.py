@@ -15,6 +15,12 @@ with the center at the piece's breakpoint); this avoids the catastrophic
 cancellation that expanded monomial coefficients would cause near
 breakpoints and keeps the per-level change-of-variable identity exact to
 rounding.
+
+Test functions outside the smooth class are mollified, ``f_m = f * phi_m``
+with the standard bump.  Derivatives of ``f_m`` are convolution integrals
+over the bump's support, split at the kinks of f into sub-spans where the
+integrand is smooth and evaluated there by a fixed Gauss-Legendre rule, so
+the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad, quad_vec
 
 from ._util import bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
 from .errors import CoverageError, ParameterError
@@ -108,7 +113,8 @@ class TestFunction:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xs)
         pos = self._piece_index(xs)
-        for i in np.unique(pos):
+        # the pieces present, without sorting the abscissae as unique would
+        for i in np.flatnonzero(np.bincount(pos.ravel(), minlength=len(self.pieces))):
             mask = pos == i
             c = _diff_coeffs(self.pieces[i], k)
             out[mask] = npoly.polyval(xs[mask] - self.centers[i], c)
@@ -430,6 +436,26 @@ def _bump_prime(u: np.ndarray) -> np.ndarray:
     return out
 
 
+# Gauss-Legendre nodes per kink-free sub-span of the mollifier support.
+# The bump is C-infinity but flat at its ends, so the rule converges
+# faster than any power of the node count without being spectral: against
+# adaptive quadrature the worst gap of the tabulated derivatives, relative
+# to max(1, |value|), is about 3e-9 at 64 nodes, 8e-14 at 128 and 8e-15 at
+# 256; at 512 rounding makes it grow again.
+_MOLLIFY_NODES = 256
+# quadrature points per block of abscissae; bounds the working set
+_MOLLIFY_BLOCK_POINTS = 2**17
+
+
+def _span_rule(edges: np.ndarray):
+    """Gauss-Legendre points and weights on every span between consecutive
+    ``edges`` (last axis), shaped ``edges.shape[:-1] + (spans, nodes)``."""
+    nodes, weights = _gauss_legendre(_MOLLIFY_NODES)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return mid[..., None] + half[..., None] * nodes, half[..., None] * weights
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """The scaled bump ``phi_m(x) = m * phi(m x)`` with unit mass and
@@ -451,25 +477,29 @@ class Mollifier:
     def derivative_value(self, y):
         return self.order**2 * _bump_prime(self.order * np.asarray(y, dtype=float))
 
-    def normalization_defect(self, tol: float = 1e-12) -> float:
-        lo, hi = self.support
-        val, _ = quad(lambda y: float(self.value(y)), lo, hi, epsabs=tol, limit=200)
-        return abs(val - 1.0)
+    def normalization_defect(self) -> float:
+        """``|int phi_m - 1|`` under the quadrature rule the mollified
+        derivatives use."""
+        y, w = _span_rule(np.asarray(self.support))
+        return abs(float(np.sum(self.value(y) * w)) - 1.0)
 
 
 class MollifiedFunction:
     """``f_m = f * phi_m`` with derivatives up to ``smoothness + 2``.
 
-    Derivatives are computed by adaptive quadrature over the mollifier
-    support: orders with a pointwise-defined piecewise derivative
-    integrate ``f^(k)(x - y) phi_m(y)``; one order beyond that the
-    derivative is moved onto the kernel.
+    ``f_m^(k)(x)`` integrates ``f^(k)(x - y) phi_m(y)`` over the mollifier
+    support; one order beyond the highest bounded piecewise derivative,
+    the last derivative moves onto the kernel and ``f^(k-1)(x - y)
+    phi_m'(y)`` is integrated instead.  For each x the support is split at
+    the kinks ``x - b_i`` of ``y -> f(x - y)`` and a fixed Gauss-Legendre
+    rule runs on every kink-free sub-span, vectorised over the abscissae;
+    against adaptive quadrature with the kinks as breakpoints the results
+    agree to about 1e-14 relative.
     """
 
-    def __init__(self, f: TestFunction, m: int, tol: float = 1e-10):
+    def __init__(self, f: TestFunction, m: int):
         self.f = f
         self.mollifier = Mollifier(m)
-        self.tol = tol
         self.name = f"mollified(m={m}) {getattr(f, 'name', '')}".strip()
         # highest order with a bounded piecewise representative
         self._max_direct = None if f.smoothness is None else f.smoothness + 1
@@ -497,26 +527,25 @@ class MollifiedFunction:
         m = self.mollifier
         lo, hi = m.support
         kernel = m.value if kernel_order == 0 else m.derivative_value
+        # reversed, the kinks x - b_i ascend; those clipped to the support
+        # leave empty sub-spans
+        bps = getattr(self.f, "breakpoints", np.empty(0))[::-1]
+        block = max(1, _MOLLIFY_BLOCK_POINTS // ((bps.size + 1) * _MOLLIFY_NODES))
+        out = np.empty_like(xs)
+        for s in range(0, xs.size, block):
+            x = xs[s:s + block, None]
+            edges = np.concatenate(
+                [np.full_like(x, lo), np.clip(x - bps, lo, hi), np.full_like(x, hi)], axis=1
+            )
+            y, w = _span_rule(edges)
+            fk = self.f.derivative((x[:, :, None] - y).ravel(), k_direct).reshape(y.shape)
+            out[s:s + block] = np.sum(fk * kernel(y) * w, axis=(1, 2))
+        return out
 
-        def integrand(y: float) -> np.ndarray:
-            return self.f.derivative(xs - y, k_direct) * float(kernel(y))
 
-        # kinks of y -> f(x - y) seed the adaptive subdivision
-        bps = getattr(self.f, "breakpoints", np.empty(0))
-        pts = np.unique((xs[:, None] - bps[None, :]).ravel()) if bps.size else np.empty(0)
-        pts = pts[(pts > lo) & (pts < hi)]
-        if pts.size > 256:
-            pts = np.empty(0)  # adaptivity alone handles dense kink sets
-        val, _ = quad_vec(
-            integrand, lo, hi, epsabs=self.tol, norm="max",
-            points=pts.tolist() or None, limit=512,
-        )
-        return np.atleast_1d(val)
-
-
-def mollify(f: TestFunction, m: int, tol: float = 1e-10) -> MollifiedFunction:
+def mollify(f: TestFunction, m: int) -> MollifiedFunction:
     """Smooth approximation ``f * phi_m``; see :class:`MollifiedFunction`."""
-    return MollifiedFunction(f, m, tol=tol)
+    return MollifiedFunction(f, m)
 
 
 class _Tabulated:
@@ -574,7 +603,6 @@ def modified_follmer_integral(
     m_schedule: Sequence[int] = DEFAULT_M_SCHEDULE,
     grid=None,
     cells: int = 256,
-    tol: float = 1e-10,
 ) -> ModifiedFollmerReport:
     """Mollified compensated sums against the occupation-density target.
 
@@ -615,7 +643,7 @@ def modified_follmer_integral(
     xs = np.unique(path.values)
     sums = np.empty((len(m_schedule), hierarchy.n_levels))
     for i, m in enumerate(m_schedule):
-        fm = mollify(f, m, tol=tol)
+        fm = mollify(f, m)
         tables = {k: fm.derivative(xs, k) for k in range(1, p)}
         tab = _Tabulated(xs, tables)
         for j, lev in enumerate(hierarchy.levels):

@@ -24,6 +24,9 @@ __all__ = [
     "oscillation",
 ]
 
+# samples converted to Python floats at a time by the Lebesgue scan
+_SCAN_CHUNK = 2**15
+
 
 @dataclass(frozen=True)
 class PartitionHierarchy:
@@ -112,11 +115,14 @@ def lebesgue_hierarchy(path: SampledPath, levels: int) -> PartitionHierarchy:
     for n in range(1, levels + 1):
         eps = 2.0 ** (-n)
         pts = [0]
-        anchor = vals[0]
-        for j in range(1, vals.size):
-            if abs(vals[j] - anchor) >= eps:
-                pts.append(j)
-                anchor = vals[j]
+        anchor = float(vals[0])
+        # Python floats scan several times faster than numpy scalars and
+        # round identically; chunks keep the boxed copy small
+        for start in range(1, vals.size, _SCAN_CHUNK):
+            for j, v in enumerate(vals[start:start + _SCAN_CHUNK].tolist(), start=start):
+                if abs(v - anchor) >= eps:
+                    pts.append(j)
+                    anchor = v
         if pts[-1] != last:
             pts.append(last)
         out.append(np.asarray(pts, dtype=np.int64))

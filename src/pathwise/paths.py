@@ -15,6 +15,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -156,16 +157,28 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
 
 
-def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Unit-step fractional Gaussian noise of length N, or None when the
-    circulant embedding is not nonnegative definite."""
+@lru_cache(maxsize=8)
+def _circulant_sqrt_eigs(H: float, N: int) -> Optional[np.ndarray]:
+    """Square roots of the eigenvalues of the 2N-point circulant embedding
+    of the fGn covariance (read-only, shared by every path with this
+    (H, N)), or None when the embedding is not nonnegative definite."""
     gamma = _fgn_autocov(H, N)
     first_row = np.concatenate([gamma, [0.0], gamma[1:][::-1]])
     eigs = np.fft.fft(first_row).real
     tol = 1e-12 * max(eigs.max(), 1.0)
     if eigs.min() < -tol:
         return None
-    eigs = np.clip(eigs, 0.0, None)
+    root = np.sqrt(np.clip(eigs, 0.0, None))
+    root.flags.writeable = False
+    return root
+
+
+def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np.ndarray]:
+    """Unit-step fractional Gaussian noise of length N, or None when the
+    circulant embedding is not nonnegative definite."""
+    root = _circulant_sqrt_eigs(H, N)
+    if root is None:
+        return None
     M = 2 * N
     z = np.empty(M, dtype=complex)
     z[0] = rng.standard_normal()
@@ -173,7 +186,7 @@ def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np
     v = rng.standard_normal((N - 1, 2))
     z[1:N] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
     z[N + 1:] = np.conj(z[1:N][::-1])
-    return np.sqrt(M) * np.fft.ifft(np.sqrt(eigs) * z).real[:N]
+    return np.sqrt(M) * np.fft.ifft(root * z).real[:N]
 
 
 def _fgn_cholesky(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -202,8 +215,9 @@ def _read_csv_path(file: str, T: float, n_max: int) -> Tuple[np.ndarray, dict]:
         with open(file, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
-                raise IngestionError(f"{file}: expected header 't,value'")
+            if header is None or [h.strip() for h in header] != ["t", "value"]:
+                got = "no header" if header is None else f"got {','.join(header)!r}"
+                raise IngestionError(f"{file}: expected header 't,value', {got}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:

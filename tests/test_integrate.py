@@ -1,3 +1,10 @@
+import bisect
+import math
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +27,8 @@ from pathwise import (
     tanaka_class,
     tanaka_meyer_sum,
 )
+import pathwise
+from pathwise import integrate
 from pathwise._util import relative_gap
 from tests.conftest import make_walk, single_interval_path
 
@@ -356,3 +365,80 @@ def test_modified_follmer_schedules_cross_check():
     rep_b = modified_follmer_integral(path, hier, 2, f, 1.0, m_schedule=ALT_M_SCHEDULE[:2], cells=64)
     assert rep_a.target == rep_b.target
     np.testing.assert_allclose(rep_a.sums[-1], rep_b.sums[-1], atol=1e-7)
+
+
+# -- closed-form mollification ---------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    # scipy is only the tests' quadrature reference, never an engine import
+    code = "import sys, pathwise; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(pathwise.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _scalar_reference_integrand(f, m, x, direct, kernel_order):
+    """y -> f^(direct)(x - y) phi_m^(kernel_order)(y) on Python floats:
+    an independent re-statement of the integrand, cheap enough for quad."""
+    bps = f.breakpoints.tolist()
+    pieces = [integrate._diff_coeffs(c, direct).tolist()[::-1] for c in f.pieces]
+    centers = f.centers.tolist()
+
+    def integrand(y):
+        u = x - y
+        i = bisect.bisect_right(bps, u)
+        fk = 0.0
+        for c in pieces[i]:
+            fk = fk * (u - centers[i]) + c
+        v = m * y
+        if abs(v) >= 1.0:
+            return 0.0
+        w = v * v - 1.0
+        bump = math.exp(1.0 / w) / integrate._BUMP_MASS
+        return fk * (m * bump if kernel_order == 0 else m * m * bump * (-2.0 * v / (w * w)))
+
+    return integrand
+
+
+@pytest.mark.parametrize("m", [2, 8, 32])
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("name", ["pos_part_pow", "abs_pow"])
+def test_mollified_derivatives_match_adaptive_quadrature(name, p, m):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    a = 0.1
+    f = tanaka_class(name, p, a=a)
+    fm = mollify(f, m)
+    lo, hi = fm.mollifier.support
+    # at and around the kink, and where it reaches the ends of the support
+    xs = a + np.array([-1.0, -0.5, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.5, 1.0]) / m
+    for k in range(p + 1):
+        direct = min(k, p - 1)  # k = p moves the last derivative onto the kernel
+        got = fm.derivative(xs, k)
+        for x, g in zip(xs.tolist(), got):
+            with warnings.catch_warnings():
+                # quad reports roundoff where the exact value is 0 (the
+                # kernel derivative against a kink at the support's end)
+                warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
+                want, _ = scipy_integrate.quad(
+                    _scalar_reference_integrand(f, m, x, direct, k - direct), lo, hi,
+                    points=[x - a] if lo < x - a < hi else None, epsabs=1e-13, epsrel=1e-13, limit=200,
+                )
+            assert abs(g - want) <= 1e-12, f"k={k} x={x!r}: {g!r} vs quad {want!r}"
+
+
+def test_mollified_derivatives_converge_under_node_doubling(monkeypatch):
+    f = tanaka_class("abs_pow", 4, a=0.1)
+    xs = 0.1 + np.linspace(-0.15, 0.15, 31)  # kink inside, at the ends and outside the support
+
+    def tables(nodes):
+        monkeypatch.setattr(integrate, "_MOLLIFY_NODES", nodes)
+        return np.array([mollify(f, 8).derivative(xs, k) for k in range(5)])
+
+    n = integrate._MOLLIFY_NODES
+    quarter, half, full, double = (tables(c) for c in (n // 4, n // 2, n, 2 * n))
+    gaps = [np.max(np.abs(b - a)) for a, b in ((quarter, half), (half, full), (full, double))]
+    # halving the nodes costs accuracy fast; doubling the default gains nothing
+    assert gaps[1] < 1e-3 * gaps[0]
+    assert gaps[2] <= 1e-13 * np.max(np.abs(full))

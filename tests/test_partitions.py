@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pathwise import (
     ParameterError,
@@ -10,6 +11,8 @@ from pathwise import (
     lebesgue_hierarchy,
     oscillation,
 )
+from pathwise import partitions
+from tests.conftest import make_walk
 
 
 def test_dyadic_levels_are_the_expected_index_sets():
@@ -106,3 +109,42 @@ def test_oscillation_monotone_under_refinement(bm_path, rough_path):
 def test_oscillation_validates_level(bm_path):
     with pytest.raises(ParameterError):
         oscillation(bm_path, np.array([1, 5]))
+
+
+def _lebesgue_levels_oracle(vals, levels):
+    """The numpy-scalar scan that the chunked Python-float scan replaced."""
+    out = []
+    last = vals.size - 1
+    for n in range(1, levels + 1):
+        eps = 2.0 ** (-n)
+        pts = [0]
+        anchor = vals[0]
+        for j in range(1, vals.size):
+            if abs(vals[j] - anchor) >= eps:
+                pts.append(j)
+                anchor = vals[j]
+        if pts[-1] != last:
+            pts.append(last)
+        out.append(np.asarray(pts, dtype=np.int64))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(st.integers(-3, 3), min_size=32, max_size=32),
+    k=st.integers(0, 4),
+    shift=st.sampled_from([0.0, 0.1]),
+    chunk=st.integers(1, 9),
+)
+def test_lebesgue_scan_is_bit_identical_to_numpy_scalar_scan(steps, k, shift, chunk):
+    # integer walks scaled by 2**-k: increments hit the thresholds exactly
+    # and repeat values; the shift makes the differences round
+    vals = np.concatenate([[0.0], np.cumsum(steps)]) * 2.0**-k + shift
+    assume(vals.max() > vals.min())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_SCAN_CHUNK", chunk)
+        hier = lebesgue_hierarchy(make_walk(vals), 6)
+    want = _lebesgue_levels_oracle(vals, 6)
+    assert len(hier.levels) == len(want)
+    for got, ref in zip(hier.levels, want):
+        assert np.array_equal(got, ref)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from pathwise import (
     running_extrema,
     write_path_csv,
 )
-from pathwise.paths import _fgn_autocov, _fgn_davies_harte, _rng_for
+from pathwise.paths import _circulant_sqrt_eigs, _fgn_autocov, _fgn_davies_harte, _rng_for
 
 
 def test_constant_path_is_flat():
@@ -178,3 +180,38 @@ def test_csv_rejects_malformed_input(tmp_path, body):
 def test_csv_missing_file_is_ingestion_error(tmp_path):
     with pytest.raises(IngestionError):
         generate(PathSpec(kind="csv", file=str(tmp_path / "absent.csv"), T=1.0, n_max=3))
+
+
+@pytest.mark.parametrize("header", ["t,value,extra", "t,value,"])
+def test_csv_header_must_be_exactly_t_value(tmp_path, header):
+    file = tmp_path / "extra.csv"
+    file.write_text(f"{header}\n0,0\n1,1\n")
+    with pytest.raises(IngestionError, match=re.escape(repr(header))):
+        generate(PathSpec(kind="csv", file=str(file), T=1.0, n_max=3))
+
+
+def _fgn_uncached(H, N, rng):
+    """Davies-Harte with the spectrum recomputed per call, as before caching."""
+    gamma = _fgn_autocov(H, N)
+    eigs = np.fft.fft(np.concatenate([gamma, [0.0], gamma[1:][::-1]])).real
+    eigs = np.clip(eigs, 0.0, None)
+    M = 2 * N
+    z = np.empty(M, dtype=complex)
+    z[0] = rng.standard_normal()
+    z[N] = rng.standard_normal()
+    v = rng.standard_normal((N - 1, 2))
+    z[1:N] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
+    z[N + 1:] = np.conj(z[1:N][::-1])
+    return np.sqrt(M) * np.fft.ifft(np.sqrt(eigs) * z).real[:N]
+
+
+def test_cached_spectrum_generations_are_byte_identical_to_uncached():
+    H, n_max = 0.3, 10
+    N = 2**n_max
+    _circulant_sqrt_eigs.cache_clear()
+    for seed in (4, 5):  # the second generation reuses the cached spectrum
+        path = generate(PathSpec(kind="fbm", hurst=H, n_max=n_max, seed=seed))
+        want = np.concatenate([[0.0], np.cumsum(_fgn_uncached(H, N, _rng_for(seed)) * (1.0 / N) ** H)])
+        assert path.values.tobytes() == want.tobytes()
+    assert _circulant_sqrt_eigs.cache_info().hits == 1
+    assert not _circulant_sqrt_eigs(H, N).flags.writeable
