@@ -1,4 +1,5 @@
-"""Small shared helpers: checkpoint snapping and tolerance arithmetic."""
+"""Small shared helpers: checkpoint snapping, tolerance arithmetic and the
+CSV writer."""
 
 from __future__ import annotations
 
@@ -61,3 +62,23 @@ def even_order(p: int) -> int:
 
 def median(values: Iterable[float]) -> float:
     return float(np.median(np.asarray(list(values), dtype=float)))
+
+
+def _csv_value(v) -> str:
+    """One CSV cell: lowercase booleans, shortest round-trip floats (numpy
+    scalars included), plain integers."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+def write_csv(path: str, fieldnames: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Plain CSV with a header line and stable bytes for equal values."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(fieldnames) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_value(v) for v in row) + "\n")

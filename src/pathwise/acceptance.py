@@ -21,17 +21,17 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ._pool import parallel_map
-from ._util import median, relative_gap
+from ._util import median, relative_gap, write_csv
 from .errors import ConfigError
 from .integrate import tanaka_class, tanaka_meyer_sum, discrete_local_time_point
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
-from .partitions import dyadic_hierarchy
+from .partitions import PartitionHierarchy, dyadic_hierarchy
 from .paths import PathSpec, SampledPath, generate
 from .ranks import build_rank_system, rank_decomposition, rank_sum_identity
 from .tanaka import (
     CellIndicator,
     EXACT_THRESHOLD,
-    finite_n_identity,
+    finite_n_report,
     identity_suite,
     occupation_check,
     scaling_check,
@@ -174,8 +174,9 @@ def criterion_01(config: Optional[dict] = None) -> CriterionResult:
             hier = dyadic_hierarchy(path, ex["levels"])
             a = _anchor(path, ex["a_frac"])
             for f_name, f in _test_functions(p, a):
-                for lab, lev in zip(hier.level_labels, hier.levels):
-                    resid = finite_n_identity(path, lev, p, f, cfg["T"])
+                rep = finite_n_report(path, hier, p, f, cfg["T"])
+                for lab, lhs, rhs in zip(hier.level_labels, rep.lhs.tolist(), rep.rhs.tolist()):
+                    resid = relative_gap(lhs, rhs)
                     good = resid <= EXACT_THRESHOLD
                     ok = ok and good
                     rows.append({
@@ -364,11 +365,21 @@ def criterion_05(config: Optional[dict] = None) -> CriterionResult:
     )
 
 
+def _finest_level(path: SampledPath, level: int) -> PartitionHierarchy:
+    """Dyadic level ``level`` alone.  The Monte Carlo gates read only their
+    finest level, and every level is computed independently, so dropping
+    the coarser ones leaves the finest values as they are."""
+    full = dyadic_hierarchy(path, level)
+    return PartitionHierarchy(
+        kind=full.kind, levels=(full.finest,), level_labels=(full.finest_label,), nested=True
+    )
+
+
 def _c6_task(args):
     bases, rep, n_max, level, T = args
     paths = [_fbm(0.5, b + rep, n_max, T) for b in bases]
     system = build_rank_system(paths)
-    hier = dyadic_hierarchy(paths[0], level)
+    hier = _finest_level(paths[0], level)
     report = rank_sum_identity(system, hier, 2, x=0.0)
     return float(report.lhs[-1]), float(report.rhs[-1])
 
@@ -409,7 +420,7 @@ def criterion_06(config: Optional[dict] = None) -> CriterionResult:
 def _c7_task(args):
     seed, n_max, level, T = args
     path = _fbm(0.5, seed, n_max, T)
-    hier = dyadic_hierarchy(path, level)
+    hier = _finest_level(path, level)
     f = SmoothCallable([np.exp, np.exp], name="exp")
     rep = scaling_check(path, f, 0.0, hier, 2)
     lhs, rhs = float(rep.lhs[-1]), float(rep.rhs[-1])
@@ -460,7 +471,7 @@ def _c8_task(args):
     sx, sy, n_max, level, T = args
     X = _fbm(0.5, sx, n_max, T)
     Y = _fbm(0.5, sy, n_max, T)
-    hier = dyadic_hierarchy(X, level)
+    hier = _finest_level(X, level)
     reports = identity_suite(X, Y, hier, 2)
     minmax = next(r for r in reports if r.identity.startswith("min plus max"))
     return float(minmax.lhs[-1]), float(minmax.rhs[-1])
@@ -545,27 +556,22 @@ def criterion_09(config: Optional[dict] = None) -> CriterionResult:
     )
 
 
+_PRE_DETERMINISM = [
+    ("C1", "change_of_variable", criterion_01),
+    ("C2", "tanaka_meyer", criterion_02),
+    ("C3", "pth_variation_limit", criterion_03),
+    ("C4", "occupation_density", criterion_04),
+    ("C5", "rank_decomposition", criterion_05),
+    ("C6", "rank_sum_identity", criterion_06),
+    ("C7", "scaling_law", criterion_07),
+    ("C8", "min_plus_max", criterion_08),
+    ("C9", "berman_ratio", criterion_09),
+]
+
+
 def write_rows(path: str, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
     """Plain CSV with shortest-round-trip float formatting (stable bytes)."""
-
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        if isinstance(v, (np.floating,)):
-            return repr(float(v))
-        if isinstance(v, (np.integer,)):
-            return str(int(v))
-        return str(v)
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row[k]) for k in fieldnames) + "\n")
-
-
-_PRE_DETERMINISM = None  # filled below
+    write_csv(path, fieldnames, ([row[k] for k in fieldnames] for row in rows))
 
 
 def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult]:
@@ -573,7 +579,7 @@ def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult
     cfg = _cfg(config)
     os.makedirs(out_dir, exist_ok=True)
     results = []
-    for key, slug, fn, gated in _PRE_DETERMINISM:
+    for key, slug, fn in _PRE_DETERMINISM:
         res = fn(cfg)
         write_rows(os.path.join(out_dir, f"{key.lower()}_{slug}.csv"), res.fieldnames, res.rows)
         results.append(res)
@@ -613,23 +619,11 @@ def criterion_10(config: Optional[dict] = None, primary_dir: Optional[str] = Non
     )
 
 
-_PRE_DETERMINISM = [
-    ("C1", "change_of_variable", criterion_01, True),
-    ("C2", "tanaka_meyer", criterion_02, True),
-    ("C3", "pth_variation_limit", criterion_03, True),
-    ("C4", "occupation_density", criterion_04, True),
-    ("C5", "rank_decomposition", criterion_05, True),
-    ("C6", "rank_sum_identity", criterion_06, True),
-    ("C7", "scaling_law", criterion_07, True),
-    ("C8", "min_plus_max", criterion_08, True),
-    ("C9", "berman_ratio", criterion_09, True),
-]
-
-CRITERIA = _PRE_DETERMINISM + [("C10", "determinism", criterion_10, True)]
+CRITERIA = _PRE_DETERMINISM + [("C10", "determinism", criterion_10)]
 
 
 def run_criterion(key: str, config: Optional[dict] = None) -> CriterionResult:
-    for k, _, fn, _ in CRITERIA:
+    for k, _, fn in CRITERIA:
         if k == key:
             return fn(config)
     raise ConfigError(f"unknown acceptance criterion {key!r}")
@@ -642,7 +636,7 @@ def run_all(config: Optional[dict] = None, out_dir: Optional[str] = None) -> Lis
     cfg = validate_config(dict(_cfg(config)))
     results: List[CriterionResult] = []
     if out_dir is None:
-        results.extend(fn(cfg) for _, _, fn, _ in _PRE_DETERMINISM)
+        results.extend(fn(cfg) for _, _, fn in _PRE_DETERMINISM)
         results.append(criterion_10(cfg))
         return results
     results.extend(emit_artifacts(cfg, out_dir))

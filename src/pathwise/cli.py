@@ -25,9 +25,8 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from . import acceptance as acc
+from ._util import write_csv
 from .errors import ConfigError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
@@ -50,23 +49,6 @@ DEFAULT_MAX_TENSOR_BYTES = 1 << 30
 
 IDENTITY_FIELDS = ("identity", "level", "lhs", "rhs", "residual", "class")
 RANK_FIELDS = ("k", "level", "t", "A", "B", "C", "D", "residual")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
-def _write_csv(path: str, fieldnames, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # -- config handling -----------------------------------------------------
@@ -225,7 +207,7 @@ def run(cfg: dict) -> int:
         if "variation" in cfg["analyses"]:
             curve = pth_variation(path, hier, p, cfg["checkpoints"])
             name = os.path.join(out_dir, f"variation_{tag}.csv")
-            _write_csv(name, ("level", "t", "value"), curve.to_csv_rows())
+            write_csv(name, ("level", "t", "value"), curve.to_csv_rows())
             outputs.append(os.path.basename(name))
             if hier.n_levels >= 2:
                 rep = variation_convergence_report(curve)
@@ -247,7 +229,7 @@ def run(cfg: dict) -> int:
             grid = SpaceGrid.cover([path], cells)
             field = discrete_local_time(path, hier, p, grid, cfg["checkpoints"])
             name = os.path.join(out_dir, f"localtime_{tag}.csv")
-            _write_csv(name, ("level", "t", "x", "value"), field.to_csv_rows())
+            write_csv(name, ("level", "t", "x", "value"), field.to_csv_rows())
             outputs.append(os.path.basename(name))
 
         if "tanaka" in cfg["analyses"]:
@@ -299,13 +281,13 @@ def run(cfg: dict) -> int:
             if not dec.passed:
                 exact_failures.append(f"rank decomposition k={k}")
         name = os.path.join(out_dir, "ranks.csv")
-        _write_csv(name, RANK_FIELDS, rank_rows)
+        write_csv(name, RANK_FIELDS, rank_rows)
         outputs.append(os.path.basename(name))
         record(rank_sum_identity(system, hier, p))
 
     if identity_rows:
         name = os.path.join(out_dir, "identities.csv")
-        _write_csv(name, IDENTITY_FIELDS, identity_rows)
+        write_csv(name, IDENTITY_FIELDS, identity_rows)
         outputs.append(os.path.basename(name))
 
     summary = {

@@ -26,7 +26,7 @@ the module needs numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -91,6 +91,8 @@ class TestFunction:
     centers: np.ndarray
     smoothness: Optional[int]
     name: str = ""
+    # order k -> the pieces' k-th derivative coefficients, built on first use
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = np.asarray(self.breakpoints, dtype=float)
@@ -107,25 +109,37 @@ class TestFunction:
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.breakpoints, x, side="right")
 
+    def _coeffs(self, k: int) -> Tuple[np.ndarray, ...]:
+        """Coefficients of every piece's k-th derivative, differentiated
+        once per order and shared read-only between calls."""
+        if k == 0:
+            return self.pieces
+        out = self._derived.get(k)
+        if out is None:
+            out = tuple(_diff_coeffs(c, k) for c in self.pieces)
+            for c in out:
+                c.setflags(write=False)
+            self._derived[k] = out
+        return out
+
     def derivative(self, x, k: int = 0):
         """k-th derivative at x (k = 0 is the value itself); vectorized."""
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xs)
         pos = self._piece_index(xs)
+        coeffs = self._coeffs(k)
         # the pieces present, without sorting the abscissae as unique would
         for i in np.flatnonzero(np.bincount(pos.ravel(), minlength=len(self.pieces))):
             mask = pos == i
-            c = _diff_coeffs(self.pieces[i], k)
-            out[mask] = npoly.polyval(xs[mask] - self.centers[i], c)
+            out[mask] = npoly.polyval(xs[mask] - self.centers[i], coeffs[i])
         return float(out[0]) if scalar else out
 
     def value(self, x):
         return self.derivative(x, 0)
 
     def piece_derivative_value(self, i: int, x: float, k: int) -> float:
-        c = _diff_coeffs(self.pieces[i], k)
-        return float(npoly.polyval(x - self.centers[i], c))
+        return float(npoly.polyval(x - self.centers[i], self._coeffs(k)[i]))
 
     def jump(self, order: int, bp_index: int) -> float:
         """Jump of the order-th derivative across breakpoint ``bp_index``."""
@@ -141,7 +155,7 @@ class TestFunction:
         sm = None if self.smoothness is None else max(self.smoothness - k, -1)
         return TestFunction(
             breakpoints=self.breakpoints,
-            pieces=tuple(_diff_coeffs(c, k) for c in self.pieces),
+            pieces=self._coeffs(k),
             centers=self.centers,
             smoothness=sm,
             name=f"{self.name}^({k})" if self.name else "",

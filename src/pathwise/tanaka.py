@@ -122,20 +122,32 @@ def _limit_report(identity: str, labels, lhs, rhs, details=None) -> IdentityRepo
 # -- the exact finite-level change-of-variable identity -----------------
 
 
-def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunction, t: float) -> float:
-    """Relative residual of the order-p change-of-variable identity at one
-    level; exact algebra, so the result is rounding noise (<= 1e-9) for
-    any admissible test function, path and level."""
-    p = even_order(p)
+def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction, t: float):
+    """Both sides of the order-p change-of-variable identity at each level.
+
+    The smoothness guard, the change f(S_t) - f(S_0) and the Stieltjes
+    measure d f^(p-1) are per (path, f), so they are built once for all
+    levels.
+    """
     if f.smoothness is not None and f.smoothness < p - 2:
         raise ParameterError(
             f"test function must be C^{p - 2} across breakpoints; declared C^{f.smoothness}"
         )
     t_idx = path.grid_index(t)
-    lhs = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
-    lhs -= follmer_sum(path, level, p, f, t)
+    change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
     measure = f.stieltjes_measure(p - 1)
-    rhs = measure_remainder_sum(path, level, p, measure, t) / math.factorial(p - 1)
+    lhs, rhs = [], []
+    for lev in levels:
+        lhs.append(change - follmer_sum(path, lev, p, f, t))
+        rhs.append(measure_remainder_sum(path, lev, p, measure, t) / math.factorial(p - 1))
+    return lhs, rhs
+
+
+def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunction, t: float) -> float:
+    """Relative residual of the order-p change-of-variable identity at one
+    level; exact algebra, so the result is rounding noise (<= 1e-9) for
+    any admissible test function, path and level."""
+    (lhs,), (rhs,) = _change_of_variable_sides(path, (level,), even_order(p), f, t)
     return relative_gap(lhs, rhs)
 
 
@@ -145,17 +157,7 @@ def finite_n_report(
     """The change-of-variable identity of :func:`finite_n_identity` over a
     whole hierarchy, packaged with both sides per level."""
     p = even_order(p)
-    if f.smoothness is not None and f.smoothness < p - 2:
-        raise ParameterError(
-            f"test function must be C^{p - 2} across breakpoints; declared C^{f.smoothness}"
-        )
-    t_idx = path.grid_index(t)
-    change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
-    measure = f.stieltjes_measure(p - 1)
-    lhs, rhs = [], []
-    for lev in hierarchy.levels:
-        lhs.append(change - follmer_sum(path, lev, p, f, t))
-        rhs.append(measure_remainder_sum(path, lev, p, measure, t) / math.factorial(p - 1))
+    lhs, rhs = _change_of_variable_sides(path, hierarchy.levels, p, f, t)
     return _exact_report(
         f"change of variable p={p} {getattr(f, 'name', 'f')}", hierarchy.level_labels, lhs, rhs
     )
@@ -267,9 +269,16 @@ def identity_suite(
         osc_y = oscillation(Y, lev)
         osc_a = oscillation(abs_path, lev)
 
+        # proxy increments shared between rows, each computed once per level
+        dLA = _tm_proxy_increments(Aa, Ab, p)
+        dLX = _tm_proxy_increments(Xa, Xb, p)
+        dLY = _tm_proxy_increments(Ya, Yb, p)
+        dLM = _tm_proxy_increments(Ma, Mb, p)
+        dLm = _tm_proxy_increments(ma, mb, p)
+
         # (1) nonnegative path: local time at 0 equals the exact-tie sum
         r = rows["nonneg"]
-        r["lhs"].append(np.sum(_tm_proxy_increments(Aa, Ab, p)))
+        r["lhs"].append(np.sum(dLA))
         r["rhs"].append(np.sum((Aa == 0.0) * Ab ** (p - 1)))
         r["d1"].append(np.sum((Aa <= osc_a) * Ab ** (p - 1)))  # band tie sum
         r["d2"].append(np.sum(bracket_contributions(Aa, Ab, p, osc_a)))  # LT at band level
@@ -277,7 +286,7 @@ def identity_suite(
 
         # (2) positive part shares the local time at 0
         r = rows["pos_part"]
-        r["lhs"].append(np.sum(_tm_proxy_increments(Xa, Xb, p)))
+        r["lhs"].append(np.sum(dLX))
         r["rhs"].append(np.sum(_tm_proxy_increments(Xpa, Xpb, p)))
         r["d1"].append(np.sum((Xa == 0.0) * Xpb ** (p - 1)))
         r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xpb ** (p - 1)))
@@ -285,7 +294,7 @@ def identity_suite(
 
         # (3) negative-part twin
         r = rows["neg_part"]
-        r["lhs"].append(np.sum(_tm_proxy_increments(Xa, Xb, p)))
+        r["lhs"].append(np.sum(dLX))
         r["rhs"].append(np.sum(_tm_proxy_increments(Xma, Xmb, p)))
         r["d1"].append(np.sum((Xa == 0.0) * Xmb ** (p - 1)))
         r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xmb ** (p - 1)))
@@ -299,14 +308,12 @@ def identity_suite(
         r["d2"].append(0.0)
         r["d3"].append(osc_x)
 
-        dLX = _tm_proxy_increments(Xa, Xb, p)
-        dLY = _tm_proxy_increments(Ya, Yb, p)
         tie_both = (Xa == 0.0) & (Ya == 0.0)
         band_both = (np.abs(Xa) <= osc_x) & (np.abs(Ya) <= osc_y)
 
         # (5) local time of the maximum
         r = rows["max"]
-        r["lhs"].append(np.sum(_tm_proxy_increments(Ma, Mb, p)))
+        r["lhs"].append(np.sum(dLM))
         collision = np.maximum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
         r["rhs"].append(
             np.sum((Ya < 0.0) * dLX) + np.sum((Xa < 0.0) * dLY) + np.sum(tie_both * collision)
@@ -317,7 +324,7 @@ def identity_suite(
 
         # (6) local time of the minimum
         r = rows["min"]
-        r["lhs"].append(np.sum(_tm_proxy_increments(ma, mb, p)))
+        r["lhs"].append(np.sum(dLm))
         collision_min = np.minimum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
         r["rhs"].append(
             np.sum((Ya > 0.0) * dLX) + np.sum((Xa > 0.0) * dLY) + np.sum(tie_both * collision_min)
@@ -328,9 +335,7 @@ def identity_suite(
 
         # (7) min + max local times add up
         r = rows["minmax"]
-        r["lhs"].append(
-            np.sum(_tm_proxy_increments(Ma, Mb, p)) + np.sum(_tm_proxy_increments(ma, mb, p))
-        )
+        r["lhs"].append(np.sum(dLM) + np.sum(dLm))
         r["rhs"].append(np.sum(dLX) + np.sum(dLY))
         r["d1"].append(0.0)
         r["d2"].append(0.0)

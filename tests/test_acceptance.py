@@ -1,12 +1,15 @@
 """Acceptance gate: every release-blocking criterion at its pinned
 tolerance, one pass/fail line per criterion on stdout."""
 
+import numpy as np
 import pytest
 
-from pathwise import acceptance
+from pathwise import acceptance, build_rank_system, dyadic_hierarchy, identity_suite, scaling_check
+from pathwise.integrate import SmoothCallable
+from pathwise.ranks import rank_sum_identity
 
 
-@pytest.mark.parametrize("key", [k for k, _, _, _ in acceptance.CRITERIA])
+@pytest.mark.parametrize("key", [k for k, _, _ in acceptance.CRITERIA])
 def test_criterion(key):
     result = acceptance.run_criterion(key)
     print(f"ACCEPTANCE {result.status_line()}  [{result.seconds:.2f}s]")
@@ -38,3 +41,28 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("PATHWISE_WORKERS", "2")
     pooled = acceptance.run_criterion("C3")
     assert base.rows == pooled.rows
+
+
+@pytest.mark.parametrize("rep", [0, 1])
+def test_monte_carlo_tasks_equal_the_full_hierarchy_finest_level(rep):
+    # C6-C8 run only the level they gate; every level is computed on its
+    # own, so their values must equal the finest level of the full hierarchy
+    mc, n, T = acceptance.DEFAULT_CONFIG["mc"], 8, 1.0
+
+    bases = mc["rank_sum_seed_bases"]
+    paths = [acceptance._fbm(0.5, b + rep, n, T) for b in bases]
+    full = rank_sum_identity(build_rank_system(paths), dyadic_hierarchy(paths[0], n), 2, x=0.0)
+    assert acceptance._c6_task((bases, rep, n, n, T)) == (full.lhs[-1], full.rhs[-1])
+
+    seed = mc["exp_scaling_seed_base"] + rep
+    path = acceptance._fbm(0.5, seed, n, T)
+    exp = SmoothCallable([np.exp, np.exp], name="exp")
+    full = scaling_check(path, exp, 0.0, dyadic_hierarchy(path, n), 2)
+    ratio = full.lhs[-1] / full.rhs[-1] if full.rhs[-1] > 0 else np.nan
+    assert np.array_equal(acceptance._c7_task((seed, n, n, T)), ratio, equal_nan=True)
+
+    bx, by = mc["minmax_seed_bases"]
+    X, Y = acceptance._fbm(0.5, bx + rep, n, T), acceptance._fbm(0.5, by + rep, n, T)
+    minmax = identity_suite(X, Y, dyadic_hierarchy(X, n), 2)[-1]
+    assert minmax.identity == "min plus max local times"
+    assert acceptance._c8_task((bx + rep, by + rep, n, n, T)) == (minmax.lhs[-1], minmax.rhs[-1])

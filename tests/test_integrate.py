@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings, strategies as st
 
 from pathwise import (
@@ -92,6 +93,34 @@ def test_smoothness_defect_vanishes_for_the_tanaka_classes():
 def test_derivative_right_continuity_at_breakpoint():
     f = tanaka_class("pos_part_pow", 2, a=0.5)
     assert f.derivative(0.5, 1) == 1.0  # right piece, not the left zero
+
+
+def _polyder_chain(c, k):
+    """Piece coefficients differentiated k times, re-run on every call as
+    TestFunction did before it cached them."""
+    for _ in range(k):
+        c = npoly.polyder(c) if c.size > 1 else np.zeros(1)
+    return c
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("name", integrate.TANAKA_CLASS_NAMES)
+def test_cached_derivative_coefficients_are_bit_identical_to_polyder_chain(name, p):
+    a = 0.3
+    f = tanaka_class(name, p, a=a, coeffs=[0.3, -1.2, 0.7, 1.1][:p])
+    xs = np.array([a - 1.0, a - 1e-9, np.nextafter(a, -np.inf), a,
+                   np.nextafter(a, np.inf), a + 1e-9, a + 1.0])
+    pos = np.searchsorted(f.breakpoints, xs, side="right")
+    for k in range(p + 1):
+        chain = [_polyder_chain(c, k) for c in f.pieces]
+        want = np.array([npoly.polyval(x - f.centers[i], chain[i]) for x, i in zip(xs, pos)])
+        # the first call fills the cache, the second reads it
+        assert np.array_equal(f.derivative(xs, k), want)
+        assert np.array_equal(f.derivative(xs, k), want)
+        assert [f.derivative(x, k) for x in xs] == want.tolist()
+        for i, c in enumerate(chain):
+            assert np.array_equal(f.differentiated(k).pieces[i], c)
+            assert f.piece_derivative_value(i, a, k) == float(npoly.polyval(a - f.centers[i], c))
 
 
 # -- compensated Riemann sums ---------------------------------------------

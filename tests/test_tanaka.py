@@ -18,7 +18,8 @@ from pathwise import (
     scaling_root_preset,
     tanaka_class,
 )
-from pathwise._util import median
+from pathwise import acceptance
+from pathwise._util import median, relative_gap
 from pathwise.integrate import SmoothCallable
 from pathwise.tanaka import finite_n_report, tanaka_meyer_report
 from tests.conftest import make_walk
@@ -98,6 +99,20 @@ def test_finite_n_report_passes(bm_path):
     rep = finite_n_report(bm_path, hier, 2, tanaka_class("abs_pow", 2, a=-0.2), 1.0)
     assert rep.exactness == "exact-per-level"
     assert rep.passed
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("path_name", ["fbm", "triangle"])
+def test_finite_n_identity_is_the_one_level_report(path_name, p, triangle_path):
+    if path_name == "fbm":
+        path = generate(PathSpec(kind="fbm", hurst=1.0 / p, seed=11, n_max=8))
+    else:
+        path = triangle_path
+    hier = dyadic_hierarchy(path, 8)
+    for _, f in acceptance._test_functions(p, acceptance._anchor(path, 0.37)):
+        rep = finite_n_report(path, hier, p, f, 1.0)
+        for lev, lhs, rhs in zip(hier.levels, rep.lhs.tolist(), rep.rhs.tolist()):
+            assert finite_n_identity(path, lev, p, f, 1.0) == relative_gap(lhs, rhs)
 
 
 def test_tanaka_meyer_report_passes(rough_path):
