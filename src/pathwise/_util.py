@@ -1,9 +1,10 @@
-"""Small shared helpers: checkpoint snapping, tolerance arithmetic and the
-CSV writer."""
+"""Small shared helpers: checkpoint snapping, the stacked interval view of
+a hierarchy, tolerance arithmetic and the CSV writer."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +32,63 @@ def left_endpoint_counts(level: np.ndarray, checkpoint_indices: np.ndarray) -> n
     checkpoint time (the interval-attribution rule for all partition sums)."""
     left = np.asarray(level, dtype=np.int64)[:-1]
     return np.searchsorted(left, np.asarray(checkpoint_indices, dtype=np.int64), side="right")
+
+
+@dataclass(frozen=True)
+class LevelStack:
+    """The intervals of every level of a hierarchy, laid end to end.
+
+    Only intervals whose left endpoint is at or before the last checkpoint
+    are kept; level i owns ``bounds[i]:bounds[i + 1]`` of ``left`` and
+    ``right`` (grid indices of the endpoints), and ``counts[i, j]`` is
+    :func:`left_endpoint_counts` of level i at checkpoint j.  Summands are
+    evaluated once over the whole stack, while every reduction runs on one
+    level's slice at a time, so each sum adds the same numbers in the same
+    order as a loop over the levels would.  The working set is the sum of
+    the level sizes, at most twice the grid for a dyadic hierarchy.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    bounds: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def build(cls, levels: Sequence[np.ndarray], checkpoint_indices: np.ndarray) -> "LevelStack":
+        levels = [np.asarray(lev, dtype=np.int64) for lev in levels]
+        counts = np.array([left_endpoint_counts(lev, checkpoint_indices) for lev in levels])
+        counts = counts.reshape(len(levels), -1)
+        kept = counts[:, -1]
+        return cls(
+            left=np.concatenate([lev[:-1][:n] for lev, n in zip(levels, kept)]),
+            right=np.concatenate([lev[1:][:n] for lev, n in zip(levels, kept)]),
+            bounds=np.concatenate([[0], np.cumsum(kept)]),
+            counts=counts,
+        )
+
+    def gather(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Endpoint values ``(a, b)`` of every interval (last axis)."""
+        return values[..., self.left], values[..., self.right]
+
+    def slices(self, where: Optional[np.ndarray] = None) -> List[slice]:
+        """Each level's slice of the stack, or of ``x[where]`` for a mask."""
+        b = self.bounds if where is None else np.concatenate([[0], np.cumsum(where)])[self.bounds]
+        return [slice(s, e) for s, e in zip(b[:-1].tolist(), b[1:].tolist())]
+
+    def sums(self, x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-level ``np.sum`` of x; with a mask, x holds only the entries
+        ``where`` selects, as ``values[where]`` would."""
+        return np.array([np.sum(x[s]) for s in self.slices(where)], dtype=float)
+
+    def checkpoint_cumsums(self, x: np.ndarray) -> np.ndarray:
+        """Running sums of x (last axis) within each level, read at every
+        checkpoint; shaped ``x.shape[:-1] + (levels, checkpoints)``."""
+        out = np.empty(x.shape[:-1] + self.counts.shape)
+        for i, s in enumerate(self.slices()):
+            cums = np.zeros(x.shape[:-1] + (s.stop - s.start + 1,))
+            np.cumsum(x[..., s], axis=-1, out=cums[..., 1:])
+            out[..., i, :] = cums[..., self.counts[i]]
+        return out
 
 
 def relative_gap(lhs: float, rhs: float) -> float:

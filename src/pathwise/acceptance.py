@@ -10,6 +10,7 @@ desk-scale tolerances.
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
 import json
 import os
@@ -23,7 +24,7 @@ import numpy as np
 from ._pool import parallel_map
 from ._util import median, relative_gap, write_csv
 from .errors import ConfigError
-from .integrate import tanaka_class, tanaka_meyer_sum, discrete_local_time_point
+from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
 from .partitions import PartitionHierarchy, dyadic_hierarchy
 from .paths import PathSpec, SampledPath, generate
@@ -35,8 +36,8 @@ from .tanaka import (
     identity_suite,
     occupation_check,
     scaling_check,
+    tanaka_meyer_report,
 )
-from .integrate import SmoothCallable
 from .variation import increment_power_sums
 
 __all__ = [
@@ -212,14 +213,11 @@ def criterion_02(config: Optional[dict] = None) -> CriterionResult:
                 anchors = [m + off for off in (-0.5, -0.25, 0.1, 0.25, 0.5)]
             else:
                 anchors = [m + fr * (M - m) for fr in ex["a_fracs"]]
-            s0, sT = float(path.values[0]), float(path.values[-1])
             for a in anchors:
-                change = max(sT - a, 0.0) ** (p - 1) - max(s0 - a, 0.0) ** (p - 1)
+                rep = tanaka_meyer_report(path, hier, p, a, cfg["T"])
                 worst = 0.0
-                for lev in hier.levels:
-                    tm = tanaka_meyer_sum(path, lev, p, a, "plus", cfg["T"])
-                    lt = discrete_local_time_point(path, lev, p, a, cfg["T"])
-                    worst = max(worst, relative_gap(change - tm, lt))
+                for lhs, rhs in zip(rep.lhs.tolist(), rep.rhs.tolist()):
+                    worst = max(worst, relative_gap(lhs, rhs))
                 good = worst <= EXACT_THRESHOLD
                 ok = ok and good
                 rows.append({
@@ -630,17 +628,21 @@ def run_criterion(key: str, config: Optional[dict] = None) -> CriterionResult:
 
 
 def run_all(config: Optional[dict] = None, out_dir: Optional[str] = None) -> List[CriterionResult]:
-    """Run every criterion; when out_dir is given, CSV artifacts and a JSON
-    summary are written there (the determinism criterion then reruns the
-    suite once more and compares against the primary artifacts)."""
+    """Run every criterion: criteria 1-9 once, writing their CSV artifacts,
+    then the determinism criterion, which reruns them once more and
+    compares against those artifacts.  When out_dir is given, the artifacts
+    and a JSON summary are kept there; otherwise they go to a temporary
+    directory."""
     cfg = validate_config(dict(_cfg(config)))
-    results: List[CriterionResult] = []
     if out_dir is None:
-        results.extend(fn(cfg) for _, _, fn in _PRE_DETERMINISM)
-        results.append(criterion_10(cfg))
+        primary = tempfile.TemporaryDirectory(prefix="pathwise-acceptance-")
+    else:
+        primary = contextlib.nullcontext(out_dir)
+    with primary as primary_dir:
+        results = emit_artifacts(cfg, primary_dir)
+        results.append(criterion_10(cfg, primary_dir=primary_dir))
+    if out_dir is None:
         return results
-    results.extend(emit_artifacts(cfg, out_dir))
-    results.append(criterion_10(cfg, primary_dir=out_dir))
     summary = {
         "schema_version": 1,
         "suite": "acceptance",

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
+from ._util import LevelStack, bracket_contributions, even_order, snap_checkpoints
 from .errors import CoverageError, ParameterError
 from .paths import SampledPath
 
@@ -282,13 +282,24 @@ def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[fl
 # -- compensated Riemann sums ------------------------------------------
 
 
-def _interval_arrays(path: SampledPath, level: np.ndarray, t: float):
-    idx = np.asarray(level, dtype=np.int64)
+def _intervals(path: SampledPath, levels: Sequence[np.ndarray], t: float):
+    """The stack of every level's intervals with left endpoint at or before
+    t, and the path values ``(a, b)`` at their endpoints."""
     _, cps = snap_checkpoints(path, [t])
-    count = int(left_endpoint_counts(idx, cps)[0])
-    a = path.values[idx[:-1]][:count]
-    b = path.values[idx[1:]][:count]
-    return a, b
+    stack = LevelStack.build(levels, cps)
+    return (stack, *stack.gather(path.values))
+
+
+def _follmer_sums(stack: LevelStack, a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
+    d = b - a
+    acc = np.zeros_like(a)
+    power = d.copy()
+    fact = 1.0
+    for k in range(1, p):
+        fact *= k
+        acc += f.derivative(a, k) * power / fact
+        power = power * d
+    return stack.sums(acc)
 
 
 def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> float:
@@ -298,18 +309,23 @@ def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> fl
     For f(x) = x this telescopes to ``S_t - S_0`` exactly at every level.
     """
     p = even_order(p)
-    a, b = _interval_arrays(path, level, t)
-    if a.size == 0:
-        return 0.0
-    d = b - a
-    acc = np.zeros_like(a)
-    power = d.copy()
-    fact = 1.0
-    for k in range(1, p):
-        fact *= k
-        acc += f.derivative(a, k) * power / fact
-        power = power * d
-    return float(np.sum(acc))
+    return float(_follmer_sums(*_intervals(path, (level,), t), p, f)[0])
+
+
+def _tanaka_meyer_sums(
+    stack: LevelStack, sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str
+) -> np.ndarray:
+    if variant == "plus":
+        w = (sa > a_level).astype(float)
+    elif variant == "minus":
+        w = (sa < a_level).astype(float)
+    elif variant == "sign":
+        w = np.where(sa >= a_level, 1.0, -1.0)
+    else:
+        raise ParameterError(f"variant must be plus|minus|sign, got {variant!r}")
+    da = (sa - a_level) ** (p - 1)
+    db = (sb - a_level) ** (p - 1)
+    return stack.sums(w * (db - da))
 
 
 def tanaka_meyer_sum(path: SampledPath, level: np.ndarray, p: int, a_level: float, variant: str, t: float) -> float:
@@ -320,20 +336,7 @@ def tanaka_meyer_sum(path: SampledPath, level: np.ndarray, p: int, a_level: floa
     ``sign``:  weights sign(S_{t_j}-a) with sign(0) = +1.
     """
     p = even_order(p)
-    sa, sb = _interval_arrays(path, level, t)
-    if sa.size == 0:
-        return 0.0
-    da = (sa - a_level) ** (p - 1)
-    db = (sb - a_level) ** (p - 1)
-    if variant == "plus":
-        w = (sa > a_level).astype(float)
-    elif variant == "minus":
-        w = (sa < a_level).astype(float)
-    elif variant == "sign":
-        w = np.where(sa >= a_level, 1.0, -1.0)
-    else:
-        raise ParameterError(f"variant must be plus|minus|sign, got {variant!r}")
-    return float(np.sum(w * (db - da)))
+    return float(_tanaka_meyer_sums(*_intervals(path, (level,), t), p, a_level, variant)[0])
 
 
 def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: float, t: float) -> float:
@@ -341,15 +344,46 @@ def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: f
     ``sum 1_(min,max](x) |S_{t_{j+1}} - x|**(p-1)`` over intervals with
     t_j <= t (the half-open bracket never fires on ties)."""
     p = even_order(p)
-    a, b = _interval_arrays(path, level, t)
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(bracket_contributions(a, b, p, x)))
+    stack, a, b = _intervals(path, (level,), t)
+    return float(stack.sums(bracket_contributions(a, b, p, x))[0])
 
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
+
+
+def _measure_remainder_sums(
+    stack: LevelStack, a: np.ndarray, b: np.ndarray, p: int, measure: StieltjesMeasure
+) -> np.ndarray:
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    total = np.zeros(len(stack.bounds) - 1)
+    for loc, mass in measure.atoms:
+        ind = (loc > lo) & (loc <= hi)
+        total += mass * stack.sums(np.abs(b[ind] - loc) ** (p - 1), where=ind)
+    dens = measure.density
+    if dens is not None:
+        bps = dens.breakpoints
+        spans = np.concatenate([[-np.inf], bps, [np.inf]])
+        for i, coeffs in enumerate(dens.pieces):
+            if not np.any(coeffs):
+                continue
+            seg_lo = np.maximum(lo, spans[i])
+            seg_hi = np.minimum(hi, spans[i + 1])
+            valid = seg_lo < seg_hi
+            deg = (p - 1) + (coeffs.size - 1)
+            nodes, weights = _gauss_legendre(deg // 2 + 1)
+            mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
+            half = 0.5 * (seg_hi[valid] - seg_lo[valid])
+            xq = mid[:, None] + half[:, None] * nodes[None, :]
+            integ = np.abs(b[valid][:, None] - xq) ** (p - 1) * npoly.polyval(
+                xq - dens.centers[i], coeffs
+            )
+            # one matrix-vector product per level, as tall as that level's
+            # valid intervals, so BLAS blocks its rows as it always has
+            total += [np.sum(half[s] * (integ[s] @ weights)) for s in stack.slices(valid)]
+    return total
 
 
 def measure_remainder_sum(path: SampledPath, level: np.ndarray, p: int, measure: StieltjesMeasure, t: float) -> float:
@@ -362,38 +396,7 @@ def measure_remainder_sum(path: SampledPath, level: np.ndarray, p: int, measure:
     exact for the polynomial integrands that arise here.
     """
     p = even_order(p)
-    a, b = _interval_arrays(path, level, t)
-    if a.size == 0:
-        return 0.0
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    total = 0.0
-    for loc, mass in measure.atoms:
-        ind = (loc > lo) & (loc <= hi)
-        if np.any(ind):
-            total += mass * float(np.sum(np.abs(b[ind] - loc) ** (p - 1)))
-    dens = measure.density
-    if dens is not None:
-        bps = dens.breakpoints
-        spans = np.concatenate([[-np.inf], bps, [np.inf]])
-        for i, coeffs in enumerate(dens.pieces):
-            if not np.any(coeffs):
-                continue
-            seg_lo = np.maximum(lo, spans[i])
-            seg_hi = np.minimum(hi, spans[i + 1])
-            valid = seg_lo < seg_hi
-            if not np.any(valid):
-                continue
-            deg = (p - 1) + (coeffs.size - 1)
-            nodes, weights = _gauss_legendre(deg // 2 + 1)
-            mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
-            half = 0.5 * (seg_hi[valid] - seg_lo[valid])
-            xq = mid[:, None] + half[:, None] * nodes[None, :]
-            integ = np.abs(b[valid][:, None] - xq) ** (p - 1) * npoly.polyval(
-                xq - dens.centers[i], coeffs
-            )
-            total += float(np.sum(half * (integ @ weights)))
-    return total
+    return float(_measure_remainder_sums(*_intervals(path, (level,), t), p, measure)[0])
 
 
 def stieltjes_pairing(

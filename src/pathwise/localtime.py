@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
+from ._util import LevelStack, bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
 from .errors import CoverageError, ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -251,14 +251,8 @@ def discrete_local_time_curves(
     """
     p = even_order(p)
     _, cps = snap_checkpoints(path, checkpoints)
-    out = np.zeros((hierarchy.n_levels, cps.size))
-    for i, lev in enumerate(hierarchy.levels):
-        a = path.values[lev[:-1]]
-        b = path.values[lev[1:]]
-        contrib = bracket_contributions(a, b, p, x)
-        cums = np.concatenate([[0.0], np.cumsum(contrib)])
-        out[i] = cums[left_endpoint_counts(lev, cps)]
-    return out
+    stack = LevelStack.build(hierarchy.levels, cps)
+    return stack.checkpoint_cumsums(bracket_contributions(*stack.gather(path.values), p, x))
 
 
 def _binned_density(

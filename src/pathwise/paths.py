@@ -32,6 +32,10 @@ __all__ = [
 
 PATH_KINDS = ("fbm", "bm", "linear", "triangle", "constant", "csv")
 
+# numpy >= 2.0 transforms into a given output, here the input itself;
+# older numpy allocates the output array
+_IFFT_IN_PLACE = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
 
 @dataclass(frozen=True)
 class SampledPath:
@@ -168,14 +172,20 @@ def _circulant_sqrt_eigs(H: float, N: int) -> Optional[np.ndarray]:
     tol = 1e-12 * max(eigs.max(), 1.0)
     if eigs.min() < -tol:
         return None
-    root = np.sqrt(np.clip(eigs, 0.0, None))
+    root = np.clip(eigs, 0.0, None)
+    np.sqrt(root, out=root)
     root.flags.writeable = False
     return root
 
 
 def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np.ndarray]:
     """Unit-step fractional Gaussian noise of length N, or None when the
-    circulant embedding is not nonnegative definite."""
+    circulant embedding is not nonnegative definite.
+
+    The result is a strided view of the inverse transform's real part.
+    Every step writes into an existing buffer, because at N = 2**14 each
+    temporary would be a fresh 256-512 KiB allocation.
+    """
     root = _circulant_sqrt_eigs(H, N)
     if root is None:
         return None
@@ -184,9 +194,14 @@ def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np
     z[0] = rng.standard_normal()
     z[N] = rng.standard_normal()
     v = rng.standard_normal((N - 1, 2))
-    z[1:N] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-    z[N + 1:] = np.conj(z[1:N][::-1])
-    return np.sqrt(M) * np.fft.ifft(root * z).real[:N]
+    # each row of v is one complex number's (real, imaginary) pair
+    np.divide(v.view(complex)[:, 0], np.sqrt(2.0), out=z[1:N])
+    del v
+    np.conjugate(z[1:N][::-1], out=z[N + 1:])
+    z *= root
+    fgn = (np.fft.ifft(z, out=z) if _IFFT_IN_PLACE else np.fft.ifft(z)).real[:N]
+    fgn *= np.sqrt(M)
+    return fgn
 
 
 def _fgn_cholesky(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,10 +218,11 @@ def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
     fgn = _fgn_davies_harte(H, N, rng)
     if fgn is None:
         fgn = _fgn_cholesky(H, N, _rng_for(seed))
-    fgn = fgn * (T / N) ** H
     out = np.empty(N + 1)
     out[0] = 0.0
-    np.cumsum(fgn, out=out[1:])
+    np.multiply(fgn, (T / N) ** H, out=out[1:])
+    del fgn
+    np.cumsum(out[1:], out=out[1:])
     return out
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
+from ._util import LevelStack, bracket_contributions, even_order, snap_checkpoints
 from .errors import ParameterError
 from .integrate import TestFunction
 from .localtime import discrete_local_time_curves
@@ -137,19 +137,14 @@ def collision_local_time(
     gap = system.gap_path(k, h)
     times, cps = snap_checkpoints(gap, checkpoints)
     literal = discrete_local_time_curves(gap, hierarchy, p, 0.0, checkpoints)
-    ties = np.zeros((hierarchy.n_levels, cps.size))
-    for i, lev in enumerate(hierarchy.levels):
-        ga = gap.values[lev[:-1]]
-        gb = gap.values[lev[1:]]
-        contrib = (ga == 0.0) * gb ** (p - 1)
-        cums = np.concatenate([[0.0], np.cumsum(contrib)])
-        ties[i] = cums[left_endpoint_counts(lev, cps)]
+    stack = LevelStack.build(hierarchy.levels, cps)
+    ga, gb = stack.gather(gap.values)
     return CollisionLocalTime(
         k=k, h=h, p=p,
         level_labels=hierarchy.level_labels,
         checkpoint_times=times,
         local_time_at_zero=literal,
-        exact_tie_charge=ties,
+        exact_tie_charge=stack.checkpoint_cumsums((ga == 0.0) * gb ** (p - 1)),
     )
 
 
@@ -160,21 +155,13 @@ def rank_sum_identity(
     and of the original paths at the level x; the identity holds in the
     limit, so this is a trend report."""
     p = even_order(p)
-    lhs, rhs = [], []
-    for lev in hierarchy.levels:
-        la, lb = lev[:-1], lev[1:]
-        lhs.append(
-            sum(
-                float(np.sum(bracket_contributions(system.ranked[k, la], system.ranked[k, lb], p, x)))
-                for k in range(system.m)
-            )
-        )
-        rhs.append(
-            sum(
-                float(np.sum(bracket_contributions(system.values[i, la], system.values[i, lb], p, x)))
-                for i in range(system.m)
-            )
-        )
+    stack = LevelStack.build(hierarchy.levels, [system.values.shape[1] - 1])
+
+    def summed_local_times(rows):
+        return sum(stack.sums(bracket_contributions(*stack.gather(row), p, x)) for row in rows)
+
+    lhs = summed_local_times(system.ranked)
+    rhs = summed_local_times(system.values)
     return _limit_report(
         f"rank local-time sum at x={x}", hierarchy.level_labels, lhs, rhs
     )
@@ -213,11 +200,6 @@ class RankDecomposition:
                        self.D[i, j], self.residual[i, j])
 
 
-def _checkpoint_rows(summands: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    cums = np.concatenate([[0.0], np.cumsum(summands)])
-    return cums[counts]
-
-
 def rank_decomposition(
     system: RankSystem,
     k: int,
@@ -241,51 +223,39 @@ def rank_decomposition(
     nk = system.counts[k - 1]
     fact = [math.factorial(i) for i in range(p + 1)]
     first, cps = snap_checkpoints(system.paths[0], checkpoints)
+    stack = LevelStack.build(hierarchy.levels, cps)
+    Ra, Rb = stack.gather(rk)
+    dR = Rb - Ra
+    Xa, Xb = stack.gather(system.values)
+    dX = Xb - Xa
+    gap = Rb - Xb  # rank value minus path value at the right endpoint
+    w = (Xa == Ra[None, :]) / nk[stack.left][None, :]
 
-    LA, LB, LC, LD, LDp, LDm = [], [], [], [], [], []
-    for lev in hierarchy.levels:
-        la, lb = lev[:-1], lev[1:]
-        counts_c = left_endpoint_counts(lev, cps)
-        Ra, Rb = rk[la], rk[lb]
-        dR = Rb - Ra
-        Xa, Xb = system.values[:, la], system.values[:, lb]
-        dX = Xb - Xa
-        gap = Rb - Xb  # rank value minus path value at the right endpoint
-        w = (Xa == Ra[None, :]) / nk[la][None, :]
+    fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
+    fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
 
-        fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
-        fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
+    a_sum = np.zeros_like(Ra)
+    b_terms = np.zeros_like(Xa)
+    for r in range(1, p):
+        a_sum += fr[r] / fact[r] * dR**r
+        b_terms += fXa[r] / fact[r] * dX**r
+    b_sum = np.sum(w * b_terms, axis=0)
 
-        a_sum = np.zeros_like(Ra)
-        b_terms = np.zeros_like(Xa)
-        for r in range(1, p):
-            a_sum += fr[r] / fact[r] * dR**r
-            b_terms += fXa[r] / fact[r] * dX**r
-        b_sum = np.sum(w * b_terms, axis=0)
+    c_terms = np.zeros_like(Xa)
+    for ell in range(1, p - 1):
+        gl = gap**ell
+        for r in range(ell, p):
+            c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
+    c_sum = np.sum(w * c_terms, axis=0)
 
-        c_terms = np.zeros_like(Xa)
-        for ell in range(1, p - 1):
-            gl = gap**ell
-            for r in range(ell, p):
-                c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
-        c_sum = np.sum(w * c_terms, axis=0)
+    dcoef = fr[p - 1] / fact[p - 1]
+    d_plus = np.sum(w * np.maximum(gap, 0.0) ** (p - 1), axis=0) * dcoef
+    d_minus = np.sum(w * np.maximum(-gap, 0.0) ** (p - 1), axis=0) * dcoef
+    d_sum = np.sum(w * gap ** (p - 1), axis=0) * dcoef
 
-        dcoef = fr[p - 1] / fact[p - 1]
-        d_plus = np.sum(w * np.maximum(gap, 0.0) ** (p - 1), axis=0) * dcoef
-        d_minus = np.sum(w * np.maximum(-gap, 0.0) ** (p - 1), axis=0) * dcoef
-        d_sum = np.sum(w * gap ** (p - 1), axis=0) * dcoef
-
-        LA.append(_checkpoint_rows(a_sum, counts_c))
-        LB.append(_checkpoint_rows(b_sum, counts_c))
-        LC.append(_checkpoint_rows(c_sum, counts_c))
-        LD.append(_checkpoint_rows(d_sum, counts_c))
-        LDp.append(_checkpoint_rows(d_plus, counts_c))
-        LDm.append(_checkpoint_rows(d_minus, counts_c))
-
-    A = np.asarray(LA)
-    B = np.asarray(LB)
-    C = np.asarray(LC)
-    D = np.asarray(LD)
+    A, B, C, D, D_plus, D_minus = stack.checkpoint_cumsums(
+        np.stack([a_sum, b_sum, c_sum, d_sum, d_plus, d_minus])
+    )
     resid = np.abs(A - (B + C + D))
     scale = np.maximum(1.0, np.max(np.stack([np.abs(A), np.abs(B), np.abs(C), np.abs(D)]), axis=0))
     rel = resid / scale
@@ -294,7 +264,7 @@ def rank_decomposition(
         level_labels=hierarchy.level_labels,
         checkpoint_times=first,
         A=A, B=B, C=C, D=D,
-        D_plus=np.asarray(LDp), D_minus=np.asarray(LDm),
+        D_plus=D_plus, D_minus=D_minus,
         residual=resid, relative_residual=rel,
         passed=bool(np.all(rel <= exact_threshold)),
     )
@@ -332,21 +302,15 @@ def simplified_cross_term(
     nk = system.counts[k - 1]
     fact = [math.factorial(i) for i in range(p + 1)]
     times, cps = snap_checkpoints(system.paths[0], checkpoints)
-
-    simp_rows = []
-    for lev in hierarchy.levels:
-        la, lb = lev[:-1], lev[1:]
-        counts_c = left_endpoint_counts(lev, cps)
-        Ra = rk[la]
-        Xa, Xb = system.values[:, la], system.values[:, lb]
-        gap = rk[lb] - Xb
-        w = (Xa == Ra[None, :]) / nk[la][None, :]
-        terms = np.zeros_like(Xa)
-        for ell in range(1, p - 1):
-            terms += np.asarray(f.derivative(Xa, ell), dtype=float) / fact[ell] * gap**ell
-        simp_rows.append(_checkpoint_rows(np.sum(w * terms, axis=0), counts_c))
-
-    simplified = np.asarray(simp_rows)
+    stack = LevelStack.build(hierarchy.levels, cps)
+    Ra, Rb = stack.gather(rk)
+    Xa, Xb = stack.gather(system.values)
+    gap = Rb - Xb
+    w = (Xa == Ra[None, :]) / nk[stack.left][None, :]
+    terms = np.zeros_like(Xa)
+    for ell in range(1, p - 1):
+        terms += np.asarray(f.derivative(Xa, ell), dtype=float) / fact[ell] * gap**ell
+    simplified = stack.checkpoint_cumsums(np.sum(w * terms, axis=0))
     full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
     return SimplifiedCrossTerm(
         k=k, p=p,

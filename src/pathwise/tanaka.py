@@ -28,13 +28,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import bracket_contributions, even_order, relative_gap
+from ._util import LevelStack, bracket_contributions, even_order, relative_gap
 from .errors import ParameterError
 from .integrate import (
     SmoothCallable,
     TestFunction,
-    follmer_sum,
-    measure_remainder_sum,
+    _follmer_sums,
+    _intervals,
+    _measure_remainder_sums,
+    _tanaka_meyer_sums,
 )
 from .localtime import SpaceGrid, occupation_density_local_time
 from .partitions import PartitionHierarchy, oscillation
@@ -126,8 +128,8 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
     """Both sides of the order-p change-of-variable identity at each level.
 
     The smoothness guard, the change f(S_t) - f(S_0) and the Stieltjes
-    measure d f^(p-1) are per (path, f), so they are built once for all
-    levels.
+    measure d f^(p-1) are per (path, f), and the summands of both sums are
+    evaluated once over the stacked intervals of all levels.
     """
     if f.smoothness is not None and f.smoothness < p - 2:
         raise ParameterError(
@@ -136,10 +138,9 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
     t_idx = path.grid_index(t)
     change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
     measure = f.stieltjes_measure(p - 1)
-    lhs, rhs = [], []
-    for lev in levels:
-        lhs.append(change - follmer_sum(path, lev, p, f, t))
-        rhs.append(measure_remainder_sum(path, lev, p, measure, t) / math.factorial(p - 1))
+    stack, a, b = _intervals(path, levels, t)
+    lhs = change - _follmer_sums(stack, a, b, p, f)
+    rhs = _measure_remainder_sums(stack, a, b, p, measure) / math.factorial(p - 1)
     return lhs, rhs
 
 
@@ -148,7 +149,7 @@ def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunct
     level; exact algebra, so the result is rounding noise (<= 1e-9) for
     any admissible test function, path and level."""
     (lhs,), (rhs,) = _change_of_variable_sides(path, (level,), even_order(p), f, t)
-    return relative_gap(lhs, rhs)
+    return relative_gap(float(lhs), float(rhs))
 
 
 def finite_n_report(
@@ -169,17 +170,14 @@ def tanaka_meyer_report(
     """Per level: the plus-variant compensated sum subtracted from the
     positive-part power change, against the discrete local time at a;
     exact away from on-grid ties with the level a."""
-    from .integrate import discrete_local_time_point, tanaka_meyer_sum
-
     p = even_order(p)
     t_idx = path.grid_index(t)
     change = float(
         max(path.values[t_idx] - a, 0.0) ** (p - 1) - max(path.values[0] - a, 0.0) ** (p - 1)
     )
-    lhs, rhs = [], []
-    for lev in hierarchy.levels:
-        lhs.append(change - tanaka_meyer_sum(path, lev, p, a, "plus", t))
-        rhs.append(discrete_local_time_point(path, lev, p, a, t))
+    stack, sa, sb = _intervals(path, hierarchy.levels, t)
+    lhs = change - _tanaka_meyer_sums(stack, sa, sb, p, a, "plus")
+    rhs = stack.sums(bracket_contributions(sa, sb, p, a))
     return _exact_report(f"tanaka-meyer p={p} a={a}", hierarchy.level_labels, lhs, rhs)
 
 
@@ -194,23 +192,14 @@ def ito_residual(
         raise ParameterError(f"need continuous derivatives through order {p}")
     t_idx = path.grid_index(t)
     change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
-    lhs, rhs = [], []
-    for lev in hierarchy.levels:
-        comp = follmer_sum(path, lev, p, f, t)
-        a, b = _level_arrays(path, lev, t_idx)
-        pv_term = float(np.sum(f.derivative(a, p) * np.abs(b - a) ** p)) / math.factorial(p)
-        lhs.append(change)
-        rhs.append(comp + pv_term)
-    return _limit_report(f"ito order {p}", hierarchy.level_labels, lhs, rhs)
+    stack, a, b = _intervals(path, hierarchy.levels, t)
+    comp = _follmer_sums(stack, a, b, p, f)
+    pv_term = stack.sums(f.derivative(a, p) * np.abs(b - a) ** p) / math.factorial(p)
+    lhs = np.full(hierarchy.n_levels, change)
+    return _limit_report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv_term)
 
 
 # -- local-time identity suite ------------------------------------------
-
-
-def _level_arrays(path: SampledPath, lev: np.ndarray, t_idx: int):
-    left = lev[:-1]
-    count = int(np.searchsorted(left, t_idx, side="right"))
-    return path.values[lev[:-1]][:count], path.values[lev[1:]][:count]
 
 
 def _tm_proxy_increments(a: np.ndarray, b: np.ndarray, p: int, x: float = 0.0) -> np.ndarray:
@@ -403,13 +392,9 @@ def scaling_check(
     )
     fa = float(f.value(a))
     factor = abs(float(f.derivative(a, 1))) ** (p - 1)
-    t_idx = path.n_samples - 1
-    lhs, rhs = [], []
-    for lev in hierarchy.levels:
-        ga, gb = _level_arrays(mapped, lev, t_idx)
-        sa, sb = _level_arrays(path, lev, t_idx)
-        lhs.append(np.sum(bracket_contributions(ga, gb, p, fa)))
-        rhs.append(factor * np.sum(bracket_contributions(sa, sb, p, a)))
+    stack = LevelStack.build(hierarchy.levels, [path.n_samples - 1])
+    lhs = stack.sums(bracket_contributions(*stack.gather(mapped.values), p, fa))
+    rhs = factor * stack.sums(bracket_contributions(*stack.gather(path.values), p, a))
     name = f"local time scaling under {getattr(f, 'name', 'map')} at a={a}"
     if _is_affine(f):
         return _exact_report(name, hierarchy.level_labels, lhs, rhs)

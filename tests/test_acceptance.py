@@ -1,6 +1,8 @@
 """Acceptance gate: every release-blocking criterion at its pinned
 tolerance, one pass/fail line per criterion on stdout."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,25 @@ def test_monte_carlo_tasks_equal_the_full_hierarchy_finest_level(rep):
     minmax = identity_suite(X, Y, dyadic_hierarchy(X, n), 2)[-1]
     assert minmax.identity == "min plus max local times"
     assert acceptance._c8_task((bx + rep, by + rep, n, n, T)) == (minmax.lhs[-1], minmax.rhs[-1])
+
+
+def test_default_run_emits_the_suite_twice_like_an_out_dir_run(monkeypatch, tmp_path):
+    # C1-C9 once, then C10's rerun: with or without an output directory
+    monkeypatch.setenv("PATHWISE_WORKERS", "1")
+    calls = []
+    generate = acceptance.generate
+    monkeypatch.setattr(acceptance, "generate", lambda spec: calls.append(spec) or generate(spec))
+    cfg = copy.deepcopy(acceptance.DEFAULT_CONFIG)
+    cfg["exact"].update(n_max=6, levels=6)
+    cfg["mc"].update(n_max=6, level=6, n_seeds=2)
+    cfg["occupation"]["n_max"] = 8
+
+    def generate_calls(run, *args):
+        calls.clear()
+        run(cfg, *args)
+        return len(calls)
+
+    once = generate_calls(acceptance.emit_artifacts, str(tmp_path / "once"))
+    assert once > 0
+    assert generate_calls(acceptance.run_all) == 2 * once
+    assert generate_calls(acceptance.run_all, str(tmp_path / "acc")) == 2 * once

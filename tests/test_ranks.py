@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathwise import (
     ParameterError,
+    PartitionHierarchy,
     PathSpec,
     build_rank_system,
     collision_local_time,
     discrete_local_time_point,
     dyadic_hierarchy,
     generate,
+    lebesgue_hierarchy,
     rank_decomposition,
     rank_sum_identity,
     simplified_cross_term,
     tanaka_class,
 )
+from pathwise._util import bracket_contributions, left_endpoint_counts, snap_checkpoints
 from tests.conftest import make_walk
 
 
@@ -358,3 +362,147 @@ def test_simplified_cross_term_requires_vanishing_high_derivatives(fbm_trio):
     kinked = tanaka_class("pos_part_pow", 4, a=0.0)
     with pytest.raises(ParameterError):
         simplified_cross_term(system, 1, hier, 4, kinked, [1.0])
+
+# -- the level stack against the per-level loops it replaced -------------------
+#
+# The rank sums evaluate their summands once over the stacked intervals of
+# all levels and take running sums per level.  These oracles are the loops
+# they replaced, one level at a time; the stacked results must have the
+# same bytes.
+
+
+def _running_rows(summands, counts):
+    return np.concatenate([[0.0], np.cumsum(summands)])[counts]
+
+
+def _per_level_decomposition(system, k, hierarchy, p, f, checkpoints):
+    rk, nk = system.ranked[k - 1], system.counts[k - 1]
+    fact = [math.factorial(i) for i in range(p + 1)]
+    _, cps = snap_checkpoints(system.paths[0], checkpoints)
+    rows = {key: [] for key in ("A", "B", "C", "D", "D_plus", "D_minus")}
+    for lev in hierarchy.levels:
+        la, lb = lev[:-1], lev[1:]
+        counts = left_endpoint_counts(lev, cps)
+        Ra, Rb = rk[la], rk[lb]
+        dR = Rb - Ra
+        Xa, Xb = system.values[:, la], system.values[:, lb]
+        dX = Xb - Xa
+        gap = Rb - Xb
+        w = (Xa == Ra[None, :]) / nk[la][None, :]
+        fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
+        fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
+        a_sum = np.zeros_like(Ra)
+        b_terms = np.zeros_like(Xa)
+        for r in range(1, p):
+            a_sum += fr[r] / fact[r] * dR**r
+            b_terms += fXa[r] / fact[r] * dX**r
+        c_terms = np.zeros_like(Xa)
+        for ell in range(1, p - 1):
+            gl = gap**ell
+            for r in range(ell, p):
+                c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
+        dcoef = fr[p - 1] / fact[p - 1]
+        sums = {
+            "A": a_sum,
+            "B": np.sum(w * b_terms, axis=0),
+            "C": np.sum(w * c_terms, axis=0),
+            "D": np.sum(w * gap ** (p - 1), axis=0) * dcoef,
+            "D_plus": np.sum(w * np.maximum(gap, 0.0) ** (p - 1), axis=0) * dcoef,
+            "D_minus": np.sum(w * np.maximum(-gap, 0.0) ** (p - 1), axis=0) * dcoef,
+        }
+        for key, summands in sums.items():
+            rows[key].append(_running_rows(summands, counts))
+    return {key: np.asarray(v) for key, v in rows.items()}
+
+
+def _per_level_simplified(system, k, hierarchy, p, f, checkpoints):
+    rk, nk = system.ranked[k - 1], system.counts[k - 1]
+    _, cps = snap_checkpoints(system.paths[0], checkpoints)
+    rows = []
+    for lev in hierarchy.levels:
+        la, lb = lev[:-1], lev[1:]
+        Ra = rk[la]
+        Xa, Xb = system.values[:, la], system.values[:, lb]
+        gap = rk[lb] - Xb
+        w = (Xa == Ra[None, :]) / nk[la][None, :]
+        terms = np.zeros_like(Xa)
+        for ell in range(1, p - 1):
+            terms += np.asarray(f.derivative(Xa, ell), dtype=float) / math.factorial(ell) * gap**ell
+        rows.append(_running_rows(np.sum(w * terms, axis=0), left_endpoint_counts(lev, cps)))
+    return np.asarray(rows)
+
+
+def _per_level_collision(gap_values, hierarchy, p, cps):
+    """Running local time at 0 and exact-tie charge of a rank gap."""
+    local_time, ties = [], []
+    for lev in hierarchy.levels:
+        ga, gb = gap_values[lev[:-1]], gap_values[lev[1:]]
+        counts = left_endpoint_counts(lev, cps)
+        local_time.append(_running_rows(bracket_contributions(ga, gb, p, 0.0), counts))
+        ties.append(_running_rows((ga == 0.0) * gb ** (p - 1), counts))
+    return np.asarray(local_time), np.asarray(ties)
+
+
+def _per_level_rank_sum(system, hierarchy, p, x):
+    def summed(rows, la, lb):
+        return sum(float(np.sum(bracket_contributions(r[la], r[lb], p, x))) for r in rows)
+
+    lhs = [summed(system.ranked, lev[:-1], lev[1:]) for lev in hierarchy.levels]
+    rhs = [summed(system.values, lev[:-1], lev[1:]) for lev in hierarchy.levels]
+    return lhs, rhs
+
+
+def _same_bytes(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+# a coarse lattice of values makes ranks tie often, including at t = 0
+lattice_walks = st.lists(
+    st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32),
+    ),
+    min_size=17,
+    max_size=17,
+).map(lambda v: make_walk(np.asarray(v, dtype=float)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda m: st.lists(lattice_walks, min_size=m, max_size=m)),
+    st.integers(1, 3),
+    st.sampled_from([2, 4]),
+    st.sampled_from(["dyadic", "lebesgue", "interval-free level"]),
+    st.sampled_from([[0.0], [0.3125], [0.5, 1.0], [0.0, 0.3125, 1.0]]),
+)
+def test_stacked_rank_sums_are_bit_identical_to_per_level_loops(paths, k, p, kind, checkpoints):
+    system = build_rank_system(paths)
+    k = min(k, system.m)
+    if kind == "lebesgue" and np.ptp(paths[0].values) > 0.0:
+        hier = lebesgue_hierarchy(paths[0], 4)
+    else:
+        hier = dyadic_hierarchy(paths[0], 4)
+        if kind == "interval-free level":
+            levels = hier.levels[:2] + (np.array([0]),) + hier.levels[2:]
+            hier = PartitionHierarchy(kind="dyadic", levels=levels, level_labels=(1, 2, 0, 3, 4), nested=False)
+
+    poly = tanaka_class("poly", p, coeffs=[0.3, -1.2, 0.7, 1.1][:p])
+    for f in (poly, tanaka_class("abs_pow", p, a=0.5), tanaka_class("poly", p, coeffs=[0.2, 0.0, 1.0, -0.5, 0.3, 0.1])):
+        dec = rank_decomposition(system, k, hier, p, f, checkpoints)
+        want = _per_level_decomposition(system, k, hier, p, f, checkpoints)
+        for key, rows in want.items():
+            assert _same_bytes(getattr(dec, key), rows), (f.name, key)
+
+    simp = simplified_cross_term(system, k, hier, p, poly, checkpoints)
+    assert _same_bytes(simp.simplified, _per_level_simplified(system, k, hier, p, poly, checkpoints))
+
+    _, cps = snap_checkpoints(paths[0], checkpoints)
+    for h in range(k + 1, system.m + 1):
+        col = collision_local_time(system, k, h, hier, p, checkpoints)
+        local_time, ties = _per_level_collision(system.ranked[k - 1] - system.ranked[h - 1], hier, p, cps)
+        assert _same_bytes(col.local_time_at_zero, local_time)
+        assert _same_bytes(col.exact_tie_charge, ties)
+
+    rep = rank_sum_identity(system, hier, p, x=0.5)
+    lhs, rhs = _per_level_rank_sum(system, hier, p, 0.5)
+    assert _same_bytes(rep.lhs, lhs) and _same_bytes(rep.rhs, rhs)

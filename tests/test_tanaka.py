@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from pathwise import (
     CellIndicator,
     ParameterError,
+    PartitionHierarchy,
     PathSpec,
     SpaceGrid,
     discrete_local_time_point,
@@ -13,13 +17,21 @@ from pathwise import (
     generate,
     identity_suite,
     ito_residual,
+    lebesgue_hierarchy,
     occupation_check,
     scaling_check,
     scaling_root_preset,
     tanaka_class,
 )
 from pathwise import acceptance
-from pathwise._util import median, relative_gap
+from pathwise._util import (
+    bracket_contributions,
+    left_endpoint_counts,
+    median,
+    relative_gap,
+    snap_checkpoints,
+)
+from pathwise import integrate
 from pathwise.integrate import SmoothCallable
 from pathwise.tanaka import finite_n_report, tanaka_meyer_report
 from tests.conftest import make_walk
@@ -121,6 +133,189 @@ def test_tanaka_meyer_report_passes(rough_path):
     assert rep.passed
     rows = list(rep.to_csv_rows())
     assert rows[0][5] == "exact-per-level"
+
+
+# -- the level stack against the per-level loops it replaced ----------------
+#
+# The identities below evaluate their summands once over the stacked
+# intervals of all levels and reduce per level.  These oracles are the
+# loops they replaced, one level at a time; the stacked results must have
+# the same bytes.
+
+
+def _per_level_intervals(path, level, t):
+    idx = np.asarray(level, dtype=np.int64)
+    _, cps = snap_checkpoints(path, [t])
+    count = int(left_endpoint_counts(idx, cps)[0])
+    return path.values[idx[:-1]][:count], path.values[idx[1:]][:count]
+
+
+def _per_level_follmer_sum(path, level, p, f, t):
+    a, b = _per_level_intervals(path, level, t)
+    if a.size == 0:
+        return 0.0
+    d = b - a
+    acc = np.zeros_like(a)
+    power = d.copy()
+    fact = 1.0
+    for k in range(1, p):
+        fact *= k
+        acc += f.derivative(a, k) * power / fact
+        power = power * d
+    return float(np.sum(acc))
+
+
+def _per_level_measure_remainder_sum(path, level, p, measure, t):
+    a, b = _per_level_intervals(path, level, t)
+    if a.size == 0:
+        return 0.0
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    total = 0.0
+    for loc, mass in measure.atoms:
+        ind = (loc > lo) & (loc <= hi)
+        if np.any(ind):
+            total += mass * float(np.sum(np.abs(b[ind] - loc) ** (p - 1)))
+    dens = measure.density
+    if dens is not None:
+        spans = np.concatenate([[-np.inf], dens.breakpoints, [np.inf]])
+        for i, coeffs in enumerate(dens.pieces):
+            if not np.any(coeffs):
+                continue
+            seg_lo = np.maximum(lo, spans[i])
+            seg_hi = np.minimum(hi, spans[i + 1])
+            valid = seg_lo < seg_hi
+            if not np.any(valid):
+                continue
+            nodes, weights = np.polynomial.legendre.leggauss(((p - 1) + (coeffs.size - 1)) // 2 + 1)
+            mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
+            half = 0.5 * (seg_hi[valid] - seg_lo[valid])
+            xq = mid[:, None] + half[:, None] * nodes[None, :]
+            integ = np.abs(b[valid][:, None] - xq) ** (p - 1) * npoly.polyval(
+                xq - dens.centers[i], coeffs
+            )
+            total += float(np.sum(half * (integ @ weights)))
+    return total
+
+
+def _per_level_change_of_variable(path, hier, p, f, t):
+    t_idx = path.grid_index(t)
+    change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
+    measure = f.stieltjes_measure(p - 1)
+    lhs = [change - _per_level_follmer_sum(path, lev, p, f, t) for lev in hier.levels]
+    rhs = [
+        _per_level_measure_remainder_sum(path, lev, p, measure, t) / math.factorial(p - 1)
+        for lev in hier.levels
+    ]
+    return lhs, rhs
+
+
+def _per_level_tanaka_meyer(path, hier, p, a, t):
+    t_idx = path.grid_index(t)
+    change = float(
+        max(path.values[t_idx] - a, 0.0) ** (p - 1) - max(path.values[0] - a, 0.0) ** (p - 1)
+    )
+    lhs, rhs = [], []
+    for lev in hier.levels:
+        sa, sb = _per_level_intervals(path, lev, t)
+        tm = lt = 0.0
+        if sa.size:
+            w = (sa > a).astype(float)
+            tm = float(np.sum(w * ((sb - a) ** (p - 1) - (sa - a) ** (p - 1))))
+            lt = float(np.sum(bracket_contributions(sa, sb, p, a)))
+        lhs.append(change - tm)
+        rhs.append(lt)
+    return lhs, rhs
+
+
+def _per_level_ito(path, hier, p, f, t):
+    rhs = []
+    for lev in hier.levels:
+        a, b = _per_level_intervals(path, lev, t)
+        pv_term = float(np.sum(f.derivative(a, p) * np.abs(b - a) ** p)) / math.factorial(p)
+        rhs.append(_per_level_follmer_sum(path, lev, p, f, t) + pv_term)
+    return rhs
+
+
+def _per_level_scaling(path, mapped, hier, p, fa, factor, a):
+    lhs, rhs = [], []
+    for lev in hier.levels:
+        ga, gb = _per_level_intervals(mapped, lev, path.T)
+        sa, sb = _per_level_intervals(path, lev, path.T)
+        lhs.append(np.sum(bracket_contributions(ga, gb, p, fa)))
+        rhs.append(factor * np.sum(bracket_contributions(sa, sb, p, a)))
+    return lhs, rhs
+
+
+def _same_bytes(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def _hierarchy(path, kind):
+    """Dyadic or Lebesgue levels 1..4, or the dyadic ones with an
+    interval-free level (index 0 alone) in the middle of the stack."""
+    if kind == "lebesgue":
+        return lebesgue_hierarchy(path, 4)
+    hier = dyadic_hierarchy(path, 4)
+    if kind == "dyadic":
+        return hier
+    levels = hier.levels[:2] + (np.array([0]),) + hier.levels[2:]
+    return PartitionHierarchy(kind="dyadic", levels=levels, level_labels=(1, 2, 0, 3, 4), nested=False)
+
+
+def _positive_part_power(a, p):
+    """((x - a)^+)^p: C^(p-1), so d f^(p-1) is a density and not an atom."""
+    pieces = (np.zeros(1), np.eye(p + 1)[p])
+    return integrate.TestFunction(np.array([a]), pieces, np.array([a, a]), smoothness=p - 1, name="pos^p")
+
+
+# values on a coarse lattice make ties with each other and with the anchor
+tie_walks = st.lists(
+    st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32),
+    ),
+    min_size=17,
+    max_size=17,
+).map(lambda v: make_walk(np.asarray(v, dtype=float)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tie_walks,
+    st.one_of(st.integers(0, 16), st.floats(min_value=-2.0, max_value=2.0, width=32)),
+    st.sampled_from([2, 4]),
+    st.sampled_from(["dyadic", "lebesgue", "interval-free level"]),
+    st.sampled_from([0.0, 0.3125, 0.5, 1.0]),
+)
+def test_stacked_identities_are_bit_identical_to_per_level_loops(path, anchor, p, kind, t):
+    # an integer anchor picks a sample, so the anchor ties with the path on grid
+    a = float(path.values[anchor]) if isinstance(anchor, int) else float(anchor)
+    if kind == "lebesgue" and np.ptp(path.values) == 0.0:
+        kind = "dyadic"
+    hier = _hierarchy(path, kind)
+
+    functions = [tanaka_class(name, p, a=a) for name in ("pos_part_pow", "neg_part_pow", "abs_pow")]
+    functions += [
+        tanaka_class("poly", p, coeffs=[0.3, -1.0, 0.5, 0.2, -0.1, 0.05][: p + 2]),
+        _positive_part_power(a, p),
+    ]
+    for f in functions:
+        rep = finite_n_report(path, hier, p, f, t)
+        lhs, rhs = _per_level_change_of_variable(path, hier, p, f, t)
+        assert _same_bytes(rep.lhs, lhs) and _same_bytes(rep.rhs, rhs), f.name
+
+    rep = tanaka_meyer_report(path, hier, p, a, t)
+    lhs, rhs = _per_level_tanaka_meyer(path, hier, p, a, t)
+    assert _same_bytes(rep.lhs, lhs) and _same_bytes(rep.rhs, rhs)
+
+    smooth = tanaka_class("poly", p, coeffs=[0.3, -1.0, 0.5, 0.2, -0.1, 0.05][: p + 2])
+    assert _same_bytes(ito_residual(path, hier, p, smooth, t).rhs, _per_level_ito(path, hier, p, smooth, t))
+
+    affine = tanaka_class("poly", 2, coeffs=[0.7, -2.0])
+    mapped = make_walk(affine.value(path.values))
+    rep = scaling_check(path, affine, a, hier, p)
+    lhs, rhs = _per_level_scaling(path, mapped, hier, p, affine.value(a), 2.0 ** (p - 1), a)
+    assert _same_bytes(rep.lhs, lhs) and _same_bytes(rep.rhs, rhs)
 
 
 # -- Ito residuals ----------------------------------------------------------
