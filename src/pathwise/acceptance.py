@@ -32,8 +32,8 @@ from .ranks import build_rank_system, rank_decomposition, rank_sum_identity
 from .tanaka import (
     CellIndicator,
     EXACT_THRESHOLD,
+    _min_plus_max,
     finite_n_report,
-    identity_suite,
     occupation_check,
     scaling_check,
     tanaka_meyer_report,
@@ -469,10 +469,10 @@ def _c8_task(args):
     sx, sy, n_max, level, T = args
     X = _fbm(0.5, sx, n_max, T)
     Y = _fbm(0.5, sy, n_max, T)
-    hier = _finest_level(X, level)
-    reports = identity_suite(X, Y, hier, 2)
-    minmax = next(r for r in reports if r.identity.startswith("min plus max"))
-    return float(minmax.lhs[-1]), float(minmax.rhs[-1])
+    lev = dyadic_hierarchy(X, level).finest
+    la, lb = lev[:-1], lev[1:]
+    *_, lhs, rhs = _min_plus_max(X.values[la], X.values[lb], Y.values[la], Y.values[lb], 2)
+    return float(lhs), float(rhs)
 
 
 def criterion_08(config: Optional[dict] = None) -> CriterionResult:

@@ -5,8 +5,13 @@ Every path handled by this package lives on the uniform grid
 levels are index subsets of that grid, which keeps every partition sum an
 exact rearrangement of grid values.  Fractional Brownian motion is sampled
 by circulant embedding of the fractional Gaussian noise covariance
-(Davies & Harte 1987), falling back to a Cholesky factorization in the
-rare case of a negative circulant eigenvalue.
+(Davies & Harte 1987).  For N = 2**n_max steps its working set is one
+2N-point complex buffer per transform (the spectrum, once per (H, N),
+and the noise of each path) plus the cached 2N-point root of the
+spectrum.  Where the embedding has a negative eigenvalue (H near 1), a
+Cholesky factorization of the N x N covariance takes over; that route
+needs O(N**2) memory, so it is refused with a GenerationError above
+n_max = 10 (``_CHOLESKY_MAX_N_MAX``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,11 @@ PATH_KINDS = ("fbm", "bm", "linear", "triangle", "constant", "csv")
 
 # numpy >= 2.0 transforms into a given output, here the input itself;
 # older numpy allocates the output array
-_IFFT_IN_PLACE = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+_FFT_IN_PLACE = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+# the Cholesky route builds dense N x N arrays: its traced peak is 16 MiB
+# at n_max = 10, where one such array is 8 MiB; at n_max = 16 it is 32 GiB
+_CHOLESKY_MAX_N_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -165,14 +174,24 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
 def _circulant_sqrt_eigs(H: float, N: int) -> Optional[np.ndarray]:
     """Square roots of the eigenvalues of the 2N-point circulant embedding
     of the fGn covariance (read-only, shared by every path with this
-    (H, N)), or None when the embedding is not nonnegative definite."""
+    (H, N)), or None when the embedding is not nonnegative definite.
+
+    The first row of the circulant is written into the real part of one
+    zeroed complex buffer, which is transformed in place where numpy
+    allows it.
+    """
     gamma = _fgn_autocov(H, N)
-    first_row = np.concatenate([gamma, [0.0], gamma[1:][::-1]])
-    eigs = np.fft.fft(first_row).real
+    row = np.zeros(2 * N, dtype=complex)
+    row.real[:N] = gamma
+    row.real[N + 1:] = gamma[:0:-1]
+    del gamma
+    eigs = (np.fft.fft(row, out=row) if _FFT_IN_PLACE else np.fft.fft(row)).real
+    del row
     tol = 1e-12 * max(eigs.max(), 1.0)
     if eigs.min() < -tol:
         return None
     root = np.clip(eigs, 0.0, None)
+    del eigs
     np.sqrt(root, out=root)
     root.flags.writeable = False
     return root
@@ -183,8 +202,9 @@ def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np
     circulant embedding is not nonnegative definite.
 
     The result is a strided view of the inverse transform's real part.
-    Every step writes into an existing buffer, because at N = 2**14 each
-    temporary would be a fresh 256-512 KiB allocation.
+    Every step writes into the one complex buffer ``z``: the normals are
+    drawn straight into its (real, imaginary) pairs, and the transform
+    runs in place.
     """
     root = _circulant_sqrt_eigs(H, N)
     if root is None:
@@ -193,13 +213,11 @@ def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np
     z = np.empty(M, dtype=complex)
     z[0] = rng.standard_normal()
     z[N] = rng.standard_normal()
-    v = rng.standard_normal((N - 1, 2))
-    # each row of v is one complex number's (real, imaginary) pair
-    np.divide(v.view(complex)[:, 0], np.sqrt(2.0), out=z[1:N])
-    del v
+    rng.standard_normal(out=z[1:N].view(float))
+    np.divide(z[1:N], np.sqrt(2.0), out=z[1:N])
     np.conjugate(z[1:N][::-1], out=z[N + 1:])
     z *= root
-    fgn = (np.fft.ifft(z, out=z) if _IFFT_IN_PLACE else np.fft.ifft(z)).real[:N]
+    fgn = (np.fft.ifft(z, out=z) if _FFT_IN_PLACE else np.fft.ifft(z)).real[:N]
     fgn *= np.sqrt(M)
     return fgn
 
@@ -217,6 +235,12 @@ def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
     rng = _rng_for(seed)
     fgn = _fgn_davies_harte(H, N, rng)
     if fgn is None:
+        if n_max > _CHOLESKY_MAX_N_MAX:
+            raise GenerationError(
+                f"fbm with hurst={H} at n_max={n_max}: the circulant embedding is not "
+                f"nonnegative definite, and the O(N^2) Cholesky route is limited to "
+                f"n_max <= {_CHOLESKY_MAX_N_MAX}"
+            )
         fgn = _fgn_cholesky(H, N, _rng_for(seed))
     out = np.empty(N + 1)
     out[0] = 0.0
@@ -272,18 +296,24 @@ def generate(spec: PathSpec) -> SampledPath:
     """Construct the path described by ``spec``.
 
     Deterministic in ``(spec, seed)``.  fBM uses circulant embedding of the
-    fractional Gaussian noise covariance with a Cholesky fallback, scaled so
-    that ``Var(S(t)) = t**(2H)``.
+    fractional Gaussian noise covariance, scaled so that
+    ``Var(S(t)) = t**(2H)``.  Besides the returned path of N + 1 samples
+    (N = 2**n_max), it holds one 2N-point complex buffer per transform and
+    the cached 2N-point root of the spectrum.  Where the embedding is not
+    nonnegative definite, a Cholesky factorization of the N x N covariance
+    takes over, up to n_max = 10.
 
     Raises
     ------
     IngestionError
         For missing or malformed CSV input.
     GenerationError
-        If synthesis produces non-finite samples.
+        If synthesis produces non-finite samples, or if an fBM needs the
+        Cholesky route above n_max = 10.
     """
     n = 2**spec.n_max
-    times = np.linspace(0.0, spec.T, n + 1)
+    if spec.kind in ("linear", "triangle"):
+        times = np.linspace(0.0, spec.T, n + 1)
     meta = {"kind": spec.kind, "seed": spec.seed, "T": spec.T, "n_max": spec.n_max}
 
     if spec.kind == "constant":

@@ -211,6 +211,20 @@ def _tm_proxy_increments(a: np.ndarray, b: np.ndarray, p: int, x: float = 0.0) -
     return (pos_b - pos_a) - (a > x) * (raw_b - raw_a)
 
 
+def _min_plus_max(Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray, p: int):
+    """Identity (7) of :func:`identity_suite` at one level, from the values
+    of X and Y at the ends of its intervals.
+
+    Returns the proxy increments of X, Y, max(X, Y) and min(X, Y), then
+    both sides: sum dL(max) + sum dL(min) against sum dL(X) + sum dL(Y).
+    """
+    dLX = _tm_proxy_increments(Xa, Xb, p)
+    dLY = _tm_proxy_increments(Ya, Yb, p)
+    dLM = _tm_proxy_increments(np.maximum(Xa, Ya), np.maximum(Xb, Yb), p)
+    dLm = _tm_proxy_increments(np.minimum(Xa, Ya), np.minimum(Xb, Yb), p)
+    return dLX, dLY, dLM, dLm, np.sum(dLM) + np.sum(dLm), np.sum(dLX) + np.sum(dLY)
+
+
 def identity_suite(
     X: SampledPath, Y: SampledPath, hierarchy: PartitionHierarchy, p: int
 ) -> list:
@@ -231,8 +245,6 @@ def identity_suite(
     absX = np.abs(X.values)
     Xp = np.maximum(X.values, 0.0)
     Xm = np.maximum(-X.values, 0.0)
-    mx = np.maximum(X.values, Y.values)
-    mn = np.minimum(X.values, Y.values)
     abs_path = SampledPath(X.T, X.n_max, absX, metadata={"kind": "abs"})
 
     def rowset():
@@ -251,8 +263,6 @@ def identity_suite(
         Aa, Ab = absX[la], absX[lb]
         Xpa, Xpb = Xp[la], Xp[lb]
         Xma, Xmb = Xm[la], Xm[lb]
-        Ma, Mb = mx[la], mx[lb]
-        ma, mb = mn[la], mn[lb]
 
         osc_x = oscillation(X, lev)
         osc_y = oscillation(Y, lev)
@@ -260,10 +270,7 @@ def identity_suite(
 
         # proxy increments shared between rows, each computed once per level
         dLA = _tm_proxy_increments(Aa, Ab, p)
-        dLX = _tm_proxy_increments(Xa, Xb, p)
-        dLY = _tm_proxy_increments(Ya, Yb, p)
-        dLM = _tm_proxy_increments(Ma, Mb, p)
-        dLm = _tm_proxy_increments(ma, mb, p)
+        dLX, dLY, dLM, dLm, minmax_lhs, minmax_rhs = _min_plus_max(Xa, Xb, Ya, Yb, p)
 
         # (1) nonnegative path: local time at 0 equals the exact-tie sum
         r = rows["nonneg"]
@@ -324,8 +331,8 @@ def identity_suite(
 
         # (7) min + max local times add up
         r = rows["minmax"]
-        r["lhs"].append(np.sum(dLM) + np.sum(dLm))
-        r["rhs"].append(np.sum(dLX) + np.sum(dLY))
+        r["lhs"].append(minmax_lhs)
+        r["rhs"].append(minmax_rhs)
         r["d1"].append(0.0)
         r["d2"].append(0.0)
         r["d3"].append(max(osc_x, osc_y))

@@ -11,11 +11,34 @@ from pathwise.integrate import SmoothCallable
 from pathwise.ranks import rank_sum_identity
 
 
+def _reduced_config():
+    cfg = copy.deepcopy(acceptance.DEFAULT_CONFIG)
+    cfg["exact"].update(n_max=6, levels=6)
+    cfg["mc"].update(n_max=6, level=6, n_seeds=2)
+    cfg["occupation"]["n_max"] = 8
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def suite_run(tmp_path_factory):
+    """One default run with artifacts: criteria 1-9 once, then C10, which
+    reruns them and compares against the kept artifacts."""
+    out = tmp_path_factory.mktemp("acc")
+    return acceptance.run_all(out_dir=str(out)), out
+
+
 @pytest.mark.parametrize("key", [k for k, _, _ in acceptance.CRITERIA])
-def test_criterion(key):
-    result = acceptance.run_criterion(key)
+def test_criterion(key, suite_run):
+    (result,) = [r for r in suite_run[0] if r.key == key]
     print(f"ACCEPTANCE {result.status_line()}  [{result.seconds:.2f}s]")
     assert result.passed, result.status_line()
+
+
+def test_criterion_10_without_a_primary_dir_runs_the_suite_twice_itself():
+    result = acceptance.run_criterion("C10", _reduced_config())
+    assert result.passed, result.status_line()
+    assert len(result.rows) == 9
+    assert all(row["byte_identical"] for row in result.rows)
 
 
 def test_runtime_targets_recorded():
@@ -25,9 +48,8 @@ def test_runtime_targets_recorded():
     assert c3.info["runtime_ok"], f"criterion 3 exceeded its runtime target: {c3.seconds}s"
 
 
-def test_summary_artifact(tmp_path):
-    out = tmp_path / "acc"
-    results = acceptance.run_all(out_dir=str(out))
+def test_summary_artifact(suite_run):
+    results, out = suite_run
     assert all(r.passed for r in results if r.gated)
     import json
 
@@ -76,10 +98,7 @@ def test_default_run_emits_the_suite_twice_like_an_out_dir_run(monkeypatch, tmp_
     calls = []
     generate = acceptance.generate
     monkeypatch.setattr(acceptance, "generate", lambda spec: calls.append(spec) or generate(spec))
-    cfg = copy.deepcopy(acceptance.DEFAULT_CONFIG)
-    cfg["exact"].update(n_max=6, levels=6)
-    cfg["mc"].update(n_max=6, level=6, n_seeds=2)
-    cfg["occupation"]["n_max"] = 8
+    cfg = _reduced_config()
 
     def generate_calls(run, *args):
         calls.clear()

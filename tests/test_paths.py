@@ -13,7 +13,10 @@ from pathwise import (
     running_extrema,
     write_path_csv,
 )
+from pathwise import cli
 from pathwise.paths import (
+    _CHOLESKY_MAX_N_MAX,
+    _FFT_IN_PLACE,
     _circulant_sqrt_eigs,
     _fbm_values,
     _fgn_autocov,
@@ -197,11 +200,9 @@ def test_csv_header_must_be_exactly_t_value(tmp_path, header):
         generate(PathSpec(kind="csv", file=str(file), T=1.0, n_max=3))
 
 
-def _fgn_uncached(H, N, rng):
-    """Davies-Harte with the spectrum recomputed per call, as before caching."""
-    gamma = _fgn_autocov(H, N)
-    eigs = np.fft.fft(np.concatenate([gamma, [0.0], gamma[1:][::-1]])).real
-    eigs = np.clip(eigs, 0.0, None)
+def _fgn_expression_form(root, N, rng):
+    """Davies-Harte noise on a given spectrum root, one temporary per
+    expression and the normals in their own array."""
     M = 2 * N
     z = np.empty(M, dtype=complex)
     z[0] = rng.standard_normal()
@@ -209,7 +210,26 @@ def _fgn_uncached(H, N, rng):
     v = rng.standard_normal((N - 1, 2))
     z[1:N] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
     z[N + 1:] = np.conj(z[1:N][::-1])
-    return np.sqrt(M) * np.fft.ifft(np.sqrt(eigs) * z).real[:N]
+    return np.sqrt(M) * np.fft.ifft(root * z).real[:N]
+
+
+def _circulant_sqrt_eigs_from_real_row(H, N):
+    """The spectrum transformed from a real first row, before it was
+    transformed in place in one complex buffer."""
+    gamma = _fgn_autocov(H, N)
+    first_row = np.concatenate([gamma, [0.0], gamma[1:][::-1]])
+    eigs = np.fft.fft(first_row).real
+    tol = 1e-12 * max(eigs.max(), 1.0)
+    if eigs.min() < -tol:
+        return None
+    root = np.clip(eigs, 0.0, None)
+    np.sqrt(root, out=root)
+    return root
+
+
+def _fgn_uncached(H, N, rng):
+    """Davies-Harte with the spectrum recomputed per call, as before caching."""
+    return _fgn_expression_form(_circulant_sqrt_eigs_from_real_row(H, N), N, rng)
 
 
 def test_cached_spectrum_generations_are_byte_identical_to_uncached():
@@ -224,28 +244,60 @@ def test_cached_spectrum_generations_are_byte_identical_to_uncached():
     assert not _circulant_sqrt_eigs(H, N).flags.writeable
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 10, 14])
+@pytest.mark.parametrize("n_max", [1, 2, 10, 14, 18])
 @pytest.mark.parametrize("H", [0.1, 0.25, 0.5, 0.75])
 def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
-    # the generator writes every step into an existing buffer; the
-    # expression-by-expression form it replaced is the oracle
+    # the generator writes every step into an existing buffer; on a cold
+    # spectrum cache, the real-row transform and the expression-by-
+    # expression form it replaced are the oracle
     N = 2**n_max
+    root = _circulant_sqrt_eigs_from_real_row(H, N)
+    _circulant_sqrt_eigs.cache_clear()
+    assert _circulant_sqrt_eigs(H, N).tobytes() == root.tobytes()
     for seed in (0, 1, 29):
-        want = _fgn_uncached(H, N, _rng_for(seed))
+        want = _fgn_expression_form(root, N, _rng_for(seed))
         assert _fgn_davies_harte(H, N, _rng_for(seed)).tobytes() == want.tobytes()
         want_path = np.concatenate([[0.0], np.cumsum(want * (2.0 / N) ** H)])
         assert _fbm_values(H, 2.0, n_max, seed).tobytes() == want_path.tobytes()
 
 
 def test_generate_peak_memory_at_n_max_16():
-    # traced peak for one 2**16-step path with a warm spectrum cache:
-    # 8.2 MiB when every expression made its own temporary; 4.2 MiB now,
-    # 4.5 MiB where numpy < 2 allocates the transform's output
-    _circulant_sqrt_eigs(0.25, 2**16)
-    tracemalloc.start()
-    try:
-        generate(PathSpec(kind="fbm", hurst=0.25, n_max=16, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    # traced peak for one 2**16-step path.  Warm spectrum cache: 8.2 MiB
+    # when every expression made its own temporary, 3.5 MiB with the
+    # normals in their own array, 2.5 MiB now.  Cold cache: 6.8 MiB when
+    # the spectrum was transformed from a real row, 4.3 MiB now.  numpy < 2
+    # allocates each transform's output, one more 2 MiB buffer here (5.8
+    # MiB cold when the transforms are made to allocate on numpy 2).
+    cold_bound = 5.5 if _FFT_IN_PLACE else 7.5
+    for warm, bound in ((False, cold_bound * 2**20), (True, 6 * 2**20)):
+        _circulant_sqrt_eigs.cache_clear()
+        if warm:
+            _circulant_sqrt_eigs(0.25, 2**16)
+        tracemalloc.start()
+        try:
+            generate(PathSpec(kind="fbm", hurst=0.25, n_max=16, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"warm={warm}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_cholesky_route_is_refused_above_its_limit(monkeypatch, tmp_path, capsys):
+    # H = 0.95 needs the Cholesky route; at n_max = 16 its covariance alone
+    # would be 32 GiB, so the generator must refuse before factorizing
+    def no_cholesky(a):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    with pytest.raises(GenerationError, match=rf"hurst=0\.95 at n_max=16.*n_max <= {_CHOLESKY_MAX_N_MAX}"):
+        generate(PathSpec(kind="fbm", hurst=0.95, n_max=16, seed=0))
+    out = tmp_path / "x.csv"
+    assert cli.main(["generate", "--hurst", "0.95", "--n-max", "16", "--out", str(out)]) == 2
+    assert "n_max <= 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cholesky_route_stays_open_up_to_its_limit():
+    assert _circulant_sqrt_eigs(0.95, 2**_CHOLESKY_MAX_N_MAX) is None
+    path = generate(PathSpec(kind="fbm", hurst=0.95, n_max=_CHOLESKY_MAX_N_MAX, seed=0))
+    assert np.all(np.isfinite(path.values))
