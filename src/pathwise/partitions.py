@@ -5,6 +5,13 @@ are nested by construction.  Lebesgue hierarchies place partition points at
 the successive first grid times at which the path has moved by a spatial
 threshold ``2**-n`` since the previous point; they are not nested in
 general, so nestedness is checked and reported rather than forced.
+
+A Lebesgue level is defined by a sequential scan, but a step longer than
+twice the threshold is a crossing whatever the scan saw before, so such
+forced crossings cut the level into independent stretches.  Numpy steps
+the stretches together and does work proportional to N per level; Python
+scans only what is left of the longest ones, skipping blocks that stay
+within the threshold of the current point.
 """
 
 from __future__ import annotations
@@ -24,8 +31,14 @@ __all__ = [
     "oscillation",
 ]
 
-# samples converted to Python floats at a time by the Lebesgue scan
-_SCAN_CHUNK = 2**15
+# Lebesgue scan: a step longer than _FORCED_STEP thresholds is a crossing
+# whatever the anchor.  The stretches between such steps advance together,
+# one numpy pass per sample offset, while at least _LOCKSTEP_MIN of them
+# are open; Python scans what is left a block of _SKIP_BLOCK samples at a
+# time
+_FORCED_STEP = 2.0 * (1.0 + 2.0**-40)
+_LOCKSTEP_MIN = 32
+_SKIP_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -104,32 +117,99 @@ def lebesgue_hierarchy(path: SampledPath, levels: int) -> PartitionHierarchy:
     (crossings are detected at the first grid point at or after the exact
     crossing, so a one-grid-step overshoot is accepted).  Index 0 and the
     final index are always included.
+
+    The points are those of the sequential scan ``abs(v_j - anchor) >= eps``
+    over j = 1..N, with the anchor moved to each crossing, index for index.
+    A step with ``fl|v_j - v_{j-1}| > 2 eps (1 + 2**-40)`` is a crossing
+    whatever the anchor: before it, ``fl|v_{j-1} - anchor| < eps``, and as
+    eps is a power of two and rounding is monotone, the real distance is
+    below eps too; the real step exceeds 2 eps, so v_j lies more than eps
+    from the anchor and its rounded distance is at least eps.  The anchor
+    after such a step is v_j, so these forced crossings split the level
+    into stretches that do not depend on each other.  Numpy steps them
+    together, one sample offset per pass, while at least ``_LOCKSTEP_MIN``
+    are open; Python finishes the fewer, longer ones that remain, and skips
+    every block of ``_SKIP_BLOCK`` samples whose maximum and minimum both
+    lie within eps of the anchor.  Numpy work is proportional to N per
+    level; Python runs only over the tails of the longest stretches (at the
+    coarsest thresholds often the whole level), and there only over the
+    blocks that reach eps from the anchor.
     """
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
     vals = path.values
     if vals.max() == vals.min():
         raise ParameterError("lebesgue_hierarchy requires a non-constant path")
-    out = []
-    last = vals.size - 1
-    for n in range(1, levels + 1):
-        eps = 2.0 ** (-n)
-        pts = [0]
-        anchor = float(vals[0])
-        # Python floats scan several times faster than numpy scalars and
-        # round identically; chunks keep the boxed copy small
-        for start in range(1, vals.size, _SCAN_CHUNK):
-            for j, v in enumerate(vals[start:start + _SCAN_CHUNK].tolist(), start=start):
-                if abs(v - anchor) >= eps:
-                    pts.append(j)
-                    anchor = v
-        if pts[-1] != last:
-            pts.append(last)
-        out.append(np.asarray(pts, dtype=np.int64))
+    steps = np.abs(np.diff(vals))
+    blocks = np.arange(0, vals.size, _SKIP_BLOCK)
+    block_range = (np.maximum.reduceat(vals, blocks).tolist(), np.minimum.reduceat(vals, blocks).tolist())
+    out = [_lebesgue_level(vals, steps, 2.0 ** (-n), block_range) for n in range(1, levels + 1)]
     nested = _check_nested(out)
     return PartitionHierarchy(
         kind="lebesgue", levels=tuple(out), level_labels=tuple(range(1, levels + 1)), nested=nested
     )
+
+
+def _lebesgue_level(vals, steps, eps, block_range):
+    """Index array of the Lebesgue level with threshold eps."""
+    mark = np.zeros(vals.size, dtype=bool)
+    pos, ends = _mark_forced(mark, steps, eps)
+    anchor = vals[pos]
+    lengths = ends - pos - 1
+    # numpy steps every open stretch one sample on per pass, while at least
+    # _LOCKSTEP_MIN are open: the first open_at[k - 1] at offset k
+    passes = lengths[_LOCKSTEP_MIN - 1] if lengths.size >= _LOCKSTEP_MIN else 0
+    open_at = np.searchsorted(-lengths, -np.arange(1, passes + 2), side="right").tolist()
+    for m in open_at[:-1]:
+        p = pos[:m]
+        p += 1
+        v = vals[p]
+        hit = np.abs(v - anchor[:m]) >= eps
+        mark[p] = hit
+        np.copyto(anchor[:m], v, where=hit)
+    # Python finishes the stretches still open, from where numpy left them
+    m = open_at[-1]
+    hits = []
+    for j, end, a in zip(pos[:m].tolist(), ends[:m].tolist(), anchor[:m].tolist()):
+        _scan_stretch(vals, j, end, a, eps, block_range, hits)
+    mark[hits] = True
+    mark[0] = mark[-1] = True
+    return np.flatnonzero(mark)
+
+
+def _mark_forced(mark, steps, eps):
+    """Mark the forced crossings of threshold eps and return the stretches
+    between them that hold samples to scan, longest first: the index of
+    each one's anchor, and one past its last sample.
+
+    Stretch i is ``bounds[i] + 1 .. bounds[i + 1] - 1`` with the anchor
+    ``vals[bounds[i]]``; the inner bounds are the forced crossings and the
+    last bound is one past the final sample.
+    """
+    bounds = np.flatnonzero(np.concatenate([[True], steps > _FORCED_STEP * eps, [True]]))
+    mark[bounds[1:-1]] = True
+    lengths = np.diff(bounds)
+    keep = np.flatnonzero(lengths > 1)
+    keep = keep[np.argsort(lengths[keep])[::-1]]
+    return bounds[keep], bounds[keep + 1]
+
+
+def _scan_stretch(vals, j, end, anchor, eps, block_range, hits):
+    """Append the crossings among ``j + 1 .. end - 1`` to ``hits``, from
+    ``anchor``.  A block whose rounded ``max - anchor`` and ``anchor - min``
+    are both below eps holds no crossing, by monotone rounding, and is
+    skipped."""
+    block_max, block_min = block_range
+    j += 1
+    while j < end:
+        b = j // _SKIP_BLOCK
+        stop = min((b + 1) * _SKIP_BLOCK, end)
+        if block_max[b] - anchor >= eps or anchor - block_min[b] >= eps:
+            for i, v in enumerate(vals[j:stop].tolist(), j):
+                if abs(v - anchor) >= eps:
+                    hits.append(i)
+                    anchor = v
+        j = stop
 
 
 def oscillation(path: SampledPath, level: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -129,22 +131,58 @@ def _lebesgue_levels_oracle(vals, levels):
     return out
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     steps=st.lists(st.integers(-3, 3), min_size=32, max_size=32),
     k=st.integers(0, 4),
     shift=st.sampled_from([0.0, 0.1]),
-    chunk=st.integers(1, 9),
+    nudge=st.none() | st.lists(st.integers(-1, 1), min_size=33, max_size=33),
+    lockstep_min=st.integers(1, 4),
+    skip_block=st.integers(1, 4),
 )
-def test_lebesgue_scan_is_bit_identical_to_numpy_scalar_scan(steps, k, shift, chunk):
-    # integer walks scaled by 2**-k: increments hit the thresholds exactly
-    # and repeat values; the shift makes the differences round
+def test_lebesgue_scan_is_bit_identical_to_numpy_scalar_scan(steps, k, shift, nudge, lockstep_min, skip_block):
+    # integer walks scaled by 2**-k: increments hit the thresholds (and
+    # twice the thresholds, the forced-crossing bound) exactly and repeat
+    # values; the shift makes the differences round, and a one-ulp nudge
+    # per sample puts steps just above, on or just below those bounds.
+    # A lockstep width of a few stretches and tiny blocks send the walks
+    # through the numpy passes, the hand-over of the stretches still open
+    # to the Python scan, and its block skip.
     vals = np.concatenate([[0.0], np.cumsum(steps)]) * 2.0**-k + shift
+    if nudge is not None:
+        vals = np.nextafter(vals, vals + np.asarray(nudge, dtype=float))
     assume(vals.max() > vals.min())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(partitions, "_SCAN_CHUNK", chunk)
+        mp.setattr(partitions, "_LOCKSTEP_MIN", lockstep_min)
+        mp.setattr(partitions, "_SKIP_BLOCK", skip_block)
         hier = lebesgue_hierarchy(make_walk(vals), 6)
     want = _lebesgue_levels_oracle(vals, 6)
     assert len(hier.levels) == len(want)
     for got, ref in zip(hier.levels, want):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75])
+def test_lebesgue_levels_of_fbm_match_the_scalar_scan(hurst):
+    # the module's own lockstep width and block size, on paths whose coarse
+    # levels are one long stretch and whose fine levels are mostly forced
+    path = generate(PathSpec(kind="fbm", hurst=hurst, n_max=12, seed=3))
+    hier = lebesgue_hierarchy(path, 10)
+    want = _lebesgue_levels_oracle(path.values, 10)
+    assert len(hier.levels) == len(want)
+    for got, ref in zip(hier.levels, want):
+        assert np.array_equal(got, ref)
+
+
+def test_lebesgue_hierarchy_peak_memory_at_n_max_18():
+    # the 8 index arrays themselves take 6.5 MiB and the stretch scan peaks
+    # at 12.4 MiB; collecting each level as a list of Python ints took
+    # 15.0 MiB on this path
+    path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=18, seed=5))
+    tracemalloc.start()
+    try:
+        lebesgue_hierarchy(path, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
