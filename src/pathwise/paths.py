@@ -3,15 +3,18 @@
 Every path handled by this package lives on the uniform grid
 ``t_k = k * T / 2**n_max`` for ``k = 0, ..., 2**n_max``.  Coarser partition
 levels are index subsets of that grid, which keeps every partition sum an
-exact rearrangement of grid values.  Fractional Brownian motion is sampled
-by circulant embedding of the fractional Gaussian noise covariance
-(Davies & Harte 1987).  For N = 2**n_max steps its working set is one
-2N-point complex buffer per transform (the spectrum, once per (H, N),
-and the noise of each path) plus the cached 2N-point root of the
-spectrum.  Where the embedding has a negative eigenvalue (H near 1), a
-Cholesky factorization of the N x N covariance takes over; that route
-needs O(N**2) memory, so it is refused with a GenerationError above
-n_max = 10 (``_CHOLESKY_MAX_N_MAX``).
+exact rearrangement of grid values.  Brownian motion (H = 1/2) has
+independent steps, so its N = 2**n_max normals are drawn straight into
+the path, the only array it holds (N + 1 floats); its bytes changed when
+H = 1/2 stopped going through the embedding below, its law did not.
+Fractional Brownian motion with any other H is sampled by circulant
+embedding of the fractional Gaussian noise covariance (Davies & Harte
+1987).  Its working set is one 2N-point complex buffer per transform
+(the spectrum, once per (H, N), and the noise of each path) plus the
+cached 2N-point root of the spectrum.  Where the embedding has a
+negative eigenvalue (H near 1), a Cholesky factorization of the N x N
+covariance takes over; that route needs O(N**2) memory, so it is refused
+with a GenerationError above n_max = 10 (``_CHOLESKY_MAX_N_MAX``).
 """
 
 from __future__ import annotations
@@ -233,7 +236,15 @@ def _fgn_cholesky(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
 def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
     N = 2**n_max
     rng = _rng_for(seed)
-    fgn = _fgn_davies_harte(H, N, rng)
+    out = np.empty(N + 1)
+    out[0] = 0.0
+    if H == 0.5:
+        # the fGn covariance is the identity (gamma(k) = 0 for k >= 1):
+        # the normals are the noise, drawn straight into the path
+        fgn = out[1:]
+        rng.standard_normal(out=fgn)
+    else:
+        fgn = _fgn_davies_harte(H, N, rng)
     if fgn is None:
         if n_max > _CHOLESKY_MAX_N_MAX:
             raise GenerationError(
@@ -242,8 +253,6 @@ def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
                 f"n_max <= {_CHOLESKY_MAX_N_MAX}"
             )
         fgn = _fgn_cholesky(H, N, _rng_for(seed))
-    out = np.empty(N + 1)
-    out[0] = 0.0
     np.multiply(fgn, (T / N) ** H, out=out[1:])
     del fgn
     np.cumsum(out[1:], out=out[1:])
@@ -295,13 +304,17 @@ def _read_csv_path(file: str, T: float, n_max: int) -> Tuple[np.ndarray, dict]:
 def generate(spec: PathSpec) -> SampledPath:
     """Construct the path described by ``spec``.
 
-    Deterministic in ``(spec, seed)``.  fBM uses circulant embedding of the
-    fractional Gaussian noise covariance, scaled so that
-    ``Var(S(t)) = t**(2H)``.  Besides the returned path of N + 1 samples
-    (N = 2**n_max), it holds one 2N-point complex buffer per transform and
-    the cached 2N-point root of the spectrum.  Where the embedding is not
-    nonnegative definite, a Cholesky factorization of the N x N covariance
-    takes over, up to n_max = 10.
+    Deterministic in ``(spec, seed)``.  fBM is scaled so that
+    ``Var(S(t)) = t**(2H)``.  At H = 1/2 (``bm``, or ``fbm`` with
+    ``hurst=0.5``) the N = 2**n_max steps are i.i.d. N(0, T / N) normals
+    drawn directly into the returned path of N + 1 samples, nothing else
+    is held, and the bytes differ from those the circulant embedding gave
+    before H = 1/2 skipped it.  Any other H uses circulant embedding of
+    the fractional Gaussian noise covariance; besides the path it holds
+    one 2N-point complex buffer per transform and the cached 2N-point root
+    of the spectrum.  Where the embedding is not nonnegative definite, a
+    Cholesky factorization of the N x N covariance takes over, up to
+    n_max = 10.
 
     Raises
     ------

@@ -6,9 +6,18 @@ import copy
 import numpy as np
 import pytest
 
-from pathwise import acceptance, build_rank_system, dyadic_hierarchy, identity_suite, scaling_check
+from pathwise import (
+    ConfigError,
+    SpaceGrid,
+    acceptance,
+    build_rank_system,
+    dyadic_hierarchy,
+    identity_suite,
+    scaling_check,
+)
 from pathwise.integrate import SmoothCallable
 from pathwise.ranks import rank_sum_identity
+from pathwise.tanaka import CellIndicator
 
 
 def _reduced_config():
@@ -109,3 +118,67 @@ def test_default_run_emits_the_suite_twice_like_an_out_dir_run(monkeypatch, tmp_
     assert once > 0
     assert generate_calls(acceptance.run_all) == 2 * once
     assert generate_calls(acceptance.run_all, str(tmp_path / "acc")) == 2 * once
+
+
+def _smooth_occupation_checks(monkeypatch, change):
+    """Route C4's smooth-g occupation checks through ``change``; the
+    indicator check is left as it is."""
+    monkeypatch.setenv("PATHWISE_WORKERS", "1")
+    real = acceptance.occupation_check
+
+    def check(path, p, g, grid, t):
+        if isinstance(g, CellIndicator):
+            return real(path, p, g, grid, t)
+        return change(real, path, p, g, grid, t)
+
+    monkeypatch.setattr(acceptance, "occupation_check", check)
+
+
+def test_c4_fails_when_the_smooth_error_does_not_converge(monkeypatch):
+    # every grid's rhs taken on the 32-cell grid: each error stays within
+    # its (coarse) Lipschitz bound, but no longer shrinks with the cells
+    _smooth_occupation_checks(
+        monkeypatch,
+        lambda real, path, p, g, grid, t: real(path, p, g, SpaceGrid.cover([path], 32), t),
+    )
+    result = acceptance.run_criterion("C4")
+    assert not result.passed
+    assert abs(result.info["median_slope"]) < 1e-6
+    assert all(row["abs_err"] <= row["bound"] for row in result.rows[1:])
+
+
+def test_c4_gates_every_grid_on_the_lipschitz_bound(monkeypatch):
+    finest = acceptance.DEFAULT_CONFIG["occupation"]["smooth_cells"][-1]
+
+    def out_of_bound(real, path, p, g, grid, t):
+        rep = real(path, p, g, grid, t)
+        if grid.cells == finest and path.metadata["seed"] == 7:
+            rep.passed = False
+        return rep
+
+    _smooth_occupation_checks(monkeypatch, out_of_bound)
+    result = acceptance.run_criterion("C4")
+    assert not result.passed
+    assert result.info["median_slope"] >= acceptance.DEFAULT_CONFIG["occupation"]["smooth_min_slope"]
+    assert [(r["seed"], r["cells"]) for r in result.rows if not r["ok"]] == [(7, finest)]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("smooth_cells", [32, 64, 128, 256, 512], "at least 6 cell counts"),
+        ("smooth_cells", [32, 64, 128, 256, 512, 1000], "twice the one before"),
+        ("smooth_cells", [2, 4, 8, 16, 32, 64], "from 3 up"),
+        ("smooth_min_slope", 0.0, "must be positive"),
+        ("smooth_min_slope", float("nan"), "must be positive"),
+        ("smooth_seed_base", None, "is missing"),
+    ],
+)
+def test_c4_config_validation_names_fields(field, value, message):
+    cfg = copy.deepcopy(acceptance.DEFAULT_CONFIG)
+    if value is None:
+        del cfg["occupation"][field]
+    else:
+        cfg["occupation"][field] = value
+    with pytest.raises(ConfigError, match=rf"'occupation\.{field}'.*{message}"):
+        acceptance.validate_config(cfg)

@@ -13,7 +13,7 @@ from pathwise import (
     running_extrema,
     write_path_csv,
 )
-from pathwise import cli
+from pathwise import cli, paths
 from pathwise.paths import (
     _CHOLESKY_MAX_N_MAX,
     _FFT_IN_PLACE,
@@ -244,12 +244,22 @@ def test_cached_spectrum_generations_are_byte_identical_to_uncached():
     assert not _circulant_sqrt_eigs(H, N).flags.writeable
 
 
+def _brownian_direct_increments(T, n_max, seed):
+    """Brownian path from N independent N(0, T / N) steps, one array per
+    expression."""
+    N = 2**n_max
+    steps = _rng_for(seed).standard_normal(N) * (T / N) ** 0.5
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 10, 14, 18])
 @pytest.mark.parametrize("H", [0.1, 0.25, 0.5, 0.75])
 def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
     # the generator writes every step into an existing buffer; on a cold
     # spectrum cache, the real-row transform and the expression-by-
-    # expression form it replaced are the oracle
+    # expression form it replaced are the oracle.  H = 1/2 paths draw
+    # their steps directly, so there the direct-increment form is the
+    # oracle of the path, and the embedding is still checked on its own
     N = 2**n_max
     root = _circulant_sqrt_eigs_from_real_row(H, N)
     _circulant_sqrt_eigs.cache_clear()
@@ -257,8 +267,41 @@ def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
     for seed in (0, 1, 29):
         want = _fgn_expression_form(root, N, _rng_for(seed))
         assert _fgn_davies_harte(H, N, _rng_for(seed)).tobytes() == want.tobytes()
-        want_path = np.concatenate([[0.0], np.cumsum(want * (2.0 / N) ** H)])
+        if H == 0.5:
+            want_path = _brownian_direct_increments(2.0, n_max, seed)
+        else:
+            want_path = np.concatenate([[0.0], np.cumsum(want * (2.0 / N) ** H)])
         assert _fbm_values(H, 2.0, n_max, seed).tobytes() == want_path.tobytes()
+
+
+@pytest.mark.parametrize("kind, hurst", [("bm", None), ("fbm", 0.5)])
+def test_brownian_paths_skip_the_circulant_embedding(monkeypatch, kind, hurst):
+    # the fGn covariance at H = 1/2 is the identity: no spectrum, no transform
+    def refuse(*args, **kwargs):
+        raise AssertionError("circulant embedding used")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    monkeypatch.setattr(paths, "_circulant_sqrt_eigs", refuse)
+    path = generate(PathSpec(kind=kind, hurst=hurst, n_max=12, seed=3))
+    assert path.values.tobytes() == _brownian_direct_increments(1.0, 12, 3).tobytes()
+    with pytest.raises(AssertionError, match="circulant embedding used"):
+        generate(PathSpec(kind="fbm", hurst=0.25, n_max=12, seed=3))
+
+
+def test_brownian_generate_peak_memory_at_n_max_16():
+    # the path of N + 1 floats (0.5 MiB) and SampledPath's read-only copy:
+    # 1.0 MiB traced, against 3.7 MiB for H = 1/4 through a cold circulant
+    # embedding.  A small path first takes the one-time imports behind
+    # numpy's first Philox stream (0.7 MiB) out of the reading
+    generate(PathSpec(kind="bm", n_max=2))
+    tracemalloc.start()
+    try:
+        generate(PathSpec(kind="bm", n_max=16, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_generate_peak_memory_at_n_max_16():
