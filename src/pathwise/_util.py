@@ -1,8 +1,9 @@
 """Small shared helpers: checkpoint snapping, the stacked interval view of
-a hierarchy, tolerance arithmetic and the CSV writer."""
+a hierarchy, tolerance arithmetic, the CSV writer and heap trimming."""
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -140,3 +141,28 @@ def write_csv(path: str, fieldnames: Sequence[str], rows: Iterable[Sequence]) ->
         fh.write(",".join(fieldnames) + "\n")
         for row in rows:
             fh.write(",".join(_csv_value(v) for v in row) + "\n")
+
+
+def _find_malloc_trim():
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return None
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def release_free_heap() -> None:
+    """Hand the free pages of the C heap back to the operating system.
+
+    Once glibc has freed one large buffer it raises its mmap threshold, so
+    later numpy arrays of a few MiB live on the heap; freed, they stay
+    resident unless they sit at its top, and whether they do turns on where
+    small allocations happened to land (even the length of a directory
+    name).  After a trim, resident memory is live memory, so the peak of
+    the next step does not depend on that layout.  A no-op where the C
+    library has no ``malloc_trim``.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)

@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from . import acceptance as acc
-from ._util import write_csv
+from ._util import release_free_heap, write_csv
 from .errors import ConfigError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
@@ -172,6 +172,9 @@ def run(cfg: dict) -> int:
     misses its threshold flips the exit status to 1.
     """
     cfg = validate_run_config(cfg)
+    # what earlier work in this process freed would otherwise stay resident,
+    # and whether this run's noise buffers fit in it depends on the heap layout
+    release_free_heap()
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     p = cfg["p"]

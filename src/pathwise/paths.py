@@ -236,15 +236,16 @@ def _fgn_cholesky(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
 def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
     N = 2**n_max
     rng = _rng_for(seed)
-    out = np.empty(N + 1)
-    out[0] = 0.0
     if H == 0.5:
         # the fGn covariance is the identity (gamma(k) = 0 for k >= 1):
         # the normals are the noise, drawn straight into the path
-        fgn = out[1:]
-        rng.standard_normal(out=fgn)
-    else:
-        fgn = _fgn_davies_harte(H, N, rng)
+        out = np.empty(N + 1)
+        out[0] = 0.0
+        rng.standard_normal(out=out[1:])
+        np.multiply(out[1:], (T / N) ** H, out=out[1:])
+        np.cumsum(out[1:], out=out[1:])
+        return out
+    fgn = _fgn_davies_harte(H, N, rng)
     if fgn is None:
         if n_max > _CHOLESKY_MAX_N_MAX:
             raise GenerationError(
@@ -253,6 +254,8 @@ def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
                 f"n_max <= {_CHOLESKY_MAX_N_MAX}"
             )
         fgn = _fgn_cholesky(H, N, _rng_for(seed))
+    out = np.empty(N + 1)
+    out[0] = 0.0
     np.multiply(fgn, (T / N) ** H, out=out[1:])
     del fgn
     np.cumsum(out[1:], out=out[1:])

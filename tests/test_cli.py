@@ -133,3 +133,16 @@ def test_constant_path_identities_pass_trivially(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["ok"]
+
+
+def test_run_trims_the_heap_first(tmp_path, monkeypatch):
+    import pathwise.cli
+    from pathwise import _util
+
+    calls = []
+    monkeypatch.setattr(pathwise.cli, "release_free_heap", lambda: calls.append(1))
+    assert run_cli("variation", "--kind", "fbm", "--hurst", "0.25", "--p", "4", "--seed", "3",
+                   "--n-max", "6", "--levels", "4", "--out-dir", str(tmp_path / "var")) == 0
+    assert calls == [1]
+    monkeypatch.setattr(_util, "_MALLOC_TRIM", None)  # a C library without malloc_trim
+    _util.release_free_heap()
