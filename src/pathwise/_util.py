@@ -126,7 +126,7 @@ def median(values: Iterable[float]) -> float:
 def _csv_value(v) -> str:
     """One CSV cell: lowercase booleans, shortest round-trip floats (numpy
     scalars included), plain integers."""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return repr(float(v))

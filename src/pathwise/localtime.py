@@ -199,24 +199,35 @@ def discrete_local_time(
     Cost: each interval charges only the contiguous run of grid centers
     in its (min, max] bracket, so the work is proportional to the
     (interval, cell) pairs touched, about N + sum |dS| / cellwidth per
-    level, rather than to intervals x cells.  Pairs are expanded in blocks
-    of at most ``_BLOCK_PAIRS``, so memory is the output field, a few
-    arrays of one entry per interval and one bounded block, whatever the
-    path.  Every cell receives the same additions in the same order as a
-    dense per-interval prefix sum, so the field is bit-identical to it.
+    level, rather than to intervals x cells.  Every sample is ranked
+    against the centers once per path (the number of centers at or below
+    it); since that rank is monotone in the value, an interval's run goes
+    from the smaller to the larger rank of its endpoints, and no level
+    searches the grid again.  Pairs are expanded in blocks of at most
+    ``_BLOCK_PAIRS``, so memory is the output field, the ranks (one entry
+    per sample), four arrays of one entry per interval of the level being
+    swept (right values, run starts, run stops, pair offsets) and one
+    bounded block, whatever the path.  Every cell receives the same
+    additions in the same order as a dense per-interval prefix sum, so
+    the field is bit-identical to it.
     """
     p = even_order(p)
     _check_coverage(path, grid)
     times, cps = snap_checkpoints(path, checkpoints)
     centers = grid.centers
+    # cells with lo < center <= hi are rank(lo):rank(hi)
+    rank = np.searchsorted(centers, path.values, side="right")
     out = np.zeros((hierarchy.n_levels, cps.size, grid.cells))
     for i, lev in enumerate(hierarchy.levels):
-        a = path.values[lev[:-1]]
         b = path.values[lev[1:]]
-        # cells with lo < center <= hi form the run first[j]:stop[j]
-        first = np.searchsorted(centers, np.minimum(a, b), side="right")
-        stop = np.searchsorted(centers, np.maximum(a, b), side="right")
-        offsets = np.concatenate([[0], np.cumsum(stop - first)])
+        stop, rank_b = rank[lev[:-1]], rank[lev[1:]]
+        first = np.minimum(stop, rank_b)
+        np.maximum(stop, rank_b, out=stop)
+        del rank_b
+        offsets = np.empty(stop.size + 1, dtype=stop.dtype)
+        offsets[0] = 0
+        np.subtract(stop, first, out=offsets[1:])
+        np.cumsum(offsets[1:], out=offsets[1:])
 
         def pairs(start, end):
             # intervals j0..j1-1 own the pair positions [start, end)
@@ -256,14 +267,15 @@ def discrete_local_time_curves(
 
 
 def _binned_density(
-    path: SampledPath,
+    cells: np.ndarray,
     grid: SpaceGrid,
     interval_weights: np.ndarray,
     checkpoint_indices: np.ndarray,
     denominator: float,
 ) -> np.ndarray:
-    cells = grid.cell_index(path.values[:-1])
-    counts = np.minimum(checkpoint_indices + 1, path.n_samples - 1)
+    """Running per-cell sums of the interval weights, binned by ``cells``
+    (the grid cell of each interval's left value)."""
+    counts = np.minimum(checkpoint_indices + 1, cells.size)
     out = _running_sums(
         grid.cells, counts, lambda start, end: (cells[start:end], interval_weights[start:end])
     )
@@ -284,7 +296,7 @@ def occupation_density_local_time(
         raise ParameterError("degenerate grid")
     times, cps = snap_checkpoints(path, checkpoints)
     w = np.abs(np.diff(path.values)) ** p
-    vals = _binned_density(path, grid, w, cps, p * grid.cellwidth)
+    vals = _binned_density(grid.cell_index(path.values[:-1]), grid, w, cps, p * grid.cellwidth)
     return OccupationLocalTime(p=p, grid=grid, checkpoint_times=times, values=vals)
 
 
@@ -296,7 +308,7 @@ def occupation_time_density(
     _check_coverage(path, grid)
     times, cps = snap_checkpoints(path, checkpoints)
     w = np.full(path.n_samples - 1, path.dt)
-    vals = _binned_density(path, grid, w, cps, grid.cellwidth)
+    vals = _binned_density(grid.cell_index(path.values[:-1]), grid, w, cps, grid.cellwidth)
     return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=vals)
 
 
@@ -316,7 +328,7 @@ def weighted_occupation_local_time(
     times, cps = snap_checkpoints(path, checkpoints)
     tg = path.times
     w = tg[1:] ** (2 * hurst) - tg[:-1] ** (2 * hurst)
-    vals = _binned_density(path, grid, w, cps, grid.cellwidth)
+    vals = _binned_density(grid.cell_index(path.values[:-1]), grid, w, cps, grid.cellwidth)
     return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=vals)
 
 
@@ -360,8 +372,13 @@ def berman_ratio_check(path: SampledPath, p: int, grid: SpaceGrid) -> BermanRati
         raise ParameterError("ratio check requires an fBM path (generated with kind fbm/bm)")
     if not math.isclose(hurst, 1.0 / p, rel_tol=1e-9):
         raise ParameterError(f"ratio check requires H = 1/p; got H={hurst}, p={p}")
-    occ = occupation_density_local_time(path, p, grid, [path.T]).values[0]
-    tau = occupation_time_density(path, grid, [path.T]).values[0]
+    # both densities at t = T, as occupation_density_local_time and
+    # occupation_time_density give them, on one binning of the path
+    _check_coverage(path, grid)
+    cells = grid.cell_index(path.values[:-1])
+    final = np.array([path.n_samples - 1])
+    occ = _binned_density(cells, grid, np.abs(np.diff(path.values)) ** p, final, p * grid.cellwidth)[0]
+    tau = _binned_density(cells, grid, np.full(cells.size, path.dt), final, grid.cellwidth)[0]
     sel = tau > 0
     ratios = occ[sel] / tau[sel]
     weights = tau[sel]

@@ -9,12 +9,16 @@ the path, the only array it holds (N + 1 floats); its bytes changed when
 H = 1/2 stopped going through the embedding below, its law did not.
 Fractional Brownian motion with any other H is sampled by circulant
 embedding of the fractional Gaussian noise covariance (Davies & Harte
-1987).  Its working set is one 2N-point complex buffer per transform
-(the spectrum, once per (H, N), and the noise of each path) plus the
-cached 2N-point root of the spectrum.  Where the embedding has a
-negative eigenvalue (H near 1), a Cholesky factorization of the N x N
-covariance takes over; that route needs O(N**2) memory, so it is refused
-with a GenerationError above n_max = 10 (``_CHOLESKY_MAX_N_MAX``).
+1987; Wood & Chan 1994): the 2N-point circulant whose first row is
+gamma(0), ..., gamma(N), gamma(N - 1), ..., gamma(1).  That row is real
+and symmetric, so its spectrum is real and half of it, N + 1 points,
+determines the rest; both transforms are real FFTs of length 2N.  The
+working set is the 2N-point row and its (N + 1)-point complex spectrum,
+once per (H, N), then each path's (N + 1)-point complex half-spectrum and
+its 2N-point real transform, plus the cached N + 1 roots of the
+spectrum.  The embedding is nonnegative definite for every H in (0, 1)
+(Dietrich & Newsam 1997; Craigmile 2003); should rounding ever make it
+indefinite, generation fails with a GenerationError.
 """
 
 from __future__ import annotations
@@ -39,14 +43,6 @@ __all__ = [
 ]
 
 PATH_KINDS = ("fbm", "bm", "linear", "triangle", "constant", "csv")
-
-# numpy >= 2.0 transforms into a given output, here the input itself;
-# older numpy allocates the output array
-_FFT_IN_PLACE = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
-
-# the Cholesky route builds dense N x N arrays: its traced peak is 16 MiB
-# at n_max = 10, where one such array is 8 MiB; at n_max = 16 it is 32 GiB
-_CHOLESKY_MAX_N_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -168,31 +164,71 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+# lags from _SERIES_FROM on take the binomial series, truncated after
+# _SERIES_TERMS terms: the rest is below 64**-10 < 1e-18 of the sum
+_SERIES_FROM = 8
+_SERIES_TERMS = 10
+
+
 def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
-    k = np.arange(n_lags, dtype=float)
-    return 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
+    """Autocovariance gamma(0), ..., gamma(n_lags - 1) of unit-step
+    fractional Gaussian noise, gamma(k) = ((k+1)**2H - 2 k**2H +
+    |k-1|**2H) / 2, to a few ulps relative for every H in (0, 1).
+
+    The second difference cancels: its terms are about k**2H, its value
+    about H (2H - 1) k**(2H - 2).  So gamma(1) is taken as
+    expm1((2H - 1) log 2), and gamma(k) for 2 <= k < _SERIES_FROM as
+    k**2H (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))) / 2, which
+    cancels at most about k / |2H - 1| ulps.  From _SERIES_FROM on it is
+    the series k**2H sum_j C(2H, 2j) k**(-2j), whose terms all have the
+    sign of the first, so nothing cancels.  Besides the result, one array
+    of the series lags is held.
+    """
+    a = 2.0 * H
+    gamma = np.empty(n_lags)
+    gamma[:1] = 1.0
+    gamma[1:2] = math.expm1((a - 1.0) * math.log(2.0))
+    small = np.arange(2.0, min(n_lags, _SERIES_FROM))
+    gamma[2 : small.size + 2] = 0.5 * small**a * (
+        np.expm1(a * np.log1p(1.0 / small)) + np.expm1(a * np.log1p(-1.0 / small))
+    )
+    if n_lags > _SERIES_FROM:
+        coeffs = [a * (a - 1.0) / 2.0]  # C(a, 2j) for j = 1, 2, ...
+        for j in range(1, _SERIES_TERMS):
+            coeffs.append(coeffs[-1] * (a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2)))
+        y = np.arange(_SERIES_FROM, n_lags, dtype=float)
+        np.power(y, -2.0, out=y)
+        g = gamma[_SERIES_FROM:]
+        g[:] = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            g *= y
+            g += c
+        g *= y
+        g *= np.power(y, -H, out=y)  # y**-H = k**2H
+    return gamma
 
 
 @lru_cache(maxsize=8)
-def _circulant_sqrt_eigs(H: float, N: int) -> Optional[np.ndarray]:
-    """Square roots of the eigenvalues of the 2N-point circulant embedding
-    of the fGn covariance (read-only, shared by every path with this
-    (H, N)), or None when the embedding is not nonnegative definite.
+def _circulant_sqrt_eigs(H: float, N: int) -> np.ndarray:
+    """Square roots of the eigenvalues 0..N of the 2N-point circulant
+    embedding of the fGn covariance (read-only, shared by every path with
+    this (H, N)); eigenvalue 2N - k equals eigenvalue k.
 
-    The first row of the circulant is written into the real part of one
-    zeroed complex buffer, which is transformed in place where numpy
-    allows it.
+    Raises GenerationError if the embedding is not nonnegative definite.
     """
-    gamma = _fgn_autocov(H, N)
-    row = np.zeros(2 * N, dtype=complex)
-    row.real[:N] = gamma
-    row.real[N + 1:] = gamma[:0:-1]
+    gamma = _fgn_autocov(H, N + 1)
+    row = np.empty(2 * N)
+    row[: N + 1] = gamma
+    row[N + 1 :] = gamma[N - 1 : 0 : -1]
     del gamma
-    eigs = (np.fft.fft(row, out=row) if _FFT_IN_PLACE else np.fft.fft(row)).real
+    eigs = np.fft.rfft(row).real
     del row
     tol = 1e-12 * max(eigs.max(), 1.0)
     if eigs.min() < -tol:
-        return None
+        raise GenerationError(
+            f"fbm with hurst={H} on {N} steps: the circulant embedding is not nonnegative "
+            f"definite (smallest eigenvalue {eigs.min():.3g})"
+        )
     root = np.clip(eigs, 0.0, None)
     del eigs
     np.sqrt(root, out=root)
@@ -200,37 +236,26 @@ def _circulant_sqrt_eigs(H: float, N: int) -> Optional[np.ndarray]:
     return root
 
 
-def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Unit-step fractional Gaussian noise of length N, or None when the
-    circulant embedding is not nonnegative definite.
+def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-step fractional Gaussian noise of length N.
 
-    The result is a strided view of the inverse transform's real part.
-    Every step writes into the one complex buffer ``z``: the normals are
-    drawn straight into its (real, imaginary) pairs, and the transform
-    runs in place.
+    The half-spectrum of 2N-point Hermitian noise is drawn into one
+    (N + 1)-point complex buffer: real normals at 0 and N, and complex
+    normals of unit variance, (real, imaginary) pairs in stream order,
+    between them.  Scaled by the root of the spectrum, its real inverse
+    transform is the noise; the result is a view of that 2N-point array.
     """
     root = _circulant_sqrt_eigs(H, N)
-    if root is None:
-        return None
-    M = 2 * N
-    z = np.empty(M, dtype=complex)
+    z = np.empty(N + 1, dtype=complex)
     z[0] = rng.standard_normal()
     z[N] = rng.standard_normal()
     rng.standard_normal(out=z[1:N].view(float))
     np.divide(z[1:N], np.sqrt(2.0), out=z[1:N])
-    np.conjugate(z[1:N][::-1], out=z[N + 1:])
     z *= root
-    fgn = (np.fft.ifft(z, out=z) if _FFT_IN_PLACE else np.fft.ifft(z)).real[:N]
-    fgn *= np.sqrt(M)
+    fgn = np.fft.irfft(z, n=2 * N)[:N]
+    del z
+    fgn *= np.sqrt(2 * N)
     return fgn
-
-
-def _fgn_cholesky(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
-    """O(N^2) fallback; exact for any admissible covariance."""
-    gamma = _fgn_autocov(H, N)
-    cov = gamma[np.abs(np.subtract.outer(np.arange(N), np.arange(N)))]
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(N)
 
 
 def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
@@ -246,14 +271,6 @@ def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
         np.cumsum(out[1:], out=out[1:])
         return out
     fgn = _fgn_davies_harte(H, N, rng)
-    if fgn is None:
-        if n_max > _CHOLESKY_MAX_N_MAX:
-            raise GenerationError(
-                f"fbm with hurst={H} at n_max={n_max}: the circulant embedding is not "
-                f"nonnegative definite, and the O(N^2) Cholesky route is limited to "
-                f"n_max <= {_CHOLESKY_MAX_N_MAX}"
-            )
-        fgn = _fgn_cholesky(H, N, _rng_for(seed))
     out = np.empty(N + 1)
     out[0] = 0.0
     np.multiply(fgn, (T / N) ** H, out=out[1:])
@@ -310,22 +327,23 @@ def generate(spec: PathSpec) -> SampledPath:
     Deterministic in ``(spec, seed)``.  fBM is scaled so that
     ``Var(S(t)) = t**(2H)``.  At H = 1/2 (``bm``, or ``fbm`` with
     ``hurst=0.5``) the N = 2**n_max steps are i.i.d. N(0, T / N) normals
-    drawn directly into the returned path of N + 1 samples, nothing else
-    is held, and the bytes differ from those the circulant embedding gave
-    before H = 1/2 skipped it.  Any other H uses circulant embedding of
-    the fractional Gaussian noise covariance; besides the path it holds
-    one 2N-point complex buffer per transform and the cached 2N-point root
-    of the spectrum.  Where the embedding is not nonnegative definite, a
-    Cholesky factorization of the N x N covariance takes over, up to
-    n_max = 10.
+    drawn directly into the returned path of N + 1 samples, and nothing
+    else is held.  Any other H uses circulant embedding of the fractional
+    Gaussian noise covariance through real FFTs of length 2N; besides the
+    path it holds the 2N-point first row and its (N + 1)-point complex
+    spectrum (once per (H, N)), each path's (N + 1)-point complex
+    half-spectrum and 2N-point real noise, and the cached N + 1 roots of
+    the spectrum.  The bytes of these paths differ in their last digits
+    from those of releases that embedded with 0 in place of gamma(N) and
+    transformed with the complex FFT; their law is the same.
 
     Raises
     ------
     IngestionError
         For missing or malformed CSV input.
     GenerationError
-        If synthesis produces non-finite samples, or if an fBM needs the
-        Cholesky route above n_max = 10.
+        If synthesis produces non-finite samples, or if the circulant
+        embedding of an fBM is not nonnegative definite.
     """
     n = 2**spec.n_max
     if spec.kind in ("linear", "triangle"):

@@ -341,6 +341,31 @@ def dense_local_time(path, hierarchy, p, grid, checkpoints):
     return out
 
 
+def two_search_local_time(path, hierarchy, p, grid, checkpoints):
+    """Reference: the sweep that searched the centres for both endpoint
+    values of every interval on every level."""
+    _, cps = snap_checkpoints(path, checkpoints)
+    centers = grid.centers
+    out = np.zeros((hierarchy.n_levels, cps.size, grid.cells))
+    for i, lev in enumerate(hierarchy.levels):
+        a = path.values[lev[:-1]]
+        b = path.values[lev[1:]]
+        first = np.searchsorted(centers, np.minimum(a, b), side="right")
+        stop = np.searchsorted(centers, np.maximum(a, b), side="right")
+        offsets = np.concatenate([[0], np.cumsum(stop - first)])
+
+        def pairs(start, end):
+            j0 = np.searchsorted(offsets, start, side="right") - 1
+            j1 = np.searchsorted(offsets, end, side="left")
+            runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
+            owner = np.repeat(np.arange(j0, j1), runs)
+            cell = first[owner] + (np.arange(start, end) - offsets[owner])
+            return cell, np.abs(b[owner] - centers[cell]) ** (p - 1)
+
+        out[i] = localtime._running_sums(grid.cells, offsets[left_endpoint_counts(lev, cps)], pairs)
+    return out
+
+
 def prefix_density(path, grid, weights, checkpoints, denominator):
     """Reference: one ``np.add.at`` over the whole prefix per checkpoint."""
     _, cps = snap_checkpoints(path, checkpoints)
@@ -353,7 +378,7 @@ def prefix_density(path, grid, weights, checkpoints, denominator):
 
 
 @st.composite
-def integer_walks(draw):
+def integer_walks(draw, placements=("centres", "edges", "cover")):
     """Integer-valued walks with ties (zero steps) and a grid whose centres
     (or edges) sit exactly on the integers the walk visits.  A scale of 0.3
     makes the sums round, so the order of the additions shows."""
@@ -364,7 +389,7 @@ def integer_walks(draw):
     path = make_walk(scale * ints)
     m, M = ints.min(), ints.max()
     extra = draw(st.integers(0, 2))
-    placement = draw(st.sampled_from(["centres", "edges", "cover"]))
+    placement = draw(st.sampled_from(placements))
     if placement == "centres":
         lo, hi, cells = m - 0.5 - extra, M + 0.5 + extra, int(M - m) + 1 + 2 * extra
         grid = SpaceGrid(scale * lo, scale * hi, cells)
@@ -396,6 +421,53 @@ def test_sparse_field_is_bit_identical_to_dense(walk, p, kind, block):
     with mock.patch.object(localtime, "_BLOCK_PAIRS", block):
         field = discrete_local_time(path, hier, p, grid, checkpoints)
     assert np.array_equal(field.per_level, dense_local_time(path, hier, p, grid, checkpoints))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    integer_walks(placements=("centres",)),
+    st.sampled_from([2, 4, 6]),
+    st.sampled_from(["dyadic", "lebesgue"]),
+    st.sampled_from([3, 1 << 16]),
+)
+def test_ranked_sweep_is_bit_identical_to_two_searches(walk, p, kind, block):
+    # every sample sits exactly on a cell centre, where ranking a sample
+    # once and searching min/max of an interval could part on a tie
+    path, grid, checkpoints = walk
+    if kind == "lebesgue":
+        assume(np.ptp(path.values) > 0)
+        hier = lebesgue_hierarchy(path, 3)
+    else:
+        hier = dyadic_hierarchy(path, path.n_max)
+    with mock.patch.object(localtime, "_BLOCK_PAIRS", block):
+        field = discrete_local_time(path, hier, p, grid, checkpoints)
+        want = two_search_local_time(path, hier, p, grid, checkpoints)
+    assert field.per_level.tobytes() == want.tobytes()
+
+
+def test_ranked_sweep_is_bit_identical_to_two_searches_on_an_fbm_path():
+    path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=12, seed=3))
+    grid = SpaceGrid.cover([path], 64)
+    checkpoints = [0.3, 1.0]
+    for hier in (dyadic_hierarchy(path, 12), lebesgue_hierarchy(path, 6)):
+        field = discrete_local_time(path, hier, 4, grid, checkpoints)
+        want = two_search_local_time(path, hier, 4, grid, checkpoints)
+        assert field.per_level.tobytes() == want.tobytes()
+
+
+def test_berman_ratio_bins_the_path_once(rough_path):
+    # the report equals the one built from the two public densities, which
+    # bin the path twice
+    grid = SpaceGrid.cover([rough_path], 48)
+    with mock.patch.object(SpaceGrid, "cell_index", autospec=True, side_effect=SpaceGrid.cell_index) as spy:
+        rep = berman_ratio_check(rough_path, 4, grid)
+    assert spy.call_count == 1
+    occ = occupation_density_local_time(rough_path, 4, grid, [1.0]).values[0]
+    tau = occupation_time_density(rough_path, grid, [1.0]).values[0]
+    sel = tau > 0
+    assert rep.per_cell_ratio.tobytes() == (occ[sel] / tau[sel]).tobytes()
+    assert rep.occupation_weights.tobytes() == tau[sel].tobytes()
+    assert rep.average_ratio == float(np.sum(occ[sel] / tau[sel] * tau[sel]) / np.sum(tau[sel]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from pathwise import (
 )
 from pathwise import cli, paths
 from pathwise.paths import (
-    _CHOLESKY_MAX_N_MAX,
-    _FFT_IN_PLACE,
     _circulant_sqrt_eigs,
     _fbm_values,
     _fgn_autocov,
@@ -59,23 +58,6 @@ def test_bm_is_fbm_half():
     a = generate(PathSpec(kind="bm", seed=9, n_max=6))
     b = generate(PathSpec(kind="fbm", hurst=0.5, seed=9, n_max=6))
     np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_cholesky_fallback_engages_for_high_hurst():
-    # the circulant embedding has negative eigenvalues here
-    assert _fgn_davies_harte(0.9, 64, _rng_for(0)) is None
-    path = generate(PathSpec(kind="fbm", hurst=0.9, seed=3, n_max=6))
-    assert np.all(np.isfinite(path.values))
-    again = generate(PathSpec(kind="fbm", hurst=0.9, seed=3, n_max=6))
-    np.testing.assert_array_equal(path.values, again.values)
-
-
-def test_cholesky_factor_reproduces_the_covariance():
-    n = 32
-    gamma = _fgn_autocov(0.3, n)
-    cov = gamma[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
-    chol = np.linalg.cholesky(cov)
-    np.testing.assert_allclose(chol @ chol.T, cov, atol=1e-12)
 
 
 @pytest.mark.slow
@@ -200,36 +182,37 @@ def test_csv_header_must_be_exactly_t_value(tmp_path, header):
         generate(PathSpec(kind="csv", file=str(file), T=1.0, n_max=3))
 
 
-def _fgn_expression_form(root, N, rng):
-    """Davies-Harte noise on a given spectrum root, one temporary per
-    expression and the normals in their own array."""
-    M = 2 * N
-    z = np.empty(M, dtype=complex)
+def _circulant_sqrt_eigs_expression_form(H, N):
+    """Root of the spectrum of the real first row gamma(0..N), gamma(N-1..1),
+    one array per expression."""
+    gamma = _fgn_autocov(H, N + 1)
+    return np.sqrt(np.clip(np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None))
+
+
+def _half_spectrum_normals(N, rng):
+    """The N + 1 normals of the half-spectrum, the inner ones drawn into
+    their own array."""
+    z = np.empty(N + 1, dtype=complex)
     z[0] = rng.standard_normal()
     z[N] = rng.standard_normal()
     v = rng.standard_normal((N - 1, 2))
     z[1:N] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-    z[N + 1:] = np.conj(z[1:N][::-1])
-    return np.sqrt(M) * np.fft.ifft(root * z).real[:N]
+    return z
 
 
-def _circulant_sqrt_eigs_from_real_row(H, N):
-    """The spectrum transformed from a real first row, before it was
-    transformed in place in one complex buffer."""
-    gamma = _fgn_autocov(H, N)
-    first_row = np.concatenate([gamma, [0.0], gamma[1:][::-1]])
-    eigs = np.fft.fft(first_row).real
-    tol = 1e-12 * max(eigs.max(), 1.0)
-    if eigs.min() < -tol:
-        return None
-    root = np.clip(eigs, 0.0, None)
-    np.sqrt(root, out=root)
-    return root
+def _fgn_expression_form(root, N, rng):
+    """Davies-Harte noise on a given half-spectrum root through the real
+    inverse transform, one temporary per expression."""
+    return np.sqrt(2 * N) * np.fft.irfft(root * _half_spectrum_normals(N, rng), n=2 * N)[:N]
 
 
-def _fgn_uncached(H, N, rng):
-    """Davies-Harte with the spectrum recomputed per call, as before caching."""
-    return _fgn_expression_form(_circulant_sqrt_eigs_from_real_row(H, N), N, rng)
+def _fgn_complex_form(root, N, rng):
+    """The same noise through the 2N-point complex transform of the whole
+    Hermitian vector, scaled by the whole spectrum root."""
+    half = _half_spectrum_normals(N, rng)
+    z = np.concatenate([half, np.conj(half[1:N][::-1])])
+    full_root = np.concatenate([root, root[-2:0:-1]])
+    return np.sqrt(2 * N) * np.fft.ifft(full_root * z).real[:N]
 
 
 def test_cached_spectrum_generations_are_byte_identical_to_uncached():
@@ -238,10 +221,12 @@ def test_cached_spectrum_generations_are_byte_identical_to_uncached():
     _circulant_sqrt_eigs.cache_clear()
     for seed in (4, 5):  # the second generation reuses the cached spectrum
         path = generate(PathSpec(kind="fbm", hurst=H, n_max=n_max, seed=seed))
-        want = np.concatenate([[0.0], np.cumsum(_fgn_uncached(H, N, _rng_for(seed)) * (1.0 / N) ** H)])
+        noise = _fgn_expression_form(_circulant_sqrt_eigs_expression_form(H, N), N, _rng_for(seed))
+        want = np.concatenate([[0.0], np.cumsum(noise * (1.0 / N) ** H)])
         assert path.values.tobytes() == want.tobytes()
     assert _circulant_sqrt_eigs.cache_info().hits == 1
-    assert not _circulant_sqrt_eigs(H, N).flags.writeable
+    root = _circulant_sqrt_eigs(H, N)
+    assert root.shape == (N + 1,) and not root.flags.writeable
 
 
 def _brownian_direct_increments(T, n_max, seed):
@@ -256,12 +241,12 @@ def _brownian_direct_increments(T, n_max, seed):
 @pytest.mark.parametrize("H", [0.1, 0.25, 0.5, 0.75])
 def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
     # the generator writes every step into an existing buffer; on a cold
-    # spectrum cache, the real-row transform and the expression-by-
-    # expression form it replaced are the oracle.  H = 1/2 paths draw
-    # their steps directly, so there the direct-increment form is the
-    # oracle of the path, and the embedding is still checked on its own
+    # spectrum cache, the expression-by-expression real route is the
+    # oracle.  H = 1/2 paths draw their steps directly, so there the
+    # direct-increment form is the oracle of the path, and the embedding
+    # is still checked on its own
     N = 2**n_max
-    root = _circulant_sqrt_eigs_from_real_row(H, N)
+    root = _circulant_sqrt_eigs_expression_form(H, N)
     _circulant_sqrt_eigs.cache_clear()
     assert _circulant_sqrt_eigs(H, N).tobytes() == root.tobytes()
     for seed in (0, 1, 29):
@@ -272,6 +257,50 @@ def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
         else:
             want_path = np.concatenate([[0.0], np.cumsum(want * (2.0 / N) ** H)])
         assert _fbm_values(H, 2.0, n_max, seed).tobytes() == want_path.tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 10, 14])
+@pytest.mark.parametrize("H", [0.1, 0.75, 0.95])
+def test_real_transform_matches_the_complex_transform(H, n_max):
+    # the half-spectrum and its real inverse transform against the whole
+    # Hermitian vector and the 2N-point complex transform, on one spectrum
+    N = 2**n_max
+    root = _circulant_sqrt_eigs(H, N)
+    for seed in (0, 7):
+        got = _fgn_davies_harte(H, N, _rng_for(seed))
+        want = _fgn_complex_form(root, N, _rng_for(seed))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 10, 14, 18])
+@pytest.mark.parametrize("H", [0.01, 0.1, 0.25, 0.75, 0.9, 0.95, 0.99, 0.999])
+def test_circulant_embedding_is_positive_definite(H, n_max):
+    # with gamma(N) in the middle of the first row, every eigenvalue is
+    # positive, also near H = 1, where a 0 there made the embedding
+    # indefinite (H = 0.9 at n_max = 10)
+    root = _circulant_sqrt_eigs.__wrapped__(H, 2**n_max)  # uncached
+    assert root.min() > 0.0
+
+
+def _fgn_autocov_decimal(H, k):
+    """gamma(k) = ((k+1)**2H - 2 k**2H + |k-1|**2H) / 2 in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = 2 * Decimal(H)
+        k = Decimal(k)
+        lower = abs(k - 1) ** a if k != 1 else Decimal(0)
+        return float(((k + 1) ** a - 2 * k**a + lower) / 2)
+
+
+@pytest.mark.parametrize("H", [0.01, 0.1, 0.25, 0.45, 0.55, 0.75, 0.9, 0.99, 0.999])
+def test_fgn_autocov_matches_a_decimal_reference(H):
+    # the direct second difference loses up to 6e-5 relative near H = 1;
+    # small lags and the series lags are both checked
+    lags = list(range(12)) + [63, 1000, 2**14 + 1, 2**18]
+    gamma = _fgn_autocov(H, 2**18 + 1)
+    for k in lags:
+        want = _fgn_autocov_decimal(H, k)
+        assert abs(gamma[k] - want) <= 1e-12 * abs(want), f"lag {k}: {gamma[k]!r} vs {want!r}"
 
 
 @pytest.mark.parametrize("kind, hurst", [("bm", None), ("fbm", 0.5)])
@@ -306,13 +335,12 @@ def test_brownian_generate_peak_memory_at_n_max_16():
 
 def test_generate_peak_memory_at_n_max_16():
     # traced peak for one 2**16-step path.  Warm spectrum cache: 8.2 MiB
-    # when every expression made its own temporary, 3.5 MiB with the
-    # normals in their own array, 2.5 MiB now.  Cold cache: 6.8 MiB when
-    # the spectrum was transformed from a real row, 4.3 MiB now.  numpy < 2
-    # allocates each transform's output, one more 2 MiB buffer here (5.8
-    # MiB cold when the transforms are made to allocate on numpy 2).
-    cold_bound = 5.5 if _FFT_IN_PLACE else 7.5
-    for warm, bound in ((False, cold_bound * 2**20), (True, 6 * 2**20)):
+    # when every expression made its own temporary, 2.5 MiB in one 2N-point
+    # complex buffer, 2.0 MiB now (the (N + 1)-point half-spectrum and the
+    # 2N-point real transform).  Cold cache: 6.8 MiB when the spectrum was
+    # transformed from a real row by the complex FFT, 4.3 MiB in place, 2.6
+    # MiB now
+    for warm, bound in ((False, 3.5 * 2**20), (True, 3 * 2**20)):
         _circulant_sqrt_eigs.cache_clear()
         if warm:
             _circulant_sqrt_eigs(0.25, 2**16)
@@ -325,22 +353,27 @@ def test_generate_peak_memory_at_n_max_16():
         assert peak < bound, f"warm={warm}: traced peak {peak / 2**20:.2f} MiB"
 
 
-def test_cholesky_route_is_refused_above_its_limit(monkeypatch, tmp_path, capsys):
-    # H = 0.95 needs the Cholesky route; at n_max = 16 its covariance alone
-    # would be 32 GiB, so the generator must refuse before factorizing
-    def no_cholesky(a):
-        raise AssertionError("np.linalg.cholesky called")
+@pytest.mark.parametrize("n_max", [2, 10, 16])
+def test_indefinite_embedding_is_a_generation_error(monkeypatch, n_max):
+    # a first row 1, 1, 0, ..., 0, 1 has eigenvalue 1 + 2 cos(pi) = -1 at
+    # every size: the generator must refuse it, small n_max included
+    def not_a_covariance(H, n_lags):
+        gamma = np.zeros(n_lags)
+        gamma[:2] = 1.0
+        return gamma
 
-    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
-    with pytest.raises(GenerationError, match=rf"hurst=0\.95 at n_max=16.*n_max <= {_CHOLESKY_MAX_N_MAX}"):
-        generate(PathSpec(kind="fbm", hurst=0.95, n_max=16, seed=0))
+    monkeypatch.setattr(paths, "_fgn_autocov", not_a_covariance)
+    _circulant_sqrt_eigs.cache_clear()
+    try:
+        with pytest.raises(GenerationError, match="not nonnegative definite"):
+            generate(PathSpec(kind="fbm", hurst=0.3, n_max=n_max, seed=0))
+    finally:
+        _circulant_sqrt_eigs.cache_clear()
+
+
+def test_high_hurst_generates_at_n_max_16(tmp_path):
+    # H = 0.95 at n_max = 16 once needed an O(N^2) route and was refused
     out = tmp_path / "x.csv"
-    assert cli.main(["generate", "--hurst", "0.95", "--n-max", "16", "--out", str(out)]) == 2
-    assert "n_max <= 10" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cholesky_route_stays_open_up_to_its_limit():
-    assert _circulant_sqrt_eigs(0.95, 2**_CHOLESKY_MAX_N_MAX) is None
-    path = generate(PathSpec(kind="fbm", hurst=0.95, n_max=_CHOLESKY_MAX_N_MAX, seed=0))
-    assert np.all(np.isfinite(path.values))
+    assert cli.main(["generate", "--hurst", "0.95", "--n-max", "16", "--out", str(out)]) == 0
+    back = generate(PathSpec(kind="csv", file=str(out), n_max=16))
+    assert back.n_samples == 2**16 + 1
