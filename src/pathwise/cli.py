@@ -187,9 +187,6 @@ def run(cfg: dict) -> int:
             if spec_p.kind in ("fbm", "bm"):
                 spec_p.warn_if_hurst_mismatch(p)
             paths.append((f"p{i}_s{spec_p.seed}", generate(spec_p)))
-    # and so would the noise buffers of generation, which later stages
-    # reuse or not depending on the same layout
-    release_free_heap()
 
     identity_rows = []
     exact_failures = []

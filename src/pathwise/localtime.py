@@ -282,6 +282,24 @@ def _binned_density(
     return out / denominator
 
 
+def _variation_density(
+    path: SampledPath, p: int, grid: SpaceGrid, cells: np.ndarray, checkpoint_indices: np.ndarray
+) -> np.ndarray:
+    """|dS|**p masses over p * cellwidth, binned by ``cells``."""
+    if grid.cellwidth <= 0:
+        raise ParameterError("degenerate grid")
+    w = np.abs(np.diff(path.values)) ** p
+    return _binned_density(cells, grid, w, checkpoint_indices, p * grid.cellwidth)
+
+
+def _time_density(
+    path: SampledPath, grid: SpaceGrid, cells: np.ndarray, checkpoint_indices: np.ndarray
+) -> np.ndarray:
+    """Time steps dt over cellwidth, binned by ``cells``."""
+    w = np.full(path.n_samples - 1, path.dt)
+    return _binned_density(cells, grid, w, checkpoint_indices, grid.cellwidth)
+
+
 def occupation_density_local_time(
     path: SampledPath, p: int, grid: SpaceGrid, checkpoints: Sequence[float]
 ) -> OccupationLocalTime:
@@ -292,11 +310,8 @@ def occupation_density_local_time(
     variation up to accumulation rounding."""
     p = even_order(p)
     _check_coverage(path, grid)
-    if grid.cellwidth <= 0:
-        raise ParameterError("degenerate grid")
     times, cps = snap_checkpoints(path, checkpoints)
-    w = np.abs(np.diff(path.values)) ** p
-    vals = _binned_density(grid.cell_index(path.values[:-1]), grid, w, cps, p * grid.cellwidth)
+    vals = _variation_density(path, p, grid, grid.cell_index(path.values[:-1]), cps)
     return OccupationLocalTime(p=p, grid=grid, checkpoint_times=times, values=vals)
 
 
@@ -307,8 +322,7 @@ def occupation_time_density(
     the cellwidth (each interval weighted dt, binned by its left value)."""
     _check_coverage(path, grid)
     times, cps = snap_checkpoints(path, checkpoints)
-    w = np.full(path.n_samples - 1, path.dt)
-    vals = _binned_density(grid.cell_index(path.values[:-1]), grid, w, cps, grid.cellwidth)
+    vals = _time_density(path, grid, grid.cell_index(path.values[:-1]), cps)
     return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=vals)
 
 
@@ -377,8 +391,8 @@ def berman_ratio_check(path: SampledPath, p: int, grid: SpaceGrid) -> BermanRati
     _check_coverage(path, grid)
     cells = grid.cell_index(path.values[:-1])
     final = np.array([path.n_samples - 1])
-    occ = _binned_density(cells, grid, np.abs(np.diff(path.values)) ** p, final, p * grid.cellwidth)[0]
-    tau = _binned_density(cells, grid, np.full(cells.size, path.dt), final, grid.cellwidth)[0]
+    occ = _variation_density(path, p, grid, cells, final)[0]
+    tau = _time_density(path, grid, cells, final)[0]
     sel = tau > 0
     ratios = occ[sel] / tau[sel]
     weights = tau[sel]

@@ -292,15 +292,20 @@ def _fgn_autocov_decimal(H, k):
         return float(((k + 1) ** a - 2 * k**a + lower) / 2)
 
 
-@pytest.mark.parametrize("H", [0.01, 0.1, 0.25, 0.45, 0.55, 0.75, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("H", [0.01, 0.1, 0.25, 0.45, 0.4999, 0.5005, 0.55, 0.75, 0.9, 0.99, 0.999])
 def test_fgn_autocov_matches_a_decimal_reference(H):
     # the direct second difference loses up to 6e-5 relative near H = 1;
-    # small lags and the series lags are both checked
+    # small lags and the series lags are both checked.  Lags 2 to 7 cancel
+    # about k / |2H - 1| ulps, thousands near H = 1/2, where gamma(k) is
+    # itself about |2H - 1| / (2k), so the absolute error stays near an
+    # ulp of gamma(0) = 1
     lags = list(range(12)) + [63, 1000, 2**14 + 1, 2**18]
     gamma = _fgn_autocov(H, 2**18 + 1)
+    eps = np.finfo(float).eps
     for k in lags:
         want = _fgn_autocov_decimal(H, k)
-        assert abs(gamma[k] - want) <= 1e-12 * abs(want), f"lag {k}: {gamma[k]!r} vs {want!r}"
+        rtol = max(1e-12, 4 * k * eps / abs(2 * H - 1)) if 2 <= k <= 7 else 1e-12
+        assert abs(gamma[k] - want) <= rtol * abs(want), f"lag {k}: {gamma[k]!r} vs {want!r}"
 
 
 @pytest.mark.parametrize("kind, hurst", [("bm", None), ("fbm", 0.5)])
@@ -339,8 +344,14 @@ def test_generate_peak_memory_at_n_max_16():
     # complex buffer, 2.0 MiB now (the (N + 1)-point half-spectrum and the
     # 2N-point real transform).  Cold cache: 6.8 MiB when the spectrum was
     # transformed from a real row by the complex FFT, 4.3 MiB in place, 2.6
-    # MiB now
-    for warm, bound in ((False, 3.5 * 2**20), (True, 3 * 2**20)):
+    # MiB now.  numpy < 2 zero-pads the half-spectrum to a 2N-point complex
+    # array before its inverse real transform, 2 MiB more here (4.0 warm,
+    # 4.5 cold when numpy 2's irfft is wrapped to pad the same way).  A
+    # small path first takes the one-time imports behind numpy's first
+    # Philox stream (0.8 MiB) out of the cold reading
+    extra = 2.0 if np.lib.NumpyVersion(np.__version__) < "2.0.0" else 0.0
+    generate(PathSpec(kind="bm", n_max=2))
+    for warm, bound in ((False, (3.5 + extra) * 2**20), (True, (3 + extra) * 2**20)):
         _circulant_sqrt_eigs.cache_clear()
         if warm:
             _circulant_sqrt_eigs(0.25, 2**16)
