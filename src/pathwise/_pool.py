@@ -8,7 +8,6 @@ environment variable (default 1 = serial execution in-process).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence
 
 from .errors import ConfigError
@@ -31,5 +30,8 @@ def parallel_map(fn: Callable, items: Sequence) -> List:
     n = worker_count()
     if n <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # imported here: it pulls in multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(n, len(items))) as pool:
         return list(pool.map(fn, items))

@@ -1,16 +1,29 @@
 """Small shared helpers: checkpoint snapping, the stacked interval view of
-a hierarchy, tolerance arithmetic, the CSV writer and heap trimming."""
+a hierarchy, tolerance arithmetic, the CSV writer and heap trimming.
+
+Every CSV artifact goes through :func:`write_csv` as one or more
+:class:`Table` objects.  A table is a list of key axes followed by value
+columns: its rows are the Cartesian product of the key axes, the last
+varying fastest, and each value column holds one entry per row or a
+scalar repeated on every row; a table without key axes is just
+equal-length columns.  Each key label is formatted once, each numeric
+column in one pass, and at most ``_CHUNK_ROWS`` lines are held at a time.
+"""
 
 from __future__ import annotations
 
 import ctypes
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
 from .errors import ParameterError
-from .paths import SampledPath
+
+if TYPE_CHECKING:
+    from .paths import SampledPath
 
 
 def snap_checkpoints(path: SampledPath, checkpoints: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -125,22 +138,103 @@ def median(values: Iterable[float]) -> float:
 
 def _csv_value(v) -> str:
     """One CSV cell: lowercase booleans, shortest round-trip floats (numpy
-    scalars included), plain integers."""
+    scalars included), plain integers; any other text is quoted as
+    ``csv.writer`` does by default (QUOTE_MINIMAL) when it holds a comma,
+    a double quote, CR or LF, with embedded quotes doubled."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return str(v)
+    s = str(v)
+    if "," in s or '"' in s or "\n" in s or "\r" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
-def write_csv(path: str, fieldnames: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Plain CSV with a header line and stable bytes for equal values."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_value(v) for v in row) + "\n")
+def _cells(values) -> List[str]:
+    """The cells of a sequence of values: a numeric array in one pass over
+    its ``tolist()`` (the same text :func:`_csv_value` gives each entry),
+    anything else cell by cell."""
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        if kind == "f":
+            return list(map(repr, values.tolist()))
+        if kind in "iu":
+            return list(map(str, values.tolist()))
+        if kind == "b":
+            return ["true" if v else "false" for v in values.tolist()]
+    return [_csv_value(v) for v in values]
+
+
+class Table(NamedTuple):
+    """The rows of a CSV artifact.
+
+    ``keys`` are label sequences whose Cartesian product, last axis
+    fastest, gives each row's leading cells.  ``columns`` follow them:
+    an array (read in C order) or list with one entry per row, or a scalar
+    repeated on every row.  Without key axes the row count is the common
+    length of the array columns.
+    """
+
+    keys: Sequence[Sequence] = ()
+    columns: Sequence = ()
+
+
+# Lines formatted and written at a time: a few hundred KiB of strings,
+# whatever the length of the table.
+_CHUNK_ROWS = 1 << 11
+
+
+def write_csv(file: Union[str, TextIO], header: Sequence[str], *tables: Table) -> None:
+    """Write a header line and then the rows of each table, in order.
+
+    ``file`` is a file name or an open text handle (left open).  Each key
+    label is formatted once, each numeric column in one pass, and lines go
+    out in chunks of at most ``_CHUNK_ROWS``, so the writer's buffers stay
+    bounded for any table length.  Equal values give equal bytes.
+    """
+    fh = open(file, "w", newline="") if isinstance(file, str) else file
+    try:
+        fh.write(",".join(map(_csv_value, header)) + "\n")
+        for table in tables:
+            _write_table(fh, table, len(header))
+    finally:
+        if fh is not file:
+            fh.close()
+
+
+def _write_table(fh: TextIO, table: Table, width: int) -> None:
+    if len(table.keys) + len(table.columns) != width:
+        raise ValueError(f"table has {len(table.keys)} key axes and {len(table.columns)} columns, header {width}")
+    keys = [_cells(axis) for axis in table.keys]
+    # arrays and lists are per-row columns; a scalar is formatted once
+    columns = [
+        np.ravel(col) if isinstance(col, np.ndarray) and col.ndim
+        else col if isinstance(col, (list, tuple)) else _csv_value(col)
+        for col in table.columns
+    ]
+    lengths = {len(col) for col in columns if not isinstance(col, str)}
+    if keys:
+        lengths.add(math.prod(map(len, keys)))
+    if len(lengths) != 1:
+        raise ValueError(f"table rows disagree: lengths {sorted(lengths)}")
+    rows = lengths.pop()
+    key_cells = map(",".join, itertools.product(*keys)) if keys else None
+    for start in range(0, rows, _CHUNK_ROWS):
+        fh.write(_chunk_text(key_cells, columns, start, min(start + _CHUNK_ROWS, rows)))
+
+
+def _chunk_text(key_cells, columns, start: int, stop: int) -> str:
+    """Lines ``start:stop`` of a table; ``key_cells`` yields each row's key
+    cells, already joined, and advances by exactly this chunk.  A function
+    of its own, so one chunk's strings are freed before the next is made."""
+    parts = [itertools.repeat(col) if isinstance(col, str) else _cells(col[start:stop]) for col in columns]
+    if key_cells is not None:
+        parts.insert(0, itertools.islice(key_cells, stop - start))
+    lines = parts[0] if len(parts) == 1 else map(",".join, zip(*parts))
+    return "\n".join(lines) + "\n"
 
 
 def _find_malloc_trim():

@@ -17,12 +17,12 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ._pool import parallel_map
-from ._util import median, relative_gap, write_csv
+from ._util import Table, median, relative_gap, write_csv
 from .errors import ConfigError
 from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
@@ -47,7 +47,6 @@ __all__ = [
     "run_criterion",
     "run_all",
     "emit_artifacts",
-    "write_rows",
 ]
 
 DEFAULT_CONFIG = {
@@ -103,6 +102,10 @@ class CriterionResult:
     def status_line(self) -> str:
         state = "PASS" if self.passed else "FAIL"
         return f"{self.key} {state} - {self.title}"
+
+    def csv_table(self) -> Table:
+        """The rows as columns in ``fieldnames`` order."""
+        return Table(columns=[[row[k] for row in self.rows] for k in self.fieldnames])
 
 
 def _cfg(config: Optional[dict]) -> dict:
@@ -602,11 +605,6 @@ _PRE_DETERMINISM = [
 ]
 
 
-def write_rows(path: str, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
-    """Plain CSV with shortest-round-trip float formatting (stable bytes)."""
-    write_csv(path, fieldnames, ([row[k] for k in fieldnames] for row in rows))
-
-
 def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult]:
     """Run criteria 1-9 and write one CSV per criterion into out_dir."""
     cfg = _cfg(config)
@@ -614,7 +612,7 @@ def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult
     results = []
     for key, slug, fn in _PRE_DETERMINISM:
         res = fn(cfg)
-        write_rows(os.path.join(out_dir, f"{key.lower()}_{slug}.csv"), res.fieldnames, res.rows)
+        write_csv(os.path.join(out_dir, f"{key.lower()}_{slug}.csv"), res.fieldnames, res.csv_table())
         results.append(res)
     return results
 

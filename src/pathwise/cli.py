@@ -188,14 +188,13 @@ def run(cfg: dict) -> int:
                 spec_p.warn_if_hurst_mismatch(p)
             paths.append((f"p{i}_s{spec_p.seed}", generate(spec_p)))
 
-    identity_rows = []
+    identity_tables = []
     exact_failures = []
     trend_stats = {}
     outputs = []
 
     def record(report):
-        for row in report.to_csv_rows():
-            identity_rows.append(row)
+        identity_tables.append(report.csv_table())
         if report.exactness == "exact-per-level" and report.passed is False:
             exact_failures.append(report.identity)
         if report.exactness == "limit-only" and report.residuals.size:
@@ -210,7 +209,7 @@ def run(cfg: dict) -> int:
         if "variation" in cfg["analyses"]:
             curve = pth_variation(path, hier, p, cfg["checkpoints"])
             name = os.path.join(out_dir, f"variation_{tag}.csv")
-            write_csv(name, ("level", "t", "value"), curve.to_csv_rows())
+            write_csv(name, ("level", "t", "value"), curve.csv_table())
             outputs.append(os.path.basename(name))
             if hier.n_levels >= 2:
                 rep = variation_convergence_report(curve)
@@ -232,7 +231,7 @@ def run(cfg: dict) -> int:
             grid = SpaceGrid.cover([path], cells)
             field = discrete_local_time(path, hier, p, grid, cfg["checkpoints"])
             name = os.path.join(out_dir, f"localtime_{tag}.csv")
-            write_csv(name, ("level", "t", "x", "value"), field.to_csv_rows())
+            write_csv(name, ("level", "t", "x", "value"), field.csv_table())
             outputs.append(os.path.basename(name))
 
         if "tanaka" in cfg["analyses"]:
@@ -277,20 +276,20 @@ def run(cfg: dict) -> int:
         system = build_rank_system([path for _, path in paths])
         hier = _hierarchy(paths[0][1], cfg["partition"], cfg["levels"])
         f = tanaka_class("poly", p, coeffs=[0.0, 1.0])
-        rank_rows = []
+        rank_tables = []
         for k in range(1, system.m + 1):
             dec = rank_decomposition(system, k, hier, p, f, cfg["checkpoints"])
-            rank_rows.extend(dec.to_csv_rows())
+            rank_tables.append(dec.csv_table())
             if not dec.passed:
                 exact_failures.append(f"rank decomposition k={k}")
         name = os.path.join(out_dir, "ranks.csv")
-        write_csv(name, RANK_FIELDS, rank_rows)
+        write_csv(name, RANK_FIELDS, *rank_tables)
         outputs.append(os.path.basename(name))
         record(rank_sum_identity(system, hier, p))
 
-    if identity_rows:
+    if identity_tables:
         name = os.path.join(out_dir, "identities.csv")
-        write_csv(name, IDENTITY_FIELDS, identity_rows)
+        write_csv(name, IDENTITY_FIELDS, *identity_tables)
         outputs.append(os.path.basename(name))
 
     summary = {

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import LevelStack, bracket_contributions, even_order, snap_checkpoints
+from ._util import LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
 from .errors import CoverageError, ParameterError
 from .paths import SampledPath
 
@@ -595,10 +595,9 @@ class ModifiedFollmerReport:
     finest_err_by_m: np.ndarray
     err_decreasing_in_m: bool
 
-    def to_csv_rows(self):
-        for i, m in enumerate(self.m_schedule):
-            for j, lab in enumerate(self.level_labels):
-                yield m, lab, self.sums[i, j], self.target, self.abs_err[i, j]
+    def csv_table(self) -> Table:
+        """Rows ``m,level,sum,target,abs_err``."""
+        return Table((self.m_schedule, self.level_labels), (self.sums, self.target, self.abs_err))
 
     def __str__(self):
         lines = [

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
+from ._util import LevelStack, Table, bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
 from .errors import CoverageError, ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -120,13 +120,9 @@ class LocalTimeField:
     def final_slice(self, level_pos: int = -1) -> np.ndarray:
         return self.per_level[level_pos, -1, :]
 
-    def to_csv_rows(self):
+    def csv_table(self) -> Table:
         """Rows ``level,t,x,value``."""
-        centers = self.grid.centers
-        for i, lab in enumerate(self.level_labels):
-            for j, t in enumerate(self.checkpoint_times):
-                for x, v in zip(centers, self.per_level[i, j]):
-                    yield lab, t, x, v
+        return Table((self.level_labels, self.checkpoint_times, self.grid.centers), (self.per_level,))
 
 
 @dataclass
@@ -140,11 +136,9 @@ class OccupationLocalTime:
     checkpoint_times: np.ndarray
     values: np.ndarray  # (n_checkpoints, cells)
 
-    def to_csv_rows(self):
-        centers = self.grid.centers
-        for j, t in enumerate(self.checkpoint_times):
-            for x, v in zip(centers, self.values[j]):
-                yield t, x, v
+    def csv_table(self) -> Table:
+        """Rows ``t,x,value``."""
+        return Table((self.checkpoint_times, self.grid.centers), (self.values,))
 
 
 # Most (cell, weight) pairs expanded at once: bounds the working set of a

@@ -34,6 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._util import Table, write_csv
 from .errors import GenerationError, IngestionError, ParameterError
 
 __all__ = [
@@ -400,13 +401,6 @@ def running_extrema(path: SampledPath) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def write_path_csv(path: SampledPath, file) -> None:
-    """Write ``t,value`` rows; floats use shortest round-trip formatting."""
-    own = isinstance(file, str)
-    fh = open(file, "w", newline="") if own else file
-    try:
-        fh.write("t,value\n")
-        for t, v in zip(path.times, path.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
-    finally:
-        if own:
-            fh.close()
+    """Write ``t,value`` rows to a file name or an open text handle; floats
+    use shortest round-trip formatting."""
+    write_csv(file, ("t", "value"), Table(columns=(path.times, path.values)))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import LevelStack, bracket_contributions, even_order, snap_checkpoints
+from ._util import LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
 from .errors import ParameterError
 from .integrate import TestFunction
 from .localtime import discrete_local_time_curves
@@ -192,12 +192,10 @@ class RankDecomposition:
     relative_residual: np.ndarray
     passed: bool
 
-    def to_csv_rows(self):
+    def csv_table(self) -> Table:
         """Rows ``k,level,t,A,B,C,D,residual``."""
-        for i, lab in enumerate(self.level_labels):
-            for j, t in enumerate(self.checkpoint_times):
-                yield (self.k, lab, t, self.A[i, j], self.B[i, j], self.C[i, j],
-                       self.D[i, j], self.residual[i, j])
+        return Table(((self.k,), self.level_labels, self.checkpoint_times),
+                     (self.A, self.B, self.C, self.D, self.residual))
 
 
 def rank_decomposition(

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, bracket_contributions, even_order, relative_gap
+from ._util import LevelStack, Table, bracket_contributions, even_order, relative_gap
 from .errors import ParameterError
 from .integrate import (
     SmoothCallable,
@@ -78,10 +78,9 @@ class IdentityReport:
     passed: Optional[bool] = None
     details: dict = field(default_factory=dict)
 
-    def to_csv_rows(self):
+    def csv_table(self) -> Table:
         """Rows ``identity,level,lhs,rhs,residual,class``."""
-        for i, lab in enumerate(self.level_labels):
-            yield self.identity, lab, self.lhs[i], self.rhs[i], self.residuals[i], self.exactness
+        return Table(((self.identity,), self.level_labels), (self.lhs, self.rhs, self.residuals, self.exactness))
 
     def __str__(self):
         status = "" if self.passed is None else f" passed={self.passed}"

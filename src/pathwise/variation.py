@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import even_order, left_endpoint_counts, snap_checkpoints
+from ._util import Table, even_order, left_endpoint_counts, snap_checkpoints
 from .errors import ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -41,11 +41,9 @@ class VariationCurve:
     def final_values(self) -> np.ndarray:
         return self.per_level[:, -1]
 
-    def to_csv_rows(self):
+    def csv_table(self) -> Table:
         """Rows ``level,t,value``."""
-        for i, lab in enumerate(self.level_labels):
-            for t, v in zip(self.checkpoint_times, self.per_level[i]):
-                yield lab, t, v
+        return Table((self.level_labels, self.checkpoint_times), (self.per_level,))
 
 
 def increment_power_sums(

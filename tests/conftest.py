@@ -1,7 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from pathwise import PathSpec, SampledPath, dyadic_hierarchy, generate
+from pathwise._util import write_csv
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +49,12 @@ def single_interval_path(v0, v1):
 @pytest.fixture(scope="session")
 def hierarchy_bm(bm_path):
     return dyadic_hierarchy(bm_path, 8)
+
+
+def csv_rows(header, *tables):
+    """The data rows of tables written as CSV, as csv.reader parses them."""
+    buf = io.StringIO()
+    write_csv(buf, header, *tables)
+    rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+    assert rows[0] == list(header)
+    return rows[1:]

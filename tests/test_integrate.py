@@ -31,7 +31,7 @@ from pathwise import (
 import pathwise
 from pathwise import integrate
 from pathwise._util import relative_gap
-from tests.conftest import make_walk, single_interval_path
+from tests.conftest import csv_rows, make_walk, single_interval_path
 
 FULL = np.arange(9)
 COARSE = np.array([0, 4, 8])
@@ -384,10 +384,10 @@ def test_modified_follmer_csv_rows():
     f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
     hier = dyadic_hierarchy(path, 3)
     rep = modified_follmer_integral(path, hier, 2, f, 1.0, m_schedule=(2, 4), cells=32)
-    rows = list(rep.to_csv_rows())
+    rows = csv_rows(("m", "level", "sum", "target", "abs_err"), rep.csv_table())
     assert len(rows) == 2 * 3
     m, level, value, target, abs_err = rows[0]
-    assert m == 2 and level == 1 and abs_err == abs(value - target)
+    assert m == "2" and level == "1" and float(abs_err) == abs(float(value) - float(target))
 
 
 def test_modified_follmer_schedules_cross_check():

@@ -29,7 +29,7 @@ from pathwise import (
 )
 from pathwise._util import bracket_contributions, left_endpoint_counts, median, snap_checkpoints
 from pathwise.localtime import _order_flag
-from tests.conftest import make_walk
+from tests.conftest import csv_rows, make_walk
 
 
 def test_gaussian_moment_double_factorial():
@@ -299,10 +299,10 @@ def test_csv_rows_schema(bm_path):
     hier = dyadic_hierarchy(bm_path, 2)
     grid = SpaceGrid.cover([bm_path], 4)
     field = discrete_local_time(bm_path, hier, 2, grid, [0.5, 1.0])
-    rows = list(field.to_csv_rows())
+    rows = csv_rows(("level", "t", "x", "value"), field.csv_table())
     assert len(rows) == 2 * 2 * 4
     level, t, x, value = rows[0]
-    assert level == 1 and t == 0.5 and value >= 0.0
+    assert level == "1" and float(t) == 0.5 and float(x) == grid.centers[0] and float(value) >= 0.0
 
 
 def test_reports_render_named_fields(bm_path):

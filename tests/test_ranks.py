@@ -20,7 +20,7 @@ from pathwise import (
     tanaka_class,
 )
 from pathwise._util import bracket_contributions, left_endpoint_counts, snap_checkpoints
-from tests.conftest import make_walk
+from tests.conftest import csv_rows, make_walk
 
 
 @pytest.fixture(scope="module")
@@ -301,11 +301,11 @@ def test_decomposition_csv_rows(fbm_trio):
     hier = dyadic_hierarchy(fbm_trio[0], 3)
     f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
     dec = rank_decomposition(system, 1, hier, 2, f, [0.5, 1.0])
-    rows = list(dec.to_csv_rows())
+    rows = csv_rows(("k", "level", "t", "A", "B", "C", "D", "residual"), dec.csv_table())
     assert len(rows) == 3 * 2
     k, level, t, A, B, C, D, residual = rows[0]
-    assert k == 1 and level == 1 and t == 0.5
-    assert residual == abs(A - (B + C + D))
+    assert k == "1" and level == "1" and float(t) == 0.5
+    assert float(residual) == abs(float(A) - (float(B) + float(C) + float(D)))
 
 
 # -- simplified cross term ------------------------------------------------------

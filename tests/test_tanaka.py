@@ -34,7 +34,7 @@ from pathwise._util import (
 from pathwise import integrate
 from pathwise.integrate import SmoothCallable
 from pathwise.tanaka import finite_n_report, tanaka_meyer_report
-from tests.conftest import make_walk
+from tests.conftest import csv_rows, make_walk
 
 FULL = np.arange(9)
 COARSE = np.array([0, 2, 4, 6, 8])
@@ -131,8 +131,8 @@ def test_tanaka_meyer_report_passes(rough_path):
     hier = dyadic_hierarchy(rough_path, 8)
     rep = tanaka_meyer_report(rough_path, hier, 4, 0.0831, 1.0)
     assert rep.passed
-    rows = list(rep.to_csv_rows())
-    assert rows[0][5] == "exact-per-level"
+    rows = csv_rows(("identity", "level", "lhs", "rhs", "residual", "class"), rep.csv_table())
+    assert len(rows) == 8 and rows[0][5] == "exact-per-level"
 
 
 # -- the level stack against the per-level loops it replaced ----------------

@@ -1,7 +1,34 @@
+import csv
+import io
+import itertools
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pathwise._util import _csv_value
+from pathwise import (
+    PathSpec,
+    SpaceGrid,
+    build_rank_system,
+    discrete_local_time,
+    dyadic_hierarchy,
+    generate,
+    identity_suite,
+    modified_follmer_integral,
+    occupation_density_local_time,
+    pth_variation,
+    rank_decomposition,
+    tanaka_class,
+    write_path_csv,
+)
+from pathwise import _util
+from pathwise._util import Table, _csv_value, write_csv
+from pathwise.acceptance import CriterionResult
+from pathwise.tanaka import finite_n_report
 
 
 def _csv_value_before(v) -> str:
@@ -16,6 +43,109 @@ def _csv_value_before(v) -> str:
     return str(v)
 
 
+# -- the row-at-a-time writer the table writer replaced, as its oracle ---------
+
+
+def _csv_value_unquoted(v) -> str:
+    """The cell formatter as it was before text cells were quoted."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+def _csv_writer_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` (default dialect, QUOTE_MINIMAL) writes
+    it in a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def _quoted_cell(v) -> str:
+    return _csv_writer_cell(_csv_value_unquoted(v))
+
+
+def write_csv_before(fh, fieldnames, rows, cell=_csv_value_unquoted) -> None:
+    """The old writer, onto an open handle; ``cell`` formats each cell."""
+    fh.write(",".join(fieldnames) + "\n")
+    for row in rows:
+        fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+def field_rows_before(self):
+    centers = self.grid.centers
+    for i, lab in enumerate(self.level_labels):
+        for j, t in enumerate(self.checkpoint_times):
+            for x, v in zip(centers, self.per_level[i, j]):
+                yield lab, t, x, v
+
+
+def occupation_rows_before(self):
+    centers = self.grid.centers
+    for j, t in enumerate(self.checkpoint_times):
+        for x, v in zip(centers, self.values[j]):
+            yield t, x, v
+
+
+def variation_rows_before(self):
+    for i, lab in enumerate(self.level_labels):
+        for t, v in zip(self.checkpoint_times, self.per_level[i]):
+            yield lab, t, v
+
+
+def identity_rows_before(self):
+    for i, lab in enumerate(self.level_labels):
+        yield self.identity, lab, self.lhs[i], self.rhs[i], self.residuals[i], self.exactness
+
+
+def rank_rows_before(self):
+    for i, lab in enumerate(self.level_labels):
+        for j, t in enumerate(self.checkpoint_times):
+            yield (self.k, lab, t, self.A[i, j], self.B[i, j], self.C[i, j],
+                   self.D[i, j], self.residual[i, j])
+
+
+def follmer_rows_before(self):
+    for i, m in enumerate(self.m_schedule):
+        for j, lab in enumerate(self.level_labels):
+            yield m, lab, self.sums[i, j], self.target, self.abs_err[i, j]
+
+
+def path_csv_before(path, fh) -> None:
+    fh.write("t,value\n")
+    for t, v in zip(path.times, path.values):
+        fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def table_rows(table):
+    """A table's rows of raw values, built by the definition."""
+    cols = [np.ravel(c) if isinstance(c, np.ndarray) and c.ndim else c for c in table.columns]
+    per_row = [c for c in cols if isinstance(c, (np.ndarray, list, tuple))]
+    n = math.prod(map(len, table.keys)) if table.keys else len(per_row[0])
+    keys = itertools.product(*table.keys) if table.keys else itertools.repeat((), n)
+    for r, key in enumerate(keys):
+        yield key + tuple(c[r] if isinstance(c, (np.ndarray, list, tuple)) else c for c in cols)
+
+
+def new_text(header, *tables) -> str:
+    buf = io.StringIO()
+    write_csv(buf, header, *tables)
+    return buf.getvalue()
+
+
+def old_text(header, rows, cell=_csv_value_unquoted) -> str:
+    buf = io.StringIO()
+    write_csv_before(buf, header, rows, cell)
+    return buf.getvalue()
+
+
+# -- cells ---------------------------------------------------------------------
+
+
 CELLS = [
     True, False, np.True_, np.False_, np.bool_(1),
     0, -3, 2**70, np.int64(7), np.int32(-2), np.uint8(255),
@@ -27,8 +157,212 @@ CELLS = [
 
 @pytest.mark.parametrize("v", CELLS, ids=repr)
 def test_csv_value_matches_the_old_formatter_with_lowercase_numpy_booleans(v):
+    # text is quoted as csv.writer quotes it; "a,b" used to come out bare
     if isinstance(v, np.bool_):
         assert _csv_value(v) == ("true" if v else "false")
         assert _csv_value(v) == _csv_value_before(bool(v))
     else:
-        assert _csv_value(v) == _csv_value_before(v)
+        assert _csv_value(v) == _csv_writer_cell(_csv_value_before(v))
+
+
+@pytest.mark.parametrize("text", ['a,b', 'say "hi"', '"', "two\nlines", "cr\rlf", "x, [p0_s7,p0_s8]"])
+def test_csv_value_quotes_like_csv_writer(text):
+    assert _csv_value(text) == _csv_writer_cell(text)
+    assert _csv_value(text).startswith('"')
+
+
+# -- tables against the old writer --------------------------------------------
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1]),
+)
+_PLAIN_TEXT = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)), max_size=6)
+_SCALARS = st.one_of(
+    _FLOATS,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.builds(np.bool_, st.booleans()),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.float16, st.floats(width=16)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.uint8, st.integers(0, 255)),
+    _PLAIN_TEXT,
+    st.none(),
+)
+_DTYPES = st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.int32, np.uint64, np.bool_])
+
+
+@st.composite
+def _array(draw, shape):
+    dtype = np.dtype(draw(_DTYPES))
+    if dtype.kind == "f":
+        elements = st.floats(width=8 * dtype.itemsize, allow_nan=True, allow_infinity=True,
+                             allow_subnormal=True)
+        return draw(hnp.arrays(dtype, shape, elements=elements))
+    return draw(hnp.arrays(dtype, shape))
+
+
+@st.composite
+def _sequence(draw, n):
+    """One key axis or per-row column: a numeric array or a list of
+    Python and numpy scalars and text."""
+    if draw(st.booleans()):
+        return draw(_array(n))
+    return draw(st.lists(_SCALARS, min_size=n, max_size=n))
+
+
+@st.composite
+def tables(draw, width):
+    n_keys = draw(st.integers(0, width))
+    lengths = [draw(st.integers(0, 4)) for _ in range(n_keys)]
+    keys = [draw(_sequence(n)) for n in lengths]
+    n = math.prod(lengths) if keys else draw(st.integers(0, 12))
+    columns = []
+    for i in range(width - n_keys):
+        kind = draw(st.sampled_from(["sequence", "scalar", "shaped"]))
+        if kind == "scalar" and (keys or i):
+            columns.append(draw(_SCALARS))
+        elif kind == "shaped" and keys:
+            columns.append(draw(_array(tuple(lengths))))  # read in C order
+        else:
+            columns.append(draw(_sequence(n)))
+    return Table(tuple(keys), tuple(columns))
+
+
+@st.composite
+def table_files(draw):
+    width = draw(st.integers(1, 4))
+    return tuple(f"c{i}" for i in range(width)), draw(st.lists(tables(width), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_files(), st.sampled_from([1, 2, 3, _util._CHUNK_ROWS]))
+def test_tables_have_the_old_writer_bytes(case, chunk):
+    header, tabs = case
+    rows = [row for table in tabs for row in table_rows(table)]
+    with mock.patch.object(_util, "_CHUNK_ROWS", chunk):
+        assert new_text(header, *tabs) == old_text(header, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.text(max_size=8), min_size=2, max_size=2), max_size=6), st.text(max_size=8))
+def test_text_cells_round_trip_through_csv_reader(cells, label):
+    header = ("key", "i", "a", "b")
+    table = Table(((label,), list(range(len(cells)))), ([a for a, _ in cells], [b for _, b in cells]))
+    text = new_text(header, table)
+    rows = [[label, str(i), a, b] for i, (a, b) in enumerate(cells)]
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [list(header)] + rows
+    assert text == old_text(header, rows, _quoted_cell)
+
+
+def test_product_order_is_last_axis_fastest_and_scalars_broadcast():
+    table = Table(((1, 2), np.array([0.5, 1.0])), (np.arange(4).reshape(2, 2), "x"))
+    assert new_text(("a", "b", "c", "d"), table).splitlines()[1:] == [
+        "1,0.5,0,x", "1,1.0,1,x", "2,0.5,2,x", "2,1.0,3,x"]
+
+
+def test_zero_row_tables_write_only_the_header():
+    empty = Table(((), np.array([1.0])), (np.zeros(0),))
+    assert new_text(("a", "b", "c"), empty, Table(columns=([], [], []))) == "a,b,c\n"
+
+
+@pytest.mark.parametrize("table", [
+    Table(columns=(np.zeros(2), np.zeros(3))),
+    Table(((1, 2),), (np.zeros(3),)),
+    Table(((1, 2),), (np.zeros(2), 0.0)),
+    Table(columns=(1.0, 2.0)),
+])
+def test_malformed_tables_are_rejected(table):
+    with pytest.raises(ValueError):
+        new_text(("a", "b"), table)
+
+
+def test_writer_holds_a_bounded_number_of_lines(tmp_path):
+    # the lines of a 2**16-row path take about 6 MiB as strings; the chunked
+    # writer's peak does not grow with the length, so 2**18 rows stay bounded too
+    values = np.cumsum(np.random.default_rng(0).standard_normal(2**16 + 1))
+    table = Table(columns=(np.linspace(0.0, 1.0, values.size), values))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_csv(str(tmp_path / "path.csv"), ("t", "value"), table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (tmp_path / "path.csv").stat().st_size > 2 << 20
+
+
+# -- every artifact against the generator it replaced -------------------------
+
+
+@pytest.fixture(scope="module")
+def trio():
+    return [generate(PathSpec(kind="fbm", hurst=0.5, n_max=8, seed=s)) for s in (41, 42, 43)]
+
+
+def test_local_time_tables_have_the_old_bytes(bm_path):
+    hier = dyadic_hierarchy(bm_path, 6)
+    grid = SpaceGrid.cover([bm_path], 40)
+    field = discrete_local_time(bm_path, hier, 2, grid, [0.25, 0.5, 1.0])
+    header = ("level", "t", "x", "value")
+    assert new_text(header, field.csv_table()) == old_text(header, field_rows_before(field))
+    occ = occupation_density_local_time(bm_path, 2, grid, [0.5, 1.0])
+    header = ("t", "x", "value")
+    assert new_text(header, occ.csv_table()) == old_text(header, occupation_rows_before(occ))
+
+
+def test_variation_table_has_the_old_bytes(rough_path):
+    curve = pth_variation(rough_path, dyadic_hierarchy(rough_path, 9), 4, [0.3, 0.7, 1.0])
+    header = ("level", "t", "value")
+    assert new_text(header, curve.csv_table()) == old_text(header, variation_rows_before(curve))
+
+
+def test_identity_tables_have_the_old_cells_quoted(bm_path, rough_path):
+    hier = dyadic_hierarchy(bm_path, 6)
+    reports = [finite_n_report(bm_path, hier, 2, tanaka_class("abs_pow", 2, a=0.0), 1.0)]
+    reports += identity_suite(bm_path, rough_path, hier, 2)
+    for rep in reports:
+        rep.identity = f"{rep.identity} [p0_s7,p0_s8]"
+    header = ("identity", "level", "lhs", "rhs", "residual", "class")
+    text = new_text(header, *(rep.csv_table() for rep in reports))
+    rows = [row for rep in reports for row in identity_rows_before(rep)]
+    assert text == old_text(header, rows, _quoted_cell)
+    assert all(len(r) == 6 for r in csv.reader(io.StringIO(text, newline="")))
+
+
+def test_rank_tables_have_the_old_bytes(trio):
+    system = build_rank_system(trio)
+    hier = dyadic_hierarchy(trio[0], 5)
+    f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
+    decs = [rank_decomposition(system, k, hier, 2, f, [0.5, 1.0]) for k in (1, 2, 3)]
+    header = ("k", "level", "t", "A", "B", "C", "D", "residual")
+    rows = [row for dec in decs for row in rank_rows_before(dec)]
+    assert new_text(header, *(dec.csv_table() for dec in decs)) == old_text(header, rows)
+
+
+def test_modified_follmer_table_has_the_old_bytes():
+    path = generate(PathSpec(kind="fbm", hurst=0.5, n_max=6, seed=11))
+    f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
+    rep = modified_follmer_integral(path, dyadic_hierarchy(path, 3), 2, f, 1.0, m_schedule=(2, 4), cells=32)
+    header = ("m", "level", "sum", "target", "abs_err")
+    assert new_text(header, rep.csv_table()) == old_text(header, follmer_rows_before(rep))
+
+
+def test_criterion_table_has_the_old_bytes():
+    rows = [{"name": "x", "ok": np.True_, "n": 3, "err": np.float64(0.1), "note": None},
+            {"name": "y", "ok": False, "n": np.int64(-1), "err": float("nan"), "note": 2.5}]
+    res = CriterionResult("C0", "t", True, True, ("name", "err", "ok", "n", "note"), rows)
+    header = res.fieldnames
+    assert new_text(header, res.csv_table()) == old_text(header, ([r[k] for k in header] for r in rows))
+
+
+def test_path_csv_has_the_old_bytes(bm_path, tmp_path):
+    buf, want = io.StringIO(), io.StringIO()
+    write_path_csv(bm_path, buf)
+    path_csv_before(bm_path, want)
+    assert buf.getvalue() == want.getvalue()
+    write_path_csv(bm_path, str(tmp_path / "p.csv"))
+    assert (tmp_path / "p.csv").read_text() == want.getvalue()

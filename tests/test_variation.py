@@ -11,7 +11,7 @@ from pathwise import (
     variation_convergence_report,
 )
 from pathwise._util import median
-from tests.conftest import make_walk
+from tests.conftest import csv_rows, make_walk
 
 
 def test_linear_quadratic_variation_closed_form():
@@ -124,7 +124,7 @@ def test_rough_pth_variation_matches_gaussian_moment():
 
 def test_csv_rows_schema(bm_path):
     curve = pth_variation(bm_path, dyadic_hierarchy(bm_path, 3), 2, [0.5, 1.0])
-    rows = list(curve.to_csv_rows())
+    rows = csv_rows(("level", "t", "value"), curve.csv_table())
     assert len(rows) == 3 * 2
     level, t, value = rows[0]
-    assert level == 1 and t in (0.5, 1.0) and value >= 0.0
+    assert level == "1" and float(t) == 0.5 and float(value) >= 0.0
