@@ -1,5 +1,9 @@
-"""Small shared helpers: checkpoint snapping, the stacked interval view of
-a hierarchy, tolerance arithmetic, the CSV writer and heap trimming.
+"""Small shared helpers: checkpoint snapping, the interval kernel, tolerance
+arithmetic, the CSV writer and heap trimming.
+
+Every per-level interval sum goes through :meth:`LevelStack.evaluate`,
+one block of consecutive levels at a time; only the :class:`LevelBlock`
+a summand function is handed knows where each level's intervals lie.
 
 Every CSV artifact goes through :func:`write_csv` as one or more
 :class:`Table` objects.  A table is a list of key axes followed by value
@@ -16,7 +20,7 @@ import ctypes
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -48,61 +52,121 @@ def left_endpoint_counts(level: np.ndarray, checkpoint_indices: np.ndarray) -> n
     return np.searchsorted(left, np.asarray(checkpoint_indices, dtype=np.int64), side="right")
 
 
-@dataclass(frozen=True)
-class LevelStack:
-    """The intervals of every level of a hierarchy, laid end to end.
+# Most kept intervals in one block of consecutive levels; a level that
+# alone holds more is a block of its own.  Small levels share one gather,
+# and no block's arrays outgrow those of the largest level by much.
+_BLOCK_INTERVALS = 1 << 15
 
-    Only intervals whose left endpoint is at or before the last checkpoint
-    are kept; level i owns ``bounds[i]:bounds[i + 1]`` of ``left`` and
-    ``right`` (grid indices of the endpoints), and ``counts[i, j]`` is
-    :func:`left_endpoint_counts` of level i at checkpoint j.  Summands are
-    evaluated once over the whole stack, while every reduction runs on one
-    level's slice at a time, so each sum adds the same numbers in the same
-    order as a loop over the levels would.  The working set is the sum of
-    the level sizes, at most twice the grid for a dyadic hierarchy.
+
+@dataclass(frozen=True)
+class LevelBlock:
+    """Consecutive levels of a :class:`LevelStack`, as a summand function
+    sees them: ``levels`` is their slice of the stack's levels, ``kept``
+    their kept interval counts and ``counts`` their rows of the stack's
+    counts.
+
+    The block's endpoint arrays hold each level's kept intervals in turn;
+    the pair after a level's last interval joins its last point to the
+    next level's first point and belongs to neither level.
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    bounds: np.ndarray
+    levels: slice
+    kept: np.ndarray
     counts: np.ndarray
+
+    def slices(self, where: Optional[np.ndarray] = None) -> List[slice]:
+        """Each level's slice of the intervals, or of ``x[where]`` for a mask."""
+        starts = np.concatenate([[0], np.cumsum(self.kept + 1)[:-1]])
+        stops = starts + self.kept
+        if where is not None:
+            ranks = np.concatenate([[0], np.cumsum(where)])
+            starts, stops = ranks[starts], ranks[stops]
+        return [slice(s, e) for s, e in zip(starts.tolist(), stops.tolist())]
+
+    def per_level(self, reduce: Callable, *arrays: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+        """``reduce`` of each level's slice (first axis) of the arrays; with
+        a mask, they hold only the entries ``where`` selects."""
+        return np.array([reduce(*(x[s] for x in arrays)) for s in self.slices(where)], dtype=float)
+
+    def sums(self, x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-level ``np.sum`` of x."""
+        return self.per_level(np.sum, x, where=where)
+
+    def checkpoint_cumsums(self, x: np.ndarray) -> np.ndarray:
+        """Running sums of x within each level, read at every checkpoint;
+        shaped ``(levels, checkpoints)``."""
+        out = np.empty(self.counts.shape)
+        for i, s in enumerate(self.slices()):
+            cums = np.zeros(s.stop - s.start + 1)
+            np.cumsum(x[s], out=cums[1:])
+            out[i] = cums[self.counts[i]]
+        return out
+
+    def spread(self, per_level: np.ndarray) -> np.ndarray:
+        """One value per level repeated over that level's intervals (the
+        joining pair after a level gets that level's value too)."""
+        return np.repeat(per_level, self.kept + 1)[:-1]
+
+
+@dataclass(frozen=True)
+class LevelStack:
+    """The intervals of every level of a hierarchy, cut into blocks of
+    consecutive levels.
+
+    Only intervals whose left endpoint is at or before the last checkpoint
+    are kept, and ``counts[i, j]`` is :func:`left_endpoint_counts` of level
+    i at checkpoint j.  A block holds at most ``_BLOCK_INTERVALS`` kept
+    intervals, or a single level that is larger.  Summands are evaluated
+    over a whole block, but every reduction runs on one level's slice, so
+    each sum adds the same numbers in the same order as a loop over the
+    levels would, whatever the block size; the working set is that of one
+    block, about the size of the largest level.
+    """
+
+    levels: Tuple[np.ndarray, ...]
+    counts: np.ndarray
+    blocks: Tuple[Tuple[int, int], ...]
 
     @classmethod
     def build(cls, levels: Sequence[np.ndarray], checkpoint_indices: np.ndarray) -> "LevelStack":
-        levels = [np.asarray(lev, dtype=np.int64) for lev in levels]
+        levels = tuple(np.asarray(lev, dtype=np.int64) for lev in levels)
         counts = np.array([left_endpoint_counts(lev, checkpoint_indices) for lev in levels])
         counts = counts.reshape(len(levels), -1)
-        kept = counts[:, -1]
-        return cls(
-            left=np.concatenate([lev[:-1][:n] for lev, n in zip(levels, kept)]),
-            right=np.concatenate([lev[1:][:n] for lev, n in zip(levels, kept)]),
-            bounds=np.concatenate([[0], np.cumsum(kept)]),
-            counts=counts,
-        )
+        blocks, first, size = [], 0, 0
+        for i, n in enumerate(counts.max(axis=1).tolist()):
+            if i > first and size + n > _BLOCK_INTERVALS:
+                blocks.append((first, i))
+                first, size = i, 0
+            size += n
+        blocks.append((first, len(levels)))
+        return cls(levels=levels, counts=counts, blocks=tuple(blocks))
 
-    def gather(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Endpoint values ``(a, b)`` of every interval (last axis)."""
-        return values[..., self.left], values[..., self.right]
+    def evaluate(self, summands: Callable, *values: np.ndarray):
+        """Per-level results of ``summands(block, a1, b1, a2, b2, ...)``.
 
-    def slices(self, where: Optional[np.ndarray] = None) -> List[slice]:
-        """Each level's slice of the stack, or of ``x[where]`` for a mask."""
-        b = self.bounds if where is None else np.concatenate([[0], np.cumsum(where)])[self.bounds]
-        return [slice(s, e) for s, e in zip(b[:-1].tolist(), b[1:].tolist())]
+        ``ak`` and ``bk`` hold the k-th value array (last axis) at the left
+        and right endpoints of the block's intervals: read-only views of
+        one gather of it, offset by one point.  ``summands`` returns an
+        array with the block's levels on its first axis, or a tuple of
+        such arrays; the blocks' results are joined along that axis.
+        """
+        parts = [self._evaluate_block(summands, first, stop, values) for first, stop in self.blocks]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(joined) for joined in zip(*parts))
+        return np.concatenate(parts)
 
-    def sums(self, x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-level ``np.sum`` of x; with a mask, x holds only the entries
-        ``where`` selects, as ``values[where]`` would."""
-        return np.array([np.sum(x[s]) for s in self.slices(where)], dtype=float)
-
-    def checkpoint_cumsums(self, x: np.ndarray) -> np.ndarray:
-        """Running sums of x (last axis) within each level, read at every
-        checkpoint; shaped ``x.shape[:-1] + (levels, checkpoints)``."""
-        out = np.empty(x.shape[:-1] + self.counts.shape)
-        for i, s in enumerate(self.slices()):
-            cums = np.zeros(x.shape[:-1] + (s.stop - s.start + 1,))
-            np.cumsum(x[..., s], axis=-1, out=cums[..., 1:])
-            out[..., i, :] = cums[..., self.counts[i]]
-        return out
+    def _evaluate_block(self, summands: Callable, first: int, stop: int, values: Sequence[np.ndarray]):
+        kept = self.counts[first:stop].max(axis=1)
+        parts = [lev[: n + 1] for lev, n in zip(self.levels[first:stop], kept.tolist())]
+        # a level alone is read in place
+        points = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        ends = []
+        for v in values:
+            gathered = v[..., points]
+            # a and b overlap: writing one would change the other
+            gathered.setflags(write=False)
+            ends += (gathered[..., :-1], gathered[..., 1:])
+        return summands(LevelBlock(slice(first, stop), kept, self.counts[first:stop]), *ends)
 
 
 def relative_gap(lhs: float, rhs: float) -> float:
@@ -110,8 +174,9 @@ def relative_gap(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x: float) -> np.ndarray:
-    """Per-interval local-time summands ``1_(min,max](x) |b - x|**(p-1)``.
+def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray:
+    """Per-interval local-time summands ``1_(min,max](x) |b - x|**(p-1)``,
+    at one location x or at one location per interval.
 
     The half-open bracket excludes the lower endpoint, so ties ``a == b``
     contribute nothing, and a level exactly equal to the lower endpoint of
@@ -122,7 +187,7 @@ def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x: float) -> np.
     ind = (x > lo) & (x <= hi)
     out = np.zeros_like(a)
     if np.any(ind):
-        out[ind] = np.abs(b[ind] - x) ** (p - 1)
+        out[ind] = np.abs(b[ind] - (x[ind] if np.ndim(x) else x)) ** (p - 1)
     return out
 
 

@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from ._pool import parallel_map
-from ._util import Table, median, relative_gap, write_csv
+from ._util import LevelStack, Table, median, relative_gap, write_csv
 from .errors import ConfigError
 from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
@@ -507,9 +507,8 @@ def _c8_task(args):
     sx, sy, n_max, level, T = args
     X = _fbm(0.5, sx, n_max, T)
     Y = _fbm(0.5, sy, n_max, T)
-    lev = dyadic_hierarchy(X, level).finest
-    la, lb = lev[:-1], lev[1:]
-    *_, lhs, rhs = _min_plus_max(X.values[la], X.values[lb], Y.values[la], Y.values[lb], 2)
+    stack = LevelStack.build(_finest_level(X, level).levels, [X.n_samples - 1])
+    (lhs,), (rhs,) = stack.evaluate(lambda blk, *ends: _min_plus_max(blk, *ends, 2)[-2:], X.values, Y.values)
     return float(lhs), float(rhs)
 
 

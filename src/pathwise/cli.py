@@ -183,10 +183,9 @@ def run(cfg: dict) -> int:
     paths = []
     for i, spec in enumerate(cfg["specs"]):
         for variant in _seed_variants(spec, cfg["seeds"]):
-            spec_p = variant
-            if spec_p.kind in ("fbm", "bm"):
-                spec_p.warn_if_hurst_mismatch(p)
-            paths.append((f"p{i}_s{spec_p.seed}", generate(spec_p)))
+            if variant.kind in ("fbm", "bm"):
+                variant.warn_if_hurst_mismatch(p)
+            paths.append((f"p{i}_s{variant.seed}", generate(variant)))
 
     identity_tables = []
     exact_failures = []
@@ -203,8 +202,11 @@ def run(cfg: dict) -> int:
                 "last_residual": float(report.residuals[-1]),
             }
 
-    for tag, path in paths:
+    for i, (tag, path) in enumerate(paths):
         hier = _hierarchy(path, cfg["partition"], cfg["levels"])
+        if i == 0:
+            # the pair identities and the ranks run on the first path's levels
+            first_hier = hier
 
         if "variation" in cfg["analyses"]:
             curve = pth_variation(path, hier, p, cfg["checkpoints"])
@@ -265,8 +267,7 @@ def run(cfg: dict) -> int:
 
     if "identities" in cfg["analyses"] and len(paths) >= 2:
         (tag_x, X), (tag_y, Y) = paths[0], paths[1]
-        hier = _hierarchy(X, cfg["partition"], cfg["levels"])
-        for rep in identity_suite(X, Y, hier, p):
+        for rep in identity_suite(X, Y, first_hier, p):
             rep.identity = f"{rep.identity} [{tag_x},{tag_y}]"
             record(rep)
 
@@ -274,18 +275,17 @@ def run(cfg: dict) -> int:
         if len(paths) < 2:
             raise ConfigError("analysis 'ranks' needs at least two paths (config field 'paths'/'seeds')")
         system = build_rank_system([path for _, path in paths])
-        hier = _hierarchy(paths[0][1], cfg["partition"], cfg["levels"])
         f = tanaka_class("poly", p, coeffs=[0.0, 1.0])
         rank_tables = []
         for k in range(1, system.m + 1):
-            dec = rank_decomposition(system, k, hier, p, f, cfg["checkpoints"])
+            dec = rank_decomposition(system, k, first_hier, p, f, cfg["checkpoints"])
             rank_tables.append(dec.csv_table())
             if not dec.passed:
                 exact_failures.append(f"rank decomposition k={k}")
         name = os.path.join(out_dir, "ranks.csv")
         write_csv(name, RANK_FIELDS, *rank_tables)
         outputs.append(os.path.basename(name))
-        record(rank_sum_identity(system, hier, p))
+        record(rank_sum_identity(system, first_hier, p))
 
     if identity_tables:
         name = os.path.join(out_dir, "identities.csv")

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
+from ._util import LevelBlock, LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
 from .errors import CoverageError, ParameterError
 from .paths import SampledPath
 
@@ -282,15 +282,16 @@ def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[fl
 # -- compensated Riemann sums ------------------------------------------
 
 
-def _intervals(path: SampledPath, levels: Sequence[np.ndarray], t: float):
-    """The stack of every level's intervals with left endpoint at or before
-    t, and the path values ``(a, b)`` at their endpoints."""
+def _interval_sums(path: SampledPath, levels: Sequence[np.ndarray], t: float, summands: Callable, *args):
+    """Per-level results of ``summands(block, a, b, *args)`` over the
+    intervals of ``levels`` with left endpoint at or before t, where a and
+    b are the path values at their endpoints; see
+    :meth:`LevelStack.evaluate`."""
     _, cps = snap_checkpoints(path, [t])
-    stack = LevelStack.build(levels, cps)
-    return (stack, *stack.gather(path.values))
+    return LevelStack.build(levels, cps).evaluate(lambda blk, a, b: summands(blk, a, b, *args), path.values)
 
 
-def _follmer_sums(stack: LevelStack, a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
+def _follmer_sums(blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
     d = b - a
     acc = np.zeros_like(a)
     power = d.copy()
@@ -299,7 +300,7 @@ def _follmer_sums(stack: LevelStack, a: np.ndarray, b: np.ndarray, p: int, f) ->
         fact *= k
         acc += f.derivative(a, k) * power / fact
         power = power * d
-    return stack.sums(acc)
+    return blk.sums(acc)
 
 
 def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> float:
@@ -309,11 +310,11 @@ def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> fl
     For f(x) = x this telescopes to ``S_t - S_0`` exactly at every level.
     """
     p = even_order(p)
-    return float(_follmer_sums(*_intervals(path, (level,), t), p, f)[0])
+    return float(_interval_sums(path, (level,), t, _follmer_sums, p, f)[0])
 
 
 def _tanaka_meyer_sums(
-    stack: LevelStack, sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str
+    blk: LevelBlock, sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str
 ) -> np.ndarray:
     if variant == "plus":
         w = (sa > a_level).astype(float)
@@ -325,7 +326,7 @@ def _tanaka_meyer_sums(
         raise ParameterError(f"variant must be plus|minus|sign, got {variant!r}")
     da = (sa - a_level) ** (p - 1)
     db = (sb - a_level) ** (p - 1)
-    return stack.sums(w * (db - da))
+    return blk.sums(w * (db - da))
 
 
 def tanaka_meyer_sum(path: SampledPath, level: np.ndarray, p: int, a_level: float, variant: str, t: float) -> float:
@@ -336,7 +337,11 @@ def tanaka_meyer_sum(path: SampledPath, level: np.ndarray, p: int, a_level: floa
     ``sign``:  weights sign(S_{t_j}-a) with sign(0) = +1.
     """
     p = even_order(p)
-    return float(_tanaka_meyer_sums(*_intervals(path, (level,), t), p, a_level, variant)[0])
+    return float(_interval_sums(path, (level,), t, _tanaka_meyer_sums, p, a_level, variant)[0])
+
+
+def _local_time_sums(blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray:
+    return blk.sums(bracket_contributions(a, b, p, x))
 
 
 def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: float, t: float) -> float:
@@ -344,8 +349,7 @@ def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: f
     ``sum 1_(min,max](x) |S_{t_{j+1}} - x|**(p-1)`` over intervals with
     t_j <= t (the half-open bracket never fires on ties)."""
     p = even_order(p)
-    stack, a, b = _intervals(path, (level,), t)
-    return float(stack.sums(bracket_contributions(a, b, p, x))[0])
+    return float(_interval_sums(path, (level,), t, _local_time_sums, p, x)[0])
 
 
 @lru_cache(maxsize=64)
@@ -354,14 +358,14 @@ def _gauss_legendre(n: int):
 
 
 def _measure_remainder_sums(
-    stack: LevelStack, a: np.ndarray, b: np.ndarray, p: int, measure: StieltjesMeasure
+    blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, measure: StieltjesMeasure
 ) -> np.ndarray:
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    total = np.zeros(len(stack.bounds) - 1)
+    total = np.zeros(len(blk.kept))
     for loc, mass in measure.atoms:
         ind = (loc > lo) & (loc <= hi)
-        total += mass * stack.sums(np.abs(b[ind] - loc) ** (p - 1), where=ind)
+        total += mass * blk.sums(np.abs(b[ind] - loc) ** (p - 1), where=ind)
     dens = measure.density
     if dens is not None:
         bps = dens.breakpoints
@@ -382,7 +386,7 @@ def _measure_remainder_sums(
             )
             # one matrix-vector product per level, as tall as that level's
             # valid intervals, so BLAS blocks its rows as it always has
-            total += [np.sum(half[s] * (integ[s] @ weights)) for s in stack.slices(valid)]
+            total += blk.per_level(lambda h, i: np.sum(h * (i @ weights)), half, integ, where=valid)
     return total
 
 
@@ -396,7 +400,7 @@ def measure_remainder_sum(path: SampledPath, level: np.ndarray, p: int, measure:
     exact for the polynomial integrands that arise here.
     """
     p = even_order(p)
-    return float(_measure_remainder_sums(*_intervals(path, (level,), t), p, measure)[0])
+    return float(_interval_sums(path, (level,), t, _measure_remainder_sums, p, measure)[0])
 
 
 def stieltjes_pairing(
@@ -662,8 +666,7 @@ def modified_follmer_integral(
         fm = mollify(f, m)
         tables = {k: fm.derivative(xs, k) for k in range(1, p)}
         tab = _Tabulated(xs, tables)
-        for j, lev in enumerate(hierarchy.levels):
-            sums[i, j] = follmer_sum(path, lev, p, tab, t)
+        sums[i] = _interval_sums(path, hierarchy.levels, t, _follmer_sums, p, tab)
     abs_err = np.abs(sums - target)
     finest = abs_err[:, -1]
     decreasing = bool(np.all(np.diff(finest) <= 1e-12)) if finest.size > 1 else True

@@ -117,9 +117,6 @@ class LocalTimeField:
     level_labels: tuple
     per_level: np.ndarray  # (n_levels, n_checkpoints, cells)
 
-    def final_slice(self, level_pos: int = -1) -> np.ndarray:
-        return self.per_level[level_pos, -1, :]
-
     def csv_table(self) -> Table:
         """Rows ``level,t,x,value``."""
         return Table((self.level_labels, self.checkpoint_times, self.grid.centers), (self.per_level,))
@@ -257,7 +254,7 @@ def discrete_local_time_curves(
     p = even_order(p)
     _, cps = snap_checkpoints(path, checkpoints)
     stack = LevelStack.build(hierarchy.levels, cps)
-    return stack.checkpoint_cumsums(bracket_contributions(*stack.gather(path.values), p, x))
+    return stack.evaluate(lambda blk, a, b: blk.checkpoint_cumsums(bracket_contributions(a, b, p, x)), path.values)
 
 
 def _binned_density(

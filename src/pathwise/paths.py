@@ -104,9 +104,6 @@ class SampledPath:
         k = int(round(t / self.dt))
         return min(max(k, 0), self.n_samples - 1)
 
-    def initial_value(self) -> float:
-        return float(self.values[0])
-
 
 @dataclass(frozen=True)
 class PathSpec:

@@ -25,8 +25,7 @@ import numpy as np
 
 from ._util import LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
 from .errors import ParameterError
-from .integrate import TestFunction
-from .localtime import discrete_local_time_curves
+from .integrate import TestFunction, _local_time_sums
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
 from .tanaka import IdentityReport, _limit_report
@@ -69,12 +68,6 @@ class RankSystem:
     def membership(self, k: int) -> np.ndarray:
         """Boolean (m, n_samples): path i occupies rank k at time t."""
         return self.values == self.ranked[k - 1][None, :]
-
-    def ranked_path(self, k: int) -> SampledPath:
-        return SampledPath(
-            T=self.T, n_max=self.n_max, values=self.ranked[k - 1],
-            metadata={"kind": "ranked", "rank": k},
-        )
 
     def gap_path(self, k: int, h: int) -> SampledPath:
         """The nonnegative rank gap X_(k) - X_(h) for k < h."""
@@ -136,15 +129,18 @@ def collision_local_time(
     p = even_order(p)
     gap = system.gap_path(k, h)
     times, cps = snap_checkpoints(gap, checkpoints)
-    literal = discrete_local_time_curves(gap, hierarchy, p, 0.0, checkpoints)
-    stack = LevelStack.build(hierarchy.levels, cps)
-    ga, gb = stack.gather(gap.values)
+
+    def curves(blk, ga, gb):
+        return (blk.checkpoint_cumsums(bracket_contributions(ga, gb, p, 0.0)),
+                blk.checkpoint_cumsums((ga == 0.0) * gb ** (p - 1)))
+
+    literal, tie_charge = LevelStack.build(hierarchy.levels, cps).evaluate(curves, gap.values)
     return CollisionLocalTime(
         k=k, h=h, p=p,
         level_labels=hierarchy.level_labels,
         checkpoint_times=times,
         local_time_at_zero=literal,
-        exact_tie_charge=stack.checkpoint_cumsums((ga == 0.0) * gb ** (p - 1)),
+        exact_tie_charge=tie_charge,
     )
 
 
@@ -158,7 +154,8 @@ def rank_sum_identity(
     stack = LevelStack.build(hierarchy.levels, [system.values.shape[1] - 1])
 
     def summed_local_times(rows):
-        return sum(stack.sums(bracket_contributions(*stack.gather(row), p, x)) for row in rows)
+        # one path at a time, so one row of a block is gathered at a time
+        return sum(stack.evaluate(lambda blk, a, b: _local_time_sums(blk, a, b, p, x), row) for row in rows)
 
     lhs = summed_local_times(system.ranked)
     rhs = summed_local_times(system.values)
@@ -221,39 +218,38 @@ def rank_decomposition(
     nk = system.counts[k - 1]
     fact = [math.factorial(i) for i in range(p + 1)]
     first, cps = snap_checkpoints(system.paths[0], checkpoints)
+
+    def per_block(blk, Ra, Rb, Xa, Xb, na, _):
+        dR = Rb - Ra
+        dX = Xb - Xa
+        gap = Rb - Xb  # rank value minus path value at the right endpoint
+        w = (Xa == Ra[None, :]) / na[None, :]
+
+        fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
+        fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
+
+        a_sum = np.zeros_like(Ra)
+        b_terms = np.zeros_like(Xa)
+        for r in range(1, p):
+            a_sum += fr[r] / fact[r] * dR**r
+            b_terms += fXa[r] / fact[r] * dX**r
+        b_sum = np.sum(w * b_terms, axis=0)
+
+        c_terms = np.zeros_like(Xa)
+        for ell in range(1, p - 1):
+            gl = gap**ell
+            for r in range(ell, p):
+                c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
+        c_sum = np.sum(w * c_terms, axis=0)
+
+        dcoef = fr[p - 1] / fact[p - 1]
+        d_plus = np.sum(w * np.maximum(gap, 0.0) ** (p - 1), axis=0) * dcoef
+        d_minus = np.sum(w * np.maximum(-gap, 0.0) ** (p - 1), axis=0) * dcoef
+        d_sum = np.sum(w * gap ** (p - 1), axis=0) * dcoef
+        return tuple(map(blk.checkpoint_cumsums, (a_sum, b_sum, c_sum, d_sum, d_plus, d_minus)))
+
     stack = LevelStack.build(hierarchy.levels, cps)
-    Ra, Rb = stack.gather(rk)
-    dR = Rb - Ra
-    Xa, Xb = stack.gather(system.values)
-    dX = Xb - Xa
-    gap = Rb - Xb  # rank value minus path value at the right endpoint
-    w = (Xa == Ra[None, :]) / nk[stack.left][None, :]
-
-    fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
-    fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
-
-    a_sum = np.zeros_like(Ra)
-    b_terms = np.zeros_like(Xa)
-    for r in range(1, p):
-        a_sum += fr[r] / fact[r] * dR**r
-        b_terms += fXa[r] / fact[r] * dX**r
-    b_sum = np.sum(w * b_terms, axis=0)
-
-    c_terms = np.zeros_like(Xa)
-    for ell in range(1, p - 1):
-        gl = gap**ell
-        for r in range(ell, p):
-            c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
-    c_sum = np.sum(w * c_terms, axis=0)
-
-    dcoef = fr[p - 1] / fact[p - 1]
-    d_plus = np.sum(w * np.maximum(gap, 0.0) ** (p - 1), axis=0) * dcoef
-    d_minus = np.sum(w * np.maximum(-gap, 0.0) ** (p - 1), axis=0) * dcoef
-    d_sum = np.sum(w * gap ** (p - 1), axis=0) * dcoef
-
-    A, B, C, D, D_plus, D_minus = stack.checkpoint_cumsums(
-        np.stack([a_sum, b_sum, c_sum, d_sum, d_plus, d_minus])
-    )
+    A, B, C, D, D_plus, D_minus = stack.evaluate(per_block, rk, system.values, nk)
     resid = np.abs(A - (B + C + D))
     scale = np.maximum(1.0, np.max(np.stack([np.abs(A), np.abs(B), np.abs(C), np.abs(D)]), axis=0))
     rel = resid / scale
@@ -300,15 +296,16 @@ def simplified_cross_term(
     nk = system.counts[k - 1]
     fact = [math.factorial(i) for i in range(p + 1)]
     times, cps = snap_checkpoints(system.paths[0], checkpoints)
-    stack = LevelStack.build(hierarchy.levels, cps)
-    Ra, Rb = stack.gather(rk)
-    Xa, Xb = stack.gather(system.values)
-    gap = Rb - Xb
-    w = (Xa == Ra[None, :]) / nk[stack.left][None, :]
-    terms = np.zeros_like(Xa)
-    for ell in range(1, p - 1):
-        terms += np.asarray(f.derivative(Xa, ell), dtype=float) / fact[ell] * gap**ell
-    simplified = stack.checkpoint_cumsums(np.sum(w * terms, axis=0))
+
+    def per_block(blk, Ra, Rb, Xa, Xb, na, _):
+        gap = Rb - Xb
+        w = (Xa == Ra[None, :]) / na[None, :]
+        terms = np.zeros_like(Xa)
+        for ell in range(1, p - 1):
+            terms += np.asarray(f.derivative(Xa, ell), dtype=float) / fact[ell] * gap**ell
+        return blk.checkpoint_cumsums(np.sum(w * terms, axis=0))
+
+    simplified = LevelStack.build(hierarchy.levels, cps).evaluate(per_block, rk, system.values, nk)
     full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
     return SimplifiedCrossTerm(
         k=k, p=p,

@@ -28,13 +28,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, bracket_contributions, even_order, relative_gap
+from ._util import LevelBlock, LevelStack, Table, even_order, relative_gap
 from .errors import ParameterError
 from .integrate import (
     SmoothCallable,
     TestFunction,
     _follmer_sums,
-    _intervals,
+    _interval_sums,
+    _local_time_sums,
     _measure_remainder_sums,
     _tanaka_meyer_sums,
 )
@@ -89,21 +90,12 @@ class IdentityReport:
 
 
 def _exact_report(identity: str, labels, lhs, rhs, details=None) -> IdentityReport:
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    res = np.abs(lhs - rhs)
-    rel = np.array([relative_gap(a, b) for a, b in zip(lhs, rhs)])
-    return IdentityReport(
-        identity=identity,
-        level_labels=tuple(labels),
-        lhs=lhs,
-        rhs=rhs,
-        residuals=res,
-        exactness="exact-per-level",
-        threshold=EXACT_THRESHOLD,
-        passed=bool(np.all(rel <= EXACT_THRESHOLD)),
-        details=details or {},
-    )
+    report = _limit_report(identity, labels, lhs, rhs, details)
+    rel = np.array([relative_gap(a, b) for a, b in zip(report.lhs, report.rhs)])
+    report.exactness = "exact-per-level"
+    report.threshold = EXACT_THRESHOLD
+    report.passed = bool(np.all(rel <= EXACT_THRESHOLD))
+    return report
 
 
 def _limit_report(identity: str, labels, lhs, rhs, details=None) -> IdentityReport:
@@ -128,7 +120,7 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
 
     The smoothness guard, the change f(S_t) - f(S_0) and the Stieltjes
     measure d f^(p-1) are per (path, f), and the summands of both sums are
-    evaluated once over the stacked intervals of all levels.
+    evaluated once per block of levels.
     """
     if f.smoothness is not None and f.smoothness < p - 2:
         raise ParameterError(
@@ -137,10 +129,12 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
     t_idx = path.grid_index(t)
     change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
     measure = f.stieltjes_measure(p - 1)
-    stack, a, b = _intervals(path, levels, t)
-    lhs = change - _follmer_sums(stack, a, b, p, f)
-    rhs = _measure_remainder_sums(stack, a, b, p, measure) / math.factorial(p - 1)
-    return lhs, rhs
+
+    def sides(blk, a, b):
+        return _follmer_sums(blk, a, b, p, f), _measure_remainder_sums(blk, a, b, p, measure)
+
+    comp, remainder = _interval_sums(path, levels, t, sides)
+    return change - comp, remainder / math.factorial(p - 1)
 
 
 def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunction, t: float) -> float:
@@ -174,10 +168,12 @@ def tanaka_meyer_report(
     change = float(
         max(path.values[t_idx] - a, 0.0) ** (p - 1) - max(path.values[0] - a, 0.0) ** (p - 1)
     )
-    stack, sa, sb = _intervals(path, hierarchy.levels, t)
-    lhs = change - _tanaka_meyer_sums(stack, sa, sb, p, a, "plus")
-    rhs = stack.sums(bracket_contributions(sa, sb, p, a))
-    return _exact_report(f"tanaka-meyer p={p} a={a}", hierarchy.level_labels, lhs, rhs)
+
+    def sides(blk, sa, sb):
+        return _tanaka_meyer_sums(blk, sa, sb, p, a, "plus"), _local_time_sums(blk, sa, sb, p, a)
+
+    comp, rhs = _interval_sums(path, hierarchy.levels, t, sides)
+    return _exact_report(f"tanaka-meyer p={p} a={a}", hierarchy.level_labels, change - comp, rhs)
 
 
 def ito_residual(
@@ -191,11 +187,13 @@ def ito_residual(
         raise ParameterError(f"need continuous derivatives through order {p}")
     t_idx = path.grid_index(t)
     change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
-    stack, a, b = _intervals(path, hierarchy.levels, t)
-    comp = _follmer_sums(stack, a, b, p, f)
-    pv_term = stack.sums(f.derivative(a, p) * np.abs(b - a) ** p) / math.factorial(p)
+
+    def terms(blk, a, b):
+        return _follmer_sums(blk, a, b, p, f), blk.sums(f.derivative(a, p) * np.abs(b - a) ** p)
+
+    comp, pv = _interval_sums(path, hierarchy.levels, t, terms)
     lhs = np.full(hierarchy.n_levels, change)
-    return _limit_report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv_term)
+    return _limit_report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
 
 
 # -- local-time identity suite ------------------------------------------
@@ -210,18 +208,26 @@ def _tm_proxy_increments(a: np.ndarray, b: np.ndarray, p: int, x: float = 0.0) -
     return (pos_b - pos_a) - (a > x) * (raw_b - raw_a)
 
 
-def _min_plus_max(Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray, p: int):
-    """Identity (7) of :func:`identity_suite` at one level, from the values
-    of X and Y at the ends of its intervals.
+def _min_plus_max(blk: LevelBlock, Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray, p: int):
+    """Identity (7) of :func:`identity_suite` on a block of levels, from
+    the values of X and Y at the ends of its intervals.
 
     Returns the proxy increments of X, Y, max(X, Y) and min(X, Y), then
-    both sides: sum dL(max) + sum dL(min) against sum dL(X) + sum dL(Y).
+    both sides per level: sum dL(max) + sum dL(min) against sum dL(X) +
+    sum dL(Y).
     """
     dLX = _tm_proxy_increments(Xa, Xb, p)
     dLY = _tm_proxy_increments(Ya, Yb, p)
     dLM = _tm_proxy_increments(np.maximum(Xa, Ya), np.maximum(Xb, Yb), p)
     dLm = _tm_proxy_increments(np.minimum(Xa, Ya), np.minimum(Xb, Yb), p)
-    return dLX, dLY, dLM, dLm, np.sum(dLM) + np.sum(dLm), np.sum(dLX) + np.sum(dLY)
+    return dLX, dLY, dLM, dLm, blk.sums(dLM) + blk.sums(dLm), blk.sums(dLX) + blk.sums(dLY)
+
+
+def _part_sums(blk: LevelBlock, part_a: np.ndarray, part_b: np.ndarray, p: int, tie, band):
+    """Per level: the local-time proxy at 0 of a part of X (or of |X|), its
+    exact-tie sum and its band tie sum."""
+    power = part_b ** (p - 1)
+    return blk.sums(_tm_proxy_increments(part_a, part_b, p)), blk.sums(tie * power), blk.sums(band * power)
 
 
 def identity_suite(
@@ -239,130 +245,65 @@ def identity_suite(
     if (X.T, X.n_max) != (Y.T, Y.n_max):
         raise ParameterError("paths must share (T, n_max)")
     labels = hierarchy.level_labels
-    t_idx = X.n_samples - 1
+    abs_path = SampledPath(X.T, X.n_max, np.abs(X.values), metadata={"kind": "abs"})
+    # the band widths: per level, the oscillation of X, Y and |X|
+    osc_x, osc_y, osc_a = np.array(
+        [[oscillation(path, lev) for lev in hierarchy.levels] for path in (X, Y, abs_path)]
+    )
+    osc_xy = np.maximum(osc_x, osc_y)
 
-    absX = np.abs(X.values)
-    Xp = np.maximum(X.values, 0.0)
-    Xm = np.maximum(-X.values, 0.0)
-    abs_path = SampledPath(X.T, X.n_max, absX, metadata={"kind": "abs"})
-
-    def rowset():
-        return {k: [] for k in ("lhs", "rhs", "d1", "d2", "d3")}
-
-    rows = {name: rowset() for name in (
-        "nonneg", "pos_part", "neg_part", "zero_set", "max", "min", "minmax")}
-
-    for lev in hierarchy.levels:
-        la, lb = lev[:-1], lev[1:]
-        cnt = int(np.searchsorted(la, t_idx, side="right"))
-        la, lb = la[:cnt], lb[:cnt]
-
-        Xa, Xb = X.values[la], X.values[lb]
-        Ya, Yb = Y.values[la], Y.values[lb]
-        Aa, Ab = absX[la], absX[lb]
-        Xpa, Xpb = Xp[la], Xp[lb]
-        Xma, Xmb = Xm[la], Xm[lb]
-
-        osc_x = oscillation(X, lev)
-        osc_y = oscillation(Y, lev)
-        osc_a = oscillation(abs_path, lev)
-
-        # proxy increments shared between rows, each computed once per level
-        dLA = _tm_proxy_increments(Aa, Ab, p)
-        dLX, dLY, dLM, dLm, minmax_lhs, minmax_rhs = _min_plus_max(Xa, Xb, Ya, Yb, p)
-
-        # (1) nonnegative path: local time at 0 equals the exact-tie sum
-        r = rows["nonneg"]
-        r["lhs"].append(np.sum(dLA))
-        r["rhs"].append(np.sum((Aa == 0.0) * Ab ** (p - 1)))
-        r["d1"].append(np.sum((Aa <= osc_a) * Ab ** (p - 1)))  # band tie sum
-        r["d2"].append(np.sum(bracket_contributions(Aa, Ab, p, osc_a)))  # LT at band level
-        r["d3"].append(osc_a)
-
+    def per_block(blk, Xa, Xb, Ya, Yb):
+        """Rows (lhs, rhs, d1, d2) of identities (1)-(7), per level."""
+        zero = np.zeros(len(blk.kept))
+        tie_x = Xa == 0.0
+        band_x = np.abs(Xa) <= blk.spread(osc_x[blk.levels])
+        tie_both = tie_x & (Ya == 0.0)
+        band_both = band_x & (np.abs(Ya) <= blk.spread(osc_y[blk.levels]))
+        dLX, dLY, dLM, dLm, minmax_lhs, minmax_rhs = _min_plus_max(blk, Xa, Xb, Ya, Yb, p)
+        lx = blk.sums(dLX)
+        # (1) nonnegative path: local time at 0 equals the exact-tie sum (|X|
+        # is 0 where X is), with the local time at the band level
+        Aa, Ab = np.abs(Xa), np.abs(Xb)
+        band_a = blk.spread(osc_a[blk.levels])
+        rows = [(*_part_sums(blk, Aa, Ab, p, tie_x, Aa <= band_a), _local_time_sums(blk, Aa, Ab, p, band_a))]
         # (2) positive part shares the local time at 0
-        r = rows["pos_part"]
-        r["lhs"].append(np.sum(dLX))
-        r["rhs"].append(np.sum(_tm_proxy_increments(Xpa, Xpb, p)))
-        r["d1"].append(np.sum((Xa == 0.0) * Xpb ** (p - 1)))
-        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xpb ** (p - 1)))
-        r["d3"].append(osc_x)
-
+        rows.append((lx, *_part_sums(blk, np.maximum(Xa, 0.0), np.maximum(Xb, 0.0), p, tie_x, band_x)))
         # (3) negative-part twin
-        r = rows["neg_part"]
-        r["lhs"].append(np.sum(dLX))
-        r["rhs"].append(np.sum(_tm_proxy_increments(Xma, Xmb, p)))
-        r["d1"].append(np.sum((Xa == 0.0) * Xmb ** (p - 1)))
-        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xmb ** (p - 1)))
-        r["d3"].append(osc_x)
-
+        rows.append((lx, *_part_sums(blk, np.maximum(-Xa, 0.0), np.maximum(-Xb, 0.0), p, tie_x, band_x)))
         # (4) signed-power sum over the zero set vanishes in the limit
-        r = rows["zero_set"]
-        r["lhs"].append(np.sum((Xa == 0.0) * Xb ** (p - 1)))
-        r["rhs"].append(0.0)
-        r["d1"].append(np.sum((np.abs(Xa) <= osc_x) * Xb ** (p - 1)))
-        r["d2"].append(0.0)
-        r["d3"].append(osc_x)
-
-        tie_both = (Xa == 0.0) & (Ya == 0.0)
-        band_both = (np.abs(Xa) <= osc_x) & (np.abs(Ya) <= osc_y)
-
+        power = Xb ** (p - 1)
+        rows.append((blk.sums(tie_x * power), zero, blk.sums(band_x * power), zero))
+        Xpb, Ypb = np.maximum(Xb, 0.0), np.maximum(Yb, 0.0)
         # (5) local time of the maximum
-        r = rows["max"]
-        r["lhs"].append(np.sum(dLM))
-        collision = np.maximum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
-        r["rhs"].append(
-            np.sum((Ya < 0.0) * dLX) + np.sum((Xa < 0.0) * dLY) + np.sum(tie_both * collision)
-        )
-        r["d1"].append(np.sum(band_both * collision))
-        r["d2"].append(0.0)
-        r["d3"].append(max(osc_x, osc_y))
-
+        collision = np.maximum(Xpb, Ypb) ** (p - 1)
+        rhs = blk.sums((Ya < 0.0) * dLX) + blk.sums((Xa < 0.0) * dLY) + blk.sums(tie_both * collision)
+        rows.append((blk.sums(dLM), rhs, blk.sums(band_both * collision), zero))
         # (6) local time of the minimum
-        r = rows["min"]
-        r["lhs"].append(np.sum(dLm))
-        collision_min = np.minimum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
-        r["rhs"].append(
-            np.sum((Ya > 0.0) * dLX) + np.sum((Xa > 0.0) * dLY) + np.sum(tie_both * collision_min)
-        )
-        r["d1"].append(np.sum(band_both * collision_min))
-        r["d2"].append(0.0)
-        r["d3"].append(max(osc_x, osc_y))
-
+        collision = np.minimum(Xpb, Ypb) ** (p - 1)
+        rhs = blk.sums((Ya > 0.0) * dLX) + blk.sums((Xa > 0.0) * dLY) + blk.sums(tie_both * collision)
+        rows.append((blk.sums(dLm), rhs, blk.sums(band_both * collision), zero))
         # (7) min + max local times add up
-        r = rows["minmax"]
-        r["lhs"].append(minmax_lhs)
-        r["rhs"].append(minmax_rhs)
-        r["d1"].append(0.0)
-        r["d2"].append(0.0)
-        r["d3"].append(max(osc_x, osc_y))
+        rows.append((minmax_lhs, minmax_rhs, zero, zero))
+        return np.array(rows).T
 
-    def details(r, names):
-        return {name: np.asarray(r[key]) for name, key in names.items()}
-
-    band_names = {"band_tie_sum": "d1", "lt_at_band_level": "d2", "band_width": "d3"}
-    out = [
-        _exact_report("nonneg local time vs exact-tie sum (|X|)", labels,
-                      rows["nonneg"]["lhs"], rows["nonneg"]["rhs"],
-                      details(rows["nonneg"], band_names)),
-        _limit_report("local time of X vs X^+ at 0", labels,
-                      rows["pos_part"]["lhs"], rows["pos_part"]["rhs"],
-                      details(rows["pos_part"], {"tie_sum": "d1", "band_tie_sum": "d2", "band_width": "d3"})),
-        _limit_report("local time of X vs X^- at 0", labels,
-                      rows["neg_part"]["lhs"], rows["neg_part"]["rhs"],
-                      details(rows["neg_part"], {"tie_sum": "d1", "band_tie_sum": "d2", "band_width": "d3"})),
-        _limit_report("signed power sum over the zero set", labels,
-                      rows["zero_set"]["lhs"], rows["zero_set"]["rhs"],
-                      details(rows["zero_set"], {"band_tie_sum": "d1", "band_width": "d3"})),
-        _limit_report("local time of max decomposition", labels,
-                      rows["max"]["lhs"], rows["max"]["rhs"],
-                      details(rows["max"], {"band_collision_term": "d1", "band_width": "d3"})),
-        _limit_report("local time of min decomposition", labels,
-                      rows["min"]["lhs"], rows["min"]["rhs"],
-                      details(rows["min"], {"band_collision_term": "d1", "band_width": "d3"})),
-        _limit_report("min plus max local times", labels,
-                      rows["minmax"]["lhs"], rows["minmax"]["rhs"]),
+    lhs, rhs, d1, d2 = LevelStack.build(hierarchy.levels, [X.n_samples - 1]).evaluate(
+        per_block, X.values, Y.values
+    ).transpose(1, 2, 0)
+    return [
+        _exact_report("nonneg local time vs exact-tie sum (|X|)", labels, lhs[0], rhs[0],
+                      {"band_tie_sum": d1[0], "lt_at_band_level": d2[0], "band_width": osc_a}),
+        _limit_report("local time of X vs X^+ at 0", labels, lhs[1], rhs[1],
+                      {"tie_sum": d1[1], "band_tie_sum": d2[1], "band_width": osc_x}),
+        _limit_report("local time of X vs X^- at 0", labels, lhs[2], rhs[2],
+                      {"tie_sum": d1[2], "band_tie_sum": d2[2], "band_width": osc_x}),
+        _limit_report("signed power sum over the zero set", labels, lhs[3], rhs[3],
+                      {"band_tie_sum": d1[3], "band_width": osc_x}),
+        _limit_report("local time of max decomposition", labels, lhs[4], rhs[4],
+                      {"band_collision_term": d1[4], "band_width": osc_xy}),
+        _limit_report("local time of min decomposition", labels, lhs[5], rhs[5],
+                      {"band_collision_term": d1[5], "band_width": osc_xy}),
+        _limit_report("min plus max local times", labels, lhs[6], rhs[6]),
     ]
-    return out
 
 
 # -- monotone-map scaling ------------------------------------------------
@@ -392,15 +333,16 @@ def scaling_check(
     d1 = np.asarray(f.derivative(xs, 1), dtype=float)
     if not ((np.all(d1 >= 0) and np.any(d1 > 0)) or (np.all(d1 <= 0) and np.any(d1 < 0))):
         raise ParameterError("f must be strictly monotone on the path's range")
-    mapped = SampledPath(
-        T=path.T, n_max=path.n_max, values=np.asarray(f.value(vals), dtype=float),
-        metadata={"kind": "mapped"},
-    )
+    mapped = np.asarray(f.value(vals), dtype=float)
     fa = float(f.value(a))
     factor = abs(float(f.derivative(a, 1))) ** (p - 1)
     stack = LevelStack.build(hierarchy.levels, [path.n_samples - 1])
-    lhs = stack.sums(bracket_contributions(*stack.gather(mapped.values), p, fa))
-    rhs = factor * stack.sums(bracket_contributions(*stack.gather(path.values), p, a))
+
+    def local_times(blk, ga, gb, sa, sb):
+        return _local_time_sums(blk, ga, gb, p, fa), _local_time_sums(blk, sa, sb, p, a)
+
+    lhs, rhs = stack.evaluate(local_times, mapped, path.values)
+    rhs = factor * rhs
     name = f"local time scaling under {getattr(f, 'name', 'map')} at a={a}"
     if _is_affine(f):
         return _exact_report(name, hierarchy.level_labels, lhs, rhs)

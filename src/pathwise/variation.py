@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import Table, even_order, left_endpoint_counts, snap_checkpoints
+from ._util import LevelStack, Table, even_order, snap_checkpoints
 from .errors import ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -38,12 +38,15 @@ class VariationCurve:
     level_labels: tuple
     per_level: np.ndarray  # shape (n_levels, n_checkpoints)
 
-    def final_values(self) -> np.ndarray:
-        return self.per_level[:, -1]
-
     def csv_table(self) -> Table:
         """Rows ``level,t,value``."""
         return Table((self.level_labels, self.checkpoint_times), (self.per_level,))
+
+
+def _power_sums(path: SampledPath, levels: Sequence[np.ndarray], p: float, checkpoint_indices) -> np.ndarray:
+    """Cumulative ``sum |increment|**p`` per (level, checkpoint)."""
+    stack = LevelStack.build(levels, checkpoint_indices)
+    return stack.evaluate(lambda blk, a, b: blk.checkpoint_cumsums(np.abs(b - a) ** p), path.values)
 
 
 def increment_power_sums(
@@ -55,11 +58,7 @@ def increment_power_sums(
     integers but e.g. the p = 1 telescoping identity on monotone paths is
     occasionally useful as a cross-check.
     """
-    idx = np.asarray(level, dtype=np.int64)
-    inc = np.abs(np.diff(path.values[idx])) ** p
-    cums = np.concatenate([[0.0], np.cumsum(inc)])
-    counts = left_endpoint_counts(idx, checkpoint_indices)
-    return cums[counts]
+    return _power_sums(path, (level,), p, checkpoint_indices)[0]
 
 
 def pth_variation(
@@ -74,13 +73,12 @@ def pth_variation(
     """
     p = even_order(p)
     times, idx = snap_checkpoints(path, checkpoints)
-    rows = [increment_power_sums(path, lev, p, idx) for lev in hierarchy.levels]
     return VariationCurve(
         p=p,
         checkpoint_times=times,
         checkpoint_indices=idx,
         level_labels=hierarchy.level_labels,
-        per_level=np.asarray(rows),
+        per_level=_power_sums(path, hierarchy.levels, p, idx),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pathwise import (
     ParameterError,
     PartitionHierarchy,
     PathSpec,
+    SampledPath,
     SpaceGrid,
     discrete_local_time_point,
     dyadic_hierarchy,
@@ -33,7 +35,8 @@ from pathwise._util import (
 )
 from pathwise import integrate
 from pathwise.integrate import SmoothCallable
-from pathwise.tanaka import finite_n_report, tanaka_meyer_report
+from pathwise.partitions import oscillation
+from pathwise.tanaka import _tm_proxy_increments, finite_n_report, tanaka_meyer_report
 from tests.conftest import csv_rows, make_walk
 
 FULL = np.arange(9)
@@ -316,6 +319,143 @@ def test_stacked_identities_are_bit_identical_to_per_level_loops(path, anchor, p
     rep = scaling_check(path, affine, a, hier, p)
     lhs, rhs = _per_level_scaling(path, mapped, hier, p, affine.value(a), 2.0 ** (p - 1), a)
     assert _same_bytes(rep.lhs, lhs) and _same_bytes(rep.rhs, rhs)
+
+
+def _per_level_identity_suite(X, Y, hierarchy, p):
+    """The loop :func:`identity_suite` ran before its sums moved onto the
+    interval kernel: (lhs, rhs, details) of each of its reports."""
+    t_idx = X.n_samples - 1
+    absX = np.abs(X.values)
+    Xp = np.maximum(X.values, 0.0)
+    Xm = np.maximum(-X.values, 0.0)
+    abs_path = SampledPath(X.T, X.n_max, absX, metadata={"kind": "abs"})
+    names = ("nonneg", "pos_part", "neg_part", "zero_set", "max", "min", "minmax")
+    rows = {name: {k: [] for k in ("lhs", "rhs", "d1", "d2", "d3")} for name in names}
+
+    for lev in hierarchy.levels:
+        la, lb = lev[:-1], lev[1:]
+        cnt = int(np.searchsorted(la, t_idx, side="right"))
+        la, lb = la[:cnt], lb[:cnt]
+        Xa, Xb = X.values[la], X.values[lb]
+        Ya, Yb = Y.values[la], Y.values[lb]
+        Aa, Ab = absX[la], absX[lb]
+        Xpa, Xpb = Xp[la], Xp[lb]
+        Xma, Xmb = Xm[la], Xm[lb]
+        osc_x = oscillation(X, lev)
+        osc_y = oscillation(Y, lev)
+        osc_a = oscillation(abs_path, lev)
+        dLA = _tm_proxy_increments(Aa, Ab, p)
+        dLX = _tm_proxy_increments(Xa, Xb, p)
+        dLY = _tm_proxy_increments(Ya, Yb, p)
+        dLM = _tm_proxy_increments(np.maximum(Xa, Ya), np.maximum(Xb, Yb), p)
+        dLm = _tm_proxy_increments(np.minimum(Xa, Ya), np.minimum(Xb, Yb), p)
+
+        r = rows["nonneg"]
+        r["lhs"].append(np.sum(dLA))
+        r["rhs"].append(np.sum((Aa == 0.0) * Ab ** (p - 1)))
+        r["d1"].append(np.sum((Aa <= osc_a) * Ab ** (p - 1)))
+        r["d2"].append(np.sum(bracket_contributions(Aa, Ab, p, osc_a)))
+        r["d3"].append(osc_a)
+
+        r = rows["pos_part"]
+        r["lhs"].append(np.sum(dLX))
+        r["rhs"].append(np.sum(_tm_proxy_increments(Xpa, Xpb, p)))
+        r["d1"].append(np.sum((Xa == 0.0) * Xpb ** (p - 1)))
+        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xpb ** (p - 1)))
+        r["d3"].append(osc_x)
+
+        r = rows["neg_part"]
+        r["lhs"].append(np.sum(dLX))
+        r["rhs"].append(np.sum(_tm_proxy_increments(Xma, Xmb, p)))
+        r["d1"].append(np.sum((Xa == 0.0) * Xmb ** (p - 1)))
+        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xmb ** (p - 1)))
+        r["d3"].append(osc_x)
+
+        r = rows["zero_set"]
+        r["lhs"].append(np.sum((Xa == 0.0) * Xb ** (p - 1)))
+        r["rhs"].append(0.0)
+        r["d1"].append(np.sum((np.abs(Xa) <= osc_x) * Xb ** (p - 1)))
+        r["d2"].append(0.0)
+        r["d3"].append(osc_x)
+
+        tie_both = (Xa == 0.0) & (Ya == 0.0)
+        band_both = (np.abs(Xa) <= osc_x) & (np.abs(Ya) <= osc_y)
+
+        r = rows["max"]
+        r["lhs"].append(np.sum(dLM))
+        collision = np.maximum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
+        r["rhs"].append(
+            np.sum((Ya < 0.0) * dLX) + np.sum((Xa < 0.0) * dLY) + np.sum(tie_both * collision)
+        )
+        r["d1"].append(np.sum(band_both * collision))
+        r["d2"].append(0.0)
+        r["d3"].append(max(osc_x, osc_y))
+
+        r = rows["min"]
+        r["lhs"].append(np.sum(dLm))
+        collision_min = np.minimum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
+        r["rhs"].append(
+            np.sum((Ya > 0.0) * dLX) + np.sum((Xa > 0.0) * dLY) + np.sum(tie_both * collision_min)
+        )
+        r["d1"].append(np.sum(band_both * collision_min))
+        r["d2"].append(0.0)
+        r["d3"].append(max(osc_x, osc_y))
+
+        r = rows["minmax"]
+        r["lhs"].append(np.sum(dLM) + np.sum(dLm))
+        r["rhs"].append(np.sum(dLX) + np.sum(dLY))
+
+    band = {"band_tie_sum": "d1", "lt_at_band_level": "d2", "band_width": "d3"}
+    part = {"tie_sum": "d1", "band_tie_sum": "d2", "band_width": "d3"}
+    collision_names = {"band_collision_term": "d1", "band_width": "d3"}
+    details = (band, part, part, {"band_tie_sum": "d1", "band_width": "d3"}, collision_names, collision_names, {})
+    return [
+        (rows[name]["lhs"], rows[name]["rhs"], {k: rows[name][key] for k, key in d.items()})
+        for name, d in zip(names, details)
+    ]
+
+
+# integer walks: exact zeros of a path and exact ties between two
+integer_walks = st.lists(st.integers(-3, 3), min_size=33, max_size=33).map(
+    lambda v: make_walk(0.5 * np.asarray(v, dtype=float))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_walks, integer_walks, st.booleans(), st.sampled_from([2, 4]), st.booleans())
+def test_identity_suite_is_bit_identical_to_its_per_level_loop(X, Y, same, p, lebesgue):
+    if same:
+        Y = X
+    if lebesgue and np.ptp(X.values) > 0.0:
+        hier = lebesgue_hierarchy(X, 4)
+    else:
+        hier = dyadic_hierarchy(X, 5)
+    reports = identity_suite(X, Y, hier, p)
+    want = _per_level_identity_suite(X, Y, hier, p)
+    assert len(reports) == len(want)
+    for rep, (lhs, rhs, details) in zip(reports, want):
+        assert _same_bytes(rep.lhs, lhs) and _same_bytes(rep.rhs, rhs), rep.identity
+        assert _same_bytes(rep.residuals, np.abs(np.asarray(lhs) - np.asarray(rhs))), rep.identity
+        assert rep.details.keys() == details.keys(), rep.identity
+        for name, values in details.items():
+            assert _same_bytes(rep.details[name], values), (rep.identity, name)
+
+
+def test_finite_n_report_memory_follows_the_largest_level():
+    # the whole 16-level hierarchy holds 2N intervals; the report's working
+    # set is that of its largest level, N intervals (the single stack of
+    # every level read 11 MiB traced here)
+    path = generate(PathSpec(kind="bm", n_max=16, seed=7))
+    hier = dyadic_hierarchy(path, 16)
+    f = tanaka_class("abs_pow", 2, a=0.0)
+    finite_n_report(path, hier, 2, f, 1.0)
+    tracemalloc.start()
+    try:
+        assert finite_n_report(path, hier, 2, f, 1.0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20, peak
 
 
 # -- Ito residuals ----------------------------------------------------------

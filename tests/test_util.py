@@ -14,21 +14,29 @@ from pathwise import (
     PathSpec,
     SpaceGrid,
     build_rank_system,
+    collision_local_time,
     discrete_local_time,
+    discrete_local_time_curves,
     dyadic_hierarchy,
     generate,
     identity_suite,
+    increment_power_sums,
+    ito_residual,
+    lebesgue_hierarchy,
     modified_follmer_integral,
     occupation_density_local_time,
     pth_variation,
     rank_decomposition,
+    rank_sum_identity,
+    scaling_check,
+    simplified_cross_term,
     tanaka_class,
     write_path_csv,
 )
 from pathwise import _util
 from pathwise._util import Table, _csv_value, write_csv
 from pathwise.acceptance import CriterionResult
-from pathwise.tanaka import finite_n_report
+from pathwise.tanaka import finite_n_report, tanaka_meyer_report
 
 
 def _csv_value_before(v) -> str:
@@ -366,3 +374,58 @@ def test_path_csv_has_the_old_bytes(bm_path, tmp_path):
     assert buf.getvalue() == want.getvalue()
     write_path_csv(bm_path, str(tmp_path / "p.csv"))
     assert (tmp_path / "p.csv").read_text() == want.getvalue()
+
+
+# -- the interval kernel's blocks -----------------------------------------------
+
+
+def _kernel_outputs(trio, hier):
+    """Every array the callers of LevelStack.evaluate return for three paths
+    on one hierarchy."""
+    path, other = trio[0], trio[1]
+    cps = [0.3, 0.6, 1.0]
+    out = []
+    for p, f in ((2, tanaka_class("abs_pow", 2, a=0.05)),
+                 (4, tanaka_class("pos_part_pow", 4, a=-0.1)),
+                 (2, tanaka_class("poly", 2, coeffs=[0.0, 0.5, -1.0, 0.3]))):  # a density, no atom
+        rep = finite_n_report(path, hier, p, f, 0.7)
+        out += [rep.lhs, rep.rhs]
+    rep = tanaka_meyer_report(path, hier, 4, 0.1, 0.7)
+    out += [rep.lhs, rep.rhs]
+    out.append(ito_residual(path, hier, 4, tanaka_class("poly", 4, coeffs=[0.1, 0.0, 1.0, 0.5, -0.2, 0.1]), 0.7).rhs)
+    for rep in identity_suite(path, other, hier, 4):
+        out += [rep.lhs, rep.rhs, *rep.details.values()]
+    rep = scaling_check(path, tanaka_class("poly", 2, coeffs=[0.3, -2.0]), 0.05, hier, 2)
+    out += [rep.lhs, rep.rhs]
+    out.append(pth_variation(path, hier, 4, cps).per_level)
+    out.append(increment_power_sums(path, hier.finest, 1.5, np.array([100, 256])))
+    out.append(modified_follmer_integral(path, hier, 2, tanaka_class("abs_pow", 2), 0.7,
+                                         m_schedule=(2, 4), cells=32).sums)
+    out.append(discrete_local_time_curves(path, hier, 2, 0.05, cps))
+    system = build_rank_system(trio)
+    col = collision_local_time(system, 1, 3, hier, 2, cps)
+    out += [col.local_time_at_zero, col.exact_tie_charge]
+    rep = rank_sum_identity(system, hier, 2, x=0.05)
+    out += [rep.lhs, rep.rhs]
+    f = tanaka_class("x_pow_pm1", 4)
+    for k in (1, 2, 3):
+        dec = rank_decomposition(system, k, hier, 4, f, cps)
+        out += [dec.A, dec.B, dec.C, dec.D, dec.D_plus, dec.D_minus]
+    out.append(simplified_cross_term(system, 2, hier, 4, f, cps).simplified)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "lebesgue"])
+def test_block_size_changes_no_byte_of_any_kernel_caller(trio, kind, monkeypatch):
+    hier = dyadic_hierarchy(trio[0], 8) if kind == "dyadic" else lebesgue_hierarchy(trio[0], 6)
+    assert sum(lev.size - 1 for lev in hier.levels) <= _util._BLOCK_INTERVALS  # one block
+    want = _kernel_outputs(trio, hier)
+    for size in (1, 7):
+        monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
+        stack = _util.LevelStack.build(hier.levels, [trio[0].n_samples - 1])
+        assert len(stack.blocks) > 1
+        got = _kernel_outputs(trio, hier)
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (size, i)
