@@ -17,7 +17,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .variation import increment_power_sums
 
 __all__ = [
     "DEFAULT_CONFIG",
+    "Criterion",
     "CriterionResult",
     "CRITERIA",
     "run_criterion",
@@ -108,10 +109,18 @@ class CriterionResult:
         return Table(columns=[[row[k] for row in self.rows] for k in self.fieldnames])
 
 
-def _cfg(config: Optional[dict]) -> dict:
-    if config is None:
-        return DEFAULT_CONFIG
-    return config
+@dataclass(frozen=True)
+class Criterion:
+    """One row of the criterion table.  ``check(cfg, *args)`` returns
+    ``(passed, rows, info)``; ``_run`` times it and builds the result.  A
+    runtime target, where given, is recorded in the result's ``info``."""
+
+    key: str
+    slug: str
+    check: Callable
+    title: str
+    fieldnames: tuple
+    runtime_target_seconds: Optional[float] = None
 
 
 def validate_config(config: dict) -> dict:
@@ -156,11 +165,13 @@ def _identity_paths(p: int, cfg: dict):
     return out
 
 
-def _anchor(path: SampledPath, frac: float, fallback_offset: float = -0.25) -> float:
+def _anchors(path: SampledPath, fracs, fallback_offsets) -> List[float]:
+    """Levels at the given fractions of the path's range; a constant path,
+    which has no range, gets its value plus the fallback offsets instead."""
     m, M = float(path.values.min()), float(path.values.max())
     if M <= m:
-        return m + fallback_offset
-    return m + frac * (M - m)
+        return [m + off for off in fallback_offsets]
+    return [m + fr * (M - m) for fr in fracs]
 
 
 _POLY_COEFFS = {2: [0.3, 1.7], 4: [0.3, -1.2, 0.7, 1.1]}
@@ -175,77 +186,52 @@ def _test_functions(p: int, a: float):
     ]
 
 
-def criterion_01(config: Optional[dict] = None) -> CriterionResult:
+def _level_gaps(rep) -> List[float]:
+    """The relative gap between a report's two sides at each level."""
+    return [relative_gap(lhs, rhs) for lhs, rhs in zip(rep.lhs.tolist(), rep.rhs.tolist())]
+
+
+def criterion_01(cfg: dict):
     """Exact finite-level change-of-variable identity across the whole
     (order, path, test function, level) matrix at 1e-9 relative."""
-    cfg = _cfg(config)
     ex = cfg["exact"]
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for p in (2, 4):
         for path_name, path in _identity_paths(p, cfg):
             hier = dyadic_hierarchy(path, ex["levels"])
-            a = _anchor(path, ex["a_frac"])
+            (a,) = _anchors(path, [ex["a_frac"]], [-0.25])
             for f_name, f in _test_functions(p, a):
                 rep = finite_n_report(path, hier, p, f, cfg["T"])
-                for lab, lhs, rhs in zip(hier.level_labels, rep.lhs.tolist(), rep.rhs.tolist()):
-                    resid = relative_gap(lhs, rhs)
+                for lab, resid in zip(hier.level_labels, _level_gaps(rep)):
                     good = resid <= EXACT_THRESHOLD
                     ok = ok and good
                     rows.append({
                         "p": p, "path": path_name, "f": f_name, "level": lab,
                         "relative_residual": resid, "ok": good,
                     })
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        key="C1",
-        title="exact finite-level change-of-variable identity (<= 1e-9 relative)",
-        passed=ok,
-        gated=True,
-        fieldnames=("p", "path", "f", "level", "relative_residual", "ok"),
-        rows=rows,
-        info={"runtime_target_seconds": 60.0, "runtime_ok": dt < 60.0},
-        seconds=dt,
-    )
+    return ok, rows, {}
 
 
-def criterion_02(config: Optional[dict] = None) -> CriterionResult:
+def criterion_02(cfg: dict):
     """Tanaka-Meyer plus-variant reproduces the discrete local time at five
     spatial anchors per path, exactly at every level."""
-    cfg = _cfg(config)
     ex = cfg["exact"]
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for p in (2, 4):
         for path_name, path in _identity_paths(p, cfg):
             hier = dyadic_hierarchy(path, ex["levels"])
-            m, M = float(path.values.min()), float(path.values.max())
-            if M <= m:
-                anchors = [m + off for off in (-0.5, -0.25, 0.1, 0.25, 0.5)]
-            else:
-                anchors = [m + fr * (M - m) for fr in ex["a_fracs"]]
-            for a in anchors:
+            for a in _anchors(path, ex["a_fracs"], (-0.5, -0.25, 0.1, 0.25, 0.5)):
                 rep = tanaka_meyer_report(path, hier, p, a, cfg["T"])
-                worst = 0.0
-                for lhs, rhs in zip(rep.lhs.tolist(), rep.rhs.tolist()):
-                    worst = max(worst, relative_gap(lhs, rhs))
+                worst = max([0.0, *_level_gaps(rep)])
                 good = worst <= EXACT_THRESHOLD
                 ok = ok and good
                 rows.append({
                     "p": p, "path": path_name, "a": a,
                     "worst_relative_residual": worst, "ok": good,
                 })
-    return CriterionResult(
-        key="C2",
-        title="Tanaka-Meyer plus-variant equals the discrete local time (<= 1e-9 relative)",
-        passed=ok,
-        gated=True,
-        fieldnames=("p", "path", "a", "worst_relative_residual", "ok"),
-        rows=rows,
-        seconds=time.perf_counter() - t0,
-    )
+    return ok, rows, {}
 
 
 def _c3_task(args):
@@ -256,12 +242,10 @@ def _c3_task(args):
     return float(val)
 
 
-def criterion_03(config: Optional[dict] = None) -> CriterionResult:
+def criterion_03(cfg: dict):
     """Finest-level p-th variation of fBM at T = 1 matches t * E|Z|^p:
     median over the replicate seeds within 5% (p=2) / 10% (p=4)."""
-    cfg = _cfg(config)
     mc = cfg["mc"]
-    t0 = time.perf_counter()
     rows = []
     ok = True
     checks = ((2, 0.5, 0.05), (4, 0.25, 0.10))
@@ -275,17 +259,7 @@ def criterion_03(config: Optional[dict] = None) -> CriterionResult:
         for s, v in zip(seeds, vals):
             rows.append({"p": p, "hurst": hurst, "seed": s, "value": v,
                          "target": target, "median": med, "ok": good})
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        key="C3",
-        title="fBM p-th variation limit (median within 5% / 10% of (p-1)!! * T)",
-        passed=ok,
-        gated=True,
-        fieldnames=("p", "hurst", "seed", "value", "target", "median", "ok"),
-        rows=rows,
-        info={"runtime_target_seconds": 300.0, "runtime_ok": dt < 300.0},
-        seconds=dt,
-    )
+    return ok, rows, {}
 
 
 # C4's gate on the median log-log slope: half the Lipschitz bound's first
@@ -313,15 +287,13 @@ def _c4_task(args):
     return float(slope), grids
 
 
-def criterion_04(config: Optional[dict] = None) -> CriterionResult:
+def criterion_04(cfg: dict):
     """Occupation-density identity: exact for a union-of-cells indicator;
     for g(x) = x**2 every (seed, grid) error stays within the proven
     Lipschitz bound, and the median over seeds of the least-squares slope
     of log(error) against log(cell width) is at least C4_MIN_SLOPE (the
     bound is first order: slope 1)."""
-    cfg = _cfg(config)
     occ = cfg["occupation"]
-    t0 = time.perf_counter()
     rows = []
     path = _fbm(0.5, occ["indicator_seed"], occ["n_max"], cfg["T"])
     grid = SpaceGrid.cover([path], occ["indicator_cells"])
@@ -344,30 +316,15 @@ def criterion_04(config: Optional[dict] = None) -> CriterionResult:
             ok = ok and within
             rows.append({"check": "smooth_x_squared", **r, "slope": slope,
                          "median_slope": med, "ok": within and converges})
-    return CriterionResult(
-        key="C4",
-        title=(
-            "occupation-density identity (indicator exact; smooth error within its "
-            f"Lipschitz bound, median log-log slope >= {C4_MIN_SLOPE})"
-        ),
-        passed=ok,
-        gated=True,
-        fieldnames=("check", "seed", "cells", "lhs", "rhs", "abs_err", "bound",
-                    "slope", "median_slope", "ok"),
-        rows=rows,
-        info={"median_slope": med},
-        seconds=time.perf_counter() - t0,
-    )
+    return ok, rows, {"median_slope": med}
 
 
-def criterion_05(config: Optional[dict] = None) -> CriterionResult:
+def criterion_05(cfg: dict):
     """Rank decomposition A = B + C + D at 1e-9 relative for every (order,
     group size, rank, test function, level, checkpoint); C is identically
     zero for p = 2."""
-    cfg = _cfg(config)
     ex = cfg["exact"]
     rk = cfg["ranks"]
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for p in (2, 4):
@@ -390,15 +347,7 @@ def criterion_05(config: Optional[dict] = None) -> CriterionResult:
                         "worst_relative_residual": worst,
                         "max_abs_C": czero, "ok": good,
                     })
-    return CriterionResult(
-        key="C5",
-        title="rank decomposition exactness A = B + C + D (and C = 0 for p = 2)",
-        passed=ok,
-        gated=True,
-        fieldnames=("p", "m", "k", "f", "worst_relative_residual", "max_abs_C", "ok"),
-        rows=rows,
-        seconds=time.perf_counter() - t0,
-    )
+    return ok, rows, {}
 
 
 def _finest_level(path: SampledPath, level: int) -> PartitionHierarchy:
@@ -420,37 +369,33 @@ def _c6_task(args):
     return float(report.lhs[-1]), float(report.rhs[-1])
 
 
-def criterion_06(config: Optional[dict] = None) -> CriterionResult:
-    """Summed local times of ranked vs original paths at zero: finest-level
-    gap at most 10% of the original-path total, median over seeds."""
-    cfg = _cfg(config)
-    mc = cfg["mc"]
-    t0 = time.perf_counter()
-    tasks = [
-        (mc["rank_sum_seed_bases"], rep, mc["n_max"], mc["level"], cfg["T"])
-        for rep in range(mc["n_seeds"])
-    ]
-    out = parallel_map(_c6_task, tasks)
+def _gap_ratio_gate(pairs, lhs_name: str, rhs_name: str, scale: Callable):
+    """Rows of a replicated two-sided sum identity, gated on the median over
+    the replicates of |lhs - rhs| / scale(lhs, rhs) at 10%.  A ratio is 0.0
+    where the scale is not positive."""
     rows = []
-    ratios = []
-    for rep, (lhs, rhs) in enumerate(out):
-        ratio = abs(lhs - rhs) / rhs if rhs > 0 else 0.0
-        ratios.append(ratio)
-        rows.append({"replicate": rep, "ranked_sum": lhs, "original_sum": rhs, "gap_ratio": ratio})
-    med = median(ratios)
+    for rep, (lhs, rhs) in enumerate(pairs):
+        size = scale(lhs, rhs)
+        ratio = abs(lhs - rhs) / size if size > 0 else 0.0
+        rows.append({"replicate": rep, lhs_name: lhs, rhs_name: rhs, "gap_ratio": ratio})
+    med = median(r["gap_ratio"] for r in rows)
     ok = med <= 0.10
     for r in rows:
         r["median_gap_ratio"] = med
         r["ok"] = ok
-    return CriterionResult(
-        key="C6",
-        title="rank local-time sum identity (median finest-level gap <= 10%)",
-        passed=ok,
-        gated=True,
-        fieldnames=("replicate", "ranked_sum", "original_sum", "gap_ratio", "median_gap_ratio", "ok"),
-        rows=rows,
-        seconds=time.perf_counter() - t0,
-    )
+    return ok, rows, {}
+
+
+def criterion_06(cfg: dict):
+    """Summed local times of ranked vs original paths at zero: finest-level
+    gap at most 10% of the original-path total, median over seeds."""
+    mc = cfg["mc"]
+    tasks = [
+        (mc["rank_sum_seed_bases"], rep, mc["n_max"], mc["level"], cfg["T"])
+        for rep in range(mc["n_seeds"])
+    ]
+    pairs = parallel_map(_c6_task, tasks)
+    return _gap_ratio_gate(pairs, "ranked_sum", "original_sum", lambda lhs, rhs: rhs)
 
 
 def _c7_task(args):
@@ -463,14 +408,12 @@ def _c7_task(args):
     return lhs / rhs if rhs > 0 else float("nan")
 
 
-def criterion_07(config: Optional[dict] = None) -> CriterionResult:
+def criterion_07(cfg: dict):
     """Monotone-map scaling of local times: exact per level for affine
     maps; for exp the finest-level side ratio is within 15% of 1 in the
     median."""
-    cfg = _cfg(config)
     mc = cfg["mc"]
     sc = cfg["scaling"]
-    t0 = time.perf_counter()
     rows = []
     ok = True
     path = _fbm(0.5, sc["affine_seed"], cfg["exact"]["n_max"], cfg["T"])
@@ -478,9 +421,7 @@ def criterion_07(config: Optional[dict] = None) -> CriterionResult:
     for name, coeffs in (("2x", [0.0, 2.0]), ("x_plus_5", [5.0, 1.0])):
         f = tanaka_class("poly", 2, coeffs=coeffs)
         rep = scaling_check(path, f, sc["a"], hier, 2)
-        worst = max(
-            relative_gap(l, r) for l, r in zip(rep.lhs, rep.rhs)
-        )
+        worst = max(_level_gaps(rep))
         good = bool(rep.passed)
         ok = ok and good
         rows.append({"check": f"affine_{name}", "seed": sc["affine_seed"],
@@ -492,15 +433,7 @@ def criterion_07(config: Optional[dict] = None) -> CriterionResult:
     ok = ok and good
     for s, r in zip(seeds, ratios):
         rows.append({"check": "exp_ratio", "seed": s, "value": r, "median": med, "ok": good})
-    return CriterionResult(
-        key="C7",
-        title="local-time scaling law (affine exact; exp ratio within 15% of 1)",
-        passed=ok,
-        gated=True,
-        fieldnames=("check", "seed", "value", "median", "ok"),
-        rows=rows,
-        seconds=time.perf_counter() - t0,
-    )
+    return ok, rows, {}
 
 
 def _c8_task(args):
@@ -512,35 +445,13 @@ def _c8_task(args):
     return float(lhs), float(rhs)
 
 
-def criterion_08(config: Optional[dict] = None) -> CriterionResult:
+def criterion_08(cfg: dict):
     """Min + max local-time identity for two independent fBM paths:
     finest-level gap at most 10% of the larger side, median over seeds."""
-    cfg = _cfg(config)
     mc = cfg["mc"]
     bx, by = mc["minmax_seed_bases"]
-    t0 = time.perf_counter()
     tasks = [(bx + s, by + s, mc["n_max"], mc["level"], cfg["T"]) for s in range(mc["n_seeds"])]
-    out = parallel_map(_c8_task, tasks)
-    rows, ratios = [], []
-    for rep, (lhs, rhs) in enumerate(out):
-        big = max(lhs, rhs)
-        ratio = abs(lhs - rhs) / big if big > 0 else 0.0
-        ratios.append(ratio)
-        rows.append({"replicate": rep, "minmax_sum": lhs, "direct_sum": rhs, "gap_ratio": ratio})
-    med = median(ratios)
-    ok = med <= 0.10
-    for r in rows:
-        r["median_gap_ratio"] = med
-        r["ok"] = ok
-    return CriterionResult(
-        key="C8",
-        title="min + max local-time identity (median finest-level gap <= 10%)",
-        passed=ok,
-        gated=True,
-        fieldnames=("replicate", "minmax_sum", "direct_sum", "gap_ratio", "median_gap_ratio", "ok"),
-        rows=rows,
-        seconds=time.perf_counter() - t0,
-    )
+    return _gap_ratio_gate(parallel_map(_c8_task, tasks), "minmax_sum", "direct_sum", max)
 
 
 def _c9_task(args):
@@ -550,13 +461,11 @@ def _c9_task(args):
     return float(berman_ratio_check(path, p, grid).average_ratio)
 
 
-def criterion_09(config: Optional[dict] = None) -> CriterionResult:
+def criterion_09(cfg: dict):
     """Order-p variation density over occupation-time density equals
     (p-1)!!/p for fBM with H = 1/p: gated for p = 2 at 15%, informational
     repeat for p = 4."""
-    cfg = _cfg(config)
     mc = cfg["mc"]
-    t0 = time.perf_counter()
     rows = []
     info = {}
     ok = True
@@ -579,48 +488,12 @@ def criterion_09(config: Optional[dict] = None) -> CriterionResult:
         for s, v in zip(seeds, vals):
             rows.append({"p": p, "seed": s, "average_ratio": v, "target": target,
                          "median": med, "gated": gated, "ok": within})
-    return CriterionResult(
-        key="C9",
-        title="occupation-density/occupation-time ratio c_p/p (p=2 gated at 15%, p=4 informational)",
-        passed=ok,
-        gated=True,
-        fieldnames=("p", "seed", "average_ratio", "target", "median", "gated", "ok"),
-        rows=rows,
-        info=info,
-        seconds=time.perf_counter() - t0,
-    )
+    return ok, rows, info
 
 
-_PRE_DETERMINISM = [
-    ("C1", "change_of_variable", criterion_01),
-    ("C2", "tanaka_meyer", criterion_02),
-    ("C3", "pth_variation_limit", criterion_03),
-    ("C4", "occupation_density", criterion_04),
-    ("C5", "rank_decomposition", criterion_05),
-    ("C6", "rank_sum_identity", criterion_06),
-    ("C7", "scaling_law", criterion_07),
-    ("C8", "min_plus_max", criterion_08),
-    ("C9", "berman_ratio", criterion_09),
-]
-
-
-def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult]:
-    """Run criteria 1-9 and write one CSV per criterion into out_dir."""
-    cfg = _cfg(config)
-    os.makedirs(out_dir, exist_ok=True)
-    results = []
-    for key, slug, fn in _PRE_DETERMINISM:
-        res = fn(cfg)
-        write_csv(os.path.join(out_dir, f"{key.lower()}_{slug}.csv"), res.fieldnames, res.csv_table())
-        results.append(res)
-    return results
-
-
-def criterion_10(config: Optional[dict] = None, primary_dir: Optional[str] = None) -> CriterionResult:
+def criterion_10(cfg: dict, primary_dir: Optional[str] = None):
     """Determinism: the full acceptance run executed twice with the same
     configuration produces byte-identical CSV artifacts."""
-    cfg = _cfg(config)
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="pathwise-acceptance-") as tmp:
         if primary_dir is None:
             dir_a = os.path.join(tmp, "run_a")
@@ -638,24 +511,85 @@ def criterion_10(config: Optional[dict] = None, primary_dir: Optional[str] = Non
             same = os.path.exists(pb) and filecmp.cmp(pa, pb, shallow=False)
             ok = ok and same
             rows.append({"artifact": name, "byte_identical": same})
+    return ok, rows, {}
+
+
+# The criterion table.  C10 stays last: it reruns every criterion before it
+# and compares their CSV artifacts.
+CRITERIA = (
+    Criterion("C1", "change_of_variable", criterion_01,
+              "exact finite-level change-of-variable identity (<= 1e-9 relative)",
+              ("p", "path", "f", "level", "relative_residual", "ok"), runtime_target_seconds=60.0),
+    Criterion("C2", "tanaka_meyer", criterion_02,
+              "Tanaka-Meyer plus-variant equals the discrete local time (<= 1e-9 relative)",
+              ("p", "path", "a", "worst_relative_residual", "ok")),
+    Criterion("C3", "pth_variation_limit", criterion_03,
+              "fBM p-th variation limit (median within 5% / 10% of (p-1)!! * T)",
+              ("p", "hurst", "seed", "value", "target", "median", "ok"), runtime_target_seconds=300.0),
+    Criterion("C4", "occupation_density", criterion_04,
+              "occupation-density identity (indicator exact; smooth error within its "
+              f"Lipschitz bound, median log-log slope >= {C4_MIN_SLOPE})",
+              ("check", "seed", "cells", "lhs", "rhs", "abs_err", "bound", "slope", "median_slope", "ok")),
+    Criterion("C5", "rank_decomposition", criterion_05,
+              "rank decomposition exactness A = B + C + D (and C = 0 for p = 2)",
+              ("p", "m", "k", "f", "worst_relative_residual", "max_abs_C", "ok")),
+    Criterion("C6", "rank_sum_identity", criterion_06,
+              "rank local-time sum identity (median finest-level gap <= 10%)",
+              ("replicate", "ranked_sum", "original_sum", "gap_ratio", "median_gap_ratio", "ok")),
+    Criterion("C7", "scaling_law", criterion_07,
+              "local-time scaling law (affine exact; exp ratio within 15% of 1)",
+              ("check", "seed", "value", "median", "ok")),
+    Criterion("C8", "min_plus_max", criterion_08,
+              "min + max local-time identity (median finest-level gap <= 10%)",
+              ("replicate", "minmax_sum", "direct_sum", "gap_ratio", "median_gap_ratio", "ok")),
+    Criterion("C9", "berman_ratio", criterion_09,
+              "occupation-density/occupation-time ratio c_p/p (p=2 gated at 15%, p=4 informational)",
+              ("p", "seed", "average_ratio", "target", "median", "gated", "ok")),
+    Criterion("C10", "determinism", criterion_10,
+              "determinism: repeated acceptance runs emit byte-identical CSVs",
+              ("artifact", "byte_identical")),
+)
+
+
+def _run(criterion: Criterion, cfg: dict, *args) -> CriterionResult:
+    """Time one criterion's check on the resolved config and build its
+    result; every criterion gates a release."""
+    t0 = time.perf_counter()
+    passed, rows, info = criterion.check(cfg, *args)
+    seconds = time.perf_counter() - t0
+    target = criterion.runtime_target_seconds
+    if target is not None:
+        info = {**info, "runtime_target_seconds": target, "runtime_ok": seconds < target}
     return CriterionResult(
-        key="C10",
-        title="determinism: repeated acceptance runs emit byte-identical CSVs",
-        passed=ok,
+        key=criterion.key,
+        title=criterion.title,
+        passed=passed,
         gated=True,
-        fieldnames=("artifact", "byte_identical"),
+        fieldnames=criterion.fieldnames,
         rows=rows,
-        seconds=time.perf_counter() - t0,
+        info=info,
+        seconds=seconds,
     )
 
 
-CRITERIA = _PRE_DETERMINISM + [("C10", "determinism", criterion_10)]
+def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult]:
+    """Run criteria 1-9 and write one CSV per criterion into out_dir."""
+    cfg = DEFAULT_CONFIG if config is None else config
+    os.makedirs(out_dir, exist_ok=True)
+    results = []
+    for criterion in CRITERIA[:-1]:
+        res = _run(criterion, cfg)
+        name = f"{criterion.key.lower()}_{criterion.slug}.csv"
+        write_csv(os.path.join(out_dir, name), res.fieldnames, res.csv_table())
+        results.append(res)
+    return results
 
 
 def run_criterion(key: str, config: Optional[dict] = None) -> CriterionResult:
-    for k, _, fn in CRITERIA:
-        if k == key:
-            return fn(config)
+    cfg = DEFAULT_CONFIG if config is None else config
+    for criterion in CRITERIA:
+        if criterion.key == key:
+            return _run(criterion, cfg)
     raise ConfigError(f"unknown acceptance criterion {key!r}")
 
 
@@ -665,14 +599,14 @@ def run_all(config: Optional[dict] = None, out_dir: Optional[str] = None) -> Lis
     compares against those artifacts.  When out_dir is given, the artifacts
     and a JSON summary are kept there; otherwise they go to a temporary
     directory."""
-    cfg = validate_config(dict(_cfg(config)))
+    cfg = validate_config(dict(DEFAULT_CONFIG if config is None else config))
     if out_dir is None:
         primary = tempfile.TemporaryDirectory(prefix="pathwise-acceptance-")
     else:
         primary = contextlib.nullcontext(out_dir)
     with primary as primary_dir:
         results = emit_artifacts(cfg, primary_dir)
-        results.append(criterion_10(cfg, primary_dir=primary_dir))
+        results.append(_run(CRITERIA[-1], cfg, primary_dir))
     if out_dir is None:
         return results
     summary = {

@@ -31,7 +31,7 @@ from .errors import ConfigError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
 from .partitions import dyadic_hierarchy, lebesgue_hierarchy
-from .paths import PathSpec, generate, write_path_csv
+from .paths import PATH_KINDS, PathSpec, generate, write_path_csv
 from .ranks import build_rank_system, rank_decomposition, rank_sum_identity
 from .tanaka import (
     CellIndicator,
@@ -49,6 +49,7 @@ DEFAULT_MAX_TENSOR_BYTES = 1 << 30
 
 IDENTITY_FIELDS = ("identity", "level", "lhs", "rhs", "residual", "class")
 RANK_FIELDS = ("k", "level", "t", "A", "B", "C", "D", "residual")
+ANALYSES = ("variation", "local-time", "tanaka", "identities", "ranks")
 
 
 # -- config handling -----------------------------------------------------
@@ -69,7 +70,7 @@ def _require(cfg: dict, field: str, typ, default=None):
 
 def _path_spec_from(cfg: dict, where: str) -> PathSpec:
     kind = cfg.get("kind")
-    if kind not in ("fbm", "bm", "linear", "triangle", "constant", "csv"):
+    if kind not in PATH_KINDS:
         raise ConfigError(f"config field {where}.kind must name a path kind, got {kind!r}")
     kwargs = {
         "kind": kind,
@@ -113,9 +114,8 @@ def validate_run_config(cfg: dict) -> dict:
     if levels > min(s.n_max for s in specs):
         raise ConfigError("config field 'levels' exceeds the smallest path n_max")
     analyses = cfg.get("analyses", ["variation"])
-    known = ("variation", "local-time", "tanaka", "identities", "ranks")
     for a in analyses:
-        if a not in known:
+        if a not in ANALYSES:
             raise ConfigError(f"config field 'analyses' contains unknown analysis {a!r}")
     tf = cfg.get("test_functions", [{"name": "abs_pow", "params": {"a": 0.0}}])
     for i, item in enumerate(tf):
@@ -315,7 +315,7 @@ def run(cfg: dict) -> int:
 
 
 def _add_path_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--kind", default="fbm", choices=["fbm", "bm", "linear", "triangle", "constant", "csv"])
+    sp.add_argument("--kind", default="fbm", choices=PATH_KINDS)
     sp.add_argument("--hurst", type=float, default=None)
     sp.add_argument("--slope", type=float, default=1.0)
     sp.add_argument("--peak-time", type=float, default=0.5)
@@ -353,7 +353,7 @@ def _spec_dict(args: argparse.Namespace) -> dict:
     return d
 
 
-def _config_from_args(args: argparse.Namespace, analyses: List[str]) -> dict:
+def _config_from_args(args: argparse.Namespace) -> dict:
     cfg = {
         "paths": [_spec_dict(args)],
         "p": args.p,
@@ -361,7 +361,7 @@ def _config_from_args(args: argparse.Namespace, analyses: List[str]) -> dict:
         "levels": args.levels if args.levels is not None else min(args.n_max, 8),
         "checkpoints": [float(c) for c in args.checkpoints.split(",")],
         "grid_cells": args.grid_cells,
-        "analyses": analyses,
+        "analyses": [args.command],
         "output_dir": args.out_dir,
     }
     if getattr(args, "m", None):
@@ -383,18 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_path_args(g)
     g.add_argument("--out", default=None, help="output file (default stdout)")
 
-    for name, analyses, extra in (
-        ("variation", ["variation"], None),
-        ("local-time", ["local-time"], None),
-        ("tanaka", ["tanaka"], None),
-        ("identities", ["identities"], "pair"),
-        ("ranks", ["ranks"], "group"),
-    ):
+    for name in ANALYSES:
         sp = sub.add_parser(name, help=f"run the {name} analysis")
         _add_common_args(sp)
-        if extra == "pair":
+        if name == "identities":
             sp.add_argument("--m", type=int, default=2, help="number of seed replicates (>= 2)")
-        if extra == "group":
+        if name == "ranks":
             sp.add_argument("--m", type=int, default=3, help="number of paths in the rank system")
 
     a = sub.add_parser("acceptance", help="run the acceptance suite")
@@ -432,13 +426,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0 if ok else 1
         if args.command == "run":
             return run(load_config(args.config))
-        return run(_config_from_args(args, {
-            "variation": ["variation"],
-            "local-time": ["local-time"],
-            "tanaka": ["tanaka"],
-            "identities": ["identities"],
-            "ranks": ["ranks"],
-        }[args.command]))
+        return run(_config_from_args(args))
     except ConfigError as exc:
         print(f"pathwise: config error: {exc}", file=sys.stderr)
         return 2

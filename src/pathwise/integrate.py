@@ -35,6 +35,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._util import LevelBlock, LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
 from .errors import CoverageError, ParameterError
+from .localtime import SpaceGrid, occupation_density_local_time
 from .paths import SampledPath
 
 __all__ = [
@@ -632,8 +633,6 @@ def modified_follmer_integral(
     evaluated at the histogram cell containing them, the exact evaluation
     a piecewise-constant density admits).
     """
-    from .localtime import SpaceGrid, occupation_density_local_time
-
     p = even_order(p)
     measure = f.stieltjes_measure(p - 1)
     if grid is None:

@@ -28,7 +28,7 @@ from .errors import ParameterError
 from .integrate import TestFunction, _local_time_sums
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
-from .tanaka import IdentityReport, _limit_report
+from .tanaka import EXACT_THRESHOLD, IdentityReport, _limit_report
 
 __all__ = [
     "RankSystem",
@@ -202,7 +202,6 @@ def rank_decomposition(
     p: int,
     f,
     checkpoints: Sequence[float],
-    exact_threshold: float = 1e-9,
 ) -> RankDecomposition:
     """Evaluate A, B, C, D per level and checkpoint and gate A = B + C + D.
 
@@ -260,7 +259,7 @@ def rank_decomposition(
         A=A, B=B, C=C, D=D,
         D_plus=D_plus, D_minus=D_minus,
         residual=resid, relative_residual=rel,
-        passed=bool(np.all(rel <= exact_threshold)),
+        passed=bool(np.all(rel <= EXACT_THRESHOLD)),
     )
 
 

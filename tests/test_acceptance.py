@@ -36,7 +36,7 @@ def suite_run(tmp_path_factory):
     return acceptance.run_all(out_dir=str(out)), out
 
 
-@pytest.mark.parametrize("key", [k for k, _, _ in acceptance.CRITERIA])
+@pytest.mark.parametrize("key", [c.key for c in acceptance.CRITERIA])
 def test_criterion(key, suite_run):
     (result,) = [r for r in suite_run[0] if r.key == key]
     print(f"ACCEPTANCE {result.status_line()}  [{result.seconds:.2f}s]")
@@ -99,6 +99,38 @@ def test_monte_carlo_tasks_equal_the_full_hierarchy_finest_level(rep):
     minmax = identity_suite(X, Y, dyadic_hierarchy(X, n), 2)[-1]
     assert minmax.identity == "min plus max local times"
     assert acceptance._c8_task((bx + rep, by + rep, n, n, T)) == (minmax.lhs[-1], minmax.rhs[-1])
+
+
+@pytest.mark.parametrize(
+    "key, task, no_scale",
+    [("C6", "_c6_task", lambda lhs, rhs: (lhs, 0.0)), ("C8", "_c8_task", lambda lhs, rhs: (0.0, 0.0))],
+    ids=["C6", "C8"],
+)
+def test_gap_ratio_is_zero_where_the_scale_is_not_positive(monkeypatch, key, task, no_scale):
+    # C6 scales the gap by the original-path sum, C8 by the larger side;
+    # replicate 0 is given a zero scale
+    monkeypatch.setenv("PATHWISE_WORKERS", "1")
+    cfg = _reduced_config()
+    cfg["mc"]["n_seeds"] = 3
+    plain = acceptance.run_criterion(key, cfg)
+    real, calls = getattr(acceptance, task), []
+
+    def patched(args):
+        calls.append(args)
+        return no_scale(*real(args)) if len(calls) == 1 else real(args)
+
+    monkeypatch.setattr(acceptance, task, patched)
+    result = acceptance.run_criterion(key, cfg)
+    lhs_name, rhs_name = result.fieldnames[1:3]
+    first, plain_first = result.rows[0], plain.rows[0]
+    assert first["gap_ratio"] == 0.0
+    assert (first[lhs_name], first[rhs_name]) == no_scale(plain_first[lhs_name], plain_first[rhs_name])
+    assert [list(r) for r in result.rows] == [list(r) for r in plain.rows]
+    ratios = [r["gap_ratio"] for r in result.rows]
+    assert ratios[1:] == [r["gap_ratio"] for r in plain.rows[1:]]
+    med = sorted(ratios)[1]
+    assert result.passed == (med <= 0.10)
+    assert all(r["median_gap_ratio"] == med and r["ok"] == result.passed for r in result.rows)
 
 
 def test_default_run_emits_the_suite_twice_like_an_out_dir_run(monkeypatch, tmp_path):

@@ -124,7 +124,7 @@ def test_finite_n_identity_is_the_one_level_report(path_name, p, triangle_path):
     else:
         path = triangle_path
     hier = dyadic_hierarchy(path, 8)
-    for _, f in acceptance._test_functions(p, acceptance._anchor(path, 0.37)):
+    for _, f in acceptance._test_functions(p, *acceptance._anchors(path, [0.37], [-0.25])):
         rep = finite_n_report(path, hier, p, f, 1.0)
         for lev, lhs, rhs in zip(hier.levels, rep.lhs.tolist(), rep.rhs.tolist()):
             assert finite_n_identity(path, lev, p, f, 1.0) == relative_gap(lhs, rhs)
