@@ -47,7 +47,8 @@ def snap_checkpoints(path: SampledPath, checkpoints: Sequence[float]) -> Tuple[n
 
 def left_endpoint_counts(level: np.ndarray, checkpoint_indices: np.ndarray) -> np.ndarray:
     """Number of partition intervals whose left endpoint time is <= each
-    checkpoint time (the interval-attribution rule for all partition sums)."""
+    checkpoint time: the one rule that credits intervals to a checkpoint.
+    A level's sums then end at ``level[count]`` (:attr:`LevelStack.ends`)."""
     left = np.asarray(level, dtype=np.int64)[:-1]
     return np.searchsorted(left, np.asarray(checkpoint_indices, dtype=np.int64), side="right")
 
@@ -114,24 +115,31 @@ class LevelStack:
     consecutive levels.
 
     Only intervals whose left endpoint is at or before the last checkpoint
-    are kept, and ``counts[i, j]`` is :func:`left_endpoint_counts` of level
-    i at checkpoint j.  A block holds at most ``_BLOCK_INTERVALS`` kept
-    intervals, or a single level that is larger.  Summands are evaluated
-    over a whole block, but every reduction runs on one level's slice, so
-    each sum adds the same numbers in the same order as a loop over the
-    levels would, whatever the block size; the working set is that of one
-    block, about the size of the largest level.
+    are kept.  ``counts[i, j]`` is :func:`left_endpoint_counts` of level i
+    at checkpoint j, and ``ends[i, j] = levels[i][counts[i, j]]`` is the
+    grid index where that level's sums end (increments telescope to it);
+    built without checkpoints, the stack ends at the last sample.  A block
+    holds at most ``_BLOCK_INTERVALS`` kept intervals, or a single level
+    that is larger.  Summands are evaluated over a whole block, but every
+    reduction runs on one level's slice, so each sum adds the same numbers
+    in the same order as a loop over the levels would, whatever the block
+    size; the working set is that of one block, about the size of the
+    largest level.
     """
 
     levels: Tuple[np.ndarray, ...]
     counts: np.ndarray
+    ends: np.ndarray
     blocks: Tuple[Tuple[int, int], ...]
 
     @classmethod
-    def build(cls, levels: Sequence[np.ndarray], checkpoint_indices: np.ndarray) -> "LevelStack":
+    def build(cls, levels: Sequence[np.ndarray], checkpoint_indices: Optional[np.ndarray] = None) -> "LevelStack":
         levels = tuple(np.asarray(lev, dtype=np.int64) for lev in levels)
+        if checkpoint_indices is None:
+            checkpoint_indices = [max(int(lev[-1]) for lev in levels)]
         counts = np.array([left_endpoint_counts(lev, checkpoint_indices) for lev in levels])
         counts = counts.reshape(len(levels), -1)
+        ends = np.array([lev[c] for lev, c in zip(levels, counts)])
         blocks, first, size = [], 0, 0
         for i, n in enumerate(counts.max(axis=1).tolist()):
             if i > first and size + n > _BLOCK_INTERVALS:
@@ -139,7 +147,7 @@ class LevelStack:
                 first, size = i, 0
             size += n
         blocks.append((first, len(levels)))
-        return cls(levels=levels, counts=counts, blocks=tuple(blocks))
+        return cls(levels=levels, counts=counts, ends=ends, blocks=tuple(blocks))
 
     def evaluate(self, summands: Callable, *values: np.ndarray):
         """Per-level results of ``summands(block, a1, b1, a2, b2, ...)``.

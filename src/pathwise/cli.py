@@ -246,8 +246,7 @@ def run(cfg: dict) -> int:
                     ito = ito_residual(path, hier, p, f, t_final)
                     ito.identity = f"{ito.identity} {f_name} [{tag}]"
                     record(ito)
-            m, M = float(path.values.min()), float(path.values.max())
-            a = m + 0.37 * (M - m) if M > m else m - 0.25
+            (a,) = acc._anchors(path, [0.37], [-0.25])
             tm = tanaka_meyer_report(path, hier, p, a, t_final)
             tm.identity = f"{tm.identity} [{tag}]"
             record(tm)

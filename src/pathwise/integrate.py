@@ -283,13 +283,16 @@ def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[fl
 # -- compensated Riemann sums ------------------------------------------
 
 
+def _stack_at(path: SampledPath, levels: Sequence[np.ndarray], t: float) -> LevelStack:
+    """The intervals of ``levels`` credited at the time t, and their ends."""
+    _, cps = snap_checkpoints(path, [t])
+    return LevelStack.build(levels, cps)
+
+
 def _interval_sums(path: SampledPath, levels: Sequence[np.ndarray], t: float, summands: Callable, *args):
     """Per-level results of ``summands(block, a, b, *args)`` over the
-    intervals of ``levels`` with left endpoint at or before t, where a and
-    b are the path values at their endpoints; see
-    :meth:`LevelStack.evaluate`."""
-    _, cps = snap_checkpoints(path, [t])
-    return LevelStack.build(levels, cps).evaluate(lambda blk, a, b: summands(blk, a, b, *args), path.values)
+    intervals credited at t, a and b the path values at their endpoints."""
+    return _stack_at(path, levels, t).evaluate(lambda blk, a, b: summands(blk, a, b, *args), path.values)
 
 
 def _follmer_sums(blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
@@ -308,7 +311,8 @@ def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> fl
     """Order-p compensated Riemann sum of f along one partition level.
 
     Derivatives at breakpoints use the right-continuous one-sided values.
-    For f(x) = x this telescopes to ``S_t - S_0`` exactly at every level.
+    For f(x) = x this telescopes to ``S_u - S_0`` exactly at every level,
+    u the right end of the level's last interval credited at t.
     """
     p = even_order(p)
     return float(_interval_sums(path, (level,), t, _follmer_sums, p, f)[0])
@@ -588,8 +592,9 @@ class ModifiedFollmerReport:
     """Double-limit diagnostics for the mollified compensated sums.
 
     ``sums[i, j]`` is the order-p compensated sum of ``f_{m_i}`` on level
-    j; ``target`` is ``f(S_t) - f(S_0) - I / (p-1)!`` with I the pairing
-    of the occupation-density local time against d f^(p-1).
+    j; ``target`` is ``f(S_u) - f(S_0) - I / (p-1)!`` with I the pairing
+    of the occupation-density local time against d f^(p-1) and u the end
+    of the last finest-level interval that local time credits at t.
     """
 
     m_schedule: tuple
@@ -648,13 +653,13 @@ def modified_follmer_integral(
     slice_t = occ.values[0]
 
     def hist_eval(x: float) -> float:
-        c = min(max(int(np.searchsorted(grid.edges, x, side="right")) - 1, 0), grid.cells - 1)
-        return float(slice_t[c])
+        return float(slice_t[grid.cell_index(x)])
 
     pairing = stieltjes_pairing(slice_t, grid, measure, point_eval=hist_eval)
-    t_idx = path.grid_index(t)
+    # f changes up to where the histogram's credited (finest) intervals end
+    (end,) = _stack_at(path, (np.arange(path.n_samples),), t).ends[0]
     target = float(
-        f.value(path.values[t_idx]) - f.value(path.values[0]) - pairing / math.factorial(p - 1)
+        f.value(path.values[end]) - f.value(path.values[0]) - pairing / math.factorial(p - 1)
     )
 
     # mollified derivatives are tabulated once per m over every grid value

@@ -104,11 +104,9 @@ class SpaceGrid:
 class LocalTimeField:
     """Discrete local times on (level, checkpoint, grid-center).
 
-    When a checkpoint is a partition time of a level, that level's slice
-    is supported inside the running range of the path (widened by one
-    cell).  A checkpoint interior to a cell credits the straddling
-    interval's full sweep, which can extend past the running range; that
-    is the t_j <= t attribution rule at work.
+    A level's slice at a checkpoint is supported inside the range the
+    path has run through up to where that level's sums end (see
+    :attr:`LevelStack.ends`), widened by one cell.
     """
 
     p: int
@@ -257,38 +255,19 @@ def discrete_local_time_curves(
     return stack.evaluate(lambda blk, a, b: blk.checkpoint_cumsums(bracket_contributions(a, b, p, x)), path.values)
 
 
-def _binned_density(
-    cells: np.ndarray,
-    grid: SpaceGrid,
-    interval_weights: np.ndarray,
-    checkpoint_indices: np.ndarray,
-    denominator: float,
-) -> np.ndarray:
-    """Running per-cell sums of the interval weights, binned by ``cells``
-    (the grid cell of each interval's left value)."""
-    counts = np.minimum(checkpoint_indices + 1, cells.size)
-    out = _running_sums(
-        grid.cells, counts, lambda start, end: (cells[start:end], interval_weights[start:end])
-    )
-    return out / denominator
-
-
-def _variation_density(
-    path: SampledPath, p: int, grid: SpaceGrid, cells: np.ndarray, checkpoint_indices: np.ndarray
-) -> np.ndarray:
-    """|dS|**p masses over p * cellwidth, binned by ``cells``."""
+def _binned_sums(path: SampledPath, grid: SpaceGrid, checkpoints: Sequence[float], *weights: np.ndarray):
+    """The checkpoint times and, per array of finest-level interval
+    weights, its running per-cell sums ``(checkpoints, cells)``: each
+    interval is binned by the cell of its left value and credited by
+    :func:`left_endpoint_counts`.  Callers divide by their own denominator."""
+    _check_coverage(path, grid)
     if grid.cellwidth <= 0:
         raise ParameterError("degenerate grid")
-    w = np.abs(np.diff(path.values)) ** p
-    return _binned_density(cells, grid, w, checkpoint_indices, p * grid.cellwidth)
-
-
-def _time_density(
-    path: SampledPath, grid: SpaceGrid, cells: np.ndarray, checkpoint_indices: np.ndarray
-) -> np.ndarray:
-    """Time steps dt over cellwidth, binned by ``cells``."""
-    w = np.full(path.n_samples - 1, path.dt)
-    return _binned_density(cells, grid, w, checkpoint_indices, grid.cellwidth)
+    times, cps = snap_checkpoints(path, checkpoints)
+    counts = left_endpoint_counts(np.arange(path.n_samples), cps)
+    cells = grid.cell_index(path.values[:-1])
+    sums = [_running_sums(grid.cells, counts, lambda start, end: (cells[start:end], w[start:end])) for w in weights]
+    return times, sums
 
 
 def occupation_density_local_time(
@@ -300,10 +279,8 @@ def occupation_density_local_time(
     ``p * cellwidth * sum_x values(t, x)`` equals the finest-level p-th
     variation up to accumulation rounding."""
     p = even_order(p)
-    _check_coverage(path, grid)
-    times, cps = snap_checkpoints(path, checkpoints)
-    vals = _variation_density(path, p, grid, grid.cell_index(path.values[:-1]), cps)
-    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=times, values=vals)
+    times, (sums,) = _binned_sums(path, grid, checkpoints, np.abs(np.diff(path.values)) ** p)
+    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=times, values=sums / (p * grid.cellwidth))
 
 
 def occupation_time_density(
@@ -311,10 +288,8 @@ def occupation_time_density(
 ) -> OccupationLocalTime:
     """Classical occupation-time density: time spent per cell divided by
     the cellwidth (each interval weighted dt, binned by its left value)."""
-    _check_coverage(path, grid)
-    times, cps = snap_checkpoints(path, checkpoints)
-    vals = _time_density(path, grid, grid.cell_index(path.values[:-1]), cps)
-    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=vals)
+    times, (sums,) = _binned_sums(path, grid, checkpoints, np.full(path.n_samples - 1, path.dt))
+    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=sums / grid.cellwidth)
 
 
 def weighted_occupation_local_time(
@@ -329,12 +304,9 @@ def weighted_occupation_local_time(
     """
     if not (0.0 < hurst < 1.0):
         raise ParameterError(f"hurst must be in (0, 1), got {hurst}")
-    _check_coverage(path, grid)
-    times, cps = snap_checkpoints(path, checkpoints)
     tg = path.times
-    w = tg[1:] ** (2 * hurst) - tg[:-1] ** (2 * hurst)
-    vals = _binned_density(grid.cell_index(path.values[:-1]), grid, w, cps, grid.cellwidth)
-    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=vals)
+    times, (sums,) = _binned_sums(path, grid, checkpoints, tg[1:] ** (2 * hurst) - tg[:-1] ** (2 * hurst))
+    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=sums / grid.cellwidth)
 
 
 @dataclass
@@ -379,11 +351,11 @@ def berman_ratio_check(path: SampledPath, p: int, grid: SpaceGrid) -> BermanRati
         raise ParameterError(f"ratio check requires H = 1/p; got H={hurst}, p={p}")
     # both densities at t = T, as occupation_density_local_time and
     # occupation_time_density give them, on one binning of the path
-    _check_coverage(path, grid)
-    cells = grid.cell_index(path.values[:-1])
-    final = np.array([path.n_samples - 1])
-    occ = _variation_density(path, p, grid, cells, final)[0]
-    tau = _time_density(path, grid, cells, final)[0]
+    _, (occ, tau) = _binned_sums(
+        path, grid, [path.T], np.abs(np.diff(path.values)) ** p, np.full(path.n_samples - 1, path.dt)
+    )
+    occ = occ[0] / (p * grid.cellwidth)
+    tau = tau[0] / grid.cellwidth
     sel = tau > 0
     ratios = occ[sel] / tau[sel]
     weights = tau[sel]

@@ -99,11 +99,6 @@ class SampledPath:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_samples)
 
-    def grid_index(self, t: float) -> int:
-        """Snap a time to the nearest grid index."""
-        k = int(round(t / self.dt))
-        return min(max(k, 0), self.n_samples - 1)
-
 
 @dataclass(frozen=True)
 class PathSpec:

@@ -151,7 +151,7 @@ def rank_sum_identity(
     and of the original paths at the level x; the identity holds in the
     limit, so this is a trend report."""
     p = even_order(p)
-    stack = LevelStack.build(hierarchy.levels, [system.values.shape[1] - 1])
+    stack = LevelStack.build(hierarchy.levels)
 
     def summed_local_times(rows):
         # one path at a time, so one row of a block is gathered at a time

@@ -34,9 +34,9 @@ from .integrate import (
     SmoothCallable,
     TestFunction,
     _follmer_sums,
-    _interval_sums,
     _local_time_sums,
     _measure_remainder_sums,
+    _stack_at,
     _tanaka_meyer_sums,
 )
 from .localtime import SpaceGrid, occupation_density_local_time
@@ -118,22 +118,22 @@ def _limit_report(identity: str, labels, lhs, rhs, details=None) -> IdentityRepo
 def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction, t: float):
     """Both sides of the order-p change-of-variable identity at each level.
 
-    The smoothness guard, the change f(S_t) - f(S_0) and the Stieltjes
-    measure d f^(p-1) are per (path, f), and the summands of both sums are
-    evaluated once per block of levels.
+    The smoothness guard and the Stieltjes measure d f^(p-1) are per
+    (path, f), the change f(S_u) - f(S_0) is taken where each level's sums
+    end, and the summands of both sums are evaluated once per block.
     """
     if f.smoothness is not None and f.smoothness < p - 2:
         raise ParameterError(
             f"test function must be C^{p - 2} across breakpoints; declared C^{f.smoothness}"
         )
-    t_idx = path.grid_index(t)
-    change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
     measure = f.stieltjes_measure(p - 1)
 
     def sides(blk, a, b):
         return _follmer_sums(blk, a, b, p, f), _measure_remainder_sums(blk, a, b, p, measure)
 
-    comp, remainder = _interval_sums(path, levels, t, sides)
+    stack = _stack_at(path, levels, t)
+    comp, remainder = stack.evaluate(sides, path.values)
+    change = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return change - comp, remainder / math.factorial(p - 1)
 
 
@@ -164,15 +164,15 @@ def tanaka_meyer_report(
     positive-part power change, against the discrete local time at a;
     exact away from on-grid ties with the level a."""
     p = even_order(p)
-    t_idx = path.grid_index(t)
-    change = float(
-        max(path.values[t_idx] - a, 0.0) ** (p - 1) - max(path.values[0] - a, 0.0) ** (p - 1)
-    )
 
     def sides(blk, sa, sb):
         return _tanaka_meyer_sums(blk, sa, sb, p, a, "plus"), _local_time_sums(blk, sa, sb, p, a)
 
-    comp, rhs = _interval_sums(path, hierarchy.levels, t, sides)
+    stack = _stack_at(path, hierarchy.levels, t)
+    comp, rhs = stack.evaluate(sides, path.values)
+    # scalar powers, level by level: an array power may round differently
+    start = max(path.values[0] - a, 0.0) ** (p - 1)
+    change = np.array([max(s - a, 0.0) ** (p - 1) - start for s in path.values[stack.ends[:, 0]]])
     return _exact_report(f"tanaka-meyer p={p} a={a}", hierarchy.level_labels, change - comp, rhs)
 
 
@@ -185,14 +185,13 @@ def ito_residual(
     p = even_order(p)
     if getattr(f, "smoothness", None) is not None and f.smoothness < p:
         raise ParameterError(f"need continuous derivatives through order {p}")
-    t_idx = path.grid_index(t)
-    change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
 
     def terms(blk, a, b):
         return _follmer_sums(blk, a, b, p, f), blk.sums(f.derivative(a, p) * np.abs(b - a) ** p)
 
-    comp, pv = _interval_sums(path, hierarchy.levels, t, terms)
-    lhs = np.full(hierarchy.n_levels, change)
+    stack = _stack_at(path, hierarchy.levels, t)
+    comp, pv = stack.evaluate(terms, path.values)
+    lhs = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return _limit_report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
 
 
@@ -286,7 +285,7 @@ def identity_suite(
         rows.append((minmax_lhs, minmax_rhs, zero, zero))
         return np.array(rows).T
 
-    lhs, rhs, d1, d2 = LevelStack.build(hierarchy.levels, [X.n_samples - 1]).evaluate(
+    lhs, rhs, d1, d2 = LevelStack.build(hierarchy.levels).evaluate(
         per_block, X.values, Y.values
     ).transpose(1, 2, 0)
     return [
@@ -336,7 +335,7 @@ def scaling_check(
     mapped = np.asarray(f.value(vals), dtype=float)
     fa = float(f.value(a))
     factor = abs(float(f.derivative(a, 1))) ** (p - 1)
-    stack = LevelStack.build(hierarchy.levels, [path.n_samples - 1])
+    stack = LevelStack.build(hierarchy.levels)
 
     def local_times(blk, ga, gb, sa, sb):
         return _local_time_sums(blk, ga, gb, p, fa), _local_time_sums(blk, sa, sb, p, a)
@@ -411,9 +410,10 @@ def occupation_check(
     which halves as the cells shrink.
     """
     p = even_order(p)
-    t_idx = path.grid_index(t)
-    a = path.values[:-1][:t_idx]
-    b = path.values[1:][:t_idx]
+    # the finest-level intervals credited at t, as the rhs histogram credits them
+    (end,) = _stack_at(path, (np.arange(path.n_samples),), t).ends[0]
+    a = path.values[:end]
+    b = path.values[1:end + 1]
     masses = np.abs(b - a) ** p
     lhs = float(np.sum(np.asarray(g.value(a), dtype=float) * masses))
     occ = occupation_density_local_time(path, p, grid, [t])

@@ -49,6 +49,15 @@ def test_tanaka_subcommand_exit_status_and_identities(tmp_path):
     assert summary["exact_identity_failures"] == []
 
 
+def test_tanaka_subcommand_identities_are_exact_at_an_interior_checkpoint(tmp_path):
+    out = tmp_path / "tk"
+    rc = run_cli("tanaka", "--kind", "bm", "--p", "2", "--n-max", "10", "--levels", "8",
+                 "--checkpoints", "0.25,0.5", "--out-dir", str(out))
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exact_identity_failures"] == []
+
+
 def test_ranks_subcommand(tmp_path):
     out = tmp_path / "rk"
     rc = run_cli("ranks", "--kind", "fbm", "--hurst", "0.5", "--seed", "11",

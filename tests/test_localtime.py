@@ -92,7 +92,7 @@ def test_field_invariants(bm_path, rough_path):
         for i, lev in enumerate(hier.levels):
             left = lev[:-1]
             for j, t in enumerate(field.checkpoint_times):
-                count = int(np.searchsorted(left, path.grid_index(t), side="right"))
+                count = int(np.searchsorted(left, snap_checkpoints(path, [t])[1][0], side="right"))
                 horizon = lev[count]  # right endpoint of the last credited interval
                 lo = m_run[horizon] - grid.cellwidth
                 hi = M_run[horizon] + grid.cellwidth
@@ -136,7 +136,7 @@ def test_occupation_density_mass_conservation(bm_path, rough_path):
         occ = occupation_density_local_time(path, p, grid, cps)
         inc = np.abs(np.diff(path.values)) ** p
         for j, t in enumerate(occ.checkpoint_times):
-            idx = path.grid_index(t)
+            idx = int(snap_checkpoints(path, [t])[1][0])
             # t_j <= t credits the interval starting at the checkpoint too
             pv = np.sum(inc[: min(idx + 1, inc.size)])
             total = p * grid.cellwidth * np.sum(occ.values[j])

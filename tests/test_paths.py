@@ -15,6 +15,7 @@ from pathwise import (
     write_path_csv,
 )
 from pathwise import cli, paths
+from pathwise._util import snap_checkpoints
 from pathwise.paths import (
     _circulant_sqrt_eigs,
     _fbm_values,
@@ -100,7 +101,7 @@ def test_running_extrema_linear(linear_path):
 
 def test_running_extrema_triangle_saturates(triangle_path):
     _, M = running_extrema(triangle_path)
-    half = triangle_path.grid_index(0.5)
+    half = int(snap_checkpoints(triangle_path, [0.5])[1][0])
     assert np.all(M[half:] == 1.0)
     # oracle: direct scan
     expect = np.array([triangle_path.values[: j + 1].max() for j in range(triangle_path.n_samples)])

@@ -73,6 +73,14 @@ def test_polynomials_have_zero_measure_term(bm_path):
     assert follmer_sum(bm_path, lev, 2, f, 1.0) == pytest.approx(change, rel=1e-12)
 
 
+# checkpoints of the 9-sample walks: the grid times 0, 1/8, ..., 1 and
+# times inside a cell, which snap to the nearer of its two grid times
+checkpoints = st.one_of(
+    st.integers(0, 8).map(lambda k: k / 8),
+    st.tuples(st.integers(0, 7), st.floats(min_value=0.01, max_value=0.99)).map(lambda c: (c[0] + c[1]) / 8),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     walks,
@@ -80,16 +88,18 @@ def test_polynomials_have_zero_measure_term(bm_path):
     st.sampled_from([2, 4]),
     st.sampled_from(["pos_part_pow", "neg_part_pow", "abs_pow", "poly"]),
     st.sampled_from([0, 1]),
+    checkpoints,
 )
-def test_finite_level_identity_is_exact_for_arbitrary_walks(path, a, p, name, which):
+def test_finite_level_identity_is_exact_for_arbitrary_walks(path, a, p, name, which, t):
     # flagship property: the identity is algebra, valid for every walk,
-    # anchor, order, test function and level, including engineered ties
+    # anchor, order, test function, level and checkpoint, including
+    # engineered ties
     if name == "poly":
         f = tanaka_class("poly", p, coeffs=[0.3, -1.0] + [0.5] * (p - 2))
     else:
         f = tanaka_class(name, p, a=a)
     level = (FULL, COARSE)[which]
-    assert finite_n_identity(path, level, p, f, 1.0) <= 1e-9
+    assert finite_n_identity(path, level, p, f, t) <= 1e-9
 
 
 def test_finite_level_identity_with_on_grid_ties():
@@ -128,6 +138,24 @@ def test_finite_n_identity_is_the_one_level_report(path_name, p, triangle_path):
         rep = finite_n_report(path, hier, p, f, 1.0)
         for lev, lhs, rhs in zip(hier.levels, rep.lhs.tolist(), rep.rhs.tolist()):
             assert finite_n_identity(path, lev, p, f, 1.0) == relative_gap(lhs, rhs)
+
+
+@pytest.fixture(scope="module")
+def bm_seed3():
+    return generate(PathSpec(kind="bm", n_max=10, seed=3))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("kind", ["dyadic", "lebesgue"])
+def test_exact_identities_hold_at_every_checkpoint(bm_seed3, kind, t):
+    # each level's sums end at the right end of its last credited interval,
+    # past t on a coarse level; both sides must end there
+    path = bm_seed3
+    hier = dyadic_hierarchy(path, 8) if kind == "dyadic" else lebesgue_hierarchy(path, 6)
+    (a,) = acceptance._anchors(path, [0.37], [-0.25])
+    assert a not in path.values
+    assert tanaka_meyer_report(path, hier, 2, a, t).passed
+    assert finite_n_report(path, hier, 2, tanaka_class("abs_pow", 2), t).passed
 
 
 def test_tanaka_meyer_report_passes(rough_path):
@@ -200,11 +228,21 @@ def _per_level_measure_remainder_sum(path, level, p, measure, t):
     return total
 
 
+def _per_level_end(path, level, t):
+    """The path value where the level's sums credited at t end: the right
+    endpoint of its last credited interval."""
+    idx = np.asarray(level, dtype=np.int64)
+    _, cps = snap_checkpoints(path, [t])
+    return path.values[idx[left_endpoint_counts(idx, cps)[0]]]
+
+
 def _per_level_change_of_variable(path, hier, p, f, t):
-    t_idx = path.grid_index(t)
-    change = float(f.value(path.values[t_idx]) - f.value(path.values[0]))
     measure = f.stieltjes_measure(p - 1)
-    lhs = [change - _per_level_follmer_sum(path, lev, p, f, t) for lev in hier.levels]
+    lhs = [
+        float(f.value(_per_level_end(path, lev, t)) - f.value(path.values[0]))
+        - _per_level_follmer_sum(path, lev, p, f, t)
+        for lev in hier.levels
+    ]
     rhs = [
         _per_level_measure_remainder_sum(path, lev, p, measure, t) / math.factorial(p - 1)
         for lev in hier.levels
@@ -213,12 +251,11 @@ def _per_level_change_of_variable(path, hier, p, f, t):
 
 
 def _per_level_tanaka_meyer(path, hier, p, a, t):
-    t_idx = path.grid_index(t)
-    change = float(
-        max(path.values[t_idx] - a, 0.0) ** (p - 1) - max(path.values[0] - a, 0.0) ** (p - 1)
-    )
     lhs, rhs = [], []
     for lev in hier.levels:
+        change = float(
+            max(_per_level_end(path, lev, t) - a, 0.0) ** (p - 1) - max(path.values[0] - a, 0.0) ** (p - 1)
+        )
         sa, sb = _per_level_intervals(path, lev, t)
         tm = lt = 0.0
         if sa.size:
@@ -620,6 +657,19 @@ def test_occupation_check_cell_indicator_exact(rough_path):
     g = CellIndicator(grid, range(10, 30))
     rep = occupation_check(rough_path, 4, g, grid, 1.0)
     assert rep.exactness == "exact-per-level"
+    assert rep.passed
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+def test_occupation_check_is_exact_on_the_cell_of_s_t(bm_seed3, t):
+    # the interval that starts at t is credited on both sides, so an
+    # indicator of the cell holding S_t sees its mass on both
+    path = bm_seed3
+    grid = SpaceGrid.cover([path], 64)
+    _, (k,) = snap_checkpoints(path, [t])
+    g = CellIndicator(grid, [int(grid.cell_index(path.values[k]))])
+    rep = occupation_check(path, 2, g, grid, t)
+    assert rep.lhs[0] > 0.0
     assert rep.passed
 
 
