@@ -16,7 +16,7 @@ from .errors import (
     PathwiseError,
     ResolutionError,
 )
-from .paths import PathSpec, SampledPath, generate, running_extrema, write_path_csv
+from .paths import PathSpec, SampledPath, generate, range_anchors, running_extrema, write_path_csv
 from .partitions import PartitionHierarchy, dyadic_hierarchy, lebesgue_hierarchy, oscillation
 from .variation import (
     VariationConvergenceReport,

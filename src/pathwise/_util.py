@@ -1,5 +1,5 @@
 """Small shared helpers: checkpoint snapping, the interval kernel, tolerance
-arithmetic, the CSV writer and heap trimming.
+arithmetic, the CSV and summary writers and heap trimming.
 
 Every per-level interval sum goes through :meth:`LevelStack.evaluate`,
 one block of consecutive levels at a time; only the :class:`LevelBlock`
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
@@ -206,7 +208,12 @@ def even_order(p: int) -> int:
 
 
 def median(values: Iterable[float]) -> float:
-    return float(np.median(np.asarray(list(values), dtype=float)))
+    """Median of finite values: no input, or a NaN that every gate would
+    read as false, raises instead."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ParameterError(f"median needs finite values, got {arr.tolist()}")
+    return float(np.median(arr))
 
 
 def _csv_value(v) -> str:
@@ -308,6 +315,18 @@ def _chunk_text(key_cells, columns, start: int, stop: int) -> str:
         parts.insert(0, itertools.islice(key_cells, stop - start))
     lines = parts[0] if len(parts) == 1 else map(",".join, zip(*parts))
     return "\n".join(lines) + "\n"
+
+
+SUMMARY_SCHEMA_VERSION = 1
+
+
+def write_summary(out_dir: str, suite: str, fields: dict) -> None:
+    """Write ``summary.json`` into out_dir: the fields, the suite name and
+    the schema version as sorted, indented JSON ending in a newline."""
+    summary = {"schema_version": SUMMARY_SCHEMA_VERSION, "suite": suite, **fields}
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _find_malloc_trim():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import filecmp
-import json
 import os
 import tempfile
 import time
@@ -22,12 +21,12 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ._pool import parallel_map
-from ._util import LevelStack, Table, median, relative_gap, write_csv
+from ._util import LevelStack, Table, median, write_csv, write_summary
 from .errors import ConfigError
 from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
 from .partitions import PartitionHierarchy, dyadic_hierarchy
-from .paths import PathSpec, SampledPath, generate
+from .paths import PathSpec, SampledPath, generate, range_anchors
 from .ranks import build_rank_system, rank_decomposition, rank_sum_identity
 from .tanaka import (
     CellIndicator,
@@ -165,15 +164,6 @@ def _identity_paths(p: int, cfg: dict):
     return out
 
 
-def _anchors(path: SampledPath, fracs, fallback_offsets) -> List[float]:
-    """Levels at the given fractions of the path's range; a constant path,
-    which has no range, gets its value plus the fallback offsets instead."""
-    m, M = float(path.values.min()), float(path.values.max())
-    if M <= m:
-        return [m + off for off in fallback_offsets]
-    return [m + fr * (M - m) for fr in fracs]
-
-
 _POLY_COEFFS = {2: [0.3, 1.7], 4: [0.3, -1.2, 0.7, 1.1]}
 
 
@@ -186,11 +176,6 @@ def _test_functions(p: int, a: float):
     ]
 
 
-def _level_gaps(rep) -> List[float]:
-    """The relative gap between a report's two sides at each level."""
-    return [relative_gap(lhs, rhs) for lhs, rhs in zip(rep.lhs.tolist(), rep.rhs.tolist())]
-
-
 def criterion_01(cfg: dict):
     """Exact finite-level change-of-variable identity across the whole
     (order, path, test function, level) matrix at 1e-9 relative."""
@@ -200,10 +185,10 @@ def criterion_01(cfg: dict):
     for p in (2, 4):
         for path_name, path in _identity_paths(p, cfg):
             hier = dyadic_hierarchy(path, ex["levels"])
-            (a,) = _anchors(path, [ex["a_frac"]], [-0.25])
+            (a,) = range_anchors(path, [ex["a_frac"]])
             for f_name, f in _test_functions(p, a):
                 rep = finite_n_report(path, hier, p, f, cfg["T"])
-                for lab, resid in zip(hier.level_labels, _level_gaps(rep)):
+                for lab, resid in zip(hier.level_labels, rep.relative_residuals.tolist()):
                     good = resid <= EXACT_THRESHOLD
                     ok = ok and good
                     rows.append({
@@ -222,9 +207,9 @@ def criterion_02(cfg: dict):
     for p in (2, 4):
         for path_name, path in _identity_paths(p, cfg):
             hier = dyadic_hierarchy(path, ex["levels"])
-            for a in _anchors(path, ex["a_fracs"], (-0.5, -0.25, 0.1, 0.25, 0.5)):
+            for a in range_anchors(path, ex["a_fracs"], (-0.5, -0.25, 0.1, 0.25, 0.5)):
                 rep = tanaka_meyer_report(path, hier, p, a, cfg["T"])
-                worst = max([0.0, *_level_gaps(rep)])
+                worst = max([0.0, *rep.relative_residuals.tolist()])
                 good = worst <= EXACT_THRESHOLD
                 ok = ok and good
                 rows.append({
@@ -234,11 +219,20 @@ def criterion_02(cfg: dict):
     return ok, rows, {}
 
 
+def _finest_level(path: SampledPath, level: int) -> PartitionHierarchy:
+    """Dyadic level ``level`` alone.  The Monte Carlo gates read only their
+    finest level, and every level is computed independently, so dropping
+    the coarser ones leaves the finest values as they are."""
+    full = dyadic_hierarchy(path, level)
+    return PartitionHierarchy(
+        kind=full.kind, levels=(full.finest,), level_labels=(full.finest_label,), nested=True
+    )
+
+
 def _c3_task(args):
-    p, hurst, seed, n_max, T = args
+    p, hurst, seed, n_max, level, T = args
     path = _fbm(hurst, seed, n_max, T)
-    level = np.arange(path.n_samples, dtype=np.int64)
-    val = increment_power_sums(path, level, p, np.array([path.n_samples - 1]))[0]
+    (val,) = increment_power_sums(path, _finest_level(path, level).finest, p)
     return float(val)
 
 
@@ -252,7 +246,7 @@ def criterion_03(cfg: dict):
     for p, hurst, tol in checks:
         target = cfg["T"] * gaussian_moment(p)
         seeds = [mc["variation_seed_base"] + s for s in range(mc["n_seeds"])]
-        vals = parallel_map(_c3_task, [(p, hurst, s, mc["n_max"], cfg["T"]) for s in seeds])
+        vals = parallel_map(_c3_task, [(p, hurst, s, mc["n_max"], mc["level"], cfg["T"]) for s in seeds])
         med = median(vals)
         good = abs(med - target) <= tol * target
         ok = ok and good
@@ -350,16 +344,6 @@ def criterion_05(cfg: dict):
     return ok, rows, {}
 
 
-def _finest_level(path: SampledPath, level: int) -> PartitionHierarchy:
-    """Dyadic level ``level`` alone.  The Monte Carlo gates read only their
-    finest level, and every level is computed independently, so dropping
-    the coarser ones leaves the finest values as they are."""
-    full = dyadic_hierarchy(path, level)
-    return PartitionHierarchy(
-        kind=full.kind, levels=(full.finest,), level_labels=(full.finest_label,), nested=True
-    )
-
-
 def _c6_task(args):
     bases, rep, n_max, level, T = args
     paths = [_fbm(0.5, b + rep, n_max, T) for b in bases]
@@ -404,14 +388,15 @@ def _c7_task(args):
     hier = _finest_level(path, level)
     f = SmoothCallable([np.exp, np.exp], name="exp")
     rep = scaling_check(path, f, 0.0, hier, 2)
-    lhs, rhs = float(rep.lhs[-1]), float(rep.rhs[-1])
-    return lhs / rhs if rhs > 0 else float("nan")
+    return float(rep.lhs[-1]), float(rep.rhs[-1])
 
 
 def criterion_07(cfg: dict):
     """Monotone-map scaling of local times: exact per level for affine
     maps; for exp the finest-level side ratio is within 15% of 1 in the
-    median."""
+    median over the seeds where it is defined.  A path that never goes
+    below 0 has both sides 0 (0 = 0 holds, the ratio is undefined); its
+    seed is left out of the median and named in ``info``."""
     mc = cfg["mc"]
     sc = cfg["scaling"]
     rows = []
@@ -421,19 +406,20 @@ def criterion_07(cfg: dict):
     for name, coeffs in (("2x", [0.0, 2.0]), ("x_plus_5", [5.0, 1.0])):
         f = tanaka_class("poly", 2, coeffs=coeffs)
         rep = scaling_check(path, f, sc["a"], hier, 2)
-        worst = max(_level_gaps(rep))
+        worst = max(rep.relative_residuals.tolist())
         good = bool(rep.passed)
         ok = ok and good
         rows.append({"check": f"affine_{name}", "seed": sc["affine_seed"],
                      "value": worst, "median": "", "ok": good})
     seeds = [mc["exp_scaling_seed_base"] + s for s in range(mc["n_seeds"])]
-    ratios = parallel_map(_c7_task, [(s, mc["n_max"], mc["level"], cfg["T"]) for s in seeds])
-    med = median(ratios)
+    sides = parallel_map(_c7_task, [(s, mc["n_max"], mc["level"], cfg["T"]) for s in seeds])
+    ratios = [lhs / rhs if rhs > 0 else None for lhs, rhs in sides]
+    med = median(r for r in ratios if r is not None)
     good = abs(med - 1.0) <= 0.15
     ok = ok and good
     for s, r in zip(seeds, ratios):
-        rows.append({"check": "exp_ratio", "seed": s, "value": r, "median": med, "ok": good})
-    return ok, rows, {}
+        rows.append({"check": "exp_ratio", "seed": s, "value": "" if r is None else r, "median": med, "ok": good})
+    return ok, rows, {"zero_rhs_seeds": [s for s, r in zip(seeds, ratios) if r is None]}
 
 
 def _c8_task(args):
@@ -609,9 +595,7 @@ def run_all(config: Optional[dict] = None, out_dir: Optional[str] = None) -> Lis
         results.append(_run(CRITERIA[-1], cfg, primary_dir))
     if out_dir is None:
         return results
-    summary = {
-        "schema_version": 1,
-        "suite": "acceptance",
+    write_summary(out_dir, "acceptance", {
         "criteria": [
             {
                 "key": r.key,
@@ -625,8 +609,5 @@ def run_all(config: Optional[dict] = None, out_dir: Optional[str] = None) -> Lis
             for r in results
         ],
         "all_passed": all(r.passed for r in results if r.gated),
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return results

@@ -26,12 +26,12 @@ import sys
 from typing import List, Optional
 
 from . import acceptance as acc
-from ._util import release_free_heap, write_csv
+from ._util import release_free_heap, write_csv, write_summary
 from .errors import ConfigError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
 from .partitions import dyadic_hierarchy, lebesgue_hierarchy
-from .paths import PATH_KINDS, PathSpec, generate, write_path_csv
+from .paths import PATH_KINDS, PathSpec, generate, range_anchors, write_path_csv
 from .ranks import build_rank_system, rank_decomposition, rank_sum_identity
 from .tanaka import (
     CellIndicator,
@@ -44,7 +44,6 @@ from .tanaka import (
 )
 from .variation import pth_variation, variation_convergence_report
 
-SUMMARY_SCHEMA_VERSION = 1
 DEFAULT_MAX_TENSOR_BYTES = 1 << 30
 
 IDENTITY_FIELDS = ("identity", "level", "lhs", "rhs", "residual", "class")
@@ -192,7 +191,8 @@ def run(cfg: dict) -> int:
     trend_stats = {}
     outputs = []
 
-    def record(report):
+    def record(report, suffix=""):
+        report.identity += suffix
         identity_tables.append(report.csv_table())
         if report.exactness == "exact-per-level" and report.passed is False:
             exact_failures.append(report.identity)
@@ -239,36 +239,26 @@ def run(cfg: dict) -> int:
         if "tanaka" in cfg["analyses"]:
             for item in cfg["test_functions"]:
                 f_name, f = _build_test_function(item, p)
-                rep = finite_n_report(path, hier, p, f, t_final)
-                rep.identity = f"{rep.identity} [{tag}]"
-                record(rep)
+                record(finite_n_report(path, hier, p, f, t_final), f" [{tag}]")
                 if f.smoothness is None:
-                    ito = ito_residual(path, hier, p, f, t_final)
-                    ito.identity = f"{ito.identity} {f_name} [{tag}]"
-                    record(ito)
-            (a,) = acc._anchors(path, [0.37], [-0.25])
-            tm = tanaka_meyer_report(path, hier, p, a, t_final)
-            tm.identity = f"{tm.identity} [{tag}]"
-            record(tm)
+                    record(ito_residual(path, hier, p, f, t_final), f" {f_name} [{tag}]")
+            (a,) = range_anchors(path, [0.37])
+            record(tanaka_meyer_report(path, hier, p, a, t_final), f" [{tag}]")
 
         if "identities" in cfg["analyses"]:
             affine = tanaka_class("poly", p, coeffs=[0.0, 2.0])
-            rep = scaling_check(path, affine, 0.0, hier, p)
-            rep.identity = f"{rep.identity} [{tag}]"
-            record(rep)
+            record(scaling_check(path, affine, 0.0, hier, p), f" [{tag}]")
             grid = SpaceGrid.cover([path], cfg["grid_cells"])
             occ = occupation_check(
                 path, p, CellIndicator(grid, range(cfg["grid_cells"] // 3, cfg["grid_cells"] // 2)),
                 grid, t_final,
             )
-            occ.identity = f"{occ.identity} [{tag}]"
-            record(occ)
+            record(occ, f" [{tag}]")
 
     if "identities" in cfg["analyses"] and len(paths) >= 2:
         (tag_x, X), (tag_y, Y) = paths[0], paths[1]
         for rep in identity_suite(X, Y, first_hier, p):
-            rep.identity = f"{rep.identity} [{tag_x},{tag_y}]"
-            record(rep)
+            record(rep, f" [{tag_x},{tag_y}]")
 
     if "ranks" in cfg["analyses"]:
         if len(paths) < 2:
@@ -291,9 +281,7 @@ def run(cfg: dict) -> int:
         write_csv(name, IDENTITY_FIELDS, *identity_tables)
         outputs.append(os.path.basename(name))
 
-    summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "suite": "run",
+    write_summary(out_dir, "run", {
         "p": p,
         "partition": cfg["partition"],
         "levels": cfg["levels"],
@@ -303,10 +291,7 @@ def run(cfg: dict) -> int:
         "exact_identity_failures": exact_failures,
         "trend_stats": trend_stats,
         "ok": not exact_failures,
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return 0 if not exact_failures else 1
 
 

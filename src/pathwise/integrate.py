@@ -643,12 +643,7 @@ def modified_follmer_integral(
     if grid is None:
         # the grid must cover the measure atoms as well; local time is zero
         # outside the path range, so the extra cells only pin the pairing
-        lo = min([float(path.values.min())] + [loc for loc, _ in measure.atoms])
-        hi = max([float(path.values.max())] + [loc for loc, _ in measure.atoms])
-        if hi <= lo:
-            lo, hi = lo - 1.0, lo + 1.0
-        cw = (hi - lo) / (cells - 2)
-        grid = SpaceGrid(lo - cw, hi + cw, cells)
+        grid = SpaceGrid.cover([path], cells, points=[loc for loc, _ in measure.atoms])
     occ = occupation_density_local_time(path, p, grid, [t])
     slice_t = occ.values[0]
 

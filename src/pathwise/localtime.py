@@ -87,13 +87,15 @@ class SpaceGrid:
         )
 
     @classmethod
-    def cover(cls, paths: Sequence[SampledPath], cells: int) -> "SpaceGrid":
-        """Grid covering the joint range of the paths with a one-cell
-        margin on each side."""
+    def cover(cls, paths: Sequence[SampledPath], cells: int, points: Sequence[float] = ()) -> "SpaceGrid":
+        """Grid covering the joint range of the paths and the extra points
+        with a one-cell margin on each side; a single value v gets
+        [v - 1, v + 1]."""
         if cells < 3:
             raise ParameterError("cover needs at least 3 cells for the margins")
-        m = min(float(p.values.min()) for p in paths)
-        M = max(float(p.values.max()) for p in paths)
+        extra = [float(x) for x in points]
+        m = min([float(p.values.min()) for p in paths] + extra)
+        M = max([float(p.values.max()) for p in paths] + extra)
         if M <= m:
             return cls(lo=m - 1.0, hi=m + 1.0, cells=cells)
         cw = (M - m) / (cells - 2)

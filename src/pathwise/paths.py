@@ -30,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "SampledPath",
     "PathSpec",
     "generate",
+    "range_anchors",
     "running_extrema",
     "write_path_csv",
 ]
@@ -390,6 +391,15 @@ def running_extrema(path: SampledPath) -> Tuple[np.ndarray, np.ndarray]:
     m = np.minimum.accumulate(path.values)
     M = np.maximum.accumulate(path.values)
     return m, M
+
+
+def range_anchors(path: SampledPath, fracs: Sequence[float], fallback_offsets=(-0.25,)) -> List[float]:
+    """Levels at the given fractions of the path's range; a constant path,
+    which has no range, gets its value plus the fallback offsets instead."""
+    m, M = float(path.values.min()), float(path.values.max())
+    if M <= m:
+        return [m + off for off in fallback_offsets]
+    return [m + fr * (M - m) for fr in fracs]
 
 
 def write_path_csv(path: SampledPath, file) -> None:

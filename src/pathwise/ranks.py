@@ -89,7 +89,10 @@ def build_rank_system(paths: Sequence[SampledPath]) -> RankSystem:
             raise ParameterError("mismatched grids: all paths must share (T, n_max)")
     values = np.vstack([q.values for q in paths])
     ranked = -np.sort(-values, axis=0)
-    counts = (values[None, :, :] == ranked[:, None, :]).sum(axis=1)
+    # ties per (rank, time), one (m, N) comparison per path
+    counts = np.zeros(ranked.shape, dtype=np.int64)
+    for v in values:
+        counts += ranked == v
     return RankSystem(
         paths=tuple(paths), values=values, ranked=ranked, counts=counts, T=T, n_max=n_max
     )

@@ -64,9 +64,10 @@ EXACT_THRESHOLD = 1e-9
 class IdentityReport:
     """Both sides of one identity across partition levels.
 
-    ``residuals`` are absolute gaps |lhs - rhs|; ``passed`` applies the
-    relative threshold for exact-per-level identities and stays None for
-    limit-only trend reports unless a desk-scale gate was requested.
+    ``residuals`` are absolute gaps |lhs - rhs| and ``relative_residuals``
+    their ``relative_gap``; ``passed`` gates the latter at the threshold for
+    exact-per-level identities and stays None for limit-only trend reports
+    unless a desk-scale gate was requested.
     """
 
     identity: str
@@ -74,6 +75,7 @@ class IdentityReport:
     lhs: np.ndarray
     rhs: np.ndarray
     residuals: np.ndarray
+    relative_residuals: np.ndarray
     exactness: str  # "exact-per-level" | "limit-only"
     threshold: Optional[float] = None
     passed: Optional[bool] = None
@@ -91,10 +93,9 @@ class IdentityReport:
 
 def _exact_report(identity: str, labels, lhs, rhs, details=None) -> IdentityReport:
     report = _limit_report(identity, labels, lhs, rhs, details)
-    rel = np.array([relative_gap(a, b) for a, b in zip(report.lhs, report.rhs)])
     report.exactness = "exact-per-level"
     report.threshold = EXACT_THRESHOLD
-    report.passed = bool(np.all(rel <= EXACT_THRESHOLD))
+    report.passed = bool(np.all(report.relative_residuals <= EXACT_THRESHOLD))
     return report
 
 
@@ -107,6 +108,7 @@ def _limit_report(identity: str, labels, lhs, rhs, details=None) -> IdentityRepo
         lhs=lhs,
         rhs=rhs,
         residuals=np.abs(lhs - rhs),
+        relative_residuals=np.array([relative_gap(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())]),
         exactness="limit-only",
         details=details or {},
     )

@@ -10,7 +10,7 @@ hierarchy cannot certify a limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,9 +50,10 @@ def _power_sums(path: SampledPath, levels: Sequence[np.ndarray], p: float, check
 
 
 def increment_power_sums(
-    path: SampledPath, level: np.ndarray, p: float, checkpoint_indices: np.ndarray
+    path: SampledPath, level: np.ndarray, p: float, checkpoint_indices: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Raw cumulative sums ``sum |increment|**p`` for a single level.
+    """Raw cumulative sums ``sum |increment|**p`` for a single level, at
+    each checkpoint index or, without any, over the whole path.
 
     Accepts any real p >= 1; the public operation restricts to even
     integers but e.g. the p = 1 telescoping identity on monotone paths is

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from pathwise import PathSpec, SampledPath, dyadic_hierarchy, generate
+from pathwise import PathSpec, SampledPath, acceptance, dyadic_hierarchy, generate
 from pathwise._util import write_csv
 
 
@@ -44,6 +44,14 @@ def make_walk(values, T=1.0):
 def single_interval_path(v0, v1):
     """A path whose coarsest custom level [0, last] holds one interval."""
     return make_walk([v0, 0.5 * (v0 + v1), v1])
+
+
+@pytest.fixture(scope="session")
+def suite_run(tmp_path_factory):
+    """One default acceptance run with artifacts: criteria 1-9 once, then
+    C10, which reruns them and compares against the kept artifacts."""
+    out = tmp_path_factory.mktemp("acc")
+    return acceptance.run_all(out_dir=str(out)), out
 
 
 @pytest.fixture(scope="session")

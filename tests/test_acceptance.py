@@ -28,14 +28,6 @@ def _reduced_config():
     return cfg
 
 
-@pytest.fixture(scope="module")
-def suite_run(tmp_path_factory):
-    """One default run with artifacts: criteria 1-9 once, then C10, which
-    reruns them and compares against the kept artifacts."""
-    out = tmp_path_factory.mktemp("acc")
-    return acceptance.run_all(out_dir=str(out)), out
-
-
 @pytest.mark.parametrize("key", [c.key for c in acceptance.CRITERIA])
 def test_criterion(key, suite_run):
     (result,) = [r for r in suite_run[0] if r.key == key]
@@ -63,7 +55,7 @@ def test_summary_artifact(suite_run):
     import json
 
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["all_passed"]
+    assert summary["all_passed"] and summary["schema_version"] == 1 and summary["suite"] == "acceptance"
     assert len(summary["criteria"]) == 10
     csvs = sorted(p.name for p in out.glob("*.csv"))
     assert len(csvs) == 9
@@ -91,14 +83,39 @@ def test_monte_carlo_tasks_equal_the_full_hierarchy_finest_level(rep):
     path = acceptance._fbm(0.5, seed, n, T)
     exp = SmoothCallable([np.exp, np.exp], name="exp")
     full = scaling_check(path, exp, 0.0, dyadic_hierarchy(path, n), 2)
-    ratio = full.lhs[-1] / full.rhs[-1] if full.rhs[-1] > 0 else np.nan
-    assert np.array_equal(acceptance._c7_task((seed, n, n, T)), ratio, equal_nan=True)
+    assert acceptance._c7_task((seed, n, n, T)) == (full.lhs[-1], full.rhs[-1])
 
     bx, by = mc["minmax_seed_bases"]
     X, Y = acceptance._fbm(0.5, bx + rep, n, T), acceptance._fbm(0.5, by + rep, n, T)
     minmax = identity_suite(X, Y, dyadic_hierarchy(X, n), 2)[-1]
     assert minmax.identity == "min plus max local times"
     assert acceptance._c8_task((bx + rep, by + rep, n, n, T)) == (minmax.lhs[-1], minmax.rhs[-1])
+
+
+def test_c3_reads_the_configured_level():
+    # like C6-C8, C3 sums only dyadic level mc.level of its n_max paths
+    cfg = _reduced_config()
+    cfg["mc"].update(n_max=8, level=5)
+    result = acceptance.run_criterion("C3", cfg)
+    for row in result.rows:
+        path = acceptance._fbm(row["hurst"], row["seed"], 8, cfg["T"])
+        coarse = np.sum(np.abs(np.diff(path.values[::2**3])) ** row["p"])
+        assert row["value"] == pytest.approx(coarse, rel=1e-12)
+
+
+def test_c7_leaves_seeds_without_a_ratio_out_of_its_median():
+    # seed 307004 is a Brownian path that never goes below its start: both
+    # finest-level local times at 0 are exactly 0, so its ratio is undefined
+    cfg = copy.deepcopy(acceptance.DEFAULT_CONFIG)
+    cfg["mc"]["exp_scaling_seed_base"] = 307000
+    result = acceptance.run_criterion("C7", cfg)
+    assert result.passed, result.status_line()
+    assert result.info["zero_rhs_seeds"] == [307004]
+    exp_rows = [r for r in result.rows if r["check"] == "exp_ratio"]
+    assert len(exp_rows) == cfg["mc"]["n_seeds"]
+    defined = [r["value"] for r in exp_rows if r["seed"] != 307004]
+    assert [r["value"] for r in exp_rows if r["seed"] == 307004] == [""]
+    assert exp_rows[0]["median"] == float(np.median(defined))
 
 
 @pytest.mark.parametrize(

@@ -341,6 +341,15 @@ def test_modified_follmer_polynomial_matches_plain_sums():
             assert abs(rep.sums[i, j] - plain[j]) <= 10.0 * (1.0 / m) * lip + 1e-8
 
 
+def test_modified_follmer_needs_three_cells_for_its_grid():
+    # its default grid has a one-cell margin on each side of the path range
+    # and the atoms
+    path = small_bm()
+    hier = dyadic_hierarchy(path, 5)
+    with pytest.raises(ParameterError, match="at least 3 cells"):
+        modified_follmer_integral(path, hier, 2, tanaka_class("abs_pow", 2), 1.0, m_schedule=(2,), cells=2)
+
+
 def test_modified_follmer_far_kink_agrees_exactly():
     # path range avoids [a - 1/m, a + 1/m]; locally f is linear so the
     # mollification changes nothing

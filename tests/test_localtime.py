@@ -51,6 +51,17 @@ def test_space_grid_cover_degenerate_constant(constant_path):
     assert grid.lo < 2.0 < grid.hi
 
 
+def test_space_grid_cover_takes_extra_points(bm_path):
+    # a point outside the path's range widens the grid as a path value would
+    m, M = float(bm_path.values.min()), float(bm_path.values.max())
+    point = m - 1.5
+    grid = SpaceGrid.cover([bm_path], 40, points=[point])
+    cw = (M - point) / 38
+    assert grid == SpaceGrid(point - cw, M + cw, 40)
+    # points inside the range change nothing
+    assert SpaceGrid.cover([bm_path], 40, points=[0.5 * (m + M)]) == SpaceGrid.cover([bm_path], 40)
+
+
 def test_space_grid_validation():
     with pytest.raises(ParameterError):
         SpaceGrid(1.0, 1.0, 8)

@@ -11,6 +11,7 @@ from pathwise import (
     ParameterError,
     PathSpec,
     generate,
+    range_anchors,
     running_extrema,
     write_path_csv,
 )
@@ -86,6 +87,14 @@ def test_fbm_monte_carlo_covariance_oracle():
     ses = paths.std(axis=0, ddof=1) / np.sqrt(reps)
     nz = ses > 0
     assert np.all(np.abs(means[nz]) <= 4 * ses[nz])
+
+
+def test_range_anchors_are_fractions_of_the_range(triangle_path, constant_path):
+    m, M = float(triangle_path.values.min()), float(triangle_path.values.max())
+    assert range_anchors(triangle_path, [0.0, 0.37, 1.0]) == [m, m + 0.37 * (M - m), M]
+    # a constant path has no range: its value plus the fallback offsets
+    assert range_anchors(constant_path, [0.37]) == [2.0 - 0.25]
+    assert range_anchors(constant_path, [0.1, 0.9], (-0.5, 0.5)) == [1.5, 2.5]
 
 
 def test_running_extrema_constant(constant_path):

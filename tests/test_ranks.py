@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,30 @@ def test_small_rank_example_by_hand():
     np.testing.assert_array_equal(system.ranked[0], [2.0, 2.0, 3.0])
     np.testing.assert_array_equal(system.ranked[1], [1.0, 2.0, 2.0])
     np.testing.assert_array_equal(system.counts[:, 1], [2, 2])  # total tie
+
+
+def test_tie_counts_equal_the_dense_comparison():
+    # exact ties between integer walks, all three paths tied at t = 0
+    rng = np.random.default_rng(5)
+    walks = [make_walk(np.concatenate([[0.0], np.cumsum(rng.integers(-1, 2, 64))])) for _ in range(3)]
+    system = build_rank_system(walks)
+    dense = (system.values[None, :, :] == system.ranked[:, None, :]).sum(axis=1)
+    assert system.counts.dtype == dense.dtype and np.array_equal(system.counts, dense)
+    assert np.all(system.counts[:, 0] == 3) and np.any(system.counts[:, 1:] == 2)
+
+
+def test_rank_system_working_set_is_linear_in_the_path_count():
+    # the outputs are three (m, N + 1) arrays; tie counting adds one (m, N + 1)
+    # boolean comparison, not an (m, m, N + 1) one
+    paths = [generate(PathSpec(kind="bm", n_max=14, seed=s)) for s in range(16)]
+    path_bytes = sum(q.values.nbytes for q in paths)
+    tracemalloc.start()
+    try:
+        build_rank_system(paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * path_bytes, (peak, path_bytes)
 
 
 def test_total_tie_counts():

@@ -21,6 +21,7 @@ from pathwise import (
     ito_residual,
     lebesgue_hierarchy,
     occupation_check,
+    range_anchors,
     scaling_check,
     scaling_root_preset,
     tanaka_class,
@@ -134,10 +135,12 @@ def test_finite_n_identity_is_the_one_level_report(path_name, p, triangle_path):
     else:
         path = triangle_path
     hier = dyadic_hierarchy(path, 8)
-    for _, f in acceptance._test_functions(p, *acceptance._anchors(path, [0.37], [-0.25])):
+    for _, f in acceptance._test_functions(p, *range_anchors(path, [0.37])):
         rep = finite_n_report(path, hier, p, f, 1.0)
-        for lev, lhs, rhs in zip(hier.levels, rep.lhs.tolist(), rep.rhs.tolist()):
-            assert finite_n_identity(path, lev, p, f, 1.0) == relative_gap(lhs, rhs)
+        # the report keeps the gaps that its exact gate and C1 read
+        gaps = rep.relative_residuals.tolist()
+        for lev, lhs, rhs, gap in zip(hier.levels, rep.lhs.tolist(), rep.rhs.tolist(), gaps):
+            assert finite_n_identity(path, lev, p, f, 1.0) == relative_gap(lhs, rhs) == gap
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +155,7 @@ def test_exact_identities_hold_at_every_checkpoint(bm_seed3, kind, t):
     # past t on a coarse level; both sides must end there
     path = bm_seed3
     hier = dyadic_hierarchy(path, 8) if kind == "dyadic" else lebesgue_hierarchy(path, 6)
-    (a,) = acceptance._anchors(path, [0.37], [-0.25])
+    (a,) = range_anchors(path, [0.37])
     assert a not in path.values
     assert tanaka_meyer_report(path, hier, 2, a, t).passed
     assert finite_n_report(path, hier, 2, tanaka_class("abs_pow", 2), t).passed

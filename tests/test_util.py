@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pathwise import (
+    ParameterError,
     PathSpec,
     SpaceGrid,
     build_rank_system,
@@ -357,6 +358,14 @@ def test_modified_follmer_table_has_the_old_bytes():
     rep = modified_follmer_integral(path, dyadic_hierarchy(path, 3), 2, f, 1.0, m_schedule=(2, 4), cells=32)
     header = ("m", "level", "sum", "target", "abs_err")
     assert new_text(header, rep.csv_table()) == old_text(header, follmer_rows_before(rep))
+
+
+@pytest.mark.parametrize("values", [[], [1.0, float("nan")], [float("inf"), 2.0, 3.0]], ids=["empty", "nan", "inf"])
+def test_median_refuses_what_it_cannot_order(values):
+    # a NaN median would make every gate comparison quietly false
+    with pytest.raises(ParameterError, match="finite values"):
+        _util.median(values)
+    assert _util.median([3.0, 1.0, 2.0, 10.0]) == 2.5
 
 
 def test_criterion_table_has_the_old_bytes():

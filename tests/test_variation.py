@@ -54,6 +54,8 @@ def test_telescoping_first_variation_on_monotone_path():
     for lev in hier.levels:
         val = increment_power_sums(path, lev, 1.0, last)[0]
         assert val == pytest.approx(abs(path.values[-1] - path.values[0]), rel=1e-13)
+        # without checkpoints the sum runs over the whole path
+        assert increment_power_sums(path, lev, 1.0).tolist() == [val]
 
 
 def test_closure_bound_for_combinations(bm_path, rough_path):
