@@ -77,6 +77,7 @@ from .ranks import (
     build_rank_system,
     collision_local_time,
     rank_decomposition,
+    rank_decompositions,
     rank_sum_identity,
     simplified_cross_term,
 )

@@ -27,7 +27,7 @@ from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
 from .partitions import PartitionHierarchy, dyadic_hierarchy
 from .paths import PathSpec, SampledPath, generate, range_anchors
-from .ranks import build_rank_system, rank_decomposition, rank_sum_identity
+from .ranks import build_rank_system, rank_decompositions, rank_sum_identity
 from .tanaka import (
     CellIndicator,
     EXACT_THRESHOLD,
@@ -329,9 +329,10 @@ def criterion_05(cfg: dict):
             paths = [_fbm(1.0 / p, rk["seed_base"] + i, ex["n_max"], cfg["T"]) for i in range(m)]
             system = build_rank_system(paths)
             hier = dyadic_hierarchy(paths[0], ex["levels"])
+            decs = [rank_decompositions(system, hier, p, f, ex["checkpoints"]) for _, f in fset]
             for k in range(1, m + 1):
-                for f_name, f in fset:
-                    dec = rank_decomposition(system, k, hier, p, f, ex["checkpoints"])
+                for (f_name, _), per_rank in zip(fset, decs):
+                    dec = per_rank[k - 1]
                     worst = float(np.max(dec.relative_residual))
                     czero = float(np.max(np.abs(dec.C)))
                     good = dec.passed and (p != 2 or czero == 0.0)

@@ -32,7 +32,7 @@ from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
 from .partitions import dyadic_hierarchy, lebesgue_hierarchy
 from .paths import PATH_KINDS, PathSpec, generate, range_anchors, write_path_csv
-from .ranks import build_rank_system, rank_decomposition, rank_sum_identity
+from .ranks import build_rank_system, rank_decompositions, rank_sum_identity
 from .tanaka import (
     CellIndicator,
     finite_n_report,
@@ -266,11 +266,10 @@ def run(cfg: dict) -> int:
         system = build_rank_system([path for _, path in paths])
         f = tanaka_class("poly", p, coeffs=[0.0, 1.0])
         rank_tables = []
-        for k in range(1, system.m + 1):
-            dec = rank_decomposition(system, k, first_hier, p, f, cfg["checkpoints"])
+        for dec in rank_decompositions(system, first_hier, p, f, cfg["checkpoints"]):
             rank_tables.append(dec.csv_table())
             if not dec.passed:
-                exact_failures.append(f"rank decomposition k={k}")
+                exact_failures.append(f"rank decomposition k={dec.k}")
         name = os.path.join(out_dir, "ranks.csv")
         write_csv(name, RANK_FIELDS, *rank_tables)
         outputs.append(os.path.basename(name))

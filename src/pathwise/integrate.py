@@ -127,9 +127,14 @@ class TestFunction:
         """k-th derivative at x (k = 0 is the value itself); vectorized."""
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        coeffs = self._coeffs(k)
+        if len(coeffs) == 1:
+            # one piece covers every x: polyval is elementwise, so this is
+            # what the masked loop below would write
+            out = npoly.polyval(xs - self.centers[0], coeffs[0])
+            return float(out[0]) if scalar else out
         out = np.empty_like(xs)
         pos = self._piece_index(xs)
-        coeffs = self._coeffs(k)
         # the pieces present, without sorting the abscissae as unique would
         for i in np.flatnonzero(np.bincount(pos.ravel(), minlength=len(self.pieces))):
             mask = pos == i

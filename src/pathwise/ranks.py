@@ -13,6 +13,15 @@ right endpoint (the collision charge, split into its +/- parts), and C
 holds the binomial cross terms mixing original-path increments with rank
 gaps.  The decomposition is pure algebra at every level; only its limit
 interpretation involves local times.
+
+:func:`rank_decompositions` evaluates every rank in one pass over the
+levels, in O(m N) work for m paths of N intervals.  Each block of levels
+gathers the m path rows once, and one stable argsort of their left values
+names each rank's occupant, the path sitting at it.  Where that path sits
+there alone, B, C and D are its own terms: only its right value is read,
+and f's derivatives at its left value are the rank's.  Only intervals
+whose left endpoint is tied at rank k (every level's first, when the
+paths start together) weight all m paths by their share of the rank.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "CollisionLocalTime",
     "rank_sum_identity",
     "rank_decomposition",
+    "rank_decompositions",
     "RankDecomposition",
     "simplified_cross_term",
     "SimplifiedCrossTerm",
@@ -198,6 +208,131 @@ class RankDecomposition:
                      (self.A, self.B, self.C, self.D, self.residual))
 
 
+def _occupants(Xa: np.ndarray) -> np.ndarray:
+    """Row k-1 holds the path at rank k on each column of the (m, n)
+    values Xa: one stable argsort of the columns, descending.  Where a
+    rank is shared it names one of the tied paths."""
+    return np.argsort(-Xa, axis=0, kind="stable")
+
+
+def _rank_weighted_sums(terms, f, fr, Ra, Rb, Xa, Xb, na, occupant):
+    """Per interval, the sums over the m paths of each array that
+    ``terms(fx, fk, dX, gap)`` returns, path i weighted by
+    ``(Xa_i == Ra) / na``: its share of rank k at the left endpoint.
+
+    ``terms`` gets f's derivatives ``fx`` (a dict by order) at the path's
+    left value, the same orders ``fk`` at the rank's, the path increment
+    ``dX`` and the right-endpoint gap ``gap = Rb - Xb``; ``fr`` holds the
+    orders at Ra.  Where one path alone sits at rank k, the occupant, its
+    weight is 1 and every other weight 0: its left value is Ra, so its fx
+    is fr, and the dense sum, which starts at +0.0 and adds only zeros
+    besides the occupant's term, is that term plus 0.0.  Only the tied
+    columns (``na > 1``) take the dense weighted form over all m paths;
+    their gather keeps the block's path-contiguous layout, so numpy adds
+    each column's m terms in the same order as over the whole block.
+    """
+    cols = np.arange(Ra.size)
+    xb = Xb[occupant, cols]
+    sums = terms(fr, fr, xb - Ra, Rb - xb)
+    for s in sums:
+        s += 0.0
+    tied = np.flatnonzero(na > 1)
+    if tied.size:
+        xa, xb, ra = Xa[:, tied], Xb[:, tied], Ra[tied]
+        w = (xa == ra[None, :]) / na[tied][None, :]
+        fx = {r: np.asarray(f.derivative(xa, r), dtype=float) for r in fr}
+        fk = {r: v[tied] for r, v in fr.items()}
+        for s, t in zip(sums, terms(fx, fk, xb - xa, Rb[tied] - xb)):
+            s[tied] = np.sum(w * t, axis=0)
+    return sums
+
+
+def _rank_decompositions(
+    system: RankSystem,
+    ranks: Sequence[int],
+    hierarchy: PartitionHierarchy,
+    p: int,
+    f,
+    checkpoints: Sequence[float],
+) -> list:
+    """The decompositions of the given ranks, in one pass over the levels."""
+    p = even_order(p)
+    lo = min(ranks) - 1
+    rows = slice(lo, max(ranks))
+    fact = [math.factorial(i) for i in range(p + 1)]
+    first, cps = snap_checkpoints(system.paths[0], checkpoints)
+
+    def terms(fx, fk, dX, gap):
+        b_terms = np.zeros_like(dX)
+        for r in range(1, p):
+            b_terms += fx[r] / fact[r] * dX**r
+        c_terms = np.zeros_like(dX)
+        for ell in range(1, p - 1):
+            gl = gap**ell
+            for r in range(ell, p):
+                c_terms += fk[r] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
+        return (b_terms, c_terms, gap ** (p - 1),
+                np.maximum(gap, 0.0) ** (p - 1), np.maximum(-gap, 0.0) ** (p - 1))
+
+    def one_rank(blk, Ra, Rb, Xa, Xb, na, occupant):
+        fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
+        dR = Rb - Ra
+        a_sum = np.zeros_like(Ra)
+        for r in range(1, p):
+            a_sum += fr[r] / fact[r] * dR**r
+        b_sum, c_sum, d_sum, d_plus, d_minus = _rank_weighted_sums(
+            terms, f, fr, Ra, Rb, Xa, Xb, na, occupant)
+        dcoef = fr[p - 1] / fact[p - 1]
+        return [blk.checkpoint_cumsums(x) for x in (a_sum, b_sum, c_sum, d_sum * dcoef, d_plus * dcoef,
+                                                      d_minus * dcoef)]
+
+    def per_block(blk, Xa, Xb, Ras, Rbs, nas, _):
+        occupants = _occupants(Xa)
+        out = []
+        # one rank at a time, so only one row's temporaries are alive
+        for k in ranks:
+            i = k - 1 - lo
+            out += one_rank(blk, Ras[i], Rbs[i], Xa, Xb, nas[i], occupants[k - 1])
+        return tuple(out)
+
+    sums = LevelStack.build(hierarchy.levels, cps).evaluate(
+        per_block, system.values, system.ranked[rows], system.counts[rows])
+    decompositions = []
+    for i, k in enumerate(ranks):
+        A, B, C, D, D_plus, D_minus = sums[6 * i: 6 * i + 6]
+        resid = np.abs(A - (B + C + D))
+        scale = np.maximum(1.0, np.max(np.stack([np.abs(A), np.abs(B), np.abs(C), np.abs(D)]), axis=0))
+        rel = resid / scale
+        decompositions.append(RankDecomposition(
+            k=k, p=p, f_name=getattr(f, "name", ""),
+            level_labels=hierarchy.level_labels,
+            checkpoint_times=first,
+            A=A, B=B, C=C, D=D,
+            D_plus=D_plus, D_minus=D_minus,
+            residual=resid, relative_residual=rel,
+            passed=bool(np.all(rel <= EXACT_THRESHOLD)),
+        ))
+    return decompositions
+
+
+def rank_decompositions(
+    system: RankSystem,
+    hierarchy: PartitionHierarchy,
+    p: int,
+    f,
+    checkpoints: Sequence[float],
+) -> list:
+    """A, B, C, D of every rank k = 1..m, gated on A = B + C + D, in one
+    pass over the levels: O(m N) work, not O(m^2 N).
+
+    The interval algebra: on a tie X_i(t_j) = X_(k)(t_j), the ranked
+    increment is the path increment plus the right-endpoint rank gap, and
+    the binomial theorem splits each power accordingly; summing preserves
+    equality exactly.
+    """
+    return _rank_decompositions(system, range(1, system.m + 1), hierarchy, p, f, checkpoints)
+
+
 def rank_decomposition(
     system: RankSystem,
     k: int,
@@ -206,64 +341,10 @@ def rank_decomposition(
     f,
     checkpoints: Sequence[float],
 ) -> RankDecomposition:
-    """Evaluate A, B, C, D per level and checkpoint and gate A = B + C + D.
-
-    The interval algebra: on a tie X_i(t_j) = X_(k)(t_j), the ranked
-    increment is the path increment plus the right-endpoint rank gap, and
-    the binomial theorem splits each power accordingly; summing preserves
-    equality exactly.
-    """
-    p = even_order(p)
+    """The decomposition of rank k alone; see :func:`rank_decompositions`."""
     if not (1 <= k <= system.m):
         raise ParameterError(f"rank k must be in 1..{system.m}, got {k}")
-    rk = system.ranked[k - 1]
-    nk = system.counts[k - 1]
-    fact = [math.factorial(i) for i in range(p + 1)]
-    first, cps = snap_checkpoints(system.paths[0], checkpoints)
-
-    def per_block(blk, Ra, Rb, Xa, Xb, na, _):
-        dR = Rb - Ra
-        dX = Xb - Xa
-        gap = Rb - Xb  # rank value minus path value at the right endpoint
-        w = (Xa == Ra[None, :]) / na[None, :]
-
-        fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
-        fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
-
-        a_sum = np.zeros_like(Ra)
-        b_terms = np.zeros_like(Xa)
-        for r in range(1, p):
-            a_sum += fr[r] / fact[r] * dR**r
-            b_terms += fXa[r] / fact[r] * dX**r
-        b_sum = np.sum(w * b_terms, axis=0)
-
-        c_terms = np.zeros_like(Xa)
-        for ell in range(1, p - 1):
-            gl = gap**ell
-            for r in range(ell, p):
-                c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
-        c_sum = np.sum(w * c_terms, axis=0)
-
-        dcoef = fr[p - 1] / fact[p - 1]
-        d_plus = np.sum(w * np.maximum(gap, 0.0) ** (p - 1), axis=0) * dcoef
-        d_minus = np.sum(w * np.maximum(-gap, 0.0) ** (p - 1), axis=0) * dcoef
-        d_sum = np.sum(w * gap ** (p - 1), axis=0) * dcoef
-        return tuple(map(blk.checkpoint_cumsums, (a_sum, b_sum, c_sum, d_sum, d_plus, d_minus)))
-
-    stack = LevelStack.build(hierarchy.levels, cps)
-    A, B, C, D, D_plus, D_minus = stack.evaluate(per_block, rk, system.values, nk)
-    resid = np.abs(A - (B + C + D))
-    scale = np.maximum(1.0, np.max(np.stack([np.abs(A), np.abs(B), np.abs(C), np.abs(D)]), axis=0))
-    rel = resid / scale
-    return RankDecomposition(
-        k=k, p=p, f_name=getattr(f, "name", ""),
-        level_labels=hierarchy.level_labels,
-        checkpoint_times=first,
-        A=A, B=B, C=C, D=D,
-        D_plus=D_plus, D_minus=D_minus,
-        residual=resid, relative_residual=rel,
-        passed=bool(np.all(rel <= EXACT_THRESHOLD)),
-    )
+    return _rank_decompositions(system, (k,), hierarchy, p, f, checkpoints)[0]
 
 
 @dataclass
@@ -294,21 +375,23 @@ def simplified_cross_term(
         raise ParameterError(
             "simplified cross term requires a polynomial with vanishing p-th derivative"
         )
-    rk = system.ranked[k - 1]
-    nk = system.counts[k - 1]
+    full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
     fact = [math.factorial(i) for i in range(p + 1)]
     times, cps = snap_checkpoints(system.paths[0], checkpoints)
 
-    def per_block(blk, Ra, Rb, Xa, Xb, na, _):
-        gap = Rb - Xb
-        w = (Xa == Ra[None, :]) / na[None, :]
-        terms = np.zeros_like(Xa)
+    def terms(fx, fk, dX, gap):
+        out = np.zeros_like(gap)
         for ell in range(1, p - 1):
-            terms += np.asarray(f.derivative(Xa, ell), dtype=float) / fact[ell] * gap**ell
-        return blk.checkpoint_cumsums(np.sum(w * terms, axis=0))
+            out += fx[ell] / fact[ell] * gap**ell
+        return (out,)
 
-    simplified = LevelStack.build(hierarchy.levels, cps).evaluate(per_block, rk, system.values, nk)
-    full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
+    def per_block(blk, Ra, Rb, Xa, Xb, na, _):
+        fr = {ell: np.asarray(f.derivative(Ra, ell), dtype=float) for ell in range(1, p - 1)}
+        (sums,) = _rank_weighted_sums(terms, f, fr, Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
+        return blk.checkpoint_cumsums(sums)
+
+    simplified = LevelStack.build(hierarchy.levels, cps).evaluate(
+        per_block, system.ranked[k - 1], system.values, system.counts[k - 1])
     return SimplifiedCrossTerm(
         k=k, p=p,
         level_labels=hierarchy.level_labels,

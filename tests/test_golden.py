@@ -40,6 +40,10 @@ _RUN = {
 # interval kernel
 _LEB_RUN = {**_RUN, "paths": [{"kind": "bm", "n_max": 16, "seed": 7}], "partition": "lebesgue",
             "levels": 10, "output_dir": "leb-run/"}
+# four ranked paths at p = 4, so the rank decomposition's cross term C and
+# its interior checkpoints are pinned too
+_RANK_RUN = {"paths": [{"kind": "bm", "n_max": 12, "seed": 7}], "seeds": {"count": 4}, "p": 4, "levels": 12,
+             "analyses": ["ranks"], "checkpoints": [0.3, 0.5, 1.0], "output_dir": "rank-run/"}
 
 # what each run writes (a file, or every CSV of a directory), and its
 # command line, run in the current directory
@@ -49,8 +53,10 @@ CLI_RUNS = {
             "--grid-cells", "128", "--out-dir", "lt/"],
     "run/": ["run", "--config", "run.json"],
     "leb-run/": ["run", "--config", "leb-run.json"],
+    "rank-run/": ["run", "--config", "rank-run.json"],
 }
-_CONFIGS = {"run/": ("run.json", _RUN), "leb-run/": ("leb-run.json", _LEB_RUN)}
+_CONFIGS = {"run/": ("run.json", _RUN), "leb-run/": ("leb-run.json", _LEB_RUN),
+            "rank-run/": ("rank-run.json", _RANK_RUN)}
 
 
 def _run_cli(target: str) -> None:

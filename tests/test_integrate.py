@@ -123,6 +123,25 @@ def test_cached_derivative_coefficients_are_bit_identical_to_polyder_chain(name,
             assert f.piece_derivative_value(i, a, k) == float(npoly.polyval(a - f.centers[i], c))
 
 
+@pytest.mark.parametrize("coeffs", [[0.3, -1.2, 0.7, 1.1], [0.0, 0.0, 0.0, 1.0], [2.0]])
+def test_one_piece_derivatives_are_bit_identical_to_the_masked_path(coeffs):
+    f = tanaka_class("poly", 4, coeffs=coeffs)
+    # the same piece twice, split above every input: the per-piece masked
+    # loop runs, and every x falls in its first piece
+    twin = integrate.TestFunction(breakpoints=[1e300], pieces=f.pieces * 2,
+                                  centers=np.repeat(f.centers, 2), smoothness=None)
+    xs = np.random.default_rng(3).standard_normal((3, 17)) * 4.0
+    xs[0, :3] = [-0.0, 0.0, 1e50]
+    for k in range(4):
+        for x in (0.7, -0.0, np.float64(-1.3), np.array(2.5), xs):
+            got, want = f.derivative(x, k), twin.derivative(x, k)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert isinstance(f.derivative(0.7, k), float)
+        assert f.derivative(np.array(2.5), k).shape == (1,)
+        assert f.derivative(xs, k).shape == xs.shape
+
+
 # -- compensated Riemann sums ---------------------------------------------
 
 

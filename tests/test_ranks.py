@@ -16,6 +16,7 @@ from pathwise import (
     generate,
     lebesgue_hierarchy,
     rank_decomposition,
+    rank_decompositions,
     rank_sum_identity,
     simplified_cross_term,
     tanaka_class,
@@ -75,6 +76,25 @@ def test_rank_system_working_set_is_linear_in_the_path_count():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * path_bytes, (peak, path_bytes)
+
+
+def test_all_rank_decomposition_working_set_is_linear_in_the_path_count():
+    # one gather of the m value, rank and tie-count rows of the block, their
+    # occupant order, and one rank's row temporaries at a time; a per-rank
+    # pass over all m paths held about 27x the path bytes here
+    paths = [generate(PathSpec(kind="fbm", hurst=0.25, n_max=14, seed=s)) for s in range(8)]
+    system = build_rank_system(paths)
+    hier = dyadic_hierarchy(paths[0], 14)
+    f = tanaka_class("x_pow_pm1", 4)
+    path_bytes = sum(q.values.nbytes for q in paths)
+    tracemalloc.start()
+    try:
+        decs = rank_decompositions(system, hier, 4, f, [0.25, 0.5, 0.75, 1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(dec.passed for dec in decs)
+    assert peak <= 16 * path_bytes, (peak, path_bytes)
 
 
 def test_total_tie_counts():
@@ -481,10 +501,11 @@ def _same_bytes(got, want):
     return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
-# a coarse lattice of values makes ranks tie often, including at t = 0
+# a coarse lattice of values makes ranks tie often, including at t = 0;
+# -0.0 ties with 0.0 but has its own bits
 lattice_walks = st.lists(
     st.one_of(
-        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
         st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=32),
     ),
     min_size=17,
@@ -492,9 +513,16 @@ lattice_walks = st.lists(
 ).map(lambda v: make_walk(np.asarray(v, dtype=float)))
 
 
+# m paths, or one path m times, where every rank is tied everywhere
+rank_systems = st.integers(2, 5).flatmap(lambda m: st.one_of(
+    st.lists(lattice_walks, min_size=m, max_size=m),
+    lattice_walks.map(lambda walk: [walk] * m),
+))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(2, 3).flatmap(lambda m: st.lists(lattice_walks, min_size=m, max_size=m)),
+    rank_systems,
     st.integers(1, 3),
     st.sampled_from([2, 4]),
     st.sampled_from(["dyadic", "lebesgue", "interval-free level"]),
@@ -513,10 +541,12 @@ def test_stacked_rank_sums_are_bit_identical_to_per_level_loops(paths, k, p, kin
 
     poly = tanaka_class("poly", p, coeffs=[0.3, -1.2, 0.7, 1.1][:p])
     for f in (poly, tanaka_class("abs_pow", p, a=0.5), tanaka_class("poly", p, coeffs=[0.2, 0.0, 1.0, -0.5, 0.3, 0.1])):
-        dec = rank_decomposition(system, k, hier, p, f, checkpoints)
-        want = _per_level_decomposition(system, k, hier, p, f, checkpoints)
-        for key, rows in want.items():
-            assert _same_bytes(getattr(dec, key), rows), (f.name, key)
+        decs = rank_decompositions(system, hier, p, f, checkpoints)
+        assert [dec.k for dec in decs] == list(range(1, system.m + 1))
+        for dec in decs + [rank_decomposition(system, k, hier, p, f, checkpoints)]:
+            want = _per_level_decomposition(system, dec.k, hier, p, f, checkpoints)
+            for key, rows in want.items():
+                assert _same_bytes(getattr(dec, key), rows), (f.name, dec.k, key)
 
     simp = simplified_cross_term(system, k, hier, p, poly, checkpoints)
     assert _same_bytes(simp.simplified, _per_level_simplified(system, k, hier, p, poly, checkpoints))
