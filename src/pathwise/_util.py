@@ -1,9 +1,10 @@
 """Small shared helpers: checkpoint snapping, the interval kernel, tolerance
 arithmetic, the CSV and summary writers and heap trimming.
 
-Every per-level interval sum goes through :meth:`LevelStack.evaluate`,
-one block of consecutive levels at a time; only the :class:`LevelBlock`
-a summand function is handed knows where each level's intervals lie.
+:meth:`LevelStack.build` alone decides which intervals count at a time t;
+every per-level interval sum goes through :meth:`LevelStack.evaluate`, one
+block of consecutive levels at a time; only the :class:`LevelBlock` a
+summand function is handed knows where each level's intervals lie.
 
 Every CSV artifact goes through :func:`write_csv` as one or more
 :class:`Table` objects.  A table is a list of key axes followed by value
@@ -113,34 +114,35 @@ class LevelBlock:
 
 @dataclass(frozen=True)
 class LevelStack:
-    """The intervals of every level of a hierarchy, cut into blocks of
-    consecutive levels.
+    """The intervals of every level of a hierarchy credited at checkpoint
+    times, cut into blocks of consecutive levels.
 
-    Only intervals whose left endpoint is at or before the last checkpoint
-    are kept.  ``counts[i, j]`` is :func:`left_endpoint_counts` of level i
-    at checkpoint j, and ``ends[i, j] = levels[i][counts[i, j]]`` is the
-    grid index where that level's sums end (increments telescope to it);
-    built without checkpoints, the stack ends at the last sample.  A block
+    ``LevelStack.build(path, levels, checkpoints=None)`` is the one time
+    rule: ``times`` and ``indices`` are the :func:`snap_checkpoints` of the
+    checkpoints (without any, t = T: the whole path), ``counts[i, j]`` is
+    :func:`left_endpoint_counts` of level i at checkpoint j, and
+    ``ends[i, j] = levels[i][counts[i, j]]`` is the grid index where that
+    level's sums end (increments telescope to it).  Only intervals whose
+    left endpoint is at or before the last checkpoint are kept.  A block
     holds at most ``_BLOCK_INTERVALS`` kept intervals, or a single level
     that is larger.  Summands are evaluated over a whole block, but every
     reduction runs on one level's slice, so each sum adds the same numbers
     in the same order as a loop over the levels would, whatever the block
-    size; the working set is that of one block, about the size of the
-    largest level.
+    size; the working set is that of one block, about the largest level.
     """
 
     levels: Tuple[np.ndarray, ...]
+    times: np.ndarray
+    indices: np.ndarray
     counts: np.ndarray
     ends: np.ndarray
     blocks: Tuple[Tuple[int, int], ...]
 
     @classmethod
-    def build(cls, levels: Sequence[np.ndarray], checkpoint_indices: Optional[np.ndarray] = None) -> "LevelStack":
+    def build(cls, path: SampledPath, levels: Sequence, checkpoints: Optional[Sequence[float]] = None) -> "LevelStack":
+        times, indices = snap_checkpoints(path, [path.T] if checkpoints is None else checkpoints)
         levels = tuple(np.asarray(lev, dtype=np.int64) for lev in levels)
-        if checkpoint_indices is None:
-            checkpoint_indices = [max(int(lev[-1]) for lev in levels)]
-        counts = np.array([left_endpoint_counts(lev, checkpoint_indices) for lev in levels])
-        counts = counts.reshape(len(levels), -1)
+        counts = np.array([left_endpoint_counts(lev, indices) for lev in levels]).reshape(len(levels), -1)
         ends = np.array([lev[c] for lev, c in zip(levels, counts)])
         blocks, first, size = [], 0, 0
         for i, n in enumerate(counts.max(axis=1).tolist()):
@@ -149,7 +151,7 @@ class LevelStack:
                 first, size = i, 0
             size += n
         blocks.append((first, len(levels)))
-        return cls(levels=levels, counts=counts, ends=ends, blocks=tuple(blocks))
+        return cls(levels=levels, times=times, indices=indices, counts=counts, ends=ends, blocks=tuple(blocks))
 
     def evaluate(self, summands: Callable, *values: np.ndarray):
         """Per-level results of ``summands(block, a1, b1, a2, b2, ...)``.

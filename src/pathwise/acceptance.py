@@ -427,7 +427,7 @@ def _c8_task(args):
     sx, sy, n_max, level, T = args
     X = _fbm(0.5, sx, n_max, T)
     Y = _fbm(0.5, sy, n_max, T)
-    stack = LevelStack.build(_finest_level(X, level).levels)
+    stack = LevelStack.build(X, _finest_level(X, level).levels)
     (lhs,), (rhs,) = stack.evaluate(lambda blk, *ends: _min_plus_max(blk, *ends, 2)[-2:], X.values, Y.values)
     return float(lhs), float(rhs)
 

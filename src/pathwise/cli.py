@@ -20,6 +20,7 @@ A failing exact-class identity makes the exit status non-zero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from typing import List, Optional
 
 from . import acceptance as acc
 from ._util import release_free_heap, write_csv, write_summary
-from .errors import ConfigError, PathwiseError
+from .errors import ConfigError, ParameterError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
 from .partitions import dyadic_hierarchy, lebesgue_hierarchy
@@ -60,8 +61,6 @@ def _require(cfg: dict, field: str, typ, default=None):
             return default
         raise ConfigError(f"config field {field!r} is missing")
     val = cfg[field]
-    if typ is float and isinstance(val, int):
-        val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(f"config field {field!r} must be {typ.__name__}, got {type(val).__name__}")
     return val
@@ -116,25 +115,36 @@ def validate_run_config(cfg: dict) -> dict:
     for a in analyses:
         if a not in ANALYSES:
             raise ConfigError(f"config field 'analyses' contains unknown analysis {a!r}")
-    tf = cfg.get("test_functions", [{"name": "abs_pow", "params": {"a": 0.0}}])
-    for i, item in enumerate(tf):
+    functions = []
+    for i, item in enumerate(cfg.get("test_functions", [{"name": "abs_pow", "params": {"a": 0.0}}])):
         if item.get("name") not in TANAKA_CLASS_NAMES:
             raise ConfigError(
                 f"config field test_functions[{i}].name must be one of {TANAKA_CLASS_NAMES}"
             )
+        f = _test_function(item, p, f"test_functions[{i}]")
+        if any(g.name == f.name for g in functions):
+            raise ConfigError(f"config field test_functions[{i}] repeats the test function {f.name}")
+        functions.append(f)
     seeds = cfg.get("seeds", {"count": 1, "base": None})
     if _require(seeds, "count", int, default=1) < 1:
         raise ConfigError("config field 'seeds.count' must be >= 1")
+    if "ranks" in analyses and sum(len(_seed_variants(s, seeds)) for s in specs) < 2:
+        raise ConfigError("analysis 'ranks' needs at least two paths (config field 'paths'/'seeds')")
     checkpoints = cfg.get("checkpoints", [0.25, 0.5, 0.75, 1.0])
     if not checkpoints:
         raise ConfigError("config field 'checkpoints' must be non-empty")
+    cells = _require(cfg, "grid_cells", int, default=128)
+    cap = _require(cfg, "max_tensor_bytes", int, default=DEFAULT_MAX_TENSOR_BYTES)
+    # both hierarchy kinds have exactly `levels` levels
+    need = levels * len(checkpoints) * cells * 8
+    if "local-time" in analyses and need > cap:
+        raise ConfigError(f"config field 'grid_cells': the local-time output field (levels x checkpoints x cells) "
+                          f"would need {need} bytes, over the max_tensor_bytes cap {cap}")
     out = dict(cfg)
     out.update(
         p=p, specs=specs, partition=partition, levels=levels, analyses=analyses,
-        test_functions=tf, seeds=seeds, checkpoints=[float(c) for c in checkpoints],
-        grid_cells=int(cfg.get("grid_cells", 128)),
-        output_dir=cfg.get("output_dir", "pathwise-out"),
-        max_tensor_bytes=int(cfg.get("max_tensor_bytes", DEFAULT_MAX_TENSOR_BYTES)),
+        test_functions=functions, seeds=seeds, checkpoints=[float(c) for c in checkpoints],
+        grid_cells=cells, output_dir=cfg.get("output_dir", "pathwise-out"),
     )
     return out
 
@@ -154,11 +164,19 @@ def _hierarchy(path, partition: str, levels: int):
     return dyadic_hierarchy(path, levels)
 
 
-def _build_test_function(item: dict, p: int):
+def _test_function(item: dict, p: int, where: str):
+    """The configured test function, named apart from every other one: a
+    poly by its coefficients, ``x_pow_pm1`` (built as a poly) by its name."""
     params = item.get("params", {})
-    return item["name"], tanaka_class(
-        item["name"], p, a=float(params.get("a", 0.0)), coeffs=params.get("coeffs")
-    )
+    try:
+        f = tanaka_class(item["name"], p, a=float(params.get("a", 0.0)), coeffs=params.get("coeffs"))
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if item["name"] == "poly":
+        return dataclasses.replace(f, name=f"poly(coeffs={f.pieces[0].tolist()})")
+    if item["name"] == "x_pow_pm1":
+        return dataclasses.replace(f, name="x_pow_pm1")
+    return f
 
 
 # -- the run driver -------------------------------------------------------
@@ -222,26 +240,17 @@ def run(cfg: dict) -> int:
                 }
 
         if "local-time" in cfg["analyses"]:
-            cells = cfg["grid_cells"]
-            need = hier.n_levels * len(cfg["checkpoints"]) * cells * 8
-            if need > cfg["max_tensor_bytes"]:
-                raise ConfigError(
-                    f"config field 'grid_cells': the local-time output field (levels x "
-                    f"checkpoints x cells) would need {need} bytes, over the "
-                    f"max_tensor_bytes cap {cfg['max_tensor_bytes']}"
-                )
-            grid = SpaceGrid.cover([path], cells)
+            grid = SpaceGrid.cover([path], cfg["grid_cells"])
             field = discrete_local_time(path, hier, p, grid, cfg["checkpoints"])
             name = os.path.join(out_dir, f"localtime_{tag}.csv")
             write_csv(name, ("level", "t", "x", "value"), field.csv_table())
             outputs.append(os.path.basename(name))
 
         if "tanaka" in cfg["analyses"]:
-            for item in cfg["test_functions"]:
-                f_name, f = _build_test_function(item, p)
+            for f in cfg["test_functions"]:
                 record(finite_n_report(path, hier, p, f, t_final), f" [{tag}]")
                 if f.smoothness is None:
-                    record(ito_residual(path, hier, p, f, t_final), f" {f_name} [{tag}]")
+                    record(ito_residual(path, hier, p, f, t_final), f" {f.name} [{tag}]")
             (a,) = range_anchors(path, [0.37])
             record(tanaka_meyer_report(path, hier, p, a, t_final), f" [{tag}]")
 
@@ -261,8 +270,6 @@ def run(cfg: dict) -> int:
             record(rep, f" [{tag_x},{tag_y}]")
 
     if "ranks" in cfg["analyses"]:
-        if len(paths) < 2:
-            raise ConfigError("analysis 'ranks' needs at least two paths (config field 'paths'/'seeds')")
         system = build_rank_system([path for _, path in paths])
         f = tanaka_class("poly", p, coeffs=[0.0, 1.0])
         rank_tables = []

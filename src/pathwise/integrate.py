@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import LevelBlock, LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
+from ._util import LevelBlock, LevelStack, Table, bracket_contributions, even_order
 from .errors import CoverageError, ParameterError
 from .localtime import SpaceGrid, occupation_density_local_time
 from .paths import SampledPath
@@ -288,16 +288,10 @@ def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[fl
 # -- compensated Riemann sums ------------------------------------------
 
 
-def _stack_at(path: SampledPath, levels: Sequence[np.ndarray], t: float) -> LevelStack:
-    """The intervals of ``levels`` credited at the time t, and their ends."""
-    _, cps = snap_checkpoints(path, [t])
-    return LevelStack.build(levels, cps)
-
-
 def _interval_sums(path: SampledPath, levels: Sequence[np.ndarray], t: float, summands: Callable, *args):
     """Per-level results of ``summands(block, a, b, *args)`` over the
     intervals credited at t, a and b the path values at their endpoints."""
-    return _stack_at(path, levels, t).evaluate(lambda blk, a, b: summands(blk, a, b, *args), path.values)
+    return LevelStack.build(path, levels, [t]).evaluate(lambda blk, a, b: summands(blk, a, b, *args), path.values)
 
 
 def _follmer_sums(blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
@@ -632,7 +626,6 @@ def modified_follmer_integral(
     f: TestFunction,
     t: float,
     m_schedule: Sequence[int] = DEFAULT_M_SCHEDULE,
-    grid=None,
     cells: int = 256,
 ) -> ModifiedFollmerReport:
     """Mollified compensated sums against the occupation-density target.
@@ -645,10 +638,9 @@ def modified_follmer_integral(
     """
     p = even_order(p)
     measure = f.stieltjes_measure(p - 1)
-    if grid is None:
-        # the grid must cover the measure atoms as well; local time is zero
-        # outside the path range, so the extra cells only pin the pairing
-        grid = SpaceGrid.cover([path], cells, points=[loc for loc, _ in measure.atoms])
+    # the grid must cover the measure atoms as well; local time is zero
+    # outside the path range, so the extra cells only pin the pairing
+    grid = SpaceGrid.cover([path], cells, points=[loc for loc, _ in measure.atoms])
     occ = occupation_density_local_time(path, p, grid, [t])
     slice_t = occ.values[0]
 
@@ -657,7 +649,7 @@ def modified_follmer_integral(
 
     pairing = stieltjes_pairing(slice_t, grid, measure, point_eval=hist_eval)
     # f changes up to where the histogram's credited (finest) intervals end
-    (end,) = _stack_at(path, (np.arange(path.n_samples),), t).ends[0]
+    (end,) = LevelStack.build(path, (np.arange(path.n_samples),), [t]).ends[0]
     target = float(
         f.value(path.values[end]) - f.value(path.values[0]) - pairing / math.factorial(p - 1)
     )

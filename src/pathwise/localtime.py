@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, bracket_contributions, even_order, left_endpoint_counts, snap_checkpoints
+from ._util import LevelStack, Table, bracket_contributions, even_order
 from .errors import CoverageError, ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -204,11 +204,11 @@ def discrete_local_time(
     """
     p = even_order(p)
     _check_coverage(path, grid)
-    times, cps = snap_checkpoints(path, checkpoints)
+    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
     centers = grid.centers
     # cells with lo < center <= hi are rank(lo):rank(hi)
     rank = np.searchsorted(centers, path.values, side="right")
-    out = np.zeros((hierarchy.n_levels, cps.size, grid.cells))
+    out = np.zeros((hierarchy.n_levels, stack.times.size, grid.cells))
     for i, lev in enumerate(hierarchy.levels):
         b = path.values[lev[1:]]
         stop, rank_b = rank[lev[:-1]], rank[lev[1:]]
@@ -229,11 +229,11 @@ def discrete_local_time(
             cell = first[owner] + (np.arange(start, end) - offsets[owner])
             return cell, np.abs(b[owner] - centers[cell]) ** (p - 1)
 
-        out[i] = _running_sums(grid.cells, offsets[left_endpoint_counts(lev, cps)], pairs)
+        out[i] = _running_sums(grid.cells, offsets[stack.counts[i]], pairs)
     return LocalTimeField(
         p=p,
         grid=grid,
-        checkpoint_times=times,
+        checkpoint_times=stack.times,
         level_labels=hierarchy.level_labels,
         per_level=out,
     )
@@ -252,24 +252,23 @@ def discrete_local_time_curves(
     snapped to a cell center.
     """
     p = even_order(p)
-    _, cps = snap_checkpoints(path, checkpoints)
-    stack = LevelStack.build(hierarchy.levels, cps)
+    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
     return stack.evaluate(lambda blk, a, b: blk.checkpoint_cumsums(bracket_contributions(a, b, p, x)), path.values)
 
 
 def _binned_sums(path: SampledPath, grid: SpaceGrid, checkpoints: Sequence[float], *weights: np.ndarray):
     """The checkpoint times and, per array of finest-level interval
     weights, its running per-cell sums ``(checkpoints, cells)``: each
-    interval is binned by the cell of its left value and credited by
-    :func:`left_endpoint_counts`.  Callers divide by their own denominator."""
+    interval is binned by the cell of its left value and credited as
+    :class:`LevelStack` credits it.  Callers divide by their own denominator."""
     _check_coverage(path, grid)
     if grid.cellwidth <= 0:
         raise ParameterError("degenerate grid")
-    times, cps = snap_checkpoints(path, checkpoints)
-    counts = left_endpoint_counts(np.arange(path.n_samples), cps)
+    stack = LevelStack.build(path, (np.arange(path.n_samples),), checkpoints)
+    (counts,) = stack.counts
     cells = grid.cell_index(path.values[:-1])
     sums = [_running_sums(grid.cells, counts, lambda start, end: (cells[start:end], w[start:end])) for w in weights]
-    return times, sums
+    return stack.times, sums
 
 
 def occupation_density_local_time(

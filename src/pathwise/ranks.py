@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, bracket_contributions, even_order, snap_checkpoints
+from ._util import LevelStack, Table, bracket_contributions, even_order
 from .errors import ParameterError
 from .integrate import TestFunction, _local_time_sums
 from .partitions import PartitionHierarchy
@@ -141,17 +141,17 @@ def collision_local_time(
 ) -> CollisionLocalTime:
     p = even_order(p)
     gap = system.gap_path(k, h)
-    times, cps = snap_checkpoints(gap, checkpoints)
+    stack = LevelStack.build(gap, hierarchy.levels, checkpoints)
 
     def curves(blk, ga, gb):
         return (blk.checkpoint_cumsums(bracket_contributions(ga, gb, p, 0.0)),
                 blk.checkpoint_cumsums((ga == 0.0) * gb ** (p - 1)))
 
-    literal, tie_charge = LevelStack.build(hierarchy.levels, cps).evaluate(curves, gap.values)
+    literal, tie_charge = stack.evaluate(curves, gap.values)
     return CollisionLocalTime(
         k=k, h=h, p=p,
         level_labels=hierarchy.level_labels,
-        checkpoint_times=times,
+        checkpoint_times=stack.times,
         local_time_at_zero=literal,
         exact_tie_charge=tie_charge,
     )
@@ -164,7 +164,7 @@ def rank_sum_identity(
     and of the original paths at the level x; the identity holds in the
     limit, so this is a trend report."""
     p = even_order(p)
-    stack = LevelStack.build(hierarchy.levels)
+    stack = LevelStack.build(system.paths[0], hierarchy.levels)
 
     def summed_local_times(rows):
         # one path at a time, so one row of a block is gathered at a time
@@ -260,7 +260,7 @@ def _rank_decompositions(
     lo = min(ranks) - 1
     rows = slice(lo, max(ranks))
     fact = [math.factorial(i) for i in range(p + 1)]
-    first, cps = snap_checkpoints(system.paths[0], checkpoints)
+    stack = LevelStack.build(system.paths[0], hierarchy.levels, checkpoints)
 
     def terms(fx, fk, dX, gap):
         b_terms = np.zeros_like(dX)
@@ -295,8 +295,7 @@ def _rank_decompositions(
             out += one_rank(blk, Ras[i], Rbs[i], Xa, Xb, nas[i], occupants[k - 1])
         return tuple(out)
 
-    sums = LevelStack.build(hierarchy.levels, cps).evaluate(
-        per_block, system.values, system.ranked[rows], system.counts[rows])
+    sums = stack.evaluate(per_block, system.values, system.ranked[rows], system.counts[rows])
     decompositions = []
     for i, k in enumerate(ranks):
         A, B, C, D, D_plus, D_minus = sums[6 * i: 6 * i + 6]
@@ -306,7 +305,7 @@ def _rank_decompositions(
         decompositions.append(RankDecomposition(
             k=k, p=p, f_name=getattr(f, "name", ""),
             level_labels=hierarchy.level_labels,
-            checkpoint_times=first,
+            checkpoint_times=stack.times,
             A=A, B=B, C=C, D=D,
             D_plus=D_plus, D_minus=D_minus,
             residual=resid, relative_residual=rel,
@@ -377,7 +376,7 @@ def simplified_cross_term(
         )
     full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
     fact = [math.factorial(i) for i in range(p + 1)]
-    times, cps = snap_checkpoints(system.paths[0], checkpoints)
+    stack = LevelStack.build(system.paths[0], hierarchy.levels, checkpoints)
 
     def terms(fx, fk, dX, gap):
         out = np.zeros_like(gap)
@@ -390,12 +389,11 @@ def simplified_cross_term(
         (sums,) = _rank_weighted_sums(terms, f, fr, Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
         return blk.checkpoint_cumsums(sums)
 
-    simplified = LevelStack.build(hierarchy.levels, cps).evaluate(
-        per_block, system.ranked[k - 1], system.values, system.counts[k - 1])
+    simplified = stack.evaluate(per_block, system.ranked[k - 1], system.values, system.counts[k - 1])
     return SimplifiedCrossTerm(
         k=k, p=p,
         level_labels=hierarchy.level_labels,
-        checkpoint_times=times,
+        checkpoint_times=stack.times,
         simplified=simplified,
         full=full,
         gap=np.abs(simplified - full),

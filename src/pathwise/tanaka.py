@@ -36,7 +36,6 @@ from .integrate import (
     _follmer_sums,
     _local_time_sums,
     _measure_remainder_sums,
-    _stack_at,
     _tanaka_meyer_sums,
 )
 from .localtime import SpaceGrid, occupation_density_local_time
@@ -133,7 +132,7 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
     def sides(blk, a, b):
         return _follmer_sums(blk, a, b, p, f), _measure_remainder_sums(blk, a, b, p, measure)
 
-    stack = _stack_at(path, levels, t)
+    stack = LevelStack.build(path, levels, [t])
     comp, remainder = stack.evaluate(sides, path.values)
     change = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return change - comp, remainder / math.factorial(p - 1)
@@ -170,7 +169,7 @@ def tanaka_meyer_report(
     def sides(blk, sa, sb):
         return _tanaka_meyer_sums(blk, sa, sb, p, a, "plus"), _local_time_sums(blk, sa, sb, p, a)
 
-    stack = _stack_at(path, hierarchy.levels, t)
+    stack = LevelStack.build(path, hierarchy.levels, [t])
     comp, rhs = stack.evaluate(sides, path.values)
     # scalar powers, level by level: an array power may round differently
     start = max(path.values[0] - a, 0.0) ** (p - 1)
@@ -191,7 +190,7 @@ def ito_residual(
     def terms(blk, a, b):
         return _follmer_sums(blk, a, b, p, f), blk.sums(f.derivative(a, p) * np.abs(b - a) ** p)
 
-    stack = _stack_at(path, hierarchy.levels, t)
+    stack = LevelStack.build(path, hierarchy.levels, [t])
     comp, pv = stack.evaluate(terms, path.values)
     lhs = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return _limit_report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
@@ -287,9 +286,7 @@ def identity_suite(
         rows.append((minmax_lhs, minmax_rhs, zero, zero))
         return np.array(rows).T
 
-    lhs, rhs, d1, d2 = LevelStack.build(hierarchy.levels).evaluate(
-        per_block, X.values, Y.values
-    ).transpose(1, 2, 0)
+    lhs, rhs, d1, d2 = LevelStack.build(X, hierarchy.levels).evaluate(per_block, X.values, Y.values).transpose(1, 2, 0)
     return [
         _exact_report("nonneg local time vs exact-tie sum (|X|)", labels, lhs[0], rhs[0],
                       {"band_tie_sum": d1[0], "lt_at_band_level": d2[0], "band_width": osc_a}),
@@ -337,7 +334,7 @@ def scaling_check(
     mapped = np.asarray(f.value(vals), dtype=float)
     fa = float(f.value(a))
     factor = abs(float(f.derivative(a, 1))) ** (p - 1)
-    stack = LevelStack.build(hierarchy.levels)
+    stack = LevelStack.build(path, hierarchy.levels)
 
     def local_times(blk, ga, gb, sa, sb):
         return _local_time_sums(blk, ga, gb, p, fa), _local_time_sums(blk, sa, sb, p, a)
@@ -413,7 +410,7 @@ def occupation_check(
     """
     p = even_order(p)
     # the finest-level intervals credited at t, as the rhs histogram credits them
-    (end,) = _stack_at(path, (np.arange(path.n_samples),), t).ends[0]
+    (end,) = LevelStack.build(path, (np.arange(path.n_samples),), [t]).ends[0]
     a = path.values[:end]
     b = path.values[1:end + 1]
     masses = np.abs(b - a) ** p

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, even_order, snap_checkpoints
+from ._util import LevelStack, Table, even_order
 from .errors import ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -43,23 +43,22 @@ class VariationCurve:
         return Table((self.level_labels, self.checkpoint_times), (self.per_level,))
 
 
-def _power_sums(path: SampledPath, levels: Sequence[np.ndarray], p: float, checkpoint_indices) -> np.ndarray:
+def _power_sums(path: SampledPath, stack: LevelStack, p: float) -> np.ndarray:
     """Cumulative ``sum |increment|**p`` per (level, checkpoint)."""
-    stack = LevelStack.build(levels, checkpoint_indices)
     return stack.evaluate(lambda blk, a, b: blk.checkpoint_cumsums(np.abs(b - a) ** p), path.values)
 
 
 def increment_power_sums(
-    path: SampledPath, level: np.ndarray, p: float, checkpoint_indices: Optional[np.ndarray] = None
+    path: SampledPath, level: np.ndarray, p: float, checkpoints: Optional[Sequence[float]] = None
 ) -> np.ndarray:
     """Raw cumulative sums ``sum |increment|**p`` for a single level, at
-    each checkpoint index or, without any, over the whole path.
+    each checkpoint time or, without any, over the whole path.
 
     Accepts any real p >= 1; the public operation restricts to even
     integers but e.g. the p = 1 telescoping identity on monotone paths is
     occasionally useful as a cross-check.
     """
-    return _power_sums(path, (level,), p, checkpoint_indices)[0]
+    return _power_sums(path, LevelStack.build(path, (level,), checkpoints), p)[0]
 
 
 def pth_variation(
@@ -73,13 +72,13 @@ def pth_variation(
     ``p`` must be an even integer >= 2.  Checkpoints snap to the grid.
     """
     p = even_order(p)
-    times, idx = snap_checkpoints(path, checkpoints)
+    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
     return VariationCurve(
         p=p,
-        checkpoint_times=times,
-        checkpoint_indices=idx,
+        checkpoint_times=stack.times,
+        checkpoint_indices=stack.indices,
         level_labels=hierarchy.level_labels,
-        per_level=_power_sums(path, hierarchy.levels, p, idx),
+        per_level=_power_sums(path, stack, p),
     )
 
 

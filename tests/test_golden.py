@@ -54,6 +54,12 @@ CLI_RUNS = {
     "run/": ["run", "--config", "run.json"],
     "leb-run/": ["run", "--config", "leb-run.json"],
     "rank-run/": ["run", "--config", "rank-run.json"],
+    # exact identities at interior checkpoints: every side ends where the
+    # last credited interval of its level ends
+    "tk/": ["tanaka", "--kind", "bm", "--p", "2", "--n-max", "10", "--levels", "8", "--checkpoints", "0.25,0.5",
+            "--out-dir", "tk/"],
+    "ids/": ["identities", "--kind", "bm", "--p", "2", "--n-max", "10", "--levels", "8", "--checkpoints",
+             "0.25,0.5", "--out-dir", "ids/"],
 }
 _CONFIGS = {"run/": ("run.json", _RUN), "leb-run/": ("leb-run.json", _LEB_RUN),
             "rank-run/": ("rank-run.json", _RANK_RUN)}

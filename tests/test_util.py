@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from pathwise import (
     ParameterError,
     PathSpec,
+    SampledPath,
     SpaceGrid,
     build_rank_system,
     collision_local_time,
@@ -407,7 +408,7 @@ def _kernel_outputs(trio, hier):
     rep = scaling_check(path, tanaka_class("poly", 2, coeffs=[0.3, -2.0]), 0.05, hier, 2)
     out += [rep.lhs, rep.rhs]
     out.append(pth_variation(path, hier, 4, cps).per_level)
-    out.append(increment_power_sums(path, hier.finest, 1.5, np.array([100, 256])))
+    out.append(increment_power_sums(path, hier.finest, 1.5, np.array([100, 256]) * path.dt))
     out.append(modified_follmer_integral(path, hier, 2, tanaka_class("abs_pow", 2), 0.7,
                                          m_schedule=(2, 4), cells=32).sums)
     out.append(discrete_local_time_curves(path, hier, 2, 0.05, cps))
@@ -431,10 +432,55 @@ def test_block_size_changes_no_byte_of_any_kernel_caller(trio, kind, monkeypatch
     want = _kernel_outputs(trio, hier)
     for size in (1, 7):
         monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
-        stack = _util.LevelStack.build(hier.levels, [trio[0].n_samples - 1])
+        stack = _util.LevelStack.build(trio[0], hier.levels)
         assert len(stack.blocks) > 1
         got = _kernel_outputs(trio, hier)
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (size, i)
+
+
+# -- the time rule ------------------------------------------------------------
+
+
+@st.composite
+def walk_levels_checkpoints(draw):
+    """A random walk, one to three random levels of its grid (each from 0 to
+    the last sample) and a checkpoint list that may be unsorted, repeat
+    itself, sit on 0 or T, fall between grid times or lie within half a step
+    outside [0, T]."""
+    n_max = draw(st.integers(1, 7))
+    T = draw(st.sampled_from([1.0, 0.7, 3.0]))
+    n = 2**n_max + 1
+    steps = draw(hnp.arrays(np.int64, n - 1, elements=st.integers(-2, 2)))
+    path = SampledPath(T, n_max, np.concatenate([[0.0], np.cumsum(steps)]))
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        interior = draw(st.sets(st.integers(1, n - 2), max_size=n - 2)) if n > 2 else set()
+        levels.append(np.array([0, *sorted(interior), n - 1]))
+    edges = st.sampled_from([0.0, T, -path.dt / 4, T + path.dt / 4])
+    on_grid = st.integers(0, n - 1).map(lambda i: i * path.dt)
+    off_grid = st.floats(0.0, 1.0).map(lambda u: u * T)
+    checkpoints = draw(st.lists(st.one_of(edges, on_grid, off_grid), min_size=1, max_size=6))
+    return path, levels, checkpoints
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_levels_checkpoints())
+def test_level_stack_credits_what_snapping_and_left_endpoint_counts_credit(case):
+    path, levels, checkpoints = case
+    stack = _util.LevelStack.build(path, levels, checkpoints)
+    times, indices = _util.snap_checkpoints(path, checkpoints)
+    assert stack.times.tobytes() == times.tobytes()
+    assert stack.indices.tolist() == indices.tolist()
+    assert stack.counts.shape == stack.ends.shape == (len(levels), len(checkpoints))
+    for lev, counts, ends in zip(levels, stack.counts, stack.ends):
+        want = _util.left_endpoint_counts(lev, indices)
+        assert counts.tolist() == want.tolist()
+        assert ends.tolist() == lev[want].tolist()
+    # without checkpoints the stack holds the whole path, t = T
+    whole = _util.LevelStack.build(path, levels)
+    assert whole.times.tolist() == [path.T] and whole.indices.tolist() == [path.n_samples - 1]
+    assert whole.counts[:, 0].tolist() == [lev.size - 1 for lev in levels]
+    assert whole.ends[:, 0].tolist() == [path.n_samples - 1] * len(levels)

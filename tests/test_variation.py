@@ -50,9 +50,8 @@ def test_telescoping_first_variation_on_monotone_path():
     # raw helper: p = 1 on a monotone path telescopes at every level
     path = generate(PathSpec(kind="linear", slope=2.5, T=1.0, n_max=8))
     hier = dyadic_hierarchy(path, 8)
-    last = np.array([path.n_samples - 1])
     for lev in hier.levels:
-        val = increment_power_sums(path, lev, 1.0, last)[0]
+        val = increment_power_sums(path, lev, 1.0, [path.T])[0]
         assert val == pytest.approx(abs(path.values[-1] - path.values[0]), rel=1e-13)
         # without checkpoints the sum runs over the whole path
         assert increment_power_sums(path, lev, 1.0).tolist() == [val]
