@@ -1,5 +1,6 @@
 """Small shared helpers: checkpoint snapping, the interval kernel, tolerance
-arithmetic, the CSV and summary writers and heap trimming.
+arithmetic, the config field reader, the CSV and summary writers and heap
+trimming.
 
 :meth:`LevelStack.build` alone decides which intervals count at a time t;
 every per-level interval sum goes through :meth:`LevelStack.evaluate`, one
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 
 if TYPE_CHECKING:
     from .paths import SampledPath
@@ -216,6 +217,51 @@ def median(values: Iterable[float]) -> float:
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ParameterError(f"median needs finite values, got {arr.tolist()}")
     return float(np.median(arr))
+
+
+# ``field``'s default for a field that must be given
+_REQUIRED = object()
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, typ):
+    """value as typ, or None if it is not one (see :func:`field`)."""
+    if isinstance(typ, list):
+        items = [_typed(v, typ[0]) for v in value] if isinstance(value, list) else [None]
+        return None if None in items else items
+    if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
+        return None
+    return value if typ is not float else float(value) if math.isfinite(value) else None
+
+
+def field(cfg, where: str, key: str, typ, default=_REQUIRED, ok: Optional[Callable] = None,
+          need: Optional[str] = None):
+    """``cfg[key]`` read as ``typ``: the one reader of config fields.
+
+    ``where`` is the dotted name of ``cfg`` (``""`` at the top level,
+    ``paths[0]``, ``test_functions[0].params``), and every error is a
+    :class:`ConfigError` that names the full field.  ``typ`` is int,
+    float, str, list or dict, or ``[t]`` for a list of t: a bool is not a
+    number, an int must be a JSON integer, and a float is any finite
+    number, returned as float.  A missing field (or a null one whose
+    default is None) gives ``default``, and is an error without one.  A
+    value of another type, or one that ``ok`` refuses, is an error saying
+    that it must be ``need`` (the type's name by default).
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config field {where!r} must be an object, got {cfg!r}" if where
+                          else f"config must be a JSON object, got {type(cfg).__name__}")
+    name = f"{where}.{key}" if where else key
+    if key not in cfg or (cfg[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"config field {name!r} is missing")
+        return default
+    value = _typed(cfg[key], typ)
+    if value is None or (ok is not None and not ok(value)):
+        kind = f"a list of {_KINDS[typ[0]].split()[1]}s" if isinstance(typ, list) else _KINDS[typ]
+        raise ConfigError(f"config field {name!r} must be {need or kind}, got {cfg[key]!r}")
+    return value
 
 
 def _csv_value(v) -> str:

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ._pool import parallel_map
-from ._util import LevelStack, Table, median, write_csv, write_summary
+from ._util import LevelStack, Table, field, median, write_csv, write_summary
 from .errors import ConfigError
 from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
@@ -123,27 +123,16 @@ class Criterion:
 
 
 def validate_config(config: dict) -> dict:
-    """Shallow structural validation with field-named errors."""
-    for key in ("T", "exact", "ranks", "mc", "occupation", "scaling"):
-        if key not in config:
-            raise ConfigError(f"config field {key!r} is missing")
-    if config["T"] <= 0:
-        raise ConfigError("config field 'T' must be positive")
-    ex = config["exact"]
-    if ex["levels"] > ex["n_max"]:
-        raise ConfigError("config field 'exact.levels' must not exceed 'exact.n_max'")
-    if config["mc"]["n_seeds"] < 1:
-        raise ConfigError("config field 'mc.n_seeds' must be >= 1")
-    occ = config["occupation"]
-    for key in ("smooth_seed_base", "smooth_cells"):
-        if key not in occ:
-            raise ConfigError(f"config field 'occupation.{key}' is missing")
-    cells = occ["smooth_cells"]
-    if len(cells) < 6 or cells[0] < 3 or any(b != 2 * a for a, b in zip(cells, cells[1:])):
-        raise ConfigError(
-            "config field 'occupation.smooth_cells' must list at least 6 cell counts "
-            "from 3 up, each twice the one before"
-        )
+    """Structural validation, field by field through :func:`field`."""
+    field(config, "", "T", float, ok=lambda t: t > 0, need="a positive number")
+    ex, mc, occ, _, _ = (field(config, "", key, dict) for key in ("exact", "mc", "occupation", "ranks", "scaling"))
+    n_max = field(ex, "exact", "n_max", int)
+    field(ex, "exact", "levels", int, ok=lambda lv: 1 <= lv <= n_max, need=f"an integer from 1 to n_max ({n_max})")
+    field(mc, "mc", "n_seeds", int, ok=lambda n: n >= 1, need="an integer >= 1")
+    field(occ, "occupation", "smooth_seed_base", int)
+    field(occ, "occupation", "smooth_cells", [int],
+          ok=lambda c: len(c) >= 6 and c[0] >= 3 and all(b == 2 * a for a, b in zip(c, c[1:])),
+          need="a list of at least 6 cell counts from 3 up, each twice the one before")
     return config
 
 
@@ -573,7 +562,7 @@ def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult
 
 
 def run_criterion(key: str, config: Optional[dict] = None) -> CriterionResult:
-    cfg = DEFAULT_CONFIG if config is None else config
+    cfg = validate_config(DEFAULT_CONFIG if config is None else config)
     for criterion in CRITERIA:
         if criterion.key == key:
             return _run(criterion, cfg)

@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from . import acceptance as acc
-from ._util import release_free_heap, write_csv, write_summary
+from ._util import field, release_free_heap, write_csv, write_summary
 from .errors import ConfigError, ParameterError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
@@ -50,39 +50,21 @@ DEFAULT_MAX_TENSOR_BYTES = 1 << 30
 IDENTITY_FIELDS = ("identity", "level", "lhs", "rhs", "residual", "class")
 RANK_FIELDS = ("k", "level", "t", "A", "B", "C", "D", "residual")
 ANALYSES = ("variation", "local-time", "tanaka", "identities", "ranks")
+_HIERARCHIES = {"dyadic": dyadic_hierarchy, "lebesgue": lebesgue_hierarchy}
 
 
 # -- config handling -----------------------------------------------------
 
-
-def _require(cfg: dict, field: str, typ, default=None):
-    if field not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"config field {field!r} is missing")
-    val = cfg[field]
-    if not isinstance(val, typ):
-        raise ConfigError(f"config field {field!r} must be {typ.__name__}, got {type(val).__name__}")
-    return val
+# the config type of each optional PathSpec field; its default is PathSpec's
+_SPEC_FIELDS = {"T": float, "n_max": int, "seed": int, "hurst": float, "slope": float,
+                "peak_time": float, "peak_value": float, "value": float, "file": str}
 
 
 def _path_spec_from(cfg: dict, where: str) -> PathSpec:
-    kind = cfg.get("kind")
-    if kind not in PATH_KINDS:
-        raise ConfigError(f"config field {where}.kind must name a path kind, got {kind!r}")
-    kwargs = {
-        "kind": kind,
-        "T": float(cfg.get("T", 1.0)),
-        "n_max": int(cfg.get("n_max", 10)),
-        "seed": int(cfg.get("seed", 0)),
-    }
-    for opt in ("hurst", "slope", "peak_time", "peak_value", "value"):
-        if opt in cfg:
-            kwargs[opt] = float(cfg[opt])
-    if "file" in cfg:
-        kwargs["file"] = cfg["file"]
+    kind = field(cfg, where, "kind", str, ok=PATH_KINDS.__contains__, need=f"one of {PATH_KINDS}")
+    kwargs = {key: field(cfg, where, key, typ, getattr(PathSpec, key)) for key, typ in _SPEC_FIELDS.items()}
     try:
-        return PathSpec(**kwargs)
+        return PathSpec(kind, **kwargs)
     except PathwiseError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -98,83 +80,65 @@ def load_config(path: str) -> dict:
 
 
 def validate_run_config(cfg: dict) -> dict:
-    p = _require(cfg, "p", int)
-    if p < 2 or p % 2 != 0:
-        raise ConfigError(f"config field 'p' must be an even integer >= 2, got {p}")
-    raw_paths = _require(cfg, "paths", list)
-    if not raw_paths:
-        raise ConfigError("config field 'paths' must list at least one path spec")
+    """Every field of a run config read through :func:`field` before
+    anything is generated; ``runs`` holds the seed replicates of the path
+    specs as ``(tag, PathSpec)`` pairs."""
+    p = field(cfg, "", "p", int, ok=lambda n: n >= 2 and n % 2 == 0, need="an even integer >= 2")
+    raw_paths = field(cfg, "", "paths", list, ok=bool, need="a non-empty list of path specs")
     specs = [_path_spec_from(pc, f"paths[{i}]") for i, pc in enumerate(raw_paths)]
-    partition = cfg.get("partition", "dyadic")
-    if partition not in ("dyadic", "lebesgue"):
-        raise ConfigError(f"config field 'partition' must be dyadic or lebesgue, got {partition!r}")
-    levels = _require(cfg, "levels", int, default=min(s.n_max for s in specs))
-    if levels > min(s.n_max for s in specs):
-        raise ConfigError("config field 'levels' exceeds the smallest path n_max")
-    analyses = cfg.get("analyses", ["variation"])
-    for a in analyses:
-        if a not in ANALYSES:
-            raise ConfigError(f"config field 'analyses' contains unknown analysis {a!r}")
+    partition = field(cfg, "", "partition", str, "dyadic", _HIERARCHIES.__contains__, f"one of {tuple(_HIERARCHIES)}")
+    n_max = min(s.n_max for s in specs)
+    levels = field(cfg, "", "levels", int, n_max, lambda lv: 1 <= lv <= n_max,
+                   f"an integer from 1 to the smallest path n_max ({n_max})")
+    analyses = field(cfg, "", "analyses", [str], ["variation"], lambda a: set(a) <= set(ANALYSES),
+                     f"a list of analyses from {ANALYSES}")
     functions = []
-    for i, item in enumerate(cfg.get("test_functions", [{"name": "abs_pow", "params": {"a": 0.0}}])):
-        if item.get("name") not in TANAKA_CLASS_NAMES:
-            raise ConfigError(
-                f"config field test_functions[{i}].name must be one of {TANAKA_CLASS_NAMES}"
-            )
+    for i, item in enumerate(field(cfg, "", "test_functions", list, [{"name": "abs_pow", "params": {"a": 0.0}}])):
         f = _test_function(item, p, f"test_functions[{i}]")
         if any(g.name == f.name for g in functions):
             raise ConfigError(f"config field test_functions[{i}] repeats the test function {f.name}")
         functions.append(f)
-    seeds = cfg.get("seeds", {"count": 1, "base": None})
-    if _require(seeds, "count", int, default=1) < 1:
-        raise ConfigError("config field 'seeds.count' must be >= 1")
-    if "ranks" in analyses and sum(len(_seed_variants(s, seeds)) for s in specs) < 2:
-        raise ConfigError("analysis 'ranks' needs at least two paths (config field 'paths'/'seeds')")
-    checkpoints = cfg.get("checkpoints", [0.25, 0.5, 0.75, 1.0])
-    if not checkpoints:
-        raise ConfigError("config field 'checkpoints' must be non-empty")
-    cells = _require(cfg, "grid_cells", int, default=128)
-    cap = _require(cfg, "max_tensor_bytes", int, default=DEFAULT_MAX_TENSOR_BYTES)
+    seeds = field(cfg, "", "seeds", dict, {})
+    count = field(seeds, "seeds", "count", int, 1, lambda n: n >= 1, "an integer >= 1")
+    base = field(seeds, "seeds", "base", int, None)
+    runs = []
+    for i, spec in enumerate(specs):
+        # only the random kinds have seed replicates
+        replicas = count if spec.kind in ("fbm", "bm") else 1
+        start = base if base is not None and replicas > 1 else spec.seed
+        runs += [(f"p{i}_s{start + j}", dataclasses.replace(spec, seed=start + j)) for j in range(replicas)]
+    for analysis in ("identities", "ranks"):
+        if analysis in analyses and len(runs) < 2:
+            raise ConfigError(f"analysis {analysis!r} needs at least two paths (config field 'paths'/'seeds')")
+    checkpoints = field(cfg, "", "checkpoints", [float], [0.25, 0.5, 0.75, 1.0], bool, "a non-empty list of numbers")
+    cells = field(cfg, "", "grid_cells", int, 128, lambda c: c >= 3, "an integer >= 3")
+    cap = field(cfg, "", "max_tensor_bytes", int, DEFAULT_MAX_TENSOR_BYTES)
     # both hierarchy kinds have exactly `levels` levels
     need = levels * len(checkpoints) * cells * 8
     if "local-time" in analyses and need > cap:
         raise ConfigError(f"config field 'grid_cells': the local-time output field (levels x checkpoints x cells) "
                           f"would need {need} bytes, over the max_tensor_bytes cap {cap}")
-    out = dict(cfg)
-    out.update(
-        p=p, specs=specs, partition=partition, levels=levels, analyses=analyses,
-        test_functions=functions, seeds=seeds, checkpoints=[float(c) for c in checkpoints],
-        grid_cells=cells, output_dir=cfg.get("output_dir", "pathwise-out"),
+    return dict(
+        p=p, runs=runs, partition=partition, levels=levels, analyses=analyses, test_functions=functions,
+        checkpoints=checkpoints, grid_cells=cells,
+        output_dir=field(cfg, "", "output_dir", str, "pathwise-out", bool, "a non-empty string"),
     )
-    return out
-
-
-def _seed_variants(spec: PathSpec, seeds_cfg: dict) -> List[PathSpec]:
-    count = seeds_cfg.get("count", 1)
-    base = seeds_cfg.get("base")
-    if count <= 1 or spec.kind not in ("fbm", "bm"):
-        return [spec]
-    start = spec.seed if base is None else int(base)
-    return [PathSpec(**{**spec.__dict__, "seed": start + i}) for i in range(count)]
-
-
-def _hierarchy(path, partition: str, levels: int):
-    if partition == "lebesgue":
-        return lebesgue_hierarchy(path, levels)
-    return dyadic_hierarchy(path, levels)
 
 
 def _test_function(item: dict, p: int, where: str):
     """The configured test function, named apart from every other one: a
     poly by its coefficients, ``x_pow_pm1`` (built as a poly) by its name."""
-    params = item.get("params", {})
+    name = field(item, where, "name", str, ok=TANAKA_CLASS_NAMES.__contains__, need=f"one of {TANAKA_CLASS_NAMES}")
+    params = field(item, where, "params", dict, {})
+    a = field(params, f"{where}.params", "a", float, 0.0)
+    coeffs = field(params, f"{where}.params", "coeffs", [float], None)
     try:
-        f = tanaka_class(item["name"], p, a=float(params.get("a", 0.0)), coeffs=params.get("coeffs"))
+        f = tanaka_class(name, p, a=a, coeffs=coeffs)
     except ParameterError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if item["name"] == "poly":
+    if name == "poly":
         return dataclasses.replace(f, name=f"poly(coeffs={f.pieces[0].tolist()})")
-    if item["name"] == "x_pow_pm1":
+    if name == "x_pow_pm1":
         return dataclasses.replace(f, name="x_pow_pm1")
     return f
 
@@ -198,11 +162,9 @@ def run(cfg: dict) -> int:
     t_final = max(cfg["checkpoints"])
 
     paths = []
-    for i, spec in enumerate(cfg["specs"]):
-        for variant in _seed_variants(spec, cfg["seeds"]):
-            if variant.kind in ("fbm", "bm"):
-                variant.warn_if_hurst_mismatch(p)
-            paths.append((f"p{i}_s{variant.seed}", generate(variant)))
+    for tag, spec in cfg["runs"]:
+        spec.warn_if_hurst_mismatch(p)
+        paths.append((tag, generate(spec)))
 
     identity_tables = []
     exact_failures = []
@@ -221,7 +183,7 @@ def run(cfg: dict) -> int:
             }
 
     for i, (tag, path) in enumerate(paths):
-        hier = _hierarchy(path, cfg["partition"], cfg["levels"])
+        hier = _HIERARCHIES[cfg["partition"]](path, cfg["levels"])
         if i == 0:
             # the pair identities and the ranks run on the first path's levels
             first_hier = hier
@@ -264,7 +226,7 @@ def run(cfg: dict) -> int:
             )
             record(occ, f" [{tag}]")
 
-    if "identities" in cfg["analyses"] and len(paths) >= 2:
+    if "identities" in cfg["analyses"]:
         (tag_x, X), (tag_y, Y) = paths[0], paths[1]
         for rep in identity_suite(X, Y, first_hier, p):
             record(rep, f" [{tag_x},{tag_y}]")
@@ -317,30 +279,28 @@ def _add_path_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n-max", type=int, default=10, help="grid resolution exponent")
 
 
+def _times(text: str) -> List[float]:
+    """``--checkpoints``: comma-separated times."""
+    try:
+        return list(map(float, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
+
+
 def _add_common_args(sp: argparse.ArgumentParser) -> None:
     _add_path_args(sp)
     sp.add_argument("--p", type=int, default=2, help="variation order (even integer >= 2)")
     sp.add_argument("--partition", default="dyadic", choices=["dyadic", "lebesgue"])
     sp.add_argument("--levels", type=int, default=None)
-    sp.add_argument("--checkpoints", default="0.25,0.5,0.75,1.0",
+    sp.add_argument("--checkpoints", type=_times, default="0.25,0.5,0.75,1.0",
                     help="comma-separated checkpoint times")
     sp.add_argument("--grid-cells", type=int, default=128)
     sp.add_argument("--out-dir", default="pathwise-out")
 
 
 def _spec_dict(args: argparse.Namespace) -> dict:
-    d = {"kind": args.kind, "seed": args.seed, "T": args.T, "n_max": args.n_max}
-    if args.hurst is not None:
-        d["hurst"] = args.hurst
-    if args.kind == "linear":
-        d["slope"] = args.slope
-    if args.kind == "triangle":
-        d.update(peak_time=args.peak_time, peak_value=args.peak_value)
-    if args.kind == "constant":
-        d["value"] = args.value
-    if args.file:
-        d["file"] = args.file
-    return d
+    # a path kind reads only its own fields
+    return {key: getattr(args, key) for key in ("kind", *_SPEC_FIELDS)}
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
@@ -349,7 +309,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         "p": args.p,
         "partition": args.partition,
         "levels": args.levels if args.levels is not None else min(args.n_max, 8),
-        "checkpoints": [float(c) for c in args.checkpoints.split(",")],
+        "checkpoints": args.checkpoints,
         "grid_cells": args.grid_cells,
         "analyses": [args.command],
         "output_dir": args.out_dir,

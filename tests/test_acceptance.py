@@ -2,6 +2,7 @@
 tolerance, one pass/fail line per criterion on stdout."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -229,3 +230,75 @@ def test_c4_config_validation_names_fields(field, value, message):
         cfg["occupation"][field] = value
     with pytest.raises(ConfigError, match=rf"'occupation\.{field}'.*{message}"):
         acceptance.validate_config(cfg)
+
+
+def _drop(cfg, section, key):
+    del cfg[section][key]
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda cfg: cfg.update(T="1"), "'T'"),
+        (lambda cfg: cfg.update(T=True), "'T'"),
+        (lambda cfg: cfg.update(exact=3), "'exact'"),
+        (lambda cfg: _drop(cfg, "exact", "levels"), "'exact.levels' is missing"),
+        (lambda cfg: cfg["exact"].update(levels=13), "'exact.levels'"),
+        (lambda cfg: _drop(cfg, "mc", "n_seeds"), "'mc.n_seeds' is missing"),
+        (lambda cfg: cfg["mc"].update(n_seeds=0), "'mc.n_seeds'"),
+        (lambda cfg: cfg["occupation"].update(smooth_cells="32"), "'occupation.smooth_cells'"),
+    ],
+    ids=["T a string", "T a bool", "exact not an object", "no exact.levels", "levels over n_max",
+         "no mc.n_seeds", "n_seeds below 1", "cells not a list"],
+)
+def test_acceptance_config_errors_name_their_field(edit, name):
+    cfg = copy.deepcopy(acceptance.DEFAULT_CONFIG)
+    edit(cfg)
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        acceptance.validate_config(cfg)
+
+
+# -- held-out seeds ---------------------------------------------------------------
+
+# every seed base of the Monte Carlo criteria, as (section, key); the exact
+# criteria's seeds stay
+_SEED_BASES = [(section, key) for section in ("mc", "occupation")
+               for key in acceptance.DEFAULT_CONFIG[section] if "seed_base" in key]
+HELDOUT_SETS = range(1, 11)
+
+
+def _shifted_config(k: int) -> dict:
+    """The default config with every Monte Carlo seed base moved by 100000 k."""
+    cfg = copy.deepcopy(acceptance.DEFAULT_CONFIG)
+    for section, key in _SEED_BASES:
+        base = cfg[section][key]
+        cfg[section][key] = [b + 100000 * k for b in base] if isinstance(base, list) else base + 100000 * k
+    return cfg
+
+
+def _exp_median(res):
+    return next(r["median"] for r in res.rows if r["check"] == "exp_ratio")
+
+
+# each criterion's gated medians: how far inside its threshold the worst one
+# lies (negative outside), in the statistic's own units
+_MEDIAN_MARGINS = {
+    "C3": lambda res: min((0.05 if r["p"] == 2 else 0.10) - abs(r["median"] / r["target"] - 1) for r in res.rows),
+    "C4": lambda res: res.info["median_slope"] - acceptance.C4_MIN_SLOPE,
+    "C6": lambda res: 0.10 - res.rows[0]["median_gap_ratio"],
+    "C7": lambda res: 0.15 - abs(_exp_median(res) - 1),
+    "C8": lambda res: 0.10 - res.rows[0]["median_gap_ratio"],
+    "C9": lambda res: min(0.15 - abs(r["median"] / r["target"] - 1) for r in res.rows if r["gated"]),
+}
+
+
+@pytest.mark.heldout
+@pytest.mark.parametrize("key", list(_MEDIAN_MARGINS))
+def test_monte_carlo_gates_hold_on_held_out_seeds(key):
+    """A gate calibrated on lucky seeds shows here: the criterion runs on
+    ten seed sets it was not tuned on, and its worst margin is printed."""
+    results = {k: acceptance.run_criterion(key, _shifted_config(k)) for k in HELDOUT_SETS}
+    margins = {k: _MEDIAN_MARGINS[key](res) for k, res in results.items()}
+    worst = min(margins, key=margins.get)
+    print(f"\n{key}: worst median margin {margins[worst]:.4g} to its threshold (seed shift {100000 * worst})")
+    assert [k for k, res in results.items() if not res.passed] == []

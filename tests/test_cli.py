@@ -190,13 +190,36 @@ BAD_CONFIGS = {
                                      {"name": "poly", "params": {"coeffs": [0.0, 0.0, 1.0]}}]},
         "test_functions[1]"),
     "seed count below 1": ({**_GOOD, "seeds": {"count": 0}}, "'seeds.count'"),
-    "seed count not an int": ({**_GOOD, "seeds": {"count": "2"}}, "'count'"),
+    "seed count not an int": ({**_GOOD, "seeds": {"count": "2"}}, "'seeds.count'"),
     "no checkpoints": ({**_GOOD, "checkpoints": []}, "'checkpoints'"),
     "grid cells not an int": ({**_GOOD, "grid_cells": "many"}, "'grid_cells'"),
     "cap not an int": ({**_GOOD, "max_tensor_bytes": "1 GiB"}, "'max_tensor_bytes'"),
     "local-time field over the cap": (
         {**_GOOD, "analyses": ["local-time"], "grid_cells": 64, "max_tensor_bytes": 128}, "'grid_cells'"),
     "ranks of one path": ({**_GOOD, "analyses": ["ranks"]}, "'paths'"),
+    "identities of one path": ({**_GOOD, "analyses": ["identities"]}, "'paths'"),
+    "config not an object": ([_GOOD], "config must be a JSON object"),
+    "path spec not an object": ({**_GOOD, "paths": [5]}, "'paths[0]'"),
+    "n_max not an int": ({**_GOOD, "paths": [{"kind": "bm", "n_max": "x"}]}, "'paths[0].n_max'"),
+    "n_max a float": ({**_GOOD, "paths": [{"kind": "bm", "n_max": 10.0}]}, "'paths[0].n_max'"),
+    "seed a float": ({**_GOOD, "paths": [{"kind": "bm", "seed": 7.0}]}, "'paths[0].seed'"),
+    "T a string": ({**_GOOD, "paths": [{"kind": "bm", "T": "1"}]}, "'paths[0].T'"),
+    "hurst a string": ({**_GOOD, "paths": [{"kind": "fbm", "hurst": "half"}]}, "'paths[0].hurst'"),
+    "hurst a bool": ({**_GOOD, "paths": [{"kind": "fbm", "hurst": True}]}, "'paths[0].hurst'"),
+    "levels below 1": ({**_GOOD, "levels": 0}, "'levels'"),
+    "analyses not a list": ({**_GOOD, "analyses": "variation"}, "'analyses' must be a list"),
+    "checkpoints not a list": ({**_GOOD, "checkpoints": "0.5"}, "'checkpoints'"),
+    "checkpoint not a number": ({**_GOOD, "checkpoints": ["a"]}, "'checkpoints'"),
+    "seeds not an object": ({**_GOOD, "seeds": 3}, "'seeds'"),
+    "seed base not an int": ({**_GOOD, "seeds": {"count": 2, "base": "x"}}, "'seeds.base'"),
+    "test functions not a list": ({**_GOOD, "test_functions": {"name": "abs_pow"}}, "'test_functions'"),
+    "test function anchor not a number": (
+        {**_GOOD, "test_functions": [{"name": "abs_pow", "params": {"a": "zero"}}]}, "'test_functions[0].params.a'"),
+    "poly coefficients not numbers": (
+        {**_GOOD, "test_functions": [{"name": "poly", "params": {"coeffs": "abc"}}]},
+        "'test_functions[0].params.coeffs'"),
+    "grid cells below 3": ({**_GOOD, "analyses": ["local-time"], "grid_cells": 2}, "'grid_cells'"),
+    "output dir not a string": ({**_GOOD, "output_dir": 5}, "'output_dir'"),
 }
 
 
@@ -212,13 +235,17 @@ def nothing_generated(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg,field", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
-def test_bad_configs_exit_2_and_name_their_field(cfg, field, tmp_path, capsys, nothing_generated):
+def test_bad_configs_exit_2_and_name_their_field(cfg, field, tmp_path, monkeypatch, capsys, nothing_generated):
+    monkeypatch.chdir(tmp_path)
     file = tmp_path / "bad.json"
-    file.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "out")}))
+    if isinstance(cfg, dict) and "output_dir" not in cfg:
+        cfg = {**cfg, "output_dir": "out"}
+    file.write_text(json.dumps(cfg))
     assert run_cli("run", "--config", str(file)) == 2
     err = capsys.readouterr().err
     assert err.startswith("pathwise: config error:") and field in err
-    assert not (tmp_path / "out").exists()
+    # no output directory, not even the default one
+    assert [f.name for f in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_local_time_size_is_checked_before_anything_is_generated(tmp_path, capsys, nothing_generated):
@@ -236,6 +263,24 @@ def test_an_unreadable_config_exits_2_and_names_the_file(tmp_path, capsys):
     assert run_cli("run", "--config", str(missing)) == 2
     err = capsys.readouterr().err
     assert "cannot read config" in err and "missing.json" in err
+
+
+def test_identities_of_one_path_exit_2(tmp_path, capsys, nothing_generated):
+    rc = run_cli("identities", "--kind", "bm", "--n-max", "6", "--levels", "4", "--m", "1",
+                 "--out-dir", str(tmp_path / "ids"))
+    assert rc == 2
+    assert "'identities' needs at least two paths" in capsys.readouterr().err
+    assert not (tmp_path / "ids").exists()
+
+
+@pytest.mark.parametrize("checkpoints", ["x", "", "0.5,,1"])
+def test_unparsable_checkpoints_exit_2_and_name_the_option(checkpoints, tmp_path, capsys, nothing_generated):
+    with pytest.raises(SystemExit) as exit:
+        run_cli("variation", "--kind", "bm", "--n-max", "6", "--checkpoints", checkpoints,
+                "--out-dir", str(tmp_path / "var"))
+    assert exit.value.code == 2
+    assert "argument --checkpoints: must be comma-separated numbers" in capsys.readouterr().err
+    assert not (tmp_path / "var").exists()
 
 
 def test_an_engine_error_exits_2(tmp_path, capsys):

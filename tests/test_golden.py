@@ -2,12 +2,13 @@
 
 ``golden.sha256`` holds, in ``sha256sum`` format, the SHA-256 of every CSV
 that the CLI runs below write, and of the 9 CSVs of the acceptance suite.
-The CLI runs use Brownian paths, which draw their steps without numpy's
-FFT, so their bytes must not depend on the numpy version.  The acceptance
-suite's fBM paths go through the FFT, so its digests are listed under a
-``[numpy N]`` header and checked only under numpy major version N; a
-numpy major version without such a section skips that check.  CI checks
-the CLI lines with ``sha256sum --check``.
+The ``CLI_RUNS`` use Brownian paths, which draw their steps without
+numpy's FFT, so their bytes must not depend on the numpy version.  The
+fBM paths of the acceptance suite and of ``FFT_CLI_RUNS`` go through the
+FFT, so their digests are listed under a ``[numpy N]`` header and checked
+only under numpy major version N; a numpy major version without such a
+section skips those checks.  CI checks the Brownian lines with
+``sha256sum --check``.
 
 A change that moves bytes on purpose regenerates the manifest with
 
@@ -61,6 +62,12 @@ CLI_RUNS = {
     "ids/": ["identities", "--kind", "bm", "--p", "2", "--n-max", "10", "--levels", "8", "--checkpoints",
              "0.25,0.5", "--out-dir", "ids/"],
 }
+# fBM runs, whose bytes go through numpy's FFT: CI's "Lebesgue variation"
+# step
+FFT_CLI_RUNS = {
+    "leb/": ["variation", "--partition", "lebesgue", "--kind", "fbm", "--hurst", "0.25", "--p", "4",
+             "--n-max", "16", "--levels", "10", "--out-dir", "leb/"],
+}
 _CONFIGS = {"run/": ("run.json", _RUN), "leb-run/": ("leb-run.json", _LEB_RUN),
             "rank-run/": ("rank-run.json", _RANK_RUN)}
 
@@ -69,7 +76,7 @@ def _run_cli(target: str) -> None:
     if target in _CONFIGS:
         name, cfg = _CONFIGS[target]
         Path(name).write_text(json.dumps(cfg))
-    assert cli.main(CLI_RUNS[target]) == 0
+    assert cli.main({**CLI_RUNS, **FFT_CLI_RUNS}[target]) == 0
 
 
 def _digests(root: Path, target: str, prefix: str = "") -> dict:
@@ -109,6 +116,14 @@ def test_cli_artifacts_match_the_manifest(target, tmp_path, monkeypatch):
     assert _digests(tmp_path, target) == _expected(None, target)
 
 
+@pytest.mark.parametrize("target", list(FFT_CLI_RUNS))
+def test_fft_cli_artifacts_match_this_numpys_section(target, tmp_path, monkeypatch):
+    expected = _expected(NUMPY_SECTION, target)
+    monkeypatch.chdir(tmp_path)
+    _run_cli(target)
+    assert _digests(tmp_path, target) == expected
+
+
 def test_acceptance_artifacts_match_the_manifest(suite_run):
     _, out = suite_run
     assert _digests(out, "./", prefix="acc/") == _expected(NUMPY_SECTION, "acc/")
@@ -128,6 +143,9 @@ def regenerate() -> None:
                 sections[None].update(_digests(Path(tmp), target))
             acceptance.run_all(out_dir="acc")
             sections[NUMPY_SECTION] = _digests(Path(tmp), "acc/")
+            for target in FFT_CLI_RUNS:
+                _run_cli(target)
+                sections[NUMPY_SECTION].update(_digests(Path(tmp), target))
         finally:
             os.chdir(here)
     lines = [

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -367,6 +368,54 @@ def test_median_refuses_what_it_cannot_order(values):
     with pytest.raises(ParameterError, match="finite values"):
         _util.median(values)
     assert _util.median([3.0, 1.0, 2.0, 10.0]) == 2.5
+
+
+# -- the config field reader -------------------------------------------------
+
+
+@pytest.mark.parametrize("value, typ, want", [
+    (3, int, 3), (3, float, 3.0), (0.5, float, 0.5), ("x", str, "x"), ([], list, []), ({}, dict, {}),
+    ([1, 2.5], [float], [1.0, 2.5]), ([[1]], [list], [[1]]),
+])
+def test_field_reads_each_type(value, typ, want):
+    # repr tells 3 from 3.0, inside lists too
+    assert repr(_util.field({"k": value}, "sec", "k", typ)) == repr(want)
+
+
+@pytest.mark.parametrize("value, typ, need", [
+    (True, int, "an integer"),  # a bool is not a number
+    (False, float, "a number"),
+    (3.0, int, "an integer"),  # an integer must be a JSON integer
+    ("3", int, "an integer"),
+    (float("nan"), float, "a number"),
+    (float("inf"), float, "a number"),
+    ("1", float, "a number"),
+    (5, str, "a string"),
+    ("ab", list, "a list"),
+    ([1], dict, "an object"),
+    ("ab", [str], "a list of strings"),
+    ([1, "2"], [int], "a list of integers"),
+    ([1.0, True], [float], "a list of numbers"),
+])
+def test_field_refuses_other_types_naming_the_dotted_field(value, typ, need):
+    with pytest.raises(_util.ConfigError, match=re.escape(f"config field 'a[0].b.k' must be {need}, got {value!r}")):
+        _util.field({"k": value}, "a[0].b", "k", typ)
+
+
+def test_field_defaults_range_checks_and_objects():
+    assert _util.field({}, "", "k", int, 7) == 7
+    assert _util.field({"k": None}, "", "k", int, None) is None  # null stands for a missing optional field
+    with pytest.raises(_util.ConfigError, match=re.escape("config field 'k' must be an integer")):
+        _util.field({"k": None}, "", "k", int, 7)
+    with pytest.raises(_util.ConfigError, match=re.escape("config field 's.k' is missing")):
+        _util.field({}, "s", "k", int)
+    with pytest.raises(_util.ConfigError, match=re.escape("config field 's.k' must be odd, got 2")):
+        _util.field({"k": 2}, "s", "k", int, ok=lambda k: k % 2, need="odd")
+    assert _util.field({"k": 3}, "s", "k", int, ok=lambda k: k % 2, need="odd") == 3
+    with pytest.raises(_util.ConfigError, match=re.escape("config field 'paths[1]' must be an object, got 5")):
+        _util.field(5, "paths[1]", "k", int)
+    with pytest.raises(_util.ConfigError, match="config must be a JSON object, got list"):
+        _util.field([], "", "k", int)
 
 
 def test_criterion_table_has_the_old_bytes():
