@@ -19,6 +19,7 @@ column in one pass, and at most ``_CHUNK_ROWS`` lines are held at a time.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ def snap_checkpoints(path: SampledPath, checkpoints: Sequence[float]) -> Tuple[n
     cps = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     if cps.size == 0:
         raise ParameterError("need at least one checkpoint")
-    if np.any(cps < -path.dt / 2) or np.any(cps > path.T + path.dt / 2):
+    if not np.all((cps >= -path.dt / 2) & (cps <= path.T + path.dt / 2)):
         raise ParameterError("checkpoints must lie within [0, T]")
     idx = np.clip(np.rint(cps / path.dt).astype(np.int64), 0, path.n_samples - 1)
     idx = np.sort(idx)
@@ -182,9 +183,15 @@ class LevelStack:
         return summands(LevelBlock(slice(first, stop), kept, self.counts[first:stop]), *ends)
 
 
+def relative_residual(residual, *magnitudes) -> np.ndarray:
+    """``residual / max(1, |m_1|, |m_2|, ...)``, elementwise: an identity's
+    gap relative to its largest term, absolute while every term is below 1."""
+    return residual / functools.reduce(np.maximum, map(np.abs, magnitudes), 1.0)
+
+
 def relative_gap(lhs: float, rhs: float) -> float:
     """|lhs - rhs| normalized by the larger magnitude, floored at 1."""
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return float(relative_residual(abs(lhs - rhs), lhs, rhs))
 
 
 def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray:

@@ -106,7 +106,10 @@ def validate_run_config(cfg: dict) -> dict:
         # only the random kinds have seed replicates
         replicas = count if spec.kind in ("fbm", "bm") else 1
         start = base if base is not None and replicas > 1 else spec.seed
-        runs += [(f"p{i}_s{start + j}", dataclasses.replace(spec, seed=start + j)) for j in range(replicas)]
+        try:
+            runs += [(f"p{i}_s{start + j}", dataclasses.replace(spec, seed=start + j)) for j in range(replicas)]
+        except ParameterError as exc:
+            raise ConfigError(f"config fields 'seeds.base'/'seeds.count': replicate {exc}") from exc
     for analysis in ("identities", "ranks"):
         if analysis in analyses and len(runs) < 2:
             raise ConfigError(f"analysis {analysis!r} needs at least two paths (config field 'paths'/'seeds')")

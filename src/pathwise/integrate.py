@@ -97,12 +97,15 @@ class TestFunction:
 
     def __post_init__(self):
         bps = np.asarray(self.breakpoints, dtype=float)
+        pieces = tuple(np.asarray(c, dtype=float) for c in self.pieces)
+        if not all(np.all(np.isfinite(x)) for x in (bps, *pieces)):
+            raise ParameterError("test function breakpoints and coefficients must be finite")
         if bps.size and np.any(np.diff(bps) <= 0):
             raise ParameterError("breakpoints must be strictly increasing")
-        if len(self.pieces) != bps.size + 1:
+        if len(pieces) != bps.size + 1:
             raise ParameterError("need exactly len(breakpoints) + 1 pieces")
         object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", tuple(np.asarray(c, dtype=float) for c in self.pieces))
+        object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
 
     # -- evaluation -----------------------------------------------------

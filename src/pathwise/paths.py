@@ -134,6 +134,8 @@ class PathSpec:
             raise ParameterError("csv path kind requires a file")
         if self.n_max < 1:
             raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError(f"seed must be a Philox key in [0, 2**64), got {self.seed}")
 
     def effective_hurst(self) -> Optional[float]:
         if self.kind == "fbm":

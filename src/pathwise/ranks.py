@@ -37,7 +37,7 @@ from .errors import ParameterError
 from .integrate import TestFunction, _local_time_sums
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
-from .tanaka import EXACT_THRESHOLD, IdentityReport, _limit_report
+from .tanaka import IdentityReport, _exact_gate, _report
 
 __all__ = [
     "RankSystem",
@@ -172,9 +172,7 @@ def rank_sum_identity(
 
     lhs = summed_local_times(system.ranked)
     rhs = summed_local_times(system.values)
-    return _limit_report(
-        f"rank local-time sum at x={x}", hierarchy.level_labels, lhs, rhs
-    )
+    return _report(f"rank local-time sum at x={x}", hierarchy.level_labels, lhs, rhs)
 
 
 @dataclass
@@ -300,16 +298,11 @@ def _rank_decompositions(
     for i, k in enumerate(ranks):
         A, B, C, D, D_plus, D_minus = sums[6 * i: 6 * i + 6]
         resid = np.abs(A - (B + C + D))
-        scale = np.maximum(1.0, np.max(np.stack([np.abs(A), np.abs(B), np.abs(C), np.abs(D)]), axis=0))
-        rel = resid / scale
+        rel, _, within = _exact_gate(resid, A, B, C, D)
         decompositions.append(RankDecomposition(
-            k=k, p=p, f_name=getattr(f, "name", ""),
-            level_labels=hierarchy.level_labels,
-            checkpoint_times=stack.times,
-            A=A, B=B, C=C, D=D,
-            D_plus=D_plus, D_minus=D_minus,
-            residual=resid, relative_residual=rel,
-            passed=bool(np.all(rel <= EXACT_THRESHOLD)),
+            k=k, p=p, f_name=getattr(f, "name", ""), level_labels=hierarchy.level_labels,
+            checkpoint_times=stack.times, A=A, B=B, C=C, D=D, D_plus=D_plus, D_minus=D_minus,
+            residual=resid, relative_residual=rel, passed=bool(np.all(within)),
         ))
     return decompositions
 

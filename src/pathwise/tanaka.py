@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelBlock, LevelStack, Table, even_order, relative_gap
+from ._util import LevelBlock, LevelStack, Table, even_order, relative_residual
 from .errors import ParameterError
 from .integrate import (
     SmoothCallable,
@@ -64,9 +64,11 @@ class IdentityReport:
     """Both sides of one identity across partition levels.
 
     ``residuals`` are absolute gaps |lhs - rhs| and ``relative_residuals``
-    their ``relative_gap``; ``passed`` gates the latter at the threshold for
-    exact-per-level identities and stays None for limit-only trend reports
-    unless a desk-scale gate was requested.
+    their ``relative_residual``.  ``level_passed`` holds each level's
+    verdict and ``passed`` whether every level passed: exact-per-level
+    identities take both from :func:`_exact_gate`, a desk-scale gate
+    compares the absolute gaps with its ``threshold``, and limit-only trend
+    reports leave all three None.
     """
 
     identity: str
@@ -78,6 +80,7 @@ class IdentityReport:
     exactness: str  # "exact-per-level" | "limit-only"
     threshold: Optional[float] = None
     passed: Optional[bool] = None
+    level_passed: Optional[np.ndarray] = None
     details: dict = field(default_factory=dict)
 
     def csv_table(self) -> Table:
@@ -90,27 +93,32 @@ class IdentityReport:
         return f"{self.identity} [{self.exactness}] worst |lhs-rhs| = {worst:.3e}{status}"
 
 
-def _exact_report(identity: str, labels, lhs, rhs, details=None) -> IdentityReport:
-    report = _limit_report(identity, labels, lhs, rhs, details)
-    report.exactness = "exact-per-level"
-    report.threshold = EXACT_THRESHOLD
-    report.passed = bool(np.all(report.relative_residuals <= EXACT_THRESHOLD))
-    return report
+def _exact_gate(residual, *magnitudes):
+    """The one gate of every exact-per-level identity: the relative
+    residuals ``residual / max(1, |magnitudes|...)``, the threshold
+    EXACT_THRESHOLD as it reads at the call, and each relative residual's
+    verdict against it (NaN fails)."""
+    relative = relative_residual(residual, *magnitudes)
+    threshold = EXACT_THRESHOLD
+    return relative, threshold, relative <= threshold
 
 
-def _limit_report(identity: str, labels, lhs, rhs, details=None) -> IdentityReport:
+def _report(identity: str, labels, lhs, rhs, details=None, *, exact: bool = False,
+            tolerance: Optional[float] = None) -> IdentityReport:
+    """A complete report: gated by :func:`_exact_gate` when ``exact``, on
+    |lhs - rhs| <= ``tolerance`` when one is given, else a limit-only trend
+    report without a verdict."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    return IdentityReport(
-        identity=identity,
-        level_labels=tuple(labels),
-        lhs=lhs,
-        rhs=rhs,
-        residuals=np.abs(lhs - rhs),
-        relative_residuals=np.array([relative_gap(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())]),
-        exactness="limit-only",
-        details=details or {},
-    )
+    residuals = np.abs(lhs - rhs)
+    if exact:
+        relative, threshold, within = _exact_gate(residuals, lhs, rhs)
+    else:
+        relative, threshold = relative_residual(residuals, lhs, rhs), tolerance
+        within = None if tolerance is None else residuals <= tolerance
+    return IdentityReport(identity, tuple(labels), lhs, rhs, residuals, relative,
+                          "exact-per-level" if exact else "limit-only", threshold,
+                          None if within is None else bool(np.all(within)), within, details or {})
 
 
 # -- the exact finite-level change-of-variable identity -----------------
@@ -142,8 +150,9 @@ def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunct
     """Relative residual of the order-p change-of-variable identity at one
     level; exact algebra, so the result is rounding noise (<= 1e-9) for
     any admissible test function, path and level."""
-    (lhs,), (rhs,) = _change_of_variable_sides(path, (level,), even_order(p), f, t)
-    return relative_gap(float(lhs), float(rhs))
+    lhs, rhs = _change_of_variable_sides(path, (level,), even_order(p), f, t)
+    relative, _, _ = _exact_gate(np.abs(lhs - rhs), lhs, rhs)
+    return float(relative[0])
 
 
 def finite_n_report(
@@ -153,9 +162,8 @@ def finite_n_report(
     whole hierarchy, packaged with both sides per level."""
     p = even_order(p)
     lhs, rhs = _change_of_variable_sides(path, hierarchy.levels, p, f, t)
-    return _exact_report(
-        f"change of variable p={p} {getattr(f, 'name', 'f')}", hierarchy.level_labels, lhs, rhs
-    )
+    return _report(f"change of variable p={p} {getattr(f, 'name', 'f')}", hierarchy.level_labels, lhs, rhs,
+                   exact=True)
 
 
 def tanaka_meyer_report(
@@ -174,7 +182,7 @@ def tanaka_meyer_report(
     # scalar powers, level by level: an array power may round differently
     start = max(path.values[0] - a, 0.0) ** (p - 1)
     change = np.array([max(s - a, 0.0) ** (p - 1) - start for s in path.values[stack.ends[:, 0]]])
-    return _exact_report(f"tanaka-meyer p={p} a={a}", hierarchy.level_labels, change - comp, rhs)
+    return _report(f"tanaka-meyer p={p} a={a}", hierarchy.level_labels, change - comp, rhs, exact=True)
 
 
 def ito_residual(
@@ -193,7 +201,7 @@ def ito_residual(
     stack = LevelStack.build(path, hierarchy.levels, [t])
     comp, pv = stack.evaluate(terms, path.values)
     lhs = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
-    return _limit_report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
+    return _report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
 
 
 # -- local-time identity suite ------------------------------------------
@@ -288,19 +296,19 @@ def identity_suite(
 
     lhs, rhs, d1, d2 = LevelStack.build(X, hierarchy.levels).evaluate(per_block, X.values, Y.values).transpose(1, 2, 0)
     return [
-        _exact_report("nonneg local time vs exact-tie sum (|X|)", labels, lhs[0], rhs[0],
-                      {"band_tie_sum": d1[0], "lt_at_band_level": d2[0], "band_width": osc_a}),
-        _limit_report("local time of X vs X^+ at 0", labels, lhs[1], rhs[1],
-                      {"tie_sum": d1[1], "band_tie_sum": d2[1], "band_width": osc_x}),
-        _limit_report("local time of X vs X^- at 0", labels, lhs[2], rhs[2],
-                      {"tie_sum": d1[2], "band_tie_sum": d2[2], "band_width": osc_x}),
-        _limit_report("signed power sum over the zero set", labels, lhs[3], rhs[3],
-                      {"band_tie_sum": d1[3], "band_width": osc_x}),
-        _limit_report("local time of max decomposition", labels, lhs[4], rhs[4],
-                      {"band_collision_term": d1[4], "band_width": osc_xy}),
-        _limit_report("local time of min decomposition", labels, lhs[5], rhs[5],
-                      {"band_collision_term": d1[5], "band_width": osc_xy}),
-        _limit_report("min plus max local times", labels, lhs[6], rhs[6]),
+        _report("nonneg local time vs exact-tie sum (|X|)", labels, lhs[0], rhs[0],
+                {"band_tie_sum": d1[0], "lt_at_band_level": d2[0], "band_width": osc_a}, exact=True),
+        _report("local time of X vs X^+ at 0", labels, lhs[1], rhs[1],
+                {"tie_sum": d1[1], "band_tie_sum": d2[1], "band_width": osc_x}),
+        _report("local time of X vs X^- at 0", labels, lhs[2], rhs[2],
+                {"tie_sum": d1[2], "band_tie_sum": d2[2], "band_width": osc_x}),
+        _report("signed power sum over the zero set", labels, lhs[3], rhs[3],
+                {"band_tie_sum": d1[3], "band_width": osc_x}),
+        _report("local time of max decomposition", labels, lhs[4], rhs[4],
+                {"band_collision_term": d1[4], "band_width": osc_xy}),
+        _report("local time of min decomposition", labels, lhs[5], rhs[5],
+                {"band_collision_term": d1[5], "band_width": osc_xy}),
+        _report("min plus max local times", labels, lhs[6], rhs[6]),
     ]
 
 
@@ -342,9 +350,7 @@ def scaling_check(
     lhs, rhs = stack.evaluate(local_times, mapped, path.values)
     rhs = factor * rhs
     name = f"local time scaling under {getattr(f, 'name', 'map')} at a={a}"
-    if _is_affine(f):
-        return _exact_report(name, hierarchy.level_labels, lhs, rhs)
-    return _limit_report(name, hierarchy.level_labels, lhs, rhs)
+    return _report(name, hierarchy.level_labels, lhs, rhs, exact=_is_affine(f))
 
 
 def scaling_root_preset(
@@ -421,7 +427,7 @@ def occupation_check(
     )
     label = (path.n_max,)
     if isinstance(g, CellIndicator):
-        return _exact_report(f"occupation density with {g.name}", label, [lhs], [rhs])
+        return _report(f"occupation density with {g.name}", label, [lhs], [rhs], exact=True)
     xs = np.linspace(grid.lo, grid.hi, 1025)
     lip = float(np.max(np.abs(g.derivative(xs, 1))))
     pv = float(np.sum(masses))
@@ -429,10 +435,7 @@ def occupation_check(
     # where both sides are the same mass in different summation orders)
     # from demanding bit equality
     tol = max(2.0 * lip * grid.cellwidth * pv, 2.0**-40 * max(1.0, abs(lhs), abs(rhs)))
-    rep = _limit_report(
+    return _report(
         f"occupation density with {getattr(g, 'name', 'g')}", label, [lhs], [rhs],
-        details={"tolerance": tol, "lipschitz": lip, "pth_variation": pv},
+        details={"tolerance": tol, "lipschitz": lip, "pth_variation": pv}, tolerance=tol,
     )
-    rep.threshold = tol
-    rep.passed = bool(abs(lhs - rhs) <= tol)
-    return rep

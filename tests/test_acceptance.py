@@ -2,6 +2,7 @@
 tolerance, one pass/fail line per criterion on stdout."""
 
 import copy
+import math
 import re
 
 import numpy as np
@@ -117,6 +118,34 @@ def test_c7_leaves_seeds_without_a_ratio_out_of_its_median():
     defined = [r["value"] for r in exp_rows if r["seed"] != 307004]
     assert [r["value"] for r in exp_rows if r["seed"] == 307004] == [""]
     assert exp_rows[0]["median"] == float(np.median(defined))
+
+
+def test_c2_fails_on_a_nan_side(monkeypatch):
+    # a NaN level makes the positive-part power change NaN at every level;
+    # a max that skips NaN would pass these rows at a worst residual of 0
+    real = acceptance.tanaka_meyer_report
+
+    def nan_on_the_triangle(path, hier, p, a, t):
+        return real(path, hier, p, math.nan if path.metadata["kind"] == "triangle" else a, t)
+
+    monkeypatch.setattr(acceptance, "tanaka_meyer_report", nan_on_the_triangle)
+    result = acceptance.run_criterion("C2", _reduced_config())
+    assert not result.passed
+    failed = [r for r in result.rows if not r["ok"]]
+    assert [r["path"] for r in failed] == ["triangle"] * 10
+    assert all(math.isnan(r["worst_relative_residual"]) for r in failed)
+
+
+@pytest.mark.parametrize("key", ["C1", "C2", "C4", "C5", "C7"])
+def test_every_exact_criterion_reads_the_one_exact_gate(key, monkeypatch):
+    import pathwise.tanaka
+
+    monkeypatch.setattr(pathwise.tanaka, "EXACT_THRESHOLD", -1)
+    result = acceptance.run_criterion(key, _reduced_config())
+    assert not result.passed
+    if key == "C1":
+        # C1 gates each level on the report's own verdict
+        assert not any(r["ok"] for r in result.rows)
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,12 @@ BAD_CONFIGS = {
         "'test_functions[0].params.coeffs'"),
     "grid cells below 3": ({**_GOOD, "analyses": ["local-time"], "grid_cells": 2}, "'grid_cells'"),
     "output dir not a string": ({**_GOOD, "output_dir": 5}, "'output_dir'"),
+    # Philox keys are the seeds in [0, 2**64)
+    "seed below 0": ({**_GOOD, "paths": [{"kind": "bm", "seed": -1}]}, "paths[0]: seed"),
+    "seed of 2**64": ({**_GOOD, "paths": [{"kind": "bm", "seed": 2**64}]}, "paths[0]: seed"),
+    "seed base below 0": ({**_GOOD, "seeds": {"count": 2, "base": -1}}, "'seeds.base'/'seeds.count'"),
+    "replicate seeds past 2**64": (
+        {**_GOOD, "seeds": {"count": 2, "base": 2**64 - 1}}, "'seeds.base'/'seeds.count'"),
 }
 
 
@@ -281,6 +287,14 @@ def test_unparsable_checkpoints_exit_2_and_name_the_option(checkpoints, tmp_path
     assert exit.value.code == 2
     assert "argument --checkpoints: must be comma-separated numbers" in capsys.readouterr().err
     assert not (tmp_path / "var").exists()
+
+
+@pytest.mark.parametrize("command", ["variation", "ranks"])
+def test_a_negative_seed_exits_2_before_any_output(command, tmp_path, capsys, nothing_generated):
+    rc = run_cli(command, "--kind", "bm", "--n-max", "6", "--seed", "-1", "--out-dir", str(tmp_path / "out"))
+    assert rc == 2
+    assert "seed must be a Philox key in [0, 2**64), got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_engine_error_exits_2(tmp_path, capsys):
@@ -351,3 +365,17 @@ def test_an_exact_identity_failure_exits_1(tmp_path, monkeypatch):
     assert rc == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["ok"] is False and summary["exact_identity_failures"]
+
+
+def test_a_rank_decomposition_failure_exits_1(tmp_path, monkeypatch):
+    import pathwise.tanaka
+
+    # the rank decompositions take their verdict from the one exact gate
+    monkeypatch.setattr(pathwise.tanaka, "EXACT_THRESHOLD", -1)
+    out = tmp_path / "rk"
+    rc = run_cli("ranks", "--kind", "bm", "--p", "2", "--m", "3", "--n-max", "8", "--levels", "6",
+                 "--out-dir", str(out))
+    assert rc == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ok"] is False
+    assert summary["exact_identity_failures"] == [f"rank decomposition k={k}" for k in (1, 2, 3)]

@@ -61,6 +61,12 @@ CLI_RUNS = {
             "--out-dir", "tk/"],
     "ids/": ["identities", "--kind", "bm", "--p", "2", "--n-max", "10", "--levels", "8", "--checkpoints",
              "0.25,0.5", "--out-dir", "ids/"],
+    # the ranks subcommand: three ranked paths at p = 4, so the cross term
+    # C, interior checkpoints and the rank residuals are pinned
+    "rk/": ["ranks", "--kind", "bm", "--p", "4", "--m", "3", "--n-max", "10", "--levels", "8", "--checkpoints",
+            "0.3,0.5,1.0", "--out-dir", "rk/"],
+    "var/": ["variation", "--kind", "bm", "--p", "2", "--n-max", "14", "--seed", "7", "--levels", "14",
+             "--out-dir", "var/"],
 }
 # fBM runs, whose bytes go through numpy's FFT: CI's "Lebesgue variation"
 # step

@@ -81,6 +81,18 @@ def test_unknown_name_rejected():
         tanaka_class("bogus", 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_anchor_is_refused(bad):
+    with pytest.raises(ParameterError, match="must be finite"):
+        tanaka_class("abs_pow", 2, a=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_non_finite_coefficients_are_refused(bad):
+    with pytest.raises(ParameterError, match="must be finite"):
+        tanaka_class("poly", 4, coeffs=[0.0, bad, 1.0])
+
+
 def test_smoothness_defect_vanishes_for_the_tanaka_classes():
     for p in (2, 4):
         for name in ("pos_part_pow", "neg_part_pow", "abs_pow"):

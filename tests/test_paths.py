@@ -124,6 +124,17 @@ def test_running_extrema_sandwich(bm_path):
     assert np.all(np.diff(M) >= 0.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_the_philox_key_range_is_refused(seed):
+    with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+        PathSpec(kind="bm", seed=seed)
+
+
+def test_the_largest_philox_key_is_a_seed():
+    path = generate(PathSpec(kind="bm", n_max=3, seed=2**64 - 1))
+    assert path.metadata["seed"] == 2**64 - 1 and np.all(np.isfinite(path.values))
+
+
 def test_path_validation_errors():
     with pytest.raises(ParameterError):
         PathSpec(kind="fbm", hurst=1.5)

@@ -533,3 +533,12 @@ def test_level_stack_credits_what_snapping_and_left_endpoint_counts_credit(case)
     assert whole.times.tolist() == [path.T] and whole.indices.tolist() == [path.n_samples - 1]
     assert whole.counts[:, 0].tolist() == [lev.size - 1 for lev in levels]
     assert whole.ends[:, 0].tolist() == [path.n_samples - 1] * len(levels)
+
+
+def test_a_nan_checkpoint_is_refused():
+    # NaN compares false with both ends of [0, T]; it must not snap to t = 0
+    path = generate(PathSpec(kind="bm", n_max=4, seed=1))
+    with pytest.raises(ParameterError, match=r"within \[0, T\]"):
+        _util.snap_checkpoints(path, [math.nan, 1.0])
+    with pytest.raises(ParameterError):
+        pth_variation(path, dyadic_hierarchy(path, 4), 2, [math.nan])
