@@ -183,10 +183,17 @@ class LevelStack:
         return summands(LevelBlock(slice(first, stop), kept, self.counts[first:stop]), *ends)
 
 
+def residual_scale(*magnitudes) -> np.ndarray:
+    """``max(1, |m_1|, |m_2|, ...)``, elementwise: the scale an identity's
+    gap is measured against, its largest term floored at 1."""
+    return functools.reduce(np.maximum, map(np.abs, magnitudes), 1.0)
+
+
 def relative_residual(residual, *magnitudes) -> np.ndarray:
-    """``residual / max(1, |m_1|, |m_2|, ...)``, elementwise: an identity's
-    gap relative to its largest term, absolute while every term is below 1."""
-    return residual / functools.reduce(np.maximum, map(np.abs, magnitudes), 1.0)
+    """``residual / residual_scale(m_1, m_2, ...)``, elementwise: an
+    identity's gap relative to its largest term, absolute while every term
+    is below 1."""
+    return residual / residual_scale(*magnitudes)
 
 
 def relative_gap(lhs: float, rhs: float) -> float:
@@ -194,14 +201,25 @@ def relative_gap(lhs: float, rhs: float) -> float:
     return float(relative_residual(abs(lhs - rhs), lhs, rhs))
 
 
+def check_level(x: float) -> None:
+    """The one check of a local-time level: no bracket holds a NaN or
+    infinite level, so every sum at one would read 0 (or NaN) without
+    saying why; it raises ``ParameterError`` instead."""
+    if not math.isfinite(x):
+        raise ParameterError(f"local-time level must be finite, got {x}")
+
+
 def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray:
     """Per-interval local-time summands ``1_(min,max](x) |b - x|**(p-1)``,
-    at one location x or at one location per interval.
+    at one location x (checked by :func:`check_level`) or at one location
+    per interval.
 
     The half-open bracket excludes the lower endpoint, so ties ``a == b``
     contribute nothing, and a level exactly equal to the lower endpoint of
     an excursion is not charged.
     """
+    if not np.ndim(x):
+        check_level(x)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     ind = (x > lo) & (x <= hi)
@@ -256,9 +274,7 @@ def field(cfg, where: str, key: str, typ, default=_REQUIRED, ok: Optional[Callab
     value of another type, or one that ``ok`` refuses, is an error saying
     that it must be ``need`` (the type's name by default).
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config field {where!r} must be an object, got {cfg!r}" if where
-                          else f"config must be a JSON object, got {type(cfg).__name__}")
+    _object(cfg, where)
     name = f"{where}.{key}" if where else key
     if key not in cfg or (cfg[key] is None and default is None):
         if default is _REQUIRED:
@@ -269,6 +285,29 @@ def field(cfg, where: str, key: str, typ, default=_REQUIRED, ok: Optional[Callab
         kind = f"a list of {_KINDS[typ[0]].split()[1]}s" if isinstance(typ, list) else _KINDS[typ]
         raise ConfigError(f"config field {name!r} must be {need or kind}, got {cfg[key]!r}")
     return value
+
+
+def _object(cfg, where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config field {where!r} must be an object, got {cfg!r}" if where
+                          else f"config must be a JSON object, got {type(cfg).__name__}")
+
+
+def known_keys(cfg, where: str, keys) -> None:
+    """Refuse a key of the object ``cfg`` (named ``where``, as for
+    :func:`field`) that is not in ``keys``, a tuple or dict of names: a
+    misspelt field would otherwise be ignored and its default used.  The
+    error names the full field and the nearest known key."""
+    _object(cfg, where)
+    for key in cfg:
+        if key not in keys:
+            name = f"{where}.{key}" if where else key
+            # imported here: only this error uses it
+            import difflib
+
+            near = difflib.get_close_matches(str(key), keys, n=1)
+            hint = f"did you mean {near[0]!r}?" if near else f"known keys are {', '.join(keys)}"
+            raise ConfigError(f"config field {name!r} is unknown; {hint}")
 
 
 def _csv_value(v) -> str:

@@ -3,9 +3,9 @@
 Every criterion is a function of the (fully pinned) acceptance
 configuration; no tolerance or seed is decided at run time, so two runs of
 the suite with the same configuration produce byte-identical CSV
-artifacts.  Exact-algebra criteria gate at 1e-9 relative; Monte Carlo
-criteria gate the median over their pinned replicate seeds at the stated
-desk-scale tolerances.
+artifacts.  Exact-algebra criteria gate at 1e-9 relative; each Monte
+Carlo criterion gates the median over its pinned replicate seeds through
+``_median_gate``, at a desk-scale threshold named by a module constant.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ._pool import parallel_map
-from ._util import LevelStack, Table, field, median, write_csv, write_summary
+from ._util import LevelStack, Table, field, known_keys, median, write_csv, write_summary
 from .errors import ConfigError
 from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
@@ -121,18 +121,42 @@ class Criterion:
     runtime_target_seconds: Optional[float] = None
 
 
+# range checks beyond the type, by dotted field name
+_RANGES = {
+    "T": (lambda t: t > 0, "a positive number"),
+    "mc.n_seeds": (lambda n: n >= 1, "an integer >= 1"),
+    "occupation.smooth_cells": (
+        lambda c: len(c) >= 6 and c[0] >= 3 and all(b == 2 * a for a, b in zip(c, c[1:])),
+        "a list of at least 6 cell counts from 3 up, each twice the one before",
+    ),
+}
+
+
+def _read_section(cfg: dict, where: str, schema: dict) -> dict:
+    """cfg read against its ``schema``, a section of DEFAULT_CONFIG: every
+    key through :func:`field`, typed like the schema's value (a list like
+    its first item), and no key the schema lacks."""
+    known_keys(cfg, where, schema)
+    out = {}
+    for key, default in schema.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(default, dict):
+            out[key] = _read_section(field(cfg, where, key, dict), name, default)
+        else:
+            typ = [type(default[0])] if isinstance(default, list) else type(default)
+            ok, need = _RANGES.get(name, (None, None))
+            out[key] = field(cfg, where, key, typ, ok=ok, need=need)
+    return out
+
+
 def validate_config(config: dict) -> dict:
-    """Structural validation, field by field through :func:`field`."""
-    field(config, "", "T", float, ok=lambda t: t > 0, need="a positive number")
-    ex, mc, occ, _, _ = (field(config, "", key, dict) for key in ("exact", "mc", "occupation", "ranks", "scaling"))
-    n_max = field(ex, "exact", "n_max", int)
-    field(ex, "exact", "levels", int, ok=lambda lv: 1 <= lv <= n_max, need=f"an integer from 1 to n_max ({n_max})")
-    field(mc, "mc", "n_seeds", int, ok=lambda n: n >= 1, need="an integer >= 1")
-    field(occ, "occupation", "smooth_seed_base", int)
-    field(occ, "occupation", "smooth_cells", [int],
-          ok=lambda c: len(c) >= 6 and c[0] >= 3 and all(b == 2 * a for a, b in zip(c, c[1:])),
-          need="a list of at least 6 cell counts from 3 up, each twice the one before")
-    return config
+    """The acceptance config read against DEFAULT_CONFIG, its schema: the
+    typed copy that every criterion reads."""
+    cfg = _read_section(config, "", DEFAULT_CONFIG)
+    n_max = cfg["exact"]["n_max"]
+    field(cfg["exact"], "exact", "levels", int, ok=lambda lv: 1 <= lv <= n_max,
+          need=f"an integer from 1 to n_max ({n_max})")
+    return cfg
 
 
 def _fbm(hurst: float, seed: int, n_max: int, T: float = 1.0) -> SampledPath:
@@ -211,6 +235,26 @@ def _finest_level(path: SampledPath, level: int) -> PartitionHierarchy:
     )
 
 
+# The Monte Carlo thresholds: each gates the median over a criterion's
+# replicate seeds, is read when the criterion runs and is quoted in its title.
+C3_VARIATION_TOL = {2: 0.05, 4: 0.10}  # a fraction of (p-1)!! T, per order p
+# C4's median log-log slope: half the Lipschitz bound's first order. Twenty
+# unpinned Brownian seed sets (1000-1019, ..., 1380-1399) read 0.82-1.13.
+C4_MIN_SLOPE = 0.5
+GAP_RATIO_MAX = 0.10  # C6 and C8
+C7_RATIO_TOL = 0.15  # the exp side ratio's distance to 1
+C9_RATIO_TOL = 0.15  # a fraction of (p-1)!!/p, p = 2
+
+
+def _median_gate(values, threshold: float, deviation: Callable[[float], float]):
+    """The one Monte Carlo verdict: the median of the replicate values and
+    its margin ``threshold - deviation(median)``, in the statistic's own
+    units.  A criterion passes where the margin is >= 0, which for finite
+    numbers is ``deviation(median) <= threshold``."""
+    med = median(values)
+    return med, threshold - deviation(med)
+
+
 def _c3_task(args):
     p, hurst, seed, n_max, level, T = args
     path = _fbm(hurst, seed, n_max, T)
@@ -220,28 +264,20 @@ def _c3_task(args):
 
 def criterion_03(cfg: dict):
     """Finest-level p-th variation of fBM at T = 1 matches t * E|Z|^p:
-    median over the replicate seeds within 5% (p=2) / 10% (p=4)."""
+    median over the replicate seeds within C3_VARIATION_TOL[p] of it."""
     mc = cfg["mc"]
     rows = []
-    ok = True
-    checks = ((2, 0.5, 0.05), (4, 0.25, 0.10))
-    for p, hurst, tol in checks:
+    margins = []
+    for p, hurst in ((2, 0.5), (4, 0.25)):
         target = cfg["T"] * gaussian_moment(p)
         seeds = [mc["variation_seed_base"] + s for s in range(mc["n_seeds"])]
         vals = parallel_map(_c3_task, [(p, hurst, s, mc["n_max"], mc["level"], cfg["T"]) for s in seeds])
-        med = median(vals)
-        good = abs(med - target) <= tol * target
-        ok = ok and good
+        med, margin = _median_gate(vals, C3_VARIATION_TOL[p] * target, lambda m: abs(m - target))
+        margins.append(margin)
         for s, v in zip(seeds, vals):
             rows.append({"p": p, "hurst": hurst, "seed": s, "value": v,
-                         "target": target, "median": med, "ok": good})
-    return ok, rows, {}
-
-
-# C4's gate on the median log-log slope: half the Lipschitz bound's first
-# order. Twenty unpinned Brownian seed sets (1000-1019, ..., 1380-1399)
-# read set medians 0.82-1.13.
-C4_MIN_SLOPE = 0.5
+                         "target": target, "median": med, "ok": margin >= 0})
+    return min(margins) >= 0, rows, {"median_margin": min(margins)}
 
 
 def _c4_task(args):
@@ -283,8 +319,8 @@ def criterion_04(cfg: dict):
     })
     seeds = [occ["smooth_seed_base"] + s for s in range(cfg["mc"]["n_seeds"])]
     out = parallel_map(_c4_task, [(s, occ["n_max"], occ["smooth_cells"], cfg["T"]) for s in seeds])
-    med = median(slope for slope, _ in out)
-    converges = med >= C4_MIN_SLOPE
+    med, margin = _median_gate((slope for slope, _ in out), 0.0, lambda m: C4_MIN_SLOPE - m)
+    converges = margin >= 0
     ok = ok and converges
     for slope, grids in out:
         for r in grids:
@@ -292,7 +328,7 @@ def criterion_04(cfg: dict):
             ok = ok and within
             rows.append({"check": "smooth_x_squared", **r, "slope": slope,
                          "median_slope": med, "ok": within and converges})
-    return ok, rows, {"median_slope": med}
+    return ok, rows, {"median_slope": med, "median_margin": margin}
 
 
 def criterion_05(cfg: dict):
@@ -333,33 +369,28 @@ def _c6_task(args):
     return float(report.lhs[-1]), float(report.rhs[-1])
 
 
-def _gap_ratio_gate(pairs, lhs_name: str, rhs_name: str, scale: Callable):
+def _gap_ratio_check(pairs, lhs_name: str, rhs_name: str, scale: Callable):
     """Rows of a replicated two-sided sum identity, gated on the median over
-    the replicates of |lhs - rhs| / scale(lhs, rhs) at 10%.  A ratio is 0.0
-    where the scale is not positive."""
-    rows = []
-    for rep, (lhs, rhs) in enumerate(pairs):
-        size = scale(lhs, rhs)
-        ratio = abs(lhs - rhs) / size if size > 0 else 0.0
-        rows.append({"replicate": rep, lhs_name: lhs, rhs_name: rhs, "gap_ratio": ratio})
-    med = median(r["gap_ratio"] for r in rows)
-    ok = med <= 0.10
-    for r in rows:
-        r["median_gap_ratio"] = med
-        r["ok"] = ok
-    return ok, rows, {}
+    the replicates of |lhs - rhs| / scale(lhs, rhs) against GAP_RATIO_MAX.
+    A ratio is 0.0 where the scale is not positive."""
+    ratios = [abs(lhs - rhs) / size if (size := scale(lhs, rhs)) > 0 else 0.0 for lhs, rhs in pairs]
+    med, margin = _median_gate(ratios, GAP_RATIO_MAX, lambda m: m)
+    rows = [{"replicate": rep, lhs_name: lhs, rhs_name: rhs, "gap_ratio": ratio, "median_gap_ratio": med,
+             "ok": margin >= 0} for rep, ((lhs, rhs), ratio) in enumerate(zip(pairs, ratios))]
+    return margin >= 0, rows, {"median_margin": margin}
 
 
 def criterion_06(cfg: dict):
     """Summed local times of ranked vs original paths at zero: finest-level
-    gap at most 10% of the original-path total, median over seeds."""
+    gap at most GAP_RATIO_MAX of the original-path total, median over
+    seeds."""
     mc = cfg["mc"]
     tasks = [
         (mc["rank_sum_seed_bases"], rep, mc["n_max"], mc["level"], cfg["T"])
         for rep in range(mc["n_seeds"])
     ]
     pairs = parallel_map(_c6_task, tasks)
-    return _gap_ratio_gate(pairs, "ranked_sum", "original_sum", lambda lhs, rhs: rhs)
+    return _gap_ratio_check(pairs, "ranked_sum", "original_sum", lambda lhs, rhs: rhs)
 
 
 def _c7_task(args):
@@ -373,10 +404,10 @@ def _c7_task(args):
 
 def criterion_07(cfg: dict):
     """Monotone-map scaling of local times: exact per level for affine
-    maps; for exp the finest-level side ratio is within 15% of 1 in the
-    median over the seeds where it is defined.  A path that never goes
-    below 0 has both sides 0 (0 = 0 holds, the ratio is undefined); its
-    seed is left out of the median and named in ``info``."""
+    maps; for exp the finest-level side ratio is within C7_RATIO_TOL of 1
+    in the median over the seeds where it is defined.  A path that never
+    goes below 0 has both sides 0 (0 = 0 holds, the ratio is undefined);
+    its seed is left out of the median and named in ``info``."""
     mc = cfg["mc"]
     sc = cfg["scaling"]
     rows = []
@@ -392,12 +423,12 @@ def criterion_07(cfg: dict):
     seeds = [mc["exp_scaling_seed_base"] + s for s in range(mc["n_seeds"])]
     sides = parallel_map(_c7_task, [(s, mc["n_max"], mc["level"], cfg["T"]) for s in seeds])
     ratios = [lhs / rhs if rhs > 0 else None for lhs, rhs in sides]
-    med = median(r for r in ratios if r is not None)
-    good = abs(med - 1.0) <= 0.15
+    med, margin = _median_gate((r for r in ratios if r is not None), C7_RATIO_TOL, lambda m: abs(m - 1.0))
+    good = margin >= 0
     ok = ok and good
     for s, r in zip(seeds, ratios):
         rows.append({"check": "exp_ratio", "seed": s, "value": "" if r is None else r, "median": med, "ok": good})
-    return ok, rows, {"zero_rhs_seeds": [s for s, r in zip(seeds, ratios) if r is None]}
+    return ok, rows, {"zero_rhs_seeds": [s for s, r in zip(seeds, ratios) if r is None], "median_margin": margin}
 
 
 def _c8_task(args):
@@ -411,11 +442,12 @@ def _c8_task(args):
 
 def criterion_08(cfg: dict):
     """Min + max local-time identity for two independent fBM paths:
-    finest-level gap at most 10% of the larger side, median over seeds."""
+    finest-level gap at most GAP_RATIO_MAX of the larger side, median over
+    seeds."""
     mc = cfg["mc"]
     bx, by = mc["minmax_seed_bases"]
     tasks = [(bx + s, by + s, mc["n_max"], mc["level"], cfg["T"]) for s in range(mc["n_seeds"])]
-    return _gap_ratio_gate(parallel_map(_c8_task, tasks), "minmax_sum", "direct_sum", max)
+    return _gap_ratio_check(parallel_map(_c8_task, tasks), "minmax_sum", "direct_sum", max)
 
 
 def _c9_task(args):
@@ -427,8 +459,8 @@ def _c9_task(args):
 
 def criterion_09(cfg: dict):
     """Order-p variation density over occupation-time density equals
-    (p-1)!!/p for fBM with H = 1/p: gated for p = 2 at 15%, informational
-    repeat for p = 4."""
+    (p-1)!!/p for fBM with H = 1/p: gated for p = 2 at C9_RATIO_TOL,
+    informational repeat for p = 4."""
     mc = cfg["mc"]
     rows = []
     info = {}
@@ -442,13 +474,14 @@ def criterion_09(cfg: dict):
         vals = parallel_map(
             _c9_task, [(p, hurst, s, mc["n_max"], mc["grid_cells"], cfg["T"]) for s in seeds]
         )
-        med = median(vals)
-        within = abs(med - target) <= 0.15 * target
+        med, margin = _median_gate(vals, C9_RATIO_TOL * target, lambda m: abs(m - target))
+        within = margin >= 0
         if gated:
             ok = ok and within
+            info["median_margin"] = margin
         else:
             info["informational_p4_median"] = med
-            info["informational_p4_within_15pct"] = within
+            info[f"informational_p4_within_{C9_RATIO_TOL * 100:g}pct"] = within
         for s, v in zip(seeds, vals):
             rows.append({"p": p, "seed": s, "average_ratio": v, "target": target,
                          "median": med, "gated": gated, "ok": within})
@@ -488,7 +521,8 @@ CRITERIA = (
               "Tanaka-Meyer plus-variant equals the discrete local time (<= 1e-9 relative)",
               ("p", "path", "a", "worst_relative_residual", "ok")),
     Criterion("C3", "pth_variation_limit", criterion_03,
-              "fBM p-th variation limit (median within 5% / 10% of (p-1)!! * T)",
+              f"fBM p-th variation limit (median within {C3_VARIATION_TOL[2]:.0%} / {C3_VARIATION_TOL[4]:.0%} "
+              "of (p-1)!! * T)",
               ("p", "hurst", "seed", "value", "target", "median", "ok"), runtime_target_seconds=300.0),
     Criterion("C4", "occupation_density", criterion_04,
               "occupation-density identity (indicator exact; smooth error within its "
@@ -498,16 +532,16 @@ CRITERIA = (
               "rank decomposition exactness A = B + C + D (and C = 0 for p = 2)",
               ("p", "m", "k", "f", "worst_relative_residual", "max_abs_C", "ok")),
     Criterion("C6", "rank_sum_identity", criterion_06,
-              "rank local-time sum identity (median finest-level gap <= 10%)",
+              f"rank local-time sum identity (median finest-level gap <= {GAP_RATIO_MAX:.0%})",
               ("replicate", "ranked_sum", "original_sum", "gap_ratio", "median_gap_ratio", "ok")),
     Criterion("C7", "scaling_law", criterion_07,
-              "local-time scaling law (affine exact; exp ratio within 15% of 1)",
+              f"local-time scaling law (affine exact; exp ratio within {C7_RATIO_TOL:.0%} of 1)",
               ("check", "seed", "value", "median", "ok")),
     Criterion("C8", "min_plus_max", criterion_08,
-              "min + max local-time identity (median finest-level gap <= 10%)",
+              f"min + max local-time identity (median finest-level gap <= {GAP_RATIO_MAX:.0%})",
               ("replicate", "minmax_sum", "direct_sum", "gap_ratio", "median_gap_ratio", "ok")),
     Criterion("C9", "berman_ratio", criterion_09,
-              "occupation-density/occupation-time ratio c_p/p (p=2 gated at 15%, p=4 informational)",
+              f"occupation-density/occupation-time ratio c_p/p (p=2 gated at {C9_RATIO_TOL:.0%}, p=4 informational)",
               ("p", "seed", "average_ratio", "target", "median", "gated", "ok")),
     Criterion("C10", "determinism", criterion_10,
               "determinism: repeated acceptance runs emit byte-identical CSVs",
@@ -563,7 +597,7 @@ def run_all(config: Optional[dict] = None, out_dir: Optional[str] = None) -> Lis
     compares against those artifacts.  When out_dir is given, the artifacts
     and a JSON summary are kept there; otherwise they go to a temporary
     directory."""
-    cfg = validate_config(dict(DEFAULT_CONFIG if config is None else config))
+    cfg = validate_config(DEFAULT_CONFIG if config is None else config)
     if out_dir is None:
         primary = tempfile.TemporaryDirectory(prefix="pathwise-acceptance-")
     else:

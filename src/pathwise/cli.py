@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from . import acceptance as acc
-from ._util import field, release_free_heap, write_csv, write_summary
+from ._util import field, known_keys, release_free_heap, write_csv, write_summary
 from .errors import ConfigError, ParameterError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
@@ -50,6 +50,8 @@ DEFAULT_MAX_TENSOR_BYTES = 1 << 30
 IDENTITY_FIELDS = ("identity", "level", "lhs", "rhs", "residual", "class")
 RANK_FIELDS = ("k", "level", "t", "A", "B", "C", "D", "residual")
 ANALYSES = ("variation", "local-time", "tanaka", "identities", "ranks")
+_RUN_FIELDS = ("p", "paths", "partition", "levels", "analyses", "test_functions", "seeds", "checkpoints",
+               "grid_cells", "max_tensor_bytes", "output_dir")
 _HIERARCHIES = {"dyadic": dyadic_hierarchy, "lebesgue": lebesgue_hierarchy}
 
 
@@ -61,6 +63,7 @@ _SPEC_FIELDS = {"T": float, "n_max": int, "seed": int, "hurst": float, "slope": 
 
 
 def _path_spec_from(cfg: dict, where: str) -> PathSpec:
+    known_keys(cfg, where, ("kind", *_SPEC_FIELDS))
     kind = field(cfg, where, "kind", str, ok=PATH_KINDS.__contains__, need=f"one of {PATH_KINDS}")
     kwargs = {key: field(cfg, where, key, typ, getattr(PathSpec, key)) for key, typ in _SPEC_FIELDS.items()}
     try:
@@ -81,8 +84,9 @@ def load_config(path: str) -> dict:
 
 def validate_run_config(cfg: dict) -> dict:
     """Every field of a run config read through :func:`field` before
-    anything is generated; ``runs`` holds the seed replicates of the path
-    specs as ``(tag, PathSpec)`` pairs."""
+    anything is generated, and no other key; ``runs`` holds the seed
+    replicates of the path specs as ``(tag, PathSpec)`` pairs."""
+    known_keys(cfg, "", _RUN_FIELDS)
     p = field(cfg, "", "p", int, ok=lambda n: n >= 2 and n % 2 == 0, need="an even integer >= 2")
     raw_paths = field(cfg, "", "paths", list, ok=bool, need="a non-empty list of path specs")
     specs = [_path_spec_from(pc, f"paths[{i}]") for i, pc in enumerate(raw_paths)]
@@ -99,6 +103,7 @@ def validate_run_config(cfg: dict) -> dict:
             raise ConfigError(f"config field test_functions[{i}] repeats the test function {f.name}")
         functions.append(f)
     seeds = field(cfg, "", "seeds", dict, {})
+    known_keys(seeds, "seeds", ("count", "base"))
     count = field(seeds, "seeds", "count", int, 1, lambda n: n >= 1, "an integer >= 1")
     base = field(seeds, "seeds", "base", int, None)
     runs = []
@@ -131,8 +136,10 @@ def validate_run_config(cfg: dict) -> dict:
 def _test_function(item: dict, p: int, where: str):
     """The configured test function, named apart from every other one: a
     poly by its coefficients, ``x_pow_pm1`` (built as a poly) by its name."""
+    known_keys(item, where, ("name", "params"))
     name = field(item, where, "name", str, ok=TANAKA_CLASS_NAMES.__contains__, need=f"one of {TANAKA_CLASS_NAMES}")
     params = field(item, where, "params", dict, {})
+    known_keys(params, f"{where}.params", ("a", "coeffs"))
     a = field(params, f"{where}.params", "a", float, 0.0)
     coeffs = field(params, f"{where}.params", "coeffs", [float], None)
     try:

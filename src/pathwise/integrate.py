@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import LevelBlock, LevelStack, Table, bracket_contributions, even_order
+from ._util import LevelBlock, LevelStack, Table, bracket_contributions, check_level, even_order
 from .errors import CoverageError, ParameterError
 from .localtime import SpaceGrid, occupation_density_local_time
 from .paths import SampledPath
@@ -323,6 +323,7 @@ def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> fl
 def _tanaka_meyer_sums(
     blk: LevelBlock, sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str
 ) -> np.ndarray:
+    check_level(a_level)
     if variant == "plus":
         w = (sa > a_level).astype(float)
     elif variant == "minus":

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelBlock, LevelStack, Table, even_order, relative_residual
+from ._util import LevelBlock, LevelStack, Table, check_level, even_order, relative_residual, residual_scale
 from .errors import ParameterError
 from .integrate import (
     SmoothCallable,
@@ -334,6 +334,8 @@ def scaling_check(
     trend report.  Monotonicity is checked by sampling the sign of f'.
     """
     p = even_order(p)
+    # before f and f' are evaluated at a
+    check_level(a)
     vals = path.values
     xs = np.linspace(float(vals.min()), float(vals.max()), 1025)
     d1 = np.asarray(f.derivative(xs, 1), dtype=float)
@@ -434,7 +436,7 @@ def occupation_check(
     # accumulation-order floor keeps a zero Lipschitz bound (constant g,
     # where both sides are the same mass in different summation orders)
     # from demanding bit equality
-    tol = max(2.0 * lip * grid.cellwidth * pv, 2.0**-40 * max(1.0, abs(lhs), abs(rhs)))
+    tol = max(2.0 * lip * grid.cellwidth * pv, 2.0**-40 * float(residual_scale(lhs, rhs)))
     return _report(
         f"occupation density with {getattr(g, 'name', 'g')}", label, [lhs], [rhs],
         details={"tolerance": tol, "lipschitz": lip, "pth_variation": pv}, tolerance=tol,

@@ -226,6 +226,17 @@ BAD_CONFIGS = {
     "seed base below 0": ({**_GOOD, "seeds": {"count": 2, "base": -1}}, "'seeds.base'/'seeds.count'"),
     "replicate seeds past 2**64": (
         {**_GOOD, "seeds": {"count": 2, "base": 2**64 - 1}}, "'seeds.base'/'seeds.count'"),
+    # a misspelt key would leave its field at the default: levels 6, seed 0
+    "misspelt levels": ({**_GOOD, "level": 3}, "'level' is unknown; did you mean 'levels'?"),
+    "misspelt path seed": (
+        {**_GOOD, "paths": [{"kind": "bm", "n_max": 6, "sed": 5}]}, "'paths[0].sed' is unknown; did you mean 'seed'?"),
+    "misspelt seed count": ({**_GOOD, "seeds": {"cout": 2}}, "'seeds.cout' is unknown; did you mean 'count'?"),
+    "misspelt test function key": (
+        {**_GOOD, "test_functions": [{"name": "abs_pow", "param": {}}]}, "'test_functions[0].param' is unknown"),
+    "misspelt anchor": (
+        {**_GOOD, "test_functions": [{"name": "abs_pow", "params": {"A": 0.5}}]},
+        "'test_functions[0].params.A' is unknown"),
+    "unknown key without a near one": ({**_GOOD, "zzz": 1}, "'zzz' is unknown; known keys are p, paths"),
 }
 
 

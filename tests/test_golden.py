@@ -7,8 +7,8 @@ numpy's FFT, so their bytes must not depend on the numpy version.  The
 fBM paths of the acceptance suite and of ``FFT_CLI_RUNS`` go through the
 FFT, so their digests are listed under a ``[numpy N]`` header and checked
 only under numpy major version N; a numpy major version without such a
-section skips those checks.  CI checks the Brownian lines with
-``sha256sum --check``.
+section skips those checks.  These tests are the one check of the
+Brownian lines, on every CI matrix entry as part of tier-1.
 
 A change that moves bytes on purpose regenerates the manifest with
 

@@ -20,6 +20,7 @@ from pathwise import (
     collision_local_time,
     discrete_local_time,
     discrete_local_time_curves,
+    discrete_local_time_point,
     dyadic_hierarchy,
     generate,
     identity_suite,
@@ -27,6 +28,7 @@ from pathwise import (
     ito_residual,
     lebesgue_hierarchy,
     modified_follmer_integral,
+    occupation_check,
     occupation_density_local_time,
     pth_variation,
     rank_decomposition,
@@ -34,10 +36,12 @@ from pathwise import (
     scaling_check,
     simplified_cross_term,
     tanaka_class,
+    tanaka_meyer_sum,
     write_path_csv,
 )
 from pathwise import _util
 from pathwise._util import Table, _csv_value, write_csv
+from pathwise.tanaka import tanaka_meyer_report
 from pathwise.acceptance import CriterionResult
 from pathwise.tanaka import finite_n_report, tanaka_meyer_report
 
@@ -542,3 +546,44 @@ def test_a_nan_checkpoint_is_refused():
         _util.snap_checkpoints(path, [math.nan, 1.0])
     with pytest.raises(ParameterError):
         pth_variation(path, dyadic_hierarchy(path, 4), 2, [math.nan])
+
+
+# every function that takes one local-time level x, called at x on a
+# Brownian path and its hierarchy
+_AT_ONE_LEVEL = {
+    "discrete_local_time_point": lambda path, hier, x: discrete_local_time_point(path, hier.finest, 2, x, 1.0),
+    "discrete_local_time_curves": lambda path, hier, x: discrete_local_time_curves(path, hier, 2, x, [1.0]),
+    "rank_sum_identity": lambda path, hier, x: rank_sum_identity(build_rank_system([path, path]), hier, 2, x=x),
+    "tanaka_meyer_sum": lambda path, hier, x: tanaka_meyer_sum(path, hier.finest, 2, x, "plus", 1.0),
+    "tanaka_meyer_report": lambda path, hier, x: tanaka_meyer_report(path, hier, 2, x, 1.0),
+    "scaling_check": lambda path, hier, x: scaling_check(path, tanaka_class("poly", 2, coeffs=[0.0, 2.0]), x, hier, 2),
+}
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(_AT_ONE_LEVEL))
+def test_a_non_finite_local_time_level_is_refused(name, level):
+    # no bracket holds such a level: the sums would read 0 or NaN, and an
+    # exact report would fail on them without saying why
+    path = generate(PathSpec(kind="bm", n_max=6, seed=3))
+    hier = dyadic_hierarchy(path, 4)
+    _AT_ONE_LEVEL[name](path, hier, 0.0)
+    with pytest.raises(ParameterError, match="local-time level must be finite"):
+        _AT_ONE_LEVEL[name](path, hier, level)
+
+
+def test_the_occupation_floor_reads_the_residual_scale(monkeypatch):
+    # occupation_check's accumulation-order floor is 2**-40 of the one
+    # residual scale that relative_residual divides by
+    import pathwise.tanaka
+
+    assert _util.residual_scale(-3.0, 2.0) == 3.0 and _util.residual_scale(0.5, -0.25) == 1.0
+    assert _util.relative_residual(6.0, -3.0, 2.0) == 2.0
+    path = generate(PathSpec(kind="bm", n_max=6, seed=3))
+    constant = tanaka_class("poly", 2, coeffs=[2.5])
+    grid = SpaceGrid.cover([path], 16)
+    rep = occupation_check(path, 2, constant, grid, 1.0)
+    assert rep.details["lipschitz"] == 0.0
+    assert rep.threshold == 2.0**-40 * max(1.0, abs(rep.lhs[0]), abs(rep.rhs[0]))
+    monkeypatch.setattr(pathwise.tanaka, "residual_scale", lambda *m: 2.0**40)
+    assert occupation_check(path, 2, constant, grid, 1.0).threshold == 1.0
