@@ -5,7 +5,10 @@ trimming.
 :meth:`LevelStack.build` alone decides which intervals count at a time t;
 every per-level interval sum goes through :meth:`LevelStack.evaluate`, one
 block of consecutive levels at a time; only the :class:`LevelBlock` a
-summand function is handed knows where each level's intervals lie.
+summand function is handed knows where each level's intervals lie.  Every
+running sum read at checkpoints goes through
+:meth:`LevelStack.running_sums`, one block or one chunk of a large level at
+a time.
 
 Every CSV artifact goes through :func:`write_csv` as one or more
 :class:`Table` objects.  A table is a list of key axes followed by value
@@ -60,16 +63,18 @@ def left_endpoint_counts(level: np.ndarray, checkpoint_indices: np.ndarray) -> n
 
 # Most kept intervals in one block of consecutive levels; a level that
 # alone holds more is a block of its own.  Small levels share one gather,
-# and no block's arrays outgrow those of the largest level by much.
+# and no block's arrays outgrow those of the largest level by much.  A
+# running sum (LevelStack.running_sums, the local-time field) also cuts
+# such a level into chunks of at most this many intervals, so it holds
+# one chunk of a level at a time, whatever the path.
 _BLOCK_INTERVALS = 1 << 15
 
 
 @dataclass(frozen=True)
 class LevelBlock:
     """Consecutive levels of a :class:`LevelStack`, as a summand function
-    sees them: ``levels`` is their slice of the stack's levels, ``kept``
-    their kept interval counts and ``counts`` their rows of the stack's
-    counts.
+    sees them: ``levels`` is their slice of the stack's levels and ``kept``
+    their kept interval counts.
 
     The block's endpoint arrays hold each level's kept intervals in turn;
     the pair after a level's last interval joins its last point to the
@@ -78,7 +83,6 @@ class LevelBlock:
 
     levels: slice
     kept: np.ndarray
-    counts: np.ndarray
 
     def slices(self, where: Optional[np.ndarray] = None) -> List[slice]:
         """Each level's slice of the intervals, or of ``x[where]`` for a mask."""
@@ -97,16 +101,6 @@ class LevelBlock:
     def sums(self, x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-level ``np.sum`` of x."""
         return self.per_level(np.sum, x, where=where)
-
-    def checkpoint_cumsums(self, x: np.ndarray) -> np.ndarray:
-        """Running sums of x within each level, read at every checkpoint;
-        shaped ``(levels, checkpoints)``."""
-        out = np.empty(self.counts.shape)
-        for i, s in enumerate(self.slices()):
-            cums = np.zeros(s.stop - s.start + 1)
-            np.cumsum(x[s], out=cums[1:])
-            out[i] = cums[self.counts[i]]
-        return out
 
     def spread(self, per_level: np.ndarray) -> np.ndarray:
         """One value per level repeated over that level's intervals (the
@@ -127,10 +121,15 @@ class LevelStack:
     level's sums end (increments telescope to it).  Only intervals whose
     left endpoint is at or before the last checkpoint are kept.  A block
     holds at most ``_BLOCK_INTERVALS`` kept intervals, or a single level
-    that is larger.  Summands are evaluated over a whole block, but every
-    reduction runs on one level's slice, so each sum adds the same numbers
-    in the same order as a loop over the levels would, whatever the block
-    size; the working set is that of one block, about the largest level.
+    that is larger.
+
+    :meth:`evaluate` hands summands a whole block, but every reduction runs
+    on one level's slice, so each sum adds the same numbers in the same
+    order as a loop over the levels would, whatever the block size; its
+    working set is that of one block, about the largest level.
+    :meth:`running_sums` also cuts a level larger than ``_BLOCK_INTERVALS``
+    into chunks of at most that many intervals and carries each level's sum
+    from chunk to chunk, so it holds one chunk at a time, whatever the path.
     """
 
     levels: Tuple[np.ndarray, ...]
@@ -171,7 +170,58 @@ class LevelStack:
 
     def _evaluate_block(self, summands: Callable, first: int, stop: int, values: Sequence[np.ndarray]):
         kept = self.counts[first:stop].max(axis=1)
-        parts = [lev[: n + 1] for lev, n in zip(self.levels[first:stop], kept.tolist())]
+        ends = self._gather([(i, 0, n) for i, n in enumerate(kept.tolist(), first)], values)
+        return summands(LevelBlock(slice(first, stop), kept), *ends)
+
+    def running_sums(self, terms: Callable, *values: np.ndarray):
+        """Running sums of ``terms(a1, b1, a2, b2, ...)`` along each level,
+        read at every checkpoint: shaped ``(levels, checkpoints)``, or a
+        tuple of such arrays.
+
+        ``ak`` and ``bk`` are as for :meth:`evaluate`, over one piece of
+        :meth:`_pieces` at a time.  ``terms`` returns one entry per interval:
+        an array, or a tuple or other iterable of arrays (a generator lets
+        each be summed and freed before the next is made).  Each level's
+        entries are cumsummed and read at its counts.  A chunk's cumsum
+        starts from the sum carried from the chunk before, placed as its
+        first element; ``np.cumsum`` adds in order, so every bit is that of
+        one cumsum over the whole level (a first chunk starts from its first
+        term, so a leading -0.0 stays -0.0).
+        """
+        outs, carry = [], {}
+        for piece in self._pieces():
+            sums = terms(*self._gather(piece, values))
+            single = isinstance(sums, np.ndarray)
+            for k, x in enumerate([sums] if single else sums):
+                if k == len(outs):
+                    outs.append(np.empty(self.counts.shape))
+                pos = 0
+                for i, start, stop in piece:
+                    terms_i = x[pos : pos + stop - start]
+                    carry[k] = _read_cumsums(outs[k][i], self.counts[i], terms_i, start, carry.get(k))
+                    pos += stop - start + 1
+        return outs[0] if single else tuple(outs)
+
+    def _pieces(self) -> Iterable[List[Tuple[int, int, int]]]:
+        """What a running sum gathers at a time, in level order: lists of
+        ``(level, start, stop)``, the level's kept intervals start..stop-1.
+        A block of levels is one piece; a level with more than
+        ``_BLOCK_INTERVALS`` kept intervals, a block of its own, is cut into
+        consecutive chunks of at most that many, one piece each."""
+        for first, stop in self.blocks:
+            kept = self.counts[first:stop].max(axis=1).tolist()
+            if kept[0] <= _BLOCK_INTERVALS:
+                yield [(i, 0, n) for i, n in enumerate(kept, first)]
+            else:
+                for s in range(0, kept[0], _BLOCK_INTERVALS):
+                    yield [(first, s, min(s + _BLOCK_INTERVALS, kept[0]))]
+
+    def _gather(self, piece: Sequence[Tuple[int, int, int]], values: Sequence[np.ndarray]) -> list:
+        """``a1, b1, a2, b2, ...`` over the piece's intervals, in turn: each
+        value array (last axis) gathered once at their points, as read-only
+        views offset by one point.  The pair after one range's last interval
+        joins it to the next range and belongs to neither."""
+        parts = [self.levels[i][start : stop + 1] for i, start, stop in piece]
         # a level alone is read in place
         points = parts[0] if len(parts) == 1 else np.concatenate(parts)
         ends = []
@@ -180,7 +230,25 @@ class LevelStack:
             # a and b overlap: writing one would change the other
             gathered.setflags(write=False)
             ends += (gathered[..., :-1], gathered[..., 1:])
-        return summands(LevelBlock(slice(first, stop), kept, self.counts[first:stop]), *ends)
+        return ends
+
+
+def _read_cumsums(out: np.ndarray, counts: np.ndarray, x: np.ndarray, start: int, carry) -> float:
+    """Set ``out[j]`` to the sum of a level's first ``counts[j]`` terms for
+    every count in ``start..start + x.size``, given its terms
+    ``start..start + x.size - 1`` in x and, past the first chunk, the sum
+    ``carry`` of those before; returns the sum through the last term."""
+    cums = np.empty(x.size + 1)
+    if start:
+        cums[0] = carry
+        cums[1:] = x
+        np.cumsum(cums, out=cums)
+    else:
+        cums[0] = 0.0
+        np.cumsum(x, out=cums[1:])
+    read = (counts >= start) & (counts <= start + x.size)
+    out[read] = cums[counts[read] - start]
+    return cums[-1]
 
 
 def residual_scale(*magnitudes) -> np.ndarray:
@@ -306,7 +374,12 @@ def known_keys(cfg, where: str, keys) -> None:
             import difflib
 
             near = difflib.get_close_matches(str(key), keys, n=1)
-            hint = f"did you mean {near[0]!r}?" if near else f"known keys are {', '.join(keys)}"
+            if near:
+                hint = f"did you mean {near[0]!r}?"
+            elif keys:
+                hint = f"known keys are {', '.join(keys)}"
+            else:
+                hint = f"{where!r} takes none"
             raise ConfigError(f"config field {name!r} is unknown; {hint}")
 
 

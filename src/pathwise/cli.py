@@ -133,13 +133,19 @@ def validate_run_config(cfg: dict) -> dict:
     )
 
 
+# the params tanaka_class reads for each test function; it ignores others
+_TEST_FUNCTION_PARAMS = {"pos_part_pow": ("a",), "neg_part_pow": ("a",), "abs_pow": ("a",),
+                         "poly": ("coeffs",), "x_pow_pm1": ()}
+
+
 def _test_function(item: dict, p: int, where: str):
     """The configured test function, named apart from every other one: a
-    poly by its coefficients, ``x_pow_pm1`` (built as a poly) by its name."""
+    poly by its coefficients, ``x_pow_pm1`` (built as a poly) by its name.
+    A param the function does not read is refused."""
     known_keys(item, where, ("name", "params"))
     name = field(item, where, "name", str, ok=TANAKA_CLASS_NAMES.__contains__, need=f"one of {TANAKA_CLASS_NAMES}")
     params = field(item, where, "params", dict, {})
-    known_keys(params, f"{where}.params", ("a", "coeffs"))
+    known_keys(params, f"{where}.params", _TEST_FUNCTION_PARAMS[name])
     a = field(params, f"{where}.params", "a", float, 0.0)
     coeffs = field(params, f"{where}.params", "coeffs", [float], None)
     try:

@@ -143,18 +143,19 @@ class OccupationLocalTime:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _running_sums(cells: int, ends: np.ndarray, pairs: Callable) -> np.ndarray:
+def _running_sums(cells: int, ends: np.ndarray, pairs: Callable, acc: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell running sums of an ordered sequence of (cell, weight) pairs.
 
     ``pairs(start, end)`` returns the cell indices and weights at
     positions [start, end) of the sequence.  They are added with
     ``np.add.at``, which applies them one at a time in input order, into
-    one per-cell vector, at most ``_BLOCK_PAIRS`` at a time.  Row k of the
+    one per-cell vector, at most ``_BLOCK_PAIRS`` at a time: ``acc``, which
+    carries on from earlier pairs, or a new zero vector.  Row k of the
     result is that vector after the first ``ends[k]`` pairs (``ends`` is
     non-decreasing), so each entry is the sequential sum of its cell's
     weights in that prefix.
     """
-    acc = np.zeros(cells)
+    acc = np.zeros(cells) if acc is None else acc
     out = np.empty((len(ends), cells))
     pos = 0
     for k, end in enumerate(ends):
@@ -164,6 +165,33 @@ def _running_sums(cells: int, ends: np.ndarray, pairs: Callable) -> np.ndarray:
             pos = stop
         out[k] = acc
     return out
+
+
+def _sweep(acc: np.ndarray, points: np.ndarray, reads: np.ndarray, values: np.ndarray, rank: np.ndarray,
+           centers: np.ndarray, p: int) -> np.ndarray:
+    """Add the local-time pairs of the intervals between consecutive
+    ``points`` to ``acc``, and return it after each interval count in
+    ``reads``: one chunk of a level of :func:`discrete_local_time`."""
+    b = values[points[1:]]
+    ranks = rank[points]
+    first = np.minimum(ranks[:-1], ranks[1:])
+    stop = np.maximum(ranks[:-1], ranks[1:])
+    offsets = np.empty(stop.size + 1, dtype=stop.dtype)
+    offsets[0] = 0
+    np.subtract(stop, first, out=offsets[1:])
+    np.cumsum(offsets[1:], out=offsets[1:])
+
+    def pairs(start, end):
+        # intervals j0..j1-1 own the pair positions [start, end)
+        j0 = np.searchsorted(offsets, start, side="right") - 1
+        j1 = np.searchsorted(offsets, end, side="left")
+        runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
+        owner = np.repeat(np.arange(j0, j1), runs)
+        cell = first[owner] + (np.arange(start, end) - offsets[owner])
+        return cell, np.abs(b[owner] - centers[cell]) ** (p - 1)
+
+    # every pair of the chunk is added, for the chunks after it
+    return _running_sums(acc.size, np.append(offsets[reads], offsets[-1]), pairs, acc)[:-1]
 
 
 def _check_coverage(path: SampledPath, grid: SpaceGrid) -> None:
@@ -194,13 +222,16 @@ def discrete_local_time(
     against the centers once per path (the number of centers at or below
     it); since that rank is monotone in the value, an interval's run goes
     from the smaller to the larger rank of its endpoints, and no level
-    searches the grid again.  Pairs are expanded in blocks of at most
-    ``_BLOCK_PAIRS``, so memory is the output field, the ranks (one entry
-    per sample), four arrays of one entry per interval of the level being
+    searches the grid again.  A level is swept in the chunks of
+    :meth:`LevelStack.running_sums`, at most ``_BLOCK_INTERVALS``
+    intervals each, into one per-cell accumulator carried from chunk to
+    chunk, and a chunk's pairs are expanded in blocks of at most
+    ``_BLOCK_PAIRS``.  So memory is the output field, the ranks (one entry
+    per sample), four arrays of one entry per interval of the chunk being
     swept (right values, run starts, run stops, pair offsets) and one
-    bounded block, whatever the path.  Every cell receives the same
-    additions in the same order as a dense per-interval prefix sum, so
-    the field is bit-identical to it.
+    bounded block of pairs: about the path bytes plus a few MiB, whatever
+    the path.  Every cell receives the same additions in the same order as
+    a dense per-interval prefix sum, so the field is bit-identical to it.
     """
     p = even_order(p)
     _check_coverage(path, grid)
@@ -208,28 +239,15 @@ def discrete_local_time(
     centers = grid.centers
     # cells with lo < center <= hi are rank(lo):rank(hi)
     rank = np.searchsorted(centers, path.values, side="right")
-    out = np.zeros((hierarchy.n_levels, stack.times.size, grid.cells))
-    for i, lev in enumerate(hierarchy.levels):
-        b = path.values[lev[1:]]
-        stop, rank_b = rank[lev[:-1]], rank[lev[1:]]
-        first = np.minimum(stop, rank_b)
-        np.maximum(stop, rank_b, out=stop)
-        del rank_b
-        offsets = np.empty(stop.size + 1, dtype=stop.dtype)
-        offsets[0] = 0
-        np.subtract(stop, first, out=offsets[1:])
-        np.cumsum(offsets[1:], out=offsets[1:])
-
-        def pairs(start, end):
-            # intervals j0..j1-1 own the pair positions [start, end)
-            j0 = np.searchsorted(offsets, start, side="right") - 1
-            j1 = np.searchsorted(offsets, end, side="left")
-            runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
-            owner = np.repeat(np.arange(j0, j1), runs)
-            cell = first[owner] + (np.arange(start, end) - offsets[owner])
-            return cell, np.abs(b[owner] - centers[cell]) ** (p - 1)
-
-        out[i] = _running_sums(grid.cells, offsets[stack.counts[i]], pairs)
+    out = np.empty((hierarchy.n_levels, stack.times.size, grid.cells))
+    for piece in stack._pieces():
+        for i, start, stop in piece:
+            if start == 0:
+                acc = np.zeros(grid.cells)
+            counts = stack.counts[i]
+            read = (counts >= start) & (counts <= stop)
+            out[i, read] = _sweep(acc, stack.levels[i][start : stop + 1], counts[read] - start, path.values,
+                                  rank, centers, p)
     return LocalTimeField(
         p=p,
         grid=grid,
@@ -253,7 +271,7 @@ def discrete_local_time_curves(
     """
     p = even_order(p)
     stack = LevelStack.build(path, hierarchy.levels, checkpoints)
-    return stack.evaluate(lambda blk, a, b: blk.checkpoint_cumsums(bracket_contributions(a, b, p, x)), path.values)
+    return stack.running_sums(lambda a, b: bracket_contributions(a, b, p, x), path.values)
 
 
 def _binned_sums(path: SampledPath, grid: SpaceGrid, checkpoints: Sequence[float], *weights: np.ndarray):

@@ -178,20 +178,25 @@ def _lebesgue_level(vals, steps, eps, block_range):
 
 
 def _mark_forced(mark, steps, eps):
-    """Mark the forced crossings of threshold eps and return the stretches
-    between them that hold samples to scan, longest first: the index of
-    each one's anchor, and one past its last sample.
+    """Mark the forced crossings of threshold eps in ``mark`` (all False on
+    entry) and return the stretches between them that hold samples to
+    scan, longest first: the index of each one's anchor, and one past its
+    last sample.
 
-    Stretch i is ``bounds[i] + 1 .. bounds[i + 1] - 1`` with the anchor
-    ``vals[bounds[i]]``; the inner bounds are the forced crossings and the
-    last bound is one past the final sample.
+    The bounds are 0, the forced crossings and one past the final sample;
+    a stretch runs from a bound, its anchor, to the next bound, and holds
+    samples where a bound is not followed by another.  They are found on
+    one boolean per point, not on an index per bound: at fine thresholds
+    nearly every step is forced.
     """
-    bounds = np.flatnonzero(np.concatenate([[True], steps > _FORCED_STEP * eps, [True]]))
-    mark[bounds[1:-1]] = True
-    lengths = np.diff(bounds)
-    keep = np.flatnonzero(lengths > 1)
-    keep = keep[np.argsort(lengths[keep])[::-1]]
-    return bounds[keep], bounds[keep + 1]
+    bound = np.empty(mark.size + 1, dtype=bool)
+    bound[0] = bound[-1] = True
+    np.greater(steps, _FORCED_STEP * eps, out=bound[1:-1])
+    mark[1:] = bound[1:-1]
+    starts = np.flatnonzero(bound[:-1] & ~bound[1:])
+    stops = np.flatnonzero(~bound[:-1] & bound[1:]) + 1
+    order = np.argsort(stops - starts)[::-1]
+    return starts[order], stops[order]
 
 
 def _scan_stretch(vals, j, end, anchor, eps, block_range, hits):

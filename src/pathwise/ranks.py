@@ -143,11 +143,10 @@ def collision_local_time(
     gap = system.gap_path(k, h)
     stack = LevelStack.build(gap, hierarchy.levels, checkpoints)
 
-    def curves(blk, ga, gb):
-        return (blk.checkpoint_cumsums(bracket_contributions(ga, gb, p, 0.0)),
-                blk.checkpoint_cumsums((ga == 0.0) * gb ** (p - 1)))
+    def terms(ga, gb):
+        return bracket_contributions(ga, gb, p, 0.0), (ga == 0.0) * gb ** (p - 1)
 
-    literal, tie_charge = stack.evaluate(curves, gap.values)
+    literal, tie_charge = stack.running_sums(terms, gap.values)
     return CollisionLocalTime(
         k=k, h=h, p=p,
         level_labels=hierarchy.level_labels,
@@ -272,7 +271,7 @@ def _rank_decompositions(
         return (b_terms, c_terms, gap ** (p - 1),
                 np.maximum(gap, 0.0) ** (p - 1), np.maximum(-gap, 0.0) ** (p - 1))
 
-    def one_rank(blk, Ra, Rb, Xa, Xb, na, occupant):
+    def one_rank(Ra, Rb, Xa, Xb, na, occupant):
         fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
         dR = Rb - Ra
         a_sum = np.zeros_like(Ra)
@@ -281,19 +280,17 @@ def _rank_decompositions(
         b_sum, c_sum, d_sum, d_plus, d_minus = _rank_weighted_sums(
             terms, f, fr, Ra, Rb, Xa, Xb, na, occupant)
         dcoef = fr[p - 1] / fact[p - 1]
-        return [blk.checkpoint_cumsums(x) for x in (a_sum, b_sum, c_sum, d_sum * dcoef, d_plus * dcoef,
-                                                      d_minus * dcoef)]
+        return a_sum, b_sum, c_sum, d_sum * dcoef, d_plus * dcoef, d_minus * dcoef
 
-    def per_block(blk, Xa, Xb, Ras, Rbs, nas, _):
+    def rank_terms(Xa, Xb, Ras, Rbs, nas, _):
         occupants = _occupants(Xa)
-        out = []
-        # one rank at a time, so only one row's temporaries are alive
+        # one rank at a time, each summed before the next is made, so only
+        # one row's temporaries are alive
         for k in ranks:
             i = k - 1 - lo
-            out += one_rank(blk, Ras[i], Rbs[i], Xa, Xb, nas[i], occupants[k - 1])
-        return tuple(out)
+            yield from one_rank(Ras[i], Rbs[i], Xa, Xb, nas[i], occupants[k - 1])
 
-    sums = stack.evaluate(per_block, system.values, system.ranked[rows], system.counts[rows])
+    sums = stack.running_sums(rank_terms, system.values, system.ranked[rows], system.counts[rows])
     decompositions = []
     for i, k in enumerate(ranks):
         A, B, C, D, D_plus, D_minus = sums[6 * i: 6 * i + 6]
@@ -377,12 +374,12 @@ def simplified_cross_term(
             out += fx[ell] / fact[ell] * gap**ell
         return (out,)
 
-    def per_block(blk, Ra, Rb, Xa, Xb, na, _):
+    def cross_terms(Ra, Rb, Xa, Xb, na, _):
         fr = {ell: np.asarray(f.derivative(Ra, ell), dtype=float) for ell in range(1, p - 1)}
         (sums,) = _rank_weighted_sums(terms, f, fr, Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
-        return blk.checkpoint_cumsums(sums)
+        return sums
 
-    simplified = stack.evaluate(per_block, system.ranked[k - 1], system.values, system.counts[k - 1])
+    simplified = stack.running_sums(cross_terms, system.ranked[k - 1], system.values, system.counts[k - 1])
     return SimplifiedCrossTerm(
         k=k, p=p,
         level_labels=hierarchy.level_labels,

@@ -45,7 +45,7 @@ class VariationCurve:
 
 def _power_sums(path: SampledPath, stack: LevelStack, p: float) -> np.ndarray:
     """Cumulative ``sum |increment|**p`` per (level, checkpoint)."""
-    return stack.evaluate(lambda blk, a, b: blk.checkpoint_cumsums(np.abs(b - a) ** p), path.values)
+    return stack.running_sums(lambda a, b: np.abs(b - a) ** p, path.values)
 
 
 def increment_power_sums(

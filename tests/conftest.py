@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ def suite_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def hierarchy_bm(bm_path):
     return dyadic_hierarchy(bm_path, 8)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak, in bytes, of the memory tracemalloc
+    traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def csv_rows(header, *tables):

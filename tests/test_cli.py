@@ -237,6 +237,16 @@ BAD_CONFIGS = {
         {**_GOOD, "test_functions": [{"name": "abs_pow", "params": {"A": 0.5}}]},
         "'test_functions[0].params.A' is unknown"),
     "unknown key without a near one": ({**_GOOD, "zzz": 1}, "'zzz' is unknown; known keys are p, paths"),
+    # tanaka_class reads a only for the power functions and coeffs only for poly
+    "poly with an anchor": (
+        {**_GOOD, "test_functions": [{"name": "poly", "params": {"coeffs": [0, 0, 1], "a": 0.5}}]},
+        "'test_functions[0].params.a' is unknown; known keys are coeffs"),
+    "x_pow_pm1 with an anchor": (
+        {**_GOOD, "test_functions": [{"name": "x_pow_pm1", "params": {"a": 0.3}}]},
+        "'test_functions[0].params.a' is unknown; 'test_functions[0].params' takes none"),
+    "abs_pow with coefficients": (
+        {**_GOOD, "test_functions": [{"name": "abs_pow", "params": {"a": 0.2, "coeffs": [1, 2]}}]},
+        "'test_functions[0].params.coeffs' is unknown; known keys are a"),
 }
 
 

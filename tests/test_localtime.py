@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +28,7 @@ from pathwise import (
 )
 from pathwise._util import bracket_contributions, left_endpoint_counts, median, snap_checkpoints
 from pathwise.localtime import _order_flag
-from tests.conftest import csv_rows, make_walk
+from tests.conftest import csv_rows, make_walk, traced_peak
 
 
 def test_gaussian_moment_double_factorial():
@@ -487,12 +486,7 @@ def test_field_working_set_is_bounded_for_full_range_zigzag():
     path = make_walk((-1.0) ** np.arange(2**n_max + 1))
     hier = dyadic_hierarchy(path, n_max)
     grid = SpaceGrid.cover([path], cells)
-    tracemalloc.start()
-    try:
-        field = discrete_local_time(path, hier, 4, grid, [0.5, 1.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    field, peak = traced_peak(discrete_local_time, path, hier, 4, grid, [0.5, 1.0])
     assert peak < 8 * 2**20
     for gi in (1, 128, 254):
         curves = discrete_local_time_curves(path, hier, 4, float(grid.centers[gi]), [0.5, 1.0])

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from pathwise import (
     oscillation,
 )
 from pathwise import partitions
-from tests.conftest import make_walk
+from tests.conftest import make_walk, traced_peak
 
 
 def test_dyadic_levels_are_the_expected_index_sets():
@@ -176,13 +175,9 @@ def test_lebesgue_levels_of_fbm_match_the_scalar_scan(hurst):
 
 def test_lebesgue_hierarchy_peak_memory_at_n_max_18():
     # the 8 index arrays themselves take 6.5 MiB and the stretch scan peaks
-    # at 12.4 MiB; collecting each level as a list of Python ints took
-    # 15.0 MiB on this path
+    # at 10.9 MiB; collecting each level as a list of Python ints took
+    # 15.0 MiB on this path, and an index and a length per forced crossing
+    # (nearly every step at the finest level) 12.4 MiB
     path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=18, seed=5))
-    tracemalloc.start()
-    try:
-        lebesgue_hierarchy(path, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 13.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    _, peak = traced_peak(lebesgue_hierarchy, path, 8)
+    assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"

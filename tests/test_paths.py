@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -24,6 +23,7 @@ from pathwise.paths import (
     _fgn_davies_harte,
     _rng_for,
 )
+from tests.conftest import traced_peak
 
 
 def test_constant_path_is_flat():
@@ -350,12 +350,7 @@ def test_brownian_generate_peak_memory_at_n_max_16():
     # embedding.  A small path first takes the one-time imports behind
     # numpy's first Philox stream (0.7 MiB) out of the reading
     generate(PathSpec(kind="bm", n_max=2))
-    tracemalloc.start()
-    try:
-        generate(PathSpec(kind="bm", n_max=16, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(generate, PathSpec(kind="bm", n_max=16, seed=1))
     assert peak < 1.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
@@ -376,12 +371,7 @@ def test_generate_peak_memory_at_n_max_16():
         _circulant_sqrt_eigs.cache_clear()
         if warm:
             _circulant_sqrt_eigs(0.25, 2**16)
-        tracemalloc.start()
-        try:
-            generate(PathSpec(kind="fbm", hurst=0.25, n_max=16, seed=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(generate, PathSpec(kind="fbm", hurst=0.25, n_max=16, seed=1))
         assert peak < bound, f"warm={warm}: traced peak {peak / 2**20:.2f} MiB"
 
 

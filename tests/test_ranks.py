@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from pathwise import (
     tanaka_class,
 )
 from pathwise._util import bracket_contributions, left_endpoint_counts, snap_checkpoints
-from tests.conftest import csv_rows, make_walk
+from tests.conftest import csv_rows, make_walk, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +68,7 @@ def test_rank_system_working_set_is_linear_in_the_path_count():
     # boolean comparison, not an (m, m, N + 1) one
     paths = [generate(PathSpec(kind="bm", n_max=14, seed=s)) for s in range(16)]
     path_bytes = sum(q.values.nbytes for q in paths)
-    tracemalloc.start()
-    try:
-        build_rank_system(paths)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(build_rank_system, paths)
     assert peak <= 3.5 * path_bytes, (peak, path_bytes)
 
 
@@ -87,12 +81,7 @@ def test_all_rank_decomposition_working_set_is_linear_in_the_path_count():
     hier = dyadic_hierarchy(paths[0], 14)
     f = tanaka_class("x_pow_pm1", 4)
     path_bytes = sum(q.values.nbytes for q in paths)
-    tracemalloc.start()
-    try:
-        decs = rank_decompositions(system, hier, 4, f, [0.25, 0.5, 0.75, 1.0])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    decs, peak = traced_peak(rank_decompositions, system, hier, 4, f, [0.25, 0.5, 0.75, 1.0])
     assert all(dec.passed for dec in decs)
     assert peak <= 16 * path_bytes, (peak, path_bytes)
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ from pathwise import integrate
 from pathwise.integrate import SmoothCallable
 from pathwise.partitions import oscillation
 from pathwise.tanaka import _tm_proxy_increments, finite_n_report, tanaka_meyer_report
-from tests.conftest import csv_rows, make_walk
+from tests.conftest import csv_rows, make_walk, traced_peak
 
 FULL = np.arange(9)
 COARSE = np.array([0, 2, 4, 6, 8])
@@ -489,12 +488,8 @@ def test_finite_n_report_memory_follows_the_largest_level():
     hier = dyadic_hierarchy(path, 16)
     f = tanaka_class("abs_pow", 2, a=0.0)
     finite_n_report(path, hier, 2, f, 1.0)
-    tracemalloc.start()
-    try:
-        assert finite_n_report(path, hier, 2, f, 1.0).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(finite_n_report, path, hier, 2, f, 1.0)
+    assert rep.passed
     assert peak < 7.5 * 2**20, peak
 
 

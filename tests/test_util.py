@@ -3,7 +3,6 @@ import io
 import itertools
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -44,6 +43,7 @@ from pathwise._util import Table, _csv_value, write_csv
 from pathwise.tanaka import tanaka_meyer_report
 from pathwise.acceptance import CriterionResult
 from pathwise.tanaka import finite_n_report, tanaka_meyer_report
+from tests.conftest import make_walk, traced_peak
 
 
 def _csv_value_before(v) -> str:
@@ -299,13 +299,7 @@ def test_writer_holds_a_bounded_number_of_lines(tmp_path):
     # writer's peak does not grow with the length, so 2**18 rows stay bounded too
     values = np.cumsum(np.random.default_rng(0).standard_normal(2**16 + 1))
     table = Table(columns=(np.linspace(0.0, 1.0, values.size), values))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        write_csv(str(tmp_path / "path.csv"), ("t", "value"), table)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(write_csv, str(tmp_path / "path.csv"), ("t", "value"), table)
     assert peak < 1 << 20
     assert (tmp_path / "path.csv").stat().st_size > 2 << 20
 
@@ -443,8 +437,9 @@ def test_path_csv_has_the_old_bytes(bm_path, tmp_path):
 
 
 def _kernel_outputs(trio, hier):
-    """Every array the callers of LevelStack.evaluate return for three paths
-    on one hierarchy."""
+    """Every array the callers of LevelStack.evaluate and
+    LevelStack.running_sums, and the local-time field, return for three
+    paths on one hierarchy."""
     path, other = trio[0], trio[1]
     cps = [0.3, 0.6, 1.0]
     out = []
@@ -465,6 +460,7 @@ def _kernel_outputs(trio, hier):
     out.append(modified_follmer_integral(path, hier, 2, tanaka_class("abs_pow", 2), 0.7,
                                          m_schedule=(2, 4), cells=32).sums)
     out.append(discrete_local_time_curves(path, hier, 2, 0.05, cps))
+    out.append(discrete_local_time(path, hier, 4, SpaceGrid.cover([path], 16), cps).per_level)
     system = build_rank_system(trio)
     col = collision_local_time(system, 1, 3, hier, 2, cps)
     out += [col.local_time_at_zero, col.exact_tie_charge]
@@ -487,11 +483,48 @@ def test_block_size_changes_no_byte_of_any_kernel_caller(trio, kind, monkeypatch
         monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
         stack = _util.LevelStack.build(trio[0], hier.levels)
         assert len(stack.blocks) > 1
+        # running sums cut the larger levels into chunks
+        assert any(start > 0 for piece in stack._pieces() for _, start, _ in piece)
         got = _kernel_outputs(trio, hier)
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (size, i)
+
+
+@pytest.mark.parametrize("size", [1, 1 << 15])
+def test_a_running_sum_keeps_a_leading_negative_zero(size, monkeypatch):
+    # a level's cumsum starts from its first term, as np.cumsum does, not
+    # from +0.0 + term; a chunk's starts from the carried sum, so -0.0 + -0.0
+    # stays -0.0 in chunks of one interval too
+    monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
+    path = make_walk([0.0, 0.0, 0.0, 1.0, 3.0])
+    stack = _util.LevelStack.build(path, [np.arange(5)], [0.0, 0.25, 0.5, 1.0])
+    got = stack.running_sums(lambda a, b: -(b - a), path.values)
+    assert stack.counts.tolist() == [[1, 2, 3, 4]]
+    want = np.cumsum(-np.diff(path.values))
+    assert got.tobytes() == want[None, :].tobytes()
+    assert np.signbit(got[0, :2]).all() and got[0, 2:].tolist() == [-1.0, -3.0]
+
+
+@pytest.fixture(scope="module")
+def path_2_20():
+    return generate(PathSpec(kind="fbm", hurst=0.25, n_max=20, seed=1))
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "lebesgue"])
+def test_running_sums_hold_one_chunk_of_a_level(path_2_20, kind):
+    # the variation and the local-time field held whole levels: 3.0x and
+    # 6.0x the path bytes (dyadic), 2.7x and 6.2x (Lebesgue).  Chunked, they
+    # hold one chunk at a time, and the field its ranks of the samples (1x)
+    path = path_2_20
+    hier = dyadic_hierarchy(path, 20) if kind == "dyadic" else lebesgue_hierarchy(path, 8)
+    grid = SpaceGrid.cover([path], 128)
+    cps = [0.25, 0.5, 0.75, 1.0]
+    _, peak = traced_peak(pth_variation, path, hier, 4, cps)
+    assert peak <= 0.5 * path.values.nbytes, peak / path.values.nbytes
+    _, peak = traced_peak(discrete_local_time, path, hier, 4, grid, cps)
+    assert peak <= 2 * path.values.nbytes, peak / path.values.nbytes
 
 
 # -- the time rule ------------------------------------------------------------
