@@ -309,7 +309,24 @@ def median(values: Iterable[float]) -> float:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ParameterError(f"median needs finite values, got {arr.tolist()}")
-    return float(np.median(arr))
+    # np.median's numbers without its masked-array check, which imports
+    # numpy.ma: the mean of the middle value or two, as np.mean forms it
+    # (a sum from +0.0, then one division)
+    arr.sort()
+    half = arr.size // 2
+    middle = arr[half - 1 : half + 1] if arr.size % 2 == 0 else arr[half : half + 1]
+    return float(middle.sum() / middle.size)
+
+
+def unique_sorted(x) -> np.ndarray:
+    """``np.unique(x)`` without its masked-array check, which imports
+    numpy.ma: x flattened and sorted as np.unique sorts it, each run of
+    equal values kept once."""
+    out = np.sort(x, axis=None)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 # ``field``'s default for a field that must be given

@@ -25,7 +25,7 @@ from ._util import LevelStack, Table, field, known_keys, median, write_csv, writ
 from .errors import ConfigError
 from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
-from .partitions import PartitionHierarchy, dyadic_hierarchy
+from .partitions import PartitionHierarchy, _dyadic_levels, dyadic_hierarchy
 from .paths import PathSpec, SampledPath, generate, range_anchors
 from .ranks import build_rank_system, rank_decompositions, rank_sum_identity
 from .tanaka import (
@@ -226,12 +226,12 @@ def criterion_02(cfg: dict):
 
 
 def _finest_level(path: SampledPath, level: int) -> PartitionHierarchy:
-    """Dyadic level ``level`` alone.  The Monte Carlo gates read only their
-    finest level, and every level is computed independently, so dropping
-    the coarser ones leaves the finest values as they are."""
-    full = dyadic_hierarchy(path, level)
+    """Dyadic level ``level`` alone, built without the coarser ones.  The
+    Monte Carlo gates read only their finest level, and every level is
+    computed independently, so dropping the coarser ones leaves the finest
+    values as they are."""
     return PartitionHierarchy(
-        kind=full.kind, levels=(full.finest,), level_labels=(full.finest_label,), nested=True
+        kind="dyadic", levels=_dyadic_levels(path, level, first=level), level_labels=(level,), nested=True
     )
 
 
@@ -286,17 +286,13 @@ def _c4_task(args):
     seed, n_max, cells_list, T = args
     path = _fbm(0.5, seed, n_max, T)
     g = tanaka_class("poly", 2, coeffs=[0.0, 0.0, 1.0])
-    widths, grids = [], []
-    for cells in cells_list:
-        grid = SpaceGrid.cover([path], cells)
-        rep = occupation_check(path, 2, g, grid, T)
-        widths.append(grid.cellwidth)
-        grids.append({
-            "seed": seed, "cells": cells, "lhs": float(rep.lhs[0]), "rhs": float(rep.rhs[0]),
-            "abs_err": float(rep.residuals[0]), "bound": rep.threshold, "within": rep.passed,
-        })
-    slope = np.polyfit(np.log(widths), np.log([r["abs_err"] for r in grids]), 1)[0]
-    return float(slope), grids
+    grids = [SpaceGrid.cover([path], cells) for cells in cells_list]
+    rows = [{
+        "seed": seed, "cells": cells, "lhs": float(rep.lhs[0]), "rhs": float(rep.rhs[0]),
+        "abs_err": float(rep.residuals[0]), "bound": rep.threshold, "within": rep.passed,
+    } for cells, rep in zip(cells_list, occupation_check(path, 2, g, grids, T))]
+    slope = np.polyfit(np.log([grid.cellwidth for grid in grids]), np.log([r["abs_err"] for r in rows]), 1)[0]
+    return float(slope), rows
 
 
 def criterion_04(cfg: dict):
@@ -310,7 +306,7 @@ def criterion_04(cfg: dict):
     path = _fbm(0.5, occ["indicator_seed"], occ["n_max"], cfg["T"])
     grid = SpaceGrid.cover([path], occ["indicator_cells"])
     lo, hi = occ["indicator_cell_range"]
-    rep = occupation_check(path, 2, CellIndicator(grid, range(lo, hi)), grid, cfg["T"])
+    (rep,) = occupation_check(path, 2, CellIndicator(grid, range(lo, hi)), [grid], cfg["T"])
     ok = bool(rep.passed)
     rows.append({
         "check": "cell_indicator", "seed": occ["indicator_seed"], "cells": occ["indicator_cells"],

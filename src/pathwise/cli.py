@@ -236,9 +236,9 @@ def run(cfg: dict) -> int:
             affine = tanaka_class("poly", p, coeffs=[0.0, 2.0])
             record(scaling_check(path, affine, 0.0, hier, p), f" [{tag}]")
             grid = SpaceGrid.cover([path], cfg["grid_cells"])
-            occ = occupation_check(
+            (occ,) = occupation_check(
                 path, p, CellIndicator(grid, range(cfg["grid_cells"] // 3, cfg["grid_cells"] // 2)),
-                grid, t_final,
+                [grid], t_final,
             )
             record(occ, f" [{tag}]")
 

@@ -33,9 +33,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._util import LevelBlock, LevelStack, Table, bracket_contributions, check_level, even_order
+from ._util import LevelBlock, LevelStack, Table, bracket_contributions, check_level, even_order, unique_sorted
 from .errors import CoverageError, ParameterError
-from .localtime import SpaceGrid, occupation_density_local_time
+from .localtime import SpaceGrid, _grid_level, occupation_density_local_time
 from .paths import SampledPath
 
 __all__ = [
@@ -653,14 +653,14 @@ def modified_follmer_integral(
 
     pairing = stieltjes_pairing(slice_t, grid, measure, point_eval=hist_eval)
     # f changes up to where the histogram's credited (finest) intervals end
-    (end,) = LevelStack.build(path, (np.arange(path.n_samples),), [t]).ends[0]
+    (end,) = _grid_level(path, [t]).ends[0]
     target = float(
         f.value(path.values[end]) - f.value(path.values[0]) - pairing / math.factorial(p - 1)
     )
 
     # mollified derivatives are tabulated once per m over every grid value
     # the compensated sums can touch; levels then reuse the table.
-    xs = np.unique(path.values)
+    xs = unique_sorted(path.values)
     sums = np.empty((len(m_schedule), hierarchy.n_levels))
     for i, m in enumerate(m_schedule):
         fm = mollify(f, m)

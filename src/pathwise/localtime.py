@@ -274,19 +274,47 @@ def discrete_local_time_curves(
     return stack.running_sums(lambda a, b: bracket_contributions(a, b, p, x), path.values)
 
 
-def _binned_sums(path: SampledPath, grid: SpaceGrid, checkpoints: Sequence[float], *weights: np.ndarray):
-    """The checkpoint times and, per array of finest-level interval
-    weights, its running per-cell sums ``(checkpoints, cells)``: each
-    interval is binned by the cell of its left value and credited as
-    :class:`LevelStack` credits it.  Callers divide by their own denominator."""
+def _grid_level(path: SampledPath, checkpoints: Sequence[float]) -> LevelStack:
+    """The sampling grid's own level, credited at the checkpoints: the one
+    level every histogram bins."""
+    return LevelStack.build(path, (np.arange(path.n_samples),), checkpoints)
+
+
+def _binned_sums(path: SampledPath, grid: SpaceGrid, stack: LevelStack, weights: Callable) -> list:
+    """Per array of finest-level interval weights, its running per-cell
+    sums ``(checkpoints, cells)``: each interval is binned by the cell of
+    its left value and credited as ``stack`` (:func:`_grid_level`) credits
+    it.  Callers divide by their own denominator.
+
+    ``weights(start, stop)`` returns a tuple of weight arrays for the
+    intervals start..stop-1.  The level is binned in the chunks of
+    :meth:`LevelStack.running_sums`, each cell's sum carried from chunk to
+    chunk and added to in interval order, so memory is one chunk's cells
+    and weights, whatever the path, and every bit is that of one pass over
+    the whole level.
+    """
     _check_coverage(path, grid)
     if grid.cellwidth <= 0:
         raise ParameterError("degenerate grid")
-    stack = LevelStack.build(path, (np.arange(path.n_samples),), checkpoints)
     (counts,) = stack.counts
-    cells = grid.cell_index(path.values[:-1])
-    sums = [_running_sums(grid.cells, counts, lambda start, end: (cells[start:end], w[start:end])) for w in weights]
-    return stack.times, sums
+    accs, sums = [], []
+    for ((_, start, stop),) in stack._pieces():
+        cells = grid.cell_index(path.values[start:stop])
+        read = (counts >= start) & (counts <= stop)
+        # every interval of the chunk is added, for the chunks after it
+        ends = np.append(counts[read] - start, stop - start)
+        for k, w in enumerate(weights(start, stop)):
+            if k == len(accs):
+                accs.append(np.zeros(grid.cells))
+                sums.append(np.empty((counts.size, grid.cells)))
+            sums[k][read] = _running_sums(grid.cells, ends, lambda i, j: (cells[i:j], w[i:j]), accs[k])[:-1]
+    return sums
+
+
+def _power_masses(path: SampledPath, p: int) -> Callable:
+    """Chunk weights ``|dS|**p`` of the finest-level intervals."""
+    v = path.values
+    return lambda start, stop: (np.abs(v[start + 1 : stop + 1] - v[start:stop]) ** p,)
 
 
 def occupation_density_local_time(
@@ -298,8 +326,9 @@ def occupation_density_local_time(
     ``p * cellwidth * sum_x values(t, x)`` equals the finest-level p-th
     variation up to accumulation rounding."""
     p = even_order(p)
-    times, (sums,) = _binned_sums(path, grid, checkpoints, np.abs(np.diff(path.values)) ** p)
-    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=times, values=sums / (p * grid.cellwidth))
+    stack = _grid_level(path, checkpoints)
+    (sums,) = _binned_sums(path, grid, stack, _power_masses(path, p))
+    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=stack.times, values=sums / (p * grid.cellwidth))
 
 
 def occupation_time_density(
@@ -307,8 +336,9 @@ def occupation_time_density(
 ) -> OccupationLocalTime:
     """Classical occupation-time density: time spent per cell divided by
     the cellwidth (each interval weighted dt, binned by its left value)."""
-    times, (sums,) = _binned_sums(path, grid, checkpoints, np.full(path.n_samples - 1, path.dt))
-    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=sums / grid.cellwidth)
+    stack = _grid_level(path, checkpoints)
+    (sums,) = _binned_sums(path, grid, stack, lambda start, stop: (np.full(stop - start, path.dt),))
+    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=stack.times, values=sums / grid.cellwidth)
 
 
 def weighted_occupation_local_time(
@@ -324,8 +354,13 @@ def weighted_occupation_local_time(
     if not (0.0 < hurst < 1.0):
         raise ParameterError(f"hurst must be in (0, 1), got {hurst}")
     tg = path.times
-    times, (sums,) = _binned_sums(path, grid, checkpoints, tg[1:] ** (2 * hurst) - tg[:-1] ** (2 * hurst))
-    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=times, values=sums / grid.cellwidth)
+
+    def weights(start, stop):
+        return (tg[start + 1 : stop + 1] ** (2 * hurst) - tg[start:stop] ** (2 * hurst),)
+
+    stack = _grid_level(path, checkpoints)
+    (sums,) = _binned_sums(path, grid, stack, weights)
+    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=stack.times, values=sums / grid.cellwidth)
 
 
 @dataclass
@@ -370,8 +405,10 @@ def berman_ratio_check(path: SampledPath, p: int, grid: SpaceGrid) -> BermanRati
         raise ParameterError(f"ratio check requires H = 1/p; got H={hurst}, p={p}")
     # both densities at t = T, as occupation_density_local_time and
     # occupation_time_density give them, on one binning of the path
-    _, (occ, tau) = _binned_sums(
-        path, grid, [path.T], np.abs(np.diff(path.values)) ** p, np.full(path.n_samples - 1, path.dt)
+    masses = _power_masses(path, p)
+    occ, tau = _binned_sums(
+        path, grid, _grid_level(path, [path.T]),
+        lambda start, stop: (*masses(start, stop), np.full(stop - start, path.dt)),
     )
     occ = occ[0] / (p * grid.cellwidth)
     tau = tau[0] / grid.cellwidth

@@ -85,27 +85,38 @@ class PartitionHierarchy:
 
 
 def _check_nested(levels: Sequence[np.ndarray]) -> bool:
+    """Whether every level's points are points of the next: one boolean
+    mask of the grid per finer level (np.isin would import numpy.ma on its
+    sorting path)."""
+    member = np.empty(int(levels[0][-1]) + 1, dtype=bool)
     for coarse, fine in zip(levels, levels[1:]):
-        if not np.all(np.isin(coarse, fine)):
+        member.fill(False)
+        member[fine] = True
+        if not np.all(member[coarse]):
             return False
     return True
 
 
-def dyadic_hierarchy(path: SampledPath, levels: int) -> PartitionHierarchy:
-    """Dyadic levels 1..levels; level n has the ``2**n + 1`` indices
-    ``k * 2**(n_max - n)``.  Nested by construction."""
+def _dyadic_levels(path: SampledPath, levels: int, first: int = 1) -> Tuple[np.ndarray, ...]:
+    """Dyadic levels first..levels of a hierarchy of ``levels`` levels;
+    level n has the ``2**n + 1`` indices ``k * 2**(n_max - n)``."""
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
     if levels > path.n_max:
         raise ResolutionError(
             f"requested {levels} dyadic levels but path resolution is n_max={path.n_max}"
         )
-    idx = tuple(
+    return tuple(
         np.arange(0, 2**path.n_max + 1, 2 ** (path.n_max - n), dtype=np.int64)
-        for n in range(1, levels + 1)
+        for n in range(first, levels + 1)
     )
+
+
+def dyadic_hierarchy(path: SampledPath, levels: int) -> PartitionHierarchy:
+    """Dyadic levels 1..levels; level n has the ``2**n + 1`` indices
+    ``k * 2**(n_max - n)``.  Nested by construction."""
     return PartitionHierarchy(
-        kind="dyadic", levels=idx, level_labels=tuple(range(1, levels + 1)), nested=True
+        kind="dyadic", levels=_dyadic_levels(path, levels), level_labels=tuple(range(1, levels + 1)), nested=True
     )
 
 

@@ -1,10 +1,15 @@
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import pathwise
 from pathwise import PathSpec, SampledPath, acceptance, dyadic_hierarchy, generate
 from pathwise._util import write_csv
 
@@ -79,3 +84,13 @@ def csv_rows(header, *tables):
     rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
     assert rows[0] == list(header)
     return rows[1:]
+
+
+def modules_loaded(code):
+    """The names of the modules loaded by a fresh interpreter that runs
+    ``code`` with this checkout's ``src`` first on its path."""
+    src = os.path.dirname(os.path.dirname(pathwise.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])

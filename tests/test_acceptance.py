@@ -21,6 +21,7 @@ from pathwise import (
 from pathwise.integrate import SmoothCallable
 from pathwise.ranks import rank_sum_identity
 from pathwise.tanaka import CellIndicator
+from tests.conftest import modules_loaded
 
 
 def _reduced_config():
@@ -247,10 +248,10 @@ def _smooth_occupation_checks(monkeypatch, change):
     monkeypatch.setenv("PATHWISE_WORKERS", "1")
     real = acceptance.occupation_check
 
-    def check(path, p, g, grid, t):
+    def check(path, p, g, grids, t):
         if isinstance(g, CellIndicator):
-            return real(path, p, g, grid, t)
-        return change(real, path, p, g, grid, t)
+            return real(path, p, g, grids, t)
+        return change(real, path, p, g, grids, t)
 
     monkeypatch.setattr(acceptance, "occupation_check", check)
 
@@ -260,7 +261,7 @@ def test_c4_fails_when_the_smooth_error_does_not_converge(monkeypatch):
     # its (coarse) Lipschitz bound, but no longer shrinks with the cells
     _smooth_occupation_checks(
         monkeypatch,
-        lambda real, path, p, g, grid, t: real(path, p, g, SpaceGrid.cover([path], 32), t),
+        lambda real, path, p, g, grids, t: real(path, p, g, [SpaceGrid.cover([path], 32)] * len(grids), t),
     )
     result = acceptance.run_criterion("C4")
     assert not result.passed
@@ -271,11 +272,12 @@ def test_c4_fails_when_the_smooth_error_does_not_converge(monkeypatch):
 def test_c4_gates_every_grid_on_the_lipschitz_bound(monkeypatch):
     finest = acceptance.DEFAULT_CONFIG["occupation"]["smooth_cells"][-1]
 
-    def out_of_bound(real, path, p, g, grid, t):
-        rep = real(path, p, g, grid, t)
-        if grid.cells == finest and path.metadata["seed"] == 7:
-            rep.passed = False
-        return rep
+    def out_of_bound(real, path, p, g, grids, t):
+        reps = real(path, p, g, grids, t)
+        for grid, rep in zip(grids, reps):
+            if grid.cells == finest and path.metadata["seed"] == 7:
+                rep.passed = False
+        return reps
 
     _smooth_occupation_checks(monkeypatch, out_of_bound)
     result = acceptance.run_criterion("C4")
@@ -365,3 +367,26 @@ def test_monte_carlo_gates_hold_on_held_out_seeds(key):
     worst = min(margins, key=margins.get)
     print(f"\n{key}: worst median margin {margins[worst]:.4g} to its threshold (seed shift {100000 * worst})")
     assert [k for k, res in results.items() if not res.passed] == []
+
+
+_ENGINE_PATHS = """
+import os, tempfile
+os.environ["PATHWISE_WORKERS"] = "1"
+from pathwise import PathSpec, acceptance, cli, dyadic_hierarchy, generate, modified_follmer_integral, tanaka_class
+with tempfile.TemporaryDirectory() as tmp:
+    acceptance.emit_artifacts(None, os.path.join(tmp, "acc"))
+    paths = [{"kind": "bm", "n_max": 10, "seed": s} for s in (1, 2)]
+    assert cli.run({"paths": paths, "p": 2, "partition": "lebesgue", "levels": 6, "analyses": ["identities"],
+                    "grid_cells": 32, "output_dir": os.path.join(tmp, "run")}) == 0
+path = generate(PathSpec(kind="bm", n_max=8, seed=3))
+modified_follmer_integral(path, dyadic_hierarchy(path, 4), 2, tanaka_class("abs_pow", 2), 1.0, m_schedule=(2,), cells=16)
+"""
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports numpy.ma with numpy")
+def test_engine_paths_load_no_masked_arrays():
+    # np.median, np.unique and np.isin's sorting path import numpy.ma (14.5 ms,
+    # +0.84 MiB resident) only to check their input for masks; acceptance
+    # C1-C9, a Lebesgue run with the identities and a mollified integral
+    # reach none of them
+    assert [m for m in modules_loaded(_ENGINE_PATHS) if m.split(".")[:2] == ["numpy", "ma"]] == []

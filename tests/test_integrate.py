@@ -1,8 +1,5 @@
 import bisect
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -28,10 +25,9 @@ from pathwise import (
     tanaka_class,
     tanaka_meyer_sum,
 )
-import pathwise
 from pathwise import integrate
 from pathwise._util import relative_gap
-from tests.conftest import csv_rows, make_walk, single_interval_path
+from tests.conftest import csv_rows, make_walk, modules_loaded, single_interval_path
 
 FULL = np.arange(9)
 COARSE = np.array([0, 4, 8])
@@ -450,11 +446,7 @@ def test_modified_follmer_schedules_cross_check():
 
 def test_import_loads_no_scipy():
     # scipy is only the tests' quadrature reference, never an engine import
-    code = "import sys, pathwise; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = os.path.dirname(os.path.dirname(pathwise.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert [m for m in modules_loaded("import pathwise") if m.split(".")[0] == "scipy"] == []
 
 
 def _scalar_reference_integrand(f, m, x, direct, kernel_order):

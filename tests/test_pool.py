@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
-import pathwise
 from pathwise import ConfigError
 from pathwise._pool import worker_count
+from tests.conftest import modules_loaded
 
 
 def test_worker_count_reads_environment(monkeypatch):
@@ -25,9 +21,5 @@ def test_worker_count_rejects_non_integer(monkeypatch):
 def test_import_loads_no_process_pool():
     # the process pool pulls in multiprocessing and socket; serial runs,
     # the default, never need them
-    code = ("import sys, pathwise, pathwise.cli; print(sorted(m for m in sys.modules "
-            "if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
-    src = os.path.dirname(os.path.dirname(pathwise.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = modules_loaded("import pathwise, pathwise.cli")
+    assert [m for m in loaded if m == "concurrent.futures.process" or m.split(".")[0] == "multiprocessing"] == []

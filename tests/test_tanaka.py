@@ -20,6 +20,7 @@ from pathwise import (
     ito_residual,
     lebesgue_hierarchy,
     occupation_check,
+    occupation_density_local_time,
     range_anchors,
     scaling_check,
     scaling_root_preset,
@@ -643,7 +644,7 @@ def test_scaling_root_preset_validation(bm_path):
 def test_occupation_check_constant_g_is_mass_conservation(bm_path):
     grid = SpaceGrid.cover([bm_path], 64)
     g = tanaka_class("poly", 2, coeffs=[1.0])
-    rep = occupation_check(bm_path, 2, g, grid, 1.0)
+    (rep,) = occupation_check(bm_path, 2, g, [grid], 1.0)
     assert rep.passed
     pv = np.sum(np.diff(bm_path.values) ** 2)
     assert rep.lhs[0] == pytest.approx(pv, rel=1e-12)
@@ -653,7 +654,7 @@ def test_occupation_check_constant_g_is_mass_conservation(bm_path):
 def test_occupation_check_cell_indicator_exact(rough_path):
     grid = SpaceGrid.cover([rough_path], 48)
     g = CellIndicator(grid, range(10, 30))
-    rep = occupation_check(rough_path, 4, g, grid, 1.0)
+    (rep,) = occupation_check(rough_path, 4, g, [grid], 1.0)
     assert rep.exactness == "exact-per-level"
     assert rep.passed
 
@@ -666,7 +667,7 @@ def test_occupation_check_is_exact_on_the_cell_of_s_t(bm_seed3, t):
     grid = SpaceGrid.cover([path], 64)
     _, (k,) = snap_checkpoints(path, [t])
     g = CellIndicator(grid, [int(grid.cell_index(path.values[k]))])
-    rep = occupation_check(path, 2, g, grid, t)
+    (rep,) = occupation_check(path, 2, g, [grid], t)
     assert rep.lhs[0] > 0.0
     assert rep.passed
 
@@ -674,9 +675,29 @@ def test_occupation_check_is_exact_on_the_cell_of_s_t(bm_seed3, t):
 def test_occupation_check_smooth_quadratic_within_tolerance(bm_path):
     grid = SpaceGrid.cover([bm_path], 128)
     g = tanaka_class("poly", 2, coeffs=[0.0, 0.0, 1.0])
-    rep = occupation_check(bm_path, 2, g, grid, 1.0)
+    (rep,) = occupation_check(bm_path, 2, g, [grid], 1.0)
     assert rep.passed
     assert rep.residuals[0] <= rep.threshold
+
+
+def test_occupation_check_bins_each_grid_as_the_density_does():
+    # one call on C4's six grids: the lhs and [S]^p once, and each rhs the
+    # pairing of g with occupation_density_local_time on that grid
+    occ = acceptance.DEFAULT_CONFIG["occupation"]
+    path = generate(PathSpec(kind="fbm", hurst=0.5, seed=occ["smooth_seed_base"], n_max=occ["n_max"]))
+    g = tanaka_class("poly", 2, coeffs=[0.0, 0.0, 1.0])
+    grids = [SpaceGrid.cover([path], cells) for cells in occ["smooth_cells"]]
+    reps = occupation_check(path, 2, g, grids, 1.0)
+    assert len(reps) == len(grids)
+    for grid, rep in zip(grids, reps):
+        density = occupation_density_local_time(path, 2, grid, [1.0]).values[0]
+        rhs = 2 * grid.cellwidth * float(np.sum(np.asarray(g.value(grid.centers), dtype=float) * density))
+        assert rep.rhs.tobytes() == np.array([rhs]).tobytes()
+        (one,) = occupation_check(path, 2, g, [grid], 1.0)
+        assert (rep.lhs.tobytes(), rep.rhs.tobytes(), rep.threshold, rep.passed, rep.details) == (
+            one.lhs.tobytes(), one.rhs.tobytes(), one.threshold, one.passed, one.details)
+    assert len({rep.lhs.tobytes() for rep in reps}) == 1
+    assert len({rep.details["pth_variation"] for rep in reps}) == 1
 
 
 def test_cell_indicator_validation():

@@ -15,6 +15,7 @@ from pathwise import (
     PathSpec,
     SampledPath,
     SpaceGrid,
+    berman_ratio_check,
     build_rank_system,
     collision_local_time,
     discrete_local_time,
@@ -29,6 +30,7 @@ from pathwise import (
     modified_follmer_integral,
     occupation_check,
     occupation_density_local_time,
+    occupation_time_density,
     pth_variation,
     rank_decomposition,
     rank_sum_identity,
@@ -36,6 +38,7 @@ from pathwise import (
     simplified_cross_term,
     tanaka_class,
     tanaka_meyer_sum,
+    weighted_occupation_local_time,
     write_path_csv,
 )
 from pathwise import _util
@@ -368,6 +371,24 @@ def test_median_refuses_what_it_cannot_order(values):
     assert _util.median([3.0, 1.0, 2.0, 10.0]) == 2.5
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                min_size=1, max_size=40))
+def test_median_is_numpys_to_the_bit(values):
+    # np.median without the numpy.ma import: the same middle value, or the
+    # same mean of two (a sum from +0.0, so -0.0 reads 0.0), and the same
+    # overflow to infinity
+    with np.errstate(over="ignore"):
+        assert repr(_util.median(values)) == repr(float(np.median(values)))
+
+
+@given(hnp.arrays(st.sampled_from([np.int64, np.float64]), st.integers(0, 30),
+                  elements=st.integers(-5, 5)))
+def test_unique_sorted_is_numpys_unique(x):
+    got, want = _util.unique_sorted(x), np.unique(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # -- the config field reader -------------------------------------------------
 
 
@@ -471,6 +492,15 @@ def _kernel_outputs(trio, hier):
         dec = rank_decomposition(system, k, hier, 4, f, cps)
         out += [dec.A, dec.B, dec.C, dec.D, dec.D_plus, dec.D_minus]
     out.append(simplified_cross_term(system, 2, hier, 4, f, cps).simplified)
+    # the histograms bin the grid's own level in the same chunks
+    grid = SpaceGrid.cover([path], 16)
+    out.append(occupation_density_local_time(path, 4, grid, cps).values)
+    out.append(occupation_time_density(path, grid, cps).values)
+    out.append(weighted_occupation_local_time(path, 0.25, grid, cps).values)
+    out.append(berman_ratio_check(path, 2, grid).per_cell_ratio)
+    grids = [grid, SpaceGrid.cover([path], 40)]
+    for rep in occupation_check(path, 2, tanaka_class("poly", 2, coeffs=[0.0, 0.0, 1.0]), grids, 0.7):
+        out += [rep.lhs, rep.rhs]
     return out
 
 
@@ -525,6 +555,24 @@ def test_running_sums_hold_one_chunk_of_a_level(path_2_20, kind):
     assert peak <= 0.5 * path.values.nbytes, peak / path.values.nbytes
     _, peak = traced_peak(discrete_local_time, path, hier, 4, grid, cps)
     assert peak <= 2 * path.values.nbytes, peak / path.values.nbytes
+
+
+def test_histograms_hold_one_chunk_of_the_path(path_2_20):
+    # binned whole, each held the N cell indices and N weights per density:
+    # 4.0x the path bytes, 5.0x for the weighted density and the ratio
+    # check.  Chunked, they hold the grid level's indices (1x), and the
+    # weighted density also gathers path.times (1x)
+    path = path_2_20
+    grid = SpaceGrid.cover([path], 128)
+    cps = [0.25, 0.5, 0.75, 1.0]
+    for fn, args, bound in (
+        (occupation_density_local_time, (path, 4, grid, cps), 1.5),
+        (occupation_time_density, (path, grid, cps), 1.5),
+        (weighted_occupation_local_time, (path, 0.25, grid, cps), 2.5),
+        (berman_ratio_check, (path, 4, grid), 1.5),
+    ):
+        _, peak = traced_peak(fn, *args)
+        assert peak <= bound * path.values.nbytes, (fn.__name__, peak / path.values.nbytes)
 
 
 # -- the time rule ------------------------------------------------------------
@@ -615,8 +663,8 @@ def test_the_occupation_floor_reads_the_residual_scale(monkeypatch):
     path = generate(PathSpec(kind="bm", n_max=6, seed=3))
     constant = tanaka_class("poly", 2, coeffs=[2.5])
     grid = SpaceGrid.cover([path], 16)
-    rep = occupation_check(path, 2, constant, grid, 1.0)
+    (rep,) = occupation_check(path, 2, constant, [grid], 1.0)
     assert rep.details["lipschitz"] == 0.0
     assert rep.threshold == 2.0**-40 * max(1.0, abs(rep.lhs[0]), abs(rep.rhs[0]))
     monkeypatch.setattr(pathwise.tanaka, "residual_scale", lambda *m: 2.0**40)
-    assert occupation_check(path, 2, constant, grid, 1.0).threshold == 1.0
+    assert occupation_check(path, 2, constant, [grid], 1.0)[0].threshold == 1.0
