@@ -1,6 +1,6 @@
 """Small shared helpers: checkpoint snapping, the interval kernel, tolerance
-arithmetic, the config field reader, the CSV and summary writers and heap
-trimming.
+arithmetic, integer powers and the least-squares slope, the config field
+reader, the CSV and summary writers and heap trimming.
 
 :meth:`LevelStack.build` alone decides which intervals count at a time t;
 every per-level interval sum goes through :meth:`LevelStack.evaluate`, one
@@ -277,6 +277,48 @@ def check_level(x: float) -> None:
         raise ParameterError(f"local-time level must be finite, got {x}")
 
 
+def ipow(x, k: int):
+    """``x**k`` for an integer k >= 0, by a fixed chain of multiplications:
+    square and multiply over the bits of k below the leading one, so
+    ``x*x`` first, then ``*= x`` or ``*= itself`` in place.
+
+    numpy's ``power`` loops round differently from CPU to CPU, while a
+    product rounds the same everywhere; k = 1 and k = 2 give the bytes of
+    ``x**1`` and ``x*x``.  An array gets one new array, as ``x**k`` does,
+    and a scalar a scalar; k = 0 gives ones, as ``x**0`` does.
+    """
+    if k < 0:
+        raise ParameterError(f"ipow needs an integer power >= 0, got {k}")
+    if k == 0:
+        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    bits = bin(k)[3:]
+    out = x * x if bits else x * 1
+    for i, bit in enumerate(bits):
+        if i:
+            out *= out
+        if bit == "1":
+            out *= x
+    return out
+
+
+def least_squares_slope(x: Sequence[float], y: Sequence[float]) -> float:
+    """Slope of the least-squares line through the points (x_i, y_i), in
+    closed form: ``sum dx dy / sum dx dx`` with dx, dy the deviations from
+    the means, every sum a :func:`math.fsum`.  No LAPACK call, and the same
+    bytes on every CPU; exact where the deviations and their products are.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(x) != len(y) or len(x) < 2 or not all(map(math.isfinite, x + y)):
+        raise ParameterError(f"a slope needs two or more finite (x, y) pairs, got x = {x}, y = {y}")
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - mx for v in x]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0.0:
+        raise ParameterError(f"a slope needs two distinct x, got {x}")
+    return math.fsum(d * (v - my) for d, v in zip(dx, y)) / sxx
+
+
 def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray:
     """Per-interval local-time summands ``1_(min,max](x) |b - x|**(p-1)``,
     at one location x (checked by :func:`check_level`) or at one location
@@ -293,7 +335,7 @@ def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray
     ind = (x > lo) & (x <= hi)
     out = np.zeros_like(a)
     if np.any(ind):
-        out[ind] = np.abs(b[ind] - (x[ind] if np.ndim(x) else x)) ** (p - 1)
+        out[ind] = ipow(np.abs(b[ind] - (x[ind] if np.ndim(x) else x)), p - 1)
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import filecmp
+import math
 import os
 import tempfile
 import time
@@ -21,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ._pool import parallel_map
-from ._util import LevelStack, Table, field, known_keys, median, write_csv, write_summary
+from ._util import LevelStack, Table, field, known_keys, least_squares_slope, median, write_csv, write_summary
 from .errors import ConfigError
 from .integrate import SmoothCallable, tanaka_class
 from .localtime import SpaceGrid, berman_ratio_check, gaussian_moment
@@ -291,8 +292,9 @@ def _c4_task(args):
         "seed": seed, "cells": cells, "lhs": float(rep.lhs[0]), "rhs": float(rep.rhs[0]),
         "abs_err": float(rep.residuals[0]), "bound": rep.threshold, "within": rep.passed,
     } for cells, rep in zip(cells_list, occupation_check(path, 2, g, grids, T))]
-    slope = np.polyfit(np.log([grid.cellwidth for grid in grids]), np.log([r["abs_err"] for r in rows]), 1)[0]
-    return float(slope), rows
+    # a zero error has no log: the fit refuses its -inf as a ParameterError
+    errors = [math.log(r["abs_err"]) if r["abs_err"] > 0 else -math.inf for r in rows]
+    return least_squares_slope([math.log(grid.cellwidth) for grid in grids], errors), rows
 
 
 def criterion_04(cfg: dict):

@@ -19,12 +19,11 @@ A failing exact-class identity makes the exit status non-zero.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import acceptance as acc
 from ._util import field, known_keys, release_free_heap, write_csv, write_summary
@@ -44,6 +43,9 @@ from .tanaka import (
     tanaka_meyer_report,
 )
 from .variation import pth_variation, variation_convergence_report
+
+if TYPE_CHECKING:
+    import argparse
 
 DEFAULT_MAX_TENSOR_BYTES = 1 << 30
 
@@ -300,6 +302,9 @@ def _times(text: str) -> List[float]:
     try:
         return list(map(float, text.split(",")))
     except ValueError:
+        # argparse calls this only while it parses, so it is loaded already
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
 
 
@@ -336,6 +341,9 @@ def _config_from_args(args: argparse.Namespace) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here: library calls into this module never parse arguments
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pathwise",
         description="pathwise calculus engine: p-th variation, order-p local times, "

@@ -31,9 +31,8 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from ._util import LevelBlock, LevelStack, Table, bracket_contributions, check_level, even_order, unique_sorted
+from ._util import LevelBlock, LevelStack, Table, bracket_contributions, check_level, even_order, ipow, unique_sorted
 from .errors import CoverageError, ParameterError
 from .localtime import SpaceGrid, _grid_level, occupation_density_local_time
 from .paths import SampledPath
@@ -68,10 +67,21 @@ DEFAULT_M_SCHEDULE = (2, 4, 8, 16, 32)
 ALT_M_SCHEDULE = (3, 9, 27)
 
 
+def _polyval(x, c: np.ndarray):
+    """The polynomial with ascending coefficients c at x, by Horner's rule
+    in numpy.polynomial's own operations, so with its bytes."""
+    out = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        out = ci + out * x
+    return out
+
+
 def _diff_coeffs(c: np.ndarray, k: int) -> np.ndarray:
+    """Ascending coefficients of the k-th derivative: ``j * c[j]`` at j - 1,
+    as numpy.polynomial's polyder forms them."""
     out = np.asarray(c, dtype=float)
     for _ in range(k):
-        out = npoly.polyder(out) if out.size > 1 else np.zeros(1)
+        out = np.arange(1, out.size) * out[1:] if out.size > 1 else np.zeros(1)
     return out
 
 
@@ -134,21 +144,21 @@ class TestFunction:
         if len(coeffs) == 1:
             # one piece covers every x: polyval is elementwise, so this is
             # what the masked loop below would write
-            out = npoly.polyval(xs - self.centers[0], coeffs[0])
+            out = _polyval(xs - self.centers[0], coeffs[0])
             return float(out[0]) if scalar else out
         out = np.empty_like(xs)
         pos = self._piece_index(xs)
         # the pieces present, without sorting the abscissae as unique would
         for i in np.flatnonzero(np.bincount(pos.ravel(), minlength=len(self.pieces))):
             mask = pos == i
-            out[mask] = npoly.polyval(xs[mask] - self.centers[i], coeffs[i])
+            out[mask] = _polyval(xs[mask] - self.centers[i], coeffs[i])
         return float(out[0]) if scalar else out
 
     def value(self, x):
         return self.derivative(x, 0)
 
     def piece_derivative_value(self, i: int, x: float, k: int) -> float:
-        return float(npoly.polyval(x - self.centers[i], self._coeffs(k)[i]))
+        return float(_polyval(x - self.centers[i], self._coeffs(k)[i]))
 
     def jump(self, order: int, bp_index: int) -> float:
         """Jump of the order-th derivative across breakpoint ``bp_index``."""
@@ -332,8 +342,8 @@ def _tanaka_meyer_sums(
         w = np.where(sa >= a_level, 1.0, -1.0)
     else:
         raise ParameterError(f"variant must be plus|minus|sign, got {variant!r}")
-    da = (sa - a_level) ** (p - 1)
-    db = (sb - a_level) ** (p - 1)
+    da = ipow(sa - a_level, p - 1)
+    db = ipow(sb - a_level, p - 1)
     return blk.sums(w * (db - da))
 
 
@@ -362,7 +372,11 @@ def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: f
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    # imported here: only density remainders and mollification use the
+    # rule, and its nodes are the engine's one LAPACK call
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
 
 
 def _measure_remainder_sums(
@@ -373,7 +387,7 @@ def _measure_remainder_sums(
     total = np.zeros(len(blk.kept))
     for loc, mass in measure.atoms:
         ind = (loc > lo) & (loc <= hi)
-        total += mass * blk.sums(np.abs(b[ind] - loc) ** (p - 1), where=ind)
+        total += mass * blk.sums(ipow(np.abs(b[ind] - loc), p - 1), where=ind)
     dens = measure.density
     if dens is not None:
         bps = dens.breakpoints
@@ -389,12 +403,13 @@ def _measure_remainder_sums(
             mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
             half = 0.5 * (seg_hi[valid] - seg_lo[valid])
             xq = mid[:, None] + half[:, None] * nodes[None, :]
-            integ = np.abs(b[valid][:, None] - xq) ** (p - 1) * npoly.polyval(
-                xq - dens.centers[i], coeffs
-            )
-            # one matrix-vector product per level, as tall as that level's
-            # valid intervals, so BLAS blocks its rows as it always has
-            total += blk.per_level(lambda h, i: np.sum(h * (i @ weights)), half, integ, where=valid)
+            integ = ipow(np.abs(b[valid][:, None] - xq), p - 1) * _polyval(xq - dens.centers[i], coeffs)
+            # each interval's rule summed node by node, in one fixed order
+            # on every CPU, where a BLAS product's order depends on its kernel
+            quad = integ[:, 0] * weights[0]
+            for k in range(1, weights.size):
+                quad += integ[:, k] * weights[k]
+            total += blk.per_level(lambda h, q: np.sum(h * q), half, quad, where=valid)
     return total
 
 

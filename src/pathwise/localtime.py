@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, bracket_contributions, even_order
+from ._util import LevelStack, Table, bracket_contributions, even_order, ipow
 from .errors import CoverageError, ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -79,12 +79,36 @@ class SpaceGrid:
         return 0.5 * (e[:-1] + e[1:])
 
     def cell_index(self, x) -> np.ndarray:
-        """Index of the cell [edge_i, edge_{i+1}) containing each x."""
-        return np.clip(
-            np.searchsorted(self.edges, np.asarray(x, dtype=float), side="right") - 1,
-            0,
-            self.cells - 1,
-        )
+        """Index of the cell [edge_i, edge_{i+1}) containing each x: x below
+        lo in the first cell, x at or above hi (or NaN) in the last.
+
+        The cell is estimated as ``floor((x - lo) * cells / (hi - lo))``,
+        clipped, then moved down one where x lies below its lower edge and
+        up one where x reaches its upper edge; that is the index
+        ``searchsorted(edges, x, 'right') - 1``, clipped, gives, as long as
+        the estimate misses by at most one cell.  It does while a cell spans
+        at least 2**12 ulps of the grid's largest magnitude; a finer grid,
+        whose edges may even coincide, takes the search itself.
+        """
+        x = np.asarray(x, dtype=float)
+        edges, last = self.edges, self.cells - 1
+        if self.cells * (abs(self.lo) + abs(self.hi)) > 2.0**40 * (self.hi - self.lo):
+            return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, last)
+        # in place: one float array (the estimate, then each edge) and the
+        # indices, as many as the search's result and its clipped copy, and
+        # one boolean mask
+        est = np.empty(x.shape)
+        np.subtract(x, self.lo, out=est)
+        est *= self.cells / (self.hi - self.lo)
+        np.fmax(np.fmin(est, last, out=est), 0.0, out=est)
+        k = est.astype(np.intp)
+        # no step below the first cell or past the last: their outer edges
+        # compare false with every x
+        lower, upper = edges[:-1].copy(), edges[1:].copy()
+        lower[0], upper[-1] = -np.inf, np.nan
+        k[np.take(lower, k, out=est, mode="clip") > x] -= 1
+        k[np.take(upper, k, out=est, mode="clip") <= x] += 1
+        return k
 
     @classmethod
     def cover(cls, paths: Sequence[SampledPath], cells: int, points: Sequence[float] = ()) -> "SpaceGrid":
@@ -188,7 +212,7 @@ def _sweep(acc: np.ndarray, points: np.ndarray, reads: np.ndarray, values: np.nd
         runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
         owner = np.repeat(np.arange(j0, j1), runs)
         cell = first[owner] + (np.arange(start, end) - offsets[owner])
-        return cell, np.abs(b[owner] - centers[cell]) ** (p - 1)
+        return cell, ipow(np.abs(b[owner] - centers[cell]), p - 1)
 
     # every pair of the chunk is added, for the chunks after it
     return _running_sums(acc.size, np.append(offsets[reads], offsets[-1]), pairs, acc)[:-1]
@@ -314,7 +338,7 @@ def _binned_sums(path: SampledPath, grid: SpaceGrid, stack: LevelStack, weights:
 def _power_masses(path: SampledPath, p: int) -> Callable:
     """Chunk weights ``|dS|**p`` of the finest-level intervals."""
     v = path.values
-    return lambda start, stop: (np.abs(v[start + 1 : stop + 1] - v[start:stop]) ** p,)
+    return lambda start, stop: (ipow(np.abs(v[start + 1 : stop + 1] - v[start:stop]), p),)
 
 
 def occupation_density_local_time(
@@ -353,10 +377,17 @@ def weighted_occupation_local_time(
     """
     if not (0.0 < hurst < 1.0):
         raise ParameterError(f"hurst must be in (0, 1), got {hurst}")
-    tg = path.times
 
     def weights(start, stop):
-        return (tg[start + 1 : stop + 1] ** (2 * hurst) - tg[start:stop] ** (2 * hurst),)
+        # path.times[start:stop + 1] by np.linspace's own formula,
+        # k * (T / N) + 0.0 with the last time T, so no chunk holds them all
+        tg = np.arange(start, stop + 1, dtype=float)
+        tg *= path.dt
+        tg += 0.0
+        if stop + 1 == path.n_samples:
+            tg[-1] = path.T
+        tg **= 2 * hurst
+        return (tg[1:] - tg[:-1],)
 
     stack = _grid_level(path, checkpoints)
     (sums,) = _binned_sums(path, grid, stack, weights)
@@ -476,7 +507,7 @@ def uniform_convergence_report(field: LocalTimeField) -> UniformConvergenceRepor
         mu = grid.lo + frac * span
         for wf in _WEAK_WIDTH_FRAC:
             sig = wf * span
-            g = np.exp(-0.5 * ((centers - mu) / sig) ** 2) / (sig * np.sqrt(2 * np.pi))
+            g = np.exp(-0.5 * ipow((centers - mu) / sig, 2)) / (sig * np.sqrt(2 * np.pi))
             densities.append(g)
             labels.append(f"gauss(mu={mu:.4g}, sigma={sig:.4g})")
     G = np.asarray(densities)  # (K, cells)

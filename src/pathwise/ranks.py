@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, bracket_contributions, even_order
+from ._util import LevelStack, Table, bracket_contributions, even_order, ipow
 from .errors import ParameterError
 from .integrate import TestFunction, _local_time_sums
 from .partitions import PartitionHierarchy
@@ -144,7 +144,7 @@ def collision_local_time(
     stack = LevelStack.build(gap, hierarchy.levels, checkpoints)
 
     def terms(ga, gb):
-        return bracket_contributions(ga, gb, p, 0.0), (ga == 0.0) * gb ** (p - 1)
+        return bracket_contributions(ga, gb, p, 0.0), (ga == 0.0) * ipow(gb, p - 1)
 
     literal, tie_charge = stack.running_sums(terms, gap.values)
     return CollisionLocalTime(
@@ -262,21 +262,21 @@ def _rank_decompositions(
     def terms(fx, fk, dX, gap):
         b_terms = np.zeros_like(dX)
         for r in range(1, p):
-            b_terms += fx[r] / fact[r] * dX**r
+            b_terms += fx[r] / fact[r] * ipow(dX, r)
         c_terms = np.zeros_like(dX)
         for ell in range(1, p - 1):
-            gl = gap**ell
+            gl = ipow(gap, ell)
             for r in range(ell, p):
-                c_terms += fk[r] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
-        return (b_terms, c_terms, gap ** (p - 1),
-                np.maximum(gap, 0.0) ** (p - 1), np.maximum(-gap, 0.0) ** (p - 1))
+                c_terms += fk[r] / (fact[ell] * fact[r - ell]) * ipow(dX, r - ell) * gl
+        return (b_terms, c_terms, ipow(gap, p - 1),
+                ipow(np.maximum(gap, 0.0), p - 1), ipow(np.maximum(-gap, 0.0), p - 1))
 
     def one_rank(Ra, Rb, Xa, Xb, na, occupant):
         fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
         dR = Rb - Ra
         a_sum = np.zeros_like(Ra)
         for r in range(1, p):
-            a_sum += fr[r] / fact[r] * dR**r
+            a_sum += fr[r] / fact[r] * ipow(dR, r)
         b_sum, c_sum, d_sum, d_plus, d_minus = _rank_weighted_sums(
             terms, f, fr, Ra, Rb, Xa, Xb, na, occupant)
         dcoef = fr[p - 1] / fact[p - 1]
@@ -371,7 +371,7 @@ def simplified_cross_term(
     def terms(fx, fk, dX, gap):
         out = np.zeros_like(gap)
         for ell in range(1, p - 1):
-            out += fx[ell] / fact[ell] * gap**ell
+            out += fx[ell] / fact[ell] * ipow(gap, ell)
         return (out,)
 
     def cross_terms(Ra, Rb, Xa, Xb, na, _):

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._util import (LevelBlock, LevelStack, Table, check_level, even_order, relative_residual, residual_scale,
+from ._util import (LevelBlock, LevelStack, Table, check_level, even_order, ipow, relative_residual, residual_scale,
                     unique_sorted)
 from .errors import ParameterError
 from .integrate import (
@@ -180,9 +180,9 @@ def tanaka_meyer_report(
 
     stack = LevelStack.build(path, hierarchy.levels, [t])
     comp, rhs = stack.evaluate(sides, path.values)
-    # scalar powers, level by level: an array power may round differently
-    start = max(path.values[0] - a, 0.0) ** (p - 1)
-    change = np.array([max(s - a, 0.0) ** (p - 1) - start for s in path.values[stack.ends[:, 0]]])
+    # f(S_u) - f(S_0) for f = ((x - a)^+)^(p-1), u where each level's sums end
+    start = ipow(max(path.values[0] - a, 0.0), p - 1)
+    change = np.array([ipow(max(s - a, 0.0), p - 1) - start for s in path.values[stack.ends[:, 0]]])
     return _report(f"tanaka-meyer p={p} a={a}", hierarchy.level_labels, change - comp, rhs, exact=True)
 
 
@@ -197,7 +197,7 @@ def ito_residual(
         raise ParameterError(f"need continuous derivatives through order {p}")
 
     def terms(blk, a, b):
-        return _follmer_sums(blk, a, b, p, f), blk.sums(f.derivative(a, p) * np.abs(b - a) ** p)
+        return _follmer_sums(blk, a, b, p, f), blk.sums(f.derivative(a, p) * ipow(np.abs(b - a), p))
 
     stack = LevelStack.build(path, hierarchy.levels, [t])
     comp, pv = stack.evaluate(terms, path.values)
@@ -210,10 +210,10 @@ def ito_residual(
 
 def _tm_proxy_increments(a: np.ndarray, b: np.ndarray, p: int, x: float = 0.0) -> np.ndarray:
     """Per-interval increments of the Tanaka-Meyer local-time proxy at x."""
-    pos_a = np.maximum(a - x, 0.0) ** (p - 1)
-    pos_b = np.maximum(b - x, 0.0) ** (p - 1)
-    raw_a = (a - x) ** (p - 1)
-    raw_b = (b - x) ** (p - 1)
+    pos_a = ipow(np.maximum(a - x, 0.0), p - 1)
+    pos_b = ipow(np.maximum(b - x, 0.0), p - 1)
+    raw_a = ipow(a - x, p - 1)
+    raw_b = ipow(b - x, p - 1)
     return (pos_b - pos_a) - (a > x) * (raw_b - raw_a)
 
 
@@ -235,7 +235,7 @@ def _min_plus_max(blk: LevelBlock, Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarra
 def _part_sums(blk: LevelBlock, part_a: np.ndarray, part_b: np.ndarray, p: int, tie, band):
     """Per level: the local-time proxy at 0 of a part of X (or of |X|), its
     exact-tie sum and its band tie sum."""
-    power = part_b ** (p - 1)
+    power = ipow(part_b, p - 1)
     return blk.sums(_tm_proxy_increments(part_a, part_b, p)), blk.sums(tie * power), blk.sums(band * power)
 
 
@@ -280,15 +280,15 @@ def identity_suite(
         # (3) negative-part twin
         rows.append((lx, *_part_sums(blk, np.maximum(-Xa, 0.0), np.maximum(-Xb, 0.0), p, tie_x, band_x)))
         # (4) signed-power sum over the zero set vanishes in the limit
-        power = Xb ** (p - 1)
+        power = ipow(Xb, p - 1)
         rows.append((blk.sums(tie_x * power), zero, blk.sums(band_x * power), zero))
         Xpb, Ypb = np.maximum(Xb, 0.0), np.maximum(Yb, 0.0)
         # (5) local time of the maximum
-        collision = np.maximum(Xpb, Ypb) ** (p - 1)
+        collision = ipow(np.maximum(Xpb, Ypb), p - 1)
         rhs = blk.sums((Ya < 0.0) * dLX) + blk.sums((Xa < 0.0) * dLY) + blk.sums(tie_both * collision)
         rows.append((blk.sums(dLM), rhs, blk.sums(band_both * collision), zero))
         # (6) local time of the minimum
-        collision = np.minimum(Xpb, Ypb) ** (p - 1)
+        collision = ipow(np.minimum(Xpb, Ypb), p - 1)
         rhs = blk.sums((Ya > 0.0) * dLX) + blk.sums((Xa > 0.0) * dLY) + blk.sums(tie_both * collision)
         rows.append((blk.sums(dLm), rhs, blk.sums(band_both * collision), zero))
         # (7) min + max local times add up
@@ -344,7 +344,7 @@ def scaling_check(
         raise ParameterError("f must be strictly monotone on the path's range")
     mapped = np.asarray(f.value(vals), dtype=float)
     fa = float(f.value(a))
-    factor = abs(float(f.derivative(a, 1))) ** (p - 1)
+    factor = ipow(abs(float(f.derivative(a, 1))), p - 1)
     stack = LevelStack.build(path, hierarchy.levels)
 
     def local_times(blk, ga, gb, sa, sb):
@@ -426,7 +426,7 @@ def occupation_check(
     stack = _grid_level(path, [t])
     (end,) = stack.ends[0]
     a = path.values[:end]
-    masses = np.abs(path.values[1:end + 1] - a) ** p
+    masses = ipow(np.abs(path.values[1:end + 1] - a), p)
     lhs = float(np.sum(np.asarray(g.value(a), dtype=float) * masses))
     pv = float(np.sum(masses))
     name = f"occupation density with {getattr(g, 'name', 'g')}"

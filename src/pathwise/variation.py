@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, even_order
+from ._util import LevelStack, Table, even_order, ipow
 from .errors import ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -44,7 +44,10 @@ class VariationCurve:
 
 
 def _power_sums(path: SampledPath, stack: LevelStack, p: float) -> np.ndarray:
-    """Cumulative ``sum |increment|**p`` per (level, checkpoint)."""
+    """Cumulative ``sum |increment|**p`` per (level, checkpoint); an integer
+    p by multiplication (:func:`ipow`)."""
+    if float(p).is_integer():
+        return stack.running_sums(lambda a, b: ipow(np.abs(b - a), int(p)), path.values)
     return stack.running_sums(lambda a, b: np.abs(b - a) ** p, path.values)
 
 

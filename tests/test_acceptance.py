@@ -1,6 +1,7 @@
 """Acceptance gate: every release-blocking criterion at its pinned
 tolerance, one pass/fail line per criterion on stdout."""
 
+import contextlib
 import copy
 import math
 import re
@@ -390,3 +391,51 @@ def test_engine_paths_load_no_masked_arrays():
     # C1-C9, a Lebesgue run with the identities and a mollified integral
     # reach none of them
     assert [m for m in modules_loaded(_ENGINE_PATHS) if m.split(".")[:2] == ["numpy", "ma"]] == []
+
+
+_LIBRARY_PATHS = """
+import os, tempfile
+os.environ["PATHWISE_WORKERS"] = "1"
+from pathwise import acceptance, cli
+with tempfile.TemporaryDirectory() as tmp:
+    acceptance.emit_artifacts(None, os.path.join(tmp, "acc"))
+    paths = [{"kind": "bm", "n_max": 10, "seed": s} for s in (1, 2)]
+    assert cli.run({"paths": paths, "p": 4, "levels": 6, "grid_cells": 32, "output_dir": os.path.join(tmp, "run"),
+                    "analyses": ["variation", "local-time", "tanaka", "identities", "ranks"]}) == 0
+"""
+
+
+def test_library_calls_load_no_argument_parser_or_polynomial_package():
+    # importing the engine, its CLI module and the acceptance suite, then
+    # running C1-C9 and a run of every analysis: argparse (+0.37 MiB
+    # resident) loads only to parse a command line, numpy.polynomial
+    # (+0.74 MiB) only for a Gauss-Legendre rule on the density branch
+    loaded = modules_loaded(_LIBRARY_PATHS)
+    assert [m for m in loaded if m == "argparse" or m.startswith("numpy.polynomial")] == []
+
+
+def _polyfit_module():
+    """The module whose ``lstsq`` np.polyfit calls (it binds the name at
+    import, so patching numpy.linalg alone would not reach it)."""
+    import importlib
+
+    for name in ("numpy.lib._polynomial_impl", "numpy.lib.polynomial"):
+        with contextlib.suppress(ImportError):
+            module = importlib.import_module(name)
+            if getattr(module, "polyfit", None) is np.polyfit:
+                return module
+    pytest.skip("np.polyfit's module not found")
+
+
+def test_c4_fits_its_slope_without_lapack(monkeypatch, suite_run):
+    # C4's slope is a closed-form least-squares fit over math.log values:
+    # no LAPACK call, whose bytes would depend on the OpenBLAS kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(_polyfit_module(), "lstsq", refuse)
+    res = acceptance.run_criterion("C4")
+    assert res.passed, res.status_line()
+    (kept,) = [r for r in suite_run[0] if r.key == "C4"]
+    assert res.rows == kept.rows and res.info == kept.info

@@ -16,11 +16,18 @@ A change that moves bytes on purpose regenerates the manifest with
 
 which rewrites the numpy-free lines and this numpy's section and keeps the
 other sections; the change then names the files whose digests moved.
+
+The numpy-free lines and C4's file must also keep their bytes on other
+CPUs: one test recomputes them in child processes with numpy's AVX-512
+and AVX2 loops switched off and under four OpenBLAS cores.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,6 +35,7 @@ import numpy as np
 import pytest
 
 from pathwise import acceptance, cli
+from pathwise._util import write_csv
 
 MANIFEST = Path(__file__).with_name("golden.sha256")
 NUMPY_SECTION = f"numpy {np.__version__.split('.')[0]}"
@@ -133,6 +141,86 @@ def test_fft_cli_artifacts_match_this_numpys_section(target, tmp_path, monkeypat
 def test_acceptance_artifacts_match_the_manifest(suite_run):
     _, out = suite_run
     assert _digests(out, "./", prefix="acc/") == _expected(NUMPY_SECTION, "acc/")
+
+
+# the acceptance file the dispatch check below recomputes: C4, on Brownian
+# paths, with its slope fitted in closed form
+_C4 = "acc/c4_occupation_density.csv"
+
+
+def numpy_free_digests() -> dict:
+    """Digests of the numpy-free lines and of C4's file, from fresh runs in
+    a temporary directory."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="pathwise-golden-") as tmp:
+        os.chdir(tmp)
+        try:
+            out = {}
+            for target in CLI_RUNS:
+                _run_cli(target)
+                out.update(_digests(Path(tmp), target))
+            os.mkdir("acc")
+            res = acceptance.run_criterion("C4")
+            write_csv(_C4, res.fieldnames, res.csv_table())
+            out.update(_digests(Path(tmp), _C4))
+        finally:
+            os.chdir(here)
+    return out
+
+
+def _dispatch_settings() -> dict:
+    """Child environments that change how numpy and OpenBLAS compute: this
+    machine's numpy dispatch targets for AVX-512 switched off, then those
+    for AVX2 too, and four OpenBLAS cores."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    no_avx512 = [f for f in present if "AVX512" in f or f == "X86_V4"]
+    no_avx2 = no_avx512 + [f for f in present if f in ("X86_V3", "AVX2", "FMA3")]
+    settings = {f"no AVX-512 {no_avx512}": {"NPY_DISABLE_CPU_FEATURES": " ".join(no_avx512)},
+                f"no AVX2 {no_avx2}": {"NPY_DISABLE_CPU_FEATURES": " ".join(no_avx2)}}
+    for core in ("Haswell", "SkylakeX", "Zen", "Sandybridge"):
+        settings[f"OpenBLAS {core}"] = {"OPENBLAS_CORETYPE": core}
+    return settings
+
+
+_CHILD = """
+import json
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from test_golden import numpy_free_digests
+print(json.dumps({"features": __cpu_features__, "digests": numpy_free_digests()}))
+"""
+
+
+def test_numpy_free_lines_hold_under_other_cpu_dispatch():
+    # integer powers by multiplication, C4's closed-form slope and the
+    # remainder's node sum leave these lines no numpy power loop and no
+    # BLAS or LAPACK kernel whose rounding depends on the CPU
+    sections = read_manifest(MANIFEST.read_text())
+    expected = dict(sections[None])
+    if _C4 in sections.get(NUMPY_SECTION, {}):
+        expected[_C4] = sections[NUMPY_SECTION][_C4]
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    path = os.pathsep.join([src, str(MANIFEST.parent)])
+
+    def child(env):
+        out = subprocess.run([sys.executable, "-c", _CHILD], env={**os.environ, "PYTHONPATH": path, **env},
+                             capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    settings = _dispatch_settings()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        results = dict(zip(settings, pool.map(child, settings.values())))
+    for name, res in results.items():
+        disabled = settings[name].get("NPY_DISABLE_CPU_FEATURES", "").split()
+        assert not any(res["features"][f] for f in disabled), (name, "dispatch targets still on")
+        got = {k: v for k, v in res["digests"].items() if k in expected}
+        assert got == expected, (name, sorted(k for k in expected if got.get(k) != expected[k]))
 
 
 def regenerate() -> None:

@@ -131,6 +131,25 @@ def test_cached_derivative_coefficients_are_bit_identical_to_polyder_chain(name,
             assert f.piece_derivative_value(i, a, k) == float(npoly.polyval(a - f.centers[i], c))
 
 
+_coefficients = st.lists(st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         min_size=1, max_size=8).map(np.array)
+_abscissae = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), min_size=1,
+                      max_size=12).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficients, _abscissae)
+def test_horner_helpers_are_numpy_polynomials_bytes(c, x):
+    # numpy.polynomial (+0.74 MiB resident) is not imported by the engine:
+    # its polyval and polyder operations are repeated, so are their bytes
+    assert integrate._polyval(x, c).tobytes() == npoly.polyval(x, c).tobytes()
+    assert integrate._polyval(x[:, None] + x, c).tobytes() == npoly.polyval(x[:, None] + x, c).tobytes()
+    x0 = float(x[0])
+    assert np.float64(integrate._polyval(x0, c)).tobytes() == np.float64(npoly.polyval(x0, c)).tobytes()
+    for k in range(1, 4):
+        assert integrate._diff_coeffs(c, k).tobytes() == _polyder_chain(c, k).tobytes()
+
+
 @pytest.mark.parametrize("coeffs", [[0.3, -1.2, 0.7, 1.1], [0.0, 0.0, 0.0, 1.0], [2.0]])
 def test_one_piece_derivatives_are_bit_identical_to_the_masked_path(coeffs):
     f = tanaka_class("poly", 4, coeffs=coeffs)

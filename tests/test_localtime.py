@@ -26,7 +26,7 @@ from pathwise import (
     uniform_convergence_report,
     weighted_occupation_local_time,
 )
-from pathwise._util import bracket_contributions, left_endpoint_counts, median, snap_checkpoints
+from pathwise._util import bracket_contributions, ipow, left_endpoint_counts, median, snap_checkpoints
 from pathwise.localtime import _order_flag
 from tests.conftest import csv_rows, make_walk, traced_peak
 
@@ -343,7 +343,7 @@ def dense_local_time(path, hierarchy, p, grid, checkpoints):
         hi = np.maximum(a, b)[:, None]
         contrib = np.where(
             (centers[None, :] > lo) & (centers[None, :] <= hi),
-            np.abs(b[:, None] - centers[None, :]) ** (p - 1),
+            ipow(np.abs(b[:, None] - centers[None, :]), p - 1),
             0.0,
         )
         cums = np.concatenate([np.zeros((1, grid.cells)), np.cumsum(contrib, axis=0)])
@@ -370,7 +370,7 @@ def two_search_local_time(path, hierarchy, p, grid, checkpoints):
             runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
             owner = np.repeat(np.arange(j0, j1), runs)
             cell = first[owner] + (np.arange(start, end) - offsets[owner])
-            return cell, np.abs(b[owner] - centers[cell]) ** (p - 1)
+            return cell, ipow(np.abs(b[owner] - centers[cell]), p - 1)
 
         out[i] = localtime._running_sums(grid.cells, offsets[left_endpoint_counts(lev, cps)], pairs)
     return out
@@ -466,7 +466,7 @@ def test_berman_ratio_bins_the_path_once(rough_path):
 @given(integer_walks(), st.sampled_from([2, 4]), st.sampled_from([2, 3, 1 << 16]))
 def test_binned_densities_are_bit_identical_to_prefix_sums(walk, p, block):
     path, grid, checkpoints = walk
-    w_var = np.abs(np.diff(path.values)) ** p
+    w_var = ipow(np.abs(np.diff(path.values)), p)
     w_time = np.full(path.n_samples - 1, path.dt)
     w_hurst = path.times[1:] ** 0.5 - path.times[:-1] ** 0.5
     with mock.patch.object(localtime, "_BLOCK_PAIRS", block):
@@ -491,3 +491,53 @@ def test_field_working_set_is_bounded_for_full_range_zigzag():
     for gi in (1, 128, 254):
         curves = discrete_local_time_curves(path, hier, 4, float(grid.centers[gi]), [0.5, 1.0])
         np.testing.assert_allclose(field.per_level[:, :, gi], curves, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.7, 3.0, 1e-3])
+def test_weighted_density_times_are_path_times_bit_for_bit(T):
+    # each chunk's times come from np.linspace's formula, k * (T / N) + 0.0
+    # with the last time T, and not from path.times; two chunks and the
+    # last one's end are checked against the prefix sums over path.times
+    path = generate(PathSpec(kind="bm", T=T, n_max=16, seed=4))
+    grid = SpaceGrid.cover([path], 32)
+    checkpoints = [T / 3, T]
+    w_hurst = path.times[1:] ** 0.6 - path.times[:-1] ** 0.6
+    weighted = weighted_occupation_local_time(path, 0.3, grid, checkpoints).values
+    assert weighted.tobytes() == prefix_density(path, grid, w_hurst, checkpoints, grid.cellwidth).tobytes()
+
+
+def _searched_cells(grid, x):
+    return np.clip(np.searchsorted(grid.edges, np.asarray(x, dtype=float), side="right") - 1, 0, grid.cells - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-1e12, 1e12),
+    st.floats(1e-9, 1e6),
+    st.integers(1, 5000),
+    st.lists(st.floats(-1.5, 2.5), min_size=1, max_size=20),
+)
+def test_cell_index_is_the_clipped_edge_search(lo, width, cells, fracs):
+    # the arithmetic estimate, moved at most one cell by the edges, gives
+    # searchsorted's cell for every edge, one ulp on either side of it, and
+    # values inside and outside the grid; grids too fine for their offset
+    # take the search itself
+    hi = lo + width
+    assume(lo < hi)
+    grid = SpaceGrid(lo, hi, cells)
+    e = grid.edges
+    x = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), lo + width * np.array(fracs),
+                        [-np.inf, np.inf, np.nan]])
+    assert grid.cell_index(x).tobytes() == _searched_cells(grid, x).tobytes()
+    assert int(grid.cell_index(x[1])) == int(_searched_cells(grid, x[1]))
+
+
+def test_cell_index_of_collapsed_edges():
+    # cells narrower than the ulp of the offset: neighbouring edges are
+    # equal, and the index is the search's
+    for lo, hi, cells in ((1e16, 1e16 + 8.0, 100), (1.0, 1.0 + 2.0**-50, 64), (-3e8, -3e8 + 1e-7, 4096)):
+        grid = SpaceGrid(lo, hi, cells)
+        e = grid.edges
+        assert np.any(np.diff(e) == 0.0)
+        x = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), np.linspace(lo, hi, 999)])
+        assert grid.cell_index(x).tobytes() == _searched_cells(grid, x).tobytes()

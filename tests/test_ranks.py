@@ -20,7 +20,7 @@ from pathwise import (
     simplified_cross_term,
     tanaka_class,
 )
-from pathwise._util import bracket_contributions, left_endpoint_counts, snap_checkpoints
+from pathwise._util import bracket_contributions, ipow, left_endpoint_counts, snap_checkpoints
 from tests.conftest import csv_rows, make_walk, traced_peak
 
 
@@ -428,21 +428,21 @@ def _per_level_decomposition(system, k, hierarchy, p, f, checkpoints):
         a_sum = np.zeros_like(Ra)
         b_terms = np.zeros_like(Xa)
         for r in range(1, p):
-            a_sum += fr[r] / fact[r] * dR**r
-            b_terms += fXa[r] / fact[r] * dX**r
+            a_sum += fr[r] / fact[r] * ipow(dR, r)
+            b_terms += fXa[r] / fact[r] * ipow(dX, r)
         c_terms = np.zeros_like(Xa)
         for ell in range(1, p - 1):
-            gl = gap**ell
+            gl = ipow(gap, ell)
             for r in range(ell, p):
-                c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * dX ** (r - ell) * gl
+                c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * ipow(dX, r - ell) * gl
         dcoef = fr[p - 1] / fact[p - 1]
         sums = {
             "A": a_sum,
             "B": np.sum(w * b_terms, axis=0),
             "C": np.sum(w * c_terms, axis=0),
-            "D": np.sum(w * gap ** (p - 1), axis=0) * dcoef,
-            "D_plus": np.sum(w * np.maximum(gap, 0.0) ** (p - 1), axis=0) * dcoef,
-            "D_minus": np.sum(w * np.maximum(-gap, 0.0) ** (p - 1), axis=0) * dcoef,
+            "D": np.sum(w * ipow(gap, p - 1), axis=0) * dcoef,
+            "D_plus": np.sum(w * ipow(np.maximum(gap, 0.0), p - 1), axis=0) * dcoef,
+            "D_minus": np.sum(w * ipow(np.maximum(-gap, 0.0), p - 1), axis=0) * dcoef,
         }
         for key, summands in sums.items():
             rows[key].append(_running_rows(summands, counts))
@@ -461,7 +461,7 @@ def _per_level_simplified(system, k, hierarchy, p, f, checkpoints):
         w = (Xa == Ra[None, :]) / nk[la][None, :]
         terms = np.zeros_like(Xa)
         for ell in range(1, p - 1):
-            terms += np.asarray(f.derivative(Xa, ell), dtype=float) / math.factorial(ell) * gap**ell
+            terms += np.asarray(f.derivative(Xa, ell), dtype=float) / math.factorial(ell) * ipow(gap, ell)
         rows.append(_running_rows(np.sum(w * terms, axis=0), left_endpoint_counts(lev, cps)))
     return np.asarray(rows)
 
@@ -473,7 +473,7 @@ def _per_level_collision(gap_values, hierarchy, p, cps):
         ga, gb = gap_values[lev[:-1]], gap_values[lev[1:]]
         counts = left_endpoint_counts(lev, cps)
         local_time.append(_running_rows(bracket_contributions(ga, gb, p, 0.0), counts))
-        ties.append(_running_rows((ga == 0.0) * gb ** (p - 1), counts))
+        ties.append(_running_rows((ga == 0.0) * ipow(gb, p - 1), counts))
     return np.asarray(local_time), np.asarray(ties)
 
 

@@ -29,6 +29,7 @@ from pathwise import (
 from pathwise import acceptance
 from pathwise._util import (
     bracket_contributions,
+    ipow,
     left_endpoint_counts,
     median,
     relative_gap,
@@ -208,7 +209,7 @@ def _per_level_measure_remainder_sum(path, level, p, measure, t):
     for loc, mass in measure.atoms:
         ind = (loc > lo) & (loc <= hi)
         if np.any(ind):
-            total += mass * float(np.sum(np.abs(b[ind] - loc) ** (p - 1)))
+            total += mass * float(np.sum(ipow(np.abs(b[ind] - loc), p - 1)))
     dens = measure.density
     if dens is not None:
         spans = np.concatenate([[-np.inf], dens.breakpoints, [np.inf]])
@@ -224,10 +225,13 @@ def _per_level_measure_remainder_sum(path, level, p, measure, t):
             mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
             half = 0.5 * (seg_hi[valid] - seg_lo[valid])
             xq = mid[:, None] + half[:, None] * nodes[None, :]
-            integ = np.abs(b[valid][:, None] - xq) ** (p - 1) * npoly.polyval(
+            integ = ipow(np.abs(b[valid][:, None] - xq), p - 1) * npoly.polyval(
                 xq - dens.centers[i], coeffs
             )
-            total += float(np.sum(half * (integ @ weights)))
+            quad = integ[:, 0] * weights[0]
+            for k in range(1, weights.size):
+                quad += integ[:, k] * weights[k]
+            total += float(np.sum(half * quad))
     return total
 
 
@@ -257,13 +261,13 @@ def _per_level_tanaka_meyer(path, hier, p, a, t):
     lhs, rhs = [], []
     for lev in hier.levels:
         change = float(
-            max(_per_level_end(path, lev, t) - a, 0.0) ** (p - 1) - max(path.values[0] - a, 0.0) ** (p - 1)
+            ipow(max(_per_level_end(path, lev, t) - a, 0.0), p - 1) - ipow(max(path.values[0] - a, 0.0), p - 1)
         )
         sa, sb = _per_level_intervals(path, lev, t)
         tm = lt = 0.0
         if sa.size:
             w = (sa > a).astype(float)
-            tm = float(np.sum(w * ((sb - a) ** (p - 1) - (sa - a) ** (p - 1))))
+            tm = float(np.sum(w * (ipow(sb - a, p - 1) - ipow(sa - a, p - 1))))
             lt = float(np.sum(bracket_contributions(sa, sb, p, a)))
         lhs.append(change - tm)
         rhs.append(lt)
@@ -274,7 +278,7 @@ def _per_level_ito(path, hier, p, f, t):
     rhs = []
     for lev in hier.levels:
         a, b = _per_level_intervals(path, lev, t)
-        pv_term = float(np.sum(f.derivative(a, p) * np.abs(b - a) ** p)) / math.factorial(p)
+        pv_term = float(np.sum(f.derivative(a, p) * ipow(np.abs(b - a), p))) / math.factorial(p)
         rhs.append(_per_level_follmer_sum(path, lev, p, f, t) + pv_term)
     return rhs
 
@@ -392,29 +396,29 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
 
         r = rows["nonneg"]
         r["lhs"].append(np.sum(dLA))
-        r["rhs"].append(np.sum((Aa == 0.0) * Ab ** (p - 1)))
-        r["d1"].append(np.sum((Aa <= osc_a) * Ab ** (p - 1)))
+        r["rhs"].append(np.sum((Aa == 0.0) * ipow(Ab, p - 1)))
+        r["d1"].append(np.sum((Aa <= osc_a) * ipow(Ab, p - 1)))
         r["d2"].append(np.sum(bracket_contributions(Aa, Ab, p, osc_a)))
         r["d3"].append(osc_a)
 
         r = rows["pos_part"]
         r["lhs"].append(np.sum(dLX))
         r["rhs"].append(np.sum(_tm_proxy_increments(Xpa, Xpb, p)))
-        r["d1"].append(np.sum((Xa == 0.0) * Xpb ** (p - 1)))
-        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xpb ** (p - 1)))
+        r["d1"].append(np.sum((Xa == 0.0) * ipow(Xpb, p - 1)))
+        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * ipow(Xpb, p - 1)))
         r["d3"].append(osc_x)
 
         r = rows["neg_part"]
         r["lhs"].append(np.sum(dLX))
         r["rhs"].append(np.sum(_tm_proxy_increments(Xma, Xmb, p)))
-        r["d1"].append(np.sum((Xa == 0.0) * Xmb ** (p - 1)))
-        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * Xmb ** (p - 1)))
+        r["d1"].append(np.sum((Xa == 0.0) * ipow(Xmb, p - 1)))
+        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * ipow(Xmb, p - 1)))
         r["d3"].append(osc_x)
 
         r = rows["zero_set"]
-        r["lhs"].append(np.sum((Xa == 0.0) * Xb ** (p - 1)))
+        r["lhs"].append(np.sum((Xa == 0.0) * ipow(Xb, p - 1)))
         r["rhs"].append(0.0)
-        r["d1"].append(np.sum((np.abs(Xa) <= osc_x) * Xb ** (p - 1)))
+        r["d1"].append(np.sum((np.abs(Xa) <= osc_x) * ipow(Xb, p - 1)))
         r["d2"].append(0.0)
         r["d3"].append(osc_x)
 
@@ -423,7 +427,7 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
 
         r = rows["max"]
         r["lhs"].append(np.sum(dLM))
-        collision = np.maximum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
+        collision = ipow(np.maximum(Xpb, np.maximum(Yb, 0.0)), p - 1)
         r["rhs"].append(
             np.sum((Ya < 0.0) * dLX) + np.sum((Xa < 0.0) * dLY) + np.sum(tie_both * collision)
         )
@@ -433,7 +437,7 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
 
         r = rows["min"]
         r["lhs"].append(np.sum(dLm))
-        collision_min = np.minimum(Xpb, np.maximum(Yb, 0.0)) ** (p - 1)
+        collision_min = ipow(np.minimum(Xpb, np.maximum(Yb, 0.0)), p - 1)
         r["rhs"].append(
             np.sum((Ya > 0.0) * dLX) + np.sum((Xa > 0.0) * dLY) + np.sum(tie_both * collision_min)
         )

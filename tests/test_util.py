@@ -42,7 +42,7 @@ from pathwise import (
     write_path_csv,
 )
 from pathwise import _util
-from pathwise._util import Table, _csv_value, write_csv
+from pathwise._util import Table, _csv_value, ipow, least_squares_slope, write_csv
 from pathwise.tanaka import tanaka_meyer_report
 from pathwise.acceptance import CriterionResult
 from pathwise.tanaka import finite_n_report, tanaka_meyer_report
@@ -560,15 +560,15 @@ def test_running_sums_hold_one_chunk_of_a_level(path_2_20, kind):
 def test_histograms_hold_one_chunk_of_the_path(path_2_20):
     # binned whole, each held the N cell indices and N weights per density:
     # 4.0x the path bytes, 5.0x for the weighted density and the ratio
-    # check.  Chunked, they hold the grid level's indices (1x), and the
-    # weighted density also gathers path.times (1x)
+    # check.  Chunked, they hold the grid level's indices (1x); the weighted
+    # density makes each chunk's times, where it gathered path.times (2.03x)
     path = path_2_20
     grid = SpaceGrid.cover([path], 128)
     cps = [0.25, 0.5, 0.75, 1.0]
     for fn, args, bound in (
         (occupation_density_local_time, (path, 4, grid, cps), 1.5),
         (occupation_time_density, (path, grid, cps), 1.5),
-        (weighted_occupation_local_time, (path, 0.25, grid, cps), 2.5),
+        (weighted_occupation_local_time, (path, 0.25, grid, cps), 1.5),
         (berman_ratio_check, (path, 4, grid), 1.5),
     ):
         _, peak = traced_peak(fn, *args)
@@ -668,3 +668,73 @@ def test_the_occupation_floor_reads_the_residual_scale(monkeypatch):
     assert rep.threshold == 2.0**-40 * max(1.0, abs(rep.lhs[0]), abs(rep.rhs[0]))
     monkeypatch.setattr(pathwise.tanaka, "residual_scale", lambda *m: 2.0**40)
     assert occupation_check(path, 2, constant, [grid], 1.0)[0].threshold == 1.0
+
+
+# -- integer powers and the least-squares slope -------------------------------
+
+# x**k as Python floats multiply it: square and multiply over the bits of k
+_CHAINS = {
+    0: lambda v: 1.0,
+    1: lambda v: v,
+    2: lambda v: v * v,
+    3: lambda v: (v * v) * v,
+    4: lambda v: (v * v) * (v * v),
+    5: lambda v: ((v * v) * (v * v)) * v,
+    6: lambda v: ((v * v) * v) * ((v * v) * v),
+    7: lambda v: (((v * v) * v) * ((v * v) * v)) * v,
+    8: lambda v: ((v * v) * (v * v)) * ((v * v) * (v * v)),
+}
+
+_POWER_BASES = np.array([0.0, -0.0, 1.0, -1.0, 0.3, -0.7, 1.5, -2.5, 1e-310, -5e-324, 2.2e-308, 1e300, -1e300,
+                         1.7e38, -3e77, 7e-100, math.inf, -math.inf])
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_ipow_is_the_multiplication_chain(k):
+    # signed, subnormal and huge bases, whose chains underflow or overflow
+    rng = np.random.default_rng(k)
+    x = np.concatenate([_POWER_BASES, rng.standard_normal(200) * 10.0 ** rng.integers(-60, 60, 200)])
+    want = np.array([_CHAINS[k](v) for v in x.tolist()])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = ipow(x, k)
+        assert ipow(x.reshape(2, -1), k).shape == (2, x.size // 2)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    for v in x.tolist():
+        assert np.float64(ipow(v, k)).tobytes() == np.float64(_CHAINS[k](v)).tobytes()
+
+
+def test_ipow_gives_the_bytes_of_the_square_and_first_power():
+    x = np.random.default_rng(3).standard_normal(1000)
+    assert ipow(x, 1).tobytes() == (x**1).tobytes() and ipow(x, 2).tobytes() == (x**2).tobytes()
+    assert ipow(x, 0).tobytes() == (x**0).tobytes()
+    assert ipow(x, 1) is not x
+    with pytest.raises(ParameterError, match="integer power >= 0"):
+        ipow(x, -1)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_ipow_holds_no_more_than_the_power_operator(k):
+    # one result array, multiplied in place: no temporary beyond what
+    # x**k allocates (a second array would add 512 KiB; the Python objects
+    # of the loop take a few hundred bytes)
+    x = np.random.default_rng(k).standard_normal(1 << 16)
+    _, peak = traced_peak(ipow, x, k)
+    _, want = traced_peak(np.power, x, k)
+    assert peak <= want + 4096
+
+
+def test_the_closed_form_slope_matches_polyfit():
+    rng = np.random.default_rng(5)
+    for n in range(2, 40):
+        x, y = rng.standard_normal(n) * 3.0, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        want = np.polyfit(x, y, 1)[0]
+        assert abs(least_squares_slope(x, y) - want) <= 1e-12 * abs(want), n
+    # the six log cell widths of C4 against errors on a line, which every
+    # step represents exactly
+    x = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0]
+    assert least_squares_slope(x, [0.75 * v - 2.5 for v in x]) == 0.75
+    assert least_squares_slope([1.0, 2.0], [5.0, 1.0]) == -4.0
+    for bad in (([1.0], [2.0]), ([1.0, 1.0], [2.0, 3.0]), ([1.0, 2.0], [1.0]), ([math.nan, 1.0], [0.0, 1.0]),
+                ([0.0, 1.0], [-math.inf, 0.0])):
+        with pytest.raises(ParameterError, match="slope needs"):
+            least_squares_slope(*bad)
