@@ -2,13 +2,14 @@
 arithmetic, integer powers and the least-squares slope, the config field
 reader, the CSV and summary writers and heap trimming.
 
-:meth:`LevelStack.build` alone decides which intervals count at a time t;
-every per-level interval sum goes through :meth:`LevelStack.evaluate`, one
-block of consecutive levels at a time; only the :class:`LevelBlock` a
-summand function is handed knows where each level's intervals lie.  Every
-running sum read at checkpoints goes through
-:meth:`LevelStack.running_sums`, one block or one chunk of a large level at
-a time.
+:meth:`LevelStack.build` alone decides which intervals count at a time t,
+and one iterator, ``LevelStack._pieces``, gathers them: a block of
+consecutive levels, or a node of numpy's pairwise-summation tree over a
+large level.  Summand functions see the values at the ends of a piece's
+intervals and return one entry per interval.  Two reductions run on the
+pieces, one level at a time, with the bytes of one pass over a whole level
+for any block size: :meth:`LevelStack.running_sums`, a cumsum read at the
+checkpoints, and :meth:`LevelStack.sums`, a whole-level ``np.sum``.
 
 Every CSV artifact goes through :func:`write_csv` as one or more
 :class:`Table` objects.  A table is a list of key axes followed by value
@@ -21,6 +22,7 @@ column in one pass, and at most ``_CHUNK_ROWS`` lines are held at a time.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import itertools
@@ -62,56 +64,47 @@ def left_endpoint_counts(level: np.ndarray, checkpoint_indices: np.ndarray) -> n
 
 
 # Most kept intervals in one block of consecutive levels; a level that
-# alone holds more is a block of its own.  Small levels share one gather,
-# and no block's arrays outgrow those of the largest level by much.  A
-# running sum (LevelStack.running_sums, the local-time field) also cuts
-# such a level into chunks of at most this many intervals, so it holds
-# one chunk of a level at a time, whatever the path.
+# alone holds more is a block of its own, cut into nodes of numpy's
+# pairwise-summation tree that hold at most this many.  So a kernel holds
+# one piece of a level at a time, whatever the path.
 _BLOCK_INTERVALS = 1 << 15
 
 
-@dataclass(frozen=True)
-class LevelBlock:
-    """Consecutive levels of a :class:`LevelStack`, as a summand function
-    sees them: ``levels`` is their slice of the stack's levels and ``kept``
-    their kept interval counts.
+def _tree(start: int, stop: int, leaf: Callable):
+    """Folds numpy's pairwise-summation tree over entries start..stop-1:
+    ``leaf((start, stop))`` is a node's value, or None to add up its
+    halves'.  ``np.add.reduce`` cuts a node of n > 128 entries of a
+    contiguous array after n/2 rounded down to a multiple of 8.  So with a
+    node's ``np.sum`` as its value, every bit is that of ``np.sum`` of the
+    whole: the +0.0 each ``np.sum`` starts from only turns -0.0 into +0.0,
+    as the whole sum's +0.0 does anyway."""
+    value = leaf((start, stop))
+    if value is None:
+        n = stop - start
+        cut = start + n // 2 - n // 2 % 8
+        value = _tree(start, cut, leaf) + _tree(cut, stop, leaf)
+    return value
 
-    The block's endpoint arrays hold each level's kept intervals in turn;
-    the pair after a level's last interval joins its last point to the
-    next level's first point and belongs to neither level.
-    """
 
-    levels: slice
-    kept: np.ndarray
+def _joined_sum(chunks: Sequence[np.ndarray]):
+    """``np.sum(np.concatenate(chunks))`` without joining them: a node of
+    its tree in one chunk is summed there, one of <= 128 entries joined."""
+    edges = np.cumsum([0] + [c.size for c in chunks]).tolist()
 
-    def slices(self, where: Optional[np.ndarray] = None) -> List[slice]:
-        """Each level's slice of the intervals, or of ``x[where]`` for a mask."""
-        starts = np.concatenate([[0], np.cumsum(self.kept + 1)[:-1]])
-        stops = starts + self.kept
-        if where is not None:
-            ranks = np.concatenate([[0], np.cumsum(where)])
-            starts, stops = ranks[starts], ranks[stops]
-        return [slice(s, e) for s, e in zip(starts.tolist(), stops.tolist())]
+    def leaf(node):
+        s, e = node
+        if e - s <= 128:
+            return np.sum(np.concatenate([c[max(s - a, 0):max(e - a, 0)] for c, a in zip(chunks, edges)]))
+        i = np.searchsorted(edges, s, side="right") - 1
+        return np.sum(chunks[i][s - edges[i]:e - edges[i]]) if e <= edges[i + 1] else None
 
-    def per_level(self, reduce: Callable, *arrays: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
-        """``reduce`` of each level's slice (first axis) of the arrays; with
-        a mask, they hold only the entries ``where`` selects."""
-        return np.array([reduce(*(x[s] for x in arrays)) for s in self.slices(where)], dtype=float)
-
-    def sums(self, x: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-level ``np.sum`` of x."""
-        return self.per_level(np.sum, x, where=where)
-
-    def spread(self, per_level: np.ndarray) -> np.ndarray:
-        """One value per level repeated over that level's intervals (the
-        joining pair after a level gets that level's value too)."""
-        return np.repeat(per_level, self.kept + 1)[:-1]
+    return _tree(0, edges[-1], leaf)
 
 
 @dataclass(frozen=True)
 class LevelStack:
     """The intervals of every level of a hierarchy credited at checkpoint
-    times, cut into blocks of consecutive levels.
+    times, cut into pieces that a kernel gathers one at a time.
 
     ``LevelStack.build(path, levels, checkpoints=None)`` is the one time
     rule: ``times`` and ``indices`` are the :func:`snap_checkpoints` of the
@@ -122,14 +115,6 @@ class LevelStack:
     left endpoint is at or before the last checkpoint are kept.  A block
     holds at most ``_BLOCK_INTERVALS`` kept intervals, or a single level
     that is larger.
-
-    :meth:`evaluate` hands summands a whole block, but every reduction runs
-    on one level's slice, so each sum adds the same numbers in the same
-    order as a loop over the levels would, whatever the block size; its
-    working set is that of one block, about the largest level.
-    :meth:`running_sums` also cuts a level larger than ``_BLOCK_INTERVALS``
-    into chunks of at most that many intervals and carries each level's sum
-    from chunk to chunk, so it holds one chunk at a time, whatever the path.
     """
 
     levels: Tuple[np.ndarray, ...]
@@ -154,67 +139,84 @@ class LevelStack:
         blocks.append((first, len(levels)))
         return cls(levels=levels, times=times, indices=indices, counts=counts, ends=ends, blocks=tuple(blocks))
 
-    def evaluate(self, summands: Callable, *values: np.ndarray):
-        """Per-level results of ``summands(block, a1, b1, a2, b2, ...)``.
-
-        ``ak`` and ``bk`` hold the k-th value array (last axis) at the left
-        and right endpoints of the block's intervals: read-only views of
-        one gather of it, offset by one point.  ``summands`` returns an
-        array with the block's levels on its first axis, or a tuple of
-        such arrays; the blocks' results are joined along that axis.
-        """
-        parts = [self._evaluate_block(summands, first, stop, values) for first, stop in self.blocks]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(joined) for joined in zip(*parts))
-        return np.concatenate(parts)
-
-    def _evaluate_block(self, summands: Callable, first: int, stop: int, values: Sequence[np.ndarray]):
-        kept = self.counts[first:stop].max(axis=1)
-        ends = self._gather([(i, 0, n) for i, n in enumerate(kept.tolist(), first)], values)
-        return summands(LevelBlock(slice(first, stop), kept), *ends)
-
     def running_sums(self, terms: Callable, *values: np.ndarray):
         """Running sums of ``terms(a1, b1, a2, b2, ...)`` along each level,
         read at every checkpoint: shaped ``(levels, checkpoints)``, or a
         tuple of such arrays.
 
-        ``ak`` and ``bk`` are as for :meth:`evaluate`, over one piece of
-        :meth:`_pieces` at a time.  ``terms`` returns one entry per interval:
-        an array, or a tuple or other iterable of arrays (a generator lets
-        each be summed and freed before the next is made).  Each level's
-        entries are cumsummed and read at its counts.  A chunk's cumsum
-        starts from the sum carried from the chunk before, placed as its
-        first element; ``np.cumsum`` adds in order, so every bit is that of
-        one cumsum over the whole level (a first chunk starts from its first
-        term, so a leading -0.0 stays -0.0).
+        ``terms`` is called as for :meth:`sums`, without masked terms.  A
+        piece's cumsum starts from the sum carried from the piece before,
+        placed as its first element; ``np.cumsum`` adds in order, so every
+        bit is that of one cumsum over the whole level (a first piece starts
+        from its first term, so a leading -0.0 stays -0.0).
         """
-        outs, carry = [], {}
+        outs, carry, single = collections.defaultdict(lambda: np.empty(self.counts.shape)), {}, False
+        for single, k, (i, start, _), x, _ in self._level_terms(terms, values):
+            carry[k] = _read_cumsums(outs[k][i], self.counts[i], x, start, carry.get(k))
+        return outs[0] if single else tuple(outs.values())
+
+    def sums(self, terms: Callable, *values: np.ndarray):
+        """``np.sum`` of every term of ``terms(a1, b1, a2, b2, ...)`` over
+        each level's kept intervals: shaped ``(levels,)``, or a tuple.
+
+        ``ak`` and ``bk`` hold the k-th value array (last axis) at the left
+        and right ends of the intervals of one piece: read-only views of one
+        gather of it, offset by one point.  ``terms`` returns a term, or an
+        iterable of them (a generator frees each before making the next): an
+        array with one entry per interval, or ``(x[mask], mask)``.  A cut
+        level adds its node sums up :func:`_tree`; a masked term keeps its
+        entries until the level's last piece (:func:`_joined_sum`).
+        """
+        outs, cut, single = collections.defaultdict(lambda: np.empty(len(self.levels))), {}, False
+        kept = self.counts[:, -1].tolist()
+        for single, k, (i, start, stop), x, masked in self._level_terms(terms, values):
+            if start == 0 and stop == kept[i]:
+                outs[k][i] = np.sum(x)
+            else:  # a cut level, a block of its own
+                cut.setdefault(k, {})[start, stop] = x if masked else np.sum(x)
+                if stop == kept[i]:
+                    outs[k][i] = _joined_sum(list(cut.pop(k).values())) if masked else _tree(0, stop, cut.pop(k).get)
+        return outs[0] if single else tuple(outs.values())
+
+    def spread(self, per_level: np.ndarray) -> Iterable[np.ndarray]:
+        """Per piece, in order: each level's value (last axis of
+        ``per_level``) over its intervals there and the pair after them."""
         for piece in self._pieces():
-            sums = terms(*self._gather(piece, values))
-            single = isinstance(sums, np.ndarray)
-            for k, x in enumerate([sums] if single else sums):
-                if k == len(outs):
-                    outs.append(np.empty(self.counts.shape))
-                pos = 0
-                for i, start, stop in piece:
-                    terms_i = x[pos : pos + stop - start]
-                    carry[k] = _read_cumsums(outs[k][i], self.counts[i], terms_i, start, carry.get(k))
-                    pos += stop - start + 1
-        return outs[0] if single else tuple(outs)
+            spans = [stop - start + 1 for _, start, stop in piece]
+            yield np.repeat(per_level[..., [i for i, _, _ in piece]], spans, axis=-1)[..., :-1]
+
+    def _level_terms(self, terms: Callable, values: Sequence[np.ndarray]):
+        """``(single, k, (i, start, stop), x, masked)`` per level of each
+        piece and term: x holds the k-th term's entries (or selected ones)
+        for intervals start..stop-1 of level i; ``single``, whether
+        ``terms`` returned one array."""
+        for piece in self._pieces():
+            result = terms(*self._gather(piece, values))
+            single = isinstance(result, np.ndarray)
+            sizes = np.array([stop - start for _, start, stop in piece])
+            # each level's first interval, past the pairs that join levels
+            first = np.cumsum(sizes + 1) - sizes - 1
+            for k, term in enumerate([result] if single else result):
+                masked = isinstance(term, tuple)
+                lo, hi = first, first + sizes
+                if masked:
+                    ranks = np.concatenate([[0], np.cumsum(term[1])])
+                    term, lo, hi = term[0], ranks[lo], ranks[hi]
+                for entry, s, e in zip(piece, lo.tolist(), hi.tolist()):
+                    yield single, k, entry, term[s:e], masked
 
     def _pieces(self) -> Iterable[List[Tuple[int, int, int]]]:
-        """What a running sum gathers at a time, in level order: lists of
+        """What a kernel gathers at a time, in level order: lists of
         ``(level, start, stop)``, the level's kept intervals start..stop-1.
-        A block of levels is one piece; a level with more than
-        ``_BLOCK_INTERVALS`` kept intervals, a block of its own, is cut into
-        consecutive chunks of at most that many, one piece each."""
+        A block of levels is one piece; a larger level is cut into nodes of
+        :func:`_tree` of at most ``_BLOCK_INTERVALS`` (or 128) intervals."""
         for first, stop in self.blocks:
-            kept = self.counts[first:stop].max(axis=1).tolist()
-            if kept[0] <= _BLOCK_INTERVALS:
+            kept = self.counts[first:stop, -1].tolist()
+            if len(kept) > 1:
                 yield [(i, 0, n) for i, n in enumerate(kept, first)]
             else:
-                for s in range(0, kept[0], _BLOCK_INTERVALS):
-                    yield [(first, s, min(s + _BLOCK_INTERVALS, kept[0]))]
+                size = max(_BLOCK_INTERVALS, 128)
+                yield from _tree(0, kept[0], lambda node: [[(first, *node)]] if node[1] - node[0] <= size else None)
 
     def _gather(self, piece: Sequence[Tuple[int, int, int]], values: Sequence[np.ndarray]) -> list:
         """``a1, b1, a2, b2, ...`` over the piece's intervals, in turn: each
@@ -236,7 +238,7 @@ class LevelStack:
 def _read_cumsums(out: np.ndarray, counts: np.ndarray, x: np.ndarray, start: int, carry) -> float:
     """Set ``out[j]`` to the sum of a level's first ``counts[j]`` terms for
     every count in ``start..start + x.size``, given its terms
-    ``start..start + x.size - 1`` in x and, past the first chunk, the sum
+    ``start..start + x.size - 1`` in x and, past the first piece, the sum
     ``carry`` of those before; returns the sum through the last term."""
     cums = np.empty(x.size + 1)
     if start:

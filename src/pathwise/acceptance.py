@@ -434,8 +434,8 @@ def _c8_task(args):
     X = _fbm(0.5, sx, n_max, T)
     Y = _fbm(0.5, sy, n_max, T)
     stack = LevelStack.build(X, _finest_level(X, level).levels)
-    (lhs,), (rhs,) = stack.evaluate(lambda blk, *ends: _min_plus_max(blk, *ends, 2)[-2:], X.values, Y.values)
-    return float(lhs), float(rhs)
+    (lx,), (ly,), (lmax,), (lmin,) = stack.sums(lambda *ends: _min_plus_max(*ends, 2), X.values, Y.values)
+    return float(lmax + lmin), float(lx + ly)
 
 
 def criterion_08(cfg: dict):

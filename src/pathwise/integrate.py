@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import LevelBlock, LevelStack, Table, bracket_contributions, check_level, even_order, ipow, unique_sorted
+from ._util import LevelStack, Table, bracket_contributions, check_level, even_order, ipow, unique_sorted
 from .errors import CoverageError, ParameterError
 from .localtime import SpaceGrid, _grid_level, occupation_density_local_time
 from .paths import SampledPath
@@ -301,13 +301,13 @@ def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[fl
 # -- compensated Riemann sums ------------------------------------------
 
 
-def _interval_sums(path: SampledPath, levels: Sequence[np.ndarray], t: float, summands: Callable, *args):
-    """Per-level results of ``summands(block, a, b, *args)`` over the
-    intervals credited at t, a and b the path values at their endpoints."""
-    return LevelStack.build(path, levels, [t]).evaluate(lambda blk, a, b: summands(blk, a, b, *args), path.values)
+def _interval_sums(path: SampledPath, levels: Sequence[np.ndarray], t: float, terms: Callable, *args):
+    """Per-level sums of ``terms(a, b, *args)`` over the intervals credited
+    at t, a and b the path values at their ends (:meth:`LevelStack.sums`)."""
+    return LevelStack.build(path, levels, [t]).sums(lambda a, b: terms(a, b, *args), path.values)
 
 
-def _follmer_sums(blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
+def _follmer_sums(a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
     d = b - a
     acc = np.zeros_like(a)
     power = d.copy()
@@ -316,7 +316,7 @@ def _follmer_sums(blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, f) -> n
         fact *= k
         acc += f.derivative(a, k) * power / fact
         power = power * d
-    return blk.sums(acc)
+    return acc
 
 
 def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> float:
@@ -330,9 +330,7 @@ def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> fl
     return float(_interval_sums(path, (level,), t, _follmer_sums, p, f)[0])
 
 
-def _tanaka_meyer_sums(
-    blk: LevelBlock, sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str
-) -> np.ndarray:
+def _tanaka_meyer_sums(sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str) -> np.ndarray:
     check_level(a_level)
     if variant == "plus":
         w = (sa > a_level).astype(float)
@@ -344,7 +342,7 @@ def _tanaka_meyer_sums(
         raise ParameterError(f"variant must be plus|minus|sign, got {variant!r}")
     da = ipow(sa - a_level, p - 1)
     db = ipow(sb - a_level, p - 1)
-    return blk.sums(w * (db - da))
+    return w * (db - da)
 
 
 def tanaka_meyer_sum(path: SampledPath, level: np.ndarray, p: int, a_level: float, variant: str, t: float) -> float:
@@ -358,16 +356,12 @@ def tanaka_meyer_sum(path: SampledPath, level: np.ndarray, p: int, a_level: floa
     return float(_interval_sums(path, (level,), t, _tanaka_meyer_sums, p, a_level, variant)[0])
 
 
-def _local_time_sums(blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray:
-    return blk.sums(bracket_contributions(a, b, p, x))
-
-
 def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: float, t: float) -> float:
     """Order-p discrete local time at the exact location x for one level:
     ``sum 1_(min,max](x) |S_{t_{j+1}} - x|**(p-1)`` over intervals with
     t_j <= t (the half-open bracket never fires on ties)."""
     p = even_order(p)
-    return float(_interval_sums(path, (level,), t, _local_time_sums, p, x)[0])
+    return float(_interval_sums(path, (level,), t, bracket_contributions, p, x)[0])
 
 
 @lru_cache(maxsize=64)
@@ -379,19 +373,17 @@ def _gauss_legendre(n: int):
     return leggauss(n)
 
 
-def _measure_remainder_sums(
-    blk: LevelBlock, a: np.ndarray, b: np.ndarray, p: int, measure: StieltjesMeasure
-) -> np.ndarray:
+def _measure_remainder_sums(a: np.ndarray, b: np.ndarray, p: int, measure: StieltjesMeasure):
+    """The remainder's masked terms, one by one: per atom, |b - loc|**(p-1)
+    where the bracket holds it; per density piece, its exact quadrature."""
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    total = np.zeros(len(blk.kept))
     for loc, mass in measure.atoms:
         ind = (loc > lo) & (loc <= hi)
-        total += mass * blk.sums(ipow(np.abs(b[ind] - loc), p - 1), where=ind)
+        yield ipow(np.abs(b[ind] - loc), p - 1), ind
     dens = measure.density
     if dens is not None:
-        bps = dens.breakpoints
-        spans = np.concatenate([[-np.inf], bps, [np.inf]])
+        spans = np.concatenate([[-np.inf], dens.breakpoints, [np.inf]])
         for i, coeffs in enumerate(dens.pieces):
             if not np.any(coeffs):
                 continue
@@ -402,15 +394,21 @@ def _measure_remainder_sums(
             nodes, weights = _gauss_legendre(deg // 2 + 1)
             mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
             half = 0.5 * (seg_hi[valid] - seg_lo[valid])
-            xq = mid[:, None] + half[:, None] * nodes[None, :]
-            integ = ipow(np.abs(b[valid][:, None] - xq), p - 1) * _polyval(xq - dens.centers[i], coeffs)
+            bv = b[valid]
             # each interval's rule summed node by node, in one fixed order
             # on every CPU, where a BLAS product's order depends on its kernel
-            quad = integ[:, 0] * weights[0]
-            for k in range(1, weights.size):
-                quad += integ[:, k] * weights[k]
-            total += blk.per_level(lambda h, q: np.sum(h * q), half, quad, where=valid)
-    return total
+            for k, (node, weight) in enumerate(zip(nodes.tolist(), weights.tolist())):
+                xq = mid + half * node
+                integ = ipow(np.abs(bv - xq), p - 1) * _polyval(xq - dens.centers[i], coeffs) * weight
+                quad = integ if k == 0 else quad + integ
+            yield half * quad, valid
+
+
+def _remainder(sums: Sequence[np.ndarray], measure: StieltjesMeasure, levels: int) -> np.ndarray:
+    """Per level, the sums of :func:`_measure_remainder_sums`' terms added to
+    zeros in turn, each atom's times its mass (a density's times 1.0)."""
+    masses = [mass for _, mass in measure.atoms] + [1.0] * len(sums)
+    return sum((m * s for m, s in zip(masses, sums)), np.zeros(levels))
 
 
 def measure_remainder_sum(path: SampledPath, level: np.ndarray, p: int, measure: StieltjesMeasure, t: float) -> float:
@@ -423,7 +421,7 @@ def measure_remainder_sum(path: SampledPath, level: np.ndarray, p: int, measure:
     exact for the polynomial integrands that arise here.
     """
     p = even_order(p)
-    return float(_interval_sums(path, (level,), t, _measure_remainder_sums, p, measure)[0])
+    return float(_remainder(_interval_sums(path, (level,), t, _measure_remainder_sums, p, measure), measure, 1)[0])
 
 
 def stieltjes_pairing(
@@ -656,6 +654,8 @@ def modified_follmer_integral(
     a piecewise-constant density admits).
     """
     p = even_order(p)
+    if len(m_schedule) == 0:
+        raise ParameterError("m_schedule needs at least one mollification order")
     measure = f.stieltjes_measure(p - 1)
     # the grid must cover the measure atoms as well; local time is zero
     # outside the path range, so the extra cells only pin the pairing

@@ -247,8 +247,8 @@ def discrete_local_time(
     it); since that rank is monotone in the value, an interval's run goes
     from the smaller to the larger rank of its endpoints, and no level
     searches the grid again.  A level is swept in the chunks of
-    :meth:`LevelStack.running_sums`, at most ``_BLOCK_INTERVALS``
-    intervals each, into one per-cell accumulator carried from chunk to
+    ``LevelStack._pieces``, at most ``_BLOCK_INTERVALS`` intervals
+    each, into one per-cell accumulator carried from chunk to
     chunk, and a chunk's pairs are expanded in blocks of at most
     ``_BLOCK_PAIRS``.  So memory is the output field, the ranks (one entry
     per sample), four arrays of one entry per interval of the chunk being
@@ -312,7 +312,7 @@ def _binned_sums(path: SampledPath, grid: SpaceGrid, stack: LevelStack, weights:
 
     ``weights(start, stop)`` returns a tuple of weight arrays for the
     intervals start..stop-1.  The level is binned in the chunks of
-    :meth:`LevelStack.running_sums`, each cell's sum carried from chunk to
+    ``LevelStack._pieces``, each cell's sum carried from chunk to
     chunk and added to in interval order, so memory is one chunk's cells
     and weights, whatever the path, and every bit is that of one pass over
     the whole level.

@@ -79,10 +79,6 @@ class PartitionHierarchy:
     def finest(self) -> np.ndarray:
         return self.levels[-1]
 
-    @property
-    def finest_label(self) -> int:
-        return self.level_labels[-1]
-
 
 def _check_nested(levels: Sequence[np.ndarray]) -> bool:
     """Whether every level's points are points of the next: one boolean

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._util import LevelStack, Table, bracket_contributions, even_order, ipow
 from .errors import ParameterError
-from .integrate import TestFunction, _local_time_sums
+from .integrate import TestFunction
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
 from .tanaka import IdentityReport, _exact_gate, _report
@@ -165,12 +165,9 @@ def rank_sum_identity(
     p = even_order(p)
     stack = LevelStack.build(system.paths[0], hierarchy.levels)
 
-    def summed_local_times(rows):
-        # one path at a time, so one row of a block is gathered at a time
-        return sum(stack.evaluate(lambda blk, a, b: _local_time_sums(blk, a, b, p, x), row) for row in rows)
-
-    lhs = summed_local_times(system.ranked)
-    rhs = summed_local_times(system.values)
+    # summed one path at a time, so one row of a piece is gathered at a time
+    lhs, rhs = (sum(stack.sums(lambda a, b: bracket_contributions(a, b, p, x), row) for row in rows)
+                for rows in (system.ranked, system.values))
     return _report(f"rank local-time sum at x={x}", hierarchy.level_labels, lhs, rhs)
 
 

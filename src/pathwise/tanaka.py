@@ -28,17 +28,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._util import (LevelBlock, LevelStack, Table, check_level, even_order, ipow, relative_residual, residual_scale,
-                    unique_sorted)
+from ._util import (LevelStack, Table, bracket_contributions, check_level, even_order, ipow, relative_residual,
+                    residual_scale, unique_sorted)
 from .errors import ParameterError
-from .integrate import (
-    SmoothCallable,
-    TestFunction,
-    _follmer_sums,
-    _local_time_sums,
-    _measure_remainder_sums,
-    _tanaka_meyer_sums,
-)
+from .integrate import (SmoothCallable, TestFunction, _follmer_sums, _measure_remainder_sums, _remainder,
+                        _tanaka_meyer_sums)
 from .localtime import SpaceGrid, _binned_sums, _grid_level
 from .partitions import PartitionHierarchy, oscillation
 from .paths import SampledPath
@@ -130,7 +124,7 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
 
     The smoothness guard and the Stieltjes measure d f^(p-1) are per
     (path, f), the change f(S_u) - f(S_0) is taken where each level's sums
-    end, and the summands of both sums are evaluated once per block.
+    end, and the terms of both sums are evaluated once per piece.
     """
     if f.smoothness is not None and f.smoothness < p - 2:
         raise ParameterError(
@@ -138,13 +132,14 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
         )
     measure = f.stieltjes_measure(p - 1)
 
-    def sides(blk, a, b):
-        return _follmer_sums(blk, a, b, p, f), _measure_remainder_sums(blk, a, b, p, measure)
+    def terms(a, b):
+        yield _follmer_sums(a, b, p, f)
+        yield from _measure_remainder_sums(a, b, p, measure)
 
     stack = LevelStack.build(path, levels, [t])
-    comp, remainder = stack.evaluate(sides, path.values)
+    comp, *remainder = stack.sums(terms, path.values)
     change = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
-    return change - comp, remainder / math.factorial(p - 1)
+    return change - comp, _remainder(remainder, measure, len(levels)) / math.factorial(p - 1)
 
 
 def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunction, t: float) -> float:
@@ -175,11 +170,11 @@ def tanaka_meyer_report(
     exact away from on-grid ties with the level a."""
     p = even_order(p)
 
-    def sides(blk, sa, sb):
-        return _tanaka_meyer_sums(blk, sa, sb, p, a, "plus"), _local_time_sums(blk, sa, sb, p, a)
+    def terms(sa, sb):
+        return _tanaka_meyer_sums(sa, sb, p, a, "plus"), bracket_contributions(sa, sb, p, a)
 
     stack = LevelStack.build(path, hierarchy.levels, [t])
-    comp, rhs = stack.evaluate(sides, path.values)
+    comp, rhs = stack.sums(terms, path.values)
     # f(S_u) - f(S_0) for f = ((x - a)^+)^(p-1), u where each level's sums end
     start = ipow(max(path.values[0] - a, 0.0), p - 1)
     change = np.array([ipow(max(s - a, 0.0), p - 1) - start for s in path.values[stack.ends[:, 0]]])
@@ -196,11 +191,11 @@ def ito_residual(
     if getattr(f, "smoothness", None) is not None and f.smoothness < p:
         raise ParameterError(f"need continuous derivatives through order {p}")
 
-    def terms(blk, a, b):
-        return _follmer_sums(blk, a, b, p, f), blk.sums(f.derivative(a, p) * ipow(np.abs(b - a), p))
+    def terms(a, b):
+        return _follmer_sums(a, b, p, f), f.derivative(a, p) * ipow(np.abs(b - a), p)
 
     stack = LevelStack.build(path, hierarchy.levels, [t])
-    comp, pv = stack.evaluate(terms, path.values)
+    comp, pv = stack.sums(terms, path.values)
     lhs = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return _report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
 
@@ -217,26 +212,23 @@ def _tm_proxy_increments(a: np.ndarray, b: np.ndarray, p: int, x: float = 0.0) -
     return (pos_b - pos_a) - (a > x) * (raw_b - raw_a)
 
 
-def _min_plus_max(blk: LevelBlock, Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray, p: int):
-    """Identity (7) of :func:`identity_suite` on a block of levels, from
-    the values of X and Y at the ends of its intervals.
-
-    Returns the proxy increments of X, Y, max(X, Y) and min(X, Y), then
-    both sides per level: sum dL(max) + sum dL(min) against sum dL(X) +
-    sum dL(Y).
-    """
+def _min_plus_max(Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray, p: int):
+    """The terms of identity (7) of :func:`identity_suite`, from the values
+    of X and Y at the ends of the intervals: the proxy increments dL of X,
+    Y, max(X, Y) and min(X, Y).  Its sides are sum dL(max) + sum dL(min)
+    and sum dL(X) + sum dL(Y)."""
     dLX = _tm_proxy_increments(Xa, Xb, p)
     dLY = _tm_proxy_increments(Ya, Yb, p)
     dLM = _tm_proxy_increments(np.maximum(Xa, Ya), np.maximum(Xb, Yb), p)
     dLm = _tm_proxy_increments(np.minimum(Xa, Ya), np.minimum(Xb, Yb), p)
-    return dLX, dLY, dLM, dLm, blk.sums(dLM) + blk.sums(dLm), blk.sums(dLX) + blk.sums(dLY)
+    return dLX, dLY, dLM, dLm
 
 
-def _part_sums(blk: LevelBlock, part_a: np.ndarray, part_b: np.ndarray, p: int, tie, band):
-    """Per level: the local-time proxy at 0 of a part of X (or of |X|), its
-    exact-tie sum and its band tie sum."""
+def _part_sums(part_a: np.ndarray, part_b: np.ndarray, p: int, tie, band):
+    """The terms of the local-time proxy at 0 of a part of X (or of |X|),
+    of its exact-tie sum and of its band tie sum."""
     power = ipow(part_b, p - 1)
-    return blk.sums(_tm_proxy_increments(part_a, part_b, p)), blk.sums(tie * power), blk.sums(band * power)
+    return _tm_proxy_increments(part_a, part_b, p), tie * power, band * power
 
 
 def identity_suite(
@@ -260,42 +252,51 @@ def identity_suite(
         [[oscillation(path, lev) for lev in hierarchy.levels] for path in (X, Y, abs_path)]
     )
     osc_xy = np.maximum(osc_x, osc_y)
+    stack = LevelStack.build(X, hierarchy.levels)
+    bands = stack.spread(np.array([osc_x, osc_y, osc_a]))
 
-    def per_block(blk, Xa, Xb, Ya, Yb):
-        """Rows (lhs, rhs, d1, d2) of identities (1)-(7), per level."""
-        zero = np.zeros(len(blk.kept))
+    def terms(Xa, Xb, Ya, Yb):
+        """The terms of identities (1)-(7), one by one."""
+        width_x, width_y, band_a = next(bands)
         tie_x = Xa == 0.0
-        band_x = np.abs(Xa) <= blk.spread(osc_x[blk.levels])
+        band_x = np.abs(Xa) <= width_x
         tie_both = tie_x & (Ya == 0.0)
-        band_both = band_x & (np.abs(Ya) <= blk.spread(osc_y[blk.levels]))
-        dLX, dLY, dLM, dLm, minmax_lhs, minmax_rhs = _min_plus_max(blk, Xa, Xb, Ya, Yb, p)
-        lx = blk.sums(dLX)
+        band_both = band_x & (np.abs(Ya) <= width_y)
+        dLX, dLY, dLM, dLm = _min_plus_max(Xa, Xb, Ya, Yb, p)
+        yield from (dLX, dLY, dLM, dLm)
         # (1) nonnegative path: local time at 0 equals the exact-tie sum (|X|
         # is 0 where X is), with the local time at the band level
         Aa, Ab = np.abs(Xa), np.abs(Xb)
-        band_a = blk.spread(osc_a[blk.levels])
-        rows = [(*_part_sums(blk, Aa, Ab, p, tie_x, Aa <= band_a), _local_time_sums(blk, Aa, Ab, p, band_a))]
+        yield from _part_sums(Aa, Ab, p, tie_x, Aa <= band_a)
+        yield bracket_contributions(Aa, Ab, p, band_a)
         # (2) positive part shares the local time at 0
-        rows.append((lx, *_part_sums(blk, np.maximum(Xa, 0.0), np.maximum(Xb, 0.0), p, tie_x, band_x)))
+        yield from _part_sums(np.maximum(Xa, 0.0), np.maximum(Xb, 0.0), p, tie_x, band_x)
         # (3) negative-part twin
-        rows.append((lx, *_part_sums(blk, np.maximum(-Xa, 0.0), np.maximum(-Xb, 0.0), p, tie_x, band_x)))
+        yield from _part_sums(np.maximum(-Xa, 0.0), np.maximum(-Xb, 0.0), p, tie_x, band_x)
         # (4) signed-power sum over the zero set vanishes in the limit
         power = ipow(Xb, p - 1)
-        rows.append((blk.sums(tie_x * power), zero, blk.sums(band_x * power), zero))
+        yield from (tie_x * power, band_x * power)
         Xpb, Ypb = np.maximum(Xb, 0.0), np.maximum(Yb, 0.0)
         # (5) local time of the maximum
         collision = ipow(np.maximum(Xpb, Ypb), p - 1)
-        rhs = blk.sums((Ya < 0.0) * dLX) + blk.sums((Xa < 0.0) * dLY) + blk.sums(tie_both * collision)
-        rows.append((blk.sums(dLM), rhs, blk.sums(band_both * collision), zero))
+        yield from ((Ya < 0.0) * dLX, (Xa < 0.0) * dLY, tie_both * collision, band_both * collision)
         # (6) local time of the minimum
         collision = ipow(np.minimum(Xpb, Ypb), p - 1)
-        rhs = blk.sums((Ya > 0.0) * dLX) + blk.sums((Xa > 0.0) * dLY) + blk.sums(tie_both * collision)
-        rows.append((blk.sums(dLm), rhs, blk.sums(band_both * collision), zero))
-        # (7) min + max local times add up
-        rows.append((minmax_lhs, minmax_rhs, zero, zero))
-        return np.array(rows).T
+        yield from ((Ya > 0.0) * dLX, (Xa > 0.0) * dLY, tie_both * collision, band_both * collision)
 
-    lhs, rhs, d1, d2 = LevelStack.build(X, hierarchy.levels).evaluate(per_block, X.values, Y.values).transpose(1, 2, 0)
+    s = stack.sums(terms, X.values, Y.values)
+    zero = np.zeros(len(labels))
+    # rows (lhs, rhs, d1, d2) of identities (1)-(7) from the sums, in order
+    rows = [
+        s[4:8],
+        (s[0], *s[8:11]),
+        (s[0], *s[11:14]),
+        (s[14], zero, s[15], zero),
+        (s[2], s[16] + s[17] + s[18], s[19], zero),
+        (s[3], s[20] + s[21] + s[22], s[23], zero),
+        (s[2] + s[3], s[0] + s[1], zero, zero),
+    ]
+    lhs, rhs, d1, d2 = np.array(rows).transpose(1, 0, 2)
     return [
         _report("nonneg local time vs exact-tie sum (|X|)", labels, lhs[0], rhs[0],
                 {"band_tie_sum": d1[0], "lt_at_band_level": d2[0], "band_width": osc_a}, exact=True),
@@ -347,10 +348,10 @@ def scaling_check(
     factor = ipow(abs(float(f.derivative(a, 1))), p - 1)
     stack = LevelStack.build(path, hierarchy.levels)
 
-    def local_times(blk, ga, gb, sa, sb):
-        return _local_time_sums(blk, ga, gb, p, fa), _local_time_sums(blk, sa, sb, p, a)
+    def local_times(ga, gb, sa, sb):
+        return bracket_contributions(ga, gb, p, fa), bracket_contributions(sa, sb, p, a)
 
-    lhs, rhs = stack.evaluate(local_times, mapped, path.values)
+    lhs, rhs = stack.sums(local_times, mapped, path.values)
     rhs = factor * rhs
     name = f"local time scaling under {getattr(f, 'name', 'map')} at a={a}"
     return _report(name, hierarchy.level_labels, lhs, rhs, exact=_is_affine(f))

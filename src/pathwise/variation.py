@@ -61,6 +61,8 @@ def increment_power_sums(
     integers but e.g. the p = 1 telescoping identity on monotone paths is
     occasionally useful as a cross-check.
     """
+    if not (np.isfinite(p) and p >= 1):
+        raise ParameterError(f"increment_power_sums needs a finite p >= 1, got p = {p}")
     return _power_sums(path, LevelStack.build(path, (level,), checkpoints), p)[0]
 
 

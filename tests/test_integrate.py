@@ -396,6 +396,13 @@ def test_modified_follmer_needs_three_cells_for_its_grid():
         modified_follmer_integral(path, hier, 2, tanaka_class("abs_pow", 2), 1.0, m_schedule=(2,), cells=2)
 
 
+def test_modified_follmer_refuses_an_empty_schedule():
+    # it returned sums of shape (0, levels) and err_decreasing_in_m=True
+    path = small_bm()
+    with pytest.raises(ParameterError, match="m_schedule"):
+        modified_follmer_integral(path, dyadic_hierarchy(path, 5), 2, tanaka_class("abs_pow", 2), 1.0, m_schedule=())
+
+
 def test_modified_follmer_far_kink_agrees_exactly():
     # path range avoids [a - 1/m, a + 1/m]; locally f is linear so the
     # mollification changes nothing

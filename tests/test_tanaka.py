@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from pathwise import integrate
 from pathwise.integrate import SmoothCallable
 from pathwise.partitions import oscillation
 from pathwise.tanaka import _tm_proxy_increments, finite_n_report, tanaka_meyer_report
+from tests import rational
 from tests.conftest import csv_rows, make_walk, traced_peak
 
 FULL = np.arange(9)
@@ -496,6 +498,43 @@ def test_finite_n_report_memory_follows_the_largest_level():
     rep, peak = traced_peak(finite_n_report, path, hier, 2, f, 1.0)
     assert rep.passed
     assert peak < 7.5 * 2**20, peak
+
+
+# -- the change of variable against an exact rational oracle ------------------
+
+_POLY5 = [0.1, -0.3, 0.5, 0.25, -0.125, 0.2]
+# a float side may miss its exact value by c eps sum|terms|: the measured
+# worst c is 2.78, on a poly rhs, whose Gauss-Legendre nodes and weights are
+# rounded; every abs_pow side and every lhs read at most 0.86
+_ORACLE_C = 4
+
+
+@pytest.mark.parametrize("spec", [
+    PathSpec(kind="bm", n_max=10, seed=3),
+    PathSpec(kind="bm", n_max=10, T=1e-6, seed=4),
+    PathSpec(kind="fbm", hurst=0.25, n_max=10, seed=5),
+], ids=["bm", "bm-T1e-6", "fbm-H0.25"])
+def test_change_of_variable_is_exact_in_rationals(spec):
+    # the two remainders of the whole-level kernel's masked terms: the atom
+    # of abs_pow and the density of a poly of degree 5 >= p
+    path = generate(spec)
+    hier = dyadic_hierarchy(path, 10)
+    # t is the grid time 717 dt: the interval that starts there is credited
+    last = 717
+    # a sample value, so some brackets start or end at the atom
+    a = float(np.median(path.values))
+    assert a in path.values
+    eps = Fraction(np.finfo(float).eps)
+    for p in (2, 4):
+        for f, exact_f in ((tanaka_class("abs_pow", p, a=a), rational.AbsPow(a, p)),
+                           (tanaka_class("poly", p, coeffs=_POLY5), rational.Poly(_POLY5, p))):
+            rep = finite_n_report(path, hier, p, f, last * path.dt)
+            for n in (4, 7, 10):
+                sides = rational.change_of_variable(path.values, hier.level(n), last, p, exact_f)
+                assert sides.lhs == sides.rhs, (p, f.name, n)
+                for got, exact, magnitude in ((rep.lhs[n - 1], sides.lhs, sides.lhs_magnitude),
+                                              (rep.rhs[n - 1], sides.rhs, sides.rhs_magnitude)):
+                    assert abs(Fraction(float(got)) - exact) <= _ORACLE_C * eps * magnitude, (p, f.name, n)
 
 
 # -- Ito residuals ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import itertools
@@ -458,7 +459,7 @@ def test_path_csv_has_the_old_bytes(bm_path, tmp_path):
 
 
 def _kernel_outputs(trio, hier):
-    """Every array the callers of LevelStack.evaluate and
+    """Every array the callers of LevelStack.sums and
     LevelStack.running_sums, and the local-time field, return for three
     paths on one hierarchy."""
     path, other = trio[0], trio[1]
@@ -504,17 +505,30 @@ def _kernel_outputs(trio, hier):
     return out
 
 
+@pytest.fixture(scope="module")
+def long_trio():
+    return [generate(PathSpec(kind="fbm", hurst=0.5, n_max=10, seed=s)) for s in (41, 42, 43)]
+
+
 @pytest.mark.parametrize("kind", ["dyadic", "lebesgue"])
-def test_block_size_changes_no_byte_of_any_kernel_caller(trio, kind, monkeypatch):
-    hier = dyadic_hierarchy(trio[0], 8) if kind == "dyadic" else lebesgue_hierarchy(trio[0], 6)
+def test_block_size_changes_no_byte_of_any_kernel_caller(long_trio, kind, monkeypatch):
+    # 2**10 steps: under the 128-entry floor of numpy's tree, the finest
+    # levels still cut into several nodes
+    trio = long_trio
+    hier = dyadic_hierarchy(trio[0], 10) if kind == "dyadic" else lebesgue_hierarchy(trio[0], 6)
     assert sum(lev.size - 1 for lev in hier.levels) <= _util._BLOCK_INTERVALS  # one block
     want = _kernel_outputs(trio, hier)
-    for size in (1, 7):
+    for size in (1, 7, 200):
         monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
         stack = _util.LevelStack.build(trio[0], hier.levels)
         assert len(stack.blocks) > 1
-        # running sums cut the larger levels into chunks
+        # the larger levels are cut into chunks
         assert any(start > 0 for piece in stack._pieces() for _, start, _ in piece)
+        # and a whole-level sum at t = 0.7 adds at least one level's sum up
+        # from three or more nodes of its tree
+        pieces = _util.LevelStack.build(trio[0], hier.levels, [0.7])._pieces()
+        nodes = collections.Counter(piece[0][0] for piece in pieces if len(piece) == 1)
+        assert max(nodes.values()) >= 3, nodes
         got = _kernel_outputs(trio, hier)
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
@@ -525,16 +539,45 @@ def test_block_size_changes_no_byte_of_any_kernel_caller(trio, kind, monkeypatch
 @pytest.mark.parametrize("size", [1, 1 << 15])
 def test_a_running_sum_keeps_a_leading_negative_zero(size, monkeypatch):
     # a level's cumsum starts from its first term, as np.cumsum does, not
-    # from +0.0 + term; a chunk's starts from the carried sum, so -0.0 + -0.0
-    # stays -0.0 in chunks of one interval too
+    # from +0.0 + term; a piece's starts from the carried sum, so -0.0 + -0.0
+    # stays -0.0 across a cut too.  Numpy's tree cuts no node of 128 or
+    # fewer entries, so the walk has 256 steps, the first 200 of them flat
     monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
-    path = make_walk([0.0, 0.0, 0.0, 1.0, 3.0])
-    stack = _util.LevelStack.build(path, [np.arange(5)], [0.0, 0.25, 0.5, 1.0])
+    path = make_walk(np.concatenate([np.zeros(200), np.arange(1.0, 58.0)]))
+    cps = np.array([1, 100, 128, 129, 199, 200, 201, 256]) * path.dt
+    stack = _util.LevelStack.build(path, [np.arange(257)], cps)
+    assert [piece for piece in stack._pieces()] == ([[(0, 0, 128)], [(0, 128, 256)]] if size == 1 else [[(0, 0, 256)]])
     got = stack.running_sums(lambda a, b: -(b - a), path.values)
-    assert stack.counts.tolist() == [[1, 2, 3, 4]]
-    want = np.cumsum(-np.diff(path.values))
+    assert stack.counts.tolist() == [[2, 101, 129, 130, 200, 201, 202, 256]]
+    want = np.concatenate([[0.0], np.cumsum(-np.diff(path.values))])[stack.counts[0]]
     assert got.tobytes() == want[None, :].tobytes()
-    assert np.signbit(got[0, :2]).all() and got[0, 2:].tolist() == [-1.0, -3.0]
+    assert np.signbit(got[0, :4]).all() and got[0, 4:].tolist() == [-1.0, -2.0, -3.0, -57.0]
+
+
+def test_node_sums_added_up_numpys_tree_are_np_sum():
+    # np.sum adds a contiguous float64 array pairwise: the whole-level sums
+    # of a level cut into pieces rest on this, bit for bit
+    rng = np.random.default_rng(7)
+    # magnitudes over 30 decades, so the order of the additions shows
+    x = rng.standard_normal(4_200_000) * np.exp(rng.uniform(-35.0, 35.0, 4_200_000))
+    sequential = 0
+    for n in (100, 129, 1000, 4097, 65_543, 1_000_003, 4_200_000):
+        # one level of n intervals, as LevelStack.build would cut it
+        stack = _util.LevelStack((np.arange(n + 1),), None, None, np.array([[n]]), None, ((0, 1),))
+        for leaf in (129, 1000, 1 << 12, 1 << 15):
+            with mock.patch.object(_util, "_BLOCK_INTERVALS", leaf):
+                nodes = [piece[0][1:] for piece in stack._pieces()]
+            assert nodes[0][0] == 0 and nodes[-1][1] == n
+            assert all(stop - start <= max(leaf, 128) for start, stop in nodes)
+            sums = {node: np.sum(x[slice(*node)]) for node in nodes}
+            got = _util._tree(0, n, sums.get)
+            assert got.tobytes() == np.sum(x[:n]).tobytes(), (n, leaf)
+            sequential += sum(sums.values()) != np.sum(x[:n])
+            # a masked term's entries, kept in pieces that are not nodes
+            cuts = np.sort(rng.integers(0, n, 5))
+            assert _util._joined_sum(np.split(x[:n], cuts)).tobytes() == np.sum(x[:n]).tobytes(), (n, leaf)
+    # adding the node sums in order instead misses some bits
+    assert sequential
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +598,30 @@ def test_running_sums_hold_one_chunk_of_a_level(path_2_20, kind):
     assert peak <= 0.5 * path.values.nbytes, peak / path.values.nbytes
     _, peak = traced_peak(discrete_local_time, path, hier, 4, grid, cps)
     assert peak <= 2 * path.values.nbytes, peak / path.values.nbytes
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "lebesgue"])
+def test_whole_level_sums_hold_one_piece_of_a_level(path_2_20, kind):
+    # summed over whole levels, finite_n_report held 9.10x (abs_pow, p = 4)
+    # and 25.2x (degree-5 poly, p = 2) the path bytes (Lebesgue 8.19x and
+    # 22.6x), tanaka_meyer_report 5.00x and identity_suite 19.6x.  Summed
+    # piece by piece they read 0.37x and 1.63x (Lebesgue 0.33x and 1.39x),
+    # 0.23x and 5.00x: the poly's remainder keeps the finest level's
+    # quadratures (1x) until its last piece, and identity_suite's peak is
+    # its band widths (oscillation) and the path |X|.  The last two bounds
+    # add 0.27x and 0.5x to what they read
+    path = path_2_20
+    hier = dyadic_hierarchy(path, 20) if kind == "dyadic" else lebesgue_hierarchy(path, 8)
+    jobs = [
+        (finite_n_report, (path, hier, 4, tanaka_class("abs_pow", 4, a=0.1), 1.0), 2.0),
+        (finite_n_report, (path, hier, 2, tanaka_class("poly", 2, coeffs=[0.1, 0.0, 1.0, 0.5, -0.2, 0.1]), 1.0), 2.0),
+    ]
+    if kind == "dyadic":
+        other = generate(PathSpec(kind="fbm", hurst=0.25, n_max=20, seed=2))
+        jobs += [(tanaka_meyer_report, (path, hier, 2, 0.1, 1.0), 0.5), (identity_suite, (path, other, hier, 2), 5.5)]
+    for fn, args, bound in jobs:
+        _, peak = traced_peak(fn, *args)
+        assert peak <= bound * path.values.nbytes, (fn.__name__, peak / path.values.nbytes)
 
 
 def test_histograms_hold_one_chunk_of_the_path(path_2_20):

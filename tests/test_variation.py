@@ -57,6 +57,14 @@ def test_telescoping_first_variation_on_monotone_path():
         assert increment_power_sums(path, lev, 1.0).tolist() == [val]
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.0, -1.0])
+def test_increment_power_sums_refuses_a_p_that_is_not_finite_or_below_1(p):
+    # these read [nan], [0.], the interval count and an ipow error
+    path = generate(PathSpec(kind="bm", n_max=6, seed=1))
+    with pytest.raises(ParameterError, match=f"p = {p}"):
+        increment_power_sums(path, dyadic_hierarchy(path, 6).finest, p)
+
+
 def test_closure_bound_for_combinations(bm_path, rough_path):
     # |x+y|^p <= 2^(p-1) (|x|^p + |y|^p) transfers to every level sum
     X, Y = bm_path, rough_path
