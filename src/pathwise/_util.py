@@ -6,10 +6,12 @@ reader, the CSV and summary writers and heap trimming.
 and one iterator, ``LevelStack._pieces``, gathers them: a block of
 consecutive levels, or a node of numpy's pairwise-summation tree over a
 large level.  Summand functions see the values at the ends of a piece's
-intervals and return one entry per interval.  Two reductions run on the
-pieces, one level at a time, with the bytes of one pass over a whole level
-for any block size: :meth:`LevelStack.running_sums`, a cumsum read at the
-checkpoints, and :meth:`LevelStack.sums`, a whole-level ``np.sum``.
+intervals.  Three reductions run on the pieces, one level at a time, with
+the bytes of one pass over a whole level for any block size:
+:meth:`LevelStack.running_sums`, a cumsum read at the checkpoints,
+:meth:`LevelStack.sums`, a whole-level ``np.sum``, and
+:meth:`LevelStack.cell_sums`, per-cell running sums of (cell, weight)
+pairs read at the checkpoints.
 
 Every CSV artifact goes through :func:`write_csv` as one or more
 :class:`Table` objects.  A table is a list of key axes followed by value
@@ -68,6 +70,11 @@ def left_endpoint_counts(level: np.ndarray, checkpoint_indices: np.ndarray) -> n
 # pairwise-summation tree that hold at most this many.  So a kernel holds
 # one piece of a level at a time, whatever the path.
 _BLOCK_INTERVALS = 1 << 15
+
+# Most (cell, weight) pairs added at once by LevelStack.cell_sums: bounds
+# its working set, while the additions stay in the same order whatever the
+# blocking.
+_BLOCK_PAIRS = 1 << 16
 
 
 def _tree(start: int, stop: int, leaf: Callable):
@@ -178,6 +185,54 @@ class LevelStack:
                     outs[k][i] = _joined_sum(list(cut.pop(k).values())) if masked else _tree(0, stop, cut.pop(k).get)
         return outs[0] if single else tuple(outs.values())
 
+    def cell_sums(self, cells: int, terms: Callable, *values: np.ndarray):
+        """Per-cell running sums of the (cell, weight) pairs of
+        ``terms(a1, b1, a2, b2, ...)`` along each level, read at every
+        checkpoint: shaped ``(levels, checkpoints, cells)``, or a tuple.
+
+        ``terms`` is called as for :meth:`sums` and returns, per term,
+        ``(offsets, pairs)``: interval j of the piece owns the pairs at
+        positions ``offsets[j]`` to ``offsets[j + 1] - 1`` (offsets None:
+        the one pair at position j), and ``pairs(start, end)`` gives the
+        cell indices and weights of positions start..end-1.  A level's
+        pairs are added in order with ``np.add.at``, at most
+        ``_BLOCK_PAIRS`` at a time, into one per-cell vector carried from
+        piece to piece, so each cell's sum has the bytes of one sequential
+        pass over the whole level.
+        """
+        outs, single = [], False
+        for piece in self._pieces():
+            # the call's argument is the piece's only hold on its terms, so
+            # they are freed before the next piece is gathered
+            single = self._add_cells(piece, terms(*self._gather(piece, values)), outs, cells)
+        return outs[0][0] if single else tuple(out for out, _ in outs)
+
+    def _add_cells(self, piece, result, outs: list, cells: int) -> bool:
+        """Add each term's pairs of a piece, level by level, to its
+        ``(out, acc)`` in outs (made at the first piece): ``acc`` is zeroed
+        at a level's first piece, and ``out[i, j]`` is set to it after the
+        pairs of level i's first ``counts[i, j]`` intervals.  Returns
+        whether ``result`` was one term."""
+        single = isinstance(result, tuple) and callable(result[-1])
+        for k, (offsets, pairs) in enumerate([result] if single else result):
+            if k == len(outs):
+                outs.append((np.empty(self.counts.shape + (cells,)), np.zeros(cells)))
+            out, acc = outs[k]
+            for (i, start, stop), first in zip(piece, _firsts(piece)):
+                if start == 0:
+                    acc[:] = 0.0
+                counts = self.counts[i].tolist()
+                read = [j for j, c in enumerate(counts) if start <= c <= stop]
+                edges = [first + c - start for c in [start, *(counts[j] for j in read), stop]]
+                if offsets is not None:
+                    edges = offsets[edges].tolist()
+                for pos, end, j in zip(edges, edges[1:], read + [None]):
+                    for s in range(pos, end, _BLOCK_PAIRS):
+                        np.add.at(acc, *pairs(s, min(end, s + _BLOCK_PAIRS)))
+                    if j is not None:
+                        out[i, j] = acc
+        return single
+
     def spread(self, per_level: np.ndarray) -> Iterable[np.ndarray]:
         """Per piece, in order: each level's value (last axis of
         ``per_level``) over its intervals there and the pair after them."""
@@ -194,8 +249,7 @@ class LevelStack:
             result = terms(*self._gather(piece, values))
             single = isinstance(result, np.ndarray)
             sizes = np.array([stop - start for _, start, stop in piece])
-            # each level's first interval, past the pairs that join levels
-            first = np.cumsum(sizes + 1) - sizes - 1
+            first = np.array(_firsts(piece))
             for k, term in enumerate([result] if single else result):
                 masked = isinstance(term, tuple)
                 lo, hi = first, first + sizes
@@ -224,8 +278,11 @@ class LevelStack:
         views offset by one point.  The pair after one range's last interval
         joins it to the next range and belongs to neither."""
         parts = [self.levels[i][start : stop + 1] for i, start, stop in piece]
-        # a level alone is read in place
+        # a level alone is read in place, and a run of consecutive grid
+        # points (the sampling grid's own level) as a view
         points = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(parts) == 1 and points[-1] - points[0] == points.size - 1:
+            points = slice(int(points[0]), int(points[-1]) + 1)
         ends = []
         for v in values:
             gathered = v[..., points]
@@ -233,6 +290,12 @@ class LevelStack:
             gathered.setflags(write=False)
             ends += (gathered[..., :-1], gathered[..., 1:])
         return ends
+
+
+def _firsts(piece: Sequence[Tuple[int, int, int]]) -> List[int]:
+    """Each range's first interval among a piece's gathered intervals,
+    past the pairs that join ranges."""
+    return list(itertools.accumulate((stop - start + 1 for _, start, stop in piece[:-1]), initial=0))
 
 
 def _read_cumsums(out: np.ndarray, counts: np.ndarray, x: np.ndarray, start: int, carry) -> float:

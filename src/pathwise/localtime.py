@@ -60,6 +60,11 @@ class SpaceGrid:
     cells: int
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"grid field {name!r} must be finite, got {getattr(self, name)}")
+        if isinstance(self.cells, bool) or not isinstance(self.cells, (int, np.integer)):
+            raise ParameterError(f"grid field 'cells' must be an integer, got {self.cells!r}")
         if not self.lo < self.hi:
             raise ParameterError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.cells < 1:
@@ -162,62 +167,6 @@ class OccupationLocalTime:
         return Table((self.checkpoint_times, self.grid.centers), (self.values,))
 
 
-# Most (cell, weight) pairs expanded at once: bounds the working set of a
-# sweep, while the additions stay in the same order whatever the blocking.
-_BLOCK_PAIRS = 1 << 16
-
-
-def _running_sums(cells: int, ends: np.ndarray, pairs: Callable, acc: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-cell running sums of an ordered sequence of (cell, weight) pairs.
-
-    ``pairs(start, end)`` returns the cell indices and weights at
-    positions [start, end) of the sequence.  They are added with
-    ``np.add.at``, which applies them one at a time in input order, into
-    one per-cell vector, at most ``_BLOCK_PAIRS`` at a time: ``acc``, which
-    carries on from earlier pairs, or a new zero vector.  Row k of the
-    result is that vector after the first ``ends[k]`` pairs (``ends`` is
-    non-decreasing), so each entry is the sequential sum of its cell's
-    weights in that prefix.
-    """
-    acc = np.zeros(cells) if acc is None else acc
-    out = np.empty((len(ends), cells))
-    pos = 0
-    for k, end in enumerate(ends):
-        while pos < end:
-            stop = min(int(end), pos + _BLOCK_PAIRS)
-            np.add.at(acc, *pairs(pos, stop))
-            pos = stop
-        out[k] = acc
-    return out
-
-
-def _sweep(acc: np.ndarray, points: np.ndarray, reads: np.ndarray, values: np.ndarray, rank: np.ndarray,
-           centers: np.ndarray, p: int) -> np.ndarray:
-    """Add the local-time pairs of the intervals between consecutive
-    ``points`` to ``acc``, and return it after each interval count in
-    ``reads``: one chunk of a level of :func:`discrete_local_time`."""
-    b = values[points[1:]]
-    ranks = rank[points]
-    first = np.minimum(ranks[:-1], ranks[1:])
-    stop = np.maximum(ranks[:-1], ranks[1:])
-    offsets = np.empty(stop.size + 1, dtype=stop.dtype)
-    offsets[0] = 0
-    np.subtract(stop, first, out=offsets[1:])
-    np.cumsum(offsets[1:], out=offsets[1:])
-
-    def pairs(start, end):
-        # intervals j0..j1-1 own the pair positions [start, end)
-        j0 = np.searchsorted(offsets, start, side="right") - 1
-        j1 = np.searchsorted(offsets, end, side="left")
-        runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
-        owner = np.repeat(np.arange(j0, j1), runs)
-        cell = first[owner] + (np.arange(start, end) - offsets[owner])
-        return cell, ipow(np.abs(b[owner] - centers[cell]), p - 1)
-
-    # every pair of the chunk is added, for the chunks after it
-    return _running_sums(acc.size, np.append(offsets[reads], offsets[-1]), pairs, acc)[:-1]
-
-
 def _check_coverage(path: SampledPath, grid: SpaceGrid) -> None:
     m, M = float(path.values.min()), float(path.values.max())
     if grid.lo > m or grid.hi < M:
@@ -246,38 +195,46 @@ def discrete_local_time(
     against the centers once per path (the number of centers at or below
     it); since that rank is monotone in the value, an interval's run goes
     from the smaller to the larger rank of its endpoints, and no level
-    searches the grid again.  A level is swept in the chunks of
-    ``LevelStack._pieces``, at most ``_BLOCK_INTERVALS`` intervals
-    each, into one per-cell accumulator carried from chunk to
-    chunk, and a chunk's pairs are expanded in blocks of at most
-    ``_BLOCK_PAIRS``.  So memory is the output field, the ranks (one entry
-    per sample), four arrays of one entry per interval of the chunk being
-    swept (right values, run starts, run stops, pair offsets) and one
-    bounded block of pairs: about the path bytes plus a few MiB, whatever
-    the path.  Every cell receives the same additions in the same order as
-    a dense per-interval prefix sum, so the field is bit-identical to it.
+    searches the grid again.  The levels are summed by
+    :meth:`LevelStack.cell_sums`, one piece of a level at a time, whose
+    pairs are expanded in bounded blocks.  So memory is the output field,
+    the ranks (one entry per sample), a few arrays of one entry per
+    interval of the piece being summed (its gathered values and ranks, run
+    starts, pair offsets) and one block of pairs: about the path bytes plus
+    a few MiB, whatever the path.  Every cell receives the same additions
+    in the same order as a dense per-interval prefix sum, so the field is
+    bit-identical to it.
     """
     p = even_order(p)
     _check_coverage(path, grid)
-    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
     centers = grid.centers
     # cells with lo < center <= hi are rank(lo):rank(hi)
     rank = np.searchsorted(centers, path.values, side="right")
-    out = np.empty((hierarchy.n_levels, stack.times.size, grid.cells))
-    for piece in stack._pieces():
-        for i, start, stop in piece:
-            if start == 0:
-                acc = np.zeros(grid.cells)
-            counts = stack.counts[i]
-            read = (counts >= start) & (counts <= stop)
-            out[i, read] = _sweep(acc, stack.levels[i][start : stop + 1], counts[read] - start, path.values,
-                                  rank, centers, p)
+
+    def terms(a, b, rank_a, rank_b):
+        first = np.minimum(rank_a, rank_b)
+        offsets = np.zeros(first.size + 1, dtype=first.dtype)
+        np.subtract(np.maximum(rank_a, rank_b), first, out=offsets[1:])
+        np.cumsum(offsets[1:], out=offsets[1:])
+
+        def pairs(start, end):
+            # intervals j0..j1-1 own the pair positions [start, end)
+            j0 = np.searchsorted(offsets, start, side="right") - 1
+            j1 = np.searchsorted(offsets, end, side="left")
+            runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
+            owner = np.repeat(np.arange(j0, j1), runs)
+            cell = first[owner] + (np.arange(start, end) - offsets[owner])
+            return cell, ipow(np.abs(b[owner] - centers[cell]), p - 1)
+
+        return offsets, pairs
+
+    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
     return LocalTimeField(
         p=p,
         grid=grid,
         checkpoint_times=stack.times,
         level_labels=hierarchy.level_labels,
-        per_level=out,
+        per_level=stack.cell_sums(grid.cells, terms, path.values, rank),
     )
 
 
@@ -304,41 +261,25 @@ def _grid_level(path: SampledPath, checkpoints: Sequence[float]) -> LevelStack:
     return LevelStack.build(path, (np.arange(path.n_samples),), checkpoints)
 
 
-def _binned_sums(path: SampledPath, grid: SpaceGrid, stack: LevelStack, weights: Callable) -> list:
-    """Per array of finest-level interval weights, its running per-cell
-    sums ``(checkpoints, cells)``: each interval is binned by the cell of
-    its left value and credited as ``stack`` (:func:`_grid_level`) credits
-    it.  Callers divide by their own denominator.
-
-    ``weights(start, stop)`` returns a tuple of weight arrays for the
-    intervals start..stop-1.  The level is binned in the chunks of
-    ``LevelStack._pieces``, each cell's sum carried from chunk to
-    chunk and added to in interval order, so memory is one chunk's cells
-    and weights, whatever the path, and every bit is that of one pass over
-    the whole level.
+def _binned_sums(path: SampledPath, grid: SpaceGrid, stack: LevelStack, weights: Callable, *values) -> list:
+    """Per interval weight of ``weights(a, b, ...)``, its running per-cell
+    sums ``(checkpoints, cells)`` over the one level of ``stack``
+    (:func:`_grid_level`): each interval binned by the cell of its left
+    value, a, and credited as ``stack`` credits it.  ``weights`` is called
+    as a term of :meth:`LevelStack.cell_sums` is, on the path values and
+    ``values``, and returns a tuple of arrays of one weight per interval.
+    Callers divide by their own denominator.
     """
     _check_coverage(path, grid)
     if grid.cellwidth <= 0:
         raise ParameterError("degenerate grid")
-    (counts,) = stack.counts
-    accs, sums = [], []
-    for ((_, start, stop),) in stack._pieces():
-        cells = grid.cell_index(path.values[start:stop])
-        read = (counts >= start) & (counts <= stop)
-        # every interval of the chunk is added, for the chunks after it
-        ends = np.append(counts[read] - start, stop - start)
-        for k, w in enumerate(weights(start, stop)):
-            if k == len(accs):
-                accs.append(np.zeros(grid.cells))
-                sums.append(np.empty((counts.size, grid.cells)))
-            sums[k][read] = _running_sums(grid.cells, ends, lambda i, j: (cells[i:j], w[i:j]), accs[k])[:-1]
-    return sums
 
+    def terms(a, b, *ends):
+        cells = grid.cell_index(a)
+        # one pair per interval
+        return [(None, lambda start, end, w=w: (cells[start:end], w[start:end])) for w in weights(a, b, *ends)]
 
-def _power_masses(path: SampledPath, p: int) -> Callable:
-    """Chunk weights ``|dS|**p`` of the finest-level intervals."""
-    v = path.values
-    return lambda start, stop: (ipow(np.abs(v[start + 1 : stop + 1] - v[start:stop]), p),)
+    return [sums[0] for sums in stack.cell_sums(grid.cells, terms, path.values, *values)]
 
 
 def occupation_density_local_time(
@@ -351,7 +292,7 @@ def occupation_density_local_time(
     variation up to accumulation rounding."""
     p = even_order(p)
     stack = _grid_level(path, checkpoints)
-    (sums,) = _binned_sums(path, grid, stack, _power_masses(path, p))
+    (sums,) = _binned_sums(path, grid, stack, lambda a, b: (ipow(np.abs(b - a), p),))
     return OccupationLocalTime(p=p, grid=grid, checkpoint_times=stack.times, values=sums / (p * grid.cellwidth))
 
 
@@ -361,7 +302,7 @@ def occupation_time_density(
     """Classical occupation-time density: time spent per cell divided by
     the cellwidth (each interval weighted dt, binned by its left value)."""
     stack = _grid_level(path, checkpoints)
-    (sums,) = _binned_sums(path, grid, stack, lambda start, stop: (np.full(stop - start, path.dt),))
+    (sums,) = _binned_sums(path, grid, stack, lambda a, b: (np.full(a.size, path.dt),))
     return OccupationLocalTime(p=None, grid=grid, checkpoint_times=stack.times, values=sums / grid.cellwidth)
 
 
@@ -378,19 +319,21 @@ def weighted_occupation_local_time(
     if not (0.0 < hurst < 1.0):
         raise ParameterError(f"hurst must be in (0, 1), got {hurst}")
 
-    def weights(start, stop):
-        # path.times[start:stop + 1] by np.linspace's own formula,
-        # k * (T / N) + 0.0 with the last time T, so no chunk holds them all
-        tg = np.arange(start, stop + 1, dtype=float)
+    def weights(a, b, k_a, k_b):
+        # the times at the grid indices k of the piece's points, by
+        # np.linspace's own formula, k * (T / N) + 0.0 with the last time T,
+        # the bytes of path.times without a piece holding them all
+        tg = np.empty(k_b.size + 1)
+        tg[:1], tg[1:] = k_a[:1], k_b
         tg *= path.dt
         tg += 0.0
-        if stop + 1 == path.n_samples:
+        if k_b[-1] == path.n_samples - 1:
             tg[-1] = path.T
         tg **= 2 * hurst
         return (tg[1:] - tg[:-1],)
 
     stack = _grid_level(path, checkpoints)
-    (sums,) = _binned_sums(path, grid, stack, weights)
+    (sums,) = _binned_sums(path, grid, stack, weights, stack.levels[0])
     return OccupationLocalTime(p=None, grid=grid, checkpoint_times=stack.times, values=sums / grid.cellwidth)
 
 
@@ -436,11 +379,8 @@ def berman_ratio_check(path: SampledPath, p: int, grid: SpaceGrid) -> BermanRati
         raise ParameterError(f"ratio check requires H = 1/p; got H={hurst}, p={p}")
     # both densities at t = T, as occupation_density_local_time and
     # occupation_time_density give them, on one binning of the path
-    masses = _power_masses(path, p)
-    occ, tau = _binned_sums(
-        path, grid, _grid_level(path, [path.T]),
-        lambda start, stop: (*masses(start, stop), np.full(stop - start, path.dt)),
-    )
+    occ, tau = _binned_sums(path, grid, _grid_level(path, [path.T]),
+                            lambda a, b: (ipow(np.abs(b - a), p), np.full(a.size, path.dt)))
     occ = occ[0] / (p * grid.cellwidth)
     tau = tau[0] / grid.cellwidth
     sel = tau > 0

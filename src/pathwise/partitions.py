@@ -17,7 +17,7 @@ within the threshold of the current point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,9 @@ __all__ = [
 _FORCED_STEP = 2.0 * (1.0 + 2.0**-40)
 _LOCKSTEP_MIN = 32
 _SKIP_BLOCK = 16
+
+# Samples read at a time by the oscillation
+_OSC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -231,15 +234,40 @@ def oscillation(path: SampledPath, level: np.ndarray) -> float:
     endpoints; endpoint-only ranges understate the oscillation of wiggly
     paths.
     """
+    return _oscillation(path.values, level)
+
+
+def _oscillation(values: np.ndarray, level: np.ndarray, fn: Optional[Callable] = None) -> float:
+    """:func:`oscillation` of ``fn(values)`` (of values if fn is None), an
+    elementwise map, read in blocks of ``_OSC_BLOCK`` samples: a block's
+    cells are cut at the level points inside it, and the cell open at its
+    end carries its extrema into the next block.  Max and min are exact, so
+    the value is that of one pass over the whole path."""
     idx = np.asarray(level, dtype=np.int64)
-    if idx.ndim != 1 or idx.size < 2 or idx[0] != 0 or idx[-1] != path.n_samples - 1 or np.any(np.diff(idx) <= 0):
+    steps = (idx[s : s + _OSC_BLOCK + 1] for s in range(0, idx.size - 1, _OSC_BLOCK))
+    if idx.ndim != 1 or idx.size < 2 or idx[0] != 0 or idx[-1] != values.size - 1 or not all(
+        np.all(x[1:] > x[:-1]) for x in steps
+    ):
         raise ParameterError("level must be strictly increasing from 0 to the last grid index")
-    vals = path.values
-    starts = idx[:-1]
-    # reduceat covers [start_k, start_{k+1}); closed cells also own their
-    # right endpoint, folded in explicitly.
-    seg_max = np.maximum.reduceat(vals, starts)
-    seg_min = np.minimum.reduceat(vals, starts)
-    seg_max = np.maximum(seg_max, vals[idx[1:]])
-    seg_min = np.minimum(seg_min, vals[idx[1:]])
-    return float(np.max(seg_max - seg_min))
+    widths, carry = [], None
+    for s in range(0, idx[-1], _OSC_BLOCK):
+        e = min(s + _OSC_BLOCK, int(idx[-1]))
+        v = values[s : e + 1] if fn is None else fn(values[s : e + 1])
+        # the block's cells start at its level points and at s
+        starts = idx[np.searchsorted(idx, s) : np.searchsorted(idx, e)] - s
+        fresh = starts.size > 0 and starts[0] == 0
+        if not fresh:
+            starts = np.concatenate([[0], starts])
+        # reduceat covers [start_k, start_{k+1}) and the last start to e;
+        # closed cells also own their right endpoint, folded in explicitly
+        hi, lo = np.maximum.reduceat(v, starts), np.minimum.reduceat(v, starts)
+        np.maximum(hi[:-1], v[starts[1:]], out=hi[:-1])
+        np.minimum(lo[:-1], v[starts[1:]], out=lo[:-1])
+        if carry is not None and not fresh:
+            hi[0], lo[0] = np.maximum(hi[0], carry[0]), np.minimum(lo[0], carry[1])
+        elif carry is not None:
+            widths.append(carry[0] - carry[1])
+        widths.append(np.max(hi[:-1] - lo[:-1], initial=-np.inf))
+        carry = hi[-1], lo[-1]
+    widths.append(carry[0] - carry[1])
+    return float(np.max(widths))

@@ -33,8 +33,8 @@ from ._util import (LevelStack, Table, bracket_contributions, check_level, even_
 from .errors import ParameterError
 from .integrate import (SmoothCallable, TestFunction, _follmer_sums, _measure_remainder_sums, _remainder,
                         _tanaka_meyer_sums)
-from .localtime import SpaceGrid, _binned_sums, _grid_level
-from .partitions import PartitionHierarchy, oscillation
+from .localtime import SpaceGrid, _grid_level, occupation_density_local_time
+from .partitions import PartitionHierarchy, _oscillation
 from .paths import SampledPath
 
 __all__ = [
@@ -246,11 +246,9 @@ def identity_suite(
     if (X.T, X.n_max) != (Y.T, Y.n_max):
         raise ParameterError("paths must share (T, n_max)")
     labels = hierarchy.level_labels
-    abs_path = SampledPath(X.T, X.n_max, np.abs(X.values), metadata={"kind": "abs"})
     # the band widths: per level, the oscillation of X, Y and |X|
-    osc_x, osc_y, osc_a = np.array(
-        [[oscillation(path, lev) for lev in hierarchy.levels] for path in (X, Y, abs_path)]
-    )
+    reads = ((X.values, None), (Y.values, None), (X.values, np.abs))
+    osc_x, osc_y, osc_a = np.array([[_oscillation(v, lev, fn) for lev in hierarchy.levels] for v, fn in reads])
     osc_xy = np.maximum(osc_x, osc_y)
     stack = LevelStack.build(X, hierarchy.levels)
     bands = stack.spread(np.array([osc_x, osc_y, osc_a]))
@@ -420,25 +418,23 @@ def occupation_check(
     Exact (1e-9 relative) when g is a union-of-cells indicator; for a
     Lipschitz g the two sides agree within 2 * Lip(g) * cellwidth * [S]^p(t),
     which halves as the cells shrink.  The lhs and [S]^p(t) are computed
-    once; each grid bins the same masses |dS|**p into its histogram.
+    once, piece by piece; each grid's rhs pairs g with its
+    :func:`occupation_density_local_time`.
     """
     p = even_order(p)
+
+    def terms(a, b):
+        masses = ipow(np.abs(b - a), p)
+        return np.asarray(g.value(a), dtype=float) * masses, masses
+
     # the finest-level intervals credited at t, as the rhs histograms credit them
-    stack = _grid_level(path, [t])
-    (end,) = stack.ends[0]
-    a = path.values[:end]
-    masses = ipow(np.abs(path.values[1:end + 1] - a), p)
-    lhs = float(np.sum(np.asarray(g.value(a), dtype=float) * masses))
-    pv = float(np.sum(masses))
+    lhs, pv = (float(x[0]) for x in _grid_level(path, [t]).sums(terms, path.values))
     name = f"occupation density with {getattr(g, 'name', 'g')}"
     label = (path.n_max,)
 
     def report(grid):
-        # the density occupation_density_local_time gives, paired with g
-        (sums,) = _binned_sums(path, grid, stack, lambda start, stop: (masses[start:stop],))
-        rhs = p * grid.cellwidth * float(
-            np.sum(np.asarray(g.value(grid.centers), dtype=float) * (sums[0] / (p * grid.cellwidth)))
-        )
+        occ = occupation_density_local_time(path, p, grid, [t]).values[0]
+        rhs = p * grid.cellwidth * float(np.sum(np.asarray(g.value(grid.centers), dtype=float) * occ))
         if isinstance(g, CellIndicator):
             return _report(name, label, [lhs], [rhs], exact=True)
         xs = np.linspace(grid.lo, grid.hi, 1025)

@@ -17,7 +17,6 @@ from pathwise import (
     gaussian_moment,
     generate,
     lebesgue_hierarchy,
-    localtime,
     occupation_density_local_time,
     occupation_time_density,
     oscillation,
@@ -26,6 +25,7 @@ from pathwise import (
     uniform_convergence_report,
     weighted_occupation_local_time,
 )
+from pathwise import _util
 from pathwise._util import bracket_contributions, ipow, left_endpoint_counts, median, snap_checkpoints
 from pathwise.localtime import _order_flag
 from tests.conftest import csv_rows, make_walk, traced_peak
@@ -66,6 +66,19 @@ def test_space_grid_validation():
         SpaceGrid(1.0, 1.0, 8)
     with pytest.raises(ParameterError):
         SpaceGrid(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((-10.0, np.inf, 4), "hi"),  # its cellwidth was inf, and every density read 0
+    ((np.nan, 10.0, 4), "lo"),
+    ((-10, 10, 4.5), "cells"),  # a TypeError from inside numpy
+    ((-10, 10, True), "cells"),
+])
+def test_space_grid_refuses_non_finite_bounds_and_a_cell_count_that_is_not_an_integer(args, name):
+    with pytest.raises(ParameterError, match=f"grid field '{name}'"):
+        SpaceGrid(*args)
+    # a numpy integer is a count
+    assert SpaceGrid(-10, 10, np.int64(4)).cellwidth == 5.0
 
 
 def test_coverage_error(bm_path):
@@ -353,7 +366,8 @@ def dense_local_time(path, hierarchy, p, grid, checkpoints):
 
 def two_search_local_time(path, hierarchy, p, grid, checkpoints):
     """Reference: the sweep that searched the centres for both endpoint
-    values of every interval on every level."""
+    values of every interval on every level, with one ``np.add.at`` over
+    each checkpoint's prefix of (cell, weight) pairs."""
     _, cps = snap_checkpoints(path, checkpoints)
     centers = grid.centers
     out = np.zeros((hierarchy.n_levels, cps.size, grid.cells))
@@ -363,16 +377,11 @@ def two_search_local_time(path, hierarchy, p, grid, checkpoints):
         first = np.searchsorted(centers, np.minimum(a, b), side="right")
         stop = np.searchsorted(centers, np.maximum(a, b), side="right")
         offsets = np.concatenate([[0], np.cumsum(stop - first)])
-
-        def pairs(start, end):
-            j0 = np.searchsorted(offsets, start, side="right") - 1
-            j1 = np.searchsorted(offsets, end, side="left")
-            runs = np.minimum(offsets[j0 + 1 : j1 + 1], end) - np.maximum(offsets[j0:j1], start)
-            owner = np.repeat(np.arange(j0, j1), runs)
-            cell = first[owner] + (np.arange(start, end) - offsets[owner])
-            return cell, ipow(np.abs(b[owner] - centers[cell]), p - 1)
-
-        out[i] = localtime._running_sums(grid.cells, offsets[left_endpoint_counts(lev, cps)], pairs)
+        owner = np.repeat(np.arange(a.size), stop - first)
+        cell = first[owner] + (np.arange(offsets[-1]) - offsets[owner])
+        weight = ipow(np.abs(b[owner] - centers[cell]), p - 1)
+        for j, n in enumerate(offsets[left_endpoint_counts(lev, cps)]):
+            np.add.at(out[i, j], cell[:n], weight[:n])
     return out
 
 
@@ -430,7 +439,7 @@ def test_sparse_field_is_bit_identical_to_dense(walk, p, kind, block):
         hier = lebesgue_hierarchy(path, 3)
     else:
         hier = dyadic_hierarchy(path, path.n_max)
-    with mock.patch.object(localtime, "_BLOCK_PAIRS", block):
+    with mock.patch.object(_util, "_BLOCK_PAIRS", block):
         field = discrete_local_time(path, hier, p, grid, checkpoints)
         two_search = two_search_local_time(path, hier, p, grid, checkpoints)
     assert np.array_equal(field.per_level, dense_local_time(path, hier, p, grid, checkpoints))
@@ -469,7 +478,7 @@ def test_binned_densities_are_bit_identical_to_prefix_sums(walk, p, block):
     w_var = ipow(np.abs(np.diff(path.values)), p)
     w_time = np.full(path.n_samples - 1, path.dt)
     w_hurst = path.times[1:] ** 0.5 - path.times[:-1] ** 0.5
-    with mock.patch.object(localtime, "_BLOCK_PAIRS", block):
+    with mock.patch.object(_util, "_BLOCK_PAIRS", block):
         occ = occupation_density_local_time(path, p, grid, checkpoints).values
         tau = occupation_time_density(path, grid, checkpoints).values
         weighted = weighted_occupation_local_time(path, 0.25, grid, checkpoints).values

@@ -1,4 +1,6 @@
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -110,6 +112,37 @@ def test_oscillation_monotone_under_refinement(bm_path, rough_path):
 def test_oscillation_validates_level(bm_path):
     with pytest.raises(ParameterError):
         oscillation(bm_path, np.array([1, 5]))
+
+
+def _whole_path_oscillation(values, idx):
+    """Reference: the reduceat over the whole path that the blocked reader
+    replaced."""
+    seg_max = np.maximum(np.maximum.reduceat(values, idx[:-1]), values[idx[1:]])
+    seg_min = np.minimum(np.minimum.reduceat(values, idx[:-1]), values[idx[1:]])
+    return float(np.max(seg_max - seg_min))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3, 7, 1 << 15]), st.sampled_from([None, np.abs]))
+def test_blocked_oscillation_is_the_whole_path_oscillation(data, block, fn):
+    # blocks of one or a few samples cut cells anywhere, begin on level
+    # points and inside cells; a scale of 0.3 keeps the widths inexact
+    n = data.draw(st.integers(1, 80))
+    steps = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    values = np.concatenate([[0.0], np.cumsum(steps, dtype=float)]) * data.draw(st.sampled_from([1.0, 0.3]))
+    interior = data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+    idx = np.array([0, *sorted(interior), n])
+    want = _whole_path_oscillation(values if fn is None else np.abs(values), idx)
+    with mock.patch.object(partitions, "_OSC_BLOCK", block):
+        assert partitions._oscillation(values, idx, fn) == want
+
+
+def test_blocked_oscillation_validates_every_block():
+    path = make_walk(np.arange(9.0))
+    with mock.patch.object(partitions, "_OSC_BLOCK", 2):
+        assert oscillation(path, np.array([0, 2, 4, 5, 6, 8])) == 2.0
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            oscillation(path, np.array([0, 2, 4, 6, 5, 8]))
 
 
 def _lebesgue_levels_oracle(vals, levels):

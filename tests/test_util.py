@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pathwise import (
+    CellIndicator,
     ParameterError,
     PathSpec,
     SampledPath,
@@ -518,6 +519,8 @@ def test_block_size_changes_no_byte_of_any_kernel_caller(long_trio, kind, monkey
     hier = dyadic_hierarchy(trio[0], 10) if kind == "dyadic" else lebesgue_hierarchy(trio[0], 6)
     assert sum(lev.size - 1 for lev in hier.levels) <= _util._BLOCK_INTERVALS  # one block
     want = _kernel_outputs(trio, hier)
+    # three pairs at a time cut the per-cell sums inside runs of pairs too
+    monkeypatch.setattr(_util, "_BLOCK_PAIRS", 3)
     for size in (1, 7, 200):
         monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
         stack = _util.LevelStack.build(trio[0], hier.levels)
@@ -607,9 +610,10 @@ def test_whole_level_sums_hold_one_piece_of_a_level(path_2_20, kind):
     # 22.6x), tanaka_meyer_report 5.00x and identity_suite 19.6x.  Summed
     # piece by piece they read 0.37x and 1.63x (Lebesgue 0.33x and 1.39x),
     # 0.23x and 5.00x: the poly's remainder keeps the finest level's
-    # quadratures (1x) until its last piece, and identity_suite's peak is
-    # its band widths (oscillation) and the path |X|.  The last two bounds
-    # add 0.27x and 0.5x to what they read
+    # quadratures (1x) until its last piece, and identity_suite's peak was
+    # its band widths (oscillation over whole levels) and the path |X|.
+    # Read in blocks, without |X|, identity_suite reads 0.70x.  The last two
+    # bounds add 0.27x and 0.3x to what they read
     path = path_2_20
     hier = dyadic_hierarchy(path, 20) if kind == "dyadic" else lebesgue_hierarchy(path, 8)
     jobs = [
@@ -618,7 +622,7 @@ def test_whole_level_sums_hold_one_piece_of_a_level(path_2_20, kind):
     ]
     if kind == "dyadic":
         other = generate(PathSpec(kind="fbm", hurst=0.25, n_max=20, seed=2))
-        jobs += [(tanaka_meyer_report, (path, hier, 2, 0.1, 1.0), 0.5), (identity_suite, (path, other, hier, 2), 5.5)]
+        jobs += [(tanaka_meyer_report, (path, hier, 2, 0.1, 1.0), 0.5), (identity_suite, (path, other, hier, 2), 1.0)]
     for fn, args, bound in jobs:
         _, peak = traced_peak(fn, *args)
         assert peak <= bound * path.values.nbytes, (fn.__name__, peak / path.values.nbytes)
@@ -628,15 +632,23 @@ def test_histograms_hold_one_chunk_of_the_path(path_2_20):
     # binned whole, each held the N cell indices and N weights per density:
     # 4.0x the path bytes, 5.0x for the weighted density and the ratio
     # check.  Chunked, they hold the grid level's indices (1x); the weighted
-    # density makes each chunk's times, where it gathered path.times (2.03x)
+    # density makes each chunk's times, where it gathered path.times (2.03x).
+    # occupation_check held the whole level's masses and g(S): 4.13x with a
+    # cell indicator, 6.0x with x^2 on six grids; summed piece by piece, its
+    # sides read 1.19x and 1.25x
     path = path_2_20
     grid = SpaceGrid.cover([path], 128)
     cps = [0.25, 0.5, 0.75, 1.0]
+    grids = [SpaceGrid.cover([path], cells) for cells in (16, 32, 64, 128, 256, 512)]
+    indicator = CellIndicator(grid, [3, 10, 11, 12, 40, 64, 65])
+    square = tanaka_class("poly", 4, coeffs=[0.0, 0.0, 1.0])
     for fn, args, bound in (
         (occupation_density_local_time, (path, 4, grid, cps), 1.5),
         (occupation_time_density, (path, grid, cps), 1.5),
         (weighted_occupation_local_time, (path, 0.25, grid, cps), 1.5),
         (berman_ratio_check, (path, 4, grid), 1.5),
+        (occupation_check, (path, 4, indicator, [grid], 1.0), 1.5),
+        (occupation_check, (path, 4, square, grids, 1.0), 1.5),
     ):
         _, peak = traced_peak(fn, *args)
         assert peak <= bound * path.values.nbytes, (fn.__name__, peak / path.values.nbytes)
