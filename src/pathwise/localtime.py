@@ -14,6 +14,7 @@ value and divides by p * cellwidth, estimating the density of d[S]^p / p.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -74,9 +75,12 @@ class SpaceGrid:
     def cellwidth(self) -> float:
         return (self.hi - self.lo) / self.cells
 
-    @property
+    @functools.cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.cells + 1)
+        """The cells + 1 cell edges, made once per grid and read-only."""
+        edges = np.linspace(self.lo, self.hi, self.cells + 1)
+        edges.setflags(write=False)
+        return edges
 
     @property
     def centers(self) -> np.ndarray:
@@ -292,8 +296,15 @@ def occupation_density_local_time(
     variation up to accumulation rounding."""
     p = even_order(p)
     stack = _grid_level(path, checkpoints)
+    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=stack.times,
+                               values=_occupation_density(path, p, grid, stack))
+
+
+def _occupation_density(path: SampledPath, p: int, grid: SpaceGrid, stack: LevelStack) -> np.ndarray:
+    """The values of :func:`occupation_density_local_time` on a prebuilt
+    :func:`_grid_level` stack, ``(checkpoints, cells)``."""
     (sums,) = _binned_sums(path, grid, stack, lambda a, b: (ipow(np.abs(b - a), p),))
-    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=stack.times, values=sums / (p * grid.cellwidth))
+    return sums / (p * grid.cellwidth)
 
 
 def occupation_time_density(
@@ -321,14 +332,14 @@ def weighted_occupation_local_time(
 
     def weights(a, b, k_a, k_b):
         # the times at the grid indices k of the piece's points, by
-        # np.linspace's own formula, k * (T / N) + 0.0 with the last time T,
-        # the bytes of path.times without a piece holding them all
+        # np.linspace's own formula, k * (T / N) + 0.0, the bytes of
+        # path.times without a piece holding them all; N is a power of two,
+        # so T / N is exact and k = N gives exactly T, the time linspace
+        # sets last
         tg = np.empty(k_b.size + 1)
         tg[:1], tg[1:] = k_a[:1], k_b
         tg *= path.dt
         tg += 0.0
-        if k_b[-1] == path.n_samples - 1:
-            tg[-1] = path.T
         tg **= 2 * hurst
         return (tg[1:] - tg[:-1],)
 

@@ -90,7 +90,18 @@ class RankSystem:
 
 
 def build_rank_system(paths: Sequence[SampledPath]) -> RankSystem:
-    """Sort m paths into descending ranks at every grid time."""
+    """Sort m paths into descending ranks at every grid time.
+
+    An odd-even transposition network orders the rows: m rounds of
+    compare-exchanges of adjacent rows, each swapping the two values only
+    where the upper one is strictly smaller.  So every column of
+    ``ranked`` is a stable permutation of the column of ``values``: tied
+    values, +0.0 and -0.0 among them, keep the rows' order, and no byte
+    depends on the CPU.  ``np.less`` is a total order here because a
+    :class:`SampledPath` holds finite values only.  In a sorted column
+    equal values are neighbours, so a rank's tie count is the length of
+    its run of equal values.
+    """
     if not paths:
         raise ParameterError("need at least one path")
     T, n_max = paths[0].T, paths[0].n_max
@@ -98,11 +109,25 @@ def build_rank_system(paths: Sequence[SampledPath]) -> RankSystem:
         if (q.T, q.n_max) != (T, n_max):
             raise ParameterError("mismatched grids: all paths must share (T, n_max)")
     values = np.vstack([q.values for q in paths])
-    ranked = -np.sort(-values, axis=0)
-    # ties per (rank, time), one (m, N) comparison per path
-    counts = np.zeros(ranked.shape, dtype=np.int64)
-    for v in values:
-        counts += ranked == v
+    ranked = values.copy()
+    m, n = values.shape
+    swap, row = np.empty(n, dtype=bool), np.empty(n)
+    for rnd in range(m):
+        for k in range(rnd % 2, m - 1, 2):
+            upper, lower = ranked[k], ranked[k + 1]
+            np.less(upper, lower, out=swap)
+            np.copyto(row, upper)
+            np.copyto(upper, lower, where=swap)
+            np.copyto(lower, row, where=swap)
+    del swap, row
+    # ties per (rank, time): counts[k] first counts the run of equal values
+    # ending at rank k, then takes the length of the whole run
+    counts = np.ones(values.shape, dtype=np.int64)
+    equal = ranked[:-1] == ranked[1:]
+    for k in range(1, m):
+        np.add(counts[k - 1], 1, out=counts[k], where=equal[k - 1])
+    for k in range(m - 2, -1, -1):
+        np.copyto(counts[k], counts[k + 1], where=equal[k])
     return RankSystem(
         paths=tuple(paths), values=values, ranked=ranked, counts=counts, T=T, n_max=n_max
     )

@@ -33,7 +33,7 @@ from ._util import (LevelStack, Table, bracket_contributions, check_level, even_
 from .errors import ParameterError
 from .integrate import (SmoothCallable, TestFunction, _follmer_sums, _measure_remainder_sums, _remainder,
                         _tanaka_meyer_sums)
-from .localtime import SpaceGrid, _grid_level, occupation_density_local_time
+from .localtime import SpaceGrid, _grid_level, _occupation_density
 from .partitions import PartitionHierarchy, _oscillation
 from .paths import SampledPath
 
@@ -418,8 +418,8 @@ def occupation_check(
     Exact (1e-9 relative) when g is a union-of-cells indicator; for a
     Lipschitz g the two sides agree within 2 * Lip(g) * cellwidth * [S]^p(t),
     which halves as the cells shrink.  The lhs and [S]^p(t) are computed
-    once, piece by piece; each grid's rhs pairs g with its
-    :func:`occupation_density_local_time`.
+    once, piece by piece, on the sampling grid's level credited at t; each
+    grid's rhs is :func:`occupation_density_local_time` on that same level.
     """
     p = even_order(p)
 
@@ -428,12 +428,13 @@ def occupation_check(
         return np.asarray(g.value(a), dtype=float) * masses, masses
 
     # the finest-level intervals credited at t, as the rhs histograms credit them
-    lhs, pv = (float(x[0]) for x in _grid_level(path, [t]).sums(terms, path.values))
+    stack = _grid_level(path, [t])
+    lhs, pv = (float(x[0]) for x in stack.sums(terms, path.values))
     name = f"occupation density with {getattr(g, 'name', 'g')}"
     label = (path.n_max,)
 
     def report(grid):
-        occ = occupation_density_local_time(path, p, grid, [t]).values[0]
+        occ = _occupation_density(path, p, grid, stack)[0]
         rhs = p * grid.cellwidth * float(np.sum(np.asarray(g.value(grid.centers), dtype=float) * occ))
         if isinstance(g, CellIndicator):
             return _report(name, label, [lhs], [rhs], exact=True)

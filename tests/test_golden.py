@@ -17,9 +17,11 @@ A change that moves bytes on purpose regenerates the manifest with
 which rewrites the numpy-free lines and this numpy's section and keeps the
 other sections; the change then names the files whose digests moved.
 
-The numpy-free lines and C4's file must also keep their bytes on other
-CPUs: one test recomputes them in child processes with numpy's AVX-512
-and AVX2 loops switched off and under four OpenBLAS cores.
+The numpy-free lines also pin the ranks and tie counts of a rank system
+whose columns tie +0.0 with -0.0.  They and C4's file must keep their
+bytes on other CPUs: one test recomputes them in child processes with
+numpy's AVX-512 and AVX2 loops switched off and under four OpenBLAS
+cores.
 """
 
 import concurrent.futures
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathwise import acceptance, cli
+from pathwise import SampledPath, acceptance, build_rank_system, cli
 from pathwise._util import write_csv
 
 MANIFEST = Path(__file__).with_name("golden.sha256")
@@ -148,9 +150,27 @@ def test_acceptance_artifacts_match_the_manifest(suite_run):
 _C4 = "acc/c4_occupation_density.csv"
 
 
+# a rank system whose columns tie +0.0 with -0.0, whose order a per-column
+# sort left to the CPU's dispatch
+_RANKS = "rank-system/signed-zero-ties"
+
+
+def rank_system_digest() -> dict:
+    """Digest of the ranked rows and tie counts of eight walks on the
+    levels -1, -0.0, +0.0, 0.5 and 1."""
+    rng = np.random.default_rng(29)
+    levels = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    system = build_rank_system([SampledPath(1.0, 10, levels[rng.integers(0, 5, 2**10 + 1)]) for _ in range(8)])
+    return {_RANKS: hashlib.sha256(system.ranked.tobytes() + system.counts.tobytes()).hexdigest()}
+
+
+def test_rank_system_digest_matches_the_manifest():
+    assert rank_system_digest() == _expected(None, _RANKS)
+
+
 def numpy_free_digests() -> dict:
-    """Digests of the numpy-free lines and of C4's file, from fresh runs in
-    a temporary directory."""
+    """Digests of the numpy-free lines, the rank system's and C4's file,
+    from fresh runs in a temporary directory."""
     here = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="pathwise-golden-") as tmp:
         os.chdir(tmp)
@@ -165,7 +185,7 @@ def numpy_free_digests() -> dict:
             out.update(_digests(Path(tmp), _C4))
         finally:
             os.chdir(here)
-    return out
+    return {**out, **rank_system_digest()}
 
 
 def _dispatch_settings() -> dict:
@@ -231,7 +251,7 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory(prefix="pathwise-golden-") as tmp:
         os.chdir(tmp)
         try:
-            sections[None] = {}
+            sections[None] = rank_system_digest()
             for target in CLI_RUNS:
                 _run_cli(target)
                 sections[None].update(_digests(Path(tmp), target))

@@ -81,6 +81,17 @@ def test_space_grid_refuses_non_finite_bounds_and_a_cell_count_that_is_not_an_in
     assert SpaceGrid(-10, 10, np.int64(4)).cellwidth == 5.0
 
 
+def test_space_grid_edges_are_made_once_and_read_only():
+    grid = SpaceGrid(-1.0, 3.0, 8)
+    edges = grid.edges
+    assert grid.edges is edges and not edges.flags.writeable
+    assert edges.tobytes() == np.linspace(-1.0, 3.0, 9).tobytes()
+    with pytest.raises(ValueError):
+        edges[0] = 0.0
+    # the cached edges are no field: equal grids stay equal and hash alike
+    assert grid == SpaceGrid(-1.0, 3.0, 8) and hash(grid) == hash(SpaceGrid(-1.0, 3.0, 8))
+
+
 def test_coverage_error(bm_path):
     grid = SpaceGrid(0.0, 0.1, 4)
     hier = dyadic_hierarchy(bm_path, 3)

@@ -20,6 +20,7 @@ from pathwise import (
     simplified_cross_term,
     tanaka_class,
 )
+from pathwise import ranks
 from pathwise._util import bracket_contributions, ipow, left_endpoint_counts, snap_checkpoints
 from tests.conftest import csv_rows, make_walk, traced_peak
 
@@ -64,12 +65,15 @@ def test_tie_counts_equal_the_dense_comparison():
 
 
 def test_rank_system_working_set_is_linear_in_the_path_count():
-    # the outputs are three (m, N + 1) arrays; tie counting adds one (m, N + 1)
-    # boolean comparison, not an (m, m, N + 1) one
-    paths = [generate(PathSpec(kind="bm", n_max=14, seed=s)) for s in range(16)]
-    path_bytes = sum(q.values.nbytes for q in paths)
-    _, peak = traced_peak(build_rank_system, paths)
-    assert peak <= 3.5 * path_bytes, (peak, path_bytes)
+    # the outputs are three (m, N + 1) arrays; the network adds one scratch
+    # row and its swap mask, freed before the tie counts' boolean
+    # comparison of neighbouring rows, not an (m, m, N + 1) comparison
+    # (3.09x at m = 3 and 3.12x at m = 16)
+    for m in (3, 16):
+        paths = [generate(PathSpec(kind="bm", n_max=14, seed=s)) for s in range(m)]
+        path_bytes = sum(q.values.nbytes for q in paths)
+        _, peak = traced_peak(build_rank_system, paths)
+        assert peak <= 3.5 * path_bytes, (m, peak, path_bytes)
 
 
 def test_all_rank_decomposition_working_set_is_linear_in_the_path_count():
@@ -121,6 +125,43 @@ def test_mismatched_grids_rejected(bm_path):
     other = generate(PathSpec(kind="fbm", hurst=0.5, T=1.0, n_max=6, seed=1))
     with pytest.raises(ParameterError):
         build_rank_system([bm_path, other])
+
+
+def _tied_walks(rng, m, n_max, levels):
+    return [make_walk(rng.choice(levels, 2**n_max + 1)) for _ in range(m)]
+
+
+def test_ranked_rows_are_the_descending_sort_bit_for_bit():
+    # five levels, no zero among them, so equal values have equal bits
+    rng = np.random.default_rng(11)
+    for m in range(1, 21):
+        system = build_rank_system(_tied_walks(rng, m, 6, [-1.5, -0.5, 0.25, 1.0, 2.0]))
+        assert system.ranked.tobytes() == (-np.sort(-system.values, axis=0)).tobytes(), m
+        dense = (system.values[None, :, :] == system.ranked[:, None, :]).sum(axis=1)
+        assert system.counts.dtype == dense.dtype and np.array_equal(system.counts, dense), m
+
+
+def test_signed_zero_ties_keep_the_rows_order():
+    # +0.0 and -0.0 tie; each column's ranks are its values in a stable
+    # descending sort, the tied zeros in the order of their rows
+    rng = np.random.default_rng(12)
+    for m in (2, 3, 5, 9):
+        system = build_rank_system(_tied_walks(rng, m, 6, [-1.0, -0.0, 0.0, 1.0]))
+        want = np.array([[col[i] for i in sorted(range(m), key=lambda i: -col[i])] for col in system.values.T]).T
+        assert system.ranked.tobytes() == want.tobytes(), m
+        assert np.any(np.signbit(system.ranked) & (system.ranked == 0.0))
+        dense = (system.values[None, :, :] == system.ranked[:, None, :]).sum(axis=1)
+        assert np.array_equal(system.counts, dense), m
+
+
+def test_occupants_sit_at_their_ranks_on_a_tied_system():
+    rng = np.random.default_rng(13)
+    system = build_rank_system(_tied_walks(rng, 6, 7, [-1.0, -0.0, 0.0, 0.5, 1.0]))
+    assert np.any(system.counts > 1)
+    occupants = ranks._occupants(system.values)
+    cols = np.arange(system.values.shape[1])
+    for k in range(system.m):
+        assert system.values[occupants[k], cols].tobytes() == system.ranked[k].tobytes()
 
 
 # -- collision local times ---------------------------------------------------
