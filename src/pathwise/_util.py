@@ -93,21 +93,6 @@ def _tree(start: int, stop: int, leaf: Callable):
     return value
 
 
-def _joined_sum(chunks: Sequence[np.ndarray]):
-    """``np.sum(np.concatenate(chunks))`` without joining them: a node of
-    its tree in one chunk is summed there, one of <= 128 entries joined."""
-    edges = np.cumsum([0] + [c.size for c in chunks]).tolist()
-
-    def leaf(node):
-        s, e = node
-        if e - s <= 128:
-            return np.sum(np.concatenate([c[max(s - a, 0):max(e - a, 0)] for c, a in zip(chunks, edges)]))
-        i = np.searchsorted(edges, s, side="right") - 1
-        return np.sum(chunks[i][s - edges[i]:e - edges[i]]) if e <= edges[i + 1] else None
-
-    return _tree(0, edges[-1], leaf)
-
-
 @dataclass(frozen=True)
 class LevelStack:
     """The intervals of every level of a hierarchy credited at checkpoint
@@ -151,14 +136,14 @@ class LevelStack:
         read at every checkpoint: shaped ``(levels, checkpoints)``, or a
         tuple of such arrays.
 
-        ``terms`` is called as for :meth:`sums`, without masked terms.  A
-        piece's cumsum starts from the sum carried from the piece before,
-        placed as its first element; ``np.cumsum`` adds in order, so every
-        bit is that of one cumsum over the whole level (a first piece starts
-        from its first term, so a leading -0.0 stays -0.0).
+        ``terms`` is called as for :meth:`sums`.  A piece's cumsum starts
+        from the sum carried from the piece before, placed as its first
+        element; ``np.cumsum`` adds in order, so every bit is that of one
+        cumsum over the whole level (a first piece starts from its first
+        term, so a leading -0.0 stays -0.0).
         """
         outs, carry, single = collections.defaultdict(lambda: np.empty(self.counts.shape)), {}, False
-        for single, k, (i, start, _), x, _ in self._level_terms(terms, values):
+        for single, k, (i, start, _), x in self._level_terms(terms, values):
             carry[k] = _read_cumsums(outs[k][i], self.counts[i], x, start, carry.get(k))
         return outs[0] if single else tuple(outs.values())
 
@@ -169,20 +154,19 @@ class LevelStack:
         ``ak`` and ``bk`` hold the k-th value array (last axis) at the left
         and right ends of the intervals of one piece: read-only views of one
         gather of it, offset by one point.  ``terms`` returns a term, or an
-        iterable of them (a generator frees each before making the next): an
-        array with one entry per interval, or ``(x[mask], mask)``.  A cut
-        level adds its node sums up :func:`_tree`; a masked term keeps its
-        entries until the level's last piece (:func:`_joined_sum`).
+        iterable of them (a generator frees each before making the next),
+        each an array with one entry per interval.  A cut level adds its
+        node sums up :func:`_tree`.
         """
         outs, cut, single = collections.defaultdict(lambda: np.empty(len(self.levels))), {}, False
         kept = self.counts[:, -1].tolist()
-        for single, k, (i, start, stop), x, masked in self._level_terms(terms, values):
+        for single, k, (i, start, stop), x in self._level_terms(terms, values):
             if start == 0 and stop == kept[i]:
                 outs[k][i] = np.sum(x)
             else:  # a cut level, a block of its own
-                cut.setdefault(k, {})[start, stop] = x if masked else np.sum(x)
+                cut.setdefault(k, {})[start, stop] = np.sum(x)
                 if stop == kept[i]:
-                    outs[k][i] = _joined_sum(list(cut.pop(k).values())) if masked else _tree(0, stop, cut.pop(k).get)
+                    outs[k][i] = _tree(0, stop, cut.pop(k).get)
         return outs[0] if single else tuple(outs.values())
 
     def cell_sums(self, cells: int, terms: Callable, *values: np.ndarray):
@@ -241,23 +225,16 @@ class LevelStack:
             yield np.repeat(per_level[..., [i for i, _, _ in piece]], spans, axis=-1)[..., :-1]
 
     def _level_terms(self, terms: Callable, values: Sequence[np.ndarray]):
-        """``(single, k, (i, start, stop), x, masked)`` per level of each
-        piece and term: x holds the k-th term's entries (or selected ones)
-        for intervals start..stop-1 of level i; ``single``, whether
-        ``terms`` returned one array."""
+        """``(single, k, (i, start, stop), x)`` per level of each piece and
+        term: x holds the k-th term's entries for intervals start..stop-1 of
+        level i; ``single``, whether ``terms`` returned one array."""
         for piece in self._pieces():
             result = terms(*self._gather(piece, values))
             single = isinstance(result, np.ndarray)
-            sizes = np.array([stop - start for _, start, stop in piece])
-            first = np.array(_firsts(piece))
+            ranges = [(entry, first, first + entry[2] - entry[1]) for entry, first in zip(piece, _firsts(piece))]
             for k, term in enumerate([result] if single else result):
-                masked = isinstance(term, tuple)
-                lo, hi = first, first + sizes
-                if masked:
-                    ranks = np.concatenate([[0], np.cumsum(term[1])])
-                    term, lo, hi = term[0], ranks[lo], ranks[hi]
-                for entry, s, e in zip(piece, lo.tolist(), hi.tolist()):
-                    yield single, k, entry, term[s:e], masked
+                for entry, s, e in ranges:
+                    yield single, k, entry, term[s:e]
 
     def _pieces(self) -> Iterable[List[Tuple[int, int, int]]]:
         """What a kernel gathers at a time, in level order: lists of

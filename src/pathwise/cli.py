@@ -54,7 +54,7 @@ RANK_FIELDS = ("k", "level", "t", "A", "B", "C", "D", "residual")
 ANALYSES = ("variation", "local-time", "tanaka", "identities", "ranks")
 _RUN_FIELDS = ("p", "paths", "partition", "levels", "analyses", "test_functions", "seeds", "checkpoints",
                "grid_cells", "max_tensor_bytes", "output_dir")
-_HIERARCHIES = {"dyadic": dyadic_hierarchy, "lebesgue": lebesgue_hierarchy}
+_PARTITIONS = ("dyadic", "lebesgue")
 
 
 # -- config handling -----------------------------------------------------
@@ -92,7 +92,7 @@ def validate_run_config(cfg: dict) -> dict:
     p = field(cfg, "", "p", int, ok=lambda n: n >= 2 and n % 2 == 0, need="an even integer >= 2")
     raw_paths = field(cfg, "", "paths", list, ok=bool, need="a non-empty list of path specs")
     specs = [_path_spec_from(pc, f"paths[{i}]") for i, pc in enumerate(raw_paths)]
-    partition = field(cfg, "", "partition", str, "dyadic", _HIERARCHIES.__contains__, f"one of {tuple(_HIERARCHIES)}")
+    partition = field(cfg, "", "partition", str, "dyadic", _PARTITIONS.__contains__, f"one of {_PARTITIONS}")
     n_max = min(s.n_max for s in specs)
     levels = field(cfg, "", "levels", int, n_max, lambda lv: 1 <= lv <= n_max,
                    f"an integer from 1 to the smallest path n_max ({n_max})")
@@ -201,7 +201,8 @@ def run(cfg: dict) -> int:
             }
 
     for i, (tag, path) in enumerate(paths):
-        hier = _HIERARCHIES[cfg["partition"]](path, cfg["levels"])
+        build = dyadic_hierarchy if cfg["partition"] == "dyadic" else lebesgue_hierarchy
+        hier = build(path, cfg["levels"])
         if i == 0:
             # the pair identities and the ranks run on the first path's levels
             first_hier = hier
@@ -311,7 +312,7 @@ def _times(text: str) -> List[float]:
 def _add_common_args(sp: argparse.ArgumentParser) -> None:
     _add_path_args(sp)
     sp.add_argument("--p", type=int, default=2, help="variation order (even integer >= 2)")
-    sp.add_argument("--partition", default="dyadic", choices=["dyadic", "lebesgue"])
+    sp.add_argument("--partition", default="dyadic", choices=_PARTITIONS)
     sp.add_argument("--levels", type=int, default=None)
     sp.add_argument("--checkpoints", type=_times, default="0.25,0.5,0.75,1.0",
                     help="comma-separated checkpoint times")

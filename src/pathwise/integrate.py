@@ -114,9 +114,14 @@ class TestFunction:
             raise ParameterError("breakpoints must be strictly increasing")
         if len(pieces) != bps.size + 1:
             raise ParameterError("need exactly len(breakpoints) + 1 pieces")
+        if any(c.ndim != 1 or c.size == 0 for c in pieces):
+            raise ParameterError("every piece needs a list of one or more coefficients")
+        centers = np.asarray(self.centers, dtype=float)
+        if centers.shape != (len(pieces),) or not np.all(np.isfinite(centers)):
+            raise ParameterError(f"need one finite center per piece, got {centers.tolist()}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
+        object.__setattr__(self, "centers", centers)
 
     # -- evaluation -----------------------------------------------------
 
@@ -374,34 +379,33 @@ def _gauss_legendre(n: int):
 
 
 def _measure_remainder_sums(a: np.ndarray, b: np.ndarray, p: int, measure: StieltjesMeasure):
-    """The remainder's masked terms, one by one: per atom, |b - loc|**(p-1)
-    where the bracket holds it; per density piece, its exact quadrature."""
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    for loc, mass in measure.atoms:
-        ind = (loc > lo) & (loc <= hi)
-        yield ipow(np.abs(b[ind] - loc), p - 1), ind
+    """The remainder's terms, one by one, each with one entry per interval:
+    per atom, the discrete local time at it (:func:`bracket_contributions`);
+    per density piece, its exact quadrature over the part of the bracket in
+    the piece, of zero width where the bracket misses the piece."""
+    for loc, _ in measure.atoms:
+        yield bracket_contributions(a, b, p, loc)
     dens = measure.density
     if dens is not None:
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
         spans = np.concatenate([[-np.inf], dens.breakpoints, [np.inf]])
         for i, coeffs in enumerate(dens.pieces):
             if not np.any(coeffs):
                 continue
             seg_lo = np.maximum(lo, spans[i])
-            seg_hi = np.minimum(hi, spans[i + 1])
-            valid = seg_lo < seg_hi
+            seg_hi = np.maximum(np.minimum(hi, spans[i + 1]), seg_lo)
             deg = (p - 1) + (coeffs.size - 1)
             nodes, weights = _gauss_legendre(deg // 2 + 1)
-            mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
-            half = 0.5 * (seg_hi[valid] - seg_lo[valid])
-            bv = b[valid]
+            mid = 0.5 * (seg_lo + seg_hi)
+            half = 0.5 * (seg_hi - seg_lo)
             # each interval's rule summed node by node, in one fixed order
             # on every CPU, where a BLAS product's order depends on its kernel
             for k, (node, weight) in enumerate(zip(nodes.tolist(), weights.tolist())):
                 xq = mid + half * node
-                integ = ipow(np.abs(bv - xq), p - 1) * _polyval(xq - dens.centers[i], coeffs) * weight
+                integ = ipow(np.abs(b - xq), p - 1) * _polyval(xq - dens.centers[i], coeffs) * weight
                 quad = integ if k == 0 else quad + integ
-            yield half * quad, valid
+            yield half * quad
 
 
 def _remainder(sums: Sequence[np.ndarray], measure: StieltjesMeasure, levels: int) -> np.ndarray:

@@ -17,6 +17,16 @@ summation order.  The test functions are written out by hand:
   holds a;
 - :class:`Poly`, a polynomial: the remainder is the density f^(p),
   integrated exactly against |S_{j+1} - x|^(p-1).
+
+:func:`tanaka_meyer_plus` does the same for the Tanaka-Meyer identity of
+the positive part at a level a,
+
+    ((S_u - a)^+)^(p-1) - ((S_0 - a)^+)^(p-1)
+        - sum_j 1(S_j > a) {(S_{j+1} - a)^(p-1) - (S_j - a)^(p-1)}
+        = sum_j 1_(min, max](a) |S_{j+1} - a|^(p-1),
+
+which holds exactly in Q on every interval whose left end is not a: a
+sample equal to a breaks it.
 """
 
 from __future__ import annotations
@@ -89,16 +99,40 @@ class Sides(NamedTuple):
     rhs_magnitude: Fraction
 
 
+def _kept(level: Sequence[int], last: int) -> tuple:
+    """The intervals ``(i, j)`` of ``level`` (grid indices) whose left end
+    is at or before grid index ``last``, and the grid index where the last
+    of them ends (0 if none is kept)."""
+    points = [int(i) for i in level]
+    kept = [(i, j) for i, j in zip(points, points[1:]) if i <= last]
+    return kept, kept[-1][1] if kept else 0
+
+
+def _sides(lhs_terms: list, rhs_terms: list) -> Sides:
+    return Sides(sum(lhs_terms, Fraction(0)), sum(rhs_terms, Fraction(0)),
+                 sum(map(abs, lhs_terms), Fraction(0)), sum(map(abs, rhs_terms), Fraction(0)))
+
+
 def change_of_variable(values: Sequence[float], level: Sequence[int], last: int, p: int, f) -> Sides:
     """Both sides on the intervals of ``level`` (grid indices) whose left
     end is at or before grid index ``last``."""
     s = [Fraction(v) for v in values]
-    points = [int(i) for i in level]
-    kept = [(i, j) for i, j in zip(points, points[1:]) if i <= last]
-    end = kept[-1][1] if kept else 0
+    kept, end = _kept(level, last)
     change = [f.derivative(s[end], 0), -f.derivative(s[0], 0)]
     compensator = [-f.derivative(s[i], k) * (s[j] - s[i]) ** k / factorial(k)
                    for i, j in kept for k in range(1, p)]
-    remainder = [f.remainder(s[i], s[j]) / factorial(p - 1) for i, j in kept]
-    return Sides(sum(change + compensator), sum(remainder, Fraction(0)),
-                 sum(map(abs, change + compensator)), sum(map(abs, remainder), Fraction(0)))
+    return _sides(change + compensator, [f.remainder(s[i], s[j]) / factorial(p - 1) for i, j in kept])
+
+
+def tanaka_meyer_plus(values: Sequence[float], level: Sequence[int], last: int, p: int, a: float) -> Sides:
+    """Both sides of the plus-variant Tanaka-Meyer identity at level a, on
+    the intervals of :func:`change_of_variable`: the positive part's power
+    change less the compensated sum, and the discrete local time at a.
+    Each power (S - a)^(p-1) of the compensated sum is a term of its own."""
+    s = [Fraction(v) for v in values]
+    a, d = Fraction(a), p - 1
+    kept, end = _kept(level, last)
+    change = [max(s[end] - a, 0) ** d, -max(s[0] - a, 0) ** d]
+    compensator = [term for i, j in kept if s[i] > a for term in (-(s[j] - a) ** d, (s[i] - a) ** d)]
+    local_time = [abs(s[j] - a) ** d for i, j in kept if min(s[i], s[j]) < a <= max(s[i], s[j])]
+    return _sides(change + compensator, local_time)

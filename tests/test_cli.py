@@ -161,6 +161,24 @@ def test_run_trims_the_heap_first(tmp_path, monkeypatch):
     _util.release_free_heap()
 
 
+@pytest.mark.parametrize("partition", ["dyadic", "lebesgue"])
+def test_run_calls_the_hierarchy_builder_by_name(partition, tmp_path, monkeypatch):
+    # a tracer that rebinds pathwise.cli's builders sees every call
+    import pathwise.cli
+
+    builder = f"{partition}_hierarchy"
+    real, calls = getattr(pathwise.cli, builder), []
+
+    def spy(path, levels):
+        calls.append(levels)
+        return real(path, levels)
+
+    monkeypatch.setattr(pathwise.cli, builder, spy)
+    assert run_cli("identities", "--kind", "bm", "--partition", partition, "--m", "2", "--n-max", "6",
+                   "--levels", "4", "--out-dir", str(tmp_path / "ids")) == 0
+    assert calls == [4, 4]
+
+
 # -- config validation ----------------------------------------------------------
 
 _GOOD = {"paths": [{"kind": "bm", "n_max": 6, "seed": 1}], "p": 2, "levels": 4, "analyses": ["variation"]}
@@ -185,6 +203,8 @@ BAD_CONFIGS = {
     "unknown analysis": ({**_GOOD, "analyses": ["spectra"]}, "'analyses'"),
     "unknown test function": ({**_GOOD, "test_functions": [{"name": "sin"}]}, "test_functions[0].name"),
     "poly without coefficients": ({**_GOOD, "test_functions": [{"name": "poly"}]}, "test_functions[0]"),
+    "poly with no coefficient": (
+        {**_GOOD, "test_functions": [{"name": "poly", "params": {"coeffs": []}}]}, "test_functions[0]"),
     "test function listed twice": (
         {**_GOOD, "test_functions": [{"name": "poly", "params": {"coeffs": [0, 0, 1]}},
                                      {"name": "poly", "params": {"coeffs": [0.0, 0.0, 1.0]}}]},

@@ -14,8 +14,9 @@ A change that moves bytes on purpose regenerates the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which rewrites the numpy-free lines and this numpy's section and keeps the
-other sections; the change then names the files whose digests moved.
+which rewrites the numpy-free lines and this numpy's section, keeps the
+other sections and prints each line whose digest changed, appeared or
+disappeared; the change then names those files.
 
 The numpy-free lines also pin the ranks and tie counts of a rank system
 whose columns tie +0.0 with -0.0.  They and C4's file must keep their
@@ -164,6 +165,18 @@ def rank_system_digest() -> dict:
     return {_RANKS: hashlib.sha256(system.ranked.tobytes() + system.counts.tobytes()).hexdigest()}
 
 
+def test_regeneration_names_the_lines_that_moved():
+    old = read_manifest("# a comment\naa  bm.csv\nbb  run/a.csv\ncc  run/b.csv\n[numpy 1]\ndd  acc/c1.csv\n"
+                        "[numpy 2]\nee  acc/c1.csv\nff  acc/c2.csv\n")
+    new = read_manifest("aa  bm.csv\nb2  run/a.csv\nc3  run/c.csv\n[numpy 1]\ndd  acc/c1.csv\n"
+                        "[numpy 2]\nee  acc/c1.csv\nf2  acc/c2.csv\n[numpy 3]\ngg  acc/c1.csv\n")
+    assert moved_lines(old, new) == [
+        "changed: run/a.csv", "disappeared: run/b.csv", "appeared: run/c.csv",
+        "changed: [numpy 2] acc/c2.csv", "appeared: [numpy 3] acc/c1.csv",
+    ]
+    assert moved_lines(new, new) == []
+
+
 def test_rank_system_digest_matches_the_manifest():
     assert rank_system_digest() == _expected(None, _RANKS)
 
@@ -243,10 +256,33 @@ def test_numpy_free_lines_hold_under_other_cpu_dispatch():
         assert got == expected, (name, sorted(k for k in expected if got.get(k) != expected[k]))
 
 
+def _section_order(section) -> tuple:
+    """Sort key of manifest sections: the numpy-free lines first."""
+    return section is not None, section or ""
+
+
+def moved_lines(old: dict, new: dict) -> list:
+    """One line per file whose digest changed, appeared or disappeared from
+    manifest ``old`` to manifest ``new`` (both as :func:`read_manifest`
+    returns them), by section and then by name."""
+    out = []
+    for section in sorted(old.keys() | new.keys(), key=_section_order):
+        before, after = old.get(section, {}), new.get(section, {})
+        where = "" if section is None else f"[{section}] "
+        for name in sorted(before.keys() | after.keys()):
+            how = ("appeared" if name not in before else "disappeared" if name not in after
+                   else "changed" if before[name] != after[name] else None)
+            if how:
+                out.append(f"{how}: {where}{name}")
+    return out
+
+
 def regenerate() -> None:
     """Rewrite the numpy-free lines and this numpy's section from fresh
-    runs in a temporary directory; other sections are kept."""
-    sections = read_manifest(MANIFEST.read_text()) if MANIFEST.exists() else {None: {}}
+    runs in a temporary directory; other sections are kept.  Prints each
+    line that moved (:func:`moved_lines`)."""
+    text = MANIFEST.read_text() if MANIFEST.exists() else ""
+    old, sections = read_manifest(text), read_manifest(text)
     here = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="pathwise-golden-") as tmp:
         os.chdir(tmp)
@@ -266,11 +302,13 @@ def regenerate() -> None:
         "# SHA-256 of the artifacts that tests/test_golden.py writes, in sha256sum format.",
         "# Regenerate: PYTHONPATH=src python tests/test_golden.py",
     ]
-    for section, digests in sorted(sections.items(), key=lambda item: (item[0] is not None, item[0] or "")):
+    for section in sorted(sections, key=_section_order):
         if section is not None:
             lines.append(f"[{section}]")
-        lines += [f"{d}  {name}" for name, d in sorted(digests.items())]
+        lines += [f"{d}  {name}" for name, d in sorted(sections[section].items())]
     MANIFEST.write_text("\n".join(lines) + "\n")
+    for line in moved_lines(old, sections):
+        print(line)
 
 
 if __name__ == "__main__":

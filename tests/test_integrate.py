@@ -89,6 +89,17 @@ def test_non_finite_coefficients_are_refused(bad):
         tanaka_class("poly", 4, coeffs=[0.0, bad, 1.0])
 
 
+def test_a_piece_without_coefficients_or_center_is_refused():
+    # a piece without a coefficient has no degree and no value
+    with pytest.raises(ParameterError, match="one or more coefficients"):
+        tanaka_class("poly", 2, coeffs=[])
+    with pytest.raises(ParameterError, match="one or more coefficients"):
+        integrate.TestFunction(breakpoints=[0.0], pieces=([1.0], []), centers=[0.0, 0.0], smoothness=None)
+    for centers in ([0.0], [0.0, 0.0, 0.0], [0.0, math.nan], [[0.0, 0.0]]):
+        with pytest.raises(ParameterError, match="one finite center per piece"):
+            integrate.TestFunction(breakpoints=[0.0], pieces=([1.0], [2.0]), centers=centers, smoothness=None)
+
+
 def test_smoothness_defect_vanishes_for_the_tanaka_classes():
     for p in (2, 4):
         for name in ("pos_part_pow", "neg_part_pow", "abs_pow"):

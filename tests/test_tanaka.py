@@ -203,15 +203,17 @@ def _per_level_follmer_sum(path, level, p, f, t):
 
 
 def _per_level_measure_remainder_sum(path, level, p, measure, t):
+    """The remainder over one whole level, each term with one entry per
+    interval: an atom's |b - loc|**(p-1) where the bracket (min, max] holds
+    loc and 0 elsewhere, a density piece's quadrature over the part of the
+    bracket in the piece (of zero width where it misses the piece)."""
     a, b = _per_level_intervals(path, level, t)
     if a.size == 0:
         return 0.0
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     total = 0.0
     for loc, mass in measure.atoms:
-        ind = (loc > lo) & (loc <= hi)
-        if np.any(ind):
-            total += mass * float(np.sum(ipow(np.abs(b[ind] - loc), p - 1)))
+        total += mass * float(np.sum(np.where((lo < loc) & (loc <= hi), ipow(np.abs(b - loc), p - 1), 0.0)))
     dens = measure.density
     if dens is not None:
         spans = np.concatenate([[-np.inf], dens.breakpoints, [np.inf]])
@@ -219,15 +221,12 @@ def _per_level_measure_remainder_sum(path, level, p, measure, t):
             if not np.any(coeffs):
                 continue
             seg_lo = np.maximum(lo, spans[i])
-            seg_hi = np.minimum(hi, spans[i + 1])
-            valid = seg_lo < seg_hi
-            if not np.any(valid):
-                continue
+            seg_hi = np.maximum(np.minimum(hi, spans[i + 1]), seg_lo)
             nodes, weights = np.polynomial.legendre.leggauss(((p - 1) + (coeffs.size - 1)) // 2 + 1)
-            mid = 0.5 * (seg_lo[valid] + seg_hi[valid])
-            half = 0.5 * (seg_hi[valid] - seg_lo[valid])
+            mid = 0.5 * (seg_lo + seg_hi)
+            half = 0.5 * (seg_hi - seg_lo)
             xq = mid[:, None] + half[:, None] * nodes[None, :]
-            integ = ipow(np.abs(b[valid][:, None] - xq), p - 1) * npoly.polyval(
+            integ = ipow(np.abs(b[:, None] - xq), p - 1) * npoly.polyval(
                 xq - dens.centers[i], coeffs
             )
             quad = integ[:, 0] * weights[0]
@@ -535,6 +534,37 @@ def test_change_of_variable_is_exact_in_rationals(spec):
                 for got, exact, magnitude in ((rep.lhs[n - 1], sides.lhs, sides.lhs_magnitude),
                                               (rep.rhs[n - 1], sides.rhs, sides.rhs_magnitude)):
                     assert abs(Fraction(float(got)) - exact) <= _ORACLE_C * eps * magnitude, (p, f.name, n)
+
+
+@pytest.mark.parametrize("spec", [
+    PathSpec(kind="bm", n_max=10, seed=3),
+    PathSpec(kind="bm", n_max=10, T=1e-6, seed=4),
+    PathSpec(kind="fbm", hurst=0.25, n_max=10, seed=5),
+], ids=["bm", "bm-T1e-6", "fbm-H0.25"])
+def test_tanaka_meyer_is_exact_in_rationals_away_from_ties(spec):
+    # the plus variant at a level between the two middle samples: its float
+    # sides read at most 0.61 eps sum|terms| off their exact values
+    path = generate(spec)
+    hier = dyadic_hierarchy(path, 10)
+    last = 717
+    v = np.sort(path.values)
+    a = float(0.5 * (v[v.size // 2 - 1] + v[v.size // 2]))
+    assert a not in path.values
+    eps = Fraction(np.finfo(float).eps)
+    for p in (2, 4):
+        rep = tanaka_meyer_report(path, hier, p, a, last * path.dt)
+        for n in (4, 7, 10):
+            sides = rational.tanaka_meyer_plus(path.values, hier.level(n), last, p, a)
+            assert sides.lhs == sides.rhs, (p, n)
+            for got, exact, magnitude in ((rep.lhs[n - 1], sides.lhs, sides.lhs_magnitude),
+                                          (rep.rhs[n - 1], sides.rhs, sides.rhs_magnitude)):
+                assert abs(Fraction(float(got)) - exact) <= _ORACLE_C * eps * magnitude, (p, n)
+        # at a sample that the path leaves upwards, the finest level's
+        # interval from it adds (S_{i+1} - a)^(p-1) to the lhs alone
+        i = int(np.flatnonzero(np.diff(path.values[: last + 2]) > 0)[0])
+        tie = float(path.values[i])
+        sides = rational.tanaka_meyer_plus(path.values, hier.level(10), last, p, tie)
+        assert sides.lhs - sides.rhs == (Fraction(path.values[i + 1]) - Fraction(tie)) ** (p - 1)
 
 
 # -- Ito residuals ----------------------------------------------------------

@@ -576,9 +576,6 @@ def test_node_sums_added_up_numpys_tree_are_np_sum():
             got = _util._tree(0, n, sums.get)
             assert got.tobytes() == np.sum(x[:n]).tobytes(), (n, leaf)
             sequential += sum(sums.values()) != np.sum(x[:n])
-            # a masked term's entries, kept in pieces that are not nodes
-            cuts = np.sort(rng.integers(0, n, 5))
-            assert _util._joined_sum(np.split(x[:n], cuts)).tobytes() == np.sum(x[:n]).tobytes(), (n, leaf)
     # adding the node sums in order instead misses some bits
     assert sequential
 
@@ -609,16 +606,19 @@ def test_whole_level_sums_hold_one_piece_of_a_level(path_2_20, kind):
     # and 25.2x (degree-5 poly, p = 2) the path bytes (Lebesgue 8.19x and
     # 22.6x), tanaka_meyer_report 5.00x and identity_suite 19.6x.  Summed
     # piece by piece they read 0.37x and 1.63x (Lebesgue 0.33x and 1.39x),
-    # 0.23x and 5.00x: the poly's remainder keeps the finest level's
+    # 0.23x and 5.00x: the poly's remainder kept the finest level's masked
     # quadratures (1x) until its last piece, and identity_suite's peak was
     # its band widths (oscillation over whole levels) and the path |X|.
-    # Read in blocks, without |X|, identity_suite reads 0.70x.  The last two
-    # bounds add 0.27x and 0.3x to what they read
+    # Read in blocks, without |X|, identity_suite reads 0.70x.  With every
+    # remainder term dense, one piece at a time, the poly reads 0.58x
+    # (Lebesgue 0.45x), 0.50x once its Gauss-Legendre rule is cached.  The
+    # poly's bound and the last two add 0.12x, 0.27x and 0.3x to what they
+    # read
     path = path_2_20
     hier = dyadic_hierarchy(path, 20) if kind == "dyadic" else lebesgue_hierarchy(path, 8)
     jobs = [
         (finite_n_report, (path, hier, 4, tanaka_class("abs_pow", 4, a=0.1), 1.0), 2.0),
-        (finite_n_report, (path, hier, 2, tanaka_class("poly", 2, coeffs=[0.1, 0.0, 1.0, 0.5, -0.2, 0.1]), 1.0), 2.0),
+        (finite_n_report, (path, hier, 2, tanaka_class("poly", 2, coeffs=[0.1, 0.0, 1.0, 0.5, -0.2, 0.1]), 1.0), 0.7),
     ]
     if kind == "dyadic":
         other = generate(PathSpec(kind="fbm", hurst=0.25, n_max=20, seed=2))
