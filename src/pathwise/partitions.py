@@ -16,6 +16,7 @@ within the threshold of the current point.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -144,26 +145,61 @@ def lebesgue_hierarchy(path: SampledPath, levels: int) -> PartitionHierarchy:
     level; Python runs only over the tails of the longest stretches (at the
     coarsest thresholds often the whole level), and there only over the
     blocks that reach eps from the anchor.
+
+    Each step's first forced level is found once (:func:`_forced_levels`)
+    and kept in one byte (two from 255 levels on), so a level's forced
+    crossings are the steps whose byte is at most n.  Besides the index
+    arrays it returns, the scan holds those bytes, the block extrema (two
+    floats per ``_SKIP_BLOCK`` samples) and two booleans per sample.
     """
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
     vals = path.values
     if vals.max() == vals.min():
         raise ParameterError("lebesgue_hierarchy requires a non-constant path")
-    steps = np.abs(np.diff(vals))
+    forced = _forced_levels(np.diff(vals), levels)
     blocks = np.arange(0, vals.size, _SKIP_BLOCK)
-    block_range = (np.maximum.reduceat(vals, blocks).tolist(), np.minimum.reduceat(vals, blocks).tolist())
-    out = [_lebesgue_level(vals, steps, 2.0 ** (-n), block_range) for n in range(1, levels + 1)]
+    block_range = tuple(array("d", f.reduceat(vals, blocks).tobytes()) for f in (np.maximum, np.minimum))
+    out = [_lebesgue_level(vals, forced, n, block_range) for n in range(1, levels + 1)]
     nested = _check_nested(out)
     return PartitionHierarchy(
         kind="lebesgue", levels=tuple(out), level_labels=tuple(range(1, levels + 1)), nested=nested
     )
 
 
-def _lebesgue_level(vals, steps, eps, block_range):
-    """Index array of the Lebesgue level with threshold eps."""
+def _forced_levels(steps, levels):
+    """Each step's first forced level: the least n in 1..levels with
+    ``abs(step) > _FORCED_STEP * 2.0**-n``, or levels + 1 where there is
+    none, one entry of ``np.min_scalar_type(levels + 1)`` per step.
+    ``steps``, float64, serves as scratch.
+
+    Up to n = 1023 the threshold is the normal float
+    ``2**(1 - n) * (1 + 2**-40)``, whose bits, read as an int64, are
+    ``(1024 - n) << 52 | 1 << 12``; nonnegative floats order as their
+    bits, so a magnitude with bits b is forced exactly from level
+    ``1024 - ((b - (1 << 12) - 1) >> 52)`` on, as long as that is at most
+    1023.  From n = 1024 on the thresholds are subnormal, from 1036 on
+    they round and from 1075 on they are 0, so more levels than 1023 are
+    searched among the thresholds themselves.
+    """
+    dtype = np.min_scalar_type(levels + 1)
+    if levels > 1023:
+        thresholds = np.array([_FORCED_STEP * 2.0**-n for n in range(levels, 0, -1)])
+        return (levels + 1 - np.searchsorted(thresholds, np.abs(steps))).astype(dtype)
+    bits = steps.view(np.int64)
+    bits &= np.int64(2**63 - 1)  # the magnitude
+    bits -= (1 << 12) + 1
+    bits >>= 52
+    np.subtract(1024, bits, out=bits)
+    np.clip(bits, 1, levels + 1, out=bits)
+    return bits.astype(dtype)
+
+
+def _lebesgue_level(vals, forced, n, block_range):
+    """Index array of the Lebesgue level with threshold ``2**-n``."""
+    eps = 2.0 ** (-n)
     mark = np.zeros(vals.size, dtype=bool)
-    pos, ends = _mark_forced(mark, steps, eps)
+    pos, ends = _mark_forced(mark, forced, n)
     anchor = vals[pos]
     lengths = ends - pos - 1
     # numpy steps every open stretch one sample on per pass, while at least
@@ -187,8 +223,9 @@ def _lebesgue_level(vals, steps, eps, block_range):
     return np.flatnonzero(mark)
 
 
-def _mark_forced(mark, steps, eps):
-    """Mark the forced crossings of threshold eps in ``mark`` (all False on
+def _mark_forced(mark, forced, n):
+    """Mark the forced crossings of level n, the steps whose first forced
+    level (:func:`_forced_levels`) is at most n, in ``mark`` (all False on
     entry) and return the stretches between them that hold samples to
     scan, longest first: the index of each one's anchor, and one past its
     last sample.
@@ -201,7 +238,7 @@ def _mark_forced(mark, steps, eps):
     """
     bound = np.empty(mark.size + 1, dtype=bool)
     bound[0] = bound[-1] = True
-    np.greater(steps, _FORCED_STEP * eps, out=bound[1:-1])
+    np.less_equal(forced, n, out=bound[1:-1])
     mark[1:] = bound[1:-1]
     starts = np.flatnonzero(bound[:-1] & ~bound[1:])
     stops = np.flatnonzero(~bound[:-1] & bound[1:]) + 1

@@ -12,12 +12,17 @@ embedding of the fractional Gaussian noise covariance (Davies & Harte
 1987; Wood & Chan 1994): the 2N-point circulant whose first row is
 gamma(0), ..., gamma(N), gamma(N - 1), ..., gamma(1).  That row is real
 and symmetric, so its spectrum is real and half of it, N + 1 points,
-determines the rest; both transforms are real FFTs of length 2N.  The
-working set is the 2N-point row and its (N + 1)-point complex spectrum,
-once per (H, N), then each path's (N + 1)-point complex half-spectrum and
-its 2N-point real transform, plus the cached N + 1 roots of the
-spectrum; numpy < 2 also pads the half-spectrum to a 2N-point complex
-array before the inverse transform.  The embedding is nonnegative
+determines the rest.  The spectrum is a real FFT of length 2N, held with
+the 2N-point row once per (H, N).  The noise is the first N points of the
+real inverse transform of a path's (N + 1)-point complex half-spectrum:
+below n_max = 17 numpy's irfft computes all 2N of them, with scratch of
+its own (numpy < 2 also pads the half-spectrum to a 2N-point complex
+array first); from n_max = 17 on a blocked half-length transform computes
+only the N it keeps, in the half-spectrum's buffer and blocks of
+O(sqrt(N)) entries, so the working set is that buffer, the noise and the
+cached N + 1 roots of the spectrum.  The bytes of paths with n_max >= 17
+changed when that route came in; their law did not, and generation is
+still a pure function of (spec, seed).  The embedding is nonnegative
 definite for every H in (0, 1) (Dietrich & Newsam 1997; Craigmile 2003);
 should rounding ever make it indefinite, generation fails with a
 GenerationError.
@@ -162,6 +167,12 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+# fBM noise for n_max >= _BLOCKED_N_MAX comes from _irfft_head, in the
+# half-spectrum's buffer and blocks of _FFT_BLOCK columns or rows; numpy's
+# irfft, faster below it, holds 2N-point arrays and scratch
+_BLOCKED_N_MAX = 17
+_FFT_BLOCK = 64
+
 # lags from _SERIES_FROM on take the binomial series, truncated after
 # _SERIES_TERMS terms: the rest is below 64**-10 < 1e-18 of the sum
 _SERIES_FROM = 8
@@ -243,8 +254,10 @@ def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     The half-spectrum of 2N-point Hermitian noise is drawn into one
     (N + 1)-point complex buffer: real normals at 0 and N, and complex
     normals of unit variance, (real, imaginary) pairs in stream order,
-    between them.  Scaled by the root of the spectrum, its real inverse
-    transform is the noise; the result is a view of that 2N-point array.
+    between them.  Scaled by the root of the spectrum, the first N points
+    of its real inverse transform are the noise: from numpy's ``irfft``
+    below ``N = 2**_BLOCKED_N_MAX``, a view of its 2N-point output, and
+    from :func:`_irfft_head` from there on.
     """
     root = _circulant_sqrt_eigs(H, N)
     z = np.empty(N + 1, dtype=complex)
@@ -253,10 +266,94 @@ def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
     rng.standard_normal(out=z[1:N].view(float))
     np.divide(z[1:N], np.sqrt(2.0), out=z[1:N])
     z *= root
-    fgn = np.fft.irfft(z, n=2 * N)[:N]
+    fgn = np.fft.irfft(z, n=2 * N)[:N] if N < 1 << _BLOCKED_N_MAX else _irfft_head(z)
     del z
     fgn *= np.sqrt(2 * N)
     return fgn
+
+
+@lru_cache(maxsize=8)
+def _unit_root_tables(N: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """``(s, hi, lo)`` with ``w**j = hi[j >> s] * lo[j % 2**s]`` for
+    ``w = exp(i pi / N)`` and ``0 <= j < 2N``: about sqrt(2N) entries
+    each, from ``math.cos`` and ``math.sin``, whose values do not depend
+    on numpy's CPU dispatch."""
+    s = (N.bit_length() + 1) // 2
+
+    def roots(js):
+        return np.array([complex(math.cos(math.pi * j / N), math.sin(math.pi * j / N)) for j in js])
+
+    return s, roots(range(0, 2 * N, 1 << s)), roots(range(1 << s))
+
+
+def _unit_roots(j: np.ndarray, N: int) -> np.ndarray:
+    """``exp(i pi j / N)`` for integers ``0 <= j < 2N``."""
+    s, hi, lo = _unit_root_tables(N)
+    out = hi[j >> s]
+    _multiply(out, lo[j & ((1 << s) - 1)])
+    return out
+
+
+def _multiply(a: np.ndarray, b: np.ndarray) -> None:
+    """``a *= b`` for complex arrays in separate real multiplies and adds:
+    numpy's complex loop fuses them where the CPU has FMA, so its bytes
+    depend on the CPU."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br
+    t = ai * bi
+    re -= t
+    np.multiply(ar, bi, out=t)
+    np.multiply(ai, br, out=ai)
+    ai += t
+    ar[...] = re
+
+
+def _irfft_head(z: np.ndarray) -> np.ndarray:
+    """``np.fft.irfft(z, n=2 * N)[:N]`` for a half-spectrum ``z`` of
+    N + 1 points, N = 2**n with n >= 2, computed in ``z``'s buffer, which
+    it overwrites, and blocks of O(sqrt(N)) entries.
+
+    The 2N outputs x pair up as ``y_m = x_2m + i x_2m+1``, the inverse
+    transform of length N of ``C_k = E_k + i w**k D_k`` with
+    ``E_k = z_k + conj(z_N-k)``, ``D_k = z_k - conj(z_N-k)`` and
+    ``w = exp(i pi / N)``; ``C_N-k = conj(E_k - i w**k D_k)``, so each
+    pair (k, N - k) is packed in place together.  Only ``y_m`` for
+    m < N/2 is kept.  With ``N = n1 n2``, n1 the power of two nearest
+    sqrt(N) from below, ``k = k1 + n1 k2`` and ``m = m2 + n2 m1``, that
+    is Bailey's four-step transform ("FFTs in external or hierarchical
+    memory", 1990) on the (n2, n1) view of C: inverse transforms of length
+    n2 down its columns, ``_FFT_BLOCK`` at a time, each entry then turned
+    by ``w**(2 k1 m2)``, and inverse transforms of length n1 along its
+    rows, of which the first n1/2 points are written, transposed, to the
+    noise.  Every complex product goes through :func:`_multiply`, so the
+    bytes do not depend on numpy's CPU dispatch.
+    """
+    N = z.size - 1
+    n1 = 1 << (N.bit_length() - 1) // 2
+    n2 = N // n1
+    half, step = N // 2, _FFT_BLOCK * n1
+    z.imag[[0, N]] = 0.0  # as irfft reads z_0 and z_N
+    for a in range(0, half + 1, step):
+        b = min(a + step, half + 1)
+        lo, hi = z[a:b], z[N - b + 1 : N - a + 1][::-1]
+        e = lo + hi.conj()
+        d = lo - hi.conj()
+        _multiply(d, _unit_roots(np.arange(a + half, b + half), N))  # i w**k = w**(k + N/2)
+        np.add(e, d, out=lo)
+        np.subtract(e, d, out=e)
+        np.conjugate(e, out=hi)
+    grid = z[:N].reshape(n2, n1)
+    m2 = np.arange(n2)[:, None]
+    for c in range(0, n1, _FFT_BLOCK):
+        block = np.fft.ifft(grid[:, c : c + _FFT_BLOCK], axis=0, norm="forward")
+        _multiply(block, _unit_roots(2 * m2 * np.arange(c, min(c + _FFT_BLOCK, n1)), N))
+        grid[:, c : c + _FFT_BLOCK] = block
+    out = np.empty(N)
+    y = out.view(complex).reshape(n1 // 2, n2)
+    for r in range(0, n2, _FFT_BLOCK):
+        y[:, r : r + _FFT_BLOCK] = np.fft.ifft(grid[r : r + _FFT_BLOCK], axis=1, norm="forward")[:, : n1 // 2].T
+    out *= 0.5 / N
+    return out
 
 
 def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
@@ -330,15 +427,18 @@ def generate(spec: PathSpec) -> SampledPath:
     ``hurst=0.5``) the N = 2**n_max steps are i.i.d. N(0, T / N) normals
     drawn directly into the returned path of N + 1 samples, and nothing
     else is held.  Any other H uses circulant embedding of the fractional
-    Gaussian noise covariance through real FFTs of length 2N; besides the
-    path it holds the 2N-point first row and its (N + 1)-point complex
-    spectrum (once per (H, N)), each path's (N + 1)-point complex
-    half-spectrum and 2N-point real noise, and the cached N + 1 roots of
-    the spectrum (numpy < 2 adds a 2N-point complex copy of the
-    half-spectrum, zero-padded for the inverse transform).  The bytes of
+    Gaussian noise covariance; besides the path it holds the 2N-point
+    first row and its (N + 1)-point complex spectrum (once per (H, N)),
+    the cached N + 1 roots of the spectrum, and each path's (N + 1)-point
+    complex half-spectrum.  Below n_max = 17 numpy's irfft turns that into
+    2N-point real noise, with scratch of its own (numpy < 2 adds a
+    2N-point complex copy of the half-spectrum, zero-padded); from
+    n_max = 17 on a blocked transform writes the N noise values the path
+    keeps and holds blocks of O(sqrt(N)) entries besides.  The bytes of
     these paths differ in their last digits from those of releases that
     embedded with 0 in place of gamma(N) and transformed with the complex
-    FFT; their law is the same.
+    FFT, and at n_max >= 17 from those of releases that took irfft there;
+    their law is the same.
 
     Raises
     ------

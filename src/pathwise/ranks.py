@@ -67,7 +67,7 @@ class RankSystem:
     paths: tuple
     values: np.ndarray  # (m, n_samples)
     ranked: np.ndarray  # (m, n_samples)
-    counts: np.ndarray  # (m, n_samples) of ints
+    counts: np.ndarray  # (m, n_samples) of np.min_scalar_type(m)
     T: float
     n_max: int
 
@@ -120,9 +120,9 @@ def build_rank_system(paths: Sequence[SampledPath]) -> RankSystem:
             np.copyto(upper, lower, where=swap)
             np.copyto(lower, row, where=swap)
     del swap, row
-    # ties per (rank, time): counts[k] first counts the run of equal values
-    # ending at rank k, then takes the length of the whole run
-    counts = np.ones(values.shape, dtype=np.int64)
+    # ties per (rank, time), none above m: counts[k] first counts the run of
+    # equal values ending at rank k, then takes the length of the whole run
+    counts = np.ones(values.shape, dtype=np.min_scalar_type(m))
     equal = ranked[:-1] == ranked[1:]
     for k in range(1, m):
         np.add(counts[k - 1], 1, out=counts[k], where=equal[k - 1])

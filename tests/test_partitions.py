@@ -208,9 +208,37 @@ def test_lebesgue_levels_of_fbm_match_the_scalar_scan(hurst):
 
 def test_lebesgue_hierarchy_peak_memory_at_n_max_18():
     # the 8 index arrays themselves take 6.5 MiB and the stretch scan peaks
-    # at 10.9 MiB; collecting each level as a list of Python ints took
-    # 15.0 MiB on this path, and an index and a length per forced crossing
-    # (nearly every step at the finest level) 12.4 MiB
+    # at 9.1 MiB with one byte per step for its first forced level; with
+    # the float64 steps it took 10.9 MiB, collecting each level as a list
+    # of Python ints 15.0 MiB, and an index and a length per forced
+    # crossing (nearly every step at the finest level) 12.4 MiB.  The bound
+    # leaves 10% for other numpy versions
     path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=18, seed=5))
     _, peak = traced_peak(lebesgue_hierarchy, path, 8)
-    assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+_SPECIAL_STEPS = [0.0, -0.0, 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1.0, 4.0, 1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels=st.sampled_from([8, 200, 1023, 1024, 1100]),
+    drawn=st.lists(
+        st.sampled_from(_SPECIAL_STEPS) | st.floats(0.0, 1e300) | st.floats(0.0, 1e-300), max_size=40
+    ),
+)
+def test_forced_levels_match_the_float_thresholds(levels, drawn):
+    # a step is forced at level n exactly when its magnitude exceeds
+    # fl(_FORCED_STEP * 2**-n): every threshold and its float neighbours,
+    # signed zeros, subnormals and huge steps.  Up to 254 levels the first
+    # forced level takes one byte, beyond two.  Up to n = 1023 the
+    # thresholds are normal floats, from 1024 on subnormal, from 1036 on
+    # they lose their 2**-40 bit and from 1075 on they are 0
+    thresholds = np.array([partitions._FORCED_STEP * 2.0**-n for n in range(1, levels + 1)])
+    near = np.concatenate([thresholds, np.nextafter(thresholds, np.inf), np.nextafter(thresholds, -np.inf)])
+    steps = np.concatenate([near, _SPECIAL_STEPS, drawn])
+    forced = partitions._forced_levels(steps.copy(), levels)
+    assert forced.dtype == np.min_scalar_type(levels + 1)
+    wrong = (forced[:, None] <= np.arange(1, levels + 1)) != (np.abs(steps)[:, None] > thresholds)
+    assert not wrong.any(), steps[wrong.any(axis=1)]

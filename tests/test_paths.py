@@ -1,4 +1,8 @@
+import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -21,6 +25,7 @@ from pathwise.paths import (
     _fbm_values,
     _fgn_autocov,
     _fgn_davies_harte,
+    _irfft_head,
     _rng_for,
 )
 from tests.conftest import traced_peak
@@ -227,6 +232,50 @@ def _fgn_expression_form(root, N, rng):
     return np.sqrt(2 * N) * np.fft.irfft(root * _half_spectrum_normals(N, rng), n=2 * N)[:N]
 
 
+def _times(a, b):
+    """Complex product in separate real multiplies and adds."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _unit_roots_expression_form(j, N):
+    """exp(i pi j / N) as the product of two table entries, the tables of
+    about sqrt(2N) roots each from math.cos and math.sin."""
+    s = (N.bit_length() + 1) // 2
+
+    def roots(js):
+        return np.array([complex(math.cos(math.pi * k / N), math.sin(math.pi * k / N)) for k in js])
+
+    return _times(roots(range(0, 2 * N, 2**s))[j >> s], roots(range(2**s))[j % 2**s])
+
+
+def _irfft_head_expression_form(z):
+    """irfft(z, n=2N)[:N] as the half-length transform of the packed
+    spectrum C, whole: the length-n2 transforms of all columns at once, the
+    twiddles, then those of all rows."""
+    N = z.size - 1
+    half, n1 = N // 2, 2 ** ((N.bit_length() - 1) // 2)
+    n2 = N // n1
+    z = np.concatenate([[z[0].real], z[1:N], [z[N].real]])
+    e = z[: half + 1] + np.conj(z[N - half :][::-1])
+    d = _times(z[: half + 1] - np.conj(z[N - half :][::-1]), _unit_roots_expression_form(np.arange(half, N + 1), N))
+    C = np.empty(N, dtype=complex)
+    C[: half + 1] = e + d
+    C[half:] = np.conj(e - d)[half:0:-1]
+    A = np.fft.ifft(C.reshape(n2, n1), axis=0, norm="forward")
+    A = _times(A, _unit_roots_expression_form(2 * np.arange(n2)[:, None] * np.arange(n1), N))
+    Y = np.fft.ifft(A, axis=1, norm="forward")[:, : n1 // 2]
+    return np.ascontiguousarray(Y.T).reshape(-1).view(float) * (0.5 / N)
+
+
+def _fgn_blocked_expression_form(root, N, rng):
+    """Davies-Harte noise on a given half-spectrum root through the blocked
+    half-length transform, one temporary per expression."""
+    return np.sqrt(2 * N) * _irfft_head_expression_form(root * _half_spectrum_normals(N, rng))
+
+
 def _fgn_complex_form(root, N, rng):
     """The same noise through the 2N-point complex transform of the whole
     Hermitian vector, scaled by the whole spectrum root."""
@@ -263,21 +312,72 @@ def _brownian_direct_increments(T, n_max, seed):
 def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
     # the generator writes every step into an existing buffer; on a cold
     # spectrum cache, the expression-by-expression real route is the
-    # oracle.  H = 1/2 paths draw their steps directly, so there the
+    # oracle, and from n_max = 17 on the expression form of the blocked
+    # transform.  H = 1/2 paths draw their steps directly, so there the
     # direct-increment form is the oracle of the path, and the embedding
     # is still checked on its own
     N = 2**n_max
     root = _circulant_sqrt_eigs_expression_form(H, N)
     _circulant_sqrt_eigs.cache_clear()
     assert _circulant_sqrt_eigs(H, N).tobytes() == root.tobytes()
+    oracle = _fgn_blocked_expression_form if n_max >= 17 else _fgn_expression_form
     for seed in (0, 1, 29):
-        want = _fgn_expression_form(root, N, _rng_for(seed))
+        want = oracle(root, N, _rng_for(seed))
         assert _fgn_davies_harte(H, N, _rng_for(seed)).tobytes() == want.tobytes()
         if H == 0.5:
             want_path = _brownian_direct_increments(2.0, n_max, seed)
         else:
             want_path = np.concatenate([[0.0], np.cumsum(want * (2.0 / N) ** H)])
         assert _fbm_values(H, 2.0, n_max, seed).tobytes() == want_path.tobytes()
+
+
+@pytest.mark.parametrize("n_max", [17, 18, 20])
+@pytest.mark.parametrize("H", [0.1, 0.25, 0.75])
+def test_blocked_noise_matches_irfft_at_the_threshold_and_above(H, n_max):
+    # the route switches at n_max = 17: the blocked transform's noise is
+    # the irfft noise up to rounding (at most 5.5e-16 of max |x| measured)
+    N = 2**n_max
+    root = _circulant_sqrt_eigs(H, N)
+    got = _fgn_davies_harte(H, N, _rng_for(3))
+    want = _fgn_expression_form(root, N, _rng_for(3))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 9, 10])
+def test_blocked_transform_is_irfft_for_any_half_spectrum(n_max):
+    # complex z_0 and z_N included, whose imaginary parts irfft ignores;
+    # the input buffer is overwritten
+    N = 2**n_max
+    z = np.random.default_rng(n_max).standard_normal(2 * N + 2).view(complex)
+    want = np.fft.irfft(z, n=2 * N)[:N]
+    got = _irfft_head(z.copy())
+    assert got.shape == (N,)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+_BLOCKED_DIGEST = """
+import hashlib, sys
+import numpy as np
+from pathwise.paths import _irfft_head
+z = np.random.default_rng(17).standard_normal(2**18 + 2).view(complex)
+print(hashlib.sha256(_irfft_head(z).tobytes()).hexdigest())
+"""
+
+
+def test_blocked_noise_bytes_do_not_depend_on_cpu_dispatch():
+    # numpy's complex multiply fuses its products where the CPU has FMA;
+    # the blocked transform multiplies in real arithmetic, so its bytes
+    # hold with numpy's AVX-512 and AVX2 loops switched off
+    from tests.test_golden import _dispatch_settings
+
+    src = os.path.dirname(os.path.dirname(paths.__file__))
+    digests = set()
+    for name, env in _dispatch_settings().items():
+        if "NPY_DISABLE_CPU_FEATURES" in env or not digests:
+            out = subprocess.run([sys.executable, "-c", _BLOCKED_DIGEST], capture_output=True, text=True,
+                                 check=True, env={**os.environ, "PYTHONPATH": src, **env})
+            digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 10, 14])
@@ -373,6 +473,36 @@ def test_generate_peak_memory_at_n_max_16():
             _circulant_sqrt_eigs(0.25, 2**16)
         _, peak = traced_peak(generate, PathSpec(kind="fbm", hurst=0.25, n_max=16, seed=1))
         assert peak < bound, f"warm={warm}: traced peak {peak / 2**20:.2f} MiB"
+
+
+_GENERATE_RSS = """
+import resource, sys
+import numpy as np
+from pathwise import PathSpec, generate, paths
+generate(PathSpec(kind="fbm", hurst=0.25, n_max=4))
+root = np.load(sys.argv[1])
+paths._circulant_sqrt_eigs = lambda H, N: root
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=20, seed=1))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / path.values.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_generate_rss_rise_at_n_max_20(tmp_path):
+    # a fresh process on a warm spectrum (the cached roots loaded from a
+    # file): tracemalloc cannot see pocketfft's scratch, ru_maxrss can.
+    # irfft's 2N-point output and scratch rose it by 8.0x the path bytes;
+    # the blocked transform, in the half-spectrum's buffer, by 3.4x.  A
+    # process's ru_maxrss starts at the peak of the one that started it,
+    # so a small launcher starts the measured process, not pytest
+    np.save(tmp_path / "root.npy", _circulant_sqrt_eigs.__wrapped__(0.25, 2**20))
+    src = os.path.dirname(os.path.dirname(paths.__file__))
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", _GENERATE_RSS, str(tmp_path / "root.npy")],
+                         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    rise = float(out.stdout)
+    assert rise <= 5.0, f"ru_maxrss rose by {rise:.2f}x the path bytes"
 
 
 @pytest.mark.parametrize("n_max", [2, 10, 16])
