@@ -5,9 +5,11 @@ reader, the CSV and summary writers and heap trimming.
 :meth:`LevelStack.build` alone decides which intervals count at a time t,
 and one iterator, ``LevelStack._pieces``, gathers them: a block of
 consecutive levels, or a node of numpy's pairwise-summation tree over a
-large level.  Summand functions see the values at the ends of a piece's
-intervals.  Three reductions run on the pieces, one level at a time, with
-the bytes of one pass over a whole level for any block size:
+large level.  Levels are read through their descriptors (:class:`Stride`,
+:class:`Packed`, :class:`Points`), with no index array of a whole level.
+Summand functions see the values at the ends of a piece's intervals.
+Three reductions run on the pieces, one level at a time, with the bytes
+of one pass over a whole level for any block size:
 :meth:`LevelStack.running_sums`, a cumsum read at the checkpoints,
 :meth:`LevelStack.sums`, a whole-level ``np.sum``, and
 :meth:`LevelStack.cell_sums`, per-cell running sums of (cell, weight)
@@ -60,9 +62,149 @@ def snap_checkpoints(path: SampledPath, checkpoints: Sequence[float]) -> Tuple[n
 def left_endpoint_counts(level: np.ndarray, checkpoint_indices: np.ndarray) -> np.ndarray:
     """Number of partition intervals whose left endpoint time is <= each
     checkpoint time: the one rule that credits intervals to a checkpoint.
-    A level's sums then end at ``level[count]`` (:attr:`LevelStack.ends`)."""
+    A level's sums then end at ``level[count]`` (:attr:`LevelStack.ends`).
+    Every level descriptor counts as this does on its index array."""
     left = np.asarray(level, dtype=np.int64)[:-1]
     return np.searchsorted(left, np.asarray(checkpoint_indices, dtype=np.int64), side="right")
+
+
+# -- level descriptors ----------------------------------------------------------
+#
+# A level is held as one of three descriptors, each read by LevelStack and
+# the oscillation without an index array of the whole level: a Stride (a
+# dyadic level, or the sampling grid's own), Packed bits (a Lebesgue level)
+# or Points, an index array (a sparse Lebesgue level, or a level a caller
+# supplies).  Each gives, for points start..stop of the level (numbered
+# from 0), a reader of any value array's last axis at them, and the grid
+# indices of given point numbers; ``points()`` makes the index array.
+
+_LEVEL_RULE = "level must be strictly increasing from 0 to the last grid index"
+
+
+class Stride(NamedTuple):
+    """The grid points 0, step, 2 step, ..., last (a multiple of step)."""
+
+    step: int
+    last: int
+
+    @property
+    def size(self) -> int:
+        return self.last // self.step + 1
+
+    def reader(self, start: int, stop: int) -> Callable:
+        """``read(v)``: v at points start..stop, a strided slice, copied
+        once (the terms then read contiguous memory) unless the step is 1."""
+        cut = slice(start * self.step, stop * self.step + 1, self.step)
+        if self.step == 1:
+            return lambda v: v[..., cut]
+        return lambda v: v[..., cut].copy()
+
+    def between(self, lo: int, hi: int) -> np.ndarray:
+        """The level's grid indices in [lo, hi)."""
+        return np.arange(-(-lo // self.step) * self.step, hi, self.step, dtype=np.int64)
+
+    def points(self) -> np.ndarray:
+        return np.arange(0, self.last + 1, self.step, dtype=np.int64)
+
+
+class Points:
+    """A level as its index array, checked once to be strictly increasing
+    from 0; :meth:`LevelStack.build` checks that it ends at the path's last
+    grid index (or is 0 alone, a level without intervals)."""
+
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=np.int64)
+        if pts.ndim != 1 or pts.size == 0 or pts[0] != 0 or not np.all(pts[1:] > pts[:-1]):
+            raise ParameterError(_LEVEL_RULE)
+        self.array = pts
+        self.size = pts.size
+        self.last = int(pts[-1])
+
+    def counts(self, indices: np.ndarray) -> np.ndarray:
+        return left_endpoint_counts(self.array, indices)
+
+    def at(self, ranks: np.ndarray) -> np.ndarray:
+        return self.array[ranks]
+
+    def reader(self, start: int, stop: int) -> Callable:
+        """``read(v)``: v at points start..stop."""
+        pts = self.array[start : stop + 1]
+        return lambda v: v[..., pts]
+
+    def between(self, lo: int, hi: int) -> np.ndarray:
+        a = self.array
+        return a[np.searchsorted(a, lo) : np.searchsorted(a, hi)]
+
+    def points(self) -> np.ndarray:
+        return self.array
+
+
+# Grid points per chunk of a packed level, whose count of points before it
+# is kept: a point's number, or the point of a number, unpacks one chunk
+_RANK_CHUNK = 1 << 10
+
+# the set bits of each byte
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+class Packed:
+    """A level as one bit per grid point, ``bits`` in :func:`np.packbits`
+    order, with ``before[c]``, the number of its points below grid index
+    ``c * _RANK_CHUNK`` (the last entry is its size).  An eighth of a byte
+    per grid point: smaller than the index array where the level holds more
+    than 1/64 of the grid's points."""
+
+    def __init__(self, bits: np.ndarray, last: int):
+        self.bits = bits
+        self.last = last
+        per_chunk = np.add.reduceat(_POPCOUNT[bits], np.arange(0, bits.size, _RANK_CHUNK // 8), dtype=np.int64)
+        self.before = np.concatenate([[0], np.cumsum(per_chunk)])
+        self.size = int(self.before[-1])
+
+    def _mask(self, lo: int, hi: int) -> np.ndarray:
+        """Whether each grid index lo..hi-1 is a point, unpacked from the
+        bytes that hold them alone."""
+        return np.unpackbits(self.bits[lo >> 3 : (hi + 7) >> 3])[lo & 7 : (lo & 7) + hi - lo].view(bool)
+
+    def _chunk(self, c: int) -> np.ndarray:
+        lo = c * _RANK_CHUNK
+        return lo + np.flatnonzero(self._mask(lo, min(lo + _RANK_CHUNK, self.last + 1)))
+
+    def counts(self, indices: np.ndarray) -> np.ndarray:
+        """Points at or before each grid index, at most size - 1: the left
+        endpoints there."""
+        counts = [self.before[i // _RANK_CHUNK] + np.count_nonzero(self._mask(i - i % _RANK_CHUNK, i + 1))
+                  for i in indices.tolist()]
+        return np.minimum(counts, self.size - 1)
+
+    def at(self, ranks: np.ndarray) -> np.ndarray:
+        """The grid index of each point number, from its chunk."""
+        chunks = np.searchsorted(self.before, ranks, side="right") - 1
+        return np.array([self._chunk(c)[r - self.before[c]] for c, r in zip(chunks.tolist(), ranks.tolist())],
+                        dtype=np.int64)
+
+    def reader(self, start: int, stop: int) -> Callable:
+        """``read(v)``: v at points start..stop, compressed from the grid
+        indices between the two by their bits, unpacked once from the
+        chunks that hold them."""
+        first, last = (np.searchsorted(self.before, [start, stop], side="right") - 1).tolist()
+        base, top = first * _RANK_CHUNK, (last - first) * _RANK_CHUNK
+        keep = self._mask(base, min(base + top + _RANK_CHUNK, self.last + 1))
+        lo = np.flatnonzero(keep[:_RANK_CHUNK])[start - self.before[first]]
+        hi = top + np.flatnonzero(keep[top:])[stop - self.before[last]]
+        keep, cut = keep[lo : hi + 1], slice(base + lo, base + hi + 1)
+        return lambda v: np.compress(keep, v[..., cut], axis=-1)
+
+    def between(self, lo: int, hi: int) -> np.ndarray:
+        return lo + np.flatnonzero(self._mask(lo, hi))
+
+    def points(self) -> np.ndarray:
+        return np.flatnonzero(self._mask(0, self.last + 1))
+
+
+def as_level(level):
+    """A level descriptor as it is, or an index array as :class:`Points`."""
+    return level if isinstance(level, (Stride, Points, Packed)) else Points(level)
 
 
 # Most kept intervals in one block of consecutive levels; a level that
@@ -102,14 +244,16 @@ class LevelStack:
     rule: ``times`` and ``indices`` are the :func:`snap_checkpoints` of the
     checkpoints (without any, t = T: the whole path), ``counts[i, j]`` is
     :func:`left_endpoint_counts` of level i at checkpoint j, and
-    ``ends[i, j] = levels[i][counts[i, j]]`` is the grid index where that
-    level's sums end (increments telescope to it).  Only intervals whose
-    left endpoint is at or before the last checkpoint are kept.  A block
-    holds at most ``_BLOCK_INTERVALS`` kept intervals, or a single level
-    that is larger.
+    ``ends[i, j]``, the grid index of point ``counts[i, j]`` of level i, is
+    where that level's sums end (increments telescope to it).  Only
+    intervals whose left endpoint is at or before the last checkpoint are
+    kept.  A block holds at most ``_BLOCK_INTERVALS`` kept intervals, or a
+    single level that is larger.  ``levels`` holds the level descriptors
+    (:class:`Stride`, :class:`Packed`, :class:`Points`), read as they are:
+    no level becomes an index array.
     """
 
-    levels: Tuple[np.ndarray, ...]
+    levels: Tuple[Union[Stride, Packed, Points], ...]
     times: np.ndarray
     indices: np.ndarray
     counts: np.ndarray
@@ -117,11 +261,22 @@ class LevelStack:
     blocks: Tuple[Tuple[int, int], ...]
 
     @classmethod
-    def build(cls, path: SampledPath, levels: Sequence, checkpoints: Optional[Sequence[float]] = None) -> "LevelStack":
+    def build(cls, path: SampledPath, levels, checkpoints: Optional[Sequence[float]] = None) -> "LevelStack":
+        """``levels`` is a :class:`~pathwise.partitions.PartitionHierarchy`
+        or a sequence of level descriptors and index arrays."""
         times, indices = snap_checkpoints(path, [path.T] if checkpoints is None else checkpoints)
-        levels = tuple(np.asarray(lev, dtype=np.int64) for lev in levels)
-        counts = np.array([left_endpoint_counts(lev, indices) for lev in levels]).reshape(len(levels), -1)
-        ends = np.array([lev[c] for lev, c in zip(levels, counts)])
+        levels = tuple(map(as_level, getattr(levels, "parts", levels)))
+        last = path.n_samples - 1
+        if any(lev.last != last for lev in levels if lev.size > 1):
+            raise ParameterError(_LEVEL_RULE)
+        # every strided level at once; the others overwrite their rows
+        steps = np.array([lev.step if type(lev) is Stride else 1 for lev in levels], dtype=np.int64)[:, None]
+        counts = np.minimum(indices // steps + 1, last // steps)
+        ends = counts * steps
+        for i, lev in enumerate(levels):
+            if type(lev) is not Stride:
+                counts[i] = lev.counts(indices)
+                ends[i] = lev.at(counts[i])
         blocks, first, size = [], 0, 0
         for i, n in enumerate(counts.max(axis=1).tolist()):
             if i > first and size + n > _BLOCK_INTERVALS:
@@ -251,18 +406,13 @@ class LevelStack:
 
     def _gather(self, piece: Sequence[Tuple[int, int, int]], values: Sequence[np.ndarray]) -> list:
         """``a1, b1, a2, b2, ...`` over the piece's intervals, in turn: each
-        value array (last axis) gathered once at their points, as read-only
-        views offset by one point.  The pair after one range's last interval
-        joins it to the next range and belongs to neither."""
-        parts = [self.levels[i][start : stop + 1] for i, start, stop in piece]
-        # a level alone is read in place, and a run of consecutive grid
-        # points (the sampling grid's own level) as a view
-        points = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if len(parts) == 1 and points[-1] - points[0] == points.size - 1:
-            points = slice(int(points[0]), int(points[-1]) + 1)
+        value array (last axis) read at their points by each level's reader,
+        as read-only views offset by one point.  The pair after one range's
+        last interval joins it to the next range and belongs to neither."""
+        readers = [self.levels[i].reader(start, stop) for i, start, stop in piece]
         ends = []
         for v in values:
-            gathered = v[..., points]
+            gathered = readers[0](v) if len(readers) == 1 else np.concatenate([read(v) for read in readers], axis=-1)
             # a and b overlap: writing one would change the other
             gathered.setflags(write=False)
             ends += (gathered[..., :-1], gathered[..., 1:])

@@ -259,7 +259,7 @@ def _median_gate(values, threshold: float, deviation: Callable[[float], float]):
 def _c3_task(args):
     p, hurst, seed, n_max, level, T = args
     path = _fbm(hurst, seed, n_max, T)
-    (val,) = increment_power_sums(path, _finest_level(path, level).finest, p)
+    (val,) = increment_power_sums(path, _finest_level(path, level).parts[0], p)
     return float(val)
 
 
@@ -433,7 +433,7 @@ def _c8_task(args):
     sx, sy, n_max, level, T = args
     X = _fbm(0.5, sx, n_max, T)
     Y = _fbm(0.5, sy, n_max, T)
-    stack = LevelStack.build(X, _finest_level(X, level).levels)
+    stack = LevelStack.build(X, _finest_level(X, level))
     (lx,), (ly,), (lmax,), (lmin,) = stack.sums(lambda *ends: _min_plus_max(*ends, 2), X.values, Y.values)
     return float(lmax + lmin), float(lx + ly)
 

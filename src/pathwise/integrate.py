@@ -306,9 +306,10 @@ def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[fl
 # -- compensated Riemann sums ------------------------------------------
 
 
-def _interval_sums(path: SampledPath, levels: Sequence[np.ndarray], t: float, terms: Callable, *args):
+def _interval_sums(path: SampledPath, levels, t: float, terms: Callable, *args):
     """Per-level sums of ``terms(a, b, *args)`` over the intervals credited
-    at t, a and b the path values at their ends (:meth:`LevelStack.sums`)."""
+    at t, a and b the path values at their ends (:meth:`LevelStack.sums`);
+    ``levels`` is a hierarchy or a sequence of levels."""
     return LevelStack.build(path, levels, [t]).sums(lambda a, b: terms(a, b, *args), path.values)
 
 
@@ -685,7 +686,7 @@ def modified_follmer_integral(
         fm = mollify(f, m)
         tables = {k: fm.derivative(xs, k) for k in range(1, p)}
         tab = _Tabulated(xs, tables)
-        sums[i] = _interval_sums(path, hierarchy.levels, t, _follmer_sums, p, tab)
+        sums[i] = _interval_sums(path, hierarchy, t, _follmer_sums, p, tab)
     abs_err = np.abs(sums - target)
     finest = abs_err[:, -1]
     decreasing = bool(np.all(np.diff(finest) <= 1e-12)) if finest.size > 1 else True

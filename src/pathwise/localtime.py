@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import LevelStack, Table, bracket_contributions, even_order, ipow
+from ._util import LevelStack, Stride, Table, bracket_contributions, even_order, ipow
 from .errors import CoverageError, ParameterError
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
@@ -232,7 +232,7 @@ def discrete_local_time(
 
         return offsets, pairs
 
-    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
+    stack = LevelStack.build(path, hierarchy, checkpoints)
     return LocalTimeField(
         p=p,
         grid=grid,
@@ -255,14 +255,23 @@ def discrete_local_time_curves(
     snapped to a cell center.
     """
     p = even_order(p)
-    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
+    stack = LevelStack.build(path, hierarchy, checkpoints)
     return stack.running_sums(lambda a, b: bracket_contributions(a, b, p, x), path.values)
 
 
 def _grid_level(path: SampledPath, checkpoints: Sequence[float]) -> LevelStack:
     """The sampling grid's own level, credited at the checkpoints: the one
-    level every histogram bins."""
-    return LevelStack.build(path, (np.arange(path.n_samples),), checkpoints)
+    level every histogram bins, a stride of 1 read in place."""
+    return LevelStack.build(path, (Stride(1, path.n_samples - 1),), checkpoints)
+
+
+class _GridIndices:
+    """The grid indices as a value array of the grid level, made a piece at
+    a time: a stride reads it by a slice (``v[..., cut]``)."""
+
+    def __getitem__(self, key):
+        _, cut = key
+        return np.arange(cut.start, cut.stop, cut.step)
 
 
 def _binned_sums(path: SampledPath, grid: SpaceGrid, stack: LevelStack, weights: Callable, *values) -> list:
@@ -344,7 +353,7 @@ def weighted_occupation_local_time(
         return (tg[1:] - tg[:-1],)
 
     stack = _grid_level(path, checkpoints)
-    (sums,) = _binned_sums(path, grid, stack, weights, stack.levels[0])
+    (sums,) = _binned_sums(path, grid, stack, weights, _GridIndices())
     return OccupationLocalTime(p=None, grid=grid, checkpoint_times=stack.times, values=sums / grid.cellwidth)
 
 

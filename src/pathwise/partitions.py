@@ -1,7 +1,9 @@
 """Nested partition hierarchies and oscillation.
 
-Partitions are index arrays into a path's dyadic grid.  Dyadic hierarchies
-are nested by construction.  Lebesgue hierarchies place partition points at
+Partitions are sets of indices into a path's dyadic grid, each held as a
+level descriptor (a stride, packed bits or an index array; see
+:class:`PartitionHierarchy`).  Dyadic hierarchies are nested by
+construction.  Lebesgue hierarchies place partition points at
 the successive first grid times at which the path has moved by a spatial
 threshold ``2**-n`` since the previous point; they are not nested in
 general, so nestedness is checked and reported rather than forced.
@@ -17,11 +19,11 @@ within the threshold of the current point.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._util import _LEVEL_RULE, Packed, Points, Stride, as_level
 from .errors import ParameterError, ResolutionError
 from .paths import SampledPath
 
@@ -44,32 +46,43 @@ _SKIP_BLOCK = 16
 # Samples read at a time by the oscillation
 _OSC_BLOCK = 1 << 15
 
+# Lebesgue thresholds 2**-n are 0.0 from n = 1075 on
+_MAX_LEBESGUE_LEVELS = 1074
 
-@dataclass(frozen=True)
+
 class PartitionHierarchy:
     """A refining sequence of partitions of ``[0, T]``.
 
-    ``levels[i]`` is a strictly increasing index array starting at 0 and
-    ending at the last grid index, so every level shares the endpoints of
-    the time interval.  ``level_labels[i]`` is the refinement exponent n of
-    that level (threshold ``2**-n`` for Lebesgue levels, step ``2**-n * T``
-    for dyadic ones).
+    Each level is a set of grid indices, strictly increasing from 0 to the
+    last grid index, so every level shares the endpoints of the time
+    interval.  ``parts[i]`` holds level i as a descriptor that the
+    interval kernel (:class:`~pathwise._util.LevelStack`) and the
+    oscillation read as it is: a :class:`~pathwise._util.Stride` for a
+    dyadic level, :class:`~pathwise._util.Packed` bits (one per grid
+    point) for a Lebesgue level that holds at least 1/64 of the grid's
+    points, and :class:`~pathwise._util.Points`, an index array, for a
+    sparser Lebesgue level and for every level a caller gives as an array
+    (checked there to be strictly increasing from 0; the kernel checks its
+    end against the path).  ``levels`` and :meth:`level` make index arrays
+    from them on each access.  ``level_labels[i]`` is the refinement
+    exponent n of that level (threshold ``2**-n`` for Lebesgue levels,
+    step ``2**-n * T`` for dyadic ones).
     """
 
-    kind: str
-    levels: Tuple[np.ndarray, ...]
-    level_labels: Tuple[int, ...]
-    nested: bool
+    def __init__(self, kind: str, levels: Sequence, level_labels: Sequence[int], nested: bool):
+        self.kind = kind
+        self.parts = tuple(map(as_level, levels))
+        self.level_labels = tuple(level_labels)
+        self.nested = nested
 
-    def __post_init__(self):
-        for lev in self.levels:
-            if lev[0] != 0:
-                raise ParameterError("every level must start at index 0")
-        object.__setattr__(self, "levels", tuple(np.asarray(l, dtype=np.int64) for l in self.levels))
+    @property
+    def levels(self) -> Tuple[np.ndarray, ...]:
+        """Every level's index array, made on each access."""
+        return tuple(part.points() for part in self.parts)
 
     @property
     def n_levels(self) -> int:
-        return len(self.levels)
+        return len(self.parts)
 
     def level(self, label: int) -> np.ndarray:
         """Index array of the level with refinement exponent ``label``."""
@@ -77,44 +90,28 @@ class PartitionHierarchy:
             i = self.level_labels.index(label)
         except ValueError:
             raise ParameterError(f"no level labelled {label}; have {self.level_labels}") from None
-        return self.levels[i]
+        return self.parts[i].points()
 
     @property
     def finest(self) -> np.ndarray:
-        return self.levels[-1]
+        return self.parts[-1].points()
 
 
-def _check_nested(levels: Sequence[np.ndarray]) -> bool:
-    """Whether every level's points are points of the next: one boolean
-    mask of the grid per finer level (np.isin would import numpy.ma on its
-    sorting path)."""
-    member = np.empty(int(levels[0][-1]) + 1, dtype=bool)
-    for coarse, fine in zip(levels, levels[1:]):
-        member.fill(False)
-        member[fine] = True
-        if not np.all(member[coarse]):
-            return False
-    return True
-
-
-def _dyadic_levels(path: SampledPath, levels: int, first: int = 1) -> Tuple[np.ndarray, ...]:
+def _dyadic_levels(path: SampledPath, levels: int, first: int = 1) -> Tuple[Stride, ...]:
     """Dyadic levels first..levels of a hierarchy of ``levels`` levels;
-    level n has the ``2**n + 1`` indices ``k * 2**(n_max - n)``."""
+    level n is the stride of the ``2**n + 1`` indices ``k * 2**(n_max - n)``."""
     if levels < 1:
         raise ParameterError(f"levels must be >= 1, got {levels}")
     if levels > path.n_max:
         raise ResolutionError(
             f"requested {levels} dyadic levels but path resolution is n_max={path.n_max}"
         )
-    return tuple(
-        np.arange(0, 2**path.n_max + 1, 2 ** (path.n_max - n), dtype=np.int64)
-        for n in range(first, levels + 1)
-    )
+    return tuple(Stride(2 ** (path.n_max - n), 2**path.n_max) for n in range(first, levels + 1))
 
 
 def dyadic_hierarchy(path: SampledPath, levels: int) -> PartitionHierarchy:
     """Dyadic levels 1..levels; level n has the ``2**n + 1`` indices
-    ``k * 2**(n_max - n)``.  Nested by construction."""
+    ``k * 2**(n_max - n)``, held as a stride.  Nested by construction."""
     return PartitionHierarchy(
         kind="dyadic", levels=_dyadic_levels(path, levels), level_labels=tuple(range(1, levels + 1)), nested=True
     )
@@ -148,22 +145,40 @@ def lebesgue_hierarchy(path: SampledPath, levels: int) -> PartitionHierarchy:
 
     Each step's first forced level is found once (:func:`_forced_levels`)
     and kept in one byte (two from 255 levels on), so a level's forced
-    crossings are the steps whose byte is at most n.  Besides the index
-    arrays it returns, the scan holds those bytes, the block extrema (two
-    floats per ``_SKIP_BLOCK`` samples) and two booleans per sample.
+    crossings are the steps whose byte is at most n.  Each level is marked
+    on one boolean per sample and kept as packed bits, one per sample
+    (:class:`~pathwise._util.Packed`), or, where it holds fewer than 1/64
+    of the samples, as its index array, the smaller of the two there.  The
+    hierarchy is nested when no level's bits are missing from the next
+    level's.  Besides the levels, the scan holds the forced-level bytes,
+    the block extrema (two floats per ``_SKIP_BLOCK`` samples), two
+    booleans per sample and the previous level's bits.
+
+    At most ``_MAX_LEBESGUE_LEVELS`` = 1074 levels: ``2.0**-n`` is 0.0
+    from n = 1075 on, where every sample would cross.
     """
-    if levels < 1:
-        raise ParameterError(f"levels must be >= 1, got {levels}")
+    if not 1 <= levels <= _MAX_LEBESGUE_LEVELS:
+        raise ParameterError(
+            f"levels must be in 1..{_MAX_LEBESGUE_LEVELS}, got {levels}: the threshold 2**-n is 0.0 from n = 1075 on"
+        )
     vals = path.values
     if vals.max() == vals.min():
         raise ParameterError("lebesgue_hierarchy requires a non-constant path")
     forced = _forced_levels(np.diff(vals), levels)
     blocks = np.arange(0, vals.size, _SKIP_BLOCK)
     block_range = tuple(array("d", f.reduceat(vals, blocks).tobytes()) for f in (np.maximum, np.minimum))
-    out = [_lebesgue_level(vals, forced, n, block_range) for n in range(1, levels + 1)]
-    nested = _check_nested(out)
+    parts, nested, coarser = [], True, None
+    for n in range(1, levels + 1):
+        mark = _lebesgue_mark(vals, forced, n, block_range)
+        bits = np.packbits(mark)
+        nested = nested and (coarser is None or not np.any(coarser & ~bits))
+        # 8 bytes per point against an eighth of a byte per sample
+        sparse = 64 * np.count_nonzero(mark) < mark.size
+        parts.append(Points(np.flatnonzero(mark)) if sparse else Packed(bits, mark.size - 1))
+        del mark
+        coarser = bits
     return PartitionHierarchy(
-        kind="lebesgue", levels=tuple(out), level_labels=tuple(range(1, levels + 1)), nested=nested
+        kind="lebesgue", levels=parts, level_labels=tuple(range(1, levels + 1)), nested=nested
     )
 
 
@@ -195,8 +210,9 @@ def _forced_levels(steps, levels):
     return bits.astype(dtype)
 
 
-def _lebesgue_level(vals, forced, n, block_range):
-    """Index array of the Lebesgue level with threshold ``2**-n``."""
+def _lebesgue_mark(vals, forced, n, block_range):
+    """Whether each sample is a point of the Lebesgue level with threshold
+    ``2**-n``."""
     eps = 2.0 ** (-n)
     mark = np.zeros(vals.size, dtype=bool)
     pos, ends = _mark_forced(mark, forced, n)
@@ -220,7 +236,7 @@ def _lebesgue_level(vals, forced, n, block_range):
         _scan_stretch(vals, j, end, a, eps, block_range, hits)
     mark[hits] = True
     mark[0] = mark[-1] = True
-    return np.flatnonzero(mark)
+    return mark
 
 
 def _mark_forced(mark, forced, n):
@@ -264,8 +280,9 @@ def _scan_stretch(vals, j, end, anchor, eps, block_range, hits):
         j = stop
 
 
-def oscillation(path: SampledPath, level: np.ndarray) -> float:
-    """Largest in-cell fluctuation ``max_cells (max - min)`` of the path.
+def oscillation(path: SampledPath, level) -> float:
+    """Largest in-cell fluctuation ``max_cells (max - min)`` of the path
+    along a level: an index array or a level descriptor.
 
     All grid samples inside the closed cell count, not just the cell
     endpoints; endpoint-only ranges understate the oscillation of wiggly
@@ -274,24 +291,23 @@ def oscillation(path: SampledPath, level: np.ndarray) -> float:
     return _oscillation(path.values, level)
 
 
-def _oscillation(values: np.ndarray, level: np.ndarray, fn: Optional[Callable] = None) -> float:
+def _oscillation(values: np.ndarray, level, fn: Optional[Callable] = None) -> float:
     """:func:`oscillation` of ``fn(values)`` (of values if fn is None), an
     elementwise map, read in blocks of ``_OSC_BLOCK`` samples: a block's
-    cells are cut at the level points inside it, and the cell open at its
-    end carries its extrema into the next block.  Max and min are exact, so
-    the value is that of one pass over the whole path."""
-    idx = np.asarray(level, dtype=np.int64)
-    steps = (idx[s : s + _OSC_BLOCK + 1] for s in range(0, idx.size - 1, _OSC_BLOCK))
-    if idx.ndim != 1 or idx.size < 2 or idx[0] != 0 or idx[-1] != values.size - 1 or not all(
-        np.all(x[1:] > x[:-1]) for x in steps
-    ):
-        raise ParameterError("level must be strictly increasing from 0 to the last grid index")
+    cells are cut at the level points inside it (the descriptor's
+    ``between``), and the cell open at its end carries its extrema into the
+    next block.  Max and min are exact, so the value is that of one pass
+    over the whole path."""
+    lev = as_level(level)
+    last = values.size - 1
+    if lev.size < 2 or lev.last != last:
+        raise ParameterError(_LEVEL_RULE)
     widths, carry = [], None
-    for s in range(0, idx[-1], _OSC_BLOCK):
-        e = min(s + _OSC_BLOCK, int(idx[-1]))
+    for s in range(0, last, _OSC_BLOCK):
+        e = min(s + _OSC_BLOCK, last)
         v = values[s : e + 1] if fn is None else fn(values[s : e + 1])
         # the block's cells start at its level points and at s
-        starts = idx[np.searchsorted(idx, s) : np.searchsorted(idx, e)] - s
+        starts = lev.between(s, e) - s
         fresh = starts.size > 0 and starts[0] == 0
         if not fresh:
             starts = np.concatenate([[0], starts])

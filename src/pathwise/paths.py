@@ -12,8 +12,11 @@ embedding of the fractional Gaussian noise covariance (Davies & Harte
 1987; Wood & Chan 1994): the 2N-point circulant whose first row is
 gamma(0), ..., gamma(N), gamma(N - 1), ..., gamma(1).  That row is real
 and symmetric, so its spectrum is real and half of it, N + 1 points,
-determines the rest.  The spectrum is a real FFT of length 2N, held with
-the 2N-point row once per (H, N).  The noise is the first N points of the
+determines the rest.  Below n_max = 17 the spectrum is a real FFT of
+length 2N, held with the 2N-point row once per (H, N); from n_max = 17 on
+it is the blocked half-length transform below, of the autocovariance
+read as a real half-spectrum, and its last eigenvalue an alternating
+sum.  The noise is the first N points of the
 real inverse transform of a path's (N + 1)-point complex half-spectrum:
 below n_max = 17 numpy's irfft computes all 2N of them, with scratch of
 its own (numpy < 2 also pads the half-spectrum to a 2N-point complex
@@ -21,8 +24,9 @@ array first); from n_max = 17 on a blocked half-length transform computes
 only the N it keeps, in the half-spectrum's buffer and blocks of
 O(sqrt(N)) entries, so the working set is that buffer, the noise and the
 cached N + 1 roots of the spectrum.  The bytes of paths with n_max >= 17
-changed when that route came in; their law did not, and generation is
-still a pure function of (spec, seed).  The embedding is nonnegative
+changed when that route came in, and their last bits again when the
+spectrum took it too; their law did not, and generation is still a pure
+function of (spec, seed).  The embedding is nonnegative
 definite for every H in (0, 1) (Dietrich & Newsam 1997; Craigmile 2003);
 should rounding ever make it indefinite, generation fails with a
 GenerationError.
@@ -167,9 +171,10 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-# fBM noise for n_max >= _BLOCKED_N_MAX comes from _irfft_head, in the
-# half-spectrum's buffer and blocks of _FFT_BLOCK columns or rows; numpy's
-# irfft, faster below it, holds 2N-point arrays and scratch
+# fBM noise and its spectrum for n_max >= _BLOCKED_N_MAX come from
+# _irfft_head, in an (N + 1)-point complex buffer and blocks of _FFT_BLOCK
+# columns or rows; numpy's irfft and rfft, faster below it, hold 2N-point
+# arrays and scratch
 _BLOCKED_N_MAX = 17
 _FFT_BLOCK = 64
 
@@ -220,21 +225,46 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
     return gamma
 
 
+def _circulant_eigs(H: float, N: int) -> np.ndarray:
+    """The eigenvalues 0..N of the 2N-point circulant embedding of the fGn
+    covariance; eigenvalue 2N - k equals eigenvalue k.
+
+    Eigenvalue k is ``gamma_0 + (-1)**k gamma_N + 2 sum_j gamma_j
+    cos(pi j k / N)`` over j = 1..N-1.  Below ``N = 2**_BLOCKED_N_MAX`` it
+    is the real FFT of the 2N-point first row.  From there on the
+    autocovariance is read as a real half-spectrum, so eigenvalues 0..N-1
+    are ``2N irfft(gamma, 2N)[:N]``, computed by :func:`_irfft_head` in an
+    (N + 1)-point complex buffer, and eigenvalue N (N is even) is the
+    alternating sum ``gamma_0 + gamma_N + 2 sum_j (-1)**j gamma_j``.  The
+    working set is then that buffer beside the autocovariance or the
+    eigenvalues, not the 2N-point row and its transform.
+    """
+    gamma = _fgn_autocov(H, N + 1)
+    if N < 1 << _BLOCKED_N_MAX:
+        row = np.empty(2 * N)
+        row[: N + 1] = gamma
+        row[N + 1 :] = gamma[N - 1 : 0 : -1]
+        del gamma
+        return np.fft.rfft(row).real
+    eigs = np.empty(N + 1)
+    eigs[N] = gamma[0] + gamma[N] + 2.0 * (np.sum(gamma[2:N:2]) - np.sum(gamma[1:N:2]))
+    z = np.empty(N + 1, dtype=complex)
+    z.real, z.imag = gamma, 0.0
+    del gamma
+    _irfft_head(z, out=eigs[:N])
+    del z
+    eigs[:N] *= 2 * N
+    return eigs
+
+
 @lru_cache(maxsize=8)
 def _circulant_sqrt_eigs(H: float, N: int) -> np.ndarray:
-    """Square roots of the eigenvalues 0..N of the 2N-point circulant
-    embedding of the fGn covariance (read-only, shared by every path with
-    this (H, N)); eigenvalue 2N - k equals eigenvalue k.
+    """Square roots of :func:`_circulant_eigs` (read-only, shared by every
+    path with this (H, N)).
 
     Raises GenerationError if the embedding is not nonnegative definite.
     """
-    gamma = _fgn_autocov(H, N + 1)
-    row = np.empty(2 * N)
-    row[: N + 1] = gamma
-    row[N + 1 :] = gamma[N - 1 : 0 : -1]
-    del gamma
-    eigs = np.fft.rfft(row).real
-    del row
+    eigs = _circulant_eigs(H, N)
     tol = 1e-12 * max(eigs.max(), 1.0)
     if eigs.min() < -tol:
         raise GenerationError(
@@ -308,10 +338,11 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> None:
     ar[...] = re
 
 
-def _irfft_head(z: np.ndarray) -> np.ndarray:
+def _irfft_head(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.fft.irfft(z, n=2 * N)[:N]`` for a half-spectrum ``z`` of
     N + 1 points, N = 2**n with n >= 2, computed in ``z``'s buffer, which
-    it overwrites, and blocks of O(sqrt(N)) entries.
+    it overwrites, and blocks of O(sqrt(N)) entries, into ``out`` (N
+    contiguous floats) or a new array.
 
     The 2N outputs x pair up as ``y_m = x_2m + i x_2m+1``, the inverse
     transform of length N of ``C_k = E_k + i w**k D_k`` with
@@ -348,7 +379,7 @@ def _irfft_head(z: np.ndarray) -> np.ndarray:
         block = np.fft.ifft(grid[:, c : c + _FFT_BLOCK], axis=0, norm="forward")
         _multiply(block, _unit_roots(2 * m2 * np.arange(c, min(c + _FFT_BLOCK, n1)), N))
         grid[:, c : c + _FFT_BLOCK] = block
-    out = np.empty(N)
+    out = np.empty(N) if out is None else out
     y = out.view(complex).reshape(n1 // 2, n2)
     for r in range(0, n2, _FFT_BLOCK):
         y[:, r : r + _FFT_BLOCK] = np.fft.ifft(grid[r : r + _FFT_BLOCK], axis=1, norm="forward")[:, : n1 // 2].T
@@ -427,9 +458,11 @@ def generate(spec: PathSpec) -> SampledPath:
     ``hurst=0.5``) the N = 2**n_max steps are i.i.d. N(0, T / N) normals
     drawn directly into the returned path of N + 1 samples, and nothing
     else is held.  Any other H uses circulant embedding of the fractional
-    Gaussian noise covariance; besides the path it holds the 2N-point
-    first row and its (N + 1)-point complex spectrum (once per (H, N)),
-    the cached N + 1 roots of the spectrum, and each path's (N + 1)-point
+    Gaussian noise covariance; besides the path it holds, once per
+    (H, N), the 2N-point first row and its (N + 1)-point complex
+    spectrum below n_max = 17, and from there on the autocovariance and
+    an (N + 1)-point complex buffer (:func:`_circulant_eigs`), then the
+    cached N + 1 roots of the spectrum and each path's (N + 1)-point
     complex half-spectrum.  Below n_max = 17 numpy's irfft turns that into
     2N-point real noise, with scratch of its own (numpy < 2 adds a
     2N-point complex copy of the half-spectrum, zero-padded); from
@@ -437,8 +470,8 @@ def generate(spec: PathSpec) -> SampledPath:
     keeps and holds blocks of O(sqrt(N)) entries besides.  The bytes of
     these paths differ in their last digits from those of releases that
     embedded with 0 in place of gamma(N) and transformed with the complex
-    FFT, and at n_max >= 17 from those of releases that took irfft there;
-    their law is the same.
+    FFT, and at n_max >= 17 from those of releases that took irfft or
+    rfft there; their law is the same.
 
     Raises
     ------

@@ -166,7 +166,7 @@ def collision_local_time(
 ) -> CollisionLocalTime:
     p = even_order(p)
     gap = system.gap_path(k, h)
-    stack = LevelStack.build(gap, hierarchy.levels, checkpoints)
+    stack = LevelStack.build(gap, hierarchy, checkpoints)
 
     def terms(ga, gb):
         return bracket_contributions(ga, gb, p, 0.0), (ga == 0.0) * ipow(gb, p - 1)
@@ -188,7 +188,7 @@ def rank_sum_identity(
     and of the original paths at the level x; the identity holds in the
     limit, so this is a trend report."""
     p = even_order(p)
-    stack = LevelStack.build(system.paths[0], hierarchy.levels)
+    stack = LevelStack.build(system.paths[0], hierarchy)
 
     # summed one path at a time, so one row of a piece is gathered at a time
     lhs, rhs = (sum(stack.sums(lambda a, b: bracket_contributions(a, b, p, x), row) for row in rows)
@@ -279,7 +279,7 @@ def _rank_decompositions(
     lo = min(ranks) - 1
     rows = slice(lo, max(ranks))
     fact = [math.factorial(i) for i in range(p + 1)]
-    stack = LevelStack.build(system.paths[0], hierarchy.levels, checkpoints)
+    stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
 
     def terms(fx, fk, dX, gap):
         b_terms = np.zeros_like(dX)
@@ -388,7 +388,7 @@ def simplified_cross_term(
         )
     full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
     fact = [math.factorial(i) for i in range(p + 1)]
-    stack = LevelStack.build(system.paths[0], hierarchy.levels, checkpoints)
+    stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
 
     def terms(fx, fk, dX, gap):
         out = np.zeros_like(gap)

@@ -139,7 +139,7 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
     stack = LevelStack.build(path, levels, [t])
     comp, *remainder = stack.sums(terms, path.values)
     change = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
-    return change - comp, _remainder(remainder, measure, len(levels)) / math.factorial(p - 1)
+    return change - comp, _remainder(remainder, measure, len(stack.levels)) / math.factorial(p - 1)
 
 
 def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunction, t: float) -> float:
@@ -157,7 +157,7 @@ def finite_n_report(
     """The change-of-variable identity of :func:`finite_n_identity` over a
     whole hierarchy, packaged with both sides per level."""
     p = even_order(p)
-    lhs, rhs = _change_of_variable_sides(path, hierarchy.levels, p, f, t)
+    lhs, rhs = _change_of_variable_sides(path, hierarchy, p, f, t)
     return _report(f"change of variable p={p} {getattr(f, 'name', 'f')}", hierarchy.level_labels, lhs, rhs,
                    exact=True)
 
@@ -173,7 +173,7 @@ def tanaka_meyer_report(
     def terms(sa, sb):
         return _tanaka_meyer_sums(sa, sb, p, a, "plus"), bracket_contributions(sa, sb, p, a)
 
-    stack = LevelStack.build(path, hierarchy.levels, [t])
+    stack = LevelStack.build(path, hierarchy, [t])
     comp, rhs = stack.sums(terms, path.values)
     # f(S_u) - f(S_0) for f = ((x - a)^+)^(p-1), u where each level's sums end
     start = ipow(max(path.values[0] - a, 0.0), p - 1)
@@ -194,7 +194,7 @@ def ito_residual(
     def terms(a, b):
         return _follmer_sums(a, b, p, f), f.derivative(a, p) * ipow(np.abs(b - a), p)
 
-    stack = LevelStack.build(path, hierarchy.levels, [t])
+    stack = LevelStack.build(path, hierarchy, [t])
     comp, pv = stack.sums(terms, path.values)
     lhs = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return _report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
@@ -248,9 +248,9 @@ def identity_suite(
     labels = hierarchy.level_labels
     # the band widths: per level, the oscillation of X, Y and |X|
     reads = ((X.values, None), (Y.values, None), (X.values, np.abs))
-    osc_x, osc_y, osc_a = np.array([[_oscillation(v, lev, fn) for lev in hierarchy.levels] for v, fn in reads])
+    osc_x, osc_y, osc_a = np.array([[_oscillation(v, lev, fn) for lev in hierarchy.parts] for v, fn in reads])
     osc_xy = np.maximum(osc_x, osc_y)
-    stack = LevelStack.build(X, hierarchy.levels)
+    stack = LevelStack.build(X, hierarchy)
     bands = stack.spread(np.array([osc_x, osc_y, osc_a]))
 
     def terms(Xa, Xb, Ya, Yb):
@@ -344,7 +344,7 @@ def scaling_check(
     mapped = np.asarray(f.value(vals), dtype=float)
     fa = float(f.value(a))
     factor = ipow(abs(float(f.derivative(a, 1))), p - 1)
-    stack = LevelStack.build(path, hierarchy.levels)
+    stack = LevelStack.build(path, hierarchy)
 
     def local_times(ga, gb, sa, sb):
         return bracket_contributions(ga, gb, p, fa), bracket_contributions(sa, sb, p, a)

@@ -54,8 +54,9 @@ def _power_sums(path: SampledPath, stack: LevelStack, p: float) -> np.ndarray:
 def increment_power_sums(
     path: SampledPath, level: np.ndarray, p: float, checkpoints: Optional[Sequence[float]] = None
 ) -> np.ndarray:
-    """Raw cumulative sums ``sum |increment|**p`` for a single level, at
-    each checkpoint time or, without any, over the whole path.
+    """Raw cumulative sums ``sum |increment|**p`` for a single level (an
+    index array or a level descriptor), at each checkpoint time or,
+    without any, over the whole path.
 
     Accepts any real p >= 1; the public operation restricts to even
     integers but e.g. the p = 1 telescoping identity on monotone paths is
@@ -77,7 +78,7 @@ def pth_variation(
     ``p`` must be an even integer >= 2.  Checkpoints snap to the grid.
     """
     p = even_order(p)
-    stack = LevelStack.build(path, hierarchy.levels, checkpoints)
+    stack = LevelStack.build(path, hierarchy, checkpoints)
     return VariationCurve(
         p=p,
         checkpoint_times=stack.times,

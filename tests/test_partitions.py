@@ -7,12 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pathwise import (
     ParameterError,
+    PartitionHierarchy,
     PathSpec,
     ResolutionError,
     dyadic_hierarchy,
     generate,
+    increment_power_sums,
     lebesgue_hierarchy,
     oscillation,
+    pth_variation,
 )
 from pathwise import partitions
 from tests.conftest import make_walk, traced_peak
@@ -51,6 +54,8 @@ def test_lebesgue_on_identity_path_spaces_by_threshold():
         # S(t) = t advances by 2**-n exactly every 2**(n_max - n) grid steps
         step = 2 ** (path.n_max - n)
         np.testing.assert_array_equal(lev, np.arange(0, path.n_samples, step))
+    # so each level's points are points of the next, not the reverse
+    assert hier.nested
 
 
 def test_lebesgue_rejects_constant_path(constant_path):
@@ -207,15 +212,71 @@ def test_lebesgue_levels_of_fbm_match_the_scalar_scan(hurst):
 
 
 def test_lebesgue_hierarchy_peak_memory_at_n_max_18():
-    # the 8 index arrays themselves take 6.5 MiB and the stretch scan peaks
-    # at 9.1 MiB with one byte per step for its first forced level; with
-    # the float64 steps it took 10.9 MiB, collecting each level as a list
-    # of Python ints 15.0 MiB, and an index and a length per forced
-    # crossing (nearly every step at the finest level) 12.4 MiB.  The bound
-    # leaves 10% for other numpy versions
+    # as 8 index arrays the levels took 6.5 MiB, and the stretch scan
+    # peaked at 9.1 MiB with one byte per step for its first forced level;
+    # with the float64 steps it took 10.9 MiB, collecting each level as a
+    # list of Python ints 15.0 MiB, and an index and a length per forced
+    # crossing (nearly every step at the finest level) 12.4 MiB.  As packed
+    # bits (index arrays for the two sparsest) the levels hold 0.20 MiB
+    # and the scan peaks at 4.39 MiB.  The bound leaves 10% for other numpy
+    # versions
     path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=18, seed=5))
-    _, peak = traced_peak(lebesgue_hierarchy, path, 8)
-    assert peak < 10 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    hier, peak = traced_peak(lebesgue_hierarchy, path, 8)
+    assert peak < 4.8 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert [type(part).__name__ for part in hier.parts] == ["Points"] * 2 + ["Packed"] * 6
+
+
+def test_dyadic_hierarchy_holds_no_index_array():
+    # 20 strides: 2.0x the path bytes as index arrays, 0.0004x now
+    path = generate(PathSpec(kind="bm", n_max=20, seed=1))
+    hier, peak = traced_peak(dyadic_hierarchy, path, 20)
+    assert peak <= 0.01 * path.values.nbytes, peak / path.values.nbytes
+    assert all(type(part).__name__ == "Stride" for part in hier.parts)
+
+
+@pytest.mark.parametrize("levels", [1074, 1075])
+def test_lebesgue_levels_stop_where_the_threshold_is_zero(levels):
+    # 2.0**-n is 0.0 from n = 1075 on, where every sample would cross:
+    # such levels held the whole grid under a label that claims 2**-n
+    path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=4, seed=1))
+    if levels == 1074:
+        assert lebesgue_hierarchy(path, levels).n_levels == 1074
+    else:
+        with pytest.raises(ParameterError, match=r"1\.\.1074"):
+            lebesgue_hierarchy(path, levels)
+
+
+@pytest.mark.parametrize("points", [[0, 10, 20, 30], [0, 30, 20, 64], [0, 10, 10, 64], [0, 10, 70]],
+                         ids=["short", "unordered", "repeated", "past-the-grid"])
+def test_a_supplied_level_must_run_from_0_to_the_last_grid_index(points):
+    # these read a variation "at t = 1" that stopped at index 30, summed
+    # back-steps, summed a zero-length interval, or failed with a bare
+    # IndexError
+    path = generate(PathSpec(kind="bm", n_max=6, seed=1))
+    with pytest.raises(ParameterError, match="strictly increasing from 0 to the last grid index"):
+        pth_variation(path, PartitionHierarchy("custom", [points], (1,), nested=False), 2, [1.0])
+    with pytest.raises(ParameterError, match="strictly increasing from 0 to the last grid index"):
+        increment_power_sums(path, np.array(points), 2)
+
+
+def test_hierarchy_levels_are_the_index_arrays(bm_path):
+    # built on each access from the descriptors: the dyadic index sets, and
+    # the scalar scan's Lebesgue points, at 200 and 1074 levels too, where
+    # the thresholds are subnormal, round or are the least subnormal, on a
+    # path with ties (zero steps) that no threshold crosses
+    hier = dyadic_hierarchy(bm_path, bm_path.n_max)
+    for n, lev in zip(hier.level_labels, hier.levels):
+        assert lev.dtype == np.int64 and lev.tolist() == list(range(0, bm_path.n_samples, 2 ** (bm_path.n_max - n)))
+        assert hier.level(n).tolist() == lev.tolist()
+    walk = make_walk(np.concatenate([[0.0], np.cumsum(np.resize([0.3, 0.0, -1.1, 0.0, 0.0, 2.5, -0.7], 64))]))
+    for path in (generate(PathSpec(kind="fbm", hurst=0.25, n_max=6, seed=3)), walk):
+        for levels in (8, 200, 1074):
+            hier = lebesgue_hierarchy(path, levels)
+            want = _lebesgue_levels_oracle(path.values, levels)
+            assert len(hier.levels) == levels
+            for got, ref in zip(hier.levels, want):
+                assert got.dtype == np.int64 and np.array_equal(got, ref)
+            assert hier.finest.tolist() == want[-1].tolist()
 
 
 _SPECIAL_STEPS = [0.0, -0.0, 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1.0, 4.0, 1e300]

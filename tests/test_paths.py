@@ -270,6 +270,17 @@ def _irfft_head_expression_form(z):
     return np.ascontiguousarray(Y.T).reshape(-1).view(float) * (0.5 / N)
 
 
+def _circulant_sqrt_eigs_blocked_expression_form(H, N):
+    """Root of the spectrum from N = 2**17 on: eigenvalues 0..N-1 as 2N
+    times the expression form of the blocked transform of the
+    autocovariance, read as a real half-spectrum, and eigenvalue N as the
+    alternating sum of the autocovariance."""
+    gamma = _fgn_autocov(H, N + 1)
+    head = 2 * N * _irfft_head_expression_form(gamma.astype(complex))
+    last = gamma[0] + gamma[N] + 2.0 * (np.sum(gamma[2:N:2]) - np.sum(gamma[1:N:2]))
+    return np.sqrt(np.clip(np.concatenate([head, [last]]), 0.0, None))
+
+
 def _fgn_blocked_expression_form(root, N, rng):
     """Davies-Harte noise on a given half-spectrum root through the blocked
     half-length transform, one temporary per expression."""
@@ -313,14 +324,15 @@ def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
     # the generator writes every step into an existing buffer; on a cold
     # spectrum cache, the expression-by-expression real route is the
     # oracle, and from n_max = 17 on the expression form of the blocked
-    # transform.  H = 1/2 paths draw their steps directly, so there the
-    # direct-increment form is the oracle of the path, and the embedding
-    # is still checked on its own
+    # transform, of the spectrum and of the noise.  H = 1/2 paths draw
+    # their steps directly, so there the direct-increment form is the
+    # oracle of the path, and the embedding is still checked on its own
     N = 2**n_max
-    root = _circulant_sqrt_eigs_expression_form(H, N)
+    blocked = n_max >= 17
+    root = (_circulant_sqrt_eigs_blocked_expression_form if blocked else _circulant_sqrt_eigs_expression_form)(H, N)
     _circulant_sqrt_eigs.cache_clear()
     assert _circulant_sqrt_eigs(H, N).tobytes() == root.tobytes()
-    oracle = _fgn_blocked_expression_form if n_max >= 17 else _fgn_expression_form
+    oracle = _fgn_blocked_expression_form if blocked else _fgn_expression_form
     for seed in (0, 1, 29):
         want = oracle(root, N, _rng_for(seed))
         assert _fgn_davies_harte(H, N, _rng_for(seed)).tobytes() == want.tobytes()
@@ -341,6 +353,21 @@ def test_blocked_noise_matches_irfft_at_the_threshold_and_above(H, n_max):
     got = _fgn_davies_harte(H, N, _rng_for(3))
     want = _fgn_expression_form(root, N, _rng_for(3))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_max", [17, 18, 20])
+@pytest.mark.parametrize("H", [0.1, 0.25, 0.75])
+def test_blocked_spectrum_matches_rfft_at_the_threshold_and_above(H, n_max):
+    # from n_max = 17 on the spectrum is the blocked transform of the
+    # autocovariance and an alternating sum: the real FFT's eigenvalues up
+    # to rounding (at most 8.8e-16 of the largest measured; the real FFT
+    # itself is 6.6e-16 from the complex one)
+    N = 2**n_max
+    gamma = _fgn_autocov(H, N + 1)
+    want = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    got = paths._circulant_eigs(H, N)
+    assert got.shape == (N + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 9, 10])
@@ -500,6 +527,30 @@ def test_generate_rss_rise_at_n_max_20(tmp_path):
     src = os.path.dirname(os.path.dirname(paths.__file__))
     launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
     out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", _GENERATE_RSS, str(tmp_path / "root.npy")],
+                         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    rise = float(out.stdout)
+    assert rise <= 5.0, f"ru_maxrss rose by {rise:.2f}x the path bytes"
+
+
+_COLD_SPECTRUM_RSS = """
+import resource
+from pathwise import PathSpec, generate
+generate(PathSpec(kind="fbm", hurst=0.25, n_max=4))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=20, seed=1))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / path.values.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_cold_spectrum_generate_rss_rise_at_n_max_20():
+    # a fresh process, cold spectrum cache: the real FFT of the 2N-point
+    # first row and its scratch rose ru_maxrss by 8.0x the path bytes; the
+    # blocked transform of the autocovariance, in an (N + 1)-point complex
+    # buffer, by 4.3x.  Started by the same small launcher as the warm test
+    src = os.path.dirname(os.path.dirname(paths.__file__))
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", _COLD_SPECTRUM_RSS],
                          capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     rise = float(out.stdout)
     assert rise <= 5.0, f"ru_maxrss rose by {rise:.2f}x the path bytes"

@@ -635,7 +635,10 @@ def test_histograms_hold_one_chunk_of_the_path(path_2_20):
     # density makes each chunk's times, where it gathered path.times (2.03x).
     # occupation_check held the whole level's masses and g(S): 4.13x with a
     # cell indicator, 6.0x with x^2 on six grids; summed piece by piece, its
-    # sides read 1.19x and 1.25x
+    # sides read 1.19x and 1.25x.  With the grid level a stride, and the
+    # weighted density's grid indices made a piece at a time, they read
+    # 0.096x, 0.068x, 0.127x, 0.096x, 0.162x and 0.220x; each bound adds
+    # 0.05x to its reading
     path = path_2_20
     grid = SpaceGrid.cover([path], 128)
     cps = [0.25, 0.5, 0.75, 1.0]
@@ -643,12 +646,12 @@ def test_histograms_hold_one_chunk_of_the_path(path_2_20):
     indicator = CellIndicator(grid, [3, 10, 11, 12, 40, 64, 65])
     square = tanaka_class("poly", 4, coeffs=[0.0, 0.0, 1.0])
     for fn, args, bound in (
-        (occupation_density_local_time, (path, 4, grid, cps), 1.5),
-        (occupation_time_density, (path, grid, cps), 1.5),
-        (weighted_occupation_local_time, (path, 0.25, grid, cps), 1.5),
-        (berman_ratio_check, (path, 4, grid), 1.5),
-        (occupation_check, (path, 4, indicator, [grid], 1.0), 1.5),
-        (occupation_check, (path, 4, square, grids, 1.0), 1.5),
+        (occupation_density_local_time, (path, 4, grid, cps), 0.15),
+        (occupation_time_density, (path, grid, cps), 0.12),
+        (weighted_occupation_local_time, (path, 0.25, grid, cps), 0.18),
+        (berman_ratio_check, (path, 4, grid), 0.15),
+        (occupation_check, (path, 4, indicator, [grid], 1.0), 0.21),
+        (occupation_check, (path, 4, square, grids, 1.0), 0.27),
     ):
         _, peak = traced_peak(fn, *args)
         assert peak <= bound * path.values.nbytes, (fn.__name__, peak / path.values.nbytes)
@@ -697,6 +700,67 @@ def test_level_stack_credits_what_snapping_and_left_endpoint_counts_credit(case)
     assert whole.times.tolist() == [path.T] and whole.indices.tolist() == [path.n_samples - 1]
     assert whole.counts[:, 0].tolist() == [lev.size - 1 for lev in levels]
     assert whole.ends[:, 0].tolist() == [path.n_samples - 1] * len(levels)
+
+
+@st.composite
+def walk_descriptors_checkpoints(draw):
+    """A random walk with ties and repeated values (steps of -2..2 times
+    0.3, so sums round), its levels as descriptors (strides of every
+    dyadic step, the two-point level among them, and random point sets as
+    packed bits), a second value row, and checkpoints at level points or
+    anywhere in [0, T]."""
+    n_max = draw(st.integers(1, 7))
+    n = 2**n_max + 1
+    steps = draw(hnp.arrays(np.int64, n - 1, elements=st.integers(-2, 2)))
+    path = SampledPath(1.0, n_max, np.concatenate([[0.0], np.cumsum(steps)]) * 0.3)
+    levels = [_util.Stride(2**k, n - 1) for k in draw(st.lists(st.integers(0, n_max), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(1, 3))):
+        interior = draw(st.sets(st.integers(1, n - 2), max_size=n - 2)) if n > 2 else set()
+        mask = np.zeros(n, dtype=bool)
+        mask[[0, *interior, n - 1]] = True
+        levels.append(mask)
+    levels = draw(st.permutations(levels))
+    points = sorted(set().union(*(np.flatnonzero(lev).tolist() if isinstance(lev, np.ndarray) else
+                                  lev.points().tolist() for lev in levels)))
+    at_points = st.sampled_from(points).map(lambda i: i * path.dt)
+    checkpoints = draw(st.lists(at_points | st.floats(0.0, 1.0), min_size=1, max_size=5))
+    return path, levels, checkpoints
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_descriptors_checkpoints(), st.sampled_from([1, 2, 5, 1 << 15]), st.sampled_from([8, 16, 1 << 10]))
+def test_descriptor_stacks_are_bit_identical_to_index_stacks(case, block, chunk):
+    # strides and packed bits gather the same points in the same order as
+    # their index arrays, for any cut of the levels into pieces and any
+    # chunk of the packed levels' counts
+    path, levels, checkpoints = case
+    other = path.values[::-1] * 1.7
+    both = np.stack([path.values, other])
+
+    def terms(a, b, a2, b2):
+        return (b - a) * 0.7, ipow(b2[1] - a2[0], 3), np.abs(b - a2[1])
+
+    def cell_terms(a, b):
+        cells = np.floor(a).astype(np.int64) % 4
+        return [(None, lambda s, e: (cells[s:e], (b - a)[s:e])),
+                (None, lambda s, e: (3 - cells[s:e], ipow(b[s:e], 2)))]
+
+    with mock.patch.object(_util, "_BLOCK_INTERVALS", block), mock.patch.object(_util, "_RANK_CHUNK", chunk), \
+            mock.patch.object(_util, "_BLOCK_PAIRS", 3):
+        descriptors = [_util.Packed(np.packbits(lev), lev.size - 1) if isinstance(lev, np.ndarray) else lev
+                       for lev in levels]
+        arrays = [lev.points() for lev in descriptors]
+        for lev, mask in zip(arrays, levels):
+            if isinstance(mask, np.ndarray):
+                assert lev.tolist() == np.flatnonzero(mask).tolist()
+        stacks = [_util.LevelStack.build(path, lev, checkpoints) for lev in (descriptors, arrays)]
+        assert [type(lev).__name__ for lev in stacks[1].levels] == ["Points"] * len(levels)
+        outs = []
+        for stack in stacks:
+            outs.append([stack.counts, stack.ends, *stack.running_sums(terms, path.values, both),
+                         *stack.sums(terms, path.values, both), *stack.cell_sums(4, cell_terms, path.values)])
+    for got, want in zip(*outs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_a_nan_checkpoint_is_refused():
