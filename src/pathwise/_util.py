@@ -531,9 +531,13 @@ def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray
     return out
 
 
+# the largest even p whose p! (the Ito residual's divisor) is a finite float
+MAX_ORDER = 170
+
+
 def even_order(p: int) -> int:
-    if int(p) != p or p < 2 or p % 2 != 0:
-        raise ParameterError(f"order p must be an even integer >= 2, got {p}")
+    if int(p) != p or not 2 <= p <= MAX_ORDER or p % 2 != 0:
+        raise ParameterError(f"order p must be an even integer from 2 to {MAX_ORDER}, got {p}")
     return int(p)
 
 

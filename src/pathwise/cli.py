@@ -26,7 +26,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from . import acceptance as acc
-from ._util import field, known_keys, release_free_heap, write_csv, write_summary
+from ._util import MAX_ORDER, field, known_keys, release_free_heap, write_csv, write_summary
 from .errors import ConfigError, ParameterError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
 from .localtime import SpaceGrid, discrete_local_time
@@ -89,7 +89,8 @@ def validate_run_config(cfg: dict) -> dict:
     anything is generated, and no other key; ``runs`` holds the seed
     replicates of the path specs as ``(tag, PathSpec)`` pairs."""
     known_keys(cfg, "", _RUN_FIELDS)
-    p = field(cfg, "", "p", int, ok=lambda n: n >= 2 and n % 2 == 0, need="an even integer >= 2")
+    p = field(cfg, "", "p", int, ok=lambda n: 2 <= n <= MAX_ORDER and n % 2 == 0,
+              need=f"an even integer from 2 to {MAX_ORDER}")
     raw_paths = field(cfg, "", "paths", list, ok=bool, need="a non-empty list of path specs")
     specs = [_path_spec_from(pc, f"paths[{i}]") for i, pc in enumerate(raw_paths)]
     partition = field(cfg, "", "partition", str, "dyadic", _PARTITIONS.__contains__, f"one of {_PARTITIONS}")
@@ -311,7 +312,7 @@ def _times(text: str) -> List[float]:
 
 def _add_common_args(sp: argparse.ArgumentParser) -> None:
     _add_path_args(sp)
-    sp.add_argument("--p", type=int, default=2, help="variation order (even integer >= 2)")
+    sp.add_argument("--p", type=int, default=2, help=f"variation order (even integer from 2 to {MAX_ORDER})")
     sp.add_argument("--partition", default="dyadic", choices=_PARTITIONS)
     sp.add_argument("--levels", type=int, default=None)
     sp.add_argument("--checkpoints", type=_times, default="0.25,0.5,0.75,1.0",

@@ -5,6 +5,9 @@ as the limit of order-p compensated Riemann sums
 
     sum_{t_j <= t} sum_{k=1}^{p-1} f^(k)(S_{t_j}) / k! * (S_{t_{j+1}} - S_{t_j})^k.
 
+Every such sum in the package, along ranks too, takes its per-interval
+Taylor step from one function, ``_taylor_sum``.
+
 Test functions are piecewise polynomials with exact derivatives; the
 distributional derivative d f^(p-1) is carried around explicitly as atoms
 plus a piecewise-polynomial density, so compensated-sum remainders can be
@@ -313,16 +316,22 @@ def _interval_sums(path: SampledPath, levels, t: float, terms: Callable, *args):
     return LevelStack.build(path, levels, [t]).sums(lambda a, b: terms(a, b, *args), path.values)
 
 
-def _follmer_sums(a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
-    d = b - a
-    acc = np.zeros_like(a)
+def _taylor_sum(derivative: Callable[[int], np.ndarray], d: np.ndarray, p: int) -> np.ndarray:
+    """``sum_{k=1}^{p-1} derivative(k) * d**k / k!``, added to zeros term by
+    term, the power by repeated multiplication and k! a running float
+    (finite for every order :func:`even_order` admits)."""
+    acc = np.zeros_like(d)
     power = d.copy()
     fact = 1.0
     for k in range(1, p):
         fact *= k
-        acc += f.derivative(a, k) * power / fact
+        acc += derivative(k) * power / fact
         power = power * d
     return acc
+
+
+def _follmer_sums(a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
+    return _taylor_sum(lambda k: f.derivative(a, k), b - a, p)
 
 
 def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> float:

@@ -12,22 +12,21 @@ embedding of the fractional Gaussian noise covariance (Davies & Harte
 1987; Wood & Chan 1994): the 2N-point circulant whose first row is
 gamma(0), ..., gamma(N), gamma(N - 1), ..., gamma(1).  That row is real
 and symmetric, so its spectrum is real and half of it, N + 1 points,
-determines the rest.  Below n_max = 17 the spectrum is a real FFT of
-length 2N, held with the 2N-point row once per (H, N); from n_max = 17 on
-it is the blocked half-length transform below, of the autocovariance
-read as a real half-spectrum, and its last eigenvalue an alternating
-sum.  The noise is the first N points of the
-real inverse transform of a path's (N + 1)-point complex half-spectrum:
-below n_max = 17 numpy's irfft computes all 2N of them, with scratch of
-its own (numpy < 2 also pads the half-spectrum to a 2N-point complex
-array first); from n_max = 17 on a blocked half-length transform computes
-only the N it keeps, in the half-spectrum's buffer and blocks of
-O(sqrt(N)) entries, so the working set is that buffer, the noise and the
-cached N + 1 roots of the spectrum.  The bytes of paths with n_max >= 17
-changed when that route came in, and their last bits again when the
-spectrum took it too; their law did not, and generation is still a pure
-function of (spec, seed).  The embedding is nonnegative
-definite for every H in (0, 1) (Dietrich & Newsam 1997; Craigmile 2003);
+determines the rest.  At every n_max it is the blocked half-length
+transform below, of the autocovariance read as a real half-spectrum, and
+its last eigenvalue an alternating sum, computed once per (H, N).  The
+noise is the first N points of the real inverse transform of a path's
+(N + 1)-point complex half-spectrum: below n_max = 17 numpy's irfft
+computes all 2N of them, with scratch of its own (numpy < 2 also pads the
+half-spectrum to a 2N-point complex array first); from n_max = 17 on the
+blocked half-length transform computes only the N it keeps, in the
+half-spectrum's buffer and blocks of O(sqrt(N)) entries, so the working
+set is that buffer, the noise and the cached N + 1 roots of the
+spectrum.  The bytes of paths with n_max >= 17 changed when that route
+came in, and the last bits of every fBM path with H != 1/2 when the
+spectrum took it; their law did not, and generation is still a pure
+function of (spec, seed).  The embedding is nonnegative definite for
+every H in (0, 1) (Dietrich & Newsam 1997; Craigmile 2003);
 should rounding ever make it indefinite, generation fails with a
 GenerationError.
 """
@@ -171,10 +170,10 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-# fBM noise and its spectrum for n_max >= _BLOCKED_N_MAX come from
-# _irfft_head, in an (N + 1)-point complex buffer and blocks of _FFT_BLOCK
-# columns or rows; numpy's irfft and rfft, faster below it, hold 2N-point
-# arrays and scratch
+# fBM noise for n_max >= _BLOCKED_N_MAX comes from _irfft_head, in an
+# (N + 1)-point complex buffer and blocks of _FFT_BLOCK columns or rows;
+# numpy's irfft, 2-3x faster below it, holds a 2N-point output and
+# scratch.  The spectrum takes _irfft_head at every size.
 _BLOCKED_N_MAX = 17
 _FFT_BLOCK = 64
 
@@ -230,22 +229,13 @@ def _circulant_eigs(H: float, N: int) -> np.ndarray:
     covariance; eigenvalue 2N - k equals eigenvalue k.
 
     Eigenvalue k is ``gamma_0 + (-1)**k gamma_N + 2 sum_j gamma_j
-    cos(pi j k / N)`` over j = 1..N-1.  Below ``N = 2**_BLOCKED_N_MAX`` it
-    is the real FFT of the 2N-point first row.  From there on the
-    autocovariance is read as a real half-spectrum, so eigenvalues 0..N-1
-    are ``2N irfft(gamma, 2N)[:N]``, computed by :func:`_irfft_head` in an
-    (N + 1)-point complex buffer, and eigenvalue N (N is even) is the
-    alternating sum ``gamma_0 + gamma_N + 2 sum_j (-1)**j gamma_j``.  The
-    working set is then that buffer beside the autocovariance or the
-    eigenvalues, not the 2N-point row and its transform.
+    cos(pi j k / N)`` over j = 1..N-1.  Read as a real half-spectrum, the
+    autocovariance gives eigenvalues 0..N-1 as ``2N irfft(gamma, 2N)[:N]``,
+    computed by :func:`_irfft_head` in an (N + 1)-point complex buffer, and
+    eigenvalue N (N is even) as the alternating sum ``gamma_0 + gamma_N +
+    2 sum_j (-1)**j gamma_j``, with no 2N-point row or transform held.
     """
     gamma = _fgn_autocov(H, N + 1)
-    if N < 1 << _BLOCKED_N_MAX:
-        row = np.empty(2 * N)
-        row[: N + 1] = gamma
-        row[N + 1 :] = gamma[N - 1 : 0 : -1]
-        del gamma
-        return np.fft.rfft(row).real
     eigs = np.empty(N + 1)
     eigs[N] = gamma[0] + gamma[N] + 2.0 * (np.sum(gamma[2:N:2]) - np.sum(gamma[1:N:2]))
     z = np.empty(N + 1, dtype=complex)
@@ -257,7 +247,8 @@ def _circulant_eigs(H: float, N: int) -> np.ndarray:
     return eigs
 
 
-@lru_cache(maxsize=8)
+# acceptance generates on two (H, N), a run on one; each is 32 MiB at n_max 22
+@lru_cache(maxsize=2)
 def _circulant_sqrt_eigs(H: float, N: int) -> np.ndarray:
     """Square roots of :func:`_circulant_eigs` (read-only, shared by every
     path with this (H, N)).
@@ -340,7 +331,7 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> None:
 
 def _irfft_head(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.fft.irfft(z, n=2 * N)[:N]`` for a half-spectrum ``z`` of
-    N + 1 points, N = 2**n with n >= 2, computed in ``z``'s buffer, which
+    N + 1 points, N = 2**n with n >= 1, computed in ``z``'s buffer, which
     it overwrites, and blocks of O(sqrt(N)) entries, into ``out`` (N
     contiguous floats) or a new array.
 
@@ -350,17 +341,18 @@ def _irfft_head(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     ``w = exp(i pi / N)``; ``C_N-k = conj(E_k - i w**k D_k)``, so each
     pair (k, N - k) is packed in place together.  Only ``y_m`` for
     m < N/2 is kept.  With ``N = n1 n2``, n1 the power of two nearest
-    sqrt(N) from below, ``k = k1 + n1 k2`` and ``m = m2 + n2 m1``, that
-    is Bailey's four-step transform ("FFTs in external or hierarchical
-    memory", 1990) on the (n2, n1) view of C: inverse transforms of length
-    n2 down its columns, ``_FFT_BLOCK`` at a time, each entry then turned
-    by ``w**(2 k1 m2)``, and inverse transforms of length n1 along its
-    rows, of which the first n1/2 points are written, transposed, to the
-    noise.  Every complex product goes through :func:`_multiply`, so the
-    bytes do not depend on numpy's CPU dispatch.
+    sqrt(N) from below but at least 2, ``k = k1 + n1 k2`` and
+    ``m = m2 + n2 m1``, that is Bailey's four-step transform ("FFTs in
+    external or hierarchical memory", 1990) on the (n2, n1) view of C:
+    inverse transforms of length n2 down its columns, ``_FFT_BLOCK`` at a
+    time, each entry then turned by ``w**(2 k1 m2)``, and inverse
+    transforms of length n1 along its rows, of which the first n1/2 points
+    are written, transposed, to the noise.  Every complex product goes
+    through :func:`_multiply`, so the bytes do not depend on numpy's CPU
+    dispatch.
     """
     N = z.size - 1
-    n1 = 1 << (N.bit_length() - 1) // 2
+    n1 = max(2, 1 << (N.bit_length() - 1) // 2)
     n2 = N // n1
     half, step = N // 2, _FFT_BLOCK * n1
     z.imag[[0, N]] = 0.0  # as irfft reads z_0 and z_N
@@ -423,9 +415,12 @@ def _read_csv_path(file: str, T: float, n_max: int) -> Tuple[np.ndarray, dict]:
                 if len(row) != 2:
                     raise IngestionError(f"{file}:{lineno}: ragged row {row!r}")
                 try:
-                    rows.append((float(row[0]), float(row[1])))
+                    t, v = float(row[0]), float(row[1])
                 except ValueError as exc:
                     raise IngestionError(f"{file}:{lineno}: {exc}") from exc
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise IngestionError(f"{file}:{lineno}: non-finite sample {row!r}")
+                rows.append((t, v))
     except OSError as exc:
         raise IngestionError(f"cannot read {file}: {exc}") from exc
     if len(rows) < 2:
@@ -459,10 +454,9 @@ def generate(spec: PathSpec) -> SampledPath:
     drawn directly into the returned path of N + 1 samples, and nothing
     else is held.  Any other H uses circulant embedding of the fractional
     Gaussian noise covariance; besides the path it holds, once per
-    (H, N), the 2N-point first row and its (N + 1)-point complex
-    spectrum below n_max = 17, and from there on the autocovariance and
-    an (N + 1)-point complex buffer (:func:`_circulant_eigs`), then the
-    cached N + 1 roots of the spectrum and each path's (N + 1)-point
+    (H, N), the autocovariance and an (N + 1)-point complex buffer
+    (:func:`_circulant_eigs`), then the cached N + 1 roots of the
+    spectrum (of the last two (H, N)) and each path's (N + 1)-point
     complex half-spectrum.  Below n_max = 17 numpy's irfft turns that into
     2N-point real noise, with scratch of its own (numpy < 2 adds a
     2N-point complex copy of the half-spectrum, zero-padded); from
@@ -470,8 +464,8 @@ def generate(spec: PathSpec) -> SampledPath:
     keeps and holds blocks of O(sqrt(N)) entries besides.  The bytes of
     these paths differ in their last digits from those of releases that
     embedded with 0 in place of gamma(N) and transformed with the complex
-    FFT, and at n_max >= 17 from those of releases that took irfft or
-    rfft there; their law is the same.
+    FFT, from those of releases that took the spectrum from rfft, and at
+    n_max >= 17 from those that took irfft there; their law is the same.
 
     Raises
     ------

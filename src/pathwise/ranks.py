@@ -34,7 +34,7 @@ import numpy as np
 
 from ._util import LevelStack, Table, bracket_contributions, even_order, ipow
 from .errors import ParameterError
-from .integrate import TestFunction
+from .integrate import TestFunction, _taylor_sum
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
 from .tanaka import IdentityReport, _exact_gate, _report
@@ -282,9 +282,7 @@ def _rank_decompositions(
     stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
 
     def terms(fx, fk, dX, gap):
-        b_terms = np.zeros_like(dX)
-        for r in range(1, p):
-            b_terms += fx[r] / fact[r] * ipow(dX, r)
+        b_terms = _taylor_sum(fx.__getitem__, dX, p)
         c_terms = np.zeros_like(dX)
         for ell in range(1, p - 1):
             gl = ipow(gap, ell)
@@ -295,10 +293,7 @@ def _rank_decompositions(
 
     def one_rank(Ra, Rb, Xa, Xb, na, occupant):
         fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
-        dR = Rb - Ra
-        a_sum = np.zeros_like(Ra)
-        for r in range(1, p):
-            a_sum += fr[r] / fact[r] * ipow(dR, r)
+        a_sum = _taylor_sum(fr.__getitem__, Rb - Ra, p)
         b_sum, c_sum, d_sum, d_plus, d_minus = _rank_weighted_sums(
             terms, f, fr, Ra, Rb, Xa, Xb, na, occupant)
         dcoef = fr[p - 1] / fact[p - 1]
@@ -387,14 +382,10 @@ def simplified_cross_term(
             "simplified cross term requires a polynomial with vanishing p-th derivative"
         )
     full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
-    fact = [math.factorial(i) for i in range(p + 1)]
     stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
 
     def terms(fx, fk, dX, gap):
-        out = np.zeros_like(gap)
-        for ell in range(1, p - 1):
-            out += fx[ell] / fact[ell] * ipow(gap, ell)
-        return (out,)
+        return (_taylor_sum(fx.__getitem__, gap, p - 1),)
 
     def cross_terms(Ra, Rb, Xa, Xb, na, _):
         fr = {ell: np.asarray(f.derivative(Ra, ell), dtype=float) for ell in range(1, p - 1)}

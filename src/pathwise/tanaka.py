@@ -207,9 +207,7 @@ def _tm_proxy_increments(a: np.ndarray, b: np.ndarray, p: int, x: float = 0.0) -
     """Per-interval increments of the Tanaka-Meyer local-time proxy at x."""
     pos_a = ipow(np.maximum(a - x, 0.0), p - 1)
     pos_b = ipow(np.maximum(b - x, 0.0), p - 1)
-    raw_a = ipow(a - x, p - 1)
-    raw_b = ipow(b - x, p - 1)
-    return (pos_b - pos_a) - (a > x) * (raw_b - raw_a)
+    return (pos_b - pos_a) - _tanaka_meyer_sums(a, b, p, x, "plus")
 
 
 def _min_plus_max(Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray, p: int):

@@ -5,10 +5,12 @@ import contextlib
 import copy
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
+import pathwise.integrate
 import pathwise.tanaka
 from pathwise import (
     ConfigError,
@@ -152,6 +154,22 @@ def test_every_exact_criterion_reads_the_one_exact_gate(key, monkeypatch):
     if key == "C1":
         # C1 gates each level on the report's own verdict
         assert not any(r["ok"] for r in result.rows)
+
+
+@pytest.mark.parametrize("key", ["C1", "C5"])
+def test_the_taylor_step_is_covered_by_the_release_gate(key, monkeypatch):
+    # one function holds the order-p Taylor step; with its last order
+    # dropped in every module that imports it, the change of variable (C1)
+    # and A = B + C + D along ranks (C5) both fail
+    real = pathwise.integrate._taylor_sum
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pathwise") and getattr(module, "_taylor_sum", None) is real:
+            monkeypatch.setattr(module, "_taylor_sum", lambda derivative, d, p: real(derivative, d, p - 1))
+            patched.add(name)
+    assert {"pathwise.integrate", "pathwise.ranks"} <= patched
+    result = acceptance.run_criterion(key, _reduced_config())
+    assert not result.passed
 
 
 @pytest.mark.parametrize(

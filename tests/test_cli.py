@@ -240,6 +240,8 @@ BAD_CONFIGS = {
         "'test_functions[0].params.coeffs'"),
     "grid cells below 3": ({**_GOOD, "analyses": ["local-time"], "grid_cells": 2}, "'grid_cells'"),
     "output dir not a string": ({**_GOOD, "output_dir": 5}, "'output_dir'"),
+    # 171! is not a float64
+    "p above 170": ({**_GOOD, "p": 172}, "'p' must be an even integer from 2 to 170, got 172"),
     # Philox keys are the seeds in [0, 2**64)
     "seed below 0": ({**_GOOD, "paths": [{"kind": "bm", "seed": -1}]}, "paths[0]: seed"),
     "seed of 2**64": ({**_GOOD, "paths": [{"kind": "bm", "seed": 2**64}]}, "paths[0]: seed"),
@@ -310,6 +312,15 @@ def test_an_unreadable_config_exits_2_and_names_the_file(tmp_path, capsys):
     assert run_cli("run", "--config", str(missing)) == 2
     err = capsys.readouterr().err
     assert "cannot read config" in err and "missing.json" in err
+
+
+@pytest.mark.parametrize("command", ["tanaka", "ranks"])
+@pytest.mark.parametrize("p", ["172", "200", "400"])
+def test_orders_past_170_exit_2_naming_the_bound(command, p, tmp_path, capsys, nothing_generated):
+    # these once ended in an OverflowError from a factorial
+    assert run_cli(command, "--kind", "bm", "--p", p, "--n-max", "4", "--out-dir", str(tmp_path / "o")) == 2
+    assert f"'p' must be an even integer from 2 to 170, got {p}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_identities_of_one_path_exit_2(tmp_path, capsys, nothing_generated):

@@ -195,6 +195,18 @@ def test_csv_rejects_malformed_input(tmp_path, body):
         generate(PathSpec(kind="csv", file=str(file), T=1.0, n_max=3))
 
 
+@pytest.mark.parametrize("row, line", [("nan,0.5", 3), ("0.5,inf", 3), ("1,-inf", 4)])
+def test_csv_non_finite_cells_name_their_line(tmp_path, row, line):
+    # float() reads nan and inf; refused at their line, not later as
+    # non-finite generated samples
+    file = tmp_path / "nonfinite.csv"
+    rows = ["t,value", "0,0", "0.5,1", "1,1"]
+    rows[line - 1] = row
+    file.write_text("\n".join(rows) + "\n")
+    with pytest.raises(IngestionError, match=re.escape(f"{file}:{line}: non-finite")):
+        generate(PathSpec(kind="csv", file=str(file), T=1.0, n_max=3))
+
+
 def test_csv_missing_file_is_ingestion_error(tmp_path):
     with pytest.raises(IngestionError):
         generate(PathSpec(kind="csv", file=str(tmp_path / "absent.csv"), T=1.0, n_max=3))
@@ -206,13 +218,6 @@ def test_csv_header_must_be_exactly_t_value(tmp_path, header):
     file.write_text(f"{header}\n0,0\n1,1\n")
     with pytest.raises(IngestionError, match=re.escape(repr(header))):
         generate(PathSpec(kind="csv", file=str(file), T=1.0, n_max=3))
-
-
-def _circulant_sqrt_eigs_expression_form(H, N):
-    """Root of the spectrum of the real first row gamma(0..N), gamma(N-1..1),
-    one array per expression."""
-    gamma = _fgn_autocov(H, N + 1)
-    return np.sqrt(np.clip(np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None))
 
 
 def _half_spectrum_normals(N, rng):
@@ -256,7 +261,7 @@ def _irfft_head_expression_form(z):
     spectrum C, whole: the length-n2 transforms of all columns at once, the
     twiddles, then those of all rows."""
     N = z.size - 1
-    half, n1 = N // 2, 2 ** ((N.bit_length() - 1) // 2)
+    half, n1 = N // 2, max(2, 2 ** ((N.bit_length() - 1) // 2))
     n2 = N // n1
     z = np.concatenate([[z[0].real], z[1:N], [z[N].real]])
     e = z[: half + 1] + np.conj(z[N - half :][::-1])
@@ -271,7 +276,7 @@ def _irfft_head_expression_form(z):
 
 
 def _circulant_sqrt_eigs_blocked_expression_form(H, N):
-    """Root of the spectrum from N = 2**17 on: eigenvalues 0..N-1 as 2N
+    """Root of the spectrum at every N: eigenvalues 0..N-1 as 2N
     times the expression form of the blocked transform of the
     autocovariance, read as a real half-spectrum, and eigenvalue N as the
     alternating sum of the autocovariance."""
@@ -302,12 +307,31 @@ def test_cached_spectrum_generations_are_byte_identical_to_uncached():
     _circulant_sqrt_eigs.cache_clear()
     for seed in (4, 5):  # the second generation reuses the cached spectrum
         path = generate(PathSpec(kind="fbm", hurst=H, n_max=n_max, seed=seed))
-        noise = _fgn_expression_form(_circulant_sqrt_eigs_expression_form(H, N), N, _rng_for(seed))
+        noise = _fgn_expression_form(_circulant_sqrt_eigs_blocked_expression_form(H, N), N, _rng_for(seed))
         want = np.concatenate([[0.0], np.cumsum(noise * (1.0 / N) ** H)])
         assert path.values.tobytes() == want.tobytes()
     assert _circulant_sqrt_eigs.cache_info().hits == 1
     root = _circulant_sqrt_eigs(H, N)
     assert root.shape == (N + 1,) and not root.flags.writeable
+
+
+def test_spectrum_cache_keeps_the_last_two_spectra():
+    # acceptance generates on two (H, N), a run on one; a third is not
+    # kept beside them
+    _circulant_sqrt_eigs.cache_clear()
+    for H, n_max in ((0.25, 4), (0.3, 4), (0.25, 5)):
+        _circulant_sqrt_eigs(H, 2**n_max)
+    assert _circulant_sqrt_eigs.cache_info().currsize == 2
+
+
+def test_acceptance_computes_each_of_its_two_spectra_once(monkeypatch):
+    from pathwise import acceptance
+
+    monkeypatch.setenv("PATHWISE_WORKERS", "1")
+    _circulant_sqrt_eigs.cache_clear()
+    acceptance.run_all()
+    info = _circulant_sqrt_eigs.cache_info()
+    assert info.misses == 2 and info.currsize == 2, info
 
 
 def _brownian_direct_increments(T, n_max, seed):
@@ -322,14 +346,14 @@ def _brownian_direct_increments(T, n_max, seed):
 @pytest.mark.parametrize("H", [0.1, 0.25, 0.5, 0.75])
 def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
     # the generator writes every step into an existing buffer; on a cold
-    # spectrum cache, the expression-by-expression real route is the
-    # oracle, and from n_max = 17 on the expression form of the blocked
-    # transform, of the spectrum and of the noise.  H = 1/2 paths draw
+    # spectrum cache, the expression form of the blocked transform is the
+    # oracle of the spectrum, and of the noise from n_max = 17 on, where
+    # the expression-by-expression irfft route is below.  H = 1/2 paths draw
     # their steps directly, so there the direct-increment form is the
     # oracle of the path, and the embedding is still checked on its own
     N = 2**n_max
     blocked = n_max >= 17
-    root = (_circulant_sqrt_eigs_blocked_expression_form if blocked else _circulant_sqrt_eigs_expression_form)(H, N)
+    root = _circulant_sqrt_eigs_blocked_expression_form(H, N)
     _circulant_sqrt_eigs.cache_clear()
     assert _circulant_sqrt_eigs(H, N).tobytes() == root.tobytes()
     oracle = _fgn_blocked_expression_form if blocked else _fgn_expression_form
@@ -355,10 +379,10 @@ def test_blocked_noise_matches_irfft_at_the_threshold_and_above(H, n_max):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n_max", [17, 18, 20])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 10, 14, 17, 18, 20])
 @pytest.mark.parametrize("H", [0.1, 0.25, 0.75])
 def test_blocked_spectrum_matches_rfft_at_the_threshold_and_above(H, n_max):
-    # from n_max = 17 on the spectrum is the blocked transform of the
+    # at every size the spectrum is the blocked transform of the
     # autocovariance and an alternating sum: the real FFT's eigenvalues up
     # to rounding (at most 8.8e-16 of the largest measured; the real FFT
     # itself is 6.6e-16 from the complex one)
@@ -370,7 +394,7 @@ def test_blocked_spectrum_matches_rfft_at_the_threshold_and_above(H, n_max):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 
-@pytest.mark.parametrize("n_max", [2, 3, 4, 9, 10])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 9, 10])
 def test_blocked_transform_is_irfft_for_any_half_spectrum(n_max):
     # complex z_0 and z_N included, whose imaginary parts irfft ignores;
     # the input buffer is overwritten
@@ -487,7 +511,8 @@ def test_generate_peak_memory_at_n_max_16():
     # complex buffer, 2.0 MiB now (the (N + 1)-point half-spectrum and the
     # 2N-point real transform).  Cold cache: 6.8 MiB when the spectrum was
     # transformed from a real row by the complex FFT, 4.3 MiB in place, 2.6
-    # MiB now.  numpy < 2 zero-pads the half-spectrum to a 2N-point complex
+    # MiB by the real FFT of the 2N-point row, 2.9 MiB now by the blocked
+    # transform in an (N + 1)-point complex buffer.  numpy < 2 zero-pads the half-spectrum to a 2N-point complex
     # array before its inverse real transform, 2 MiB more here (4.0 warm,
     # 4.5 cold when numpy 2's irfft is wrapped to pad the same way).  A
     # small path first takes the one-time imports behind numpy's first

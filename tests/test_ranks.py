@@ -453,6 +453,18 @@ def _running_rows(summands, counts):
     return np.concatenate([[0.0], np.cumsum(summands)])[counts]
 
 
+def _taylor_terms(derivs, d, p):
+    """sum_{r<p} derivs[r] d**r / r!, each term derivs[r] * d**r / r! added
+    to zeros in turn, the power by repeated multiplication and the
+    factorial a running float."""
+    out, power, fact = np.zeros_like(d), d.copy(), 1.0
+    for r in range(1, p):
+        fact *= r
+        out += derivs[r] * power / fact
+        power = power * d
+    return out
+
+
 def _per_level_decomposition(system, k, hierarchy, p, f, checkpoints):
     rk, nk = system.ranked[k - 1], system.counts[k - 1]
     fact = [math.factorial(i) for i in range(p + 1)]
@@ -469,11 +481,8 @@ def _per_level_decomposition(system, k, hierarchy, p, f, checkpoints):
         w = (Xa == Ra[None, :]) / nk[la][None, :]
         fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
         fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
-        a_sum = np.zeros_like(Ra)
-        b_terms = np.zeros_like(Xa)
-        for r in range(1, p):
-            a_sum += fr[r] / fact[r] * ipow(dR, r)
-            b_terms += fXa[r] / fact[r] * ipow(dX, r)
+        a_sum = _taylor_terms(fr, dR, p)
+        b_terms = _taylor_terms(fXa, dX, p)
         c_terms = np.zeros_like(Xa)
         for ell in range(1, p - 1):
             gl = ipow(gap, ell)
@@ -503,9 +512,8 @@ def _per_level_simplified(system, k, hierarchy, p, f, checkpoints):
         Xa, Xb = system.values[:, la], system.values[:, lb]
         gap = rk[lb] - Xb
         w = (Xa == Ra[None, :]) / nk[la][None, :]
-        terms = np.zeros_like(Xa)
-        for ell in range(1, p - 1):
-            terms += np.asarray(f.derivative(Xa, ell), dtype=float) / math.factorial(ell) * ipow(gap, ell)
+        fXa = {ell: np.asarray(f.derivative(Xa, ell), dtype=float) for ell in range(1, p - 1)}
+        terms = _taylor_terms(fXa, gap, p - 1)
         rows.append(_running_rows(np.sum(w * terms, axis=0), left_endpoint_counts(lev, cps)))
     return np.asarray(rows)
 

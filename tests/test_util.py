@@ -855,6 +855,17 @@ def test_ipow_gives_the_bytes_of_the_square_and_first_power():
         ipow(x, -1)
 
 
+def test_orders_stop_where_the_factorial_leaves_float64():
+    # the Ito residual divides by p!: 170! is a finite float, 171! is not
+    assert _util.even_order(_util.MAX_ORDER) == _util.MAX_ORDER == 170
+    assert math.isfinite(float(math.factorial(_util.MAX_ORDER)))
+    with pytest.raises(OverflowError):
+        float(math.factorial(_util.MAX_ORDER + 1))
+    for p in (172, 200, 400, 0, 3):
+        with pytest.raises(ParameterError, match="even integer from 2 to 170"):
+            _util.even_order(p)
+
+
 @pytest.mark.parametrize("k", range(9))
 def test_ipow_holds_no_more_than_the_power_operator(k):
     # one result array, multiplied in place: no temporary beyond what
