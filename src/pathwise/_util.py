@@ -216,7 +216,7 @@ _BLOCK_INTERVALS = 1 << 15
 # Most (cell, weight) pairs added at once by LevelStack.cell_sums: bounds
 # its working set, while the additions stay in the same order whatever the
 # blocking.
-_BLOCK_PAIRS = 1 << 16
+_BLOCK_PAIRS = 1 << 13
 
 
 def _tree(start: int, stop: int, leaf: Callable):

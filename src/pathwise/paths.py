@@ -14,21 +14,24 @@ gamma(0), ..., gamma(N), gamma(N - 1), ..., gamma(1).  That row is real
 and symmetric, so its spectrum is real and half of it, N + 1 points,
 determines the rest.  At every n_max it is the blocked half-length
 transform below, of the autocovariance read as a real half-spectrum, and
-its last eigenvalue an alternating sum, computed once per (H, N).  The
-noise is the first N points of the real inverse transform of a path's
-(N + 1)-point complex half-spectrum: below n_max = 17 numpy's irfft
-computes all 2N of them, with scratch of its own (numpy < 2 also pads the
-half-spectrum to a 2N-point complex array first); from n_max = 17 on the
-blocked half-length transform computes only the N it keeps, in the
-half-spectrum's buffer and blocks of O(sqrt(N)) entries, so the working
-set is that buffer, the noise and the cached N + 1 roots of the
-spectrum.  The bytes of paths with n_max >= 17 changed when that route
-came in, and the last bits of every fBM path with H != 1/2 when the
-spectrum took it; their law did not, and generation is still a pure
-function of (spec, seed).  The embedding is nonnegative definite for
-every H in (0, 1) (Dietrich & Newsam 1997; Craigmile 2003);
-should rounding ever make it indefinite, generation fails with a
-GenerationError.
+its last eigenvalue an alternating sum, computed once per (H, N) in one
+(N + 1)-point complex buffer that is then shrunk to the N + 1 roots.
+The noise is the first N points of the real inverse transform of a
+path's (N + 1)-point complex half-spectrum: below n_max = 17 numpy's
+irfft computes all 2N of them, with scratch of its own (numpy < 2 also
+pads the half-spectrum to a 2N-point complex array first); from
+n_max = 17 on the blocked half-length transform computes only the N it
+keeps, in place in the half-spectrum's buffer and blocks of at most 8,192
+entries.  The running sum of the noise is taken in that buffer (or in
+irfft's output), one float to the right, which is then shrunk to the
+N + 1 samples and becomes the path without a copy.  So the working set
+is that buffer (2N + 2 floats) and the cached roots (N + 1).  The bytes
+of paths with n_max >= 17 changed when that route came in, and the last
+bits of every fBM path with H != 1/2 when the spectrum took it; their
+law did not, and generation is still a pure function of (spec, seed).
+The embedding is nonnegative definite for every H in (0, 1) (Dietrich &
+Newsam 1997; Craigmile 2003); should rounding ever make it indefinite,
+generation fails with a GenerationError.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -80,11 +84,26 @@ class SampledPath:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        self._keep(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _taking(cls, values: np.ndarray, **fields) -> "SampledPath":
+        """A path whose samples are ``values`` itself, not a copy: for a
+        new float array that nothing else refers to, as :func:`generate`
+        makes."""
+        path = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(path, name, value)
+        path._keep(values)
+        return path
+
+    def _keep(self, vals: np.ndarray) -> None:
+        """Check the fields and keep ``vals``, the path's own array, as its
+        read-only samples."""
         if self.T <= 0:
             raise ParameterError(f"T must be positive, got {self.T}")
         if self.n_max < 1:
             raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
-        vals = np.asarray(self.values, dtype=float)
         expected = 2**self.n_max + 1
         if vals.ndim != 1 or vals.size != expected:
             raise ParameterError(
@@ -92,7 +111,6 @@ class SampledPath:
             )
         if not np.all(np.isfinite(vals)):
             raise GenerationError("path contains non-finite samples")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -170,12 +188,14 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-# fBM noise for n_max >= _BLOCKED_N_MAX comes from _irfft_head, in an
-# (N + 1)-point complex buffer and blocks of _FFT_BLOCK columns or rows;
-# numpy's irfft, 2-3x faster below it, holds a 2N-point output and
-# scratch.  The spectrum takes _irfft_head at every size.
+# fBM noise for n_max >= _BLOCKED_N_MAX comes from _irfft_head, in place
+# in its (N + 1)-point complex buffer; numpy's irfft, 2-3x faster below
+# it, holds a 2N-point output and scratch.  The spectrum takes _irfft_head
+# at every size.  Every block of generation (lags of the autocovariance,
+# the transform's packing, columns, rows and transposed tiles) holds at
+# most _FFT_BLOCK entries
 _BLOCKED_N_MAX = 17
-_FFT_BLOCK = 64
+_FFT_BLOCK = 1 << 13
 
 # lags from _SERIES_FROM on take the binomial series, truncated after
 # _SERIES_TERMS terms: the rest is below 64**-10 < 1e-18 of the sum
@@ -183,11 +203,12 @@ _SERIES_FROM = 8
 _SERIES_TERMS = 10
 
 
-def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
-    """Autocovariance gamma(0), ..., gamma(n_lags - 1) of unit-step
+def _fgn_autocov(H: float, out: np.ndarray) -> np.ndarray:
+    """Autocovariance gamma(0), ..., gamma(out.size - 1) of unit-step
     fractional Gaussian noise, gamma(k) = ((k+1)**2H - 2 k**2H +
-    |k-1|**2H) / 2, to a few ulps relative for every H in (0, 1), except
-    at lags 2 to 7 near H = 1/2 (below).
+    |k-1|**2H) / 2, written into ``out`` (a float array or view, strided
+    or not) and returned, to a few ulps relative for every H in (0, 1),
+    except at lags 2 to 7 near H = 1/2 (below).
 
     The second difference cancels: its terms are about k**2H, its value
     about H (2H - 1) k**(2H - 2).  So gamma(1) is taken as
@@ -197,31 +218,32 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
     at H = 0.5005, yet below 2e-16 in absolute terms, against
     gamma(0) = 1.  From _SERIES_FROM on it is the series k**2H sum_j
     C(2H, 2j) k**(-2j), whose terms all have the sign of the first, so
-    nothing cancels.  Besides the result, one array
-    of the series lags is held.
+    nothing cancels.  The series runs over ``_FFT_BLOCK`` lags at a time,
+    in two contiguous arrays of that many floats, so its bytes do not
+    depend on the blocking or on out's strides.
     """
     a = 2.0 * H
-    gamma = np.empty(n_lags)
-    gamma[:1] = 1.0
-    gamma[1:2] = math.expm1((a - 1.0) * math.log(2.0))
+    n_lags = out.size
+    out[:1] = 1.0
+    out[1:2] = math.expm1((a - 1.0) * math.log(2.0))
     small = np.arange(2.0, min(n_lags, _SERIES_FROM))
-    gamma[2 : small.size + 2] = 0.5 * small**a * (
+    out[2 : small.size + 2] = 0.5 * small**a * (
         np.expm1(a * np.log1p(1.0 / small)) + np.expm1(a * np.log1p(-1.0 / small))
     )
-    if n_lags > _SERIES_FROM:
-        coeffs = [a * (a - 1.0) / 2.0]  # C(a, 2j) for j = 1, 2, ...
-        for j in range(1, _SERIES_TERMS):
-            coeffs.append(coeffs[-1] * (a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2)))
-        y = np.arange(_SERIES_FROM, n_lags, dtype=float)
+    coeffs = [a * (a - 1.0) / 2.0]  # C(a, 2j) for j = 1, 2, ...
+    for j in range(1, _SERIES_TERMS):
+        coeffs.append(coeffs[-1] * (a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2)))
+    for s in range(_SERIES_FROM, n_lags, _FFT_BLOCK):
+        y = np.arange(s, min(s + _FFT_BLOCK, n_lags), dtype=float)
         np.power(y, -2.0, out=y)
-        g = gamma[_SERIES_FROM:]
-        g[:] = coeffs[-1]
+        g = np.full(y.size, coeffs[-1])
         for c in reversed(coeffs[:-1]):
             g *= y
             g += c
         g *= y
         g *= np.power(y, -H, out=y)  # y**-H = k**2H
-    return gamma
+        out[s : s + y.size] = g
+    return out
 
 
 def _circulant_eigs(H: float, N: int) -> np.ndarray:
@@ -230,67 +252,78 @@ def _circulant_eigs(H: float, N: int) -> np.ndarray:
 
     Eigenvalue k is ``gamma_0 + (-1)**k gamma_N + 2 sum_j gamma_j
     cos(pi j k / N)`` over j = 1..N-1.  Read as a real half-spectrum, the
-    autocovariance gives eigenvalues 0..N-1 as ``2N irfft(gamma, 2N)[:N]``,
-    computed by :func:`_irfft_head` in an (N + 1)-point complex buffer, and
-    eigenvalue N (N is even) as the alternating sum ``gamma_0 + gamma_N +
-    2 sum_j (-1)**j gamma_j``, with no 2N-point row or transform held.
+    autocovariance gives eigenvalues 0..N-1 as ``2N irfft(gamma, 2N)[:N]``
+    and eigenvalue N (N is even) as the alternating sum ``gamma_0 +
+    gamma_N + 2 sum_j (-1)**j gamma_j``.  The autocovariance is written
+    into the real part of one (N + 1)-point complex buffer, which
+    :func:`_irfft_head` transforms in place; the buffer is then shrunk to
+    the N + 1 eigenvalues, an array that owns it, and no 2N-point row or
+    transform is held.
     """
-    gamma = _fgn_autocov(H, N + 1)
-    eigs = np.empty(N + 1)
-    eigs[N] = gamma[0] + gamma[N] + 2.0 * (np.sum(gamma[2:N:2]) - np.sum(gamma[1:N:2]))
-    z = np.empty(N + 1, dtype=complex)
-    z.real, z.imag = gamma, 0.0
+    eigs = np.empty(2 * N + 2)
+    z = eigs.view(complex)
+    z.imag = 0.0
+    gamma = _fgn_autocov(H, z.real)
+    last = gamma[0] + gamma[N] + 2.0 * (np.sum(gamma[2:N:2]) - np.sum(gamma[1:N:2]))
     del gamma
-    _irfft_head(z, out=eigs[:N])
-    del z
-    eigs[:N] *= 2 * N
+    head = _irfft_head(z)
+    head *= 2 * N
+    del head, z
+    eigs[N] = last
+    with _shrinking_in_place():
+        eigs.resize(N + 1)
     return eigs
 
 
 # acceptance generates on two (H, N), a run on one; each is 32 MiB at n_max 22
 @lru_cache(maxsize=2)
 def _circulant_sqrt_eigs(H: float, N: int) -> np.ndarray:
-    """Square roots of :func:`_circulant_eigs` (read-only, shared by every
-    path with this (H, N)).
+    """Square roots of :func:`_circulant_eigs`, in its buffer (read-only,
+    shared by every path with this (H, N)).
 
     Raises GenerationError if the embedding is not nonnegative definite.
     """
-    eigs = _circulant_eigs(H, N)
-    tol = 1e-12 * max(eigs.max(), 1.0)
-    if eigs.min() < -tol:
+    root = _circulant_eigs(H, N)
+    tol = 1e-12 * max(root.max(), 1.0)
+    if root.min() < -tol:
         raise GenerationError(
             f"fbm with hurst={H} on {N} steps: the circulant embedding is not nonnegative "
-            f"definite (smallest eigenvalue {eigs.min():.3g})"
+            f"definite (smallest eigenvalue {root.min():.3g})"
         )
-    root = np.clip(eigs, 0.0, None)
-    del eigs
+    np.clip(root, 0.0, None, out=root)
     np.sqrt(root, out=root)
     root.flags.writeable = False
     return root
 
 
 def _fgn_davies_harte(H: float, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-step fractional Gaussian noise of length N.
+    """Unit-step fractional Gaussian noise of length N: the first N floats
+    of the returned array, which owns its buffer of at least N + 1 floats.
 
     The half-spectrum of 2N-point Hermitian noise is drawn into one
     (N + 1)-point complex buffer: real normals at 0 and N, and complex
     normals of unit variance, (real, imaginary) pairs in stream order,
     between them.  Scaled by the root of the spectrum, the first N points
     of its real inverse transform are the noise: from numpy's ``irfft``
-    below ``N = 2**_BLOCKED_N_MAX``, a view of its 2N-point output, and
-    from :func:`_irfft_head` from there on.
+    below ``N = 2**_BLOCKED_N_MAX``, the head of its 2N-point output, and
+    from there on from :func:`_irfft_head`, in the half-spectrum's buffer.
     """
     root = _circulant_sqrt_eigs(H, N)
-    z = np.empty(N + 1, dtype=complex)
+    buf = np.empty(2 * N + 2)
+    z = buf.view(complex)
     z[0] = rng.standard_normal()
     z[N] = rng.standard_normal()
-    rng.standard_normal(out=z[1:N].view(float))
-    np.divide(z[1:N], np.sqrt(2.0), out=z[1:N])
+    normals = buf[2 : 2 * N]
+    rng.standard_normal(out=normals)
+    normals *= 1 / np.sqrt(2.0)
     z *= root
-    fgn = np.fft.irfft(z, n=2 * N)[:N] if N < 1 << _BLOCKED_N_MAX else _irfft_head(z)
+    if N < 1 << _BLOCKED_N_MAX:
+        buf = np.fft.irfft(z, n=2 * N)
+    else:
+        _irfft_head(z)
     del z
-    fgn *= np.sqrt(2 * N)
-    return fgn
+    buf[:N] *= np.sqrt(2 * N)
+    return buf
 
 
 @lru_cache(maxsize=8)
@@ -329,11 +362,11 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> None:
     ar[...] = re
 
 
-def _irfft_head(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _irfft_head(z: np.ndarray) -> np.ndarray:
     """``np.fft.irfft(z, n=2 * N)[:N]`` for a half-spectrum ``z`` of
-    N + 1 points, N = 2**n with n >= 1, computed in ``z``'s buffer, which
-    it overwrites, and blocks of O(sqrt(N)) entries, into ``out`` (N
-    contiguous floats) or a new array.
+    N + 1 points, N = 2**n with n >= 1, computed in place in blocks of at
+    most ``_FFT_BLOCK`` entries: the result is the first N floats of
+    ``z``'s buffer, returned as a view, and the rest of z is overwritten.
 
     The 2N outputs x pair up as ``y_m = x_2m + i x_2m+1``, the inverse
     transform of length N of ``C_k = E_k + i w**k D_k`` with
@@ -344,20 +377,23 @@ def _irfft_head(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     sqrt(N) from below but at least 2, ``k = k1 + n1 k2`` and
     ``m = m2 + n2 m1``, that is Bailey's four-step transform ("FFTs in
     external or hierarchical memory", 1990) on the (n2, n1) view of C:
-    inverse transforms of length n2 down its columns, ``_FFT_BLOCK`` at a
-    time, each entry then turned by ``w**(2 k1 m2)``, and inverse
-    transforms of length n1 along its rows, of which the first n1/2 points
-    are written, transposed, to the noise.  Every complex product goes
-    through :func:`_multiply`, so the bytes do not depend on numpy's CPU
-    dispatch.
+    inverse transforms of length n2 down its columns, each entry then
+    turned by ``w**(2 k1 m2)``, and inverse transforms of length n1 along
+    its rows, in place.  Entry (m2, m1) of the view is then y_m, so its
+    first n1/2 columns, transposed, are the result: each n1 x n1 square of
+    the view (one, or two stacked where n2 = 2 n1) is transposed that far
+    in place (:func:`_transpose_head`), and two squares' first n1/2 rows
+    are then interleaved, from the last down, so that no row is
+    overwritten before it is moved.  Every complex product goes through
+    :func:`_multiply`, so the bytes do not depend on numpy's CPU dispatch.
     """
     N = z.size - 1
     n1 = max(2, 1 << (N.bit_length() - 1) // 2)
     n2 = N // n1
-    half, step = N // 2, _FFT_BLOCK * n1
+    half = N // 2
     z.imag[[0, N]] = 0.0  # as irfft reads z_0 and z_N
-    for a in range(0, half + 1, step):
-        b = min(a + step, half + 1)
+    for a in range(0, half + 1, _FFT_BLOCK):
+        b = min(a + _FFT_BLOCK, half + 1)
         lo, hi = z[a:b], z[N - b + 1 : N - a + 1][::-1]
         e = lo + hi.conj()
         d = lo - hi.conj()
@@ -367,16 +403,43 @@ def _irfft_head(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         np.conjugate(e, out=hi)
     grid = z[:N].reshape(n2, n1)
     m2 = np.arange(n2)[:, None]
-    for c in range(0, n1, _FFT_BLOCK):
-        block = np.fft.ifft(grid[:, c : c + _FFT_BLOCK], axis=0, norm="forward")
-        _multiply(block, _unit_roots(2 * m2 * np.arange(c, min(c + _FFT_BLOCK, n1)), N))
-        grid[:, c : c + _FFT_BLOCK] = block
-    out = np.empty(N) if out is None else out
-    y = out.view(complex).reshape(n1 // 2, n2)
-    for r in range(0, n2, _FFT_BLOCK):
-        y[:, r : r + _FFT_BLOCK] = np.fft.ifft(grid[r : r + _FFT_BLOCK], axis=1, norm="forward")[:, : n1 // 2].T
+    cols = max(1, _FFT_BLOCK // n2)
+    for c in range(0, n1, cols):
+        block = np.fft.ifft(grid[:, c : c + cols], axis=0, norm="forward")
+        _multiply(block, _unit_roots(2 * m2 * np.arange(c, min(c + cols, n1)), N))
+        grid[:, c : c + cols] = block
+    rows = max(1, _FFT_BLOCK // n1)
+    for r in range(0, n2, rows):
+        grid[r : r + rows] = np.fft.ifft(grid[r : r + rows], axis=1, norm="forward")
+    for s in range(0, n2 - n1 + 1, n1):  # none where n2 = 1 < n1 = 2
+        _transpose_head(grid[s : s + n1])
+    if n2 > n1:
+        for m in range(n1 // 2 - 1, -1, -1):
+            grid[2 * m + 1] = grid[n1 + m]
+            grid[2 * m] = grid[m]
+    out = z.view(float)[:N]
     out *= 0.5 / N
     return out
+
+
+def _transpose_head(sq: np.ndarray) -> None:
+    """Write the first h = n/2 columns of an n x n array, transposed, into
+    its first h rows, in place, by tiles of at most ``_FFT_BLOCK``
+    entries: the top left h x h quadrant is transposed by swapping tiles
+    across its diagonal, and the top right one is overwritten by the
+    bottom left one, transposed."""
+    h = sq.shape[0] // 2
+    b = min(h, 1 << (_FFT_BLOCK.bit_length() - 1) // 2)
+    for i in range(0, h, b):
+        tile = sq[i : i + b, i : i + b]
+        tile[...] = tile.T.copy()
+        for j in range(i + b, h, b):
+            upper, lower = sq[i : i + b, j : j + b], sq[j : j + b, i : i + b]
+            kept = upper.copy()
+            upper[...] = lower.T
+            lower[...] = kept.T
+        for j in range(h, 2 * h, b):
+            sq[i : i + b, j : j + b] = sq[j : j + b, i : i + b].T
 
 
 def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
@@ -385,19 +448,39 @@ def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
     if H == 0.5:
         # the fGn covariance is the identity (gamma(k) = 0 for k >= 1):
         # the normals are the noise, drawn straight into the path
-        out = np.empty(N + 1)
-        out[0] = 0.0
-        rng.standard_normal(out=out[1:])
-        np.multiply(out[1:], (T / N) ** H, out=out[1:])
-        np.cumsum(out[1:], out=out[1:])
-        return out
-    fgn = _fgn_davies_harte(H, N, rng)
-    out = np.empty(N + 1)
-    out[0] = 0.0
-    np.multiply(fgn, (T / N) ** H, out=out[1:])
-    del fgn
-    np.cumsum(out[1:], out=out[1:])
-    return out
+        buf = np.empty(N + 1)
+        rng.standard_normal(out=buf[:N])
+    else:
+        buf = _fgn_davies_harte(H, N, rng)
+    # the path is the running sum of the scaled steps, moved one float to
+    # the right (a same-direction 1-D copy, which numpy makes without a
+    # temporary); cumsum copies its first step, so -0.0 is kept
+    buf[:N] *= (T / N) ** H
+    np.cumsum(buf[:N], out=buf[:N])
+    buf[1 : N + 1] = buf[:N]
+    buf[0] = 0.0
+    with _shrinking_in_place():
+        buf.resize(N + 1)
+    return buf
+
+
+@contextmanager
+def _shrinking_in_place():
+    """Around ``buf.resize(size)`` in the frame that holds ``buf``: numpy
+    refuses to shrink a buffer while anything else refers to it, which
+    keeps a view from outliving it.  A call to a helper would be such a
+    reference, and so on Python < 3.13 is a trace function written in
+    Python (a debugger stepping through this module, or coverage's
+    pure-Python tracer), which copies each frame's locals; generation
+    cannot run under one, and says so with a GenerationError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise GenerationError(
+            "cannot shrink the generation buffer in place: something else refers to it "
+            "(on Python < 3.13, a Python-level trace function such as a debugger "
+            "stepping through pathwise.paths does)"
+        ) from exc
 
 
 def _read_csv_path(file: str, T: float, n_max: int) -> Tuple[np.ndarray, dict]:
@@ -453,18 +536,24 @@ def generate(spec: PathSpec) -> SampledPath:
     ``hurst=0.5``) the N = 2**n_max steps are i.i.d. N(0, T / N) normals
     drawn directly into the returned path of N + 1 samples, and nothing
     else is held.  Any other H uses circulant embedding of the fractional
-    Gaussian noise covariance; besides the path it holds, once per
-    (H, N), the autocovariance and an (N + 1)-point complex buffer
-    (:func:`_circulant_eigs`), then the cached N + 1 roots of the
-    spectrum (of the last two (H, N)) and each path's (N + 1)-point
-    complex half-spectrum.  Below n_max = 17 numpy's irfft turns that into
-    2N-point real noise, with scratch of its own (numpy < 2 adds a
-    2N-point complex copy of the half-spectrum, zero-padded); from
-    n_max = 17 on a blocked transform writes the N noise values the path
-    keeps and holds blocks of O(sqrt(N)) entries besides.  The bytes of
-    these paths differ in their last digits from those of releases that
-    embedded with 0 in place of gamma(N) and transformed with the complex
-    FFT, from those of releases that took the spectrum from rfft, and at
+    Gaussian noise covariance: once per (H, N), the autocovariance is
+    written into an (N + 1)-point complex buffer, transformed there and
+    the buffer shrunk to the N + 1 roots of the spectrum, cached for the
+    last two (H, N) (:func:`_circulant_sqrt_eigs`); then each path's
+    (N + 1)-point complex half-spectrum is drawn into one more such
+    buffer.  Below n_max = 17 numpy's irfft turns that into 2N-point real
+    noise, with scratch of its own (numpy < 2 adds a 2N-point complex copy
+    of the half-spectrum, zero-padded); from n_max = 17 on a blocked
+    transform writes the N noise values the path keeps in place, and holds
+    blocks of at most 8,192 entries besides.  The path is the running sum
+    of the noise, taken in the array that holds it (irfft's output or the
+    half-spectrum's buffer), which is then shrunk to the N + 1 samples.
+    So from n_max = 17 on a path is made in 2N + 2 floats beside the
+    roots, three times its own bytes.  Every kind's array becomes the
+    :class:`SampledPath` without a copy.  The bytes of these fBM paths
+    differ in their last digits from those of releases that embedded with
+    0 in place of gamma(N) and transformed with the complex FFT, from
+    those of releases that took the spectrum from rfft, and at
     n_max >= 17 from those that took irfft there; their law is the same.
 
     Raises
@@ -472,8 +561,13 @@ def generate(spec: PathSpec) -> SampledPath:
     IngestionError
         For missing or malformed CSV input.
     GenerationError
-        If synthesis produces non-finite samples, or if the circulant
-        embedding of an fBM is not nonnegative definite.
+        If synthesis produces non-finite samples, if the circulant
+        embedding of an fBM is not nonnegative definite, or if the
+        generation buffer cannot be shrunk in place because something
+        else refers to it: on Python < 3.13, fBM paths with H != 1/2
+        cannot be generated under a trace function written in Python
+        (:func:`sys.settrace`, as a debugger stepping through this module
+        sets).
     """
     n = 2**spec.n_max
     if spec.kind in ("linear", "triangle"):
@@ -506,9 +600,7 @@ def generate(spec: PathSpec) -> SampledPath:
     else:  # pragma: no cover - guarded by PathSpec validation
         raise ParameterError(f"unknown kind {spec.kind!r}")
 
-    if not np.all(np.isfinite(vals)):
-        raise GenerationError(f"{spec.kind} generation produced non-finite samples")
-    return SampledPath(T=spec.T, n_max=spec.n_max, values=vals, metadata=meta)
+    return SampledPath._taking(vals, T=spec.T, n_max=spec.n_max, metadata=meta)
 
 
 def running_extrema(path: SampledPath) -> Tuple[np.ndarray, np.ndarray]:

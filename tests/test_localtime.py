@@ -513,6 +513,47 @@ def test_field_working_set_is_bounded_for_full_range_zigzag():
         np.testing.assert_allclose(field.per_level[:, :, gi], curves, rtol=1e-14, atol=0)
 
 
+def test_field_bytes_do_not_depend_on_the_pair_block():
+    # blocks of 16 pairs cut nearly every interval's run of cells; 2**13 is
+    # the module's, 2**16 the size it had before
+    path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=12, seed=3))
+    grid = SpaceGrid.cover([path], 128)
+    for hier in (dyadic_hierarchy(path, 12), lebesgue_hierarchy(path, 6)):
+        fields = set()
+        for block in (1 << 4, 1 << 13, 1 << 16):
+            with mock.patch.object(_util, "_BLOCK_PAIRS", block):
+                fields.add(discrete_local_time(path, hier, 4, grid, [0.3, 1.0]).per_level.tobytes())
+        assert len(fields) == 1
+
+
+@pytest.mark.parametrize("cells, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_ranks_take_the_smallest_type_that_holds_every_rank(cells, dtype):
+    # a sample's rank counts the centres at or below it, 0 to cells: the
+    # walk reaches both ends of a grid that fits it exactly, so 255 cells
+    # still fit a byte and 256 need two
+    path = make_walk(np.concatenate([[0.0], np.linspace(1.0, 0.0, 63) ** 2, [1.0]]))
+    grid = SpaceGrid(0.0, 1.0, cells)
+    hier = dyadic_hierarchy(path, path.n_max)
+    with mock.patch.object(_util.LevelStack, "cell_sums", autospec=True,
+                           side_effect=_util.LevelStack.cell_sums) as spy:
+        field = discrete_local_time(path, hier, 4, grid, [0.5, 1.0])
+    rank = spy.call_args.args[-1]
+    assert rank.dtype == dtype and rank.min() == 0 and rank.max() == cells
+    assert field.per_level.tobytes() == two_search_local_time(path, hier, 4, grid, [0.5, 1.0]).tobytes()
+
+
+def test_field_peak_memory_at_n_max_18():
+    # run-field's dyadic field (18 levels, 128 cells, 4 checkpoints): one
+    # int64 rank per sample and blocks of 2**16 pairs traced 4.90 MiB,
+    # 2.45x the path bytes; one-byte ranks, ranked a block at a time, and
+    # blocks of 2**13 pairs trace 1.21 MiB, 0.61x
+    path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=18, seed=1))
+    hier = dyadic_hierarchy(path, 18)
+    grid = SpaceGrid.cover([path], 128)
+    _, peak = traced_peak(discrete_local_time, path, hier, 4, grid, [0.25, 0.5, 0.75, 1.0])
+    assert peak <= 0.75 * path.values.nbytes, peak / path.values.nbytes
+
+
 @pytest.mark.parametrize("T", [1.0, 0.7, 3.0, 1e-3])
 def test_weighted_density_times_are_path_times_bit_for_bit(T):
     # each chunk's times come from np.linspace's formula, k * (T / N) + 0.0

@@ -176,15 +176,18 @@ def _lebesgue_levels_oracle(vals, levels):
     nudge=st.none() | st.lists(st.integers(-1, 1), min_size=33, max_size=33),
     lockstep_min=st.integers(1, 4),
     skip_block=st.integers(1, 4),
+    lockstep_group=st.sampled_from([1, 3, 8, 1 << 13]),
 )
-def test_lebesgue_scan_is_bit_identical_to_numpy_scalar_scan(steps, k, shift, nudge, lockstep_min, skip_block):
+def test_lebesgue_scan_is_bit_identical_to_numpy_scalar_scan(
+    steps, k, shift, nudge, lockstep_min, skip_block, lockstep_group
+):
     # integer walks scaled by 2**-k: increments hit the thresholds (and
     # twice the thresholds, the forced-crossing bound) exactly and repeat
     # values; the shift makes the differences round, and a one-ulp nudge
     # per sample puts steps just above, on or just below those bounds.
-    # A lockstep width of a few stretches and tiny blocks send the walks
-    # through the numpy passes, the hand-over of the stretches still open
-    # to the Python scan, and its block skip.
+    # A lockstep width of a few stretches, groups of a few and tiny blocks
+    # send the walks through the numpy passes, the hand-over of each
+    # group's stretches still open to the Python scan, and its block skip.
     vals = np.concatenate([[0.0], np.cumsum(steps)]) * 2.0**-k + shift
     if nudge is not None:
         vals = np.nextafter(vals, vals + np.asarray(nudge, dtype=float))
@@ -192,6 +195,7 @@ def test_lebesgue_scan_is_bit_identical_to_numpy_scalar_scan(steps, k, shift, nu
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partitions, "_LOCKSTEP_MIN", lockstep_min)
         mp.setattr(partitions, "_SKIP_BLOCK", skip_block)
+        mp.setattr(partitions, "_LOCKSTEP_GROUP", lockstep_group)
         hier = lebesgue_hierarchy(make_walk(vals), 6)
     want = _lebesgue_levels_oracle(vals, 6)
     assert len(hier.levels) == len(want)
@@ -211,6 +215,23 @@ def test_lebesgue_levels_of_fbm_match_the_scalar_scan(hurst):
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("group", [64, 500])
+def test_lebesgue_levels_in_lockstep_groups_match_the_scalar_scan(group):
+    # groups far smaller than a fine level's stretches (thousands at
+    # n_max = 12): each group runs its own numpy passes and hands its
+    # longest stretches to Python, and the forced levels are searched in
+    # blocks of 1,000 steps
+    path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=12, seed=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_LOCKSTEP_GROUP", group)
+        mp.setattr(partitions, "_OSC_BLOCK", 1000)
+        hier = lebesgue_hierarchy(path, 10)
+    want = _lebesgue_levels_oracle(path.values, 10)
+    assert len(hier.levels) == len(want)
+    for got, ref in zip(hier.levels, want):
+        assert np.array_equal(got, ref)
+
+
 def test_lebesgue_hierarchy_peak_memory_at_n_max_18():
     # as 8 index arrays the levels took 6.5 MiB, and the stretch scan
     # peaked at 9.1 MiB with one byte per step for its first forced level;
@@ -218,11 +239,13 @@ def test_lebesgue_hierarchy_peak_memory_at_n_max_18():
     # list of Python ints 15.0 MiB, and an index and a length per forced
     # crossing (nearly every step at the finest level) 12.4 MiB.  As packed
     # bits (index arrays for the two sparsest) the levels hold 0.20 MiB
-    # and the scan peaks at 4.39 MiB.  The bound leaves 10% for other numpy
-    # versions
+    # and the scan peaked at 4.39 MiB with the whole np.diff of the path
+    # held, and peaks at 2.33 MiB with the steps a block at a time, int32
+    # stretch bounds and the lockstep in groups (level 6, 63,289
+    # stretches, sets it).  The bound leaves 10% for other numpy versions
     path = generate(PathSpec(kind="fbm", hurst=0.25, n_max=18, seed=5))
     hier, peak = traced_peak(lebesgue_hierarchy, path, 8)
-    assert peak < 4.8 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert peak < 2.6 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
     assert [type(part).__name__ for part in hier.parts] == ["Points"] * 2 + ["Packed"] * 6
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,6 +14,7 @@ from pathwise import (
     IngestionError,
     ParameterError,
     PathSpec,
+    SampledPath,
     generate,
     range_anchors,
     running_extrema,
@@ -29,6 +31,18 @@ from pathwise.paths import (
     _rng_for,
 )
 from tests.conftest import traced_peak
+
+
+def traced_held(fn, *args):
+    """``fn(*args)`` and the memory, in bytes, that tracemalloc traced
+    as still held once it returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
 
 
 def test_constant_path_is_flat():
@@ -220,6 +234,33 @@ def test_csv_header_must_be_exactly_t_value(tmp_path, header):
         generate(PathSpec(kind="csv", file=str(file), T=1.0, n_max=3))
 
 
+def _autocov(H, n_lags):
+    """The first n_lags lags of the fGn autocovariance, in their own array."""
+    return _fgn_autocov(H, np.empty(n_lags))
+
+
+def _fgn_autocov_expression_form(H, n_lags):
+    """The autocovariance with the series over every lag at once, one
+    array per expression."""
+    a = 2.0 * H
+    gamma = np.empty(n_lags)
+    gamma[0] = 1.0
+    gamma[1] = math.expm1((a - 1.0) * math.log(2.0))
+    small = np.arange(2.0, min(n_lags, 8))
+    gamma[2 : small.size + 2] = 0.5 * small**a * (
+        np.expm1(a * np.log1p(1.0 / small)) + np.expm1(a * np.log1p(-1.0 / small))
+    )
+    coeffs = [a * (a - 1.0) / 2.0]
+    for j in range(1, 10):
+        coeffs.append(coeffs[-1] * (a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2)))
+    y = np.arange(8, n_lags, dtype=float) ** -2.0
+    g = np.full(y.size, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        g = g * y + c
+    gamma[8:] = g * y * y**-H
+    return gamma
+
+
 def _half_spectrum_normals(N, rng):
     """The N + 1 normals of the half-spectrum, the inner ones drawn into
     their own array."""
@@ -280,7 +321,7 @@ def _circulant_sqrt_eigs_blocked_expression_form(H, N):
     times the expression form of the blocked transform of the
     autocovariance, read as a real half-spectrum, and eigenvalue N as the
     alternating sum of the autocovariance."""
-    gamma = _fgn_autocov(H, N + 1)
+    gamma = _fgn_autocov_expression_form(H, N + 1)
     head = 2 * N * _irfft_head_expression_form(gamma.astype(complex))
     last = gamma[0] + gamma[N] + 2.0 * (np.sum(gamma[2:N:2]) - np.sum(gamma[1:N:2]))
     return np.sqrt(np.clip(np.concatenate([head, [last]]), 0.0, None))
@@ -342,29 +383,99 @@ def _brownian_direct_increments(T, n_max, seed):
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 10, 14, 18])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 10, 14, 16, 17, 18, 19, 20])
 @pytest.mark.parametrize("H", [0.1, 0.25, 0.5, 0.75])
 def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
-    # the generator writes every step into an existing buffer; on a cold
+    # the generator computes the spectrum, the noise and the path in the
+    # buffer of one (N + 1)-point complex half-spectrum each; on a cold
     # spectrum cache, the expression form of the blocked transform is the
-    # oracle of the spectrum, and of the noise from n_max = 17 on, where
-    # the expression-by-expression irfft route is below.  H = 1/2 paths draw
+    # oracle of the spectrum, and of the noise from n_max = 17 on (one
+    # square of the four-step view at even n_max, two at odd), where the
+    # expression-by-expression irfft route is below.  H = 1/2 paths draw
     # their steps directly, so there the direct-increment form is the
-    # oracle of the path, and the embedding is still checked on its own
+    # oracle of the path, and the embedding is still checked on its own.
+    # Three seeds up to n_max = 18, one above
     N = 2**n_max
     blocked = n_max >= 17
     root = _circulant_sqrt_eigs_blocked_expression_form(H, N)
     _circulant_sqrt_eigs.cache_clear()
     assert _circulant_sqrt_eigs(H, N).tobytes() == root.tobytes()
     oracle = _fgn_blocked_expression_form if blocked else _fgn_expression_form
-    for seed in (0, 1, 29):
+    for seed in (0, 1, 29) if n_max <= 18 else (1,):
         want = oracle(root, N, _rng_for(seed))
-        assert _fgn_davies_harte(H, N, _rng_for(seed)).tobytes() == want.tobytes()
+        assert _fgn_davies_harte(H, N, _rng_for(seed))[:N].tobytes() == want.tobytes()
         if H == 0.5:
             want_path = _brownian_direct_increments(2.0, n_max, seed)
         else:
             want_path = np.concatenate([[0.0], np.cumsum(want * (2.0 / N) ** H)])
         assert _fbm_values(H, 2.0, n_max, seed).tobytes() == want_path.tobytes()
+
+
+@pytest.mark.parametrize("n_lags", [2, 3, 9, 8 + 2**13, 9 + 2**13, 2**18 + 1])
+@pytest.mark.parametrize("H", [0.1, 0.25, 0.75])
+def test_blocked_autocov_is_byte_identical_to_expression_form(H, n_lags):
+    # the series runs a block of lags at a time, into a contiguous array or
+    # the strided real part of a complex buffer: the bytes are those of one
+    # pass over every lag, on either side of a block's end
+    want = _fgn_autocov_expression_form(H, n_lags)
+    assert _autocov(H, n_lags).tobytes() == want.tobytes()
+    z = np.full(n_lags, 1.0 + 1.0j)
+    assert _fgn_autocov(H, z.real).tobytes() == want.tobytes()
+    assert np.all(z.imag == 1.0)
+
+
+def test_sampled_path_copies_a_callers_array():
+    values = np.linspace(0.0, 1.0, 5)
+    path = SampledPath(T=1.0, n_max=2, values=values)
+    values[1] = 9.0
+    assert path.values[1] == 0.25 and not np.shares_memory(path.values, values)
+    assert not path.values.flags.writeable
+    listed = SampledPath(T=1.0, n_max=1, values=[0, 1, 2])
+    assert listed.values.dtype == float and listed.values.tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PathSpec(kind="fbm", hurst=0.25, n_max=17, seed=1), PathSpec(kind="fbm", hurst=0.75, n_max=12, seed=1),
+     PathSpec(kind="bm", n_max=12, seed=1), PathSpec(kind="triangle", n_max=5)],
+    ids=["blocked", "irfft", "bm", "triangle"],
+)
+def test_generated_path_owns_only_its_samples(spec):
+    # generate's array becomes the path's own, not a copy: the fBM noise
+    # buffers of 2N + 2 (blocked) or 2N (irfft) floats are shrunk to the
+    # N + 1 samples, which own their memory and are all the path holds
+    generate(spec)  # the spectrum, the unit roots and numpy's first Philox stream
+    path, held = traced_held(generate, spec)
+    values = path.values
+    assert values.base is None and values.flags.owndata and not values.flags.writeable
+    assert values.nbytes == 8 * (2**spec.n_max + 1)
+    assert held <= values.nbytes + 2**12, held - values.nbytes
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="tracers see frame locals through a proxy (PEP 667)")
+def test_fbm_generation_under_a_python_tracer_is_a_generation_error():
+    # a trace function written in Python copies each frame's locals, one
+    # more reference to the buffer being shrunk, which numpy refuses: in
+    # the spectrum on a cold cache, in the path on a warm one.  Brownian
+    # paths are drawn at their own size and shrink nothing
+    def trace(frame, event, arg):
+        return trace
+
+    spec = PathSpec(kind="fbm", hurst=0.25, n_max=6, seed=1)
+    before = sys.gettrace()
+    for warm in (False, True):
+        _circulant_sqrt_eigs.cache_clear()
+        if warm:
+            _circulant_sqrt_eigs(0.25, 64)
+        sys.settrace(trace)
+        try:
+            with pytest.raises(GenerationError, match="trace function"):
+                generate(spec)
+            bm = generate(PathSpec(kind="bm", n_max=6, seed=1))
+        finally:
+            sys.settrace(before)
+        assert bm.values.size == 65
+    assert generate(spec).values.size == 65
 
 
 @pytest.mark.parametrize("n_max", [17, 18, 20])
@@ -374,7 +485,7 @@ def test_blocked_noise_matches_irfft_at_the_threshold_and_above(H, n_max):
     # the irfft noise up to rounding (at most 5.5e-16 of max |x| measured)
     N = 2**n_max
     root = _circulant_sqrt_eigs(H, N)
-    got = _fgn_davies_harte(H, N, _rng_for(3))
+    got = _fgn_davies_harte(H, N, _rng_for(3))[:N]
     want = _fgn_expression_form(root, N, _rng_for(3))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -387,7 +498,7 @@ def test_blocked_spectrum_matches_rfft_at_the_threshold_and_above(H, n_max):
     # to rounding (at most 8.8e-16 of the largest measured; the real FFT
     # itself is 6.6e-16 from the complex one)
     N = 2**n_max
-    gamma = _fgn_autocov(H, N + 1)
+    gamma = _autocov(H, N + 1)
     want = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     got = paths._circulant_eigs(H, N)
     assert got.shape == (N + 1,)
@@ -439,7 +550,7 @@ def test_real_transform_matches_the_complex_transform(H, n_max):
     N = 2**n_max
     root = _circulant_sqrt_eigs(H, N)
     for seed in (0, 7):
-        got = _fgn_davies_harte(H, N, _rng_for(seed))
+        got = _fgn_davies_harte(H, N, _rng_for(seed))[:N]
         want = _fgn_complex_form(root, N, _rng_for(seed))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -472,7 +583,7 @@ def test_fgn_autocov_matches_a_decimal_reference(H):
     # itself about |2H - 1| / (2k), so the absolute error stays near an
     # ulp of gamma(0) = 1
     lags = list(range(12)) + [63, 1000, 2**14 + 1, 2**18]
-    gamma = _fgn_autocov(H, 2**18 + 1)
+    gamma = _autocov(H, 2**18 + 1)
     eps = np.finfo(float).eps
     for k in lags:
         want = _fgn_autocov_decimal(H, k)
@@ -496,13 +607,14 @@ def test_brownian_paths_skip_the_circulant_embedding(monkeypatch, kind, hurst):
 
 
 def test_brownian_generate_peak_memory_at_n_max_16():
-    # the path of N + 1 floats (0.5 MiB) and SampledPath's read-only copy:
-    # 1.0 MiB traced, against 3.7 MiB for H = 1/4 through a cold circulant
-    # embedding.  A small path first takes the one-time imports behind
-    # numpy's first Philox stream (0.7 MiB) out of the reading
+    # the path of N + 1 floats (0.5 MiB), which SampledPath takes without
+    # a copy: 0.56 MiB traced, against 1.0 MiB with SampledPath's read-only
+    # copy and 2.6 MiB for H = 1/4 through a cold circulant embedding.  A
+    # small path first takes the one-time imports behind numpy's first
+    # Philox stream (0.7 MiB) out of the reading
     generate(PathSpec(kind="bm", n_max=2))
     _, peak = traced_peak(generate, PathSpec(kind="bm", n_max=16, seed=1))
-    assert peak < 1.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert peak < 0.75 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_generate_peak_memory_at_n_max_16():
@@ -511,15 +623,17 @@ def test_generate_peak_memory_at_n_max_16():
     # complex buffer, 2.0 MiB now (the (N + 1)-point half-spectrum and the
     # 2N-point real transform).  Cold cache: 6.8 MiB when the spectrum was
     # transformed from a real row by the complex FFT, 4.3 MiB in place, 2.6
-    # MiB by the real FFT of the 2N-point row, 2.9 MiB now by the blocked
-    # transform in an (N + 1)-point complex buffer.  numpy < 2 zero-pads the half-spectrum to a 2N-point complex
-    # array before its inverse real transform, 2 MiB more here (4.0 warm,
-    # 4.5 cold when numpy 2's irfft is wrapped to pad the same way).  A
-    # small path first takes the one-time imports behind numpy's first
-    # Philox stream (0.8 MiB) out of the cold reading
+    # MiB by the real FFT of the 2N-point row, 2.9 MiB by the blocked
+    # transform into a separate array and blocks of 64 columns, 2.6 MiB now
+    # in place in the (N + 1)-point complex buffer, shrunk to the spectrum,
+    # and blocks of 8,192 entries.  numpy < 2 zero-pads the half-spectrum
+    # to a 2N-point complex array before its inverse real transform, 2 MiB
+    # more here (4.0 warm, 4.5 cold when numpy 2's irfft is wrapped to pad
+    # the same way).  A small path first takes the one-time imports behind
+    # numpy's first Philox stream (0.8 MiB) out of the cold reading
     extra = 2.0 if np.lib.NumpyVersion(np.__version__) < "2.0.0" else 0.0
     generate(PathSpec(kind="bm", n_max=2))
-    for warm, bound in ((False, (3.5 + extra) * 2**20), (True, (3 + extra) * 2**20)):
+    for warm, bound in ((False, (3 + extra) * 2**20), (True, (3 + extra) * 2**20)):
         _circulant_sqrt_eigs.cache_clear()
         if warm:
             _circulant_sqrt_eigs(0.25, 2**16)
@@ -545,16 +659,19 @@ def test_generate_rss_rise_at_n_max_20(tmp_path):
     # a fresh process on a warm spectrum (the cached roots loaded from a
     # file): tracemalloc cannot see pocketfft's scratch, ru_maxrss can.
     # irfft's 2N-point output and scratch rose it by 8.0x the path bytes;
-    # the blocked transform, in the half-spectrum's buffer, by 3.4x.  A
-    # process's ru_maxrss starts at the peak of the one that started it,
-    # so a small launcher starts the measured process, not pytest
+    # the blocked transform, in the half-spectrum's buffer, by 3.4x with
+    # the noise written to a separate array and the path copied, and by
+    # 2.05x now that the noise, then the path, stay in that buffer, shrunk
+    # to the N + 1 samples the path takes.  A process's ru_maxrss starts at
+    # the peak of the one that started it, so a small launcher starts the
+    # measured process, not pytest
     np.save(tmp_path / "root.npy", _circulant_sqrt_eigs.__wrapped__(0.25, 2**20))
     src = os.path.dirname(os.path.dirname(paths.__file__))
     launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
     out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", _GENERATE_RSS, str(tmp_path / "root.npy")],
                          capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     rise = float(out.stdout)
-    assert rise <= 5.0, f"ru_maxrss rose by {rise:.2f}x the path bytes"
+    assert rise <= 2.4, f"ru_maxrss rose by {rise:.2f}x the path bytes"
 
 
 _COLD_SPECTRUM_RSS = """
@@ -572,23 +689,26 @@ def test_cold_spectrum_generate_rss_rise_at_n_max_20():
     # a fresh process, cold spectrum cache: the real FFT of the 2N-point
     # first row and its scratch rose ru_maxrss by 8.0x the path bytes; the
     # blocked transform of the autocovariance, in an (N + 1)-point complex
-    # buffer, by 4.3x.  Started by the same small launcher as the warm test
+    # buffer, by 4.3x, and by 3.06x now that the autocovariance is written
+    # into that buffer, which is shrunk to the spectrum's roots (1x), and
+    # the noise and the path share one more such buffer (2x).  Started by
+    # the same small launcher as the warm test
     src = os.path.dirname(os.path.dirname(paths.__file__))
     launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
     out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", _COLD_SPECTRUM_RSS],
                          capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     rise = float(out.stdout)
-    assert rise <= 5.0, f"ru_maxrss rose by {rise:.2f}x the path bytes"
+    assert rise <= 3.5, f"ru_maxrss rose by {rise:.2f}x the path bytes"
 
 
 @pytest.mark.parametrize("n_max", [2, 10, 16])
 def test_indefinite_embedding_is_a_generation_error(monkeypatch, n_max):
     # a first row 1, 1, 0, ..., 0, 1 has eigenvalue 1 + 2 cos(pi) = -1 at
     # every size: the generator must refuse it, small n_max included
-    def not_a_covariance(H, n_lags):
-        gamma = np.zeros(n_lags)
-        gamma[:2] = 1.0
-        return gamma
+    def not_a_covariance(H, out):
+        out[:] = 0.0
+        out[:2] = 1.0
+        return out
 
     monkeypatch.setattr(paths, "_fgn_autocov", not_a_covariance)
     _circulant_sqrt_eigs.cache_clear()
