@@ -5,15 +5,15 @@ reader, the CSV and summary writers and heap trimming.
 :meth:`LevelStack.build` alone decides which intervals count at a time t,
 and one iterator, ``LevelStack._pieces``, gathers them: a block of
 consecutive levels, or a node of numpy's pairwise-summation tree over a
-large level.  Levels are read through their descriptors (:class:`Stride`,
-:class:`Packed`, :class:`Points`), with no index array of a whole level.
-Summand functions see the values at the ends of a piece's intervals.
-Three reductions run on the pieces, one level at a time, with the bytes
-of one pass over a whole level for any block size:
-:meth:`LevelStack.running_sums`, a cumsum read at the checkpoints,
-:meth:`LevelStack.sums`, a whole-level ``np.sum``, and
-:meth:`LevelStack.cell_sums`, per-cell running sums of (cell, weight)
-pairs read at the checkpoints.
+large level's segment between two checkpoints.  Levels are read through
+their descriptors (:class:`Stride`, :class:`Packed`, :class:`Points`),
+with no index array of a whole level.  Summand functions see the values
+at the ends of a piece's intervals.
+Two reductions run on the pieces, one level at a time, with the same
+bytes for any block size: :meth:`LevelStack.sums`, the ``np.sum`` of each
+segment of a level between checkpoints, chained from +0.0 at the
+checkpoints, and :meth:`LevelStack.cell_sums`, per-cell running sums of
+(cell, weight) pairs read at the checkpoints.
 
 Every CSV artifact goes through :func:`write_csv` as one or more
 :class:`Table` objects.  A table is a list of key axes followed by value
@@ -26,6 +26,7 @@ column in one pass, and at most ``_CHUNK_ROWS`` lines are held at a time.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import ctypes
 import functools
@@ -208,9 +209,10 @@ def as_level(level):
 
 
 # Most kept intervals in one block of consecutive levels; a level that
-# alone holds more is a block of its own, cut into nodes of numpy's
-# pairwise-summation tree that hold at most this many.  So a kernel holds
-# one piece of a level at a time, whatever the path.
+# alone holds more is a block of its own, cut at its checkpoint counts and
+# into nodes of numpy's pairwise-summation tree that hold at most this
+# many.  So a kernel holds one piece of a level at a time, whatever the
+# path.
 _BLOCK_INTERVALS = 1 << 15
 
 # Most (cell, weight) pairs added at once by LevelStack.cell_sums: bounds
@@ -286,43 +288,44 @@ class LevelStack:
         blocks.append((first, len(levels)))
         return cls(levels=levels, times=times, indices=indices, counts=counts, ends=ends, blocks=tuple(blocks))
 
-    def running_sums(self, terms: Callable, *values: np.ndarray):
-        """Running sums of ``terms(a1, b1, a2, b2, ...)`` along each level,
-        read at every checkpoint: shaped ``(levels, checkpoints)``, or a
-        tuple of such arrays.
-
-        ``terms`` is called as for :meth:`sums`.  A piece's cumsum starts
-        from the sum carried from the piece before, placed as its first
-        element; ``np.cumsum`` adds in order, so every bit is that of one
-        cumsum over the whole level (a first piece starts from its first
-        term, so a leading -0.0 stays -0.0).
-        """
-        outs, carry, single = collections.defaultdict(lambda: np.empty(self.counts.shape)), {}, False
-        for single, k, (i, start, _), x in self._level_terms(terms, values):
-            carry[k] = _read_cumsums(outs[k][i], self.counts[i], x, start, carry.get(k))
-        return outs[0] if single else tuple(outs.values())
-
     def sums(self, terms: Callable, *values: np.ndarray):
-        """``np.sum`` of every term of ``terms(a1, b1, a2, b2, ...)`` over
-        each level's kept intervals: shaped ``(levels,)``, or a tuple.
+        """Sums of every term of ``terms(a1, b1, a2, b2, ...)`` over each
+        level's intervals credited at every checkpoint: shaped
+        ``(levels, checkpoints)``, or a tuple of such arrays.
 
         ``ak`` and ``bk`` hold the k-th value array (last axis) at the left
         and right ends of the intervals of one piece: read-only views of one
         gather of it, offset by one point.  ``terms`` returns a term, or an
         iterable of them (a generator frees each before making the next),
-        each an array with one entry per interval.  A cut level adds its
-        node sums up :func:`_tree`.
+        each an array with one entry per interval.
+
+        A level's intervals between two consecutive checkpoint counts form
+        a segment, summed by ``np.sum`` (called as ``np.add.reduce``, the
+        reduction it wraps, without its Python-level argument handling); a
+        segment cut into pieces adds its node sums up :func:`_tree`, which
+        gives the same bytes.  Checkpoint j reads segment sums 0..j, added
+        in order from +0.0.  So a level credited at one checkpoint reads the
+        ``np.sum`` of all its terms, and a sum of zeros reads +0.0, whatever
+        their signs.
         """
-        outs, cut, single = collections.defaultdict(lambda: np.empty(len(self.levels))), {}, False
-        kept = self.counts[:, -1].tolist()
+        # segment j of level i in column j + 1, after a column of +0.0
+        shape = (len(self.levels), self.counts.shape[1] + 1)
+        outs, nodes, single = collections.defaultdict(lambda: np.zeros(shape)), {}, False
+        counts = self.counts.tolist()
         for single, k, (i, start, stop), x in self._level_terms(terms, values):
-            if start == 0 and stop == kept[i]:
-                outs[k][i] = np.sum(x)
-            else:  # a cut level, a block of its own
-                cut.setdefault(k, {})[start, stop] = np.sum(x)
-                if stop == kept[i]:
-                    outs[k][i] = _tree(0, stop, cut.pop(k).get)
-        return outs[0] if single else tuple(outs.values())
+            row, out = counts[i], outs[k]
+            if start == 0 and stop == row[-1]:  # a whole level: each segment at once
+                lo = 0
+                for j, hi in enumerate(row, 1):
+                    out[i, j] = np.add.reduce(x[lo:hi])
+                    lo = hi
+            else:  # a node of one segment of a cut level
+                nodes.setdefault(k, {})[start, stop] = np.add.reduce(x)
+                j = bisect.bisect_left(row, stop)
+                if row[j] == stop:
+                    out[i, j + 1] = _tree(row[j - 1] if j else 0, stop, nodes.pop(k).get)
+        sums = [np.add.accumulate(out, axis=1, out=out)[:, 1:] for out in outs.values()]
+        return sums[0] if single else tuple(sums)
 
     def cell_sums(self, cells: int, terms: Callable, *values: np.ndarray):
         """Per-cell running sums of the (cell, weight) pairs of
@@ -394,15 +397,20 @@ class LevelStack:
     def _pieces(self) -> Iterable[List[Tuple[int, int, int]]]:
         """What a kernel gathers at a time, in level order: lists of
         ``(level, start, stop)``, the level's kept intervals start..stop-1.
-        A block of levels is one piece; a larger level is cut into nodes of
-        :func:`_tree` of at most ``_BLOCK_INTERVALS`` (or 128) intervals."""
+        A block of levels is one piece, and so is a level of at most
+        ``_BLOCK_INTERVALS`` (or 128) intervals; a larger level is cut at
+        its checkpoint counts, and each segment between them into nodes of
+        :func:`_tree` of at most that many intervals."""
+        size = max(_BLOCK_INTERVALS, 128)
         for first, stop in self.blocks:
             kept = self.counts[first:stop, -1].tolist()
-            if len(kept) > 1:
+            if len(kept) > 1 or kept[0] <= size:
                 yield [(i, 0, n) for i, n in enumerate(kept, first)]
-            else:
-                size = max(_BLOCK_INTERVALS, 128)
-                yield from _tree(0, kept[0], lambda node: [[(first, *node)]] if node[1] - node[0] <= size else None)
+                continue
+            edges = [0, *self.counts[first].tolist()]
+            for lo, hi in zip(edges, edges[1:]):
+                if hi > lo:
+                    yield from _tree(lo, hi, lambda node: [[(first, *node)]] if node[1] - node[0] <= size else None)
 
     def _gather(self, piece: Sequence[Tuple[int, int, int]], values: Sequence[np.ndarray]) -> list:
         """``a1, b1, a2, b2, ...`` over the piece's intervals, in turn: each
@@ -425,24 +433,6 @@ def _firsts(piece: Sequence[Tuple[int, int, int]]) -> List[int]:
     return list(itertools.accumulate((stop - start + 1 for _, start, stop in piece[:-1]), initial=0))
 
 
-def _read_cumsums(out: np.ndarray, counts: np.ndarray, x: np.ndarray, start: int, carry) -> float:
-    """Set ``out[j]`` to the sum of a level's first ``counts[j]`` terms for
-    every count in ``start..start + x.size``, given its terms
-    ``start..start + x.size - 1`` in x and, past the first piece, the sum
-    ``carry`` of those before; returns the sum through the last term."""
-    cums = np.empty(x.size + 1)
-    if start:
-        cums[0] = carry
-        cums[1:] = x
-        np.cumsum(cums, out=cums)
-    else:
-        cums[0] = 0.0
-        np.cumsum(x, out=cums[1:])
-    read = (counts >= start) & (counts <= start + x.size)
-    out[read] = cums[counts[read] - start]
-    return cums[-1]
-
-
 def residual_scale(*magnitudes) -> np.ndarray:
     """``max(1, |m_1|, |m_2|, ...)``, elementwise: the scale an identity's
     gap is measured against, its largest term floored at 1."""
@@ -454,11 +444,6 @@ def relative_residual(residual, *magnitudes) -> np.ndarray:
     identity's gap relative to its largest term, absolute while every term
     is below 1."""
     return residual / residual_scale(*magnitudes)
-
-
-def relative_gap(lhs: float, rhs: float) -> float:
-    """|lhs - rhs| normalized by the larger magnitude, floored at 1."""
-    return float(relative_residual(abs(lhs - rhs), lhs, rhs))
 
 
 def check_level(x: float) -> None:

@@ -434,7 +434,7 @@ def _c8_task(args):
     X = _fbm(0.5, sx, n_max, T)
     Y = _fbm(0.5, sy, n_max, T)
     stack = LevelStack.build(X, _finest_level(X, level))
-    (lx,), (ly,), (lmax,), (lmin,) = stack.sums(lambda *ends: _min_plus_max(*ends, 2), X.values, Y.values)
+    lx, ly, lmax, lmin = (s[0, 0] for s in stack.sums(lambda *ends: _min_plus_max(*ends, 2), X.values, Y.values))
     return float(lmax + lmin), float(lx + ly)
 
 

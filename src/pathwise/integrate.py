@@ -311,9 +311,11 @@ def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[fl
 
 def _interval_sums(path: SampledPath, levels, t: float, terms: Callable, *args):
     """Per-level sums of ``terms(a, b, *args)`` over the intervals credited
-    at t, a and b the path values at their ends (:meth:`LevelStack.sums`);
-    ``levels`` is a hierarchy or a sequence of levels."""
-    return LevelStack.build(path, levels, [t]).sums(lambda a, b: terms(a, b, *args), path.values)
+    at t, a and b the path values at their ends (:meth:`LevelStack.sums`
+    at its one checkpoint); ``levels`` is a hierarchy or a sequence of
+    levels."""
+    sums = LevelStack.build(path, levels, [t]).sums(lambda a, b: terms(a, b, *args), path.values)
+    return sums[:, 0] if isinstance(sums, np.ndarray) else [s[:, 0] for s in sums]
 
 
 def _taylor_sum(derivative: Callable[[int], np.ndarray], d: np.ndarray, p: int) -> np.ndarray:

@@ -259,11 +259,13 @@ def discrete_local_time_curves(
     """Discrete local time at one exact location x, per (level, checkpoint).
 
     Used wherever a spatial atom must be evaluated exactly rather than
-    snapped to a cell center.
+    snapped to a cell center.  Summed as every per-level sum at
+    checkpoints is (:meth:`LevelStack.sums`), so its bytes may differ in
+    the last digits from the field's sequential per-cell sums at a centre.
     """
     p = even_order(p)
     stack = LevelStack.build(path, hierarchy, checkpoints)
-    return stack.running_sums(lambda a, b: bracket_contributions(a, b, p, x), path.values)
+    return stack.sums(lambda a, b: bracket_contributions(a, b, p, x), path.values)
 
 
 def _grid_level(path: SampledPath, checkpoints: Sequence[float]) -> LevelStack:
@@ -312,15 +314,21 @@ def occupation_density_local_time(
     variation up to accumulation rounding."""
     p = even_order(p)
     stack = _grid_level(path, checkpoints)
-    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=stack.times,
-                               values=_occupation_density(path, p, grid, stack))
+    (values,) = _densities(path, grid, stack, p)
+    return OccupationLocalTime(p=p, grid=grid, checkpoint_times=stack.times, values=values)
 
 
-def _occupation_density(path: SampledPath, p: int, grid: SpaceGrid, stack: LevelStack) -> np.ndarray:
-    """The values of :func:`occupation_density_local_time` on a prebuilt
-    :func:`_grid_level` stack, ``(checkpoints, cells)``."""
-    (sums,) = _binned_sums(path, grid, stack, lambda a, b: (ipow(np.abs(b - a), p),))
-    return sums / (p * grid.cellwidth)
+def _densities(path: SampledPath, grid: SpaceGrid, stack: LevelStack, *orders) -> list:
+    """The values, ``(checkpoints, cells)``, of one density per order on a
+    prebuilt :func:`_grid_level` stack, binned in one pass: for an even
+    order p, :func:`occupation_density_local_time` (each interval weighted
+    |dS|**p, the sums divided by p * cellwidth), and for None,
+    :func:`occupation_time_density` (weighted dt, divided by cellwidth)."""
+    def weights(a, b):
+        return tuple(np.full(a.size, path.dt) if p is None else ipow(np.abs(b - a), p) for p in orders)
+
+    sums = _binned_sums(path, grid, stack, weights)
+    return [s / (grid.cellwidth if p is None else p * grid.cellwidth) for s, p in zip(sums, orders)]
 
 
 def occupation_time_density(
@@ -329,8 +337,8 @@ def occupation_time_density(
     """Classical occupation-time density: time spent per cell divided by
     the cellwidth (each interval weighted dt, binned by its left value)."""
     stack = _grid_level(path, checkpoints)
-    (sums,) = _binned_sums(path, grid, stack, lambda a, b: (np.full(a.size, path.dt),))
-    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=stack.times, values=sums / grid.cellwidth)
+    (values,) = _densities(path, grid, stack, None)
+    return OccupationLocalTime(p=None, grid=grid, checkpoint_times=stack.times, values=values)
 
 
 def weighted_occupation_local_time(
@@ -406,10 +414,7 @@ def berman_ratio_check(path: SampledPath, p: int, grid: SpaceGrid) -> BermanRati
         raise ParameterError(f"ratio check requires H = 1/p; got H={hurst}, p={p}")
     # both densities at t = T, as occupation_density_local_time and
     # occupation_time_density give them, on one binning of the path
-    occ, tau = _binned_sums(path, grid, _grid_level(path, [path.T]),
-                            lambda a, b: (ipow(np.abs(b - a), p), np.full(a.size, path.dt)))
-    occ = occ[0] / (p * grid.cellwidth)
-    tau = tau[0] / grid.cellwidth
+    occ, tau = (d[0] for d in _densities(path, grid, _grid_level(path, [path.T]), p, None))
     sel = tau > 0
     ratios = occ[sel] / tau[sel]
     weights = tau[sel]

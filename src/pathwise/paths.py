@@ -39,7 +39,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -258,7 +257,8 @@ def _circulant_eigs(H: float, N: int) -> np.ndarray:
     into the real part of one (N + 1)-point complex buffer, which
     :func:`_irfft_head` transforms in place; the buffer is then shrunk to
     the N + 1 eigenvalues, an array that owns it, and no 2N-point row or
-    transform is held.
+    transform is held.  Where numpy refuses to shrink it (see
+    :func:`_fbm_values`), the eigenvalues are copied out instead.
     """
     eigs = np.empty(2 * N + 2)
     z = eigs.view(complex)
@@ -270,8 +270,10 @@ def _circulant_eigs(H: float, N: int) -> np.ndarray:
     head *= 2 * N
     del head, z
     eigs[N] = last
-    with _shrinking_in_place():
+    try:
         eigs.resize(N + 1)
+    except ValueError:
+        eigs = eigs[: N + 1].copy()
     return eigs
 
 
@@ -442,7 +444,17 @@ def _transpose_head(sq: np.ndarray) -> None:
             sq[i : i + b, j : j + b] = sq[j : j + b, i : i + b].T
 
 
-def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
+def _fbm_values(H: float, T: float, n_max: int, seed: int) -> Tuple[np.ndarray, bool]:
+    """The N + 1 samples of an fBM path, and whether they had to be copied
+    out of the buffer they were made in.
+
+    numpy refuses to shrink a buffer while anything else refers to it,
+    which keeps a view from outliving it.  A profiler does: each C call is
+    reported with its bound method (``buf.resize``, which refers to
+    ``buf``), and Python 3.11 keeps that alive for the whole call.  So does
+    a trace function written in Python on Python < 3.13, which copies each
+    frame's locals.  The samples are then copied out, with the same bytes.
+    """
     N = 2**n_max
     rng = _rng_for(seed)
     if H == 0.5:
@@ -459,28 +471,11 @@ def _fbm_values(H: float, T: float, n_max: int, seed: int) -> np.ndarray:
     np.cumsum(buf[:N], out=buf[:N])
     buf[1 : N + 1] = buf[:N]
     buf[0] = 0.0
-    with _shrinking_in_place():
-        buf.resize(N + 1)
-    return buf
-
-
-@contextmanager
-def _shrinking_in_place():
-    """Around ``buf.resize(size)`` in the frame that holds ``buf``: numpy
-    refuses to shrink a buffer while anything else refers to it, which
-    keeps a view from outliving it.  A call to a helper would be such a
-    reference, and so on Python < 3.13 is a trace function written in
-    Python (a debugger stepping through this module, or coverage's
-    pure-Python tracer), which copies each frame's locals; generation
-    cannot run under one, and says so with a GenerationError."""
     try:
-        yield
-    except ValueError as exc:
-        raise GenerationError(
-            "cannot shrink the generation buffer in place: something else refers to it "
-            "(on Python < 3.13, a Python-level trace function such as a debugger "
-            "stepping through pathwise.paths does)"
-        ) from exc
+        buf.resize(N + 1)
+    except ValueError:
+        return buf[: N + 1].copy(), True
+    return buf, False
 
 
 def _read_csv_path(file: str, T: float, n_max: int) -> Tuple[np.ndarray, dict]:
@@ -547,7 +542,9 @@ def generate(spec: PathSpec) -> SampledPath:
     transform writes the N noise values the path keeps in place, and holds
     blocks of at most 8,192 entries besides.  The path is the running sum
     of the noise, taken in the array that holds it (irfft's output or the
-    half-spectrum's buffer), which is then shrunk to the N + 1 samples.
+    half-spectrum's buffer), which is then shrunk to the N + 1 samples;
+    under a profiler or a Python-level tracer numpy may refuse that, and
+    the samples are copied out (``metadata["copied_buffer"]`` says so).
     So from n_max = 17 on a path is made in 2N + 2 floats beside the
     roots, three times its own bytes.  Every kind's array becomes the
     :class:`SampledPath` without a copy.  The bytes of these fBM paths
@@ -561,13 +558,8 @@ def generate(spec: PathSpec) -> SampledPath:
     IngestionError
         For missing or malformed CSV input.
     GenerationError
-        If synthesis produces non-finite samples, if the circulant
-        embedding of an fBM is not nonnegative definite, or if the
-        generation buffer cannot be shrunk in place because something
-        else refers to it: on Python < 3.13, fBM paths with H != 1/2
-        cannot be generated under a trace function written in Python
-        (:func:`sys.settrace`, as a debugger stepping through this module
-        sets).
+        If synthesis produces non-finite samples, or if the circulant
+        embedding of an fBM is not nonnegative definite.
     """
     n = 2**spec.n_max
     if spec.kind in ("linear", "triangle"):
@@ -592,7 +584,7 @@ def generate(spec: PathSpec) -> SampledPath:
         meta.update(peak_time=spec.peak_time, peak_value=spec.peak_value)
     elif spec.kind in ("fbm", "bm"):
         hurst = spec.hurst if spec.kind == "fbm" else 0.5
-        vals = _fbm_values(hurst, spec.T, spec.n_max, spec.seed)
+        vals, meta["copied_buffer"] = _fbm_values(hurst, spec.T, spec.n_max, spec.seed)
         meta["hurst"] = hurst
     elif spec.kind == "csv":
         vals, csv_meta = _read_csv_path(spec.file, spec.T, spec.n_max)

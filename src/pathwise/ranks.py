@@ -22,6 +22,8 @@ there alone, B, C and D are its own terms: only its right value is read,
 and f's derivatives at its left value are the rank's.  Only intervals
 whose left endpoint is tied at rank k (every level's first, when the
 paths start together) weight all m paths by their share of the rank.
+Every sum, up to each checkpoint, is :meth:`LevelStack.sums`: one
+``np.sum`` per level between consecutive checkpoints, chained in order.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def collision_local_time(
     def terms(ga, gb):
         return bracket_contributions(ga, gb, p, 0.0), (ga == 0.0) * ipow(gb, p - 1)
 
-    literal, tie_charge = stack.running_sums(terms, gap.values)
+    literal, tie_charge = stack.sums(terms, gap.values)
     return CollisionLocalTime(
         k=k, h=h, p=p,
         level_labels=hierarchy.level_labels,
@@ -191,7 +193,7 @@ def rank_sum_identity(
     stack = LevelStack.build(system.paths[0], hierarchy)
 
     # summed one path at a time, so one row of a piece is gathered at a time
-    lhs, rhs = (sum(stack.sums(lambda a, b: bracket_contributions(a, b, p, x), row) for row in rows)
+    lhs, rhs = (sum(stack.sums(lambda a, b: bracket_contributions(a, b, p, x), row)[:, 0] for row in rows)
                 for rows in (system.ranked, system.values))
     return _report(f"rank local-time sum at x={x}", hierarchy.level_labels, lhs, rhs)
 
@@ -307,7 +309,7 @@ def _rank_decompositions(
             i = k - 1 - lo
             yield from one_rank(Ras[i], Rbs[i], Xa, Xb, nas[i], occupants[k - 1])
 
-    sums = stack.running_sums(rank_terms, system.values, system.ranked[rows], system.counts[rows])
+    sums = stack.sums(rank_terms, system.values, system.ranked[rows], system.counts[rows])
     decompositions = []
     for i, k in enumerate(ranks):
         A, B, C, D, D_plus, D_minus = sums[6 * i: 6 * i + 6]
@@ -392,7 +394,7 @@ def simplified_cross_term(
         (sums,) = _rank_weighted_sums(terms, f, fr, Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
         return sums
 
-    simplified = stack.running_sums(cross_terms, system.ranked[k - 1], system.values, system.counts[k - 1])
+    simplified = stack.sums(cross_terms, system.ranked[k - 1], system.values, system.counts[k - 1])
     return SimplifiedCrossTerm(
         k=k, p=p,
         level_labels=hierarchy.level_labels,

@@ -33,7 +33,7 @@ from ._util import (LevelStack, Table, bracket_contributions, check_level, even_
 from .errors import ParameterError
 from .integrate import (SmoothCallable, TestFunction, _follmer_sums, _measure_remainder_sums, _remainder,
                         _tanaka_meyer_sums)
-from .localtime import SpaceGrid, _grid_level, _occupation_density
+from .localtime import SpaceGrid, _densities, _grid_level
 from .partitions import PartitionHierarchy, _oscillation
 from .paths import SampledPath
 
@@ -137,7 +137,7 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
         yield from _measure_remainder_sums(a, b, p, measure)
 
     stack = LevelStack.build(path, levels, [t])
-    comp, *remainder = stack.sums(terms, path.values)
+    comp, *remainder = (s[:, 0] for s in stack.sums(terms, path.values))
     change = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return change - comp, _remainder(remainder, measure, len(stack.levels)) / math.factorial(p - 1)
 
@@ -174,7 +174,7 @@ def tanaka_meyer_report(
         return _tanaka_meyer_sums(sa, sb, p, a, "plus"), bracket_contributions(sa, sb, p, a)
 
     stack = LevelStack.build(path, hierarchy, [t])
-    comp, rhs = stack.sums(terms, path.values)
+    comp, rhs = (s[:, 0] for s in stack.sums(terms, path.values))
     # f(S_u) - f(S_0) for f = ((x - a)^+)^(p-1), u where each level's sums end
     start = ipow(max(path.values[0] - a, 0.0), p - 1)
     change = np.array([ipow(max(s - a, 0.0), p - 1) - start for s in path.values[stack.ends[:, 0]]])
@@ -195,7 +195,7 @@ def ito_residual(
         return _follmer_sums(a, b, p, f), f.derivative(a, p) * ipow(np.abs(b - a), p)
 
     stack = LevelStack.build(path, hierarchy, [t])
-    comp, pv = stack.sums(terms, path.values)
+    comp, pv = (s[:, 0] for s in stack.sums(terms, path.values))
     lhs = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
     return _report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
 
@@ -280,7 +280,7 @@ def identity_suite(
         collision = ipow(np.minimum(Xpb, Ypb), p - 1)
         yield from ((Ya > 0.0) * dLX, (Xa > 0.0) * dLY, tie_both * collision, band_both * collision)
 
-    s = stack.sums(terms, X.values, Y.values)
+    s = [x[:, 0] for x in stack.sums(terms, X.values, Y.values)]
     zero = np.zeros(len(labels))
     # rows (lhs, rhs, d1, d2) of identities (1)-(7) from the sums, in order
     rows = [
@@ -347,7 +347,7 @@ def scaling_check(
     def local_times(ga, gb, sa, sb):
         return bracket_contributions(ga, gb, p, fa), bracket_contributions(sa, sb, p, a)
 
-    lhs, rhs = stack.sums(local_times, mapped, path.values)
+    lhs, rhs = (s[:, 0] for s in stack.sums(local_times, mapped, path.values))
     rhs = factor * rhs
     name = f"local time scaling under {getattr(f, 'name', 'map')} at a={a}"
     return _report(name, hierarchy.level_labels, lhs, rhs, exact=_is_affine(f))
@@ -427,12 +427,12 @@ def occupation_check(
 
     # the finest-level intervals credited at t, as the rhs histograms credit them
     stack = _grid_level(path, [t])
-    lhs, pv = (float(x[0]) for x in stack.sums(terms, path.values))
+    lhs, pv = (float(x[0, 0]) for x in stack.sums(terms, path.values))
     name = f"occupation density with {getattr(g, 'name', 'g')}"
     label = (path.n_max,)
 
     def report(grid):
-        occ = _occupation_density(path, p, grid, stack)[0]
+        occ = _densities(path, grid, stack, p)[0][0]
         rhs = p * grid.cellwidth * float(np.sum(np.asarray(g.value(grid.centers), dtype=float) * occ))
         if isinstance(g, CellIndicator):
             return _report(name, label, [lhs], [rhs], exact=True)

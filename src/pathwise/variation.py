@@ -3,8 +3,10 @@
 For a partition level with points ``t_0 < ... < t_N`` the cumulative sum at
 a checkpoint t is ``sum over intervals with t_j <= t of |S(t_{j+1}) -
 S(t_j)|**p``; the full increment of an interval is credited to its left
-endpoint.  Convergence across levels is diagnosed, never asserted: a finite
-hierarchy cannot certify a limit.
+endpoint.  Each level's terms between two checkpoints are added by one
+``np.sum``, and those sums are chained in order across the checkpoints
+(:meth:`~pathwise._util.LevelStack.sums`).  Convergence across levels is
+diagnosed, never asserted: a finite hierarchy cannot certify a limit.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ def _power_sums(path: SampledPath, stack: LevelStack, p: float) -> np.ndarray:
     """Cumulative ``sum |increment|**p`` per (level, checkpoint); an integer
     p by multiplication (:func:`ipow`)."""
     if float(p).is_integer():
-        return stack.running_sums(lambda a, b: ipow(np.abs(b - a), int(p)), path.values)
-    return stack.running_sums(lambda a, b: np.abs(b - a) ** p, path.values)
+        return stack.sums(lambda a, b: ipow(np.abs(b - a), int(p)), path.values)
+    return stack.sums(lambda a, b: np.abs(b - a) ** p, path.values)
 
 
 def increment_power_sums(

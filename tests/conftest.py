@@ -11,7 +11,7 @@ import pytest
 
 import pathwise
 from pathwise import PathSpec, SampledPath, acceptance, dyadic_hierarchy, generate
-from pathwise._util import write_csv
+from pathwise._util import relative_residual, write_csv
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +45,11 @@ def make_walk(values, T=1.0):
     n_max = int(np.log2(values.size - 1))
     assert 2**n_max + 1 == values.size, "walk length must be 2**k + 1"
     return SampledPath(T=T, n_max=n_max, values=values, metadata={"kind": "test-walk"})
+
+
+def relative_gap(lhs: float, rhs: float) -> float:
+    """|lhs - rhs| normalized by the larger magnitude, floored at 1."""
+    return float(relative_residual(abs(lhs - rhs), lhs, rhs))
 
 
 def single_interval_path(v0, v1):

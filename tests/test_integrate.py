@@ -26,8 +26,7 @@ from pathwise import (
     tanaka_meyer_sum,
 )
 from pathwise import integrate
-from pathwise._util import relative_gap
-from tests.conftest import csv_rows, make_walk, modules_loaded, single_interval_path
+from tests.conftest import csv_rows, make_walk, modules_loaded, relative_gap, single_interval_path
 
 FULL = np.arange(9)
 COARSE = np.array([0, 4, 8])

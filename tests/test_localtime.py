@@ -508,9 +508,15 @@ def test_field_working_set_is_bounded_for_full_range_zigzag():
     grid = SpaceGrid.cover([path], cells)
     field, peak = traced_peak(discrete_local_time, path, hier, 4, grid, [0.5, 1.0])
     assert peak < 8 * 2**20
+    # against the sequential dense reference at each centre: a cumsum of
+    # the bracket contributions, read at the checkpoint counts
+    _, cps = snap_checkpoints(path, [0.5, 1.0])
     for gi in (1, 128, 254):
-        curves = discrete_local_time_curves(path, hier, 4, float(grid.centers[gi]), [0.5, 1.0])
-        np.testing.assert_allclose(field.per_level[:, :, gi], curves, rtol=1e-14, atol=0)
+        x = float(grid.centers[gi])
+        for i, lev in enumerate(hier.levels):
+            terms = bracket_contributions(path.values[lev[:-1]], path.values[lev[1:]], 4, x)
+            want = np.concatenate([[0.0], np.cumsum(terms)])[left_endpoint_counts(lev, cps)]
+            np.testing.assert_allclose(field.per_level[i, :, gi], want, rtol=1e-14, atol=0)
 
 
 def test_field_bytes_do_not_depend_on_the_pair_block():

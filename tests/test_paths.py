@@ -1,3 +1,4 @@
+import cProfile
 import math
 import os
 import re
@@ -408,7 +409,7 @@ def test_in_place_generator_is_byte_identical_to_expression_form(H, n_max):
             want_path = _brownian_direct_increments(2.0, n_max, seed)
         else:
             want_path = np.concatenate([[0.0], np.cumsum(want * (2.0 / N) ** H)])
-        assert _fbm_values(H, 2.0, n_max, seed).tobytes() == want_path.tobytes()
+        assert _fbm_values(H, 2.0, n_max, seed)[0].tobytes() == want_path.tobytes()
 
 
 @pytest.mark.parametrize("n_lags", [2, 3, 9, 8 + 2**13, 9 + 2**13, 2**18 + 1])
@@ -452,30 +453,68 @@ def test_generated_path_owns_only_its_samples(spec):
     assert held <= values.nbytes + 2**12, held - values.nbytes
 
 
+def _generate_under(hook_setter, hook, spec):
+    """generate(spec) with ``hook`` set by ``hook_setter`` (sys.settrace or
+    sys.setprofile) and then the one before put back."""
+    before = (sys.gettrace if hook_setter is sys.settrace else sys.getprofile)()
+    hook_setter(hook)
+    try:
+        return generate(spec)
+    finally:
+        hook_setter(before)
+
+
 @pytest.mark.skipif(sys.version_info >= (3, 13), reason="tracers see frame locals through a proxy (PEP 667)")
-def test_fbm_generation_under_a_python_tracer_is_a_generation_error():
+def test_fbm_generation_under_a_python_tracer_copies_the_samples():
     # a trace function written in Python copies each frame's locals, one
     # more reference to the buffer being shrunk, which numpy refuses: in
-    # the spectrum on a cold cache, in the path on a warm one.  Brownian
-    # paths are drawn at their own size and shrink nothing
+    # the spectrum on a cold cache, in the path on a warm one.  The samples
+    # are copied out instead, with the same bytes, and the metadata says
+    # so.  Brownian paths are drawn at their own size and shrink nothing
     def trace(frame, event, arg):
         return trace
 
     spec = PathSpec(kind="fbm", hurst=0.25, n_max=6, seed=1)
-    before = sys.gettrace()
+    want = generate(spec)
+    assert want.metadata["copied_buffer"] is False
     for warm in (False, True):
         _circulant_sqrt_eigs.cache_clear()
         if warm:
             _circulant_sqrt_eigs(0.25, 64)
-        sys.settrace(trace)
-        try:
-            with pytest.raises(GenerationError, match="trace function"):
-                generate(spec)
-            bm = generate(PathSpec(kind="bm", n_max=6, seed=1))
-        finally:
-            sys.settrace(before)
-        assert bm.values.size == 65
-    assert generate(spec).values.size == 65
+        path = _generate_under(sys.settrace, trace, spec)
+        assert path.metadata["copied_buffer"] is True
+        assert path.values.tobytes() == want.values.tobytes() and path.values.flags.owndata
+        bm = _generate_under(sys.settrace, trace, PathSpec(kind="bm", n_max=6, seed=1))
+        assert bm.values.size == 65 and bm.metadata["copied_buffer"] is False
+
+
+def test_fbm_generation_works_under_a_profiler():
+    # a profile function is told of each C call with its bound method, and
+    # buf.resize refers to buf: Python 3.11 keeps it for the whole call, as
+    # this hook does on any version, so numpy refuses to shrink the buffer
+    # and the samples are copied out, with the same bytes.  cProfile runs
+    # it too
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg)
+        elif event in ("c_return", "c_exception") and calls:
+            calls.pop()
+
+    spec = PathSpec(kind="fbm", hurst=0.25, n_max=10, seed=1)
+    want = generate(spec)
+    for warm in (False, True):
+        _circulant_sqrt_eigs.cache_clear()
+        if warm:
+            _circulant_sqrt_eigs(0.25, 1024)
+        path = _generate_under(sys.setprofile, profile, spec)
+        assert path.metadata["copied_buffer"] is True
+        assert path.values.tobytes() == want.values.tobytes()
+        assert path.values.base is None and path.values.flags.owndata and not path.values.flags.writeable
+    _circulant_sqrt_eigs.cache_clear()
+    path = cProfile.Profile().runcall(generate, spec)
+    assert path.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("n_max", [17, 18, 20])

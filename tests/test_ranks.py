@@ -444,13 +444,19 @@ def test_simplified_cross_term_requires_vanishing_high_derivatives(fbm_trio):
 # -- the level stack against the per-level loops it replaced -------------------
 #
 # The rank sums evaluate their summands once over the stacked intervals of
-# all levels and take running sums per level.  These oracles are the loops
-# they replaced, one level at a time; the stacked results must have the
-# same bytes.
+# all levels and sum them per level up to each checkpoint.  These oracles
+# are the loops they replaced, one level at a time; the stacked results
+# must have the same bytes.
 
 
 def _running_rows(summands, counts):
-    return np.concatenate([[0.0], np.cumsum(summands)])[counts]
+    """A level's sums at its checkpoint counts: the np.sum of each segment
+    between consecutive counts, chained in order from +0.0."""
+    rows, total = [], 0.0
+    for lo, hi in zip([0, *counts], counts):
+        total = total + np.sum(summands[lo:hi])
+        rows.append(total)
+    return np.array(rows)
 
 
 def _taylor_terms(derivs, d, p):

@@ -33,7 +33,6 @@ from pathwise._util import (
     ipow,
     left_endpoint_counts,
     median,
-    relative_gap,
     snap_checkpoints,
 )
 from pathwise import integrate
@@ -41,7 +40,7 @@ from pathwise.integrate import SmoothCallable
 from pathwise.partitions import oscillation
 from pathwise.tanaka import _tm_proxy_increments, finite_n_report, tanaka_meyer_report
 from tests import rational
-from tests.conftest import csv_rows, make_walk, traced_peak
+from tests.conftest import csv_rows, make_walk, relative_gap, traced_peak
 
 FULL = np.arange(9)
 COARSE = np.array([0, 2, 4, 6, 8])

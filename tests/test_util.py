@@ -460,9 +460,8 @@ def test_path_csv_has_the_old_bytes(bm_path, tmp_path):
 
 
 def _kernel_outputs(trio, hier):
-    """Every array the callers of LevelStack.sums and
-    LevelStack.running_sums, and the local-time field, return for three
-    paths on one hierarchy."""
+    """Every array the callers of LevelStack.sums, and the local-time
+    field, return for three paths on one hierarchy."""
     path, other = trio[0], trio[1]
     cps = [0.3, 0.6, 1.0]
     out = []
@@ -540,21 +539,24 @@ def test_block_size_changes_no_byte_of_any_kernel_caller(long_trio, kind, monkey
 
 
 @pytest.mark.parametrize("size", [1, 1 << 15])
-def test_a_running_sum_keeps_a_leading_negative_zero(size, monkeypatch):
-    # a level's cumsum starts from its first term, as np.cumsum does, not
-    # from +0.0 + term; a piece's starts from the carried sum, so -0.0 + -0.0
-    # stays -0.0 across a cut too.  Numpy's tree cuts no node of 128 or
-    # fewer entries, so the walk has 256 steps, the first 200 of them flat
+def test_a_sum_of_zeros_reads_positive_zero(size, monkeypatch):
+    # checkpoint j reads the segment sums 0..j added in order from +0.0, so
+    # a level whose credited terms are all -0.0 reads +0.0, in one piece or
+    # cut at the checkpoints.  Numpy's tree cuts no node of 128 or fewer
+    # entries, so the walk has 256 steps, the first 200 of them flat
     monkeypatch.setattr(_util, "_BLOCK_INTERVALS", size)
     path = make_walk(np.concatenate([np.zeros(200), np.arange(1.0, 58.0)]))
     cps = np.array([1, 100, 128, 129, 199, 200, 201, 256]) * path.dt
     stack = _util.LevelStack.build(path, [np.arange(257)], cps)
-    assert [piece for piece in stack._pieces()] == ([[(0, 0, 128)], [(0, 128, 256)]] if size == 1 else [[(0, 0, 256)]])
-    got = stack.running_sums(lambda a, b: -(b - a), path.values)
     assert stack.counts.tolist() == [[2, 101, 129, 130, 200, 201, 202, 256]]
-    want = np.concatenate([[0.0], np.cumsum(-np.diff(path.values))])[stack.counts[0]]
-    assert got.tobytes() == want[None, :].tobytes()
-    assert np.signbit(got[0, :4]).all() and got[0, 4:].tolist() == [-1.0, -2.0, -3.0, -57.0]
+    edges = [0, *stack.counts[0].tolist()]
+    cut = [[(0, lo, hi)] for lo, hi in zip(edges, edges[1:])]
+    assert list(stack._pieces()) == (cut if size == 1 else [[(0, 0, 256)]])
+    got = stack.sums(lambda a, b: -(b - a), path.values)
+    terms = -np.diff(path.values)
+    assert np.signbit(terms[:199]).all()
+    assert got.tolist() == [[0.0, 0.0, 0.0, 0.0, -1.0, -2.0, -3.0, -57.0]]
+    assert not np.signbit(got[0, :4]).any()
 
 
 def test_node_sums_added_up_numpys_tree_are_np_sum():
@@ -757,10 +759,66 @@ def test_descriptor_stacks_are_bit_identical_to_index_stacks(case, block, chunk)
         assert [type(lev).__name__ for lev in stacks[1].levels] == ["Points"] * len(levels)
         outs = []
         for stack in stacks:
-            outs.append([stack.counts, stack.ends, *stack.running_sums(terms, path.values, both),
-                         *stack.sums(terms, path.values, both), *stack.cell_sums(4, cell_terms, path.values)])
+            outs.append([stack.counts, stack.ends, *stack.sums(terms, path.values, both),
+                         *stack.cell_sums(4, cell_terms, path.values)])
     for got, want in zip(*outs):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def walk_levels_cut_checkpoints(draw):
+    """A random walk with ties and zero steps (steps of -2..2 times 0.3),
+    long enough that its finer levels exceed numpy's 128-entry leaves;
+    levels as strides, packed bits and index arrays; and checkpoints at
+    t = 0, at T, repeated, and at grid indices that are multiples of a
+    power of two, where the nodes of a cut level meet.  Half the walks
+    have 256 or 512 steps, so a small block cuts their levels."""
+    n_max = draw(st.integers(1, 9) | st.integers(8, 9))
+    n = 2**n_max + 1
+    steps = draw(hnp.arrays(np.int64, n - 1, elements=st.integers(-2, 2)))
+    path = SampledPath(1.0, n_max, np.concatenate([[0.0], np.cumsum(steps)]) * 0.3)
+    levels = [_util.Stride(2**k, n - 1) for k in draw(st.lists(st.integers(0, n_max), min_size=1, max_size=2))]
+    for packed in draw(st.lists(st.booleans(), max_size=2)):
+        mask = draw(hnp.arrays(bool, n))
+        mask[[0, -1]] = True
+        levels.append(_util.Packed(np.packbits(mask), n - 1) if packed else np.flatnonzero(mask))
+    levels = draw(st.permutations(levels))
+    # a grid index rounded down to a multiple of 2**k
+    aligned = st.builds(lambda k, i: (i >> k << k) * path.dt, st.integers(0, n_max), st.integers(0, n - 1))
+    checkpoints = draw(st.lists(st.sampled_from([0.0, 1.0]) | aligned, min_size=1, max_size=5))
+    return path, levels, draw(st.permutations(checkpoints + checkpoints[:1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_levels_cut_checkpoints(), st.sampled_from([1, 7, 1 << 15]))
+def test_sums_chain_each_segments_np_sum_from_positive_zero(case, block):
+    # the one reducer, against a direct loop per level: level i reads at
+    # checkpoint j the np.sum of each segment between consecutive counts,
+    # added in order from +0.0, whatever the cut of the levels into pieces;
+    # at one checkpoint that is the whole level's np.sum, and a sum of
+    # zeros reads +0.0 (-(b - a) is -0.0 on a flat step)
+    path, levels, checkpoints = case
+
+    def terms(a, b):
+        return -(b - a), ipow(b - a, 3) * 0.7, np.abs(b - 0.45)
+
+    with mock.patch.object(_util, "_BLOCK_INTERVALS", block):
+        for cps in (checkpoints, checkpoints[:1]):
+            stack = _util.LevelStack.build(path, levels, cps)
+            got = stack.sums(terms, path.values)
+            for i, lev in enumerate(stack.levels):
+                pts = lev.points()
+                xs = terms(path.values[pts[:-1]], path.values[pts[1:]])
+                for g, x in zip(got, xs):
+                    want, total = [], 0.0
+                    for lo, hi in zip([0, *stack.counts[i]], stack.counts[i]):
+                        total = total + np.sum(x[lo:hi])
+                        want.append(total)
+                    assert g[i].tobytes() == np.array(want).tobytes(), (i, block)
+                    if len(cps) == 1:  # np.sum's bytes, but for the sign of a zero
+                        assert g[i, 0].tobytes() == (np.sum(x[: stack.counts[i, 0]]) + 0.0).tobytes()
+                    zeros = [not np.any(x[:c]) for c in stack.counts[i]]
+                    assert not np.signbit(g[i][zeros]).any()
 
 
 def test_a_nan_checkpoint_is_refused():
