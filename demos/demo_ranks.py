@@ -18,7 +18,7 @@ from pathwise import (
     collision_local_time,
     dyadic_hierarchy,
     generate,
-    rank_decomposition,
+    rank_decompositions,
     rank_sum_identity,
     tanaka_class,
 )
@@ -33,7 +33,7 @@ print("rank occupation at t = 1:",
 f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
 print("\ndecomposition of the top-rank compensated sum (f = x, p = 2, t = 1)")
 print(f"{'level':>5} {'A':>10} {'B':>10} {'D':>10} {'A-(B+C+D)':>12}")
-dec = rank_decomposition(system, 1, hier, 2, f, [1.0])
+dec = rank_decompositions(system, hier, 2, f, [1.0])[0]
 for i, n in enumerate(dec.level_labels):
     if n in (2, 4, 8, 12):
         print(f"{n:>5} {dec.A[i, 0]:>10.5f} {dec.B[i, 0]:>10.5f} {dec.D[i, 0]:>10.5f}"

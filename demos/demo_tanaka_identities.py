@@ -14,13 +14,13 @@ import numpy as np
 from pathwise import (
     PathSpec,
     dyadic_hierarchy,
-    finite_n_identity,
+    finite_n_report,
     generate,
     identity_suite,
     scaling_check,
     tanaka_class,
+    tanaka_meyer_report,
 )
-from pathwise.tanaka import tanaka_meyer_report
 
 path = generate(PathSpec(kind="fbm", hurst=0.25, T=1.0, n_max=12, seed=11))
 hier = dyadic_hierarchy(path, 12)
@@ -33,10 +33,10 @@ fns = [
     tanaka_class("abs_pow", 4, a=0.1),
     tanaka_class("poly", 4, coeffs=[0.3, -1.2, 0.7, 1.1]),
 ]
+reports = [finite_n_report(path, hier, 4, f, 1.0) for f in fns]
 for n in (2, 6, 10, 12):
-    lev = hier.level(n)
-    resids = [finite_n_identity(path, lev, 4, f, 1.0) for f in fns]
-    print(f"{n:>5}" + "".join(f"{r:>16.2e}" for r in resids))
+    i = hier.level_labels.index(n)
+    print(f"{n:>5}" + "".join(f"{rep.relative_residuals[i]:>16.2e}" for rep in reports))
 
 print("\nTanaka-Meyer at five anchors (worst relative residual across levels)")
 m, M = path.values.min(), path.values.max()

@@ -50,24 +50,22 @@ from .integrate import (
     StieltjesMeasure,
     TestFunction,
     discrete_local_time_point,
-    follmer_sum,
-    measure_remainder_sum,
     modified_follmer_integral,
     mollify,
     stieltjes_pairing,
     tanaka_class,
-    tanaka_meyer_sum,
 )
 from .tanaka import (
     CellIndicator,
     EXACT_THRESHOLD,
     IdentityReport,
-    finite_n_identity,
+    finite_n_report,
     identity_suite,
     ito_residual,
     occupation_check,
     scaling_check,
     scaling_root_preset,
+    tanaka_meyer_report,
 )
 from .ranks import (
     CollisionLocalTime,
@@ -76,7 +74,6 @@ from .ranks import (
     SimplifiedCrossTerm,
     build_rank_system,
     collision_local_time,
-    rank_decomposition,
     rank_decompositions,
     rank_sum_identity,
     simplified_cross_term,

@@ -516,7 +516,8 @@ def bracket_contributions(a: np.ndarray, b: np.ndarray, p: int, x) -> np.ndarray
     return out
 
 
-# the largest even p whose p! (the Ito residual's divisor) is a finite float
+# the largest even p whose p! is a finite float: a test function's p-th
+# derivative is p! times its Taylor coefficient of order p
 MAX_ORDER = 170
 
 

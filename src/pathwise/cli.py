@@ -25,7 +25,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
-from . import acceptance as acc
 from ._util import MAX_ORDER, field, known_keys, release_free_heap, write_csv, write_summary
 from .errors import ConfigError, ParameterError, PathwiseError
 from .integrate import TANAKA_CLASS_NAMES, tanaka_class
@@ -390,6 +389,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 write_path_csv(path, sys.stdout)
             return 0
         if args.command == "acceptance":
+            # imported here: no other command runs the suite
+            from . import acceptance as acc
+
             if args.criterion:
                 res = acc.run_criterion(args.criterion.upper())
                 print(res.status_line())

@@ -3,15 +3,18 @@
 The integral of ``f'(S)`` against a path of finite p-th variation is built
 as the limit of order-p compensated Riemann sums
 
-    sum_{t_j <= t} sum_{k=1}^{p-1} f^(k)(S_{t_j}) / k! * (S_{t_{j+1}} - S_{t_j})^k.
+    sum_{t_j <= t} sum_{k=1}^{p-1} t_k(S_{t_j}) * (S_{t_{j+1}} - S_{t_j})^k,
 
-Every such sum in the package, along ranks too, takes its per-interval
-Taylor step from one function, ``_taylor_sum``.
+with ``t_k = f^(k) / k!``.  Test functions give these Taylor coefficients,
+not derivatives, all from one kernel, :func:`_taylor_shift`, and every
+Taylor term of the package reads them without forming a factorial.
 
-Test functions are piecewise polynomials with exact derivatives; the
-distributional derivative d f^(p-1) is carried around explicitly as atoms
-plus a piecewise-polynomial density, so compensated-sum remainders can be
-paired against local times without quadrature error.
+Test functions are piecewise polynomials; the remainder's measure
+``d t_(p-1) = d f^(p-1) / (p-1)!`` is carried around explicitly as atoms
+(so abs_pow's has mass 2 at every order) plus a piecewise-polynomial
+density, whose part of each interval is Taylor's tail in closed form, so
+compensated-sum remainders are paired against local times without
+quadrature.
 
 Pieces are stored in shifted bases (coefficients of ``(x - center)**k``
 with the center at the piece's breakpoint); this avoids the catastrophic
@@ -45,9 +48,6 @@ __all__ = [
     "StieltjesMeasure",
     "SmoothCallable",
     "tanaka_class",
-    "follmer_sum",
-    "tanaka_meyer_sum",
-    "measure_remainder_sum",
     "discrete_local_time_point",
     "stieltjes_pairing",
     "Mollifier",
@@ -70,27 +70,49 @@ DEFAULT_M_SCHEDULE = (2, 4, 8, 16, 32)
 ALT_M_SCHEDULE = (3, 9, 27)
 
 
-def _polyval(x, c: np.ndarray):
-    """The polynomial with ascending coefficients c at x, by Horner's rule
-    in numpy.polynomial's own operations, so with its bytes."""
-    out = c[-1] + x * 0
-    for ci in c[-2::-1]:
-        out = ci + out * x
-    return out
+def _taylor_shift(coeffs, h, order: int, pos=None) -> np.ndarray:
+    """Entry k is ``P^(k)(h) / k!`` for k = 0 ... order, P the polynomial
+    with ascending coefficients ``coeffs`` (first axis; each row gathered
+    at the piece indices ``pos`` if given, and broadcast against h).  By
+    synthetic division in one buffer: pass k runs Horner's rule,
+    ``c_j += h * c_(j+1)``, down to index k, so entry k is final after pass
+    k and pass 0 is Horner's rule for P(h).  Orders above the degree read 0.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    h = np.asarray(h, dtype=float)
+    deg = coeffs.shape[0] - 1
+    shape = np.broadcast_shapes(coeffs.shape[1:] if pos is None else np.shape(pos), h.shape)
+    out = np.empty((max(deg, order) + 1,) + shape)
+    for j, row in enumerate(coeffs):
+        out[j] = row if pos is None else row.take(pos)
+    out[deg + 1:] = 0.0
+    for k in range(min(order, deg - 1) + 1):
+        for j in range(deg - 1, k - 1, -1):
+            out[j] += h * out[j + 1]
+    return out[:order + 1]
 
 
-def _diff_coeffs(c: np.ndarray, k: int) -> np.ndarray:
-    """Ascending coefficients of the k-th derivative: ``j * c[j]`` at j - 1,
-    as numpy.polynomial's polyder forms them."""
-    out = np.asarray(c, dtype=float)
-    for _ in range(k):
-        out = np.arange(1, out.size) * out[1:] if out.size > 1 else np.zeros(1)
-    return out
+def _taylor_sum(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``sum_{k>=1} t[k] * d**k`` by Horner's rule in d: the Taylor step of
+    every compensated sum, from the Taylor coefficients ``t`` (first axis)
+    at the interval's left value and its increment d."""
+    if len(t) < 2:
+        return np.zeros_like(d)
+    acc = t[-1]
+    for tk in t[-2:0:-1]:
+        acc = tk + d * acc
+    return acc * d
+
+
+def _derivative_taylor(f, x, order: int) -> np.ndarray:
+    """``f^(k)(x) / k!`` for k = 0 ... order, from ``f.derivative``: the
+    Taylor coefficients of a function given by its derivatives."""
+    return np.array([np.asarray(f.derivative(x, k), dtype=float) / math.factorial(k) for k in range(order + 1)])
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Piecewise polynomial with exact derivative calculus.
+    """Piecewise polynomial with exact Taylor coefficients.
 
     ``breakpoints`` are sorted; piece i covers ``[b_{i-1}, b_i)`` with the
     outer pieces unbounded, so evaluation at a breakpoint uses the right
@@ -105,8 +127,8 @@ class TestFunction:
     centers: np.ndarray
     smoothness: Optional[int]
     name: str = ""
-    # order k -> the pieces' k-th derivative coefficients, built on first use
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # column i: the coefficients of piece i, zero-padded to the highest degree
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = np.asarray(self.breakpoints, dtype=float)
@@ -122,71 +144,47 @@ class TestFunction:
         centers = np.asarray(self.centers, dtype=float)
         if centers.shape != (len(pieces),) or not np.all(np.isfinite(centers)):
             raise ParameterError(f"need one finite center per piece, got {centers.tolist()}")
+        table = np.zeros((max(c.size for c in pieces), len(pieces)))
+        for i, c in enumerate(pieces):
+            table[:c.size, i] = c
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "_table", table)
 
     # -- evaluation -----------------------------------------------------
 
-    def _piece_index(self, x: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.breakpoints, x, side="right")
-
-    def _coeffs(self, k: int) -> Tuple[np.ndarray, ...]:
-        """Coefficients of every piece's k-th derivative, differentiated
-        once per order and shared read-only between calls."""
-        if k == 0:
-            return self.pieces
-        out = self._derived.get(k)
-        if out is None:
-            out = tuple(_diff_coeffs(c, k) for c in self.pieces)
-            for c in out:
-                c.setflags(write=False)
-            self._derived[k] = out
-        return out
+    def taylor(self, x, order: int) -> np.ndarray:
+        """``f^(k)(x) / k!`` for k = 0 ... order, shaped ``(order + 1,) +
+        x.shape``: each x's piece by one ``searchsorted``, its coefficients
+        gathered by piece index and shifted to x by :func:`_taylor_shift`."""
+        x = np.asarray(x, dtype=float)
+        if len(self.pieces) == 1:
+            return _taylor_shift(self._table[:, 0], x - self.centers[0], order)
+        pos = np.searchsorted(self.breakpoints, x, side="right")
+        return _taylor_shift(self._table, x - self.centers.take(pos), order, pos)
 
     def derivative(self, x, k: int = 0):
-        """k-th derivative at x (k = 0 is the value itself); vectorized."""
+        """k-th derivative at x (k = 0 is the value itself): k! times the
+        Taylor coefficient of order k; vectorized."""
         scalar = np.isscalar(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        coeffs = self._coeffs(k)
-        if len(coeffs) == 1:
-            # one piece covers every x: polyval is elementwise, so this is
-            # what the masked loop below would write
-            out = _polyval(xs - self.centers[0], coeffs[0])
-            return float(out[0]) if scalar else out
-        out = np.empty_like(xs)
-        pos = self._piece_index(xs)
-        # the pieces present, without sorting the abscissae as unique would
-        for i in np.flatnonzero(np.bincount(pos.ravel(), minlength=len(self.pieces))):
-            mask = pos == i
-            out[mask] = _polyval(xs[mask] - self.centers[i], coeffs[i])
+        out = math.factorial(k) * self.taylor(np.atleast_1d(np.asarray(x, dtype=float)), k)[k]
         return float(out[0]) if scalar else out
 
     def value(self, x):
         return self.derivative(x, 0)
 
-    def piece_derivative_value(self, i: int, x: float, k: int) -> float:
-        return float(_polyval(x - self.centers[i], self._coeffs(k)[i]))
+    def _taylor_jumps(self, order: int) -> np.ndarray:
+        """Per breakpoint, the jump of ``f^(order) / order!``: the right
+        piece's Taylor coefficient there less the left piece's."""
+        i = np.arange(self.breakpoints.size)
+        right, left = (_taylor_shift(self._table, self.breakpoints - self.centers[j], order, j)[order]
+                       for j in (i + 1, i))
+        return right - left
 
     def jump(self, order: int, bp_index: int) -> float:
         """Jump of the order-th derivative across breakpoint ``bp_index``."""
-        b = float(self.breakpoints[bp_index])
-        right = self.piece_derivative_value(bp_index + 1, b, order)
-        left = self.piece_derivative_value(bp_index, b, order)
-        return right - left
-
-    def differentiated(self, k: int) -> "TestFunction":
-        """The piecewise k-th derivative as a new TestFunction (jumps at
-        breakpoints become invisible; use :meth:`stieltjes_measure` when
-        the distributional part matters)."""
-        sm = None if self.smoothness is None else max(self.smoothness - k, -1)
-        return TestFunction(
-            breakpoints=self.breakpoints,
-            pieces=self._coeffs(k),
-            centers=self.centers,
-            smoothness=sm,
-            name=f"{self.name}^({k})" if self.name else "",
-        )
+        return math.factorial(order) * float(self._taylor_jumps(order)[bp_index])
 
     @property
     def degree(self) -> int:
@@ -195,30 +193,32 @@ class TestFunction:
     def smoothness_defect(self, up_to: int) -> float:
         """Largest one-sided mismatch of f, f', ..., f^(up_to) at the
         breakpoints; zero for an honestly declared smoothness class."""
-        worst = 0.0
-        for j in range(self.breakpoints.size):
-            for k in range(up_to + 1):
-                worst = max(worst, abs(self.jump(k, j)))
-        return worst
+        return max((math.factorial(k) * float(np.max(np.abs(self._taylor_jumps(k)), initial=0.0))
+                    for k in range(up_to + 1)), default=0.0)
 
     def stieltjes_measure(self, order: int) -> "StieltjesMeasure":
-        """The Lebesgue-Stieltjes measure ``d f^(order)`` as atoms (jumps of
-        f^(order) at breakpoints) plus the density f^(order+1)."""
-        atoms = []
-        for j in range(self.breakpoints.size):
-            mass = self.jump(order, j)
-            if mass != 0.0:
-                atoms.append((float(self.breakpoints[j]), mass))
-        dens = self.differentiated(order + 1)
-        if all(np.all(c == 0.0) for c in dens.pieces):
-            dens = None
-        return StieltjesMeasure(atoms=tuple(atoms), density=dens)
+        """The Lebesgue-Stieltjes measure ``d t_order`` of the Taylor
+        coefficient ``t_order = f^(order) / order!``: atoms at the
+        breakpoints where it jumps, plus its derivative ``(order + 1)
+        t_(order+1)`` as density."""
+        atoms = tuple((float(b), float(mass)) for b, mass in zip(self.breakpoints, self._taylor_jumps(order))
+                      if mass != 0.0)
+        k = order + 1
+        pieces = tuple(np.array([k * math.comb(j, k) for j in range(k, c.size)], dtype=float) * c[k:]
+                       if c.size > k else np.zeros(1) for c in self.pieces)
+        if not any(np.any(c) for c in pieces):
+            return StieltjesMeasure(atoms=atoms, density=None)
+        sm = None if self.smoothness is None else max(self.smoothness - k, -1)
+        dens = TestFunction(breakpoints=self.breakpoints, pieces=pieces, centers=self.centers, smoothness=sm,
+                            name=f"d t_{order} of {self.name}" if self.name else "")
+        return StieltjesMeasure(atoms=atoms, density=dens)
 
 
 @dataclass(frozen=True)
 class StieltjesMeasure:
     """Atoms plus a piecewise-polynomial density; the representation of the
-    distributional derivative ``d f^(p-1)`` of a test function."""
+    remainder's measure ``d t_(p-1) = d f^(p-1) / (p-1)!`` of a test
+    function."""
 
     atoms: Tuple[Tuple[float, float], ...]
     density: Optional[TestFunction]
@@ -248,6 +248,9 @@ class SmoothCallable:
     def value(self, x):
         return self.derivative(x, 0)
 
+    def taylor(self, x, order: int) -> np.ndarray:
+        return _derivative_taylor(self, x, order)
+
 
 def _monomial(degree: int, sign: float = 1.0) -> np.ndarray:
     c = np.zeros(degree + 1)
@@ -258,12 +261,11 @@ def _monomial(degree: int, sign: float = 1.0) -> np.ndarray:
 def tanaka_class(name: str, p: int, a: float = 0.0, coeffs: Optional[Sequence[float]] = None) -> TestFunction:
     """Construct the standard order-p test functions.
 
-    ``pos_part_pow``: ((x-a)^+)^(p-1), whose (p-1)-th derivative is the
-    right-continuous step (p-1)! 1_[a, inf), so d f^(p-1) is a single atom
-    of mass (p-1)! at a.  ``neg_part_pow``: ((x-a)^-)^(p-1) (atom (p-1)!
-    at a as well).  ``abs_pow``: |x-a|^(p-1) (atom 2 (p-1)!).  ``poly``:
-    the polynomial with the given ascending coefficients.  ``x_pow_pm1``:
-    x^(p-1).
+    ``pos_part_pow``: ((x-a)^+)^(p-1), whose Taylor coefficient of order
+    p-1 is the right-continuous step 1_[a, inf), so d t_(p-1) is a single
+    atom of mass 1 at a.  ``neg_part_pow``: ((x-a)^-)^(p-1) (atom 1 at a as
+    well).  ``abs_pow``: |x-a|^(p-1) (atom 2).  ``poly``: the polynomial
+    with the given ascending coefficients.  ``x_pow_pm1``: x^(p-1).
     """
     p = even_order(p)
     d = p - 1
@@ -318,36 +320,19 @@ def _interval_sums(path: SampledPath, levels, t: float, terms: Callable, *args):
     return sums[:, 0] if isinstance(sums, np.ndarray) else [s[:, 0] for s in sums]
 
 
-def _taylor_sum(derivative: Callable[[int], np.ndarray], d: np.ndarray, p: int) -> np.ndarray:
-    """``sum_{k=1}^{p-1} derivative(k) * d**k / k!``, added to zeros term by
-    term, the power by repeated multiplication and k! a running float
-    (finite for every order :func:`even_order` admits)."""
-    acc = np.zeros_like(d)
-    power = d.copy()
-    fact = 1.0
-    for k in range(1, p):
-        fact *= k
-        acc += derivative(k) * power / fact
-        power = power * d
-    return acc
-
-
 def _follmer_sums(a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
-    return _taylor_sum(lambda k: f.derivative(a, k), b - a, p)
-
-
-def follmer_sum(path: SampledPath, level: np.ndarray, p: int, f, t: float) -> float:
-    """Order-p compensated Riemann sum of f along one partition level.
-
-    Derivatives at breakpoints use the right-continuous one-sided values.
-    For f(x) = x this telescopes to ``S_u - S_0`` exactly at every level,
-    u the right end of the level's last interval credited at t.
-    """
-    p = even_order(p)
-    return float(_interval_sums(path, (level,), t, _follmer_sums, p, f)[0])
+    """The order-p compensated sum's terms; at a breakpoint the Taylor
+    coefficients are the right piece's."""
+    return _taylor_sum(f.taylor(a, p - 1), b - a)
 
 
 def _tanaka_meyer_sums(sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str) -> np.ndarray:
+    """The Tanaka-Meyer compensated sum's terms at level a_level.
+
+    ``plus``:  1_(a,inf)(S_{t_j}) {(S_{t_{j+1}}-a)^(p-1) - (S_{t_j}-a)^(p-1)}
+    ``minus``: the same with 1_(-inf,a)
+    ``sign``:  weights sign(S_{t_j}-a) with sign(0) = +1.
+    """
     check_level(a_level)
     if variant == "plus":
         w = (sa > a_level).astype(float)
@@ -362,17 +347,6 @@ def _tanaka_meyer_sums(sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, v
     return w * (db - da)
 
 
-def tanaka_meyer_sum(path: SampledPath, level: np.ndarray, p: int, a_level: float, variant: str, t: float) -> float:
-    """The Tanaka-Meyer compensated sum at level a_level.
-
-    ``plus``:  sum 1_(a,inf)(S_{t_j}) {(S_{t_{j+1}}-a)^(p-1) - (S_{t_j}-a)^(p-1)}
-    ``minus``: the same with 1_(-inf,a)
-    ``sign``:  weights sign(S_{t_j}-a) with sign(0) = +1.
-    """
-    p = even_order(p)
-    return float(_interval_sums(path, (level,), t, _tanaka_meyer_sums, p, a_level, variant)[0])
-
-
 def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: float, t: float) -> float:
     """Order-p discrete local time at the exact location x for one level:
     ``sum 1_(min,max](x) |S_{t_{j+1}} - x|**(p-1)`` over intervals with
@@ -381,43 +355,36 @@ def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: f
     return float(_interval_sums(path, (level,), t, bracket_contributions, p, x)[0])
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(n: int):
-    # imported here: only density remainders and mollification use the
-    # rule, and its nodes are the engine's one LAPACK call
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(n)
+def _tail(q: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """``sum_i q[i] * y**(p+i) / (p+i)``, Horner's rule in y: the integral
+    from 0 to y of ``u**(p-1)`` times the polynomial with Taylor
+    coefficients q."""
+    acc = q[-1] / (p + len(q) - 1)
+    for i in range(len(q) - 2, -1, -1):
+        acc = q[i] / (p + i) + y * acc
+    return acc * ipow(y, p)
 
 
 def _measure_remainder_sums(a: np.ndarray, b: np.ndarray, p: int, measure: StieltjesMeasure):
     """The remainder's terms, one by one, each with one entry per interval:
     per atom, the discrete local time at it (:func:`bracket_contributions`);
-    per density piece, its exact quadrature over the part of the bracket in
-    the piece, of zero width where the bracket misses the piece."""
+    per density piece q, ``int |b - x|**(p-1) q(x) dx`` over the part of the
+    bracket (min, max] in the piece, in closed form: Taylor's tail
+    :func:`_tail` from q's Taylor coefficients at b, taken at a and at b
+    each clipped to the piece (so 0 where the bracket misses it), the
+    first less the second.  Since p - 1 is odd, both orientations of the
+    interval read this one form."""
     for loc, _ in measure.atoms:
         yield bracket_contributions(a, b, p, loc)
     dens = measure.density
     if dens is not None:
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
         spans = np.concatenate([[-np.inf], dens.breakpoints, [np.inf]])
         for i, coeffs in enumerate(dens.pieces):
             if not np.any(coeffs):
                 continue
-            seg_lo = np.maximum(lo, spans[i])
-            seg_hi = np.maximum(np.minimum(hi, spans[i + 1]), seg_lo)
-            deg = (p - 1) + (coeffs.size - 1)
-            nodes, weights = _gauss_legendre(deg // 2 + 1)
-            mid = 0.5 * (seg_lo + seg_hi)
-            half = 0.5 * (seg_hi - seg_lo)
-            # each interval's rule summed node by node, in one fixed order
-            # on every CPU, where a BLAS product's order depends on its kernel
-            for k, (node, weight) in enumerate(zip(nodes.tolist(), weights.tolist())):
-                xq = mid + half * node
-                integ = ipow(np.abs(b - xq), p - 1) * _polyval(xq - dens.centers[i], coeffs) * weight
-                quad = integ if k == 0 else quad + integ
-            yield half * quad
+            q = _taylor_shift(coeffs, b - dens.centers[i], coeffs.size - 1)
+            far, near = (np.clip(x, spans[i], spans[i + 1]) - b for x in (a, b))
+            yield _tail(q, far, p) - _tail(q, near, p)
 
 
 def _remainder(sums: Sequence[np.ndarray], measure: StieltjesMeasure, levels: int) -> np.ndarray:
@@ -425,19 +392,6 @@ def _remainder(sums: Sequence[np.ndarray], measure: StieltjesMeasure, levels: in
     zeros in turn, each atom's times its mass (a density's times 1.0)."""
     masses = [mass for _, mass in measure.atoms] + [1.0] * len(sums)
     return sum((m * s for m, s in zip(masses, sums)), np.zeros(levels))
-
-
-def measure_remainder_sum(path: SampledPath, level: np.ndarray, p: int, measure: StieltjesMeasure, t: float) -> float:
-    """Exact evaluation of ``sum_j int over (S_{t_j}, S_{t_{j+1}}] of
-    |S_{t_{j+1}} - x|**(p-1) d mu(x)`` for an atoms-plus-polynomial-density
-    measure mu.
-
-    Atom contributions are evaluated at the exact atom locations; density
-    contributions use Gauss-Legendre rules of sufficient order, which are
-    exact for the polynomial integrands that arise here.
-    """
-    p = even_order(p)
-    return float(_remainder(_interval_sums(path, (level,), t, _measure_remainder_sums, p, measure), measure, 1)[0])
 
 
 def stieltjes_pairing(
@@ -503,6 +457,15 @@ def _bump_prime(u: np.ndarray) -> np.ndarray:
 _MOLLIFY_NODES = 256
 # quadrature points per block of abscissae; bounds the working set
 _MOLLIFY_BLOCK_POINTS = 2**17
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(n: int):
+    # imported here: only mollification uses the rule, and its nodes are
+    # the engine's one LAPACK call
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
 
 
 def _span_rule(edges: np.ndarray):
@@ -571,6 +534,9 @@ class MollifiedFunction:
     def value(self, x):
         return self.derivative(x, 0)
 
+    def taylor(self, x, order: int) -> np.ndarray:
+        return _derivative_taylor(self, x, order)
+
     def _derivative_many(self, xs: np.ndarray, k: int) -> np.ndarray:
         if self._max_direct is None:
             k_direct, kernel_order = k, 0
@@ -607,16 +573,16 @@ def mollify(f: TestFunction, m: int) -> MollifiedFunction:
 
 
 class _Tabulated:
-    """Derivative lookup table over a fixed set of abscissae; lets a
-    mollified function ride through follmer_sum without re-quadrature."""
+    """Taylor coefficients tabulated over a fixed set of abscissae; lets a
+    mollified function ride through the compensated sums without
+    re-quadrature."""
 
-    def __init__(self, xs: np.ndarray, tables: dict):
+    def __init__(self, xs: np.ndarray, tables: np.ndarray):
         self.xs = xs
         self.tables = tables
 
-    def derivative(self, x, k: int = 0):
-        pos = np.searchsorted(self.xs, np.asarray(x, dtype=float))
-        return self.tables[k][pos]
+    def taylor(self, x, order: int) -> np.ndarray:
+        return self.tables[:order + 1, np.searchsorted(self.xs, np.asarray(x, dtype=float))]
 
 
 @dataclass
@@ -624,8 +590,8 @@ class ModifiedFollmerReport:
     """Double-limit diagnostics for the mollified compensated sums.
 
     ``sums[i, j]`` is the order-p compensated sum of ``f_{m_i}`` on level
-    j; ``target`` is ``f(S_u) - f(S_0) - I / (p-1)!`` with I the pairing
-    of the occupation-density local time against d f^(p-1) and u the end
+    j; ``target`` is ``f(S_u) - f(S_0) - I`` with I the pairing of the
+    occupation-density local time against d f^(p-1) / (p-1)! and u the end
     of the last finest-level interval that local time credits at t.
     """
 
@@ -665,7 +631,7 @@ def modified_follmer_integral(
 
     For each mollification order m the compensated sum of ``f_m`` is
     computed on every hierarchy level; the closed-form target pairs the
-    occupation-density local time against ``d f^(p-1)`` (atoms are
+    occupation-density local time against ``d f^(p-1) / (p-1)!`` (atoms are
     evaluated at the histogram cell containing them, the exact evaluation
     a piecewise-constant density admits).
     """
@@ -685,9 +651,7 @@ def modified_follmer_integral(
     pairing = stieltjes_pairing(slice_t, grid, measure, point_eval=hist_eval)
     # f changes up to where the histogram's credited (finest) intervals end
     (end,) = _grid_level(path, [t]).ends[0]
-    target = float(
-        f.value(path.values[end]) - f.value(path.values[0]) - pairing / math.factorial(p - 1)
-    )
+    target = float(f.value(path.values[end]) - f.value(path.values[0]) - pairing)
 
     # mollified derivatives are tabulated once per m over every grid value
     # the compensated sums can touch; levels then reuse the table.
@@ -695,9 +659,9 @@ def modified_follmer_integral(
     sums = np.empty((len(m_schedule), hierarchy.n_levels))
     for i, m in enumerate(m_schedule):
         fm = mollify(f, m)
-        tables = {k: fm.derivative(xs, k) for k in range(1, p)}
-        tab = _Tabulated(xs, tables)
-        sums[i] = _interval_sums(path, hierarchy, t, _follmer_sums, p, tab)
+        # the compensated sum reads orders 1 ... p-1: f_m itself is left 0
+        tables = [np.zeros_like(xs)] + [fm.derivative(xs, k) / math.factorial(k) for k in range(1, p)]
+        sums[i] = _interval_sums(path, hierarchy, t, _follmer_sums, p, _Tabulated(xs, np.array(tables)))
     abs_err = np.abs(sums - target)
     finest = abs_err[:, -1]
     decreasing = bool(np.all(np.diff(finest) <= 1e-12)) if finest.size > 1 else True

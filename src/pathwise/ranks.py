@@ -19,16 +19,18 @@ levels, in O(m N) work for m paths of N intervals.  Each block of levels
 gathers the m path rows once, and one stable argsort of their left values
 names each rank's occupant, the path sitting at it.  Where that path sits
 there alone, B, C and D are its own terms: only its right value is read,
-and f's derivatives at its left value are the rank's.  Only intervals
-whose left endpoint is tied at rank k (every level's first, when the
-paths start together) weight all m paths by their share of the rank.
+and f's Taylor coefficients ``t_r = f^(r) / r!`` at its left value are the
+rank's.  Only intervals whose left endpoint is tied at rank k (every
+level's first, when the paths start together) weight all m paths by their
+share of the rank.  A and B are Horner's rule over those coefficients, C
+reads them moved by the path increment, and D is t_(p-1) times the gap
+powers.
 Every sum, up to each checkpoint, is :meth:`LevelStack.sums`: one
 ``np.sum`` per level between consecutive checkpoints, chained in order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from ._util import LevelStack, Table, bracket_contributions, even_order, ipow
 from .errors import ParameterError
-from .integrate import TestFunction, _taylor_sum
+from .integrate import TestFunction, _taylor_shift, _taylor_sum
 from .partitions import PartitionHierarchy
 from .paths import SampledPath
 from .tanaka import IdentityReport, _exact_gate, _report
@@ -47,7 +49,6 @@ __all__ = [
     "collision_local_time",
     "CollisionLocalTime",
     "rank_sum_identity",
-    "rank_decomposition",
     "rank_decompositions",
     "RankDecomposition",
     "simplified_cross_term",
@@ -236,34 +237,32 @@ def _occupants(Xa: np.ndarray) -> np.ndarray:
     return np.argsort(-Xa, axis=0, kind="stable")
 
 
-def _rank_weighted_sums(terms, f, fr, Ra, Rb, Xa, Xb, na, occupant):
+def _rank_weighted_sums(terms, f, tr, Ra, Rb, Xa, Xb, na, occupant):
     """Per interval, the sums over the m paths of each array that
-    ``terms(fx, fk, dX, gap)`` returns, path i weighted by
+    ``terms(tx, tk, dX, gap)`` returns, path i weighted by
     ``(Xa_i == Ra) / na``: its share of rank k at the left endpoint.
 
-    ``terms`` gets f's derivatives ``fx`` (a dict by order) at the path's
-    left value, the same orders ``fk`` at the rank's, the path increment
-    ``dX`` and the right-endpoint gap ``gap = Rb - Xb``; ``fr`` holds the
-    orders at Ra.  Where one path alone sits at rank k, the occupant, its
-    weight is 1 and every other weight 0: its left value is Ra, so its fx
-    is fr, and the dense sum, which starts at +0.0 and adds only zeros
-    besides the occupant's term, is that term plus 0.0.  Only the tied
-    columns (``na > 1``) take the dense weighted form over all m paths;
-    their gather keeps the block's path-contiguous layout, so numpy adds
-    each column's m terms in the same order as over the whole block.
+    ``terms`` gets f's Taylor coefficients ``tx`` (first axis the order) at
+    the path's left value, the same orders ``tk`` at the rank's, the path
+    increment ``dX`` and the right-endpoint gap ``gap = Rb - Xb``; ``tr``
+    holds the orders at Ra.  Where one path alone sits at rank k, the
+    occupant, its weight is 1 and every other weight 0: its left value is
+    Ra, so its tx is tr, and the dense sum, which starts at +0.0 and adds
+    only zeros besides the occupant's term, is that term plus 0.0.  Only
+    the tied columns (``na > 1``) take the dense weighted form over all m
+    paths; their gather keeps the block's path-contiguous layout, so numpy
+    adds each column's m terms in the same order as over the whole block.
     """
     cols = np.arange(Ra.size)
     xb = Xb[occupant, cols]
-    sums = terms(fr, fr, xb - Ra, Rb - xb)
+    sums = terms(tr, tr, xb - Ra, Rb - xb)
     for s in sums:
         s += 0.0
     tied = np.flatnonzero(na > 1)
     if tied.size:
         xa, xb, ra = Xa[:, tied], Xb[:, tied], Ra[tied]
         w = (xa == ra[None, :]) / na[tied][None, :]
-        fx = {r: np.asarray(f.derivative(xa, r), dtype=float) for r in fr}
-        fk = {r: v[tied] for r, v in fr.items()}
-        for s, t in zip(sums, terms(fx, fk, xb - xa, Rb[tied] - xb)):
+        for s, t in zip(sums, terms(f.taylor(xa, len(tr) - 1), tr[:, tied], xb - xa, Rb[tied] - xb)):
             s[tied] = np.sum(w * t, axis=0)
     return sums
 
@@ -280,26 +279,18 @@ def _rank_decompositions(
     p = even_order(p)
     lo = min(ranks) - 1
     rows = slice(lo, max(ranks))
-    fact = [math.factorial(i) for i in range(p + 1)]
     stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
 
-    def terms(fx, fk, dX, gap):
-        b_terms = _taylor_sum(fx.__getitem__, dX, p)
-        c_terms = np.zeros_like(dX)
-        for ell in range(1, p - 1):
-            gl = ipow(gap, ell)
-            for r in range(ell, p):
-                c_terms += fk[r] / (fact[ell] * fact[r - ell]) * ipow(dX, r - ell) * gl
-        return (b_terms, c_terms, ipow(gap, p - 1),
+    def terms(tx, tk, dX, gap):
+        # C: the rank's Taylor polynomial moved by dX, orders 1 ... p-2 in gap
+        return (_taylor_sum(tx, dX), _taylor_sum(_taylor_shift(tk, dX, p - 2), gap), ipow(gap, p - 1),
                 ipow(np.maximum(gap, 0.0), p - 1), ipow(np.maximum(-gap, 0.0), p - 1))
 
     def one_rank(Ra, Rb, Xa, Xb, na, occupant):
-        fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
-        a_sum = _taylor_sum(fr.__getitem__, Rb - Ra, p)
+        tr = f.taylor(Ra, p - 1)
         b_sum, c_sum, d_sum, d_plus, d_minus = _rank_weighted_sums(
-            terms, f, fr, Ra, Rb, Xa, Xb, na, occupant)
-        dcoef = fr[p - 1] / fact[p - 1]
-        return a_sum, b_sum, c_sum, d_sum * dcoef, d_plus * dcoef, d_minus * dcoef
+            terms, f, tr, Ra, Rb, Xa, Xb, na, occupant)
+        return _taylor_sum(tr, Rb - Ra), b_sum, c_sum, d_sum * tr[p - 1], d_plus * tr[p - 1], d_minus * tr[p - 1]
 
     def rank_terms(Xa, Xb, Ras, Rbs, nas, _):
         occupants = _occupants(Xa)
@@ -341,20 +332,6 @@ def rank_decompositions(
     return _rank_decompositions(system, range(1, system.m + 1), hierarchy, p, f, checkpoints)
 
 
-def rank_decomposition(
-    system: RankSystem,
-    k: int,
-    hierarchy: PartitionHierarchy,
-    p: int,
-    f,
-    checkpoints: Sequence[float],
-) -> RankDecomposition:
-    """The decomposition of rank k alone; see :func:`rank_decompositions`."""
-    if not (1 <= k <= system.m):
-        raise ParameterError(f"rank k must be in 1..{system.m}, got {k}")
-    return _rank_decompositions(system, (k,), hierarchy, p, f, checkpoints)[0]
-
-
 @dataclass
 class SimplifiedCrossTerm:
     """The reduced cross-term sum available when f has vanishing p-th and
@@ -383,15 +360,16 @@ def simplified_cross_term(
         raise ParameterError(
             "simplified cross term requires a polynomial with vanishing p-th derivative"
         )
-    full = rank_decomposition(system, k, hierarchy, p, f, checkpoints).C
+    if not (1 <= k <= system.m):
+        raise ParameterError(f"rank k must be in 1..{system.m}, got {k}")
+    full = _rank_decompositions(system, (k,), hierarchy, p, f, checkpoints)[0].C
     stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
 
-    def terms(fx, fk, dX, gap):
-        return (_taylor_sum(fx.__getitem__, gap, p - 1),)
+    def terms(tx, tk, dX, gap):
+        return (_taylor_sum(tx, gap),)
 
     def cross_terms(Ra, Rb, Xa, Xb, na, _):
-        fr = {ell: np.asarray(f.derivative(Ra, ell), dtype=float) for ell in range(1, p - 1)}
-        (sums,) = _rank_weighted_sums(terms, f, fr, Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
+        (sums,) = _rank_weighted_sums(terms, f, f.taylor(Ra, p - 2), Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
         return sums
 
     simplified = stack.sums(cross_terms, system.ranked[k - 1], system.values, system.counts[k - 1])

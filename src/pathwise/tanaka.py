@@ -4,14 +4,16 @@ The backbone is the finite-level change-of-variable identity: for a test
 function f of class C^(p-2) with piecewise-polynomial structure and
 right-continuous BV derivative f^(p-1),
 
-    f(S_t) - f(S_0) - [compensated sum]  =  (1/(p-1)!) * [remainder pairing]
+    f(S_t) - f(S_0) - [compensated sum]  =  [remainder pairing]
 
 holds exactly at every partition level, because each interval contributes
-its Taylor formula with exact integral remainder.  Everything else here
-(Ito residuals, positive/negative-part identities, max/min decompositions,
-monotone-map scaling, occupation-density checks) is verified either as
-exact per-level algebra or as a per-level trend report when only the limit
-is asserted by the theory.
+its Taylor formula with exact integral remainder.  Every term reads the
+Taylor coefficients ``t_k = f^(k) / k!``: the remainder pairs against
+``d t_(p-1)`` and the Ito residual weighs ``|dS|^p`` by t_p.  Everything
+else here (Ito residuals, positive/negative-part identities, max/min
+decompositions, monotone-map scaling, occupation-density checks) is
+verified either as exact per-level algebra or as a per-level trend report
+when only the limit is asserted by the theory.
 
 Local-time values at a point are computed through the telescoped
 Tanaka-Meyer form ``delta((x-a)^+)^(p-1) - [plus-variant sum]``, which
@@ -22,7 +24,6 @@ that touch the level exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -32,14 +33,13 @@ from ._util import (LevelStack, Table, bracket_contributions, check_level, even_
                     residual_scale, unique_sorted)
 from .errors import ParameterError
 from .integrate import (SmoothCallable, TestFunction, _follmer_sums, _measure_remainder_sums, _remainder,
-                        _tanaka_meyer_sums)
+                        _tanaka_meyer_sums, _taylor_sum)
 from .localtime import SpaceGrid, _densities, _grid_level
 from .partitions import PartitionHierarchy, _oscillation
 from .paths import SampledPath
 
 __all__ = [
     "IdentityReport",
-    "finite_n_identity",
     "finite_n_report",
     "tanaka_meyer_report",
     "ito_residual",
@@ -122,9 +122,10 @@ def _report(identity: str, labels, lhs, rhs, details=None, *, exact: bool = Fals
 def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction, t: float):
     """Both sides of the order-p change-of-variable identity at each level.
 
-    The smoothness guard and the Stieltjes measure d f^(p-1) are per
-    (path, f), the change f(S_u) - f(S_0) is taken where each level's sums
-    end, and the terms of both sums are evaluated once per piece.
+    The smoothness guard and the remainder's measure d f^(p-1) / (p-1)!
+    are per (path, f), the change f(S_u) - f(S_0) is taken where each
+    level's sums end, and the terms of both sums are evaluated once per
+    piece.
     """
     if f.smoothness is not None and f.smoothness < p - 2:
         raise ParameterError(
@@ -139,23 +140,16 @@ def _change_of_variable_sides(path: SampledPath, levels, p: int, f: TestFunction
     stack = LevelStack.build(path, levels, [t])
     comp, *remainder = (s[:, 0] for s in stack.sums(terms, path.values))
     change = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
-    return change - comp, _remainder(remainder, measure, len(stack.levels)) / math.factorial(p - 1)
-
-
-def finite_n_identity(path: SampledPath, level: np.ndarray, p: int, f: TestFunction, t: float) -> float:
-    """Relative residual of the order-p change-of-variable identity at one
-    level; exact algebra, so the result is rounding noise (<= 1e-9) for
-    any admissible test function, path and level."""
-    lhs, rhs = _change_of_variable_sides(path, (level,), even_order(p), f, t)
-    relative, _, _ = _exact_gate(np.abs(lhs - rhs), lhs, rhs)
-    return float(relative[0])
+    return change - comp, _remainder(remainder, measure, len(stack.levels))
 
 
 def finite_n_report(
     path: SampledPath, hierarchy: PartitionHierarchy, p: int, f: TestFunction, t: float
 ) -> IdentityReport:
-    """The change-of-variable identity of :func:`finite_n_identity` over a
-    whole hierarchy, packaged with both sides per level."""
+    """The order-p change-of-variable identity at every level of a
+    hierarchy, with both sides per level; exact algebra, so each level's
+    relative residual is rounding noise (<= 1e-9) for any admissible test
+    function, path and level."""
     p = even_order(p)
     lhs, rhs = _change_of_variable_sides(path, hierarchy, p, f, t)
     return _report(f"change of variable p={p} {getattr(f, 'name', 'f')}", hierarchy.level_labels, lhs, rhs,
@@ -192,12 +186,14 @@ def ito_residual(
         raise ParameterError(f"need continuous derivatives through order {p}")
 
     def terms(a, b):
-        return _follmer_sums(a, b, p, f), f.derivative(a, p) * ipow(np.abs(b - a), p)
+        coeffs = f.taylor(a, p)
+        d = b - a
+        return _taylor_sum(coeffs[:p], d), coeffs[p] * ipow(np.abs(d), p)
 
     stack = LevelStack.build(path, hierarchy, [t])
     comp, pv = (s[:, 0] for s in stack.sums(terms, path.values))
     lhs = f.value(path.values[stack.ends[:, 0]]) - f.value(path.values[0])
-    return _report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv / math.factorial(p))
+    return _report(f"ito order {p}", hierarchy.level_labels, lhs, comp + pv)
 
 
 # -- local-time identity suite ------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pathwise
-from pathwise import PathSpec, SampledPath, acceptance, dyadic_hierarchy, generate
+from pathwise import PartitionHierarchy, PathSpec, SampledPath, acceptance, dyadic_hierarchy, generate, integrate
 from pathwise._util import relative_residual, write_csv
 
 
@@ -50,6 +50,18 @@ def make_walk(values, T=1.0):
 def relative_gap(lhs: float, rhs: float) -> float:
     """|lhs - rhs| normalized by the larger magnitude, floored at 1."""
     return float(relative_residual(abs(lhs - rhs), lhs, rhs))
+
+
+def one_level(level):
+    """The hierarchy of the one level ``level`` (grid indices), for the
+    per-hierarchy reports."""
+    return PartitionHierarchy(kind="custom", levels=(level,), level_labels=(0,), nested=True)
+
+
+def level_sum(path, level, t, terms, *args):
+    """One level's sum at t of an interval kernel's terms, ``terms(a, b,
+    *args)``, through the per-level reducer every per-hierarchy sum uses."""
+    return float(integrate._interval_sums(path, (level,), t, terms, *args)[0])
 
 
 def single_interval_path(v0, v1):

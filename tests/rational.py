@@ -16,7 +16,10 @@ summation order.  The test functions are written out by hand:
   2 (p-1)! |S_{j+1} - a|^(p-1) on every interval whose bracket (min, max]
   holds a;
 - :class:`Poly`, a polynomial: the remainder is the density f^(p),
-  integrated exactly against |S_{j+1} - x|^(p-1).
+  integrated exactly against |S_{j+1} - x|^(p-1);
+- :class:`PosPartPow`, ((x - a)^+)^q with q >= p: the density f^(p) is a
+  polynomial right of a and 0 left of it, so a bracket that holds a is
+  integrated over its part right of a only.
 
 :func:`tanaka_meyer_plus` does the same for the Tanaka-Meyer identity of
 the positive part at a level a,
@@ -67,19 +70,46 @@ class Poly:
         return _horner(self.derived[k], x)
 
     def remainder(self, a: Fraction, b: Fraction) -> Fraction:
-        """int from min to max of |b - x|^(p-1) f^(p)(x) dx, term by term:
-        |b - x|^(p-1) is (b - x)^(p-1) below b and -(b - x)^(p-1) above it
-        (p - 1 is odd)."""
-        lo, hi = min(a, b), max(a, b)
-        d = self.p - 1
-        # (b - x)^d f^(p)(x) in powers of x, and its antiderivative
-        coeffs = [Fraction(0)] * (d + len(self.derived[-1]))
-        for m in range(d + 1):
-            for i, g in enumerate(self.derived[-1]):
-                coeffs[m + i] += comb(d, m) * (-1) ** m * b ** (d - m) * g
-        antiderivative = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(coeffs)]
-        integral = _horner(antiderivative, hi) - _horner(antiderivative, lo)
-        return integral if b == hi else -integral
+        """int from min to max of |b - x|^(p-1) f^(p)(x) dx."""
+        return _density_integral(self.derived[-1], self.p, b, min(a, b), max(a, b))
+
+
+class PosPartPow:
+    """((x - a)^+)^q for q >= p, with derivatives taken on the piece right
+    of x."""
+
+    def __init__(self, a: float, q: int, p: int):
+        self.a, self.q, self.p = Fraction(a), q, p
+        # f^(p) right of a in powers of x: q!/(q-p)! (x - a)^(q-p), expanded
+        m = q - p
+        self.density = [Fraction(factorial(q), factorial(m)) * comb(m, i) * (-self.a) ** (m - i)
+                        for i in range(m + 1)]
+
+    def derivative(self, x: Fraction, k: int) -> Fraction:
+        if x < self.a:
+            return Fraction(0)
+        return Fraction(factorial(self.q), factorial(self.q - k)) * (x - self.a) ** (self.q - k)
+
+    def remainder(self, a: Fraction, b: Fraction) -> Fraction:
+        """int over (min, max] of |b - x|^(p-1) f^(p)(x) dx: the part of
+        the bracket right of a."""
+        return _density_integral(self.density, self.p, b, max(min(a, b), self.a), max(a, b, self.a))
+
+
+def _density_integral(density: Sequence[Fraction], p: int, b: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
+    """int from lo to hi of |b - x|^(p-1) g(x) dx, g the polynomial with
+    ascending coefficients ``density`` and [lo, hi] inside a bracket that
+    b ends, term by term: |b - x|^(p-1) is (b - x)^(p-1) below b and
+    -(b - x)^(p-1) above it (p - 1 is odd)."""
+    d = p - 1
+    # (b - x)^d g(x) in powers of x, and its antiderivative
+    coeffs = [Fraction(0)] * (d + len(density))
+    for m in range(d + 1):
+        for i, g in enumerate(density):
+            coeffs[m + i] += comb(d, m) * (-1) ** m * b ** (d - m) * g
+    antiderivative = [Fraction(0)] + [c / (n + 1) for n, c in enumerate(coeffs)]
+    integral = _horner(antiderivative, hi) - _horner(antiderivative, lo)
+    return integral if b >= hi else -integral
 
 
 def _horner(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -158,14 +158,20 @@ def test_every_exact_criterion_reads_the_one_exact_gate(key, monkeypatch):
 
 @pytest.mark.parametrize("key", ["C1", "C5"])
 def test_the_taylor_step_is_covered_by_the_release_gate(key, monkeypatch):
-    # one function holds the order-p Taylor step; with its last order
-    # dropped in every module that imports it, the change of variable (C1)
-    # and A = B + C + D along ranks (C5) both fail
-    real = pathwise.integrate._taylor_sum
+    # one kernel gives every Taylor coefficient; with its last order read
+    # as 0 in every module that imports it, the change of variable (C1) and
+    # A = B + C + D along ranks (C5) both fail
+    real = pathwise.integrate._taylor_shift
+
+    def last_order_dropped(coeffs, h, order, pos=None):
+        out = real(coeffs, h, order, pos).copy()
+        out[order] = 0.0
+        return out
+
     patched = set()
     for name, module in list(sys.modules.items()):
-        if name.startswith("pathwise") and getattr(module, "_taylor_sum", None) is real:
-            monkeypatch.setattr(module, "_taylor_sum", lambda derivative, d, p: real(derivative, d, p - 1))
+        if name.startswith("pathwise") and getattr(module, "_taylor_shift", None) is real:
+            monkeypatch.setattr(module, "_taylor_shift", last_order_dropped)
             patched.add(name)
     assert {"pathwise.integrate", "pathwise.ranks"} <= patched
     result = acceptance.run_criterion(key, _reduced_config())
@@ -418,16 +424,20 @@ from pathwise import acceptance, cli
 with tempfile.TemporaryDirectory() as tmp:
     acceptance.emit_artifacts(None, os.path.join(tmp, "acc"))
     paths = [{"kind": "bm", "n_max": 10, "seed": s} for s in (1, 2)]
+    # a poly of degree 5 >= p: its change of variable has a density remainder
+    functions = [{"name": "abs_pow"}, {"name": "poly", "params": {"coeffs": [0.1, -0.3, 0.5, 0.25, -0.125, 0.2]}}]
     assert cli.run({"paths": paths, "p": 4, "levels": 6, "grid_cells": 32, "output_dir": os.path.join(tmp, "run"),
-                    "analyses": ["variation", "local-time", "tanaka", "identities", "ranks"]}) == 0
+                    "analyses": ["variation", "local-time", "tanaka", "identities", "ranks"],
+                    "test_functions": functions}) == 0
 """
 
 
 def test_library_calls_load_no_argument_parser_or_polynomial_package():
     # importing the engine, its CLI module and the acceptance suite, then
-    # running C1-C9 and a run of every analysis: argparse (+0.37 MiB
-    # resident) loads only to parse a command line, numpy.polynomial
-    # (+0.74 MiB) only for a Gauss-Legendre rule on the density branch
+    # running C1-C9 and a run of every analysis, the density remainder
+    # among them: argparse (+0.37 MiB resident) loads only to parse a
+    # command line, numpy.polynomial (+0.74 MiB) only for mollification's
+    # Gauss-Legendre rule
     loaded = modules_loaded(_LIBRARY_PATHS)
     assert [m for m in loaded if m == "argparse" or m.startswith("numpy.polynomial")] == []
 

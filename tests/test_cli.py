@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from pathwise.cli import main
+from tests.conftest import modules_loaded
 
 
 def run_cli(*argv):
@@ -400,7 +401,7 @@ def test_acceptance_suite_exit_status_follows_the_gated_results(passed, status, 
     results = [CriterionResult("C1", "first", True, True, (), []),
                CriterionResult("C2", "second", passed, True, (), []),
                CriterionResult("C3", "ungated", False, False, (), [])]
-    monkeypatch.setattr(pathwise.cli.acc, "run_all", lambda out_dir=None: results)
+    monkeypatch.setattr(pathwise.acceptance, "run_all", lambda out_dir=None: results)
     assert run_cli("acceptance") == status
     out = capsys.readouterr().out.splitlines()
     assert out[1] == f"C2 {'PASS' if passed else 'FAIL'} - second"
@@ -431,3 +432,26 @@ def test_a_rank_decomposition_failure_exits_1(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["ok"] is False
     assert summary["exact_identity_failures"] == [f"rank decomposition k={k}" for k in (1, 2, 3)]
+
+
+_RUN_EVERY_ANALYSIS = """
+import os, tempfile
+os.environ["PATHWISE_WORKERS"] = "1"
+from pathwise import cli
+with tempfile.TemporaryDirectory() as tmp:
+    paths = [{"kind": "bm", "n_max": 8, "seed": s} for s in (1, 2)]
+    functions = [{"name": "abs_pow"}, {"name": "poly", "params": {"coeffs": [0.5, -0.25, 0.2, 0.1, -0.1, 0.05, 0.02,
+                                                                            -0.01, 0.01]}}]
+    for p in (6, 8):
+        assert cli.run({"paths": paths, "p": p, "levels": 6, "grid_cells": 16, "test_functions": functions,
+                        "analyses": list(cli.ANALYSES), "output_dir": os.path.join(tmp, str(p))}) == 0
+"""
+
+
+def test_a_run_of_every_analysis_loads_no_acceptance_suite_or_polynomial_package():
+    # the acceptance suite loads only for the acceptance command, and a
+    # degree-8 poly's density remainder at p = 6 and 8 is Taylor's tail in
+    # closed form, with no quadrature rule from numpy.polynomial
+    loaded = modules_loaded(_RUN_EVERY_ANALYSIS)
+    assert "pathwise.cli" in loaded
+    assert [m for m in loaded if m == "pathwise.acceptance" or m.startswith("numpy.polynomial")] == []

@@ -1,6 +1,7 @@
 import bisect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,17 +17,15 @@ from pathwise import (
     StieltjesMeasure,
     discrete_local_time_point,
     dyadic_hierarchy,
-    follmer_sum,
+    finite_n_report,
     generate,
-    measure_remainder_sum,
     modified_follmer_integral,
     mollify,
     stieltjes_pairing,
     tanaka_class,
-    tanaka_meyer_sum,
 )
 from pathwise import integrate
-from tests.conftest import csv_rows, make_walk, modules_loaded, relative_gap, single_interval_path
+from tests.conftest import csv_rows, level_sum, make_walk, modules_loaded, relative_gap, single_interval_path
 
 FULL = np.arange(9)
 COARSE = np.array([0, 4, 8])
@@ -45,8 +44,10 @@ def test_pos_part_pow_pieces_and_measure():
     f = tanaka_class("pos_part_pow", 4, a=0.0)
     xs = np.array([-1.0, -0.1, 0.0, 0.5, 2.0])
     np.testing.assert_allclose(f.value(xs), np.maximum(xs, 0.0) ** 3)
+    # the measure of t_3 = f^(3) / 3!: f^(3) steps from 0 to 6
+    assert f.jump(3, 0) == 6.0
     mu = f.stieltjes_measure(3)
-    assert mu.atoms == ((0.0, 6.0),)
+    assert mu.atoms == ((0.0, 1.0),)
     assert mu.density is None
 
 
@@ -113,32 +114,47 @@ def test_derivative_right_continuity_at_breakpoint():
     assert f.derivative(0.5, 1) == 1.0  # right piece, not the left zero
 
 
-def _polyder_chain(c, k):
-    """Piece coefficients differentiated k times, re-run on every call as
-    TestFunction did before it cached them."""
-    for _ in range(k):
-        c = npoly.polyder(c) if c.size > 1 else np.zeros(1)
-    return c
+def _synthetic_division(c, h, order):
+    """Taylor coefficients of orders 0 ... order of the polynomial with
+    ascending coefficients c at h, in Python floats: pass k runs Horner's
+    rule down to index k, ``b[j] = b[j] + h * b[j + 1]``."""
+    b = [float(v) for v in c]
+    for k in range(min(order, len(b) - 2) + 1):
+        for j in range(len(b) - 2, k - 1, -1):
+            b[j] = b[j] + h * b[j + 1]
+    return (b + [0.0] * order)[:order + 1]
+
+
+def _exact_taylor(c, h, k):
+    """The Taylor coefficient of order k at h of the polynomial with
+    ascending coefficients c, in Fractions, and the sum of the magnitudes
+    of its terms ``C(j, k) c_j h**(j-k)``."""
+    terms = [math.comb(j, k) * Fraction(v) * Fraction(h) ** (j - k) for j, v in enumerate(c) if j >= k]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
 
 
 @pytest.mark.parametrize("p", [2, 4])
 @pytest.mark.parametrize("name", integrate.TANAKA_CLASS_NAMES)
 def test_cached_derivative_coefficients_are_bit_identical_to_polyder_chain(name, p):
+    # derivatives are k! times the Taylor coefficients of one kernel, which
+    # shifts each x's piece by synthetic division: its bytes are those of
+    # the scalar passes, on both sides of and at the breakpoint
     a = 0.3
     f = tanaka_class(name, p, a=a, coeffs=[0.3, -1.2, 0.7, 1.1][:p])
     xs = np.array([a - 1.0, a - 1e-9, np.nextafter(a, -np.inf), a,
                    np.nextafter(a, np.inf), a + 1e-9, a + 1.0])
     pos = np.searchsorted(f.breakpoints, xs, side="right")
     for k in range(p + 1):
-        chain = [_polyder_chain(c, k) for c in f.pieces]
-        want = np.array([npoly.polyval(x - f.centers[i], chain[i]) for x, i in zip(xs, pos)])
-        # the first call fills the cache, the second reads it
+        shifted = [_synthetic_division(f.pieces[i], x - f.centers[i], k) for x, i in zip(xs, pos)]
+        want = np.array([math.factorial(k) * t[k] for t in shifted])
         assert np.array_equal(f.derivative(xs, k), want)
         assert np.array_equal(f.derivative(xs, k), want)
         assert [f.derivative(x, k) for x in xs] == want.tolist()
-        for i, c in enumerate(chain):
-            assert np.array_equal(f.differentiated(k).pieces[i], c)
-            assert f.piece_derivative_value(i, a, k) == float(npoly.polyval(a - f.centers[i], c))
+        assert np.array_equal(f.taylor(xs, k), np.array(shifted).T)
+        for i, c in enumerate(f.pieces):
+            # each piece shifted to the breakpoint, as its jumps read it
+            got = integrate._taylor_shift(c, a - f.centers[i], k)
+            assert got.tolist() == _synthetic_division(c, a - f.centers[i], k)
 
 
 _coefficients = st.lists(st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -150,21 +166,35 @@ _abscissae = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300,
 @settings(max_examples=300, deadline=None)
 @given(_coefficients, _abscissae)
 def test_horner_helpers_are_numpy_polynomials_bytes(c, x):
-    # numpy.polynomial (+0.74 MiB resident) is not imported by the engine:
-    # its polyval and polyder operations are repeated, so are their bytes
-    assert integrate._polyval(x, c).tobytes() == npoly.polyval(x, c).tobytes()
-    assert integrate._polyval(x[:, None] + x, c).tobytes() == npoly.polyval(x[:, None] + x, c).tobytes()
-    x0 = float(x[0])
-    assert np.float64(integrate._polyval(x0, c)).tobytes() == np.float64(npoly.polyval(x0, c)).tobytes()
-    for k in range(1, 4):
-        assert integrate._diff_coeffs(c, k).tobytes() == _polyder_chain(c, k).tobytes()
+    # numpy.polynomial (+0.74 MiB resident) is not imported by the engine.
+    # The kernel's order 0 is Horner's rule as polyval runs it: the same
+    # value, and the same bytes unless the value is a zero (polyval starts
+    # from c[-1] + x * 0, which may flip the sign of a zero)
+    for xs in (x, x[:, None] + x, np.float64(x[0])):
+        got, want = integrate._taylor_shift(c, xs, 0)[0], npoly.polyval(xs, c)
+        assert np.array_equal(got, want)
+        assert np.where(want != 0.0, got, 0.0).tobytes() == np.where(want != 0.0, want, 0.0).tobytes()
+    # every order has the scalar passes' bytes, within a few roundings of
+    # the exact Taylor coefficient: 2 (deg + 1) eps of its terms' magnitudes,
+    # plus as many subnormal spacings, each carried up by |h| per pass, for
+    # the terms that underflow
+    deg = c.size - 1
+    eps, tiny = Fraction(np.finfo(float).eps), Fraction(2.0**-1074)
+    for k in range(4):
+        got = integrate._taylor_shift(c, x, k)
+        assert got.shape == (k + 1, x.size)
+        for h, col in zip(x.tolist(), got.T.tolist()):
+            assert np.array(col).tobytes() == np.array(_synthetic_division(c, h, k)).tobytes()
+            exact, magnitude = _exact_taylor(c, h, k)
+            underflow = tiny * sum(math.comb(j, k) * (1 + abs(Fraction(h))) ** (j - k) for j in range(k, deg + 1))
+            assert abs(Fraction(col[k]) - exact) <= 2 * (deg + 1) * (eps * magnitude + underflow)
 
 
 @pytest.mark.parametrize("coeffs", [[0.3, -1.2, 0.7, 1.1], [0.0, 0.0, 0.0, 1.0], [2.0]])
 def test_one_piece_derivatives_are_bit_identical_to_the_masked_path(coeffs):
     f = tanaka_class("poly", 4, coeffs=coeffs)
-    # the same piece twice, split above every input: the per-piece masked
-    # loop runs, and every x falls in its first piece
+    # the same piece twice, split above every input: the coefficients are
+    # gathered by piece index, and every x falls in its first piece
     twin = integrate.TestFunction(breakpoints=[1e300], pieces=f.pieces * 2,
                                   centers=np.repeat(f.centers, 2), smoothness=None)
     xs = np.random.default_rng(3).standard_normal((3, 17)) * 4.0
@@ -187,7 +217,7 @@ def test_one_piece_derivatives_are_bit_identical_to_the_masked_path(coeffs):
 def test_follmer_identity_map_telescopes(path, p):
     f = tanaka_class("poly", p, coeffs=[0.0, 1.0])
     for level in (FULL, COARSE):
-        val = follmer_sum(path, level, p, f, 1.0)
+        val = level_sum(path, level, 1.0, integrate._follmer_sums, p, f)
         assert relative_gap(val, path.values[-1] - path.values[0]) <= 1e-12
 
 
@@ -199,7 +229,7 @@ def test_follmer_power_binomial_identity(path, p):
     for level in (FULL, COARSE):
         inc = np.diff(path.values[level])
         expect = path.values[-1] ** p - path.values[0] ** p - np.sum(inc**p)
-        assert relative_gap(follmer_sum(path, level, p, f, 1.0), expect) <= 2.0**-40
+        assert relative_gap(level_sum(path, level, 1.0, integrate._follmer_sums, p, f), expect) <= 2.0**-40
 
 
 def test_follmer_square_closed_form(bm_path):
@@ -207,28 +237,28 @@ def test_follmer_square_closed_form(bm_path):
     lev = dyadic_hierarchy(bm_path, 6).level(6)
     inc = np.diff(bm_path.values[lev])
     expect = bm_path.values[-1] ** 2 - bm_path.values[0] ** 2 - np.sum(inc**2)
-    assert follmer_sum(bm_path, lev, 2, f, 1.0) == pytest.approx(expect, rel=1e-12)
+    assert level_sum(bm_path, lev, 1.0, integrate._follmer_sums, 2, f) == pytest.approx(expect, rel=1e-12)
 
 
 def test_tanaka_meyer_dead_indicator(bm_path):
     a = bm_path.values.max() + 1.0
     lev = dyadic_hierarchy(bm_path, 5).level(5)
-    assert tanaka_meyer_sum(bm_path, lev, 2, a, "plus", 1.0) == 0.0
+    assert level_sum(bm_path, lev, 1.0, integrate._tanaka_meyer_sums, 2, a, "plus") == 0.0
 
 
 def test_tanaka_meyer_two_point_hand_values():
     lev = np.array([0, 2])
     up = single_interval_path(0.0, 1.0)
     down = single_interval_path(1.0, 0.0)
-    assert tanaka_meyer_sum(up, lev, 2, 0.5, "plus", 1.0) == 0.0
-    assert tanaka_meyer_sum(down, lev, 2, 0.5, "plus", 1.0) == pytest.approx(-1.0)
+    assert level_sum(up, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5, "plus") == 0.0
+    assert level_sum(down, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5, "plus") == pytest.approx(-1.0)
 
 
 def test_tanaka_meyer_sign_convention_at_zero():
     # sign(0) = +1: a start value exactly at the level counts as positive
     path = single_interval_path(0.5, 1.5)
     lev = np.array([0, 2])
-    val = tanaka_meyer_sum(path, lev, 2, 0.5, "sign", 1.0)
+    val = level_sum(path, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5, "sign")
     assert val == pytest.approx((1.5 - 0.5) - 0.0)
 
 
@@ -237,8 +267,8 @@ def test_tanaka_meyer_equals_follmer_of_pos_part(bm_path):
     f = tanaka_class("pos_part_pow", 2, a=a)
     hier = dyadic_hierarchy(bm_path, 8)
     for lev in hier.levels:
-        tm = tanaka_meyer_sum(bm_path, lev, 2, a, "plus", 1.0)
-        fo = follmer_sum(bm_path, lev, 2, f, 1.0)
+        tm = level_sum(bm_path, lev, 1.0, integrate._tanaka_meyer_sums, 2, a, "plus")
+        fo = level_sum(bm_path, lev, 1.0, integrate._follmer_sums, 2, f)
         assert relative_gap(tm, fo) <= 1e-12
 
 
@@ -246,15 +276,15 @@ def test_tanaka_meyer_sign_is_plus_minus_difference(rough_path):
     a = 0.1113
     hier = dyadic_hierarchy(rough_path, 7)
     for lev in hier.levels:
-        plus = tanaka_meyer_sum(rough_path, lev, 4, a, "plus", 1.0)
-        minus = tanaka_meyer_sum(rough_path, lev, 4, a, "minus", 1.0)
-        sign = tanaka_meyer_sum(rough_path, lev, 4, a, "sign", 1.0)
+        plus = level_sum(rough_path, lev, 1.0, integrate._tanaka_meyer_sums, 4, a, "plus")
+        minus = level_sum(rough_path, lev, 1.0, integrate._tanaka_meyer_sums, 4, a, "minus")
+        sign = level_sum(rough_path, lev, 1.0, integrate._tanaka_meyer_sums, 4, a, "sign")
         assert relative_gap(sign, plus - minus) <= 1e-12
 
 
 def test_variant_validation(bm_path):
     with pytest.raises(ParameterError):
-        tanaka_meyer_sum(bm_path, FULL, 2, 0.0, "both", 1.0)
+        level_sum(bm_path, FULL, 1.0, integrate._tanaka_meyer_sums, 2, 0.0, "both")
 
 
 # -- local time at a point / measure pairing ------------------------------
@@ -315,10 +345,12 @@ def test_stieltjes_pairing_atom_outside_coverage():
 def test_measure_remainder_abs_pow_is_twice_the_local_time(bm_path):
     a = 0.271828
     f = tanaka_class("abs_pow", 2, a=a)
+    # the change of variable's rhs pairs the local times with this measure
     mu = f.stieltjes_measure(1)
+    assert mu.atoms == ((a, 2.0),) and mu.density is None
     hier = dyadic_hierarchy(bm_path, 7)
-    for lev in hier.levels:
-        rem = measure_remainder_sum(bm_path, lev, 2, mu, 1.0)
+    rep = finite_n_report(bm_path, hier, 2, f, 1.0)
+    for lev, rem in zip(hier.levels, rep.rhs.tolist()):
         lt = discrete_local_time_point(bm_path, lev, 2, a, 1.0)
         assert relative_gap(rem, 2.0 * lt) <= 1e-12
 
@@ -390,7 +422,7 @@ def test_modified_follmer_polynomial_matches_plain_sums():
     f = tanaka_class("poly", 2, coeffs=[0.5, 2.0])
     hier = dyadic_hierarchy(path, 5)
     rep = modified_follmer_integral(path, hier, 2, f, 1.0, m_schedule=(2, 4), cells=64)
-    plain = [follmer_sum(path, lev, 2, f, 1.0) for lev in hier.levels]
+    plain = [level_sum(path, lev, 1.0, integrate._follmer_sums, 2, f) for lev in hier.levels]
     lip = 2.0  # |f'| on the path range
     for i, m in enumerate(rep.m_schedule):
         for j in range(len(hier.levels)):
@@ -421,7 +453,7 @@ def test_modified_follmer_far_kink_agrees_exactly():
     f = tanaka_class("pos_part_pow", 2, a=a)
     hier = dyadic_hierarchy(path, 5)
     rep = modified_follmer_integral(path, hier, 2, f, 1.0, m_schedule=(2,), cells=64)
-    plain = [follmer_sum(path, lev, 2, f, 1.0) for lev in hier.levels]
+    plain = [level_sum(path, lev, 1.0, integrate._follmer_sums, 2, f) for lev in hier.levels]
     np.testing.assert_allclose(rep.sums[0], plain, atol=1e-7)
 
 
@@ -489,7 +521,10 @@ def _scalar_reference_integrand(f, m, x, direct, kernel_order):
     """y -> f^(direct)(x - y) phi_m^(kernel_order)(y) on Python floats:
     an independent re-statement of the integrand, cheap enough for quad."""
     bps = f.breakpoints.tolist()
-    pieces = [integrate._diff_coeffs(c, direct).tolist()[::-1] for c in f.pieces]
+    # f^(direct) of each piece, its coefficients j!/(j - direct)! c_j exact
+    # in Fractions and rounded once, in descending order
+    pieces = [[float(Fraction(v) * math.perm(j, direct)) for j, v in enumerate(c.tolist()) if j >= direct][::-1]
+              or [0.0] for c in f.pieces]
     centers = f.centers.tolist()
 
     def integrand(y):

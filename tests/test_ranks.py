@@ -14,7 +14,6 @@ from pathwise import (
     dyadic_hierarchy,
     generate,
     lebesgue_hierarchy,
-    rank_decomposition,
     rank_decompositions,
     rank_sum_identity,
     simplified_cross_term,
@@ -308,7 +307,7 @@ def test_single_path_decomposition_collapses(bm_path):
     system = build_rank_system([bm_path])
     hier = dyadic_hierarchy(bm_path, 6)
     f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
-    dec = rank_decomposition(system, 1, hier, 2, f, [0.5, 1.0])
+    dec = rank_decompositions(system, hier, 2, f, [0.5, 1.0])[0]
     np.testing.assert_allclose(dec.B, dec.A, rtol=1e-12)
     assert np.all(dec.C == 0.0) and np.all(dec.D == 0.0)
     assert dec.passed
@@ -322,8 +321,7 @@ def test_decomposition_exact_for_bm_systems(p, fbm_trio):
     system = build_rank_system(paths)
     hier = dyadic_hierarchy(paths[0], 9)
     f = tanaka_class("x_pow_pm1", p)
-    for k in range(1, system.m + 1):
-        dec = rank_decomposition(system, k, hier, p, f, [0.3, 0.7, 1.0])
+    for k, dec in enumerate(rank_decompositions(system, hier, p, f, [0.3, 0.7, 1.0]), 1):
         assert dec.passed, f"k={k}: worst rel {dec.relative_residual.max()}"
         if p == 2:
             assert np.all(dec.C == 0.0)
@@ -333,7 +331,7 @@ def test_decomposition_matches_brute_force_on_crossing_paths(crossing_pair):
     system = build_rank_system(crossing_pair)
     hier = dyadic_hierarchy(crossing_pair[0], 5)
     f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
-    dec = rank_decomposition(system, 1, hier, 2, f, [1.0])
+    dec = rank_decompositions(system, hier, 2, f, [1.0])[0]
     t_idx = crossing_pair[0].n_samples - 1
     for i, lev in enumerate(hier.levels):
         A, B, C, D = brute_force_decomposition(system, 1, lev, 2, f, t_idx)
@@ -348,7 +346,7 @@ def test_decomposition_brute_force_quartic(fbm_trio):
     system = build_rank_system(fbm_trio)
     lev = dyadic_hierarchy(fbm_trio[0], 4).level(4)
     f = tanaka_class("x_pow_pm1", 4)
-    dec = rank_decomposition(system, 2, dyadic_hierarchy(fbm_trio[0], 4), 4, f, [1.0])
+    dec = rank_decompositions(system, dyadic_hierarchy(fbm_trio[0], 4), 4, f, [1.0])[1]
     A, B, C, D = brute_force_decomposition(system, 2, lev, 4, f, fbm_trio[0].n_samples - 1)
     assert dec.A[-1, -1] == pytest.approx(A, rel=1e-12)
     assert dec.B[-1, -1] == pytest.approx(B, rel=1e-12)
@@ -360,7 +358,7 @@ def test_decomposition_plus_minus_split(fbm_trio):
     system = build_rank_system(fbm_trio)
     hier = dyadic_hierarchy(fbm_trio[0], 7)
     f = tanaka_class("x_pow_pm1", 4)
-    dec = rank_decomposition(system, 2, hier, 4, f, [1.0])
+    dec = rank_decompositions(system, hier, 4, f, [1.0])[1]
     np.testing.assert_allclose(dec.D, dec.D_plus - dec.D_minus, atol=1e-14)
     # middle rank loses to the rank above and gains on the rank below
     assert np.any(dec.D_plus != 0.0) and np.any(dec.D_minus != 0.0)
@@ -370,15 +368,15 @@ def test_decomposition_rank_validation(fbm_trio):
     system = build_rank_system(fbm_trio)
     hier = dyadic_hierarchy(fbm_trio[0], 4)
     f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
-    with pytest.raises(ParameterError):
-        rank_decomposition(system, 4, hier, 2, f, [1.0])
+    with pytest.raises(ParameterError, match="rank k must be in 1..3"):
+        simplified_cross_term(system, 4, hier, 2, f, [1.0])
 
 
 def test_decomposition_csv_rows(fbm_trio):
     system = build_rank_system(fbm_trio)
     hier = dyadic_hierarchy(fbm_trio[0], 3)
     f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
-    dec = rank_decomposition(system, 1, hier, 2, f, [0.5, 1.0])
+    dec = rank_decompositions(system, hier, 2, f, [0.5, 1.0])[0]
     rows = csv_rows(("k", "level", "t", "A", "B", "C", "D", "residual"), dec.csv_table())
     assert len(rows) == 3 * 2
     k, level, t, A, B, C, D, residual = rows[0]
@@ -459,21 +457,19 @@ def _running_rows(summands, counts):
     return np.array(rows)
 
 
-def _taylor_terms(derivs, d, p):
-    """sum_{r<p} derivs[r] d**r / r!, each term derivs[r] * d**r / r! added
-    to zeros in turn, the power by repeated multiplication and the
-    factorial a running float."""
-    out, power, fact = np.zeros_like(d), d.copy(), 1.0
-    for r in range(1, p):
-        fact *= r
-        out += derivs[r] * power / fact
-        power = power * d
-    return out
+def _taylor_terms(coeffs, d):
+    """sum_{r>=1} coeffs[r] d**r by Horner's rule in d, from the highest
+    order down (zeros without an order above 0)."""
+    if len(coeffs) < 2:
+        return np.zeros_like(d)
+    out = coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        out = c + d * out
+    return out * d
 
 
 def _per_level_decomposition(system, k, hierarchy, p, f, checkpoints):
     rk, nk = system.ranked[k - 1], system.counts[k - 1]
-    fact = [math.factorial(i) for i in range(p + 1)]
     _, cps = snap_checkpoints(system.paths[0], checkpoints)
     rows = {key: [] for key in ("A", "B", "C", "D", "D_plus", "D_minus")}
     for lev in hierarchy.levels:
@@ -485,16 +481,13 @@ def _per_level_decomposition(system, k, hierarchy, p, f, checkpoints):
         dX = Xb - Xa
         gap = Rb - Xb
         w = (Xa == Ra[None, :]) / nk[la][None, :]
-        fr = {r: np.asarray(f.derivative(Ra, r), dtype=float) for r in range(1, p)}
-        fXa = {r: np.asarray(f.derivative(Xa, r), dtype=float) for r in range(1, p)}
-        a_sum = _taylor_terms(fr, dR, p)
-        b_terms = _taylor_terms(fXa, dX, p)
-        c_terms = np.zeros_like(Xa)
-        for ell in range(1, p - 1):
-            gl = ipow(gap, ell)
-            for r in range(ell, p):
-                c_terms += fr[r][None, :] / (fact[ell] * fact[r - ell]) * ipow(dX, r - ell) * gl
-        dcoef = fr[p - 1] / fact[p - 1]
+        tr = f.taylor(Ra, p - 1)
+        a_sum = _taylor_terms(tr, dR)
+        b_terms = _taylor_terms(f.taylor(Xa, p - 1), dX)
+        # the rank's Taylor polynomial moved by each path's increment, read
+        # at orders 1 ... p-2 in the gap
+        c_terms = _taylor_terms(ranks._taylor_shift(tr, dX, p - 2), gap)
+        dcoef = tr[p - 1]
         sums = {
             "A": a_sum,
             "B": np.sum(w * b_terms, axis=0),
@@ -518,8 +511,7 @@ def _per_level_simplified(system, k, hierarchy, p, f, checkpoints):
         Xa, Xb = system.values[:, la], system.values[:, lb]
         gap = rk[lb] - Xb
         w = (Xa == Ra[None, :]) / nk[la][None, :]
-        fXa = {ell: np.asarray(f.derivative(Xa, ell), dtype=float) for ell in range(1, p - 1)}
-        terms = _taylor_terms(fXa, gap, p - 1)
+        terms = _taylor_terms(f.taylor(Xa, p - 2), gap)
         rows.append(_running_rows(np.sum(w * terms, axis=0), left_endpoint_counts(lev, cps)))
     return np.asarray(rows)
 
@@ -590,7 +582,7 @@ def test_stacked_rank_sums_are_bit_identical_to_per_level_loops(paths, k, p, kin
     for f in (poly, tanaka_class("abs_pow", p, a=0.5), tanaka_class("poly", p, coeffs=[0.2, 0.0, 1.0, -0.5, 0.3, 0.1])):
         decs = rank_decompositions(system, hier, p, f, checkpoints)
         assert [dec.k for dec in decs] == list(range(1, system.m + 1))
-        for dec in decs + [rank_decomposition(system, k, hier, p, f, checkpoints)]:
+        for dec in decs + ranks._rank_decompositions(system, (k,), hier, p, f, checkpoints):
             want = _per_level_decomposition(system, dec.k, hier, p, f, checkpoints)
             for key, rows in want.items():
                 assert _same_bytes(getattr(dec, key), rows), (f.name, dec.k, key)

@@ -1,10 +1,8 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial import polynomial as npoly
 
 from pathwise import (
     CellIndicator,
@@ -15,7 +13,6 @@ from pathwise import (
     SpaceGrid,
     discrete_local_time_point,
     dyadic_hierarchy,
-    finite_n_identity,
     generate,
     identity_suite,
     ito_residual,
@@ -40,7 +37,7 @@ from pathwise.integrate import SmoothCallable
 from pathwise.partitions import oscillation
 from pathwise.tanaka import _tm_proxy_increments, finite_n_report, tanaka_meyer_report
 from tests import rational
-from tests.conftest import csv_rows, make_walk, relative_gap, traced_peak
+from tests.conftest import csv_rows, level_sum, make_walk, one_level, relative_gap, traced_peak
 
 FULL = np.arange(9)
 COARSE = np.array([0, 2, 4, 6, 8])
@@ -62,18 +59,16 @@ def test_finite_level_identity_on_rough_paths(p, name, bm_path, rough_path):
     hier = dyadic_hierarchy(path, 8)
     f = tanaka_class(name, p, a=0.1517)
     for lev in hier.levels:
-        assert finite_n_identity(path, lev, p, f, 1.0) <= 1e-9
+        assert finite_n_report(path, one_level(lev), p, f, 1.0).relative_residuals[0] <= 1e-9
 
 
 def test_polynomials_have_zero_measure_term(bm_path):
     # degree <= p-1: the compensated sum telescopes to the change exactly
-    from pathwise import follmer_sum
-
     f = tanaka_class("poly", 2, coeffs=[1.0, -0.5])
     lev = dyadic_hierarchy(bm_path, 6).level(6)
     assert f.stieltjes_measure(1).is_zero
     change = f.value(bm_path.values[-1]) - f.value(bm_path.values[0])
-    assert follmer_sum(bm_path, lev, 2, f, 1.0) == pytest.approx(change, rel=1e-12)
+    assert level_sum(bm_path, lev, 1.0, integrate._follmer_sums, 2, f) == pytest.approx(change, rel=1e-12)
 
 
 # checkpoints of the 9-sample walks: the grid times 0, 1/8, ..., 1 and
@@ -102,7 +97,7 @@ def test_finite_level_identity_is_exact_for_arbitrary_walks(path, a, p, name, wh
     else:
         f = tanaka_class(name, p, a=a)
     level = (FULL, COARSE)[which]
-    assert finite_n_identity(path, level, p, f, t) <= 1e-9
+    assert finite_n_report(path, one_level(level), p, f, t).relative_residuals[0] <= 1e-9
 
 
 def test_finite_level_identity_with_on_grid_ties():
@@ -113,13 +108,13 @@ def test_finite_level_identity_with_on_grid_ties():
         for name in ("pos_part_pow", "neg_part_pow", "abs_pow"):
             f = tanaka_class(name, p, a=0.5)
             for level in (FULL, COARSE, np.array([0, 8])):
-                assert finite_n_identity(path, level, p, f, 1.0) <= 1e-9
+                assert finite_n_report(path, one_level(level), p, f, 1.0).relative_residuals[0] <= 1e-9
 
 
 def test_finite_level_identity_rejects_rough_f(rough_path):
     f2 = tanaka_class("abs_pow", 2, a=0.0)  # only C^0 across the kink
     with pytest.raises(ParameterError):
-        finite_n_identity(rough_path, FULL, 4, f2, 1.0)
+        finite_n_report(rough_path, one_level(FULL), 4, f2, 1.0)
 
 
 def test_finite_n_report_passes(bm_path):
@@ -142,7 +137,8 @@ def test_finite_n_identity_is_the_one_level_report(path_name, p, triangle_path):
         # the report keeps the gaps that its exact gate and C1 read
         gaps = rep.relative_residuals.tolist()
         for lev, lhs, rhs, gap in zip(hier.levels, rep.lhs.tolist(), rep.rhs.tolist(), gaps):
-            assert finite_n_identity(path, lev, p, f, 1.0) == relative_gap(lhs, rhs) == gap
+            one = finite_n_report(path, one_level(lev), p, f, 1.0).relative_residuals[0]
+            assert one == relative_gap(lhs, rhs) == gap
 
 
 @pytest.fixture(scope="module")
@@ -186,26 +182,29 @@ def _per_level_intervals(path, level, t):
     return path.values[idx[:-1]][:count], path.values[idx[1:]][:count]
 
 
+def _horner_step(coeffs, d):
+    """sum_{k>=1} coeffs[k] * d**k by Horner's rule in d, from the highest
+    order down."""
+    acc = coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        acc = c + d * acc
+    return acc * d
+
+
 def _per_level_follmer_sum(path, level, p, f, t):
     a, b = _per_level_intervals(path, level, t)
     if a.size == 0:
         return 0.0
-    d = b - a
-    acc = np.zeros_like(a)
-    power = d.copy()
-    fact = 1.0
-    for k in range(1, p):
-        fact *= k
-        acc += f.derivative(a, k) * power / fact
-        power = power * d
-    return float(np.sum(acc))
+    return float(np.sum(_horner_step(f.taylor(a, p - 1), b - a)))
 
 
 def _per_level_measure_remainder_sum(path, level, p, measure, t):
     """The remainder over one whole level, each term with one entry per
     interval: an atom's |b - loc|**(p-1) where the bracket (min, max] holds
-    loc and 0 elsewhere, a density piece's quadrature over the part of the
-    bracket in the piece (of zero width where it misses the piece)."""
+    loc and 0 elsewhere; a density piece's Taylor tail over the part of the
+    bracket in the piece: with q the piece's Taylor coefficients at b,
+    sum_i q_i y**(p+i) / (p+i) at y the clipped end on a's side less at the
+    one on b's, both less b (equal where the bracket misses the piece)."""
     a, b = _per_level_intervals(path, level, t)
     if a.size == 0:
         return 0.0
@@ -221,17 +220,16 @@ def _per_level_measure_remainder_sum(path, level, p, measure, t):
                 continue
             seg_lo = np.maximum(lo, spans[i])
             seg_hi = np.maximum(np.minimum(hi, spans[i + 1]), seg_lo)
-            nodes, weights = np.polynomial.legendre.leggauss(((p - 1) + (coeffs.size - 1)) // 2 + 1)
-            mid = 0.5 * (seg_lo + seg_hi)
-            half = 0.5 * (seg_hi - seg_lo)
-            xq = mid[:, None] + half[:, None] * nodes[None, :]
-            integ = ipow(np.abs(b[:, None] - xq), p - 1) * npoly.polyval(
-                xq - dens.centers[i], coeffs
-            )
-            quad = integ[:, 0] * weights[0]
-            for k in range(1, weights.size):
-                quad += integ[:, k] * weights[k]
-            total += float(np.sum(half * quad))
+            q = integrate._taylor_shift(coeffs, b - dens.centers[i], coeffs.size - 1)
+
+            def tail(y):
+                acc = q[-1] / (p + coeffs.size - 1)
+                for j in range(coeffs.size - 2, -1, -1):
+                    acc = q[j] / (p + j) + y * acc
+                return acc * ipow(y, p)
+
+            far, near = np.where(a < b, seg_lo, seg_hi) - b, np.where(a < b, seg_hi, seg_lo) - b
+            total += float(np.sum(tail(far) - tail(near)))
     return total
 
 
@@ -250,10 +248,7 @@ def _per_level_change_of_variable(path, hier, p, f, t):
         - _per_level_follmer_sum(path, lev, p, f, t)
         for lev in hier.levels
     ]
-    rhs = [
-        _per_level_measure_remainder_sum(path, lev, p, measure, t) / math.factorial(p - 1)
-        for lev in hier.levels
-    ]
+    rhs = [_per_level_measure_remainder_sum(path, lev, p, measure, t) for lev in hier.levels]
     return lhs, rhs
 
 
@@ -278,7 +273,7 @@ def _per_level_ito(path, hier, p, f, t):
     rhs = []
     for lev in hier.levels:
         a, b = _per_level_intervals(path, lev, t)
-        pv_term = float(np.sum(f.derivative(a, p) * ipow(np.abs(b - a), p))) / math.factorial(p)
+        pv_term = float(np.sum(f.taylor(a, p)[p] * ipow(np.abs(b - a), p)))
         rhs.append(_per_level_follmer_sum(path, lev, p, f, t) + pv_term)
     return rhs
 
@@ -501,38 +496,106 @@ def test_finite_n_report_memory_follows_the_largest_level():
 # -- the change of variable against an exact rational oracle ------------------
 
 _POLY5 = [0.1, -0.3, 0.5, 0.25, -0.125, 0.2]
-# a float side may miss its exact value by c eps sum|terms|: the measured
-# worst c is 2.78, on a poly rhs, whose Gauss-Legendre nodes and weights are
-# rounded; every abs_pow side and every lhs read at most 0.86
+_POLY8 = [0.1, -0.3, 0.5, 0.25, -0.125, 0.2, -0.05, 0.03, 0.01]
+# a float side may miss its exact value by c eps sum|terms|.  Measured on
+# levels 4, 7 and 10 of the cases below, the worst c is 2.69, at p = 8 on a
+# poly rhs (2.05 at p = 6); the sides at p in {2, 4} read at most 1.76, the
+# piecewise densities 1.85 and the offset paths 1.12.  With the density
+# remainder by Gauss-Legendre quadrature they read 2.78 at p in {2, 4},
+# 9.5 at p in {6, 8}, 11.6 on the piecewise densities and 2.7e6 on the
+# offset paths.
 _ORACLE_C = 4
+_ORACLE_SPECS = [PathSpec(kind="bm", n_max=10, seed=3), PathSpec(kind="bm", n_max=10, T=1e-6, seed=4),
+                 PathSpec(kind="fbm", hurst=0.25, n_max=10, seed=5)]
+_ORACLE_IDS = ["bm", "bm-T1e-6", "fbm-H0.25"]
+# t is the grid time 717 dt: the interval that starts there is credited
+_LAST = 717
 
 
-@pytest.mark.parametrize("spec", [
-    PathSpec(kind="bm", n_max=10, seed=3),
-    PathSpec(kind="bm", n_max=10, T=1e-6, seed=4),
-    PathSpec(kind="fbm", hurst=0.25, n_max=10, seed=5),
-], ids=["bm", "bm-T1e-6", "fbm-H0.25"])
+def _assert_exact_in_rationals(path, p, functions, levels=(4, 7, 10)):
+    """Both sides of the change of variable at the given dyadic levels,
+    each within _ORACLE_C eps sum|terms| of its exact value in Fractions,
+    for (engine function, rational twin) pairs.  Level 10 holds 717 of the
+    credited intervals and nearly all of the Fractions' time."""
+    hier = dyadic_hierarchy(path, max(levels))
+    eps = Fraction(np.finfo(float).eps)
+    for f, exact_f in functions:
+        rep = finite_n_report(path, hier, p, f, _LAST * path.dt)
+        for n in levels:
+            sides = rational.change_of_variable(path.values, hier.level(n), _LAST, p, exact_f)
+            assert sides.lhs == sides.rhs, (p, f.name, n)
+            for got, exact, magnitude in ((rep.lhs[n - 1], sides.lhs, sides.lhs_magnitude),
+                                          (rep.rhs[n - 1], sides.rhs, sides.rhs_magnitude)):
+                assert abs(Fraction(float(got)) - exact) <= _ORACLE_C * eps * magnitude, (p, f.name, n)
+
+
+def _abs_pow_and_poly(path, p, coeffs):
+    # a sample value, so some brackets start or end at the atom
+    a = float(np.median(path.values))
+    assert a in path.values
+    return [(tanaka_class("abs_pow", p, a=a), rational.AbsPow(a, p)),
+            (tanaka_class("poly", p, coeffs=coeffs), rational.Poly(coeffs, p))]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=_ORACLE_IDS)
 def test_change_of_variable_is_exact_in_rationals(spec):
     # the two remainders of the whole-level kernel's masked terms: the atom
     # of abs_pow and the density of a poly of degree 5 >= p
     path = generate(spec)
-    hier = dyadic_hierarchy(path, 10)
-    # t is the grid time 717 dt: the interval that starts there is credited
-    last = 717
-    # a sample value, so some brackets start or end at the atom
-    a = float(np.median(path.values))
-    assert a in path.values
-    eps = Fraction(np.finfo(float).eps)
     for p in (2, 4):
-        for f, exact_f in ((tanaka_class("abs_pow", p, a=a), rational.AbsPow(a, p)),
-                           (tanaka_class("poly", p, coeffs=_POLY5), rational.Poly(_POLY5, p))):
-            rep = finite_n_report(path, hier, p, f, last * path.dt)
-            for n in (4, 7, 10):
-                sides = rational.change_of_variable(path.values, hier.level(n), last, p, exact_f)
-                assert sides.lhs == sides.rhs, (p, f.name, n)
-                for got, exact, magnitude in ((rep.lhs[n - 1], sides.lhs, sides.lhs_magnitude),
-                                              (rep.rhs[n - 1], sides.rhs, sides.rhs_magnitude)):
-                    assert abs(Fraction(float(got)) - exact) <= _ORACLE_C * eps * magnitude, (p, f.name, n)
+        _assert_exact_in_rationals(path, p, _abs_pow_and_poly(path, p, _POLY5))
+
+
+@pytest.mark.parametrize("p", [6, 8])
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=_ORACLE_IDS)
+def test_change_of_variable_is_exact_in_rationals_at_orders_6_and_8(spec, p):
+    # the same at the orders no acceptance row runs, with a poly of degree 8,
+    # on levels 4 and 7 (tier-1 time)
+    path = generate(spec)
+    _assert_exact_in_rationals(path, p, _abs_pow_and_poly(path, p, _POLY8), levels=(4, 7))
+
+
+def _pos_part_power(a, q):
+    """((x - a)^+)^q, one breakpoint at a."""
+    return integrate.TestFunction(np.array([a]), (np.zeros(1), np.eye(q + 1)[q]), np.array([a, a]), smoothness=q - 1)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_a_density_piece_clipped_inside_a_bracket_is_exact_in_rationals(p):
+    # ((x - a)^+)^q for q > p - 1: d f^(p-1) is a density, 0 left of a and
+    # a polynomial right of it, so every bracket that holds a integrates
+    # only its part right of a; a at a sample and between two samples
+    path = generate(_ORACLE_SPECS[0])
+    v = np.sort(path.values)
+    between = float(0.5 * (v[v.size // 2 - 1] + v[v.size // 2]))
+    level = dyadic_hierarchy(path, 7).level(7)
+    for a in (float(np.median(path.values)), between):
+        lo, hi = np.minimum(path.values[level[:-1]], path.values[level[1:]]), np.maximum(
+            path.values[level[:-1]], path.values[level[1:]])
+        assert np.sum((lo < a) & (a < hi)) >= 2
+        _assert_exact_in_rationals(path, p, [(_pos_part_power(a, q), rational.PosPartPow(a, q, p))
+                                             for q in (p + 1, p + 3)], levels=(4, 7))
+
+
+@pytest.mark.parametrize("offset", [1e3, -1e3])
+def test_a_path_far_from_zero_is_exact_in_rationals(offset):
+    # the polys are centred at 0 and the path is not: every Taylor
+    # coefficient and the density's tail are shifted by about 1000
+    base = generate(_ORACLE_SPECS[0])
+    path = SampledPath(base.T, base.n_max, base.values + offset, metadata={"kind": "offset"})
+    for p in (2, 4):
+        _assert_exact_in_rationals(path, p, _abs_pow_and_poly(path, p, _POLY8), levels=(4, 7))
+
+
+def test_the_rational_oracle_catches_a_dropped_tail_term(monkeypatch):
+    # the closed-form remainder without its highest term misses the exact
+    # density remainder of a poly of degree 5 at p = 4 (its density has
+    # two Taylor terms)
+    real = integrate._tail
+    monkeypatch.setattr(integrate, "_tail", lambda q, y, p: real(q[:-1], y, p))
+    path = generate(_ORACLE_SPECS[0])
+    with pytest.raises(AssertionError):
+        _assert_exact_in_rationals(path, 4, _abs_pow_and_poly(path, 4, _POLY5)[1:], levels=(4,))
 
 
 @pytest.mark.parametrize("spec", [

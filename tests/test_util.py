@@ -34,21 +34,20 @@ from pathwise import (
     occupation_density_local_time,
     occupation_time_density,
     pth_variation,
-    rank_decomposition,
+    rank_decompositions,
     rank_sum_identity,
     scaling_check,
     simplified_cross_term,
     tanaka_class,
-    tanaka_meyer_sum,
     weighted_occupation_local_time,
     write_path_csv,
 )
-from pathwise import _util
+from pathwise import _util, integrate
 from pathwise._util import Table, _csv_value, ipow, least_squares_slope, write_csv
 from pathwise.tanaka import tanaka_meyer_report
 from pathwise.acceptance import CriterionResult
 from pathwise.tanaka import finite_n_report, tanaka_meyer_report
-from tests.conftest import make_walk, traced_peak
+from tests.conftest import level_sum, make_walk, traced_peak
 
 
 def _csv_value_before(v) -> str:
@@ -351,7 +350,7 @@ def test_rank_tables_have_the_old_bytes(trio):
     system = build_rank_system(trio)
     hier = dyadic_hierarchy(trio[0], 5)
     f = tanaka_class("poly", 2, coeffs=[0.0, 1.0])
-    decs = [rank_decomposition(system, k, hier, 2, f, [0.5, 1.0]) for k in (1, 2, 3)]
+    decs = rank_decompositions(system, hier, 2, f, [0.5, 1.0])
     header = ("k", "level", "t", "A", "B", "C", "D", "residual")
     rows = [row for dec in decs for row in rank_rows_before(dec)]
     assert new_text(header, *(dec.csv_table() for dec in decs)) == old_text(header, rows)
@@ -489,8 +488,7 @@ def _kernel_outputs(trio, hier):
     rep = rank_sum_identity(system, hier, 2, x=0.05)
     out += [rep.lhs, rep.rhs]
     f = tanaka_class("x_pow_pm1", 4)
-    for k in (1, 2, 3):
-        dec = rank_decomposition(system, k, hier, 4, f, cps)
+    for dec in rank_decompositions(system, hier, 4, f, cps):
         out += [dec.A, dec.B, dec.C, dec.D, dec.D_plus, dec.D_minus]
     out.append(simplified_cross_term(system, 2, hier, 4, f, cps).simplified)
     # the histograms bin the grid's own level in the same chunks
@@ -836,7 +834,8 @@ _AT_ONE_LEVEL = {
     "discrete_local_time_point": lambda path, hier, x: discrete_local_time_point(path, hier.finest, 2, x, 1.0),
     "discrete_local_time_curves": lambda path, hier, x: discrete_local_time_curves(path, hier, 2, x, [1.0]),
     "rank_sum_identity": lambda path, hier, x: rank_sum_identity(build_rank_system([path, path]), hier, 2, x=x),
-    "tanaka_meyer_sum": lambda path, hier, x: tanaka_meyer_sum(path, hier.finest, 2, x, "plus", 1.0),
+    "tanaka_meyer_sum": lambda path, hier, x: level_sum(path, hier.finest, 1.0, integrate._tanaka_meyer_sums, 2, x,
+                                                        "plus"),
     "tanaka_meyer_report": lambda path, hier, x: tanaka_meyer_report(path, hier, 2, x, 1.0),
     "scaling_check": lambda path, hier, x: scaling_check(path, tanaka_class("poly", 2, coeffs=[0.0, 2.0]), x, hier, 2),
 }
