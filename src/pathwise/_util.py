@@ -375,13 +375,6 @@ class LevelStack:
                         out[i, j] = acc
         return single
 
-    def spread(self, per_level: np.ndarray) -> Iterable[np.ndarray]:
-        """Per piece, in order: each level's value (last axis of
-        ``per_level``) over its intervals there and the pair after them."""
-        for piece in self._pieces():
-            spans = [stop - start + 1 for _, start, stop in piece]
-            yield np.repeat(per_level[..., [i for i, _, _ in piece]], spans, axis=-1)[..., :-1]
-
     def _level_terms(self, terms: Callable, values: Sequence[np.ndarray]):
         """``(single, k, (i, start, stop), x)`` per level of each piece and
         term: x holds the k-th term's entries for intervals start..stop-1 of

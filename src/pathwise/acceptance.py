@@ -570,7 +570,7 @@ def _run(criterion: Criterion, cfg: dict, *args) -> CriterionResult:
 
 def emit_artifacts(config: Optional[dict], out_dir: str) -> List[CriterionResult]:
     """Run criteria 1-9 and write one CSV per criterion into out_dir."""
-    cfg = DEFAULT_CONFIG if config is None else config
+    cfg = validate_config(DEFAULT_CONFIG if config is None else config)
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for criterion in CRITERIA[:-1]:

@@ -326,25 +326,12 @@ def _follmer_sums(a: np.ndarray, b: np.ndarray, p: int, f) -> np.ndarray:
     return _taylor_sum(f.taylor(a, p - 1), b - a)
 
 
-def _tanaka_meyer_sums(sa: np.ndarray, sb: np.ndarray, p: int, a_level: float, variant: str) -> np.ndarray:
-    """The Tanaka-Meyer compensated sum's terms at level a_level.
-
-    ``plus``:  1_(a,inf)(S_{t_j}) {(S_{t_{j+1}}-a)^(p-1) - (S_{t_j}-a)^(p-1)}
-    ``minus``: the same with 1_(-inf,a)
-    ``sign``:  weights sign(S_{t_j}-a) with sign(0) = +1.
-    """
+def _tanaka_meyer_sums(sa: np.ndarray, sb: np.ndarray, p: int, a_level: float) -> np.ndarray:
+    """The Tanaka-Meyer compensated sum's terms at level a_level:
+    ``1_(a,inf)(S_{t_j}) {(S_{t_{j+1}}-a)^(p-1) - (S_{t_j}-a)^(p-1)}``."""
     check_level(a_level)
-    if variant == "plus":
-        w = (sa > a_level).astype(float)
-    elif variant == "minus":
-        w = (sa < a_level).astype(float)
-    elif variant == "sign":
-        w = np.where(sa >= a_level, 1.0, -1.0)
-    else:
-        raise ParameterError(f"variant must be plus|minus|sign, got {variant!r}")
-    da = ipow(sa - a_level, p - 1)
-    db = ipow(sb - a_level, p - 1)
-    return w * (db - da)
+    w = (sa > a_level).astype(float)
+    return w * (ipow(sb - a_level, p - 1) - ipow(sa - a_level, p - 1))
 
 
 def discrete_local_time_point(path: SampledPath, level: np.ndarray, p: int, x: float, t: float) -> float:

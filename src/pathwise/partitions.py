@@ -20,7 +20,7 @@ the current point.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -314,18 +314,19 @@ def oscillation(path: SampledPath, level) -> float:
 
     All grid samples inside the closed cell count, not just the cell
     endpoints; endpoint-only ranges understate the oscillation of wiggly
-    paths.
+    paths.  It is the width of an oscillation band about any level set of
+    the path at that level; for a map of the path, such as |X|, pass the
+    mapped path.
     """
     return _oscillation(path.values, level)
 
 
-def _oscillation(values: np.ndarray, level, fn: Optional[Callable] = None) -> float:
-    """:func:`oscillation` of ``fn(values)`` (of values if fn is None), an
-    elementwise map, read in blocks of ``_OSC_BLOCK`` samples: a block's
-    cells are cut at the level points inside it (the descriptor's
-    ``between``), and the cell open at its end carries its extrema into the
-    next block.  Max and min are exact, so the value is that of one pass
-    over the whole path."""
+def _oscillation(values: np.ndarray, level) -> float:
+    """:func:`oscillation` of the samples ``values``, read in blocks of
+    ``_OSC_BLOCK`` samples: a block's cells are cut at the level points
+    inside it (the descriptor's ``between``), and the cell open at its end
+    carries its extrema into the next block.  Max and min are exact, so the
+    value is that of one pass over the whole path."""
     lev = as_level(level)
     last = values.size - 1
     if lev.size < 2 or lev.last != last:
@@ -333,7 +334,7 @@ def _oscillation(values: np.ndarray, level, fn: Optional[Callable] = None) -> fl
     widths, carry = [], None
     for s in range(0, last, _OSC_BLOCK):
         e = min(s + _OSC_BLOCK, last)
-        v = values[s : e + 1] if fn is None else fn(values[s : e + 1])
+        v = values[s : e + 1]
         # the block's cells start at its level points and at s
         starts = lev.between(s, e) - s
         fresh = starts.size > 0 and starts[0] == 0

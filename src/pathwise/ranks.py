@@ -267,51 +267,12 @@ def _rank_weighted_sums(terms, f, tr, Ra, Rb, Xa, Xb, na, occupant):
     return sums
 
 
-def _rank_decompositions(
-    system: RankSystem,
-    ranks: Sequence[int],
-    hierarchy: PartitionHierarchy,
-    p: int,
-    f,
-    checkpoints: Sequence[float],
-) -> list:
-    """The decompositions of the given ranks, in one pass over the levels."""
-    p = even_order(p)
-    lo = min(ranks) - 1
-    rows = slice(lo, max(ranks))
-    stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
-
-    def terms(tx, tk, dX, gap):
-        # C: the rank's Taylor polynomial moved by dX, orders 1 ... p-2 in gap
-        return (_taylor_sum(tx, dX), _taylor_sum(_taylor_shift(tk, dX, p - 2), gap), ipow(gap, p - 1),
-                ipow(np.maximum(gap, 0.0), p - 1), ipow(np.maximum(-gap, 0.0), p - 1))
-
-    def one_rank(Ra, Rb, Xa, Xb, na, occupant):
-        tr = f.taylor(Ra, p - 1)
-        b_sum, c_sum, d_sum, d_plus, d_minus = _rank_weighted_sums(
-            terms, f, tr, Ra, Rb, Xa, Xb, na, occupant)
-        return _taylor_sum(tr, Rb - Ra), b_sum, c_sum, d_sum * tr[p - 1], d_plus * tr[p - 1], d_minus * tr[p - 1]
-
-    def rank_terms(Xa, Xb, Ras, Rbs, nas, _):
-        occupants = _occupants(Xa)
-        # one rank at a time, each summed before the next is made, so only
-        # one row's temporaries are alive
-        for k in ranks:
-            i = k - 1 - lo
-            yield from one_rank(Ras[i], Rbs[i], Xa, Xb, nas[i], occupants[k - 1])
-
-    sums = stack.sums(rank_terms, system.values, system.ranked[rows], system.counts[rows])
-    decompositions = []
-    for i, k in enumerate(ranks):
-        A, B, C, D, D_plus, D_minus = sums[6 * i: 6 * i + 6]
-        resid = np.abs(A - (B + C + D))
-        rel, _, within = _exact_gate(resid, A, B, C, D)
-        decompositions.append(RankDecomposition(
-            k=k, p=p, f_name=getattr(f, "name", ""), level_labels=hierarchy.level_labels,
-            checkpoint_times=stack.times, A=A, B=B, C=C, D=D, D_plus=D_plus, D_minus=D_minus,
-            residual=resid, relative_residual=rel, passed=bool(np.all(within)),
-        ))
-    return decompositions
+def _cross_term(tk: np.ndarray, dX: np.ndarray, gap: np.ndarray, p: int) -> np.ndarray:
+    """C's term: the rank's Taylor coefficients ``tk`` moved by dX, orders
+    1 ... p-2 in gap; none at p = 2."""
+    if p == 2:
+        return np.zeros_like(gap)
+    return _taylor_sum(_taylor_shift(tk, dX, p - 2), gap)
 
 
 def rank_decompositions(
@@ -329,7 +290,38 @@ def rank_decompositions(
     the binomial theorem splits each power accordingly; summing preserves
     equality exactly.
     """
-    return _rank_decompositions(system, range(1, system.m + 1), hierarchy, p, f, checkpoints)
+    p = even_order(p)
+    stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
+
+    def terms(tx, tk, dX, gap):
+        return (_taylor_sum(tx, dX), _cross_term(tk, dX, gap, p), ipow(gap, p - 1),
+                ipow(np.maximum(gap, 0.0), p - 1), ipow(np.maximum(-gap, 0.0), p - 1))
+
+    def one_rank(Ra, Rb, Xa, Xb, na, occupant):
+        tr = f.taylor(Ra, p - 1)
+        b_sum, c_sum, d_sum, d_plus, d_minus = _rank_weighted_sums(
+            terms, f, tr, Ra, Rb, Xa, Xb, na, occupant)
+        return _taylor_sum(tr, Rb - Ra), b_sum, c_sum, d_sum * tr[p - 1], d_plus * tr[p - 1], d_minus * tr[p - 1]
+
+    def rank_terms(Xa, Xb, Ras, Rbs, nas, _):
+        occupants = _occupants(Xa)
+        # one rank at a time, each summed before the next is made, so only
+        # one row's temporaries are alive
+        for i in range(system.m):
+            yield from one_rank(Ras[i], Rbs[i], Xa, Xb, nas[i], occupants[i])
+
+    sums = stack.sums(rank_terms, system.values, system.ranked, system.counts)
+    decompositions = []
+    for i in range(system.m):
+        A, B, C, D, D_plus, D_minus = sums[6 * i: 6 * i + 6]
+        resid = np.abs(A - (B + C + D))
+        rel, _, within = _exact_gate(resid, A, B, C, D)
+        decompositions.append(RankDecomposition(
+            k=i + 1, p=p, f_name=getattr(f, "name", ""), level_labels=hierarchy.level_labels,
+            checkpoint_times=stack.times, A=A, B=B, C=C, D=D, D_plus=D_plus, D_minus=D_minus,
+            residual=resid, relative_residual=rel, passed=bool(np.all(within)),
+        ))
+    return decompositions
 
 
 @dataclass
@@ -362,17 +354,16 @@ def simplified_cross_term(
         )
     if not (1 <= k <= system.m):
         raise ParameterError(f"rank k must be in 1..{system.m}, got {k}")
-    full = _rank_decompositions(system, (k,), hierarchy, p, f, checkpoints)[0].C
     stack = LevelStack.build(system.paths[0], hierarchy, checkpoints)
 
     def terms(tx, tk, dX, gap):
-        return (_taylor_sum(tx, gap),)
+        # C's term, and the simplified one from the orders 0 ... p-2 at the path
+        return _cross_term(tk, dX, gap, p), _taylor_sum(tx[:p - 1], gap)
 
     def cross_terms(Ra, Rb, Xa, Xb, na, _):
-        (sums,) = _rank_weighted_sums(terms, f, f.taylor(Ra, p - 2), Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
-        return sums
+        return _rank_weighted_sums(terms, f, f.taylor(Ra, p - 1), Ra, Rb, Xa, Xb, na, _occupants(Xa)[k - 1])
 
-    simplified = stack.sums(cross_terms, system.ranked[k - 1], system.values, system.counts[k - 1])
+    full, simplified = stack.sums(cross_terms, system.ranked[k - 1], system.values, system.counts[k - 1])
     return SimplifiedCrossTerm(
         k=k, p=p,
         level_labels=hierarchy.level_labels,

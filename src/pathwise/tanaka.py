@@ -35,7 +35,7 @@ from .errors import ParameterError
 from .integrate import (SmoothCallable, TestFunction, _follmer_sums, _measure_remainder_sums, _remainder,
                         _tanaka_meyer_sums, _taylor_sum)
 from .localtime import SpaceGrid, _densities, _grid_level
-from .partitions import PartitionHierarchy, _oscillation
+from .partitions import PartitionHierarchy
 from .paths import SampledPath
 
 __all__ = [
@@ -165,7 +165,7 @@ def tanaka_meyer_report(
     p = even_order(p)
 
     def terms(sa, sb):
-        return _tanaka_meyer_sums(sa, sb, p, a, "plus"), bracket_contributions(sa, sb, p, a)
+        return _tanaka_meyer_sums(sa, sb, p, a), bracket_contributions(sa, sb, p, a)
 
     stack = LevelStack.build(path, hierarchy, [t])
     comp, rhs = (s[:, 0] for s in stack.sums(terms, path.values))
@@ -203,7 +203,7 @@ def _tm_proxy_increments(a: np.ndarray, b: np.ndarray, p: int, x: float = 0.0) -
     """Per-interval increments of the Tanaka-Meyer local-time proxy at x."""
     pos_a = ipow(np.maximum(a - x, 0.0), p - 1)
     pos_b = ipow(np.maximum(b - x, 0.0), p - 1)
-    return (pos_b - pos_a) - _tanaka_meyer_sums(a, b, p, x, "plus")
+    return (pos_b - pos_a) - _tanaka_meyer_sums(a, b, p, x)
 
 
 def _min_plus_max(Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray, p: int):
@@ -218,11 +218,10 @@ def _min_plus_max(Xa: np.ndarray, Xb: np.ndarray, Ya: np.ndarray, Yb: np.ndarray
     return dLX, dLY, dLM, dLm
 
 
-def _part_sums(part_a: np.ndarray, part_b: np.ndarray, p: int, tie, band):
-    """The terms of the local-time proxy at 0 of a part of X (or of |X|),
-    of its exact-tie sum and of its band tie sum."""
-    power = ipow(part_b, p - 1)
-    return _tm_proxy_increments(part_a, part_b, p), tie * power, band * power
+def _part_sums(part_a: np.ndarray, part_b: np.ndarray, p: int, tie):
+    """The terms of the local-time proxy at 0 of a part of X (or of |X|)
+    and of its exact-tie sum."""
+    return _tm_proxy_increments(part_a, part_b, p), tie * ipow(part_b, p - 1)
 
 
 def identity_suite(
@@ -230,79 +229,47 @@ def identity_suite(
 ) -> list:
     """Evaluate the local-time identities for a pair of paths, per level.
 
-    Zero-level sets are handled two ways, both reported: the literal
-    indicator 1{value == 0} (meaningful for paths engineered to touch zero
-    on-grid) and an osc-width band proxy in the details.  The band tie
-    sums are diagnostics only: for p = 2 they overshoot the local time by
-    a factor that grows with the level and must not be gated.
+    Zero-level sets are handled one way: by the exact ties 1{value == 0}
+    at the intervals' left ends (nonzero for paths engineered to touch
+    zero on-grid).  The exact-tie sums of identities (2) and (3) are in
+    their ``details`` as ``tie_sum``.
     """
     p = even_order(p)
     if (X.T, X.n_max) != (Y.T, Y.n_max):
         raise ParameterError("paths must share (T, n_max)")
     labels = hierarchy.level_labels
-    # the band widths: per level, the oscillation of X, Y and |X|
-    reads = ((X.values, None), (Y.values, None), (X.values, np.abs))
-    osc_x, osc_y, osc_a = np.array([[_oscillation(v, lev, fn) for lev in hierarchy.parts] for v, fn in reads])
-    osc_xy = np.maximum(osc_x, osc_y)
-    stack = LevelStack.build(X, hierarchy)
-    bands = stack.spread(np.array([osc_x, osc_y, osc_a]))
 
     def terms(Xa, Xb, Ya, Yb):
         """The terms of identities (1)-(7), one by one."""
-        width_x, width_y, band_a = next(bands)
         tie_x = Xa == 0.0
-        band_x = np.abs(Xa) <= width_x
         tie_both = tie_x & (Ya == 0.0)
-        band_both = band_x & (np.abs(Ya) <= width_y)
         dLX, dLY, dLM, dLm = _min_plus_max(Xa, Xb, Ya, Yb, p)
         yield from (dLX, dLY, dLM, dLm)
         # (1) nonnegative path: local time at 0 equals the exact-tie sum (|X|
-        # is 0 where X is), with the local time at the band level
-        Aa, Ab = np.abs(Xa), np.abs(Xb)
-        yield from _part_sums(Aa, Ab, p, tie_x, Aa <= band_a)
-        yield bracket_contributions(Aa, Ab, p, band_a)
+        # is 0 where X is)
+        yield from _part_sums(np.abs(Xa), np.abs(Xb), p, tie_x)
         # (2) positive part shares the local time at 0
-        yield from _part_sums(np.maximum(Xa, 0.0), np.maximum(Xb, 0.0), p, tie_x, band_x)
+        yield from _part_sums(np.maximum(Xa, 0.0), np.maximum(Xb, 0.0), p, tie_x)
         # (3) negative-part twin
-        yield from _part_sums(np.maximum(-Xa, 0.0), np.maximum(-Xb, 0.0), p, tie_x, band_x)
+        yield from _part_sums(np.maximum(-Xa, 0.0), np.maximum(-Xb, 0.0), p, tie_x)
         # (4) signed-power sum over the zero set vanishes in the limit
-        power = ipow(Xb, p - 1)
-        yield from (tie_x * power, band_x * power)
+        yield tie_x * ipow(Xb, p - 1)
         Xpb, Ypb = np.maximum(Xb, 0.0), np.maximum(Yb, 0.0)
         # (5) local time of the maximum
-        collision = ipow(np.maximum(Xpb, Ypb), p - 1)
-        yield from ((Ya < 0.0) * dLX, (Xa < 0.0) * dLY, tie_both * collision, band_both * collision)
+        yield from ((Ya < 0.0) * dLX, (Xa < 0.0) * dLY, tie_both * ipow(np.maximum(Xpb, Ypb), p - 1))
         # (6) local time of the minimum
-        collision = ipow(np.minimum(Xpb, Ypb), p - 1)
-        yield from ((Ya > 0.0) * dLX, (Xa > 0.0) * dLY, tie_both * collision, band_both * collision)
+        yield from ((Ya > 0.0) * dLX, (Xa > 0.0) * dLY, tie_both * ipow(np.minimum(Xpb, Ypb), p - 1))
 
-    s = [x[:, 0] for x in stack.sums(terms, X.values, Y.values)]
+    s = [x[:, 0] for x in LevelStack.build(X, hierarchy).sums(terms, X.values, Y.values)]
     zero = np.zeros(len(labels))
-    # rows (lhs, rhs, d1, d2) of identities (1)-(7) from the sums, in order
-    rows = [
-        s[4:8],
-        (s[0], *s[8:11]),
-        (s[0], *s[11:14]),
-        (s[14], zero, s[15], zero),
-        (s[2], s[16] + s[17] + s[18], s[19], zero),
-        (s[3], s[20] + s[21] + s[22], s[23], zero),
-        (s[2] + s[3], s[0] + s[1], zero, zero),
-    ]
-    lhs, rhs, d1, d2 = np.array(rows).transpose(1, 0, 2)
     return [
-        _report("nonneg local time vs exact-tie sum (|X|)", labels, lhs[0], rhs[0],
-                {"band_tie_sum": d1[0], "lt_at_band_level": d2[0], "band_width": osc_a}, exact=True),
-        _report("local time of X vs X^+ at 0", labels, lhs[1], rhs[1],
-                {"tie_sum": d1[1], "band_tie_sum": d2[1], "band_width": osc_x}),
-        _report("local time of X vs X^- at 0", labels, lhs[2], rhs[2],
-                {"tie_sum": d1[2], "band_tie_sum": d2[2], "band_width": osc_x}),
-        _report("signed power sum over the zero set", labels, lhs[3], rhs[3],
-                {"band_tie_sum": d1[3], "band_width": osc_x}),
-        _report("local time of max decomposition", labels, lhs[4], rhs[4],
-                {"band_collision_term": d1[4], "band_width": osc_xy}),
-        _report("local time of min decomposition", labels, lhs[5], rhs[5],
-                {"band_collision_term": d1[5], "band_width": osc_xy}),
-        _report("min plus max local times", labels, lhs[6], rhs[6]),
+        _report("nonneg local time vs exact-tie sum (|X|)", labels, s[4], s[5], exact=True),
+        _report("local time of X vs X^+ at 0", labels, s[0], s[6], {"tie_sum": s[7]}),
+        _report("local time of X vs X^- at 0", labels, s[0], s[8], {"tie_sum": s[9]}),
+        _report("signed power sum over the zero set", labels, s[10], zero),
+        _report("local time of max decomposition", labels, s[2], s[11] + s[12] + s[13]),
+        _report("local time of min decomposition", labels, s[3], s[14] + s[15] + s[16]),
+        _report("min plus max local times", labels, s[2] + s[3], s[0] + s[1]),
     ]
 
 

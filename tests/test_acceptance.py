@@ -363,6 +363,14 @@ def test_acceptance_config_errors_name_their_field(edit, name):
         acceptance.validate_config(cfg)
 
 
+def test_emit_artifacts_validates_its_config(tmp_path):
+    # a public entry: an incomplete config is the ConfigError that run_all
+    # raises on it, naming the field, before anything is written
+    with pytest.raises(ConfigError, match="'schema_version' is missing"):
+        acceptance.emit_artifacts({"T": 1.0}, str(tmp_path / "acc"))
+    assert not (tmp_path / "acc").exists()
+
+
 # -- held-out seeds ---------------------------------------------------------------
 
 # every seed base of the Monte Carlo criteria, as (section, key); the exact

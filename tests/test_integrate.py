@@ -243,23 +243,15 @@ def test_follmer_square_closed_form(bm_path):
 def test_tanaka_meyer_dead_indicator(bm_path):
     a = bm_path.values.max() + 1.0
     lev = dyadic_hierarchy(bm_path, 5).level(5)
-    assert level_sum(bm_path, lev, 1.0, integrate._tanaka_meyer_sums, 2, a, "plus") == 0.0
+    assert level_sum(bm_path, lev, 1.0, integrate._tanaka_meyer_sums, 2, a) == 0.0
 
 
 def test_tanaka_meyer_two_point_hand_values():
     lev = np.array([0, 2])
     up = single_interval_path(0.0, 1.0)
     down = single_interval_path(1.0, 0.0)
-    assert level_sum(up, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5, "plus") == 0.0
-    assert level_sum(down, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5, "plus") == pytest.approx(-1.0)
-
-
-def test_tanaka_meyer_sign_convention_at_zero():
-    # sign(0) = +1: a start value exactly at the level counts as positive
-    path = single_interval_path(0.5, 1.5)
-    lev = np.array([0, 2])
-    val = level_sum(path, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5, "sign")
-    assert val == pytest.approx((1.5 - 0.5) - 0.0)
+    assert level_sum(up, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5) == 0.0
+    assert level_sum(down, lev, 1.0, integrate._tanaka_meyer_sums, 2, 0.5) == pytest.approx(-1.0)
 
 
 def test_tanaka_meyer_equals_follmer_of_pos_part(bm_path):
@@ -267,24 +259,9 @@ def test_tanaka_meyer_equals_follmer_of_pos_part(bm_path):
     f = tanaka_class("pos_part_pow", 2, a=a)
     hier = dyadic_hierarchy(bm_path, 8)
     for lev in hier.levels:
-        tm = level_sum(bm_path, lev, 1.0, integrate._tanaka_meyer_sums, 2, a, "plus")
+        tm = level_sum(bm_path, lev, 1.0, integrate._tanaka_meyer_sums, 2, a)
         fo = level_sum(bm_path, lev, 1.0, integrate._follmer_sums, 2, f)
         assert relative_gap(tm, fo) <= 1e-12
-
-
-def test_tanaka_meyer_sign_is_plus_minus_difference(rough_path):
-    a = 0.1113
-    hier = dyadic_hierarchy(rough_path, 7)
-    for lev in hier.levels:
-        plus = level_sum(rough_path, lev, 1.0, integrate._tanaka_meyer_sums, 4, a, "plus")
-        minus = level_sum(rough_path, lev, 1.0, integrate._tanaka_meyer_sums, 4, a, "minus")
-        sign = level_sum(rough_path, lev, 1.0, integrate._tanaka_meyer_sums, 4, a, "sign")
-        assert relative_gap(sign, plus - minus) <= 1e-12
-
-
-def test_variant_validation(bm_path):
-    with pytest.raises(ParameterError):
-        level_sum(bm_path, FULL, 1.0, integrate._tanaka_meyer_sums, 2, 0.0, "both")
 
 
 # -- local time at a point / measure pairing ------------------------------

@@ -137,9 +137,11 @@ def test_blocked_oscillation_is_the_whole_path_oscillation(data, block, fn):
     values = np.concatenate([[0.0], np.cumsum(steps, dtype=float)]) * data.draw(st.sampled_from([1.0, 0.3]))
     interior = data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
     idx = np.array([0, *sorted(interior), n])
-    want = _whole_path_oscillation(values if fn is None else np.abs(values), idx)
+    if fn is not None:
+        values = fn(values)
+    want = _whole_path_oscillation(values, idx)
     with mock.patch.object(partitions, "_OSC_BLOCK", block):
-        assert partitions._oscillation(values, idx, fn) == want
+        assert partitions._oscillation(values, idx) == want
 
 
 def test_blocked_oscillation_validates_every_block():

@@ -582,13 +582,14 @@ def test_stacked_rank_sums_are_bit_identical_to_per_level_loops(paths, k, p, kin
     for f in (poly, tanaka_class("abs_pow", p, a=0.5), tanaka_class("poly", p, coeffs=[0.2, 0.0, 1.0, -0.5, 0.3, 0.1])):
         decs = rank_decompositions(system, hier, p, f, checkpoints)
         assert [dec.k for dec in decs] == list(range(1, system.m + 1))
-        for dec in decs + ranks._rank_decompositions(system, (k,), hier, p, f, checkpoints):
+        for dec in decs:
             want = _per_level_decomposition(system, dec.k, hier, p, f, checkpoints)
             for key, rows in want.items():
                 assert _same_bytes(getattr(dec, key), rows), (f.name, dec.k, key)
 
     simp = simplified_cross_term(system, k, hier, p, poly, checkpoints)
     assert _same_bytes(simp.simplified, _per_level_simplified(system, k, hier, p, poly, checkpoints))
+    assert _same_bytes(simp.full, _per_level_decomposition(system, k, hier, p, poly, checkpoints)["C"])
 
     _, cps = snap_checkpoints(paths[0], checkpoints)
     for h in range(k + 1, system.m + 1):

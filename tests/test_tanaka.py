@@ -26,6 +26,7 @@ from pathwise import (
 )
 from pathwise import acceptance
 from pathwise._util import (
+    Points,
     bracket_contributions,
     ipow,
     left_endpoint_counts,
@@ -34,7 +35,6 @@ from pathwise._util import (
 )
 from pathwise import integrate
 from pathwise.integrate import SmoothCallable
-from pathwise.partitions import oscillation
 from pathwise.tanaka import _tm_proxy_increments, finite_n_report, tanaka_meyer_report
 from tests import rational
 from tests.conftest import csv_rows, level_sum, make_walk, one_level, relative_gap, traced_peak
@@ -367,9 +367,8 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
     absX = np.abs(X.values)
     Xp = np.maximum(X.values, 0.0)
     Xm = np.maximum(-X.values, 0.0)
-    abs_path = SampledPath(X.T, X.n_max, absX, metadata={"kind": "abs"})
     names = ("nonneg", "pos_part", "neg_part", "zero_set", "max", "min", "minmax")
-    rows = {name: {k: [] for k in ("lhs", "rhs", "d1", "d2", "d3")} for name in names}
+    rows = {name: {k: [] for k in ("lhs", "rhs", "d1")} for name in names}
 
     for lev in hierarchy.levels:
         la, lb = lev[:-1], lev[1:]
@@ -380,9 +379,6 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
         Aa, Ab = absX[la], absX[lb]
         Xpa, Xpb = Xp[la], Xp[lb]
         Xma, Xmb = Xm[la], Xm[lb]
-        osc_x = oscillation(X, lev)
-        osc_y = oscillation(Y, lev)
-        osc_a = oscillation(abs_path, lev)
         dLA = _tm_proxy_increments(Aa, Ab, p)
         dLX = _tm_proxy_increments(Xa, Xb, p)
         dLY = _tm_proxy_increments(Ya, Yb, p)
@@ -392,33 +388,22 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
         r = rows["nonneg"]
         r["lhs"].append(np.sum(dLA))
         r["rhs"].append(np.sum((Aa == 0.0) * ipow(Ab, p - 1)))
-        r["d1"].append(np.sum((Aa <= osc_a) * ipow(Ab, p - 1)))
-        r["d2"].append(np.sum(bracket_contributions(Aa, Ab, p, osc_a)))
-        r["d3"].append(osc_a)
 
         r = rows["pos_part"]
         r["lhs"].append(np.sum(dLX))
         r["rhs"].append(np.sum(_tm_proxy_increments(Xpa, Xpb, p)))
         r["d1"].append(np.sum((Xa == 0.0) * ipow(Xpb, p - 1)))
-        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * ipow(Xpb, p - 1)))
-        r["d3"].append(osc_x)
 
         r = rows["neg_part"]
         r["lhs"].append(np.sum(dLX))
         r["rhs"].append(np.sum(_tm_proxy_increments(Xma, Xmb, p)))
         r["d1"].append(np.sum((Xa == 0.0) * ipow(Xmb, p - 1)))
-        r["d2"].append(np.sum((np.abs(Xa) <= osc_x) * ipow(Xmb, p - 1)))
-        r["d3"].append(osc_x)
 
         r = rows["zero_set"]
         r["lhs"].append(np.sum((Xa == 0.0) * ipow(Xb, p - 1)))
         r["rhs"].append(0.0)
-        r["d1"].append(np.sum((np.abs(Xa) <= osc_x) * ipow(Xb, p - 1)))
-        r["d2"].append(0.0)
-        r["d3"].append(osc_x)
 
         tie_both = (Xa == 0.0) & (Ya == 0.0)
-        band_both = (np.abs(Xa) <= osc_x) & (np.abs(Ya) <= osc_y)
 
         r = rows["max"]
         r["lhs"].append(np.sum(dLM))
@@ -426,9 +411,6 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
         r["rhs"].append(
             np.sum((Ya < 0.0) * dLX) + np.sum((Xa < 0.0) * dLY) + np.sum(tie_both * collision)
         )
-        r["d1"].append(np.sum(band_both * collision))
-        r["d2"].append(0.0)
-        r["d3"].append(max(osc_x, osc_y))
 
         r = rows["min"]
         r["lhs"].append(np.sum(dLm))
@@ -436,18 +418,13 @@ def _per_level_identity_suite(X, Y, hierarchy, p):
         r["rhs"].append(
             np.sum((Ya > 0.0) * dLX) + np.sum((Xa > 0.0) * dLY) + np.sum(tie_both * collision_min)
         )
-        r["d1"].append(np.sum(band_both * collision_min))
-        r["d2"].append(0.0)
-        r["d3"].append(max(osc_x, osc_y))
 
         r = rows["minmax"]
         r["lhs"].append(np.sum(dLM) + np.sum(dLm))
         r["rhs"].append(np.sum(dLX) + np.sum(dLY))
 
-    band = {"band_tie_sum": "d1", "lt_at_band_level": "d2", "band_width": "d3"}
-    part = {"tie_sum": "d1", "band_tie_sum": "d2", "band_width": "d3"}
-    collision_names = {"band_collision_term": "d1", "band_width": "d3"}
-    details = (band, part, part, {"band_tie_sum": "d1", "band_width": "d3"}, collision_names, collision_names, {})
+    part = {"tie_sum": "d1"}
+    details = ({}, part, part, {}, {}, {}, {})
     return [
         (rows[name]["lhs"], rows[name]["rhs"], {k: rows[name][key] for k, key in d.items()})
         for name, d in zip(names, details)
@@ -663,6 +640,31 @@ def test_ito_residual_quartic_on_bm_small_at_level_14():
     assert median(finals) < 0.05
 
 
+class _NoBetween(Points):
+    """A level that refuses ``between``, the oscillation's reader."""
+
+    def between(self, lo, hi):
+        raise AssertionError("the level was read for an oscillation")
+
+
+def test_identity_suite_reads_no_oscillation(bm_path):
+    # the suite's terms are its levels' intervals alone: no band width
+    saw = make_walk(0.5 * np.resize([0.0, 1, 0, -1], bm_path.n_samples))
+    hier = dyadic_hierarchy(bm_path, 7)
+    refusing = PartitionHierarchy(hier.kind, [_NoBetween(lev) for lev in hier.levels], hier.level_labels,
+                                  hier.nested)
+    for p in (2, 4):
+        got = identity_suite(bm_path, saw, refusing, p)
+        want = identity_suite(bm_path, saw, hier, p)
+        assert [r.identity for r in got] == [r.identity for r in want]
+        for rep, ref in zip(got, want):
+            assert _same_bytes(rep.lhs, ref.lhs) and _same_bytes(rep.rhs, ref.rhs), rep.identity
+            assert rep.passed == ref.passed, rep.identity
+            assert rep.details.keys() == ref.details.keys(), rep.identity
+            for name, values in ref.details.items():
+                assert _same_bytes(rep.details[name], values), (rep.identity, name)
+
+
 # -- identity suite ---------------------------------------------------------
 
 
@@ -678,8 +680,6 @@ def test_suite_nonneg_identity_is_exact_on_abs_bm(bm_path):
     for lev, rhs in zip(hier.levels, nonneg.rhs):
         first = abs(bm_path.values[lev[1]])
         assert rhs == pytest.approx(first, rel=1e-15)
-    # the band diagnostics are reported alongside
-    assert "band_tie_sum" in nonneg.details and "lt_at_band_level" in nonneg.details
 
 
 def test_suite_nonneg_identity_with_engineered_zeros():

@@ -834,8 +834,7 @@ _AT_ONE_LEVEL = {
     "discrete_local_time_point": lambda path, hier, x: discrete_local_time_point(path, hier.finest, 2, x, 1.0),
     "discrete_local_time_curves": lambda path, hier, x: discrete_local_time_curves(path, hier, 2, x, [1.0]),
     "rank_sum_identity": lambda path, hier, x: rank_sum_identity(build_rank_system([path, path]), hier, 2, x=x),
-    "tanaka_meyer_sum": lambda path, hier, x: level_sum(path, hier.finest, 1.0, integrate._tanaka_meyer_sums, 2, x,
-                                                        "plus"),
+    "tanaka_meyer_sum": lambda path, hier, x: level_sum(path, hier.finest, 1.0, integrate._tanaka_meyer_sums, 2, x),
     "tanaka_meyer_report": lambda path, hier, x: tanaka_meyer_report(path, hier, 2, x, 1.0),
     "scaling_check": lambda path, hier, x: scaling_check(path, tanaka_class("poly", 2, coeffs=[0.0, 2.0]), x, hier, 2),
 }
